@@ -24,8 +24,8 @@ import numpy as np
 from .basis import string_parity_sign
 from .errors import NumericsError, ValidationError
 from .filtration import (RotatingTarget, dark_projection, dark_subspace,
-                         full_setup, generic_setup, reduced_setup,
-                         run_filtration, filtration_time,
+                         full_setup, generic_setup, jump_filtration_time,
+                         reduced_setup, run_filtration, filtration_time,
                          spectral_decomposition)
 from .output import SCHEMAS, emit_csv, ensure_dir, write_metadata
 from .spectral import (bright_secular_roots, charge_picture, dominant_bright,
@@ -35,6 +35,9 @@ from .spin_model import ChainParams, StateVector, build_hamiltonian, build_tower
 RNG_FAMILY = "philox"
 # tolerance to which run_tar2 checks the string-oscillation law
 STRING_LAW_TOL = 0.01
+# largest chain length at which scaling sweeps are certified (see
+# sweep_n_epsilon)
+SWEEP_L_MAX = 30
 
 def tar1_resonance(L):
     # h*tau = pi/L glues the phases of the tower edges B_0, B_L
@@ -426,39 +429,30 @@ def run_tar2(spec: ExperimentSpec, out_dir) -> RunArtifacts:
                    {"trajectory": path}, extra, t0)
 
 
-def _sweep_case(L, variant, theta0, eps, n_cap):
+def _sweep_case(L, variant, theta0, eps):
     """One point of the filtration-time sweep, tower engine."""
-    params = ChainParams(L=L)
     if variant == "tar2":
-        h_tau = tar2_resonance(L)
-        which = "tar2"
+        h_tau, which = tar2_resonance(L), "tar2"
     else:
-        h_tau = tar1_resonance(L)
-        which = "tar1"
-    pred = scaling_predictions(L, theta0, eps, variant)
-    budget = min(n_cap, int(math.ceil(5.0 * max(pred, 40.0))) + 200)
-    spec = ExperimentSpec(name=f"sweep-L{L}", params=params, theta0=theta0,
-                          h_tau=h_tau, n_steps=budget, eps=eps)
+        h_tau, which = tar1_resonance(L), "tar1"
+    spec = ExperimentSpec(name=f"sweep-L{L}", params=ChainParams(L=L),
+                          theta0=theta0, h_tau=h_tau, n_steps=0, eps=eps)
     setup, initial = build_setup(spec)
     target = make_target(setup, which)
-    traj = run_filtration(setup, initial, budget, target=target,
-                          string_every=0)
-    ft = filtration_time(traj, eps)
-    if not ft.reached:
-        raise NumericsError(
-            f"L={L} {variant}: Q never reached 1-eps within {budget} steps "
-            f"(max {ft.max_q:.6f}); prediction {pred:.1f}"
-        )
-    return ft.n_eps, pred
+    n_eps = jump_filtration_time(setup, initial, target, eps, h_tau)
+    return n_eps, scaling_predictions(L, theta0, eps, variant)
 
 
 def sweep_n_epsilon(L_values, theta0_rule, eps, variant,
-                    out_dir, n_cap=2_000_000) -> RunArtifacts:
+                    out_dir) -> RunArtifacts:
     """Filtration time vs chain length against the closed-form laws.
 
     theta0_rule is one of 'orthogonal', 'general', 'parity',
     'tar2-optimal'; variant selects the prediction family
-    ('tar1-general', 'tar1-orthogonal', 'tar2').
+    ('tar1-general', 'tar1-orthogonal', 'tar2').  Each n_eps comes from
+    jump_filtration_time, which finds the crossing without stepping;
+    chain lengths above SWEEP_L_MAX, where that search is not certified
+    against an extended-precision oracle, are rejected.
     """
     t0 = time.time()
     if theta0_rule not in THETA0_RULES:
@@ -471,13 +465,18 @@ def sweep_n_epsilon(L_values, theta0_rule, eps, variant,
         raise ValidationError("empty L range")
     if any(L < 2 for L in L_values):
         raise ValidationError("chain lengths must be >= 2")
+    if max(L_values) > SWEEP_L_MAX:
+        raise ValidationError(
+            f"chain length {max(L_values)} above {SWEEP_L_MAX}, the largest "
+            "at which the jump-ahead filtration time is certified"
+        )
     ensure_dir(out_dir)
     rule = THETA0_RULES[theta0_rule]
     rows = []
     results = []
     for L in L_values:
         theta0 = rule(L)
-        n_sim, n_pred = _sweep_case(L, variant, theta0, eps, n_cap)
+        n_sim, n_pred = _sweep_case(L, variant, theta0, eps)
         rows.append((L, n_sim, n_pred, variant))
         results.append({"L": L, "theta0": theta0,
                         "n_eps_sim": n_sim, "n_eps_theory": n_pred})

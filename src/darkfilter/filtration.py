@@ -18,7 +18,8 @@ step costs O(dim).  Three engines exist:
 Iteration never renormalizes the internal state; survival probability is
 its squared norm, and all reported quantities are normalized on output.
 The non-normal eigendecomposition is an analysis tool only, never the
-propagation path.
+propagation path.  On the tower engine, jump_filtration_time finds a
+filtration time from powers of F instead of iterating.
 """
 
 from __future__ import annotations
@@ -832,6 +833,135 @@ def filtration_time(trajectory, eps):
                               True, float(np.max(trajectory.q)))
     return FiltrationTime(trajectory.q, None, False,
                           float(np.max(trajectory.q, initial=0.0)))
+
+
+# Largest relative drift of the target's conserved amplitude Q_n S_n.
+DARK_AMPLITUDE_RTOL = 1e-10
+
+# Smallest distance of Q on either side of 1 - eps at a crossing that the
+# jump-ahead search trusts.
+CROSSING_MARGIN = 1e-12
+
+# Doublings after which the jump-ahead search gives up (n beyond 2^62).
+MAX_DOUBLINGS = 62
+
+
+def _pi_phases(m, q):
+    """exp(-i pi m / q) for Python integers m, reduced modulo 2q exactly."""
+    return np.exp(-1j * math.pi * np.array([k % (2 * q) for k in m],
+                                           dtype=float) / q)
+
+
+def jump_filtration_time(setup, initial, target, eps, h_tau):
+    """Smallest n with Q_n >= 1 - eps on the tower engine, without stepping.
+
+    h_tau = (p, q) is the resonance h*tau = pi p/q of the setup.  Doubling
+    k until Q at n = 2^k reaches 1 - eps brackets the crossing in
+    (2^(k-1), 2^k]; binary lifting from 2^(k-1) down to 1 then pins it.
+    The state F^n psi0 is built from the powers F^(2^k) of the
+    (L+1)-dimensional filtration matrix, and Q_n is evaluated as
+    run_filtration does, with the phases of F and the rotation of the
+    target reduced modulo 2 pi from integers so they do not drift with n.
+
+    The search is valid because the target lies in the dark subspace:
+    its overlap modulus is conserved, so Q_n = Q_0 S_0 / S_n never
+    decreases.  That conservation is checked at every n evaluated
+    (NumericsError beyond DARK_AMPLITUDE_RTOL), as are the asymptote
+    Q_inf >= 1 - eps and the crossing margin CROSSING_MARGIN.
+    """
+    if setup.engine != "tower":
+        raise ValidationError("jump-ahead needs the tower engine")
+    thr = 1.0 - eps
+    if not 0.0 < eps < 1.0 or thr == 1.0:
+        raise ValidationError(f"eps={eps!r} outside (0, 1) or below the "
+                              "resolution of 1 - eps")
+    p, q = h_tau
+    # E_k tau - E_0 tau = pi * levels[k] / q on the tower
+    levels = [2 * p * k for k in range(setup.params.L + 1)]
+    phases = _pi_phases(levels, q)
+    drift = float(np.max(np.abs(setup.phases * setup.phases[0].conj()
+                                - phases)))
+    if drift > setup.phase_tol:
+        raise ValidationError(
+            f"setup phases are not at h*tau = pi*{p}/{q} (off by {drift:.2e})"
+        )
+    rot = target if isinstance(target, RotatingTarget) \
+        else RotatingTarget.static(target)
+    turns = np.rint(rot.angles * q / math.pi)
+    if float(np.max(np.abs(rot.angles - math.pi * turns / q))) > 1e-12:
+        raise ValidationError(
+            f"target rotation is not a multiple of pi/{q}: {rot.angles}"
+        )
+    turns = [int(t) for t in turns]
+    probes = np.array([setup.to_eigen(c) for c in rot.components])
+    gram = probes.conj() @ probes.T
+    psi0 = setup.to_eigen(initial)
+    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
+        raise ValidationError("initial state must have unit norm")
+
+    def amplitude(n, psi):
+        """(Q_n, Q_n S_n) of the unnormalised state psi = F^n psi0."""
+        coef = rot.weights * _pi_phases([t * n for t in turns], q)
+        numer = abs(np.vdot(coef, probes.conj() @ psi)) ** 2
+        tnorm = float((coef.conj() @ gram @ coef).real)
+        return numer / (tnorm * float(np.vdot(psi, psi).real)), numer / tnorm
+
+    q0, kept = amplitude(0, psi0)
+    dark = dark_projection(setup, psi0)
+    w_dark = float(np.vdot(dark, dark).real)
+    q_inf = amplitude(0, dark)[0] if w_dark > 0.0 else 0.0
+    if q_inf < thr:
+        raise NumericsError(
+            f"Q_inf = {q_inf:.10f} from dark weight {w_dark:.3e} never "
+            f"reaches 1 - eps = {thr}"
+        )
+    if q0 >= thr:
+        return 0
+
+    def fidelity(n, psi):
+        q_n, kept_n = amplitude(n, psi)
+        if abs(kept_n - kept) > DARK_AMPLITUDE_RTOL * kept:
+            raise NumericsError(
+                f"target amplitude Q_n S_n drifted by "
+                f"{abs(kept_n - kept) / kept:.3e} (relative) at n={n}: "
+                "the target is not dark"
+            )
+        return q_n
+
+    # F^(2^k) = D^(2^k) + X_k with D = diag(phases).  Squaring it as
+    # D^2 + D X_k + X_k D + X_k^2 keeps the decay rates 1 - |zeta| ~ 2^-L
+    # at full relative precision; a dense F^(2^k) would round them
+    # against 1 and lose about n * 1e-16 in Q_n.
+    r = setup.removal_eig
+    devs = [np.outer(-r, r.conj() * phases)]
+
+    def ahead(k, psi):
+        """F^(2^k) psi."""
+        return _pi_phases([m << k for m in levels], q) * psi + devs[k] @ psi
+
+    q_hi = fidelity(1, ahead(0, psi0))
+    while q_hi < thr:
+        k = len(devs) - 1
+        if k >= MAX_DOUBLINGS:
+            raise NumericsError(f"Q_n < 1 - eps up to n = 2^{MAX_DOUBLINGS}")
+        d, x = _pi_phases([m << k for m in levels], q), devs[k]
+        devs.append(d[:, None] * x + x * d + x @ x)
+        q_hi = fidelity(1 << (k + 1), ahead(k + 1, psi0))
+    n, q_lo, psi = 0, q0, psi0
+    for k in range(len(devs) - 2, -1, -1):
+        step = ahead(k, psi)
+        q_k = fidelity(n + (1 << k), step)
+        if q_k < thr:
+            n, q_lo, psi = n + (1 << k), q_k, step
+        else:
+            q_hi = q_k
+    margin = min(thr - q_lo, q_hi - thr)
+    if margin < CROSSING_MARGIN:
+        raise NumericsError(
+            f"crossing at n={n + 1} is within {margin:.2e} of 1 - eps: "
+            "too close to resolve in double precision"
+        )
+    return n + 1
 
 
 @dataclass

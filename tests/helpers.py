@@ -8,6 +8,8 @@ significant base-3 digit, local digit = 1 - m for m in {+1, 0, -1}.
 
 import itertools
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
@@ -90,3 +92,90 @@ def overlap_with_span(vec, columns):
     """Norm of the projection of a unit vector onto span(columns)."""
     q, _ = np.linalg.qr(columns)
     return float(np.linalg.norm(q.conj().T @ vec))
+
+
+def _fx_dot(x, y):
+    return sum(map(operator.mul, x, y))
+
+
+def _fx_matmul(a, b, bits):
+    """Complex fixed-point product; matrices are (re, im) lists of rows."""
+    (ar, ai), (br, bi) = a, b
+    cr, ci = list(zip(*br)), list(zip(*bi))
+    re = [[(_fx_dot(x, u) - _fx_dot(y, v)) >> bits for u, v in zip(cr, ci)]
+          for x, y in zip(ar, ai)]
+    im = [[(_fx_dot(x, v) + _fx_dot(y, u)) >> bits for u, v in zip(cr, ci)]
+          for x, y in zip(ar, ai)]
+    return re, im
+
+
+def mp_filtration_time(L, theta0, h_tau, which, eps, bits=160):
+    """First n with Q_n >= 1 - eps on the tower, in extended precision.
+
+    Rebuilds the tower problem from its closed forms with mpmath:
+    binomial weights w_k = sqrt(C(L, k) / 2^L), removal (-1)^k w_k,
+    initial state exp(i (L - k) theta0) w_k, phases exp(-2 pi i p k / q)
+    with the common phase dropped, and the GHZ (tar1) or rotating
+    edge-pair (tar2) target.  The powers of F then run on Python integers
+    in fixed point with `bits` fractional bits (rounding doubles with
+    each squaring, so 2^36 steps cost about 36 bits), and each Q_n is
+    compared with the exact rational 1 - eps.  Doubling, then binary
+    lifting on plain powers of F, with none of the library's numerics.
+    States are rows, so the powers are those of F^T.
+    """
+    import mpmath as mp
+
+    p, q = h_tau
+    dim = L + 1
+    with mp.workprec(bits + 64):
+        def fixed(rows):
+            cells = [[mp.mpc(z) * 2**bits for z in row] for row in rows]
+            return ([[int(mp.nint(z.real)) for z in row] for row in cells],
+                    [[int(mp.nint(z.imag)) for z in row] for row in cells])
+
+        w = [mp.sqrt(mp.mpf(math.comb(L, k)) / 2**L) for k in range(dim)]
+        r = [(-1) ** k * w[k] for k in range(dim)]
+        phase = [mp.expjpi(mp.mpf(-2 * p * k) / q) for k in range(dim)]
+        f_t = fixed([[(phase[i] if i == j else 0) - r[i] * r[j] * phase[j]
+                      for i in range(dim)] for j in range(dim)])
+        psi0 = fixed([[mp.expj((L - k) * mp.mpf(theta0)) * w[k]
+                       for k in range(dim)]])
+        s = (-1) ** L
+        comps = [[0] * dim for _ in range(2 if which == "tar2" else 1)]
+        if which == "tar1":
+            comps[0][L], comps[0][0] = 1 / mp.sqrt(2), -s / mp.sqrt(2)
+            coefs, turns = [1], [0]
+        else:
+            root = mp.sqrt(L + 1)
+            comps[0][0], comps[0][L - 1] = -s * mp.sqrt(L) / root, -1 / root
+            comps[1][1], comps[1][L] = s / root, mp.sqrt(L) / root
+            coefs = [mp.expj(mp.mpf(theta0)) / mp.sqrt(2), -1 / mp.sqrt(2)]
+            turns = [0, 2 * p]
+        thr = 1 - Fraction(eps)
+
+        def below(n, vec):
+            """Whether Q_n < 1 - eps for the row vec = (F^n psi0)^T."""
+            rot = [c * mp.expjpi(mp.mpf(-t * n % (2 * q)) / q)
+                   for c, t in zip(coefs, turns)]
+            (tr,), (ti,) = fixed([[sum(c * v[k] for c, v in zip(rot, comps))
+                                   for k in range(dim)]])
+            (vr,), (vi,) = vec
+            ov_re = _fx_dot(tr, vr) + _fx_dot(ti, vi)
+            ov_im = _fx_dot(tr, vi) - _fx_dot(ti, vr)
+            tt = _fx_dot(tr, tr) + _fx_dot(ti, ti)
+            vv = _fx_dot(vr, vr) + _fx_dot(vi, vi)
+            return ((ov_re**2 + ov_im**2) * thr.denominator
+                    < thr.numerator * tt * vv)
+
+        if not below(0, psi0):
+            return 0
+        powers = [f_t]
+        while below(2 ** (len(powers) - 1),
+                    _fx_matmul(psi0, powers[-1], bits)):
+            powers.append(_fx_matmul(powers[-1], powers[-1], bits))
+        n, vec = 0, psi0
+        for k in range(len(powers) - 2, -1, -1):
+            ahead = _fx_matmul(vec, powers[k], bits)
+            if below(n + 2**k, ahead):
+                n, vec = n + 2**k, ahead
+        return n + 1

@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import (
@@ -17,6 +19,7 @@ from darkfilter.experiments import (
     detect_plateau,
     document_of,
     fit_slope_log2,
+    general_angle,
     goe_demo,
     group_label,
     make_target,
@@ -35,7 +38,10 @@ from darkfilter.experiments import (
     tar2_resonance,
     zeta_vs_L_scan,
 )
+from darkfilter.filtration import (filtration_time, jump_filtration_time,
+                                   reduced_setup, run_filtration)
 from darkfilter.spin_model import ChainParams
+from helpers import mp_filtration_time
 
 
 def read_csv(path):
@@ -188,6 +194,110 @@ def test_sweep_rejects_unknown_rule(tmp_path):
         sweep_n_epsilon([6], "diagonal", 0.01, "tar1-general", tmp_path)
     with pytest.raises(ValidationError):
         sweep_n_epsilon([], "general", 0.01, "tar1-general", tmp_path)
+
+
+# ------------------------------------------- jump-ahead filtration time
+
+SWEEP_CASES = {  # variant -> (theta0 rule, resonance, target)
+    "tar1-orthogonal": (orthogonality_angle, tar1_resonance, "tar1"),
+    "tar1-general": (general_angle, tar1_resonance, "tar1"),
+    "tar2": (tar2_optimal_angle, tar2_resonance, "tar2"),
+}
+
+
+def _sweep_problem(L, variant):
+    rule, resonance, which = SWEEP_CASES[variant]
+    h_tau = resonance(L)
+    spec = _tower_spec(L, rule(L), h_tau, 0)
+    setup, initial = build_setup(spec)
+    return setup, initial, make_target(setup, which), h_tau
+
+
+def _stepped_n_eps(setup, initial, target, eps, n_steps):
+    traj = run_filtration(setup, initial, n_steps, target=target,
+                          string_every=0)
+    return filtration_time(traj, eps).n_eps
+
+
+@pytest.mark.parametrize("variant", sorted(SWEEP_CASES))
+def test_jump_ahead_matches_stepping(variant):
+    for L in range(6, 15):
+        setup, initial, target, h_tau = _sweep_problem(L, variant)
+        n_jump = jump_filtration_time(setup, initial, target, 0.01, h_tau)
+        # a stepped first crossing anywhere else, or none, fails the check
+        assert _stepped_n_eps(setup, initial, target, 0.01,
+                              2 * n_jump + 50) == n_jump, (variant, L)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(L=st.integers(4, 10), variant=st.sampled_from(sorted(SWEEP_CASES)),
+       eps=st.floats(1e-4, 0.5))
+def test_jump_ahead_matches_stepping_over_eps(L, variant, eps):
+    setup, initial, target, h_tau = _sweep_problem(L, variant)
+    n_jump = jump_filtration_time(setup, initial, target, eps, h_tau)
+    assert _stepped_n_eps(setup, initial, target, eps,
+                          2 * n_jump + 50) == n_jump
+
+
+@pytest.mark.parametrize("variant,L", [("tar1-orthogonal", 24),
+                                       ("tar1-orthogonal", 30),
+                                       ("tar1-general", 30), ("tar2", 30)])
+def test_jump_ahead_matches_extended_precision(variant, L):
+    # beyond stepping range, up to the sweep's certified SWEEP_L_MAX = 30
+    setup, initial, target, h_tau = _sweep_problem(L, variant)
+    n_jump = jump_filtration_time(setup, initial, target, 0.01, h_tau)
+    which = SWEEP_CASES[variant][2]
+    assert n_jump == mp_filtration_time(L, setup.theta0, h_tau, which, 0.01)
+    if (variant, L) == ("tar1-orthogonal", 24):
+        assert n_jump == 1388864
+
+
+def test_jump_ahead_darkness_invariant_catches_detuning():
+    # At h tau = 1.001 pi/L the GHZ edges B_0, B_L no longer share a
+    # phase.  A phase tolerance loose enough to group them anyway makes
+    # the GHZ target look dark; its amplitude then drifts at n = 1.
+    L = 8
+    setup, initial = reduced_setup(ChainParams(L=L), 1.001 * math.pi / L,
+                                   orthogonality_angle(L))
+    setup.phase_tol = 0.01
+    with pytest.raises(NumericsError, match="not dark"):
+        jump_filtration_time(setup, initial, make_target(setup, "tar1"),
+                             0.01, (1001, 1000 * L))
+
+
+def test_jump_ahead_rejects_what_it_cannot_certify():
+    setup, initial, target, h_tau = _sweep_problem(8, "tar1-orthogonal")
+    with pytest.raises(ValidationError, match="resolution"):
+        jump_filtration_time(setup, initial, target, 1e-17, h_tau)
+    with pytest.raises(ValidationError, match="not at h"):
+        jump_filtration_time(setup, initial, target, 0.01, (1, 7))
+    # at h tau = pi/3 the dark subspace holds more than the GHZ target
+    setup, initial = reduced_setup(ChainParams(L=6), math.pi / 3,
+                                   orthogonality_angle(6))
+    with pytest.raises(NumericsError, match="Q_inf"):
+        jump_filtration_time(setup, initial, make_target(setup, "tar1"),
+                             0.01, (1, 3))
+    # at L=40 the crossing lies 7e-13 from 1 - eps
+    setup, initial, target, h_tau = _sweep_problem(40, "tar1-orthogonal")
+    with pytest.raises(NumericsError, match="too close"):
+        jump_filtration_time(setup, initial, target, 0.01, h_tau)
+
+
+def test_sweep_rejects_uncertified_length(tmp_path):
+    with pytest.raises(ValidationError, match="certified"):
+        sweep_n_epsilon([20, 31], "orthogonal", 0.01, "tar1-orthogonal",
+                        tmp_path)
+
+
+def test_ghz_scaling_law_in_asymptotic_regime(tmp_path):
+    # the tar1-orthogonal law 2^L/(4L) log(L/eps) is leading order: the
+    # simulated n_eps approaches it from above as L grows
+    art = sweep_n_epsilon([20, 24, 30], "orthogonal", 0.01,
+                          "tar1-orthogonal", tmp_path)
+    ratio = [pt["n_eps_sim"] / pt["n_eps_theory"]
+             for pt in art.metadata["points"]]
+    assert 1.0 < ratio[2] < ratio[1] < ratio[0] < 1.04, ratio
+    assert art.metadata["points"][2]["n_eps_sim"] == 72508479
 
 
 def test_fit_slope_log2_on_exact_doubling():

@@ -178,6 +178,14 @@ def test_cli_validation_failures(tmp_path):
     assert main(["defragment", "--out", str(tmp_path / "o")]) == 1
 
 
+def test_cli_scaling_sweep_rejects_uncertified_length(tmp_path):
+    cfg = _write(tmp_path, "c.json",
+                 {"L_values": [6, 31], "variant": "tar1-orthogonal"})
+    assert main(["scaling-sweep", "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert not (tmp_path / "o" / "scaling.csv").exists()
+
+
 def test_cli_filter_run_and_determinism(tmp_path):
     cfg = _write(tmp_path, "c.json",
                  {"L": 6, "target": "tar1", "n_steps": 300})
