@@ -48,7 +48,6 @@ from darkfilter.filtration import (
     full_setup,
     generic_setup,
     long_time_state,
-    propagator,
     reduced_setup,
     resonance_period,
     run_filtration,
@@ -102,7 +101,6 @@ __all__ = [
     "full_setup",
     "generic_setup",
     "long_time_state",
-    "propagator",
     "protocol_states",
     "reduced_setup",
     "resonance_period",

@@ -30,7 +30,8 @@ from .filtration import (RotatingTarget, dark_projection, dark_subspace,
 from .output import SCHEMAS, emit_csv, ensure_dir, write_metadata
 from .spectral import (bright_secular_roots, charge_picture, dominant_bright,
                        scaling_predictions)
-from .spin_model import ChainParams, StateVector, build_hamiltonian, build_tower
+from .spin_model import (ChainParams, StateVector, build_hamiltonian,
+                         build_tower, protocol_states)
 
 RNG_FAMILY = "philox"
 # tolerance to which run_tar2 checks the string-oscillation law
@@ -216,7 +217,6 @@ def noise_vector(dim, seed):
 
 
 def _mixed_removal(params, theta0, pert):
-    from .spin_model import protocol_states
     psi_r, _ = protocol_states(params, theta0)
     nu = noise_vector(psi_r.amplitudes.shape[0], pert.seed)
     vec = psi_r.amplitudes + pert.lam * nu
@@ -606,9 +606,10 @@ def perturbation_study(spec: ExperimentSpec, out_dir,
 
     Runs both targets with the spec's couplings and noise: tar1 at its
     own resonance and orthogonality angle, tar2 at its resonance and
-    optimal angle.  Verifies that the edge tower states stay exact
-    eigenstates of the perturbed chain, that the GHZ target stays inside
-    the dark manifold, and records the plateau of the unstable target.
+    optimal angle, on one diagonalization of H.  Verifies that the edge
+    tower states stay exact eigenstates of the perturbed chain, that the
+    GHZ target stays inside the dark manifold, and records the plateau
+    of the unstable target.
     """
     t0 = time.time()
     params = spec.params
@@ -626,6 +627,7 @@ def perturbation_study(spec: ExperimentSpec, out_dir,
     extra = {"edge_residuals": edge_residuals,
              "lam": spec.perturbations.lam,
              "noise_seed": spec.perturbations.seed}
+    setup = None
     for which in ("tar1", "tar2"):
         L = params.L
         h_tau = tar1_resonance(L) if which == "tar1" else tar2_resonance(L)
@@ -633,7 +635,13 @@ def perturbation_study(spec: ExperimentSpec, out_dir,
                   else tar2_optimal_angle(L))
         leg = replace(spec, name=f"{spec.name}-{which}", engine="full",
                       target=which, theta0=theta0, h_tau=h_tau)
-        setup, initial = build_setup(leg)
+        if setup is None:
+            setup, initial = build_setup(leg)
+        else:
+            # H and the removal state depend on neither tau nor theta0:
+            # the tar1 eigenbasis serves the tar2 leg as well
+            setup = setup.retuned(leg.tau, theta0)
+            initial = protocol_states(params, theta0)[1]
         target = make_target(setup, which)
         traj = run_filtration(setup, initial, leg.n_steps, target=target,
                               string_every=string_every)

@@ -12,7 +12,8 @@ step costs O(dim).  Three engines exist:
 * ``tower``   -- the (L+1)-dimensional bi-magnon ladder, H diagonal by
   construction; valid only for J2 = 0.
 * ``full``    -- magnetization-blocked exact diagonalization of the full
-  chain; handles SGA-breaking perturbations and modified removal states.
+  chain, with sector -M taken from sector M by the spin flip; handles
+  SGA-breaking perturbations and modified removal states.
 * ``generic`` -- an arbitrary Hermitian matrix (random-matrix demos).
 
 Iteration never renormalizes the internal state; survival probability is
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -42,9 +43,7 @@ from darkfilter.basis import (
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.spin_model import (
     ChainParams,
-    ManyBodyOperator,
     ScarTower,
-    SectorBlock,
     StateVector,
     build_hamiltonian,
     protocol_states,
@@ -79,6 +78,7 @@ class SectorEig:
     indices: np.ndarray         # positions of the block in the input basis
     energies: np.ndarray
     vectors: np.ndarray         # columns are eigenvectors
+    parity: float = 1.0         # P maps column j to parity * column j of -M
 
 
 @dataclass
@@ -90,18 +90,23 @@ class FiltrationSetup:
     basis: BasisEncoding        # basis of run_filtration inputs/outputs
     energies: np.ndarray        # (dim,) engine-space eigenvalues of H
     phases: np.ndarray          # exp(-i E tau)
-    removal_eig: np.ndarray     # removal state in the eigenbasis, unit norm
+    # removal state in the eigenbasis, unit norm; an input-basis
+    # StateVector is projected with to_eigen on construction
+    removal_eig: np.ndarray | StateVector
     params: ChainParams | None = None
     theta0: float | None = None
     sector_eigs: list[SectorEig] | None = None
-    support: np.ndarray | None = None    # input-basis indices of engine coords
-    flip_pos: np.ndarray | None = None   # spin-flip permutation on the support
-    string_sign: float | None = None     # tower-basis sign of the string op
+    # the spin flip prod X in the eigenbasis: it maps coordinate i to
+    # flip_pos[i] with sign flip_sign[i]; None when no flip is defined
+    flip_pos: np.ndarray | None = None
+    flip_sign: np.ndarray | None = None
     phase_tol: float = PHASE_TOL
 
     def __post_init__(self):
         self.energies = np.asarray(self.energies, dtype=float)
         self.phases = np.ascontiguousarray(self.phases, dtype=complex)
+        if isinstance(self.removal_eig, StateVector):
+            self.removal_eig = self.to_eigen(self.removal_eig)
         self.removal_eig = np.ascontiguousarray(self.removal_eig, dtype=complex)
         if abs(np.linalg.norm(self.removal_eig) - 1.0) > 1e-12:
             raise ValidationError("removal vector must have unit norm")
@@ -114,7 +119,16 @@ class FiltrationSetup:
 
     @property
     def supports_string(self):
-        return self.engine == "tower" or self.flip_pos is not None
+        return self.flip_pos is not None
+
+    def retuned(self, tau, theta0):
+        """The same engine at another period and initial angle.
+
+        H and the removal state depend on neither, so the eigenbasis is
+        reused and only the phases exp(-i E tau) are recomputed.
+        """
+        return replace(self, tau=tau, theta0=theta0,
+                       phases=np.exp(-1j * self.energies * tau))
 
     def to_eigen(self, state):
         """Input-basis state (StateVector or array) -> eigenbasis coords."""
@@ -148,7 +162,8 @@ class FiltrationSetup:
         pos = 0
         for blk in self.sector_eigs:
             d = blk.energies.shape[0]
-            out[blk.indices] = blk.vectors @ coords[pos:pos + d]
+            # the two flip-parity halves of M = 0 share their indices
+            out[blk.indices] += blk.vectors @ coords[pos:pos + d]
             pos += d
         return out
 
@@ -158,20 +173,13 @@ class FiltrationSetup:
         Values are for the rows as given (unnormalized); divide by the
         survival weight to report normalized expectations.
         """
-        rows = np.atleast_2d(rows)
-        if self.engine == "tower":
-            return self.string_sign * np.einsum(
-                "ij,ij->i", rows[:, ::-1].conj(), rows
-            )
         if self.flip_pos is None:
             raise ValidationError("string operator unavailable for this engine")
-        comp = np.empty((rows.shape[0], self.support.shape[0]), dtype=complex)
-        pos = 0
-        for blk in self.sector_eigs:
-            d = blk.energies.shape[0]
-            comp[:, pos:pos + d] = rows[:, pos:pos + d] @ blk.vectors.T
-            pos += d
-        return np.einsum("ij,ij->i", comp[:, self.flip_pos].conj(), comp)
+        rows = np.atleast_2d(rows)
+        paired = np.take(rows, self.flip_pos, axis=1)
+        np.conjugate(paired, out=paired)
+        paired *= self.flip_sign
+        return np.einsum("ij,ij->i", paired, rows)
 
 
 def reduced_setup(source, tau, theta0):
@@ -181,6 +189,7 @@ def reduced_setup(source, tau, theta0):
     no full-space vectors, so it scales far beyond the dense cap).  The
     removal and initial states are the exact tower decompositions of the
     protocol product states, with binomial weights sqrt(C(L,n)/2^L).
+    The spin flip maps B_n to string_parity_sign(L) B_(L-n).
     Returns (setup, initial state in the tower basis).
     """
     params = source.params if isinstance(source, ScarTower) else source
@@ -203,25 +212,87 @@ def reduced_setup(source, tau, theta0):
         removal_eig=removal.astype(complex),
         params=params,
         theta0=theta0,
-        string_sign=string_parity_sign(L),
+        flip_pos=n[::-1],
+        flip_sign=np.full(L + 1, string_parity_sign(L)),
     )
     return setup, StateVector(setup.basis, initial)
 
 
+# Largest entry of P H P - H + 2 h Sz that the flip pairing tolerates.
+FLIP_TOL = 1e-12
+
+
+def check_flip_symmetry(ham, h):
+    """Largest entry of P H P - H + 2 h Sz, P the global spin flip.
+
+    P maps index i to 3^L - 1 - i, so P H P is H with both indices
+    mirrored; the check costs O(nnz).  Raises NumericsError beyond
+    FLIP_TOL: the full engine pairs sector -M with sector M through P.
+    """
+    L = ham.basis.L
+    top = 3**L - 1
+    coo = ham.matrix.tocoo()
+    mirrored = sp.csr_array((coo.data, (top - coo.row, top - coo.col)),
+                            shape=coo.shape)
+    defect = mirrored - ham.matrix + sp.diags_array(
+        2.0 * h * magnetization_of(L).astype(float))
+    worst = float(np.max(np.abs(defect.data), initial=0.0))
+    if worst > FLIP_TOL:
+        raise NumericsError(
+            f"H - h Sz is not flip symmetric (max |P H P - H + 2h Sz| "
+            f"{worst:.3e})"
+        )
+    return worst
+
+
+def _flip_parity_halves(matrix, indices):
+    """eigh of the M = 0 block, split by flip parity.
+
+    P maps sorted position k to d-1-k, with one fixed point in the
+    middle (every site in |0>).  In the basis (e_k +- e_(d-1-k))/sqrt(2)
+    the block is A[lo,lo] +- A[lo,hi], where the fixed point enters the
+    even half alone (its row and column scaled by 1/sqrt(2)).  Returns
+    the even and odd SectorEig, with eigenvectors over the whole sector.
+    """
+    d = matrix.shape[0]
+    m = d // 2
+    mirror = matrix[:, ::-1]
+    root = math.sqrt(2.0)
+    halves = []
+    for sign, size in ((1.0, m + 1), (-1.0, m)):
+        block = matrix[:size, :size] + sign * mirror[:size, :size]
+        if sign > 0:
+            block[m, :] /= root
+            block[:, m] /= root
+        w, u = sla.eigh(block)
+        vectors = np.zeros((d, size))
+        vectors[:m] = u[:m] / root
+        vectors[d - m:] = sign * vectors[m - 1::-1]
+        if sign > 0:
+            vectors[m] = u[m]
+        halves.append(SectorEig(0, indices, w, vectors, parity=sign))
+    return halves
+
+
 def full_setup(params, tau, theta0, removal=None, sectors=None,
                cap=FULL_SPACE_CAP):
-    """Sector-blocked full-space engine.
+    """Sector-blocked full-space engine, paired by the spin flip P.
 
-    Diagonalizes H inside each total-Sz sector and concatenates the
-    eigenbases of the sectors that can carry weight: the parity sectors
-    M = L mod 2 hosting the protocol states, plus any sector touched by
-    a custom removal vector (e.g. a noisy removal spreads everywhere).
+    Diagonalizes H inside the total-Sz sectors that can carry weight:
+    the parity sectors M = L mod 2 hosting the protocol states, plus any
+    sector touched by a custom removal vector (e.g. a noisy removal
+    spreads everywhere), closed under M -> -M.  P commutes with H - h Sz
+    (checked on the sparse H), so only sectors M > 0 run eigh; sector -M
+    is the flipped copy, and M = 0 splits into its flip-even and
+    flip-odd halves.  In this eigenbasis P is a signed permutation of
+    coordinates, which makes the string operator O(dim).
     Returns (setup, initial product state on the full basis).
     """
     if not isinstance(params, ChainParams):
         raise ValidationError("full_setup expects ChainParams")
     L = params.L
     ham = build_hamiltonian(params, cap)
+    check_flip_symmetry(ham, params.h)
     psi_r, psi_0 = protocol_states(params, theta0, cap)
     if removal is not None:
         vec = removal.amplitudes if isinstance(removal, StateVector) else removal
@@ -234,53 +305,47 @@ def full_setup(params, tau, theta0, removal=None, sectors=None,
         wanted = set(M for M in range(-L, L + 1) if (M - L) % 2 == 0)
         occupied = np.abs(psi_r.amplitudes) > 0.0
         wanted.update(int(M) for M in np.unique(mags[occupied]))
-        sectors = sorted(wanted)
-    blocks = sz_sector_split(ham, sectors=sectors)
-    sector_eigs = []
-    energies = []
+        sectors = wanted
+    blocks = sz_sector_split(ham, sectors=set(abs(int(M)) for M in sectors))
+    paired = {}
     for M in sorted(blocks):
         blk = blocks.pop(M)        # free each dense block after its eigh
+        idx = blk.basis.states
+        if M == 0:
+            paired[0] = _flip_parity_halves(blk.matrix, idx)
+            continue
         w, v = sla.eigh(blk.matrix)
-        sector_eigs.append(SectorEig(M, blk.basis.states, w, v))
-        energies.append(w)
-    energies = np.concatenate(energies)
-    support = np.concatenate([blk.indices for blk in sector_eigs])
-    lookup = np.full(3**L, -1, dtype=np.int64)
-    lookup[support] = np.arange(support.shape[0])
-    flipped = lookup[(3**L - 1) - support]
-    flip_pos = flipped if np.all(flipped >= 0) else None
-    removal_eig = _sector_project(sector_eigs, psi_r.amplitudes,
-                                  "removal state")
+        paired[M] = [SectorEig(M, idx, w, v)]
+        # P reverses the sorted order: sector -M is V[::-1], a view
+        paired[-M] = [SectorEig(-M, (3**L - 1) - idx[::-1],
+                                w - 2.0 * params.h * M, v[::-1])]
+    sector_eigs = [eig for M in sorted(paired) for eig in paired[M]]
+    sizes = [eig.energies.shape[0] for eig in sector_eigs]
+    offsets = np.cumsum([0] + sizes[:-1])
+    start = {eig.label: off for eig, off in zip(sector_eigs, offsets)}
+    # P maps eigenvector j of sector M to eigenvector j of sector -M and
+    # each M = 0 eigenvector to itself times its half's parity
+    flip_pos = np.concatenate([
+        np.arange(d) + (start[-eig.label] if eig.label else off)
+        for eig, off, d in zip(sector_eigs, offsets, sizes)
+    ])
+    flip_sign = np.concatenate([np.full(d, eig.parity)
+                                for eig, d in zip(sector_eigs, sizes)])
+    energies = np.concatenate([eig.energies for eig in sector_eigs])
     setup = FiltrationSetup(
         engine="full",
         tau=tau,
         basis=ham.basis,
         energies=energies,
         phases=np.exp(-1j * energies * tau),
-        removal_eig=removal_eig,
+        removal_eig=psi_r,
         params=params,
         theta0=theta0,
         sector_eigs=sector_eigs,
-        support=support,
         flip_pos=flip_pos,
+        flip_sign=flip_sign,
     )
     return setup, psi_0
-
-
-def _sector_project(sector_eigs, vec, what="state"):
-    dim = sum(blk.energies.shape[0] for blk in sector_eigs)
-    out = np.empty(dim, dtype=complex)
-    pos = 0
-    for blk in sector_eigs:
-        d = blk.energies.shape[0]
-        out[pos:pos + d] = blk.vectors.conj().T @ vec[blk.indices]
-        pos += d
-    lost = abs(float(np.vdot(vec, vec).real) - float(np.vdot(out, out).real))
-    if lost > 1e-10:
-        raise ValidationError(
-            f"{what} carries weight {lost:.3e} outside the engine sectors"
-        )
-    return out
 
 
 def generic_setup(matrix, removal, tau=None):
@@ -313,67 +378,10 @@ def generic_setup(matrix, removal, tau=None):
         basis=basis,
         energies=w,
         phases=np.exp(-1j * w * tau),
-        removal_eig=v.conj().T @ removal,
+        removal_eig=StateVector(basis, removal),
         sector_eigs=[blk],
-        support=np.arange(dim),
     )
     return setup
-
-
-def propagator(hamiltonian, tau, attach_cap=2000):
-    """U(tau) = exp(-i H tau) via Hermitian eigendecomposition.
-
-    Full-basis operators are exponentiated block by block in the
-    magnetization sectors; the result carries the block structure and,
-    for moderate dimensions, the full eigensystem (used by
-    degeneracy_groups).
-    """
-    if not hamiltonian.hermitian:
-        raise ValidationError("propagator requires a Hermitian operator")
-    dim = hamiltonian.basis.dimension
-    if hamiltonian.basis.kind == "full":
-        split = sz_sector_split(hamiltonian)
-        order = sorted(split)
-        rows, cols, data = [], [], []
-        blocks = {}
-        values = []
-        vec_cols = np.zeros((dim, dim), dtype=complex) if dim <= attach_cap \
-            else None
-        pos = 0
-        for M in order:
-            blk = split[M]
-            w, v = sla.eigh(blk.matrix)
-            u = (v * np.exp(-1j * w * tau)) @ v.conj().T
-            err = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-            if err > 1e-10:
-                raise NumericsError(f"propagator block M={M} not unitary ({err:.3e})")
-            idx = blk.basis.states
-            rows.append(np.repeat(idx, idx.size))
-            cols.append(np.tile(idx, idx.size))
-            data.append(u.ravel())
-            blocks[M] = SectorBlock(blk.basis, u)
-            values.append(np.exp(-1j * w * tau))
-            if vec_cols is not None:
-                vec_cols[np.ix_(idx, pos + np.arange(idx.size))] = v
-            pos += idx.size
-        mat = sp.csr_array(
-            (np.concatenate(data),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        )
-        out = ManyBodyOperator(hamiltonian.basis, mat, hermitian=False)
-        out.blocks = blocks
-        out.eigensystem = (np.concatenate(values), vec_cols)
-        return out
-    dense = hamiltonian.dense()
-    w, v = sla.eigh(np.asarray(dense))
-    u = (v * np.exp(-1j * w * tau)) @ v.conj().T
-    err = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-    if err > 1e-10:
-        raise NumericsError(f"propagator not unitary ({err:.3e})")
-    out = ManyBodyOperator(hamiltonian.basis, sp.csr_array(u), hermitian=False)
-    out.eigensystem = (np.exp(-1j * w * tau), v.astype(complex))
-    return out
 
 
 @dataclass
@@ -422,38 +430,21 @@ def _cluster_angles(angles, tol):
     return [order[c] for c in clusters]
 
 
-def degeneracy_groups(source, tol=None):
+def degeneracy_groups(setup, tol=None):
     """Cluster the eigenphases of U(tau) into degenerate groups.
 
-    Accepts a FiltrationSetup (phases already diagonal in the engine
-    frame) or a propagator() result carrying its eigensystem.
+    The phases are diagonal in the engine frame, so each group's vectors
+    are unit columns on its member coordinates.
     """
-    if isinstance(source, FiltrationSetup):
-        values = source.phases
-        vectors = None
-        tol = source.phase_tol if tol is None else tol
-    elif isinstance(source, ManyBodyOperator):
-        eig = getattr(source, "eigensystem", None)
-        if eig is None or eig[1] is None:
-            raise ValidationError(
-                "operator carries no eigensystem; build it with propagator()"
-            )
-        values, vectors = eig
-        tol = PHASE_TOL if tol is None else tol
-    else:
-        raise ValidationError("expected a FiltrationSetup or propagator result")
-    if float(np.max(np.abs(np.abs(values) - 1.0))) > 1e-8:
-        raise ValidationError("eigenvalues are not unimodular: not a unitary")
-    angles = np.angle(values)
+    if not isinstance(setup, FiltrationSetup):
+        raise ValidationError("expected a FiltrationSetup")
+    values = setup.phases
+    tol = setup.phase_tol if tol is None else tol
     groups = []
-    for members in _cluster_angles(angles, tol):
+    for members in _cluster_angles(np.angle(values), tol):
         members = tuple(int(m) for m in np.sort(members))
-        if vectors is None:
-            basis_cols = np.zeros((values.shape[0], len(members)), dtype=complex)
-            for col, m in enumerate(members):
-                basis_cols[m, col] = 1.0
-        else:
-            basis_cols = vectors[:, list(members)]
+        basis_cols = np.zeros((values.shape[0], len(members)), dtype=complex)
+        basis_cols[list(members), np.arange(len(members))] = 1.0
         rep = values[members[0]]
         groups.append(PhaseGroup(complex(rep / abs(rep)), basis_cols, members))
     groups.sort(key=lambda g: g.angle)

@@ -27,7 +27,7 @@ All matrices are real in the digit basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,10 +109,6 @@ class ManyBodyOperator:
     basis: BasisEncoding
     matrix: sp.csr_array
     hermitian: bool = False
-    # Filled in by sector-aware constructors (e.g. the propagator): dense
-    # blocks keyed by magnetization, and the operator's own eigensystem.
-    blocks: dict | None = field(default=None, compare=False)
-    eigensystem: tuple | None = field(default=None, compare=False)
 
     def dense(self):
         if self.basis.dimension > DENSE_CAP:

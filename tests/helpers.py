@@ -88,6 +88,37 @@ def dense_filtration_matrix(ham, tau, removal):
     return proj @ unitary
 
 
+def flip_permutation_dense(L):
+    """Index of the flipped configuration, digit d -> 2 - d on every site."""
+    perm = np.empty(3**L, dtype=np.int64)
+    for idx in range(3**L):
+        rest, flipped = idx, 0
+        for j in range(L):
+            flipped += (2 - rest % 3) * 3**j
+            rest //= 3
+        perm[idx] = flipped
+    return perm
+
+
+def dense_stepping(ham, tau, removal, psi0, n_steps, flip):
+    """Explicit steps of the dense F in the full space.
+
+    Returns the survival S_n = |F^n psi0|^2, the normalized string
+    expectation <prod X>_n with prod X the index permutation flip, and
+    the last normalized state, for n = 0..n_steps.
+    """
+    fmat = dense_filtration_matrix(ham, tau, removal)
+    vec = np.asarray(psi0, dtype=complex)
+    survival, string = [], []
+    for n in range(n_steps + 1):
+        if n:
+            vec = fmat @ vec
+        weight = float(np.vdot(vec, vec).real)
+        survival.append(weight)
+        string.append(np.vdot(vec, vec[flip]) / weight)
+    return np.array(survival), np.array(string), vec / np.linalg.norm(vec)
+
+
 def overlap_with_span(vec, columns):
     """Norm of the projection of a unit vector onto span(columns)."""
     q, _ = np.linalg.qr(columns)

@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
+from darkfilter import experiments, filtration
 from darkfilter.errors import NumericsError, ValidationError
+from darkfilter.experiments import (
+    ExperimentSpec,
+    make_target,
+    perturbation_study,
+    tar2_optimal_angle,
+)
 from darkfilter.filtration import (
     RotatingTarget,
     dark_projection,
@@ -17,17 +25,25 @@ from darkfilter.filtration import (
     full_setup,
     generic_setup,
     long_time_state,
-    propagator,
     reduced_setup,
     resonance_period,
     run_filtration,
     spectral_decomposition,
 )
-from darkfilter.spin_model import ChainParams, build_hamiltonian, build_tower
+from darkfilter.spin_model import (
+    SZ,
+    ChainParams,
+    ManyBodyOperator,
+    build_hamiltonian,
+    build_tower,
+)
 
 from helpers import (
     dense_filtration_matrix,
     dense_hamiltonian,
+    dense_stepping,
+    flip_permutation_dense,
+    kron_site,
     product_state,
 )
 
@@ -94,24 +110,136 @@ def test_degeneracy_groups_offresonant_all_singletons():
     assert sorted(g.members for g in groups) == [(n,) for n in range(7)]
 
 
-def test_degeneracy_groups_via_propagator():
-    params = ChainParams(L=3)
-    ham = build_hamiltonian(params)
+def test_degeneracy_groups_match_dense_expm_eigenphases():
+    params = ChainParams(L=3, J3=0.1)
     tau = resonance_period(params.tower_energy(0), params.tower_energy(1))
-    u = propagator(ham, tau)
-    groups = degeneracy_groups(u)
+    setup, _ = full_setup(params, tau, 0.0, sectors=range(-3, 4))
+    groups = degeneracy_groups(setup)
     assert sum(g.degeneracy for g in groups) == 27
-    # every eigenvalue is reproduced by its group's representative phase
-    vals, _ = u.eigensystem
+    assert any(g.degeneracy > 1 for g in groups)
+    dense = np.linalg.eigvals(
+        sla.expm(-1j * tau * dense_hamiltonian(3, J3=0.1)))
     for g in groups:
-        assert np.max(np.abs(vals[list(g.members)] - g.phase)) < 1e-9
+        assert np.max(np.abs(setup.phases[list(g.members)] - g.phase)) < 1e-9
+        assert np.count_nonzero(np.abs(dense - g.phase) < 1e-9) == g.degeneracy
 
 
-def test_propagator_matches_expm():
-    ham = build_hamiltonian(ChainParams(L=3, J3=0.1))
-    u = propagator(ham, 0.37)
-    direct = sla.expm(-1j * 0.37 * ham.dense().astype(complex))
-    assert np.max(np.abs(u.dense() - direct)) < 1e-10
+# (L, J2, J3, lam, noise seed): tower-breaking and tower-keeping
+# couplings, and removal states with seeded noise in every sector
+ORACLE_CASES = [
+    (5, 0.03, 0.02, 0.0, None),
+    (6, 0.02, 0.0, 0.0, None),
+    (5, 0.03, 0.02, 0.05, 12),
+    (4, 0.0, 0.0, 0.1, 4),
+]
+ORACLE_IDS = ["L5-J2-J3", "L6-J2", "L5-J2-J3-noise", "L4-noise"]
+
+
+def _oracle_engine(case):
+    """(setup, psi0, dense H, dense removal) at h tau = pi/L, theta0 = 0.3."""
+    L, J2, J3, lam, seed = case
+    params = ChainParams(L=L, J2=J2, J3=J3)
+    removal = product_state(L, math.pi)
+    custom = None
+    if lam:
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        noise = rng.standard_normal(3**L) + 1j * rng.standard_normal(3**L)
+        removal = removal + lam * noise / np.linalg.norm(noise)
+        removal = removal / np.linalg.norm(removal)
+        custom = removal
+    setup, psi0 = full_setup(params, math.pi / L, 0.3, removal=custom)
+    return setup, psi0, dense_hamiltonian(L, J2=J2, J3=J3), removal
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=ORACLE_IDS)
+def test_full_engine_matches_dense_stepping(case):
+    """150 steps of the flip-paired engine vs dense F in 3^L, with prod X."""
+    setup, psi0, ham, removal = _oracle_engine(case)
+    L = case[0]
+    n = 150
+    traj = run_filtration(setup, psi0, n, string_every=1, checkpoints=(n,))
+    survival, string, last = dense_stepping(
+        ham, math.pi / L, removal, psi0.amplitudes, n,
+        flip_permutation_dense(L))
+    assert np.max(np.abs(traj.survival - survival)) <= 1e-10
+    assert np.max(np.abs(traj.string - string)) <= 1e-10
+    assert np.max(np.abs(traj.checkpoints[n].amplitudes - last)) <= 1e-10
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=ORACLE_IDS)
+def test_full_engine_spectrum_and_block_residuals(case):
+    setup, _, ham, _ = _oracle_engine(case)
+    L = case[0]
+    support = np.unique(np.concatenate([b.indices for b in setup.sector_eigs]))
+    assert support.size == setup.dimension
+    assert set(flip_permutation_dense(L)[support]) == set(support)
+    dense = sla.eigvalsh(ham[np.ix_(support, support)])
+    assert np.max(np.abs(np.sort(setup.energies) - dense)) <= 1e-10
+    assert any(b.label < 0 for b in setup.sector_eigs)
+    for blk in setup.sector_eigs:
+        block = ham[np.ix_(blk.indices, blk.indices)]
+        vecs = blk.vectors
+        resid = np.linalg.norm(block @ vecs - vecs * blk.energies)
+        assert resid <= 1e-10, (blk.label, resid)
+        gram = vecs.T @ vecs
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
+    # the two flip-parity halves of M = 0 together span the sector
+    halves = [b for b in setup.sector_eigs if b.label == 0]
+    if halves:
+        assert sorted(b.parity for b in halves) == [-1.0, 1.0]
+        both = np.hstack([b.vectors for b in halves])
+        assert both.shape[0] == both.shape[1]
+        assert np.max(np.abs(both.T @ both - np.eye(both.shape[0]))) <= 1e-12
+
+
+def test_perturbation_study_reuses_engine_for_tar2(tmp_path, monkeypatch):
+    """The tar2 leg runs on the tar1 eigenbasis, retuned, and matches a
+    fresh engine at h tau = pi/(L-1)."""
+    calls = []
+    real = experiments.full_setup
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "full_setup", counting)
+    L = 6
+    params = ChainParams(L=L, J2=0.02)
+    spec = ExperimentSpec(name="reuse", params=params, theta0=0.0,
+                          h_tau=(1, L), n_steps=150, engine="full")
+    perturbation_study(spec, tmp_path, string_every=1)
+    assert len(calls) == 1
+    got = np.genfromtxt(tmp_path / "trajectory_tar2.csv", delimiter=",",
+                        names=True)
+    theta0 = tar2_optimal_angle(L)
+    fresh, psi0 = real(params, math.pi / (L - 1), theta0)
+    traj = run_filtration(fresh, psi0, 150, string_every=1,
+                          target=make_target(fresh, "tar2"))
+    assert np.max(np.abs(got["survival"] - traj.survival)) <= 1e-12
+    assert np.max(np.abs(got["q_n"] - traj.q)) <= 1e-12
+    assert np.max(np.abs(got["string_re"] - traj.string.real)) <= 1e-12
+    assert np.max(np.abs(got["string_im"] - traj.string.imag)) <= 1e-12
+
+
+def test_full_setup_checks_flip_symmetry(monkeypatch):
+    # c Sz_1 Sz_2^2 conserves Sz but is odd under the flip, so sector -M
+    # is no longer sector M flipped and the engine must refuse to pair
+    L = 4
+    params = ChainParams(L=L, J2=0.02, J3=0.03)
+    assert filtration.check_flip_symmetry(build_hamiltonian(params),
+                                          params.h) <= 1e-12
+    odd = kron_site(SZ, 1, L) @ kron_site(SZ @ SZ, 2, L)
+    real = filtration.build_hamiltonian
+
+    def broken(params, cap=filtration.FULL_SPACE_CAP):
+        ham = real(params, cap)
+        return ManyBodyOperator(ham.basis,
+                                ham.matrix + sp.csr_array(0.01 * odd.real),
+                                hermitian=True)
+
+    monkeypatch.setattr(filtration, "build_hamiltonian", broken)
+    with pytest.raises(NumericsError, match="flip symmetric"):
+        full_setup(params, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("method", ["determinant", "complement"])
