@@ -110,7 +110,8 @@ def test_degeneracy_groups_offresonant_all_singletons():
     assert sorted(g.members for g in groups) == [(n,) for n in range(7)]
 
 
-def test_degeneracy_groups_match_dense_expm_eigenphases():
+def test_degeneracy_groups_via_propagator():
+    """degeneracy_groups of the full engine vs eigenphases of dense expm."""
     params = ChainParams(L=3, J3=0.1)
     tau = resonance_period(params.tower_energy(0), params.tower_energy(1))
     setup, _ = full_setup(params, tau, 0.0, sectors=range(-3, 4))
@@ -122,6 +123,17 @@ def test_degeneracy_groups_match_dense_expm_eigenphases():
     for g in groups:
         assert np.max(np.abs(setup.phases[list(g.members)] - g.phase)) < 1e-9
         assert np.count_nonzero(np.abs(dense - g.phase) < 1e-9) == g.degeneracy
+
+
+def test_propagator_matches_expm():
+    """The full engine's U(tau) = V diag(phases) V^dag is expm(-iH tau)."""
+    setup, _ = full_setup(ChainParams(L=3, J3=0.1), 0.37, 0.0,
+                          sectors=range(-3, 4))
+    eye = np.eye(27, dtype=complex)
+    u = np.column_stack([setup.from_eigen(setup.phases * setup.to_eigen(col))
+                         for col in eye.T])
+    direct = sla.expm(-1j * 0.37 * dense_hamiltonian(3, J3=0.1))
+    assert np.max(np.abs(u - direct)) < 1e-10
 
 
 # (L, J2, J3, lam, noise seed): tower-breaking and tower-keeping
