@@ -27,7 +27,8 @@ from .experiments import (ExperimentSpec, GoeBlock, Perturbations,
                           perturbation_study, run_tar1, run_tar2,
                           sweep_n_epsilon, table1_scan, zeta_vs_L_scan)
 from .filtration import dark_subspace
-from .output import SCHEMAS, emit_csv, ensure_dir, write_metadata
+from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
+                     write_metadata)
 from .spectral import bright_secular_roots, charge_picture
 from .spin_model import sga_residual
 
@@ -130,8 +131,7 @@ def _cmd_filter_run(cli, doc):
     return art
 
 
-def _dark_rows_and_labels(dark):
-    rows = []
+def _dark_labels(dark):
     seen = {}
     labels = []
     for k in range(dark.count):
@@ -139,19 +139,18 @@ def _dark_rows_and_labels(dark):
         total = sum(1 for m in dark.members if m == members)
         labels.append(group_label(members, seen.get(members, 0), total))
         seen[members] = seen.get(members, 0) + 1
-        z = complex(dark.phases[k])
-        rows.append((z.real, z.imag, abs(z), "dark"))
-    return rows, labels
+    return labels
 
 
 def _cmd_dark_states(cli, doc):
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
     setup, initial = build_setup(spec)
     dark = dark_subspace(setup)
-    rows, labels = _dark_rows_and_labels(dark)
+    labels = _dark_labels(dark)
     ensure_dir(cli.out_dir)
     path = emit_csv(os.path.join(cli.out_dir, "spectrum.csv"),
-                    SCHEMAS["spectrum"], rows)
+                    SCHEMAS["spectrum"],
+                    spectrum_columns(dark.phases, ["dark"] * dark.count))
     ov = dark.overlaps(setup.to_eigen(initial))
     write_metadata(os.path.join(cli.out_dir, "metadata.json"), {
         "experiment": "dark_states",
@@ -176,14 +175,14 @@ def _cmd_bright_spectrum(cli, doc):
     cp = charge_picture(setup)
     bs = bright_secular_roots(cp)
     dark = dark_subspace(setup)
-    rows, _ = _dark_rows_and_labels(dark)
-    rows += [(float(z.real), float(z.imag), float(abs(z)), "bright")
-             for z in bs.roots]
     ensure_dir(cli.out_dir)
     spath = emit_csv(os.path.join(cli.out_dir, "spectrum.csv"),
-                     SCHEMAS["spectrum"], rows)
+                     SCHEMAS["spectrum"],
+                     spectrum_columns(np.concatenate([dark.phases, bs.roots]),
+                                      ["dark"] * dark.count
+                                      + ["bright"] * bs.roots.size))
     cpath = emit_csv(os.path.join(cli.out_dir, "charges.csv"),
-                     SCHEMAS["charges"], list(zip(cp.angles, cp.weights)))
+                     SCHEMAS["charges"], [cp.angles, cp.weights])
     dom = max(np.abs(bs.roots)) if bs.roots.size else 0.0
     write_metadata(os.path.join(cli.out_dir, "metadata.json"), {
         "experiment": "bright_spectrum",

@@ -23,15 +23,15 @@ import numpy as np
 
 from .basis import string_parity_sign
 from .errors import NumericsError, ValidationError
-from .filtration import (RotatingTarget, dark_projection, dark_subspace,
-                         full_setup, generic_setup, jump_filtration_time,
-                         reduced_setup, run_filtration, filtration_time,
-                         spectral_decomposition)
-from .output import SCHEMAS, emit_csv, ensure_dir, write_metadata
+from .filtration import (BACKEND, RotatingTarget, dark_projection,
+                         dark_subspace, full_setup, generic_setup,
+                         jump_filtration_time, reduced_setup, run_filtration,
+                         filtration_time, spectral_decomposition)
+from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
+                     write_metadata)
 from .spectral import (bright_secular_roots, charge_picture, dominant_bright,
                        scaling_predictions)
-from .spin_model import (ChainParams, StateVector, build_hamiltonian,
-                         build_tower, protocol_states)
+from .spin_model import ChainParams, StateVector, build_tower, protocol_states
 
 RNG_FAMILY = "philox"
 # tolerance to which run_tar2 checks the string-oscillation law
@@ -298,22 +298,18 @@ def _check_target_reachable(setup, initial, target):
     )
 
 
-def _trajectory_rows(traj):
-    smap = {}
+def _trajectory_columns(traj):
+    """Columns of the trajectory schema; unsampled string cells are blank."""
+    string_re = string_im = None
     if traj.string_steps is not None:
-        smap = {int(n): complex(v)
-                for n, v in zip(traj.string_steps, traj.string)}
-    rows = []
-    for i, n in enumerate(traj.steps):
-        s = smap.get(int(n))
-        rows.append((
-            int(n),
-            float(traj.survival[i]),
-            float(traj.q[i]) if traj.q is not None else None,
-            None if s is None else float(s.real),
-            None if s is None else float(s.imag),
-        ))
-    return rows
+        if np.array_equal(traj.string_steps, traj.steps):
+            string_re, string_im = traj.string.real, traj.string.imag
+        else:
+            string_re = np.full(traj.steps.size, None)
+            string_im = np.full(traj.steps.size, None)
+            string_re[traj.string_steps] = traj.string.real.tolist()
+            string_im[traj.string_steps] = traj.string.imag.tolist()
+    return [traj.steps, traj.survival, traj.q, string_re, string_im]
 
 
 def _require_htau(spec, expected, label):
@@ -338,11 +334,11 @@ def run_tar1(spec: ExperimentSpec, out_dir) -> RunArtifacts:
                           string_every=1)
     ft = filtration_time(traj, spec.eps)
     path = emit_csv(os.path.join(out_dir, "trajectory.csv"),
-                    SCHEMAS["trajectory"], _trajectory_rows(traj))
+                    SCHEMAS["trajectory"], _trajectory_columns(traj))
     extra = {
         "target": "tar1",
         "engine": setup.engine,
-        "backend": traj.backend,
+        "backend": BACKEND,
         "n_eps": ft.n_eps,
         "reached": ft.reached,
         "q_final": float(traj.q[-1]),
@@ -409,7 +405,7 @@ def run_tar2(spec: ExperimentSpec, out_dir) -> RunArtifacts:
     extra = {
         "target": "tar2",
         "engine": setup.engine,
-        "backend": traj.backend,
+        "backend": BACKEND,
         "n_eps": ft.n_eps,
         "reached": ft.reached,
         "q_final": float(traj.q[-1]),
@@ -424,7 +420,7 @@ def run_tar2(spec: ExperimentSpec, out_dir) -> RunArtifacts:
         extra["string_dev_signed"] = dev_signed
         extra["string_check_from"] = string_check_from
     path = emit_csv(os.path.join(out_dir, "trajectory.csv"),
-                    SCHEMAS["trajectory"], _trajectory_rows(traj))
+                    SCHEMAS["trajectory"], _trajectory_columns(traj))
     return _finish(out_dir, "run_tar2", document_of(spec),
                    {"trajectory": path}, extra, t0)
 
@@ -481,7 +477,7 @@ def sweep_n_epsilon(L_values, theta0_rule, eps, variant,
         results.append({"L": L, "theta0": theta0,
                         "n_eps_sim": n_sim, "n_eps_theory": n_pred})
     path = emit_csv(os.path.join(out_dir, "scaling.csv"),
-                    SCHEMAS["scaling"], rows)
+                    SCHEMAS["scaling"], list(zip(*rows)))
     extra = {
         "variant": variant,
         "theta0_rule": theta0_rule,
@@ -560,7 +556,8 @@ def table1_scan(out_dir, L=6, theta0=math.pi / 7) -> RunArtifacts:
         summary.append({"p": p, "q": q, "count": dark.count,
                         "labels": labels})
     path = emit_csv(os.path.join(out_dir, "table1.csv"),
-                    ("p", "q", "label", "coeff_re", "coeff_im"), rows)
+                    ("p", "q", "label", "coeff_re", "coeff_im"),
+                    list(zip(*rows)))
     extra = {"L": L, "theta0": theta0, "cases": summary}
     return _finish(out_dir, "table1_scan", {"L": L, "theta0": theta0},
                    {"table1": path}, extra, t0)
@@ -606,23 +603,19 @@ def perturbation_study(spec: ExperimentSpec, out_dir,
 
     Runs both targets with the spec's couplings and noise: tar1 at its
     own resonance and orthogonality angle, tar2 at its resonance and
-    optimal angle, on one diagonalization of H.  Verifies that the edge
-    tower states stay exact eigenstates of the perturbed chain, that the
-    GHZ target stays inside the dark manifold, and records the plateau
-    of the unstable target.
+    optimal angle, on one build and diagonalization of H.  Verifies that
+    the edge tower states stay exact eigenstates of the perturbed chain
+    (their residuals read in that eigenbasis), that the GHZ target stays
+    inside the dark manifold, and records the plateau of the unstable
+    target.
     """
     t0 = time.time()
     params = spec.params
     if params.L > 10:
         raise ValidationError("full engine capped at L = 10")
     ensure_dir(out_dir)
-    ham = build_hamiltonian(params)
     tower = build_tower(ChainParams(L=params.L))
     edge_residuals = {}
-    for n in (0, params.L):
-        vec = tower.state(n).amplitudes
-        resid = ham.apply(vec) - params.tower_energy(n) * vec
-        edge_residuals[f"B{n}"] = float(np.linalg.norm(resid))
     files = {}
     extra = {"edge_residuals": edge_residuals,
              "lam": spec.perturbations.lam,
@@ -637,6 +630,11 @@ def perturbation_study(spec: ExperimentSpec, out_dir,
                       target=which, theta0=theta0, h_tau=h_tau)
         if setup is None:
             setup, initial = build_setup(leg)
+            # |(H - E_n) B_n| in the eigenbasis of H, where H is diagonal
+            for n in (0, L):
+                coords = setup.to_eigen(tower.state(n))
+                edge_residuals[f"B{n}"] = float(np.linalg.norm(
+                    (setup.energies - params.tower_energy(n)) * coords))
         else:
             # H and the removal state depend on neither tau nor theta0:
             # the tar1 eigenbasis serves the tar2 leg as well
@@ -646,7 +644,7 @@ def perturbation_study(spec: ExperimentSpec, out_dir,
         traj = run_filtration(setup, initial, leg.n_steps, target=target,
                               string_every=string_every)
         path = emit_csv(os.path.join(out_dir, f"trajectory_{which}.csv"),
-                        SCHEMAS["trajectory"], _trajectory_rows(traj))
+                        SCHEMAS["trajectory"], _trajectory_columns(traj))
         files[f"trajectory_{which}"] = path
         info = {"q_final": float(traj.q[-1]),
                 "max_q": float(np.max(traj.q)),
@@ -730,20 +728,18 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None,
             f"survival misses the dark weight by {worst:.3e} past the "
             f"bright-decay bound {n_bound}"
         )
-    rows = [(int(n), float(s), float(q), None, None)
-            for n, s, q in zip(traj.steps, traj.survival, traj.q)]
     traj_path = emit_csv(os.path.join(out_dir, "trajectory.csv"),
-                         SCHEMAS["trajectory"], rows)
-    spec_rows = [(float(z.real), float(z.imag), float(abs(z)), kind)
-                 for z, kind in sorted(
-                     zip(spec_f.values, spec_f.kinds),
-                     key=lambda t: (-abs(t[0]), np.angle(t[0]).round(12)))]
+                         SCHEMAS["trajectory"], _trajectory_columns(traj))
+    values = spec_f.values
+    order = sorted(range(dim), key=lambda i: (-abs(values[i]),
+                                              np.angle(values[i]).round(12)))
     spec_path = emit_csv(os.path.join(out_dir, "spectrum.csv"),
-                         SCHEMAS["spectrum"], spec_rows)
+                         SCHEMAS["spectrum"],
+                         spectrum_columns(values[order],
+                                          [spec_f.kinds[i] for i in order]))
     cp = charge_picture(setup)
     charge_path = emit_csv(os.path.join(out_dir, "charges.csv"),
-                           SCHEMAS["charges"],
-                           list(zip(cp.angles, cp.weights)))
+                           SCHEMAS["charges"], [cp.angles, cp.weights])
     off = mat[~np.eye(dim, dtype=bool)]
     extra = {
         "d_goe": block.d_goe,
@@ -777,7 +773,6 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17)),
         raise ValidationError("scan needs L >= 4 to populate all 4 classes")
     ensure_dir(out_dir)
     p, q = h_tau
-    rows = []
     moduli = []
     files = {}
     for L in L_values:
@@ -796,13 +791,9 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17)),
             )
         dom = dominant_bright(bs)
         moduli.append(abs(dom.zeta))
-        rows.append((L, abs(dom.zeta)))
-        spath = emit_csv(
-            os.path.join(out_dir, f"spectrum_L{L:02d}.csv"),
-            SCHEMAS["spectrum"],
-            [(float(z.real), float(z.imag), float(abs(z)), "bright")
-             for z in bs.roots],
-        )
+        spath = emit_csv(os.path.join(out_dir, f"spectrum_L{L:02d}.csv"),
+                         SCHEMAS["spectrum"],
+                         spectrum_columns(bs.roots, ["bright"] * bs.roots.size))
         files[f"spectrum_L{L:02d}"] = spath
     drops = np.diff(moduli)
     if np.any(drops >= 0.0):
@@ -812,7 +803,7 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17)),
             f"and L={L_values[bad + 1]}"
         )
     path = emit_csv(os.path.join(out_dir, "zeta_scan.csv"),
-                    ("L", "zeta_modulus"), rows)
+                    ("L", "zeta_modulus"), [L_values, moduli])
     files["zeta_scan"] = path
     extra = {"h_tau": [p, q], "moduli": dict(zip(map(str, L_values), moduli))}
     return _finish(out_dir, "zeta_vs_L_scan",

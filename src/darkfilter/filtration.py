@@ -6,8 +6,10 @@ operator F = (1 - |psi_r><psi_r|) U(tau).  F is non-normal and
 contractive; its unimodular eigenvectors (dark states) survive forever,
 everything else is depleted exponentially.
 
-All engines iterate in the eigenbasis of H, where U is diagonal and one
-step costs O(dim).  Three engines exist:
+All engines iterate in the eigenbasis of H, where U is diagonal, through
+one chunked kernel (RenewalKernel): a chunk of B steps is a few
+matrix-vector products against tables fixed per run, O(B dim) in all,
+with no Python loop over its steps.  Three engines exist:
 
 * ``tower``   -- the (L+1)-dimensional bi-magnon ladder, H diagonal by
   construction; valid only for J2 = 0.
@@ -33,7 +35,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from darkfilter import _kernels
 from darkfilter.basis import (
     FULL_SPACE_CAP,
     BasisEncoding,
@@ -222,20 +223,21 @@ def reduced_setup(source, tau, theta0):
 FLIP_TOL = 1e-12
 
 
-def check_flip_symmetry(ham, h):
+def check_flip_symmetry(ham, h, mags=None):
     """Largest entry of P H P - H + 2 h Sz, P the global spin flip.
 
     P maps index i to 3^L - 1 - i, so P H P is H with both indices
-    mirrored; the check costs O(nnz).  Raises NumericsError beyond
+    mirrored; the check costs O(nnz).  mags is Sz per index
+    (magnetization_of(L) when omitted).  Raises NumericsError beyond
     FLIP_TOL: the full engine pairs sector -M with sector M through P.
     """
     L = ham.basis.L
+    mags = magnetization_of(L) if mags is None else mags
     top = 3**L - 1
     coo = ham.matrix.tocoo()
     mirrored = sp.csr_array((coo.data, (top - coo.row, top - coo.col)),
                             shape=coo.shape)
-    defect = mirrored - ham.matrix + sp.diags_array(
-        2.0 * h * magnetization_of(L).astype(float))
+    defect = mirrored - ham.matrix + sp.diags_array(2.0 * h * mags)
     worst = float(np.max(np.abs(defect.data), initial=0.0))
     if worst > FLIP_TOL:
         raise NumericsError(
@@ -292,7 +294,8 @@ def full_setup(params, tau, theta0, removal=None, sectors=None,
         raise ValidationError("full_setup expects ChainParams")
     L = params.L
     ham = build_hamiltonian(params, cap)
-    check_flip_symmetry(ham, params.h)
+    mags = magnetization_of(L)
+    check_flip_symmetry(ham, params.h, mags)
     psi_r, psi_0 = protocol_states(params, theta0, cap)
     if removal is not None:
         vec = removal.amplitudes if isinstance(removal, StateVector) else removal
@@ -301,12 +304,12 @@ def full_setup(params, tau, theta0, removal=None, sectors=None,
         if abs(nrm - 1.0) > 1e-12:
             raise ValidationError("custom removal vector must have unit norm")
     if sectors is None:
-        mags = magnetization_of(L)
         wanted = set(M for M in range(-L, L + 1) if (M - L) % 2 == 0)
         occupied = np.abs(psi_r.amplitudes) > 0.0
         wanted.update(int(M) for M in np.unique(mags[occupied]))
         sectors = wanted
-    blocks = sz_sector_split(ham, sectors=set(abs(int(M)) for M in sectors))
+    blocks = sz_sector_split(ham, sectors=set(abs(int(M)) for M in sectors),
+                             mags=mags)
     paired = {}
     for M in sorted(blocks):
         blk = blocks.pop(M)        # free each dense block after its eigh
@@ -685,7 +688,6 @@ class Trajectory:
     string: np.ndarray | None
     checkpoints: dict
     depleted: bool
-    backend: str
     setup: FiltrationSetup
 
     def __post_init__(self):
@@ -702,28 +704,114 @@ class Trajectory:
         return float(self.survival[-1])
 
 
+# Survival below this is numerically dead; continuing just underflows.
+DEPLETION_FLOOR = 1e-300
+
+# A chunk ends early at the first step whose survival has fallen below
+# this fraction of the chunk's opening weight: the survival identity
+# subtracts from that weight, so it keeps its relative digits only
+# while the weight has not dropped far.  That step's survival is then
+# the squared norm of its state, and the next chunk starts from it.
+CHUNK_DROP = 1.0 / 16.0
+
+# Largest gap between the survival identity and |psi|^2 at a chunk end,
+# relative to the chunk's opening weight (NumericsError beyond it).
+SURVIVAL_DRIFT_TOL = 1e-10
+
+# array library that runs the step kernel, recorded in run metadata
+BACKEND = "numpy"
+
+
+def chunk_length(dim, rows):
+    """Steps per renewal chunk on an engine of dimension dim.
+
+    Without rows a step costs a few gemv columns at any chunk length,
+    so chunks are long up to a table budget; a formed row costs the
+    chunk length again, so chunks that form rows stay short on large
+    engines.  A power of two between 8 and 64.
+    """
+    budget = 2**16 if rows else 2**18        # entries of one (B, dim) table
+    fit = max(budget // dim, 1).bit_length() - 1
+    return 1 << min(6, max(3, fit))
+
+
+class RenewalKernel:
+    """Chunks of B filtration steps from the quantum renewal equation.
+
+    With D = diag(phases) and r the removal state, the amplitude removed
+    at step j of a chunk that starts from psi is c_j = r^H D psi_(j-1).
+    Expanding psi_j = D^j psi - sum_(k<=j) c_k D^(j-k) r gives the
+    renewal equation T c = a (Friedman, Kessler and Barkai, PRE 95,
+    032141, 2017): a_j = r^H D^j psi, and T is the unit lower triangular
+    Toeplitz matrix of g_m = r^H D^m r.  So c = T^-1 a is one gemv
+    against the fixed table T^-1 (Z * conj(r)), Z_j = phases^j, and the
+    overlaps t^H psi_j of a probe t are one more, against
+    Z * conj(t) - H T^-1 (Z * conj(r)), H the Toeplitz matrix of
+    h_m = t^H D^m r.  Survival follows S_j = S_0 - sum_(k<=j) |c_k|^2.
+    States are formed only on request, in the frame that D^j carries:
+    psi_j = Z_j * (psi - sum_(k<=j) c_k D^-k r).
+    """
+
+    def __init__(self, phases, removal, probes, length):
+        self.length = B = length
+        dim = phases.shape[0]
+        self.powers = np.cumprod(np.broadcast_to(phases, (B, dim)), axis=0)
+        self.returns = self.powers.conj() * removal             # D^-k r
+        self.buffer = np.empty((B, dim), dtype=complex)
+        g = np.concatenate([[1.0], self.powers[:-1] @ np.abs(removal) ** 2])
+        amps = sla.solve_triangular(_toeplitz(g), self.powers * removal.conj(),
+                                    lower=True, unit_diagonal=True)
+        tables = [amps]
+        for t in probes:
+            h = np.concatenate([[np.vdot(t, removal)],
+                                self.powers[:-1] @ (t.conj() * removal)])
+            tables.append(self.powers * t.conj() - _toeplitz(h) @ amps)
+        self.tables = np.concatenate(tables)
+
+    def rows(self, psi, c, m):
+        """psi_1 .. psi_m as an (m, dim) view of a buffer the next call reuses."""
+        rows = np.matmul(np.tril(np.broadcast_to(c[:m], (m, m))),
+                         self.returns[:m], out=self.buffer[:m])
+        np.subtract(psi, rows, out=rows)
+        rows *= self.powers[:m]
+        return rows
+
+    def advance(self, psi, c, m):
+        """psi_m, without forming the states before it."""
+        return self.powers[m - 1] * (psi - c[:m] @ self.returns[:m])
+
+
+def _toeplitz(column):
+    """Lower triangular Toeplitz matrix with the given first column."""
+    lag = np.subtract.outer(np.arange(column.size), np.arange(column.size))
+    return np.where(lag >= 0, column[np.maximum(lag, 0)], 0.0)
+
+
 def run_filtration(setup, initial, n_steps, target=None, string_every=1,
-                   checkpoints=(), chunk_size=None):
+                   checkpoints=()):
     """Iterate the filtration operator and record observables.
 
     The state is propagated unnormalized in the eigenbasis; survival and
     probe overlaps are recorded at every step (including n=0), string
-    expectations at the requested stride.  Iteration stops early if the
-    survival weight underflows (depleted flag).
+    expectations at the requested stride.  Steps run in chunks through
+    the RenewalKernel; at each chunk end the survival identity is checked
+    against |psi|^2 (NumericsError beyond SURVIVAL_DRIFT_TOL).  Iteration
+    stops early if the survival weight underflows (depleted flag).
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise ValidationError("n_steps must be a non-negative integer")
     psi = setup.to_eigen(initial)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValidationError("initial state must have unit norm")
-    dim = setup.dimension
     rot = None
+    probes = np.zeros((0, setup.dimension), dtype=complex)
     if target is not None:
         rot = target if isinstance(target, RotatingTarget) \
             else RotatingTarget.static(target)
         probes = np.array([setup.to_eigen(c) for c in rot.components])
         gram = probes.conj() @ probes.T
     want_string = setup.supports_string and string_every and string_every > 0
+    every = string_every if want_string else 0
     ckpt_wanted = set(int(c) for c in checkpoints)
 
     total = n_steps + 1
@@ -735,46 +823,59 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1,
         overlaps[0] = probes.conj() @ psi
     s_steps, s_vals = [], []
     if want_string:
-        s_steps.append(0)
-        s_vals.append(setup.string_rows(psi[None, :])[0] / survival[0])
+        s_steps.append(np.zeros(1, dtype=np.int64))
+        s_vals.append(setup.string_rows(psi[None, :]) / survival[0])
     ckpts = {}
     if 0 in ckpt_wanted:
         ckpts[0] = StateVector(setup.basis,
                                setup.from_eigen(psi / np.linalg.norm(psi)))
 
-    phases = setup.phases
-    removal = setup.removal_eig
-    psi = np.ascontiguousarray(psi)
-    chunk = chunk_size or min(max(n_steps, 1), max(1, 4_000_000 // max(dim, 1)))
+    kernel = RenewalKernel(setup.phases, setup.removal_eig, probes,
+                           chunk_length(setup.dimension,
+                                        bool(every or ckpt_wanted)))
+    B = kernel.length
     done = 0
     depleted = False
+    weight = survival[0]
     while done < n_steps and not depleted:
-        m = min(chunk, n_steps - done)
-        history = np.empty((m, dim), dtype=complex)
-        surv_chunk = np.empty(m)
-        taken = _kernels.iterate_chunk(psi, phases, removal, history, surv_chunk)
-        if taken < m:
-            depleted = True
-            history = history[:taken]
-            surv_chunk = surv_chunk[:taken]
-        lo, hi = done + 1, done + 1 + taken
-        survival[lo:hi] = surv_chunk
+        m = min(B, n_steps - done)
+        out = kernel.tables @ psi
+        c = out[:B]
+        surv = weight - np.cumsum(c.real**2 + c.imag**2)
+        floor = max(CHUNK_DROP * weight, DEPLETION_FLOOR)
+        cut = surv[m - 1] < floor
+        if cut:
+            m = int(np.argmax(surv < floor)) + 1
+        lo = done + 1
+        first = (-lo) % every if every else m     # first string sample
+        ckpt_at = [n - lo for n in ckpt_wanted if lo <= n < lo + m]
+        rows = None
+        if first < m or ckpt_at:
+            rows = kernel.rows(psi, c, m)
+            psi = rows[m - 1].copy()
+        else:
+            psi = kernel.advance(psi, c, m)
+        opening, weight = weight, float(np.vdot(psi, psi).real)
+        drift = abs(surv[m - 1] - weight)
+        if drift > SURVIVAL_DRIFT_TOL * opening:
+            raise NumericsError(
+                f"survival identity drifted by {drift:.3e} from |psi|^2 at "
+                f"step {lo + m - 1}, in a chunk that opened at {opening:.3e}"
+            )
+        survival[lo:lo + m] = surv[:m]
+        if cut:
+            survival[lo + m - 1] = weight
+            depleted = weight < DEPLETION_FLOOR
         if overlaps is not None:
-            overlaps[lo:hi] = history @ probes.conj().T
-        if want_string:
-            local = np.arange(lo, hi)
-            sel = np.nonzero(local % string_every == 0)[0]
-            if sel.size:
-                vals = setup.string_rows(history[sel]) / surv_chunk[sel]
-                s_steps.extend(int(s) for s in local[sel])
-                s_vals.extend(vals)
-        for n in sorted(ckpt_wanted):
-            if lo <= n < hi:
-                row = history[n - lo]
-                ckpts[n] = StateVector(
-                    setup.basis, setup.from_eigen(row / np.linalg.norm(row))
-                )
-        done += taken
+            overlaps[lo:lo + m] = out[B:].reshape(-1, B)[:, :m].T
+        if first < m:
+            s_steps.append(np.arange(lo + first, lo + m, every))
+            s_vals.append(setup.string_rows(rows[first::every])
+                          / survival[lo + first:lo + m:every])
+        for j in ckpt_at:
+            ckpts[lo + j] = StateVector(setup.basis, setup.from_eigen(
+                rows[j] / np.linalg.norm(rows[j])))
+        done += m
 
     count = done + 1
     steps = np.arange(count)
@@ -793,11 +894,10 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1,
         survival=survival,
         q=q,
         overlaps=overlaps,
-        string_steps=np.array(s_steps, dtype=np.int64) if want_string else None,
-        string=np.array(s_vals, dtype=complex) if want_string else None,
+        string_steps=np.concatenate(s_steps) if want_string else None,
+        string=np.concatenate(s_vals) if want_string else None,
         checkpoints=ckpts,
         depleted=depleted,
-        backend=_kernels.BACKEND,
         setup=setup,
     )
 

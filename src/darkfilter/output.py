@@ -44,22 +44,63 @@ def format_cell(value) -> str:
     raise ValidationError(f"unsupported CSV cell type {type(value).__name__}")
 
 
-def emit_csv(path, header, rows):
-    """Write rows under a header; every row must match the header width."""
+# rows formatted and written at a time, which bounds the text held in memory
+BLOCK_ROWS = 1 << 14
+
+
+def _format_column(column):
+    """The cells of one column as text, exactly as format_cell writes them.
+
+    Float and integer numpy arrays are formatted whole; any other
+    sequence goes through format_cell one cell at a time.
+    """
+    if isinstance(column, np.ndarray) and column.ndim == 1:
+        if column.dtype.kind == "f":
+            return list(map("%.17g".__mod__, column.tolist()))
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+    return [format_cell(c) for c in column]
+
+
+def emit_csv(path, header, columns):
+    """Write one column per header field; a None column is left blank."""
     header = tuple(header)
-    width = len(header)
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [format_cell(c) for c in row]
-        if len(cells) != width:
-            raise ValidationError(
-                f"CSV row width {len(cells)} != header width {width}"
-            )
-        lines.append(",".join(cells))
-    payload = "\n".join(lines) + "\n"
+    if len(columns) != len(header):
+        raise ValidationError(
+            f"CSV row width {len(columns)} != header width {len(header)}"
+        )
+    lengths = {len(c) for c in columns if c is not None}
+    if len(lengths) > 1:
+        raise ValidationError(f"CSV columns differ in length: {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 0
+    for c in columns:
+        if isinstance(c, np.ndarray) and c.dtype.kind == "f" \
+                and not np.all(np.isfinite(c)):
+            raise ValidationError("non-finite value in CSV output")
+
+    def block(lo):
+        cells = [[""] * min(BLOCK_ROWS, rows - lo) if c is None
+                 else _format_column(c[lo:lo + BLOCK_ROWS]) for c in columns]
+        lines = list(map(",".join, zip(*cells)))
+        lines.append("")
+        return "\n".join(lines)
+
+    # the first block is formatted before the file is opened, so a bad
+    # cell in any table of up to BLOCK_ROWS rows leaves no file behind
+    first = block(0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(payload)
+        fh.write(",".join(header) + "\n" + first)
+        for lo in range(BLOCK_ROWS, rows, BLOCK_ROWS):
+            fh.write(block(lo))
     return path
+
+
+def spectrum_columns(values, kinds):
+    """Columns of the spectrum schema: re, im, modulus and kind per value."""
+    values = np.asarray(values, dtype=complex)
+    # abs of each complex (libm hypot): np.abs may round differently
+    return [values.real, values.imag, [abs(z) for z in values.tolist()],
+            kinds]
 
 
 def write_metadata(path, payload: dict):

@@ -293,17 +293,18 @@ class SectorBlock:
     matrix: np.ndarray          # dense real block
 
 
-def sz_sector_split(operator, sectors=None, tol=1e-12):
+def sz_sector_split(operator, sectors=None, tol=1e-12, mags=None):
     """Split a full-space operator into its magnetization-diagonal blocks.
 
     Verifies that the operator does not couple different total-Sz
     sectors (up to tol) and returns dense blocks keyed by M.  Passing an
-    iterable of M values restricts which blocks are materialized.
+    iterable of M values restricts which blocks are materialized; mags
+    is Sz per index (magnetization_of(L) when omitted).
     """
     L = operator.basis.L
     if operator.basis.kind != "full":
         raise ValidationError("sector split expects a full-space operator")
-    mags = magnetization_of(L)
+    mags = magnetization_of(L) if mags is None else mags
     coo = operator.matrix.tocoo()
     cross = mags[coo.row] != mags[coo.col]
     if np.any(cross):

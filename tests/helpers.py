@@ -119,6 +119,61 @@ def dense_stepping(ham, tau, removal, psi0, n_steps, flip):
     return np.array(survival), np.array(string), vec / np.linalg.norm(vec)
 
 
+def explicit_stepping(phases, removal, psi0, n_steps, probes=None,
+                      flip=None):
+    """The filtration protocol one step at a time, in the engine frame.
+
+    Each step is psi <- diag(phases) psi, then psi <- psi - r (r^H psi).
+    Returns, for n = 0..n_steps, the survival S_n = |psi_n|^2, the
+    overlaps probes^* psi_n (an (n+1, k) array, or None), the normalized
+    string expectation <psi_n|P|psi_n> / S_n for the signed permutation
+    flip = (pos, sign) (or None), and the unnormalized last state.
+    """
+    psi = np.array(psi0, dtype=complex)
+    removal = np.asarray(removal, dtype=complex)
+    survival, overlaps, string = [], [], []
+    for n in range(n_steps + 1):
+        if n:
+            psi = phases * psi
+            psi = psi - removal * np.vdot(removal, psi)
+        weight = float(np.vdot(psi, psi).real)
+        survival.append(weight)
+        if probes is not None:
+            overlaps.append(np.conj(probes) @ psi)
+        if flip is not None:
+            pos, sign = flip
+            string.append(np.vdot(psi[pos], sign * psi) / weight)
+    return (np.array(survival),
+            np.array(overlaps) if probes is not None else None,
+            np.array(string) if flip is not None else None,
+            psi)
+
+
+def mp_tower_survival(L, h_tau, theta0, n_steps, digits=50):
+    """Survival S_n on the tower engine in mpmath at `digits` digits.
+
+    Rebuilds the tower problem from its closed forms (binomial weights,
+    removal (-1)^k w_k, initial exp(i (L - k) theta0) w_k, phases
+    exp(-2 pi i p k / q) with the common phase dropped) and steps it.
+    """
+    import mpmath as mp
+
+    p, q = h_tau
+    dim = L + 1
+    with mp.workdps(digits):
+        w = [mp.sqrt(mp.mpf(math.comb(L, k)) / 2**L) for k in range(dim)]
+        r = [(-1) ** k * w[k] for k in range(dim)]
+        phase = [mp.expjpi(mp.mpf(-2 * p * k) / q) for k in range(dim)]
+        psi = [mp.expj((L - k) * mp.mpf(theta0)) * w[k] for k in range(dim)]
+        out = [mp.fsum(abs(z) ** 2 for z in psi)]
+        for _ in range(n_steps):
+            psi = [z * u for z, u in zip(psi, phase)]
+            c = mp.fsum(x * z for x, z in zip(r, psi))
+            psi = [z - x * c for x, z in zip(r, psi)]
+            out.append(mp.fsum(abs(z) ** 2 for z in psi))
+        return [float(s) for s in out]
+
+
 def overlap_with_span(vec, columns):
     """Norm of the projection of a unit vector onto span(columns)."""
     q, _ = np.linalg.qr(columns)

@@ -327,11 +327,16 @@ def test_dark_states_zero_overlap_group_is_fully_dark():
 
 
 def test_run_filtration_chunking_is_invisible():
+    """Restarting mid-chunk moves every chunk boundary, not the trajectory."""
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.4)
-    a = run_filtration(setup, psi0, 50, string_every=5)
-    b = run_filtration(setup, psi0, 50, string_every=5, chunk_size=7)
-    assert np.array_equal(a.survival, b.survival)
-    assert np.array_equal(a.string, b.string)
+    length = filtration.chunk_length(setup.dimension, True)
+    n, shift = 3 * length + 7, 5                  # shift is not a boundary
+    a = run_filtration(setup, psi0, n, string_every=1, checkpoints=(shift,))
+    b = run_filtration(setup, a.checkpoints[shift], n - shift,
+                       string_every=1)
+    assert np.max(np.abs(a.survival[shift] * b.survival
+                         / a.survival[shift:] - 1.0)) <= 1e-10
+    assert np.max(np.abs(a.string[shift:] - b.string)) <= 1e-12
 
 
 def test_depletion_stops_early():

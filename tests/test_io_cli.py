@@ -35,11 +35,52 @@ def test_format_cell_float_roundtrip():
 
 def test_emit_csv_layout(tmp_path):
     path = emit_csv(tmp_path / "t.csv", ("n", "value", "note"),
-                    [(0, 0.5, "x"), (1, None, None)])
+                    [[0, 1], [0.5, None], ["x", None]])
     body = open(path, "rb").read()
     assert body == b"n,value,note\n0,0.5,x\n1,,\n"
     with pytest.raises(ValidationError):
-        emit_csv(tmp_path / "bad.csv", ("a", "b"), [(1,)])
+        emit_csv(tmp_path / "bad.csv", ("a", "b"), [[1]])
+    with pytest.raises(ValidationError):
+        emit_csv(tmp_path / "ragged.csv", ("a", "b"), [[1, 2], [3]])
+
+
+# one column of every cell kind, and the exact text each must produce
+FORMAT_CASES = (
+    ("none", [None, None], ["", ""]),
+    ("int", [0, -7, 2**62], ["0", "-7", "4611686018427387904"]),
+    ("bool", [True, False, np.bool_(True)], ["1", "0", "1"]),
+    ("str", ["dark", "bright", ""], ["dark", "bright", ""]),
+    ("np_int", [np.int64(-3), np.int32(12), np.uint8(255)],
+     ["-3", "12", "255"]),
+    ("np_float", [np.float64(0.1), np.float32(0.5), np.float64(-0.0)],
+     ["0.10000000000000001", "0.5", "-0"]),
+    ("float17", [1.0 / 3.0, 2.0 / 3.0, 1e300, 5e-324, -2.5e-17, 1.0, 123456789.0],
+     ["0.33333333333333331", "0.66666666666666663", "1.0000000000000001e+300",
+      "4.9406564584124654e-324", "-2.4999999999999999e-17", "1", "123456789"]),
+    ("int_array", np.array([0, 5, -9]), ["0", "5", "-9"]),
+    ("float_array", np.array([0.1, 1e-5, 7.0]),
+     ["0.10000000000000001", "1.0000000000000001e-05", "7"]),
+    ("mixed", [None, 3, "x", 0.25, False], ["", "3", "x", "0.25", "0"]),
+)
+
+
+@pytest.mark.parametrize("name, column, text", FORMAT_CASES,
+                         ids=[case[0] for case in FORMAT_CASES])
+def test_emit_csv_format_regression(tmp_path, name, column, text):
+    """Known cells in, exact text out, through a whole-column write."""
+    index = list(range(len(text)))
+    path = emit_csv(tmp_path / f"{name}.csv", ("i", name), [index, column])
+    lines = [f"{i},{t}" for i, t in zip(index, text)]
+    assert open(path, "rb").read() == ("\n".join([f"i,{name}", *lines])
+                                       + "\n").encode()
+    assert [format_cell(c) for c in column] == text
+
+
+def test_emit_csv_rejects_bad_cells(tmp_path):
+    for column in ([1.0, float("inf")], np.array([0.0, np.nan]), ["a,b"],
+                   ["two\nlines"], [1 + 2j]):
+        with pytest.raises(ValidationError):
+            emit_csv(tmp_path / "bad.csv", ("x",), [column])
 
 
 def test_write_metadata_sorted_and_plain(tmp_path):

@@ -1,12 +1,41 @@
-"""The numba kernel and its pure-numpy twin are interchangeable."""
+"""The renewal step kernel against explicit stepping, and its invariants."""
 
-import os
-import subprocess
-import sys
+import json
+import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from darkfilter import _kernels
+from darkfilter import filtration
+from darkfilter.basis import BasisEncoding
+from darkfilter.cli import main
+from darkfilter.experiments import (
+    ExperimentSpec,
+    Perturbations,
+    build_setup,
+    make_target,
+    orthogonality_angle,
+    tar2_optimal_angle,
+)
+from darkfilter.filtration import (
+    DEPLETION_FLOOR,
+    FiltrationSetup,
+    RenewalKernel,
+    SectorEig,
+    chunk_length,
+    generic_setup,
+    reduced_setup,
+    run_filtration,
+)
+from darkfilter.spin_model import ChainParams
+
+from helpers import explicit_stepping, mp_tower_survival
+
+# agreement of run_filtration with explicit stepping
+SURVIVAL_RTOL = 1e-10
+OBSERVABLE_ATOL = 1e-12
 
 
 def _random_problem(dim, seed):
@@ -19,81 +48,155 @@ def _random_problem(dim, seed):
     return psi, phases, removal
 
 
-def _drive(kernel, psi, phases, removal, steps):
-    history = np.empty((steps, psi.shape[0]), dtype=complex)
-    survival = np.empty(steps)
-    taken = kernel(psi.copy(), phases, removal, history, survival)
-    return taken, history, survival
+def _plain_setup(phases, removal):
+    """Generic engine whose eigenbasis is the input basis."""
+    dim = phases.shape[0]
+    energies = -np.angle(phases)
+    return FiltrationSetup(
+        engine="generic", tau=1.0, basis=BasisEncoding.generic(dim),
+        energies=energies, phases=phases, removal_eig=removal,
+        sector_eigs=[SectorEig(0, np.arange(dim), energies,
+                               np.eye(dim, dtype=complex))],
+    )
 
 
-def test_backends_agree():
-    psi, phases, removal = _random_problem(64, 5)
-    steps = 300
-    t_np, h_np, s_np = _drive(_kernels.iterate_chunk_numpy,
-                              psi, phases, removal, steps)
-    t_jit, h_jit, s_jit = _drive(_kernels._iterate_chunk_jit,
-                                 psi, phases, removal, steps)
-    assert t_np == t_jit == steps
-    # reduction order differs between the twins, so allow float slack
-    assert np.max(np.abs(h_np - h_jit)) < 1e-12
-    assert np.max(np.abs(s_np - s_jit)) < 1e-12
-    t_act, h_act, s_act = _drive(_kernels.iterate_chunk,
-                                 psi, phases, removal, steps)
-    assert t_act == steps
-    assert np.max(np.abs(h_act - h_np)) < 1e-12
-    assert np.max(np.abs(s_act - s_np)) < 1e-12
-
-
-def test_kernel_updates_psi_in_place():
-    psi, phases, removal = _random_problem(16, 9)
-    steps = 20
-    history = np.empty((steps, 16), dtype=complex)
-    survival = np.empty(steps)
-    work = psi.copy()
-    _kernels.iterate_chunk(work, phases, removal, history, survival)
-    assert np.array_equal(work, history[-1])
-    assert not np.array_equal(work, psi)
+def _fidelity(target, overlaps, survival, gram):
+    """Q_n from probe overlaps, as run_filtration defines it."""
+    steps = np.arange(survival.size)
+    coef = target.weights[None, :] * np.exp(-1j * np.outer(steps,
+                                                           target.angles))
+    numer = np.abs(np.einsum("nj,nj->n", coef.conj(), overlaps)) ** 2
+    tnorm = np.einsum("nj,jk,nk->n", coef.conj(), gram, coef).real
+    return numer / (tnorm * survival)
 
 
 def test_survival_is_squared_norm_and_monotone():
     psi, phases, removal = _random_problem(32, 11)
-    steps = 200
-    _, history, survival = _drive(_kernels.iterate_chunk, psi, phases,
-                                  removal, steps)
-    norms = np.linalg.norm(history, axis=1) ** 2
+    kernel = RenewalKernel(phases, removal, np.zeros((0, 32)), 64)
+    c = kernel.tables @ psi
+    rows = kernel.rows(psi, c, 64).copy()
+    survival = 1.0 - np.cumsum(np.abs(c) ** 2)
+    norms = np.linalg.norm(rows, axis=1) ** 2
     assert np.max(np.abs(norms - survival)) < 1e-12
-    assert np.all(np.diff(survival) < 1e-15)
-    # every recorded state is orthogonal to the removal direction
-    assert np.max(np.abs(history @ removal.conj())) < 1e-12
+    assert np.all(np.diff(survival) <= 0.0)
+    # every formed state is orthogonal to the removal direction
+    assert np.max(np.abs(rows @ removal.conj())) < 1e-12
+    assert np.max(np.abs(kernel.advance(psi, c, 64) - rows[-1])) < 1e-14
+    traj = run_filtration(_plain_setup(phases, removal), psi, 300,
+                          checkpoints=(77, 300))
+    assert np.all(np.diff(traj.survival) <= 1e-15)
+    for n in (77, 300):
+        state = traj.checkpoints[n].amplitudes
+        assert abs(np.vdot(removal, state)) < 1e-12
 
 
 def test_early_stop_on_depletion():
     # removal aligned with the only surviving direction kills psi at once
-    psi = np.array([1.0 + 0.0j])
-    phases = np.array([1.0 + 0.0j])
-    removal = np.array([1.0 + 0.0j])
-    for kernel in (_kernels.iterate_chunk_numpy, _kernels._iterate_chunk_jit):
-        history = np.empty((10, 1), dtype=complex)
-        survival = np.empty(10)
-        taken = kernel(psi.copy(), phases, removal, history, survival)
-        assert taken == 1
-        assert survival[0] < _kernels.DEPLETION_FLOOR
+    setup = _plain_setup(np.array([1.0 + 0.0j]), np.array([1.0 + 0.0j]))
+    traj = run_filtration(setup, np.array([1.0 + 0.0j]), 10)
+    assert traj.depleted
+    assert traj.steps.size == 2
+    assert traj.survival[1] < DEPLETION_FLOOR
 
 
-def test_env_flag_selects_numpy_backend():
-    code = ("import darkfilter._kernels as k; "
-            "print(k.BACKEND); "
-            "print(k.iterate_chunk is k.iterate_chunk_numpy)")
-    env = dict(os.environ, DARKFILTER_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["numpy", "True"]
+def _tower_case():
+    L = 6
+    spec = ExperimentSpec(name="oracle-tower", params=ChainParams(L=L),
+                          theta0=tar2_optimal_angle(L), h_tau=(1, L - 1),
+                          n_steps=0)
+    setup, initial = build_setup(spec)
+    return setup, initial, make_target(setup, "tar2"), 1
 
 
-def test_default_backend_is_accelerated_when_available():
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return
-    if os.environ.get("DARKFILTER_DISABLE_NUMBA", "").strip() in ("", "0"):
-        assert _kernels.BACKEND == "numba"
+def _full_case():
+    L = 4
+    spec = ExperimentSpec(name="oracle-full",
+                          params=ChainParams(L=L, J2=0.03, J3=0.01),
+                          theta0=orthogonality_angle(L), h_tau=(1, L),
+                          n_steps=0, engine="full",
+                          perturbations=Perturbations(lam=0.2, seed=5))
+    setup, initial = build_setup(spec)
+    return setup, initial, make_target(setup, "tar1"), 3
+
+
+def _generic_case():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    removal, initial, probe = (rng.standard_normal((3, 12))
+                               + 1j * rng.standard_normal((3, 12)))
+    setup = generic_setup((a + a.conj().T) / 2.0,
+                          removal / np.linalg.norm(removal), tau=0.9)
+    target = filtration.RotatingTarget.static(probe)
+    return setup, initial / np.linalg.norm(initial), target, 0
+
+
+@pytest.mark.parametrize("build", [_tower_case, _full_case, _generic_case],
+                         ids=["tower", "full-noisy", "generic"])
+def test_kernel_matches_explicit_stepping(build):
+    setup, initial, target, every = build()
+    length = chunk_length(setup.dimension, bool(every))
+    n_steps = 5 * length + length // 2 + 1          # ends inside a chunk
+    traj = run_filtration(setup, initial, n_steps, target=target,
+                          string_every=every)
+    probes = np.array([setup.to_eigen(c) for c in target.components])
+    flip = (setup.flip_pos, setup.flip_sign) if every else None
+    survival, overlaps, string, _ = explicit_stepping(
+        setup.phases, setup.removal_eig, setup.to_eigen(initial), n_steps,
+        probes, flip)
+    assert traj.steps.size == n_steps + 1
+    assert np.max(np.abs(traj.survival / survival - 1.0)) <= SURVIVAL_RTOL
+    assert np.max(np.abs(traj.overlaps - overlaps)) <= OBSERVABLE_ATOL
+    q = _fidelity(target, overlaps, survival, probes.conj() @ probes.T)
+    assert np.max(np.abs(traj.q - q)) <= OBSERVABLE_ATOL
+    if every:
+        assert np.array_equal(traj.string_steps, np.arange(0, n_steps + 1,
+                                                           every))
+        assert np.max(np.abs(traj.string - string[::every])) \
+            <= OBSERVABLE_ATOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 24), seed=st.integers(0, 2**32 - 1),
+       n_steps=st.integers(0, 300))
+def test_kernel_property_random_problems(dim, seed, n_steps):
+    psi, phases, removal = _random_problem(dim, seed)
+    probe = _random_problem(dim, seed + 1)[0]
+    setup = _plain_setup(phases, removal)
+    traj = run_filtration(setup, psi, n_steps,
+                          target=filtration.RotatingTarget.static(probe))
+    survival, overlaps, _, _ = explicit_stepping(phases, removal, psi,
+                                                 n_steps, probe[None, :])
+    count = traj.steps.size
+    assert count == n_steps + 1 or traj.depleted
+    # both paths round relative to the weight they start a step (or a
+    # chunk) from, so compare relative to the larger of S_n and 1e-6
+    scale = np.maximum(survival[:count], 1e-6)
+    assert np.max(np.abs(traj.survival - survival[:count]) / scale) \
+        <= SURVIVAL_RTOL
+    assert np.max(np.abs(traj.overlaps - overlaps[:count])) <= OBSERVABLE_ATOL
+
+
+def test_renewal_and_stepping_track_extended_precision():
+    L, theta0, n_steps = 6, 0.4, 400
+    setup, initial = reduced_setup(ChainParams(L=L), math.pi / L, theta0)
+    exact = np.array(mp_tower_survival(L, (1, L), theta0, n_steps))
+    traj = run_filtration(setup, initial, n_steps, string_every=0)
+    stepped = explicit_stepping(setup.phases, setup.removal_eig,
+                                setup.to_eigen(initial), n_steps)[0]
+    for path in (traj.survival, stepped):
+        assert np.max(np.abs(path / exact - 1.0)) < 1e-12
+
+
+def test_corrupted_kernel_table_exits_2(tmp_path, monkeypatch):
+    """The survival identity check at each chunk end catches a bad table."""
+    build = RenewalKernel.__init__
+
+    def corrupted(self, *args):
+        build(self, *args)
+        self.tables[0, 0] *= 1.01
+
+    monkeypatch.setattr(RenewalKernel, "__init__", corrupted)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"L": 6, "target": "tar1", "n_steps": 200}))
+    assert main(["filter-run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 2
