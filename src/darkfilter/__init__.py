@@ -29,7 +29,6 @@ from darkfilter.spin_model import (
     build_tower,
     protocol_states,
     sga_residual,
-    string_operator,
     sz_sector_split,
 )
 from darkfilter.filtration import (
@@ -41,13 +40,11 @@ from darkfilter.filtration import (
     RotatingTarget,
     Trajectory,
     dark_projection,
-    dark_states,
     dark_subspace,
     degeneracy_groups,
     filtration_time,
     full_setup,
     generic_setup,
-    long_time_state,
     reduced_setup,
     resonance_period,
     run_filtration,
@@ -56,11 +53,9 @@ from darkfilter.filtration import (
 from darkfilter.spectral import (
     BrightSpectrum,
     ChargePicture,
-    DominantBright,
     bright_secular_roots,
     charge_picture,
     convex_hull_violation,
-    dominant_bright,
     scaling_predictions,
 )
 
@@ -73,7 +68,6 @@ __all__ = [
     "ChargePicture",
     "DarkSubspace",
     "DarkfilterError",
-    "DominantBright",
     "FiltrationSetup",
     "FiltrationSpectrum",
     "FiltrationTime",
@@ -93,14 +87,11 @@ __all__ = [
     "charge_picture",
     "convex_hull_violation",
     "dark_projection",
-    "dark_states",
     "dark_subspace",
     "degeneracy_groups",
-    "dominant_bright",
     "filtration_time",
     "full_setup",
     "generic_setup",
-    "long_time_state",
     "protocol_states",
     "reduced_setup",
     "resonance_period",
@@ -108,7 +99,6 @@ __all__ = [
     "scaling_predictions",
     "sga_residual",
     "spectral_decomposition",
-    "string_operator",
     "sz_sector_split",
     "__version__",
 ]

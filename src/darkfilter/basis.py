@@ -27,14 +27,6 @@ from darkfilter.errors import ValidationError
 FULL_SPACE_CAP = 10
 
 
-def check_full_cap(L, cap=FULL_SPACE_CAP):
-    if L > cap:
-        raise ValidationError(
-            f"L={L} exceeds the full-space construction cap ({cap}); "
-            "use the tower-reduced engine for longer chains"
-        )
-
-
 def digits_of(L):
     """Array (3^L, L) of base-3 digits, site j in column j-1."""
     idx = np.arange(3**L)
@@ -47,15 +39,6 @@ def digits_of(L):
 def magnetization_of(L):
     """Total S^z eigenvalue per full-space index (m = 1 - digit per site)."""
     return (L - digits_of(L).sum(axis=1, dtype=np.int64)).astype(np.int64)
-
-
-def flip_permutation(L):
-    """Index permutation of the per-site spin flip |+> <-> |->, |0> -> |0>.
-
-    The flip exchanges digits 0 and 2 on every site, i.e. digit -> 2 - digit,
-    which maps index i to sum_j (2 - d_j) 3^(j-1) = (3^L - 1) - i.
-    """
-    return (3**L - 1) - np.arange(3**L)
 
 
 @dataclass(frozen=True)
@@ -71,7 +54,6 @@ class BasisEncoding:
     kind: str                      # "full" | "sector" | "tower" | "generic"
     L: int
     dimension: int
-    sector: int | None = None
     states: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -79,19 +61,16 @@ class BasisEncoding:
             raise ValidationError(f"unknown basis kind {self.kind!r}")
 
     @classmethod
-    def full(cls, L, cap=FULL_SPACE_CAP):
+    def full(cls, L):
         if L < 1:
             raise ValidationError("L must be >= 1")
-        check_full_cap(L, cap)
+        if L > FULL_SPACE_CAP:
+            raise ValidationError(
+                f"L={L} exceeds the full-space construction cap "
+                f"({FULL_SPACE_CAP}); use the tower-reduced engine for "
+                "longer chains"
+            )
         return cls("full", L, 3**L)
-
-    @classmethod
-    def sector_basis(cls, L, M, cap=FULL_SPACE_CAP):
-        check_full_cap(L, cap)
-        states = np.nonzero(magnetization_of(L) == M)[0]
-        if states.size == 0:
-            raise ValidationError(f"empty magnetization sector M={M} for L={L}")
-        return cls("sector", L, states.size, sector=M, states=states)
 
     @classmethod
     def tower(cls, L):
@@ -102,31 +81,6 @@ class BasisEncoding:
     @classmethod
     def generic(cls, dimension):
         return cls("generic", 0, dimension)
-
-    def index_of_config(self, ms):
-        """Full-space index of an explicit configuration (m_1, ..., m_L)."""
-        if self.kind not in ("full", "sector"):
-            raise ValidationError("configurations only index full/sector bases")
-        if len(ms) != self.L:
-            raise ValidationError(f"expected {self.L} site values")
-        idx = sum((1 - m) * 3**j for j, m in enumerate(ms))
-        if self.kind == "full":
-            return idx
-        pos = np.searchsorted(self.states, idx)
-        if pos >= self.states.size or self.states[pos] != idx:
-            raise ValidationError("configuration not in this sector")
-        return int(pos)
-
-
-def sector_labels(L):
-    """All magnetization values M = -L..L."""
-    return list(range(-L, L + 1))
-
-
-def sector_indices(L):
-    """dict M -> sorted full-space indices of the sector."""
-    mags = magnetization_of(L)
-    return {M: np.nonzero(mags == M)[0] for M in sector_labels(L)}
 
 
 def string_parity_sign(L):

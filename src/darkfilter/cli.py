@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import parse_config, scan_options, sweep_options
+from .config import parse_config, scan_options, sweep_options, table1_options
 from .errors import NumericsError, ValidationError
 from .experiments import (ExperimentSpec, GoeBlock, Perturbations,
-                          build_setup, document_of, goe_demo, group_label,
+                          build_setup, dark_labels, document_of, goe_demo,
                           perturbation_study, run_tar1, run_tar2,
                           sweep_n_epsilon, table1_scan, zeta_vs_L_scan)
 from .filtration import dark_subspace
@@ -131,22 +131,10 @@ def _cmd_filter_run(cli, doc):
     return art
 
 
-def _dark_labels(dark):
-    seen = {}
-    labels = []
-    for k in range(dark.count):
-        members = dark.members[k]
-        total = sum(1 for m in dark.members if m == members)
-        labels.append(group_label(members, seen.get(members, 0), total))
-        seen[members] = seen.get(members, 0) + 1
-    return labels
-
-
 def _cmd_dark_states(cli, doc):
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
     setup, initial = build_setup(spec)
     dark = dark_subspace(setup)
-    labels = _dark_labels(dark)
     ensure_dir(cli.out_dir)
     path = emit_csv(os.path.join(cli.out_dir, "spectrum.csv"),
                     SCHEMAS["spectrum"],
@@ -156,7 +144,7 @@ def _cmd_dark_states(cli, doc):
         "experiment": "dark_states",
         "spec": document_of(spec),
         "count": dark.count,
-        "labels": labels if setup.engine == "tower" else None,
+        "labels": dark_labels(dark) if setup.engine == "tower" else None,
         "initial_overlaps": ov,
         "dark_weight": float(np.sum(np.abs(ov) ** 2)),
     })
@@ -205,10 +193,7 @@ def _cmd_scaling_sweep(cli, doc):
 
 
 def _cmd_table1(cli, doc):
-    kwargs = {}
-    if isinstance(doc, dict) and "theta0" in doc:
-        kwargs["theta0"] = float(doc["theta0"])
-    art = table1_scan(cli.out_dir, **kwargs)
+    art = table1_scan(cli.out_dir, theta0=table1_options(doc))
     counts = {f"{c['p']}/{c['q']}": c["count"]
               for c in art.metadata["cases"]}
     _say(cli, f"dark counts {counts}")

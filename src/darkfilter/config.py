@@ -2,8 +2,8 @@
 
 A document is a flat JSON object; unknown keys are rejected by name so
 typos never silently fall back to defaults.  h*tau is written as the
-integer pair [p, q] meaning pi*p/q, which keeps resonances exact in
-either direction of the round trip parse(serialize(spec)) == spec.
+integer pair [p, q] meaning pi*p/q, which keeps resonances exact: the
+document_of echo of a spec parses back to the same spec.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import json
 import math
 
 from .errors import ValidationError
-from .experiments import (ExperimentSpec, GoeBlock, Perturbations,
-                          document_of, orthogonality_angle,
-                          tar1_resonance, tar2_resonance, tar2_optimal_angle)
+from .experiments import (TABLE1_THETA0, ExperimentSpec, GoeBlock,
+                          Perturbations, orthogonality_angle, tar1_resonance,
+                          tar2_resonance, tar2_optimal_angle)
 from .spin_model import ChainParams
 
 # protocol defaults: J = 1 sets the unit of energy, D = 0.1 the
@@ -30,8 +30,8 @@ TOP_KEYS = {
 PERT_KEYS = {"lambda", "seed"}
 GOE_KEYS = {"D_goe", "seed"}
 
-# keys consumed by list-style subcommands, not by ExperimentSpec itself
-SWEEP_KEYS = {"L_values", "theta0_rule", "variant"}
+# the table1 census reads only its initial-state angle
+TABLE1_KEYS = {"theta0"}
 
 
 def _reject_unknown(doc, allowed, where):
@@ -56,16 +56,31 @@ def _number(doc, key, default=None, integer=False):
     return float(val)
 
 
+def _finite(doc, key, default):
+    val = _number(doc, key, default)
+    if not math.isfinite(val):
+        raise ValidationError(f"{key} must be finite")
+    return val
+
+
 def _load(document):
-    if isinstance(document, dict):
-        return dict(document)
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON document: {exc}") from None
-    if not isinstance(doc, dict):
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed JSON document: {exc}") from None
+    if not isinstance(document, dict):
         raise ValidationError("document must be a JSON object")
-    return doc
+    return dict(document)
+
+
+def _L_values(doc):
+    values = doc["L_values"]
+    if (not isinstance(values, list) or not values
+            or any(isinstance(x, bool) or not isinstance(x, int)
+                   for x in values)):
+        raise ValidationError("L_values must be a non-empty integer list")
+    return list(values)
 
 
 def _resolve_htau(doc, target, L, required=True):
@@ -95,10 +110,7 @@ def _resolve_htau(doc, target, L, required=True):
 
 def _resolve_theta0(doc, target, L):
     if "theta0" in doc:
-        theta0 = _number(doc, "theta0")
-        if not math.isfinite(theta0):
-            raise ValidationError("theta0 must be finite")
-        return theta0
+        return _finite(doc, "theta0", None)
     if target == "tar1":
         return orthogonality_angle(L)
     if target == "tar2":
@@ -197,11 +209,7 @@ def sweep_options(document):
     _reject_unknown(doc, TOP_KEYS, "document")
     if "L_values" not in doc or "variant" not in doc:
         raise ValidationError("missing required keys: L_values, variant")
-    values = doc["L_values"]
-    if (not isinstance(values, list) or not values
-            or any(isinstance(x, bool) or not isinstance(x, int)
-                   for x in values)):
-        raise ValidationError("L_values must be a non-empty integer list")
+    values = _L_values(doc)
     variant = doc["variant"]
     if variant not in ("tar1-general", "tar1-orthogonal", "tar2"):
         raise ValidationError(f"unknown variant {variant!r}")
@@ -210,7 +218,7 @@ def sweep_options(document):
                     "tar2": "tar2-optimal"}[variant]
     rule = doc.get("theta0_rule", default_rule)
     eps = _number(doc, "eps", DEFAULTS["eps"])
-    return list(values), rule, eps, variant
+    return values, rule, eps, variant
 
 
 def scan_options(document):
@@ -218,15 +226,12 @@ def scan_options(document):
     doc = _load(document)
     _reject_unknown(doc, TOP_KEYS, "document")
     if "L_values" in doc:
-        values = doc["L_values"]
-        if (not isinstance(values, list) or not values
-                or any(isinstance(x, bool) or not isinstance(x, int)
-                       for x in values)):
-            raise ValidationError("L_values must be a non-empty integer list")
-        return list(values)
+        return _L_values(doc)
     return list(range(4, 17))
 
 
-def serialize_config(spec: ExperimentSpec) -> str:
-    """JSON text that parse_config maps back to an equal spec."""
-    return json.dumps(document_of(spec), indent=2, sort_keys=True) + "\n"
+def table1_options(document):
+    """Initial-state angle theta0 of the table1 census."""
+    doc = _load(document)
+    _reject_unknown(doc, TABLE1_KEYS, "table1 document")
+    return _finite(doc, "theta0", TABLE1_THETA0)

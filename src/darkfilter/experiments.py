@@ -29,7 +29,7 @@ from .filtration import (BACKEND, RotatingTarget, dark_projection,
                          filtration_time, spectral_decomposition)
 from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
                      write_metadata)
-from .spectral import (bright_secular_roots, charge_picture, dominant_bright,
+from .spectral import (bright_secular_roots, charge_picture,
                        scaling_predictions)
 from .spin_model import ChainParams, StateVector, build_tower, protocol_states
 
@@ -501,6 +501,8 @@ def fit_slope_log2(rows):
 
 
 # the resonance census at L=6 with the dark-state count each angle hosts
+TABLE1_L = 6
+TABLE1_THETA0 = math.pi / 7
 TABLE1_CASES = (
     ((1, 6), 1),
     ((1, 5), 2),
@@ -519,7 +521,18 @@ def group_label(members, index=None, total=1):
     return body
 
 
-def table1_scan(out_dir, L=6, theta0=math.pi / 7) -> RunArtifacts:
+def dark_labels(dark):
+    """group_label of each dark vector, numbered within shared groups."""
+    seen = {}
+    labels = []
+    for members in dark.members:
+        index = seen.get(members, 0)
+        labels.append(group_label(members, index, dark.members.count(members)))
+        seen[members] = index + 1
+    return labels
+
+
+def table1_scan(out_dir, theta0=TABLE1_THETA0) -> RunArtifacts:
     """Dark-state census over the resonant angles of the L=6 tower.
 
     Emits one row per dark vector: the resonance (p, q), the composition
@@ -528,6 +541,7 @@ def table1_scan(out_dir, L=6, theta0=math.pi / 7) -> RunArtifacts:
     """
     t0 = time.time()
     ensure_dir(out_dir)
+    L = TABLE1_L
     params = ChainParams(L=L)
     rows = []
     summary = []
@@ -543,13 +557,7 @@ def table1_scan(out_dir, L=6, theta0=math.pi / 7) -> RunArtifacts:
         ov = dark.overlaps(setup.to_eigen(initial))
         norm = np.linalg.norm(ov)
         coeffs = ov / norm if norm > 0 else ov
-        seen = {}
-        labels = []
-        for k in range(dark.count):
-            members = dark.members[k]
-            total = sum(1 for m in dark.members if m == members)
-            labels.append(group_label(members, seen.get(members, 0), total))
-            seen[members] = seen.get(members, 0) + 1
+        labels = dark_labels(dark)
         for k in range(dark.count):
             rows.append((p, q, labels[k],
                          float(coeffs[k].real), float(coeffs[k].imag)))
@@ -563,19 +571,27 @@ def table1_scan(out_dir, L=6, theta0=math.pi / 7) -> RunArtifacts:
                    {"table1": path}, extra, t0)
 
 
-def detect_plateau(q, threshold=1e-5, smooth=5):
-    """Longest window where the smoothed |dQ/dn| stays below threshold.
+# detect_plateau: largest smoothed |dQ/dn| inside a plateau, and the
+# width of the centered moving average that smooths Q
+PLATEAU_SLOPE = 1e-5
+PLATEAU_SMOOTH = 5
 
-    Q is smoothed with a centered 5-point moving average before
-    differencing.  Returns (start, end, height) in step units, or None
-    when no window exists; end is exclusive and doubles as the exit time.
+
+def detect_plateau(q):
+    """Longest window where the smoothed |dQ/dn| stays below PLATEAU_SLOPE.
+
+    Q is smoothed with a centered PLATEAU_SMOOTH-point moving average
+    before differencing.  Returns (start, end, height) in step units, or
+    None when no window exists; end is exclusive and doubles as the exit
+    time.
     """
+    smooth = PLATEAU_SMOOTH
     q = np.asarray(q, dtype=float)
     if q.size < smooth + 1:
         return None
     kernel = np.ones(smooth) / smooth
     smoothed = np.convolve(q, kernel, mode="valid")
-    flat = np.abs(np.diff(smoothed)) < threshold
+    flat = np.abs(np.diff(smoothed)) < PLATEAU_SLOPE
     best_len, best_start = 0, -1
     i = 0
     while i < flat.size:
@@ -679,15 +695,21 @@ def sample_goe(d_goe, seed):
     return (a + a.T) / math.sqrt(2.0 * d_goe)
 
 
-def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None,
-             bright_bound=1e-8, conv_tol=1e-6) -> RunArtifacts:
+# goe_demo: the run covers the step where the slowest bright mode has
+# decayed below GOE_BRIGHT_BOUND; from there the survival must match the
+# dark weight to GOE_CONV_TOL
+GOE_BRIGHT_BOUND = 1e-8
+GOE_CONV_TOL = 1e-6
+
+
+def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None) -> RunArtifacts:
     """Dark-state persistence for a generic dense spectrum.
 
     Draws one GOE matrix, filters |1> with removal |2>, and checks that
     the survival weight converges to the initial weight on the single
     dark state formed by the two edge eigenlevels (tau glues their
     phases).  The run covers the bound n where the slowest bright mode
-    has decayed below bright_bound.
+    has decayed below GOE_BRIGHT_BOUND.
     """
     t0 = time.time()
     block = GoeBlock(d_goe=d_goe, seed=seed)
@@ -710,7 +732,8 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None,
     spec_f = spectral_decomposition(setup, initial)
     bright = spec_f.select("bright")
     zeta_d = float(np.max(np.abs(spec_f.values[bright])))
-    n_bound = int(math.ceil(math.log(bright_bound) / (2.0 * math.log(zeta_d))))
+    n_bound = int(math.ceil(math.log(GOE_BRIGHT_BOUND)
+                            / (2.0 * math.log(zeta_d))))
     if n_steps is None:
         n_steps = n_bound + 1000
     if n_steps <= n_bound:
@@ -723,7 +746,7 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None,
                           string_every=0)
     tail = traj.survival[n_bound:]
     worst = float(np.max(np.abs(tail - expect)))
-    if worst >= conv_tol:
+    if worst >= GOE_CONV_TOL:
         raise NumericsError(
             f"survival misses the dark weight by {worst:.3e} past the "
             f"bright-decay bound {n_bound}"
@@ -759,8 +782,12 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None,
                     "charges": charge_path}, extra, t0)
 
 
-def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17)),
-                   h_tau=(1, 4)) -> RunArtifacts:
+# h*tau = pi/4 of the zeta scan: the tower phases fall into the four
+# classes n mod 4 at every length
+ZETA_H_TAU = (1, 4)
+
+
+def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
     """Dominant bright eigenvalue versus chain length at h*tau = pi/4.
 
     The four tower phase classes n mod 4 persist at every length; the
@@ -772,7 +799,7 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17)),
     if any(L < 4 for L in L_values):
         raise ValidationError("scan needs L >= 4 to populate all 4 classes")
     ensure_dir(out_dir)
-    p, q = h_tau
+    p, q = ZETA_H_TAU
     moduli = []
     files = {}
     for L in L_values:
@@ -789,8 +816,7 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17)),
             raise NumericsError(
                 f"L={L}: {bs.roots.shape[0]} roots for w={cp.w}"
             )
-        dom = dominant_bright(bs)
-        moduli.append(abs(dom.zeta))
+        moduli.append(abs(bs.dominant))
         spath = emit_csv(os.path.join(out_dir, f"spectrum_L{L:02d}.csv"),
                          SCHEMAS["spectrum"],
                          spectrum_columns(bs.roots, ["bright"] * bs.roots.size))

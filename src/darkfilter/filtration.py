@@ -36,7 +36,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from darkfilter.basis import (
-    FULL_SPACE_CAP,
     BasisEncoding,
     magnetization_of,
     string_parity_sign,
@@ -44,7 +43,6 @@ from darkfilter.basis import (
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.spin_model import (
     ChainParams,
-    ScarTower,
     StateVector,
     build_hamiltonian,
     protocol_states,
@@ -55,6 +53,10 @@ from darkfilter.spin_model import (
 # resonant periods are constructed as exact ratios, so true collisions
 # sit at rounding error while distinct phases are separated by O(1/L).
 PHASE_TOL = 1e-9
+
+# A degenerate group whose removal component is smaller than this is
+# fully dark.
+DARK_OVERLAP_TOL = 1e-12
 
 # Dense non-normal eigendecomposition guard.
 SPECTRUM_CAP = 4000
@@ -183,19 +185,17 @@ class FiltrationSetup:
         return np.einsum("ij,ij->i", paired, rows)
 
 
-def reduced_setup(source, tau, theta0):
+def reduced_setup(params, tau, theta0):
     """Tower-reduced engine: H diagonal on the L+1 bi-magnon states.
 
-    Accepts a ScarTower or plain ChainParams (the reduced engine needs
-    no full-space vectors, so it scales far beyond the dense cap).  The
-    removal and initial states are the exact tower decompositions of the
-    protocol product states, with binomial weights sqrt(C(L,n)/2^L).
+    Needs no full-space vectors, so it scales far beyond the dense cap.
+    The removal and initial states are the exact tower decompositions of
+    the protocol product states, with binomial weights sqrt(C(L,n)/2^L).
     The spin flip maps B_n to string_parity_sign(L) B_(L-n).
     Returns (setup, initial state in the tower basis).
     """
-    params = source.params if isinstance(source, ScarTower) else source
     if not isinstance(params, ChainParams):
-        raise ValidationError("reduced_setup expects a ScarTower or ChainParams")
+        raise ValidationError("reduced_setup expects ChainParams")
     if params.J2 != 0.0:
         raise ValidationError("tower engine requires J2 = 0 (tower not exact)")
     L = params.L
@@ -223,16 +223,15 @@ def reduced_setup(source, tau, theta0):
 FLIP_TOL = 1e-12
 
 
-def check_flip_symmetry(ham, h, mags=None):
+def check_flip_symmetry(ham, h, mags):
     """Largest entry of P H P - H + 2 h Sz, P the global spin flip.
 
     P maps index i to 3^L - 1 - i, so P H P is H with both indices
-    mirrored; the check costs O(nnz).  mags is Sz per index
-    (magnetization_of(L) when omitted).  Raises NumericsError beyond
-    FLIP_TOL: the full engine pairs sector -M with sector M through P.
+    mirrored; the check costs O(nnz).  mags is Sz per index.  Raises
+    NumericsError beyond FLIP_TOL: the full engine pairs sector -M with
+    sector M through P.
     """
     L = ham.basis.L
-    mags = magnetization_of(L) if mags is None else mags
     top = 3**L - 1
     coo = ham.matrix.tocoo()
     mirrored = sp.csr_array((coo.data, (top - coo.row, top - coo.col)),
@@ -276,8 +275,7 @@ def _flip_parity_halves(matrix, indices):
     return halves
 
 
-def full_setup(params, tau, theta0, removal=None, sectors=None,
-               cap=FULL_SPACE_CAP):
+def full_setup(params, tau, theta0, removal=None):
     """Sector-blocked full-space engine, paired by the spin flip P.
 
     Diagonalizes H inside the total-Sz sectors that can carry weight:
@@ -293,23 +291,20 @@ def full_setup(params, tau, theta0, removal=None, sectors=None,
     if not isinstance(params, ChainParams):
         raise ValidationError("full_setup expects ChainParams")
     L = params.L
-    ham = build_hamiltonian(params, cap)
+    ham = build_hamiltonian(params)
     mags = magnetization_of(L)
     check_flip_symmetry(ham, params.h, mags)
-    psi_r, psi_0 = protocol_states(params, theta0, cap)
+    psi_r, psi_0 = protocol_states(params, theta0)
     if removal is not None:
         vec = removal.amplitudes if isinstance(removal, StateVector) else removal
         psi_r = StateVector(ham.basis, np.asarray(vec, dtype=complex))
         nrm = psi_r.norm()
         if abs(nrm - 1.0) > 1e-12:
             raise ValidationError("custom removal vector must have unit norm")
-    if sectors is None:
-        wanted = set(M for M in range(-L, L + 1) if (M - L) % 2 == 0)
-        occupied = np.abs(psi_r.amplitudes) > 0.0
-        wanted.update(int(M) for M in np.unique(mags[occupied]))
-        sectors = wanted
-    blocks = sz_sector_split(ham, sectors=set(abs(int(M)) for M in sectors),
-                             mags=mags)
+    sectors = set(M for M in range(L + 1) if (M - L) % 2 == 0)
+    occupied = np.abs(psi_r.amplitudes) > 0.0
+    sectors.update(abs(int(M)) for M in np.unique(mags[occupied]))
+    blocks = sz_sector_split(ham, sectors, mags)
     paired = {}
     for M in sorted(blocks):
         blk = blocks.pop(M)        # free each dense block after its eigh
@@ -367,10 +362,7 @@ def generic_setup(matrix, removal, tau=None):
     w, v = sla.eigh(matrix)
     if tau is None:
         tau = resonance_period(w[0], w[-1])
-    removal = np.asarray(
-        removal.amplitudes if isinstance(removal, StateVector) else removal,
-        dtype=complex,
-    )
+    removal = np.asarray(removal, dtype=complex)
     if removal.shape != (dim,):
         raise ValidationError("removal dimension mismatch")
     basis = BasisEncoding.generic(dim)
@@ -392,12 +384,7 @@ class PhaseGroup:
     """One cluster of coinciding eigenphases of U(tau)."""
 
     phase: complex               # representative unimodular eigenvalue
-    vectors: np.ndarray          # (dim, g) orthonormal eigenvector columns
-    members: tuple[int, ...]     # eigenvalue indices in the source ordering
-
-    @property
-    def degeneracy(self):
-        return len(self.members)
+    members: tuple[int, ...]     # engine coordinates of the group, ascending
 
     @property
     def angle(self):
@@ -433,23 +420,20 @@ def _cluster_angles(angles, tol):
     return [order[c] for c in clusters]
 
 
-def degeneracy_groups(setup, tol=None):
+def degeneracy_groups(setup):
     """Cluster the eigenphases of U(tau) into degenerate groups.
 
-    The phases are diagonal in the engine frame, so each group's vectors
-    are unit columns on its member coordinates.
+    The phases are diagonal in the engine frame, so a group is a set of
+    engine coordinates.  Clusters are gaps below setup.phase_tol.
     """
     if not isinstance(setup, FiltrationSetup):
         raise ValidationError("expected a FiltrationSetup")
     values = setup.phases
-    tol = setup.phase_tol if tol is None else tol
     groups = []
-    for members in _cluster_angles(np.angle(values), tol):
+    for members in _cluster_angles(np.angle(values), setup.phase_tol):
         members = tuple(int(m) for m in np.sort(members))
-        basis_cols = np.zeros((values.shape[0], len(members)), dtype=complex)
-        basis_cols[list(members), np.arange(len(members))] = 1.0
         rep = values[members[0]]
-        groups.append(PhaseGroup(complex(rep / abs(rep)), basis_cols, members))
+        groups.append(PhaseGroup(complex(rep / abs(rep)), members))
     groups.sort(key=lambda g: g.angle)
     return groups
 
@@ -458,8 +442,7 @@ def degeneracy_groups(setup, tol=None):
 class DarkSubspace:
     """Orthonormal dark vectors with their unimodular eigenphases."""
 
-    basis: BasisEncoding
-    vectors: np.ndarray          # (dim, k) orthonormal columns
+    vectors: np.ndarray          # (dim, k) orthonormal engine-frame columns
     phases: np.ndarray           # (k,) eigenvalues of F on each vector
     members: tuple[tuple[int, ...], ...]   # source group members per vector
 
@@ -467,16 +450,9 @@ class DarkSubspace:
     def count(self):
         return self.vectors.shape[1]
 
-    def overlaps(self, state):
-        """<Phi_delta|state> for each dark vector."""
-        vec = state.amplitudes if isinstance(state, StateVector) else state
+    def overlaps(self, vec):
+        """<Phi_delta|vec> for each dark vector, vec in engine coordinates."""
         return self.vectors.conj().T @ np.asarray(vec, dtype=complex)
-
-    def project(self, vec):
-        return self.vectors @ self.overlaps(vec)
-
-    def state(self, k):
-        return StateVector(self.basis, self.vectors[:, k].copy())
 
 
 def _canonical_phase(vec):
@@ -488,27 +464,36 @@ def _canonical_phase(vec):
     return vec * (abs(pivot) / pivot)
 
 
-def _determinant_darks(columns, a):
-    """Recursive formal-determinant construction of the dark vectors.
+def _group_darks(members, removal):
+    """Dark vectors hosted by one degenerate group, as (dim, k) columns.
 
-    The delta-th dark vector is the formal determinant whose first row
-    holds the degenerate kets C_1..C_{delta+1}, the second the removal
-    overlaps <psi_r|C_i>, and the remaining rows the overlaps of the
-    previously built dark vectors; cofactor expansion along the ket row
-    yields a vector automatically orthogonal to psi_r and to all its
-    predecessors.
+    If the removal state has no component on the group, every group
+    coordinate is dark.  Otherwise the group contributes g-1 vectors by
+    the recursive formal determinant: the delta-th dark vector is the
+    determinant whose first row holds the group kets e_1..e_(delta+1),
+    the second the removal overlaps <psi_r|e_i>, and the remaining rows
+    the overlaps of the previously built dark vectors; cofactor
+    expansion along the ket row yields a vector automatically orthogonal
+    to psi_r and to all its predecessors.
     """
-    g = columns.shape[1]
-    rows = [np.asarray(a, dtype=complex)]
+    dim = removal.shape[0]
+    idx = list(members)
+    a = removal[idx].conj()
+    if np.linalg.norm(a) < DARK_OVERLAP_TOL:
+        vectors = np.zeros((dim, len(idx)), dtype=complex)
+        vectors[idx, np.arange(len(idx))] = 1.0
+        return vectors
+    rows = [a]
     darks = []
-    for delta in range(1, g):
+    for delta in range(1, len(idx)):
         size = delta + 1
         numeric = np.array([row[:size] for row in rows])
         coeffs = np.empty(size, dtype=complex)
         for i in range(size):
             minor = np.delete(numeric, i, axis=1)
             coeffs[i] = (-1.0) ** i * np.linalg.det(minor)
-        vec = columns[:, :size] @ coeffs
+        vec = np.zeros(dim, dtype=complex)
+        vec[idx[:size]] = coeffs
         nrm = np.linalg.norm(vec)
         if nrm < 1e-14:
             raise NumericsError(
@@ -517,74 +502,29 @@ def _determinant_darks(columns, a):
             )
         vec = _canonical_phase(vec / nrm)
         darks.append(vec)
-        rows.append(vec.conj() @ columns)
-    return np.column_stack(darks) if darks else np.zeros((columns.shape[0], 0),
-                                                         dtype=complex)
+        rows.append(vec[idx].conj())
+    if not darks:
+        return np.zeros((dim, 0), dtype=complex)
+    return np.column_stack(darks)
 
 
-def dark_states(group, removal, method="determinant", proj_tol=1e-12,
-                basis=None):
-    """Dark vectors hosted by one degenerate group.
-
-    If the removal state has no component in the group span, every group
-    vector is dark; otherwise the group contributes g-1 vectors, built
-    either by the recursive determinant ("determinant") or as an
-    orthonormal basis of the complement of the projected removal state
-    ("complement").  Both span the same subspace.
-    """
-    vec_r = removal.amplitudes if isinstance(removal, StateVector) else removal
-    vec_r = np.asarray(vec_r, dtype=complex)
-    columns = group.vectors
-    a = vec_r.conj() @ columns
-    dim = columns.shape[0]
-    if basis is None:
-        basis = BasisEncoding.generic(dim)
-    if np.linalg.norm(a) < proj_tol:
-        vectors = columns.astype(complex)
-    elif method == "determinant":
-        vectors = _determinant_darks(columns, a)
-    elif method == "complement":
-        null = sla.null_space(a[None, :])
-        vectors = np.column_stack(
-            [_canonical_phase(v) for v in (columns @ null).T]
-        ) if null.shape[1] else np.zeros((dim, 0), dtype=complex)
-    else:
-        raise ValidationError(f"unknown dark-state method {method!r}")
-    k = vectors.shape[1]
-    return DarkSubspace(
-        basis=basis,
-        vectors=vectors,
-        phases=np.full(k, group.phase, dtype=complex),
-        members=tuple(group.members for _ in range(k)),
-    )
-
-
-def dark_subspace(setup, method="determinant", tol=None, proj_tol=1e-12):
+def dark_subspace(setup):
     """All dark states of a setup, concatenated over degenerate groups.
 
     Vectors are expressed in the engine eigenbasis (for the tower engine
     that is the tower basis itself).
     """
-    groups = degeneracy_groups(setup, tol)
-    basis = setup.basis if setup.engine == "tower" \
-        else BasisEncoding.generic(setup.dimension)
-    parts = [
-        dark_states(g, setup.removal_eig, method, proj_tol, basis)
-        for g in groups
-    ]
-    parts = [p for p in parts if p.count]
-    if not parts:
-        return DarkSubspace(basis, np.zeros((setup.dimension, 0), dtype=complex),
-                            np.zeros(0, dtype=complex), ())
-    return DarkSubspace(
-        basis=basis,
-        vectors=np.concatenate([p.vectors for p in parts], axis=1),
-        phases=np.concatenate([p.phases for p in parts]),
-        members=tuple(m for p in parts for m in p.members),
-    )
+    vectors, phases, members = [], [], []
+    for g in degeneracy_groups(setup):
+        v = _group_darks(g.members, setup.removal_eig)
+        vectors.append(v)
+        phases += [g.phase] * v.shape[1]
+        members += [g.members] * v.shape[1]
+    return DarkSubspace(np.concatenate(vectors, axis=1),
+                        np.array(phases, dtype=complex), tuple(members))
 
 
-def dark_projection(setup, vec, tol=None, proj_tol=1e-12):
+def dark_projection(setup, vec):
     """Project engine-frame coordinates onto the dark subspace implicitly.
 
     Within each degenerate eigenphase group the dark part is the
@@ -593,38 +533,20 @@ def dark_projection(setup, vec, tol=None, proj_tol=1e-12):
     materializes a dark basis, which keeps the full engine at L = 10
     (dimension ~3e4) inside a few hundred MB.
     """
-    tol = setup.phase_tol if tol is None else tol
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (setup.dimension,):
         raise ValidationError("dark projection expects engine-frame coordinates")
     out = vec.copy()
     angles = np.angle(setup.phases)
     removal = setup.removal_eig
-    for members in _cluster_angles(angles, tol):
+    for members in _cluster_angles(angles, setup.phase_tol):
         a = removal[members]
         na = float(np.linalg.norm(a))
-        if na < proj_tol:
+        if na < DARK_OVERLAP_TOL:
             continue                       # zero-overlap group: fully dark
         a = a / na
         out[members] -= a * (a.conj() @ vec[members])
     return out
-
-
-def long_time_state(dark, state, n):
-    """Asymptotic filtered state after n periods, normalized.
-
-    The bright components are gone; what remains is the initial state's
-    dark projection with each vector rotated by its eigenphase to the
-    n-th power.
-    """
-    vec = state.amplitudes if isinstance(state, StateVector) else state
-    ov = dark.overlaps(vec)
-    if dark.count == 0 or float(np.max(np.abs(ov))) < 1e-14:
-        raise NumericsError(
-            "state has no dark component: filtration depletes everything"
-        )
-    out = dark.vectors @ (dark.phases**n * ov)
-    return StateVector(dark.basis, out / np.linalg.norm(out))
 
 
 @dataclass
@@ -635,7 +557,7 @@ class RotatingTarget:
     the breathing cat state whose two components beat at frequency 2h.
     """
 
-    components: list         # StateVectors in the setup input basis
+    components: list         # arrays in the setup input basis
     weights: np.ndarray
     angles: np.ndarray       # per-step phase advance of each component
 
@@ -649,23 +571,10 @@ class RotatingTarget:
     def static(cls, state):
         return cls([state], np.ones(1), np.zeros(1))
 
-    @classmethod
-    def from_dark_subspace(cls, dark, state):
-        """The long-time prediction as a rotating target."""
-        ov = dark.overlaps(state)
-        keep = np.abs(ov) > 1e-14
-        if not np.any(keep):
-            raise NumericsError("state has no dark component")
-        comps = [dark.state(int(k)) for k in np.nonzero(keep)[0]]
-        w = ov[keep]
-        return cls(comps, w / np.linalg.norm(w), -np.angle(dark.phases[keep]))
-
     def at(self, n):
         """Explicit normalized target after n periods (for inspection)."""
         acc = sum(
-            w * np.exp(-1j * n * al) * np.asarray(
-                c.amplitudes if isinstance(c, StateVector) else c
-            )
+            w * np.exp(-1j * n * al) * np.asarray(c)
             for w, al, c in zip(self.weights, self.angles, self.components)
         )
         return acc / np.linalg.norm(acc)
@@ -686,22 +595,23 @@ class Trajectory:
     overlaps: np.ndarray | None          # (n+1, k) probe overlaps with F^n psi0
     string_steps: np.ndarray | None
     string: np.ndarray | None
-    checkpoints: dict
     depleted: bool
-    setup: FiltrationSetup
 
     def __post_init__(self):
         rise = float(np.max(np.diff(self.survival), initial=-np.inf))
         if rise > 1e-12:
             raise NumericsError(f"survival weight increased by {rise:.3e}")
         if self.q is not None:
+            bad = np.flatnonzero(~np.isfinite(self.q))
+            if bad.size:
+                raise NumericsError(
+                    f"fidelity Q_n is {self.q[bad[0]]} at step "
+                    f"{int(self.steps[bad[0]])} (survival "
+                    f"{self.survival[bad[0]]:.3e})"
+                )
             top = float(np.max(self.q, initial=0.0))
             if top > 1.0 + 1e-10 or float(np.min(self.q, initial=0.0)) < -1e-12:
                 raise NumericsError(f"fidelity left [0, 1]: max {top}")
-
-    @property
-    def final_survival(self):
-        return float(self.survival[-1])
 
 
 # Survival below this is numerically dead; continuing just underflows.
@@ -787,8 +697,7 @@ def _toeplitz(column):
     return np.where(lag >= 0, column[np.maximum(lag, 0)], 0.0)
 
 
-def run_filtration(setup, initial, n_steps, target=None, string_every=1,
-                   checkpoints=()):
+def run_filtration(setup, initial, n_steps, target=None, string_every=1):
     """Iterate the filtration operator and record observables.
 
     The state is propagated unnormalized in the eigenbasis; survival and
@@ -812,7 +721,6 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1,
         gram = probes.conj() @ probes.T
     want_string = setup.supports_string and string_every and string_every > 0
     every = string_every if want_string else 0
-    ckpt_wanted = set(int(c) for c in checkpoints)
 
     total = n_steps + 1
     survival = np.empty(total)
@@ -825,14 +733,9 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1,
     if want_string:
         s_steps.append(np.zeros(1, dtype=np.int64))
         s_vals.append(setup.string_rows(psi[None, :]) / survival[0])
-    ckpts = {}
-    if 0 in ckpt_wanted:
-        ckpts[0] = StateVector(setup.basis,
-                               setup.from_eigen(psi / np.linalg.norm(psi)))
 
     kernel = RenewalKernel(setup.phases, setup.removal_eig, probes,
-                           chunk_length(setup.dimension,
-                                        bool(every or ckpt_wanted)))
+                           chunk_length(setup.dimension, bool(every)))
     B = kernel.length
     done = 0
     depleted = False
@@ -848,9 +751,7 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1,
             m = int(np.argmax(surv < floor)) + 1
         lo = done + 1
         first = (-lo) % every if every else m     # first string sample
-        ckpt_at = [n - lo for n in ckpt_wanted if lo <= n < lo + m]
-        rows = None
-        if first < m or ckpt_at:
+        if first < m:
             rows = kernel.rows(psi, c, m)
             psi = rows[m - 1].copy()
         else:
@@ -872,9 +773,6 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1,
             s_steps.append(np.arange(lo + first, lo + m, every))
             s_vals.append(setup.string_rows(rows[first::every])
                           / survival[lo + first:lo + m:every])
-        for j in ckpt_at:
-            ckpts[lo + j] = StateVector(setup.basis, setup.from_eigen(
-                rows[j] / np.linalg.norm(rows[j])))
         done += m
 
     count = done + 1
@@ -888,7 +786,9 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1,
         )
         numer = np.abs(np.einsum("nj,nj->n", coef.conj(), overlaps)) ** 2
         tnorm = np.einsum("nj,jk,nk->n", coef.conj(), gram, coef).real
-        q = numer / (tnorm * survival)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # exact depletion gives 0/0, which Trajectory rejects
+            q = numer / (tnorm * survival)
     return Trajectory(
         steps=steps,
         survival=survival,
@@ -896,17 +796,14 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1,
         overlaps=overlaps,
         string_steps=np.concatenate(s_steps) if want_string else None,
         string=np.concatenate(s_vals) if want_string else None,
-        checkpoints=ckpts,
         depleted=depleted,
-        setup=setup,
     )
 
 
 @dataclass
 class FiltrationTime:
-    """Fidelity series with the first threshold crossing."""
+    """First crossing of the fidelity threshold."""
 
-    q: np.ndarray
     n_eps: int | None
     reached: bool
     max_q: float
@@ -920,10 +817,9 @@ def filtration_time(trajectory, eps):
         raise ValidationError("eps must lie in (0, 1]")
     hits = np.nonzero(trajectory.q >= 1.0 - eps)[0]
     if hits.size:
-        return FiltrationTime(trajectory.q, int(trajectory.steps[hits[0]]),
-                              True, float(np.max(trajectory.q)))
-    return FiltrationTime(trajectory.q, None, False,
-                          float(np.max(trajectory.q, initial=0.0)))
+        return FiltrationTime(int(trajectory.steps[hits[0]]), True,
+                              float(np.max(trajectory.q)))
+    return FiltrationTime(None, False, float(np.max(trajectory.q, initial=0.0)))
 
 
 # Largest relative drift of the target's conserved amplitude Q_n S_n.
@@ -1073,14 +969,23 @@ class FiltrationSpectrum:
         return np.array(idx, dtype=int)
 
 
-def spectral_decomposition(setup, initial, dark_tol=1e-8, zero_tol=1e-12,
-                           cond_tol=1e-8, check_steps=50):
+# spectral_decomposition: moduli above 1 - SPECTRAL_DARK_TOL are dark,
+# below SPECTRAL_ZERO_TOL trivial zeros; a left-right alignment below
+# SPECTRAL_COND_TOL marks the eigensystem degraded; the expansion is
+# checked against SPECTRAL_CHECK_STEPS explicit steps.
+SPECTRAL_DARK_TOL = 1e-8
+SPECTRAL_ZERO_TOL = 1e-12
+SPECTRAL_COND_TOL = 1e-8
+SPECTRAL_CHECK_STEPS = 50
+
+
+def spectral_decomposition(setup, initial):
     """Dense eigendecomposition of F = (1 - |r><r|) U in the eigenframe.
 
     Returns eigenvalues with left/right vectors and the expansion
     coefficients eta of the initial state, verified by re-summing the
-    first check_steps of the trajectory.  Analysis only: propagation
-    always goes through run_filtration.
+    first SPECTRAL_CHECK_STEPS of the trajectory.  Analysis only:
+    propagation always goes through run_filtration.
     """
     dim = setup.dimension
     if dim > SPECTRUM_CAP:
@@ -1094,32 +999,31 @@ def spectral_decomposition(setup, initial, dark_tol=1e-8, zero_tol=1e-12,
     values, vl, vr = sla.eig(fmat, left=True, right=True)
     align = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
     min_cond = float(np.min(align))
-    degraded = min_cond < cond_tol
+    degraded = min_cond < SPECTRAL_COND_TOL
     denom = np.einsum("ij,ij->j", vl.conj(), vr)
     eta = (vl.conj().T @ psi0) / denom
     kinds = []
     for z in values:
         mod = abs(z)
-        if mod > 1.0 - dark_tol:
+        if mod > 1.0 - SPECTRAL_DARK_TOL:
             kinds.append("dark")
-        elif mod < zero_tol:
+        elif mod < SPECTRAL_ZERO_TOL:
             kinds.append("trivial-zero")
         else:
             kinds.append("bright")
     resid = 0.0
-    if check_steps > 0:
-        direct = psi0.copy()
-        scaled = vr * eta
-        for n in range(1, check_steps + 1):
-            direct = setup.phases * direct
-            direct -= r * np.vdot(r, direct)
-            recon = scaled @ values**n
-            resid = max(resid, float(np.linalg.norm(recon - direct)))
-        allowance = 1e-6 if not degraded else 1e-6 / max(min_cond, 1e-30)
-        if resid > allowance:
-            raise NumericsError(
-                f"spectral reconstruction residual {resid:.3e} exceeds "
-                f"tolerance {allowance:.3e}"
-            )
+    direct = psi0.copy()
+    scaled = vr * eta
+    for n in range(1, SPECTRAL_CHECK_STEPS + 1):
+        direct = setup.phases * direct
+        direct -= r * np.vdot(r, direct)
+        recon = scaled @ values**n
+        resid = max(resid, float(np.linalg.norm(recon - direct)))
+    allowance = 1e-6 if not degraded else 1e-6 / max(min_cond, 1e-30)
+    if resid > allowance:
+        raise NumericsError(
+            f"spectral reconstruction residual {resid:.3e} exceeds "
+            f"tolerance {allowance:.3e}"
+        )
     return FiltrationSpectrum(values, vr, vl, eta, kinds, min_cond,
                               degraded, resid)

@@ -30,6 +30,11 @@ from darkfilter.filtration import FiltrationSetup, _cluster_angles
 # the group hosts dark directions only and exerts no force.
 ZERO_WEIGHT = 1e-14
 
+# A secular root is accepted when its force-balance residual is at most
+# ROOT_RESIDUAL_TOL and it lies within HULL_SLACK of the charge hull.
+ROOT_RESIDUAL_TOL = 1e-8
+HULL_SLACK = 1e-10
+
 
 @dataclass(frozen=True)
 class ChargePicture:
@@ -70,16 +75,15 @@ class ChargePicture:
         return np.exp(-1j * self.angles)
 
 
-def charge_picture(setup, tol=None):
+def charge_picture(setup):
     """Cluster the engine's eigenphases and sum removal weight per group."""
     if not isinstance(setup, FiltrationSetup):
         raise ValidationError("charge_picture expects a FiltrationSetup")
-    tol = setup.phase_tol if tol is None else tol
     phase_angles = np.angle(setup.phases)
     weight = np.abs(setup.removal_eig) ** 2
     angles = []
     weights = []
-    for members in _cluster_angles(phase_angles, tol):
+    for members in _cluster_angles(phase_angles, setup.phase_tol):
         rep = phase_angles[members[0]]
         angles.append((-rep) % (2.0 * math.pi))
         weights.append(float(np.sum(weight[members])))
@@ -123,43 +127,35 @@ class BrightSpectrum:
     """Bright eigenvalues with their dominant member.
 
     Roots are sorted by descending modulus, ties by ascending angle in
-    [0, 2pi).  provenance records whether they came from the secular
-    polynomial or a dense eigendecomposition of F.
+    [0, 2pi).  dominant is None when there are no roots.
     """
 
     roots: np.ndarray
     dominant: complex | None
     tie: bool
-    provenance: str
 
     @property
     def count(self):
         return self.roots.shape[0]
 
     @classmethod
-    def from_roots(cls, roots, provenance):
+    def from_roots(cls, roots):
         roots = np.asarray(roots, dtype=complex)
         order = np.lexsort((np.angle(roots) % (2.0 * math.pi),
                             -np.abs(roots)))
         roots = roots[order]
         if roots.size == 0:
-            return cls(roots, None, False, provenance)
+            return cls(roots, None, False)
         mods = np.abs(roots)
         near = np.nonzero(mods > mods[0] - 1e-12)[0]
         tied = near.size > 1
-        # among near-tied moduli the float sort is provenance-dependent;
-        # resolve the dominant member by angle
+        # the order of near-tied moduli is rounding noise; resolve the
+        # dominant member by angle
         top = near[np.argmin(np.angle(roots[near]) % (2.0 * math.pi))]
-        return cls(roots, complex(roots[top]), bool(tied), provenance)
-
-    @classmethod
-    def from_filtration_spectrum(cls, spectrum):
-        """Bright subset of a dense non-normal eigendecomposition."""
-        idx = spectrum.select("bright")
-        return cls.from_roots(spectrum.values[idx], "dense-F")
+        return cls(roots, complex(roots[top]), bool(tied))
 
 
-def bright_secular_roots(cp, residual_tol=1e-8, hull_slack=1e-10):
+def bright_secular_roots(cp):
     """Solve the secular equation for all bright eigenvalues.
 
     Clears denominators into the degree w-1 polynomial
@@ -173,7 +169,7 @@ def bright_secular_roots(cp, residual_tol=1e-8, hull_slack=1e-10):
         raise ValidationError("charge picture carries no weight")
     poles = np.exp(-1j * angles)
     if w == 1:
-        return BrightSpectrum.from_roots(np.zeros(0, dtype=complex), "secular")
+        return BrightSpectrum.from_roots(np.zeros(0, dtype=complex))
     coeffs = np.zeros(w, dtype=complex)
     for l in range(w):
         others = np.delete(poles, l)
@@ -181,11 +177,11 @@ def bright_secular_roots(cp, residual_tol=1e-8, hull_slack=1e-10):
     roots = np.roots(coeffs)
     for z in roots:
         resid = abs(np.sum(weights / (poles - z)))
-        if resid > residual_tol:
+        if resid > ROOT_RESIDUAL_TOL:
             raise NumericsError(
                 f"secular root {z} violates force balance (residual {resid:.3e})"
             )
-        excess = convex_hull_violation(z, poles, hull_slack)
+        excess = convex_hull_violation(z, poles, HULL_SLACK)
         if excess > 0.0:
             raise NumericsError(
                 f"secular root {z} lies {excess:.3e} outside the charge hull"
@@ -194,20 +190,7 @@ def bright_secular_roots(cp, residual_tol=1e-8, hull_slack=1e-10):
         raise NumericsError(
             f"expected {w - 1} bright roots, found {roots.shape[0]}"
         )
-    return BrightSpectrum.from_roots(roots, "secular")
-
-
-@dataclass(frozen=True)
-class DominantBright:
-    zeta: complex
-    tie: bool
-
-
-def dominant_bright(bs):
-    """Largest-modulus bright eigenvalue; ties resolved by smallest angle."""
-    if bs.count == 0:
-        raise ValidationError("empty bright spectrum has no dominant eigenvalue")
-    return DominantBright(complex(bs.dominant), bs.tie)
+    return BrightSpectrum.from_roots(roots)
 
 
 def scaling_predictions(L, theta0, eps, variant):

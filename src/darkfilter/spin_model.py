@@ -32,21 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from darkfilter.basis import (
-    FULL_SPACE_CAP,
-    BasisEncoding,
-    check_full_cap,
-    digits_of,
-    flip_permutation,
-    magnetization_of,
-)
+from darkfilter.basis import BasisEncoding, digits_of
 from darkfilter.errors import NumericsError, ValidationError
 
-# Densifying a matrix beyond this dimension is almost certainly a mistake.
-DENSE_CAP = 20000
+# Largest |element| coupling two magnetization sectors that
+# sz_sector_split tolerates.
+SECTOR_LEAK_TOL = 1e-12
 
 # Local operators in digit order (|+>, |0>, |->).
-SZ = np.diag([1.0, 0.0, -1.0])
 SPLUS = np.sqrt(2.0) * (np.diag([1.0, 1.0], k=1))
 SMINUS = SPLUS.T
 
@@ -91,38 +84,11 @@ class StateVector:
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self):
-        n = self.norm()
-        if n == 0.0:
-            raise NumericsError("cannot normalize the zero vector")
-        return StateVector(self.basis, self.amplitudes / n)
-
-    def overlap(self, other):
-        """<self|other>, conjugating this state's amplitudes."""
-        if self.basis.dimension != other.basis.dimension:
-            raise ValidationError("overlap between different dimensions")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass
 class ManyBodyOperator:
     basis: BasisEncoding
     matrix: sp.csr_array
-    hermitian: bool = False
-
-    def dense(self):
-        if self.basis.dimension > DENSE_CAP:
-            raise ValidationError(
-                f"refusing to densify a {self.basis.dimension}-dimensional operator"
-            )
-        return self.matrix.toarray()
-
-    def apply(self, vec):
-        return self.matrix @ vec
-
-    def expectation(self, vec):
-        val = complex(np.vdot(vec, self.matrix @ vec))
-        return val.real if self.hermitian else val
 
 
 def _embed(local, site, L):
@@ -141,10 +107,10 @@ def _xy_coupling(L, distance):
     return total
 
 
-def build_hamiltonian(params, cap=FULL_SPACE_CAP):
+def build_hamiltonian(params):
     """Sparse real-symmetric Hamiltonian on the full 3^L space."""
     L = params.L
-    check_full_cap(L, cap)
+    basis = BasisEncoding.full(L)
     digits = digits_of(L)
     m = 1.0 - digits           # per-site Sz eigenvalue
     diag = params.h * m.sum(axis=1) + params.D * (m**2).sum(axis=1)
@@ -154,8 +120,7 @@ def build_hamiltonian(params, cap=FULL_SPACE_CAP):
         H = H + params.J2 * _xy_coupling(L, 2)
     if params.J3 != 0.0:
         H = H + params.J3 * _xy_coupling(L, 3)
-    return ManyBodyOperator(BasisEncoding.full(L, cap), sp.csr_array(H),
-                            hermitian=True)
+    return ManyBodyOperator(basis, sp.csr_array(H))
 
 
 def bimagnon_raising(L):
@@ -180,17 +145,12 @@ class ScarTower:
     def state(self, n):
         return StateVector(self.basis, self.states[n].astype(complex))
 
-    def coefficients(self, vec):
-        """Tower-basis coefficients c_n = <B_n|vec> of a full-space vector."""
-        return self.states @ np.asarray(vec)
 
-
-def build_tower(params, cap=FULL_SPACE_CAP):
+def build_tower(params):
     """Construct the tower by repeated sparse application of Q+."""
     L = params.L
-    check_full_cap(L, cap)
+    basis = BasisEncoding.full(L)
     qplus = bimagnon_raising(L)
-    basis = BasisEncoding.full(L, cap)
     states = np.zeros((L + 1, 3**L))
     vec = np.zeros(3**L)
     vec[3**L - 1] = 1.0        # all digits 2: the fully polarized |--...->
@@ -222,7 +182,7 @@ class SgaReport:
         return max(self.eigen_residual, self.algebra_residual)
 
 
-def sga_residual(params, cap=FULL_SPACE_CAP):
+def sga_residual(params):
     """Check the restricted spectrum-generating algebra on the tower.
 
     Builds the Hamiltonian and tower for the given couplings and reports
@@ -230,8 +190,8 @@ def sga_residual(params, cap=FULL_SPACE_CAP):
     restricted-algebra residual ||([H, Q+] - 2h Q+) B_n|| over the whole
     ladder (n = 0 covers the defining relation on Omega).
     """
-    tower = build_tower(params, cap)
-    H = build_hamiltonian(params, cap).matrix
+    tower = build_tower(params)
+    H = build_hamiltonian(params).matrix
     qplus = bimagnon_raising(params.L)
     twoh = 2.0 * params.h
     r_eig = 0.0
@@ -244,7 +204,7 @@ def sga_residual(params, cap=FULL_SPACE_CAP):
     return SgaReport(r_eig, r_alg)
 
 
-def protocol_states(params, theta0, cap=FULL_SPACE_CAP):
+def protocol_states(params, theta0):
     """Removal and initial product states of the filtration protocol.
 
     The initial state is theta0-dependent,
@@ -255,9 +215,8 @@ def protocol_states(params, theta0, cap=FULL_SPACE_CAP):
     equal-weight superpositions over the whole tower; returned in that
     order (removal, initial).
     """
-    L = params.L if isinstance(params, ChainParams) else int(params)
-    check_full_cap(L, cap)
-    basis = BasisEncoding.full(L, cap)
+    L = params.L
+    basis = BasisEncoding.full(L)
 
     def product(theta):
         vec = np.ones(1, dtype=complex)
@@ -270,61 +229,40 @@ def protocol_states(params, theta0, cap=FULL_SPACE_CAP):
     return product(np.pi), product(theta0)
 
 
-def string_operator(L, cap=FULL_SPACE_CAP):
-    """Global spin flip prod_j X_j with X = |+><-| + |-><+| + |0><0|.
-
-    In the digit basis this is the permutation index -> 3^L - 1 - index.
-    It maps tower state B_n to (-1)^(L(L+1)/2) B_{L-n}, so its
-    expectation value tracks the coherence between the two ends of the
-    tower; on the tower's cat states it approaches +-1.
-    """
-    check_full_cap(L, cap)
-    dim = 3**L
-    perm = flip_permutation(L)
-    mat = sp.csr_array(
-        (np.ones(dim), (perm, np.arange(dim))), shape=(dim, dim)
-    )
-    return ManyBodyOperator(BasisEncoding.full(L, cap), mat, hermitian=True)
-
-
 @dataclass(frozen=True)
 class SectorBlock:
     basis: BasisEncoding
     matrix: np.ndarray          # dense real block
 
 
-def sz_sector_split(operator, sectors=None, tol=1e-12, mags=None):
+def sz_sector_split(operator, sectors, mags):
     """Split a full-space operator into its magnetization-diagonal blocks.
 
     Verifies that the operator does not couple different total-Sz
-    sectors (up to tol) and returns dense blocks keyed by M.  Passing an
-    iterable of M values restricts which blocks are materialized; mags
-    is Sz per index (magnetization_of(L) when omitted).
+    sectors (up to SECTOR_LEAK_TOL) and returns dense blocks keyed by M
+    for the M values in sectors; mags is Sz per full-space index.
     """
     L = operator.basis.L
     if operator.basis.kind != "full":
         raise ValidationError("sector split expects a full-space operator")
-    mags = magnetization_of(L) if mags is None else mags
     coo = operator.matrix.tocoo()
     cross = mags[coo.row] != mags[coo.col]
     if np.any(cross):
         worst = float(np.max(np.abs(coo.data[cross])))
-        if worst > tol:
+        if worst > SECTOR_LEAK_TOL:
             raise NumericsError(
                 f"operator couples magnetization sectors (max |element| {worst:.3e})"
             )
-    wanted = sorted(set(int(M) for M in sectors)) if sectors is not None \
-        else list(range(-L, L + 1))
     csr = operator.matrix
     blocks = {}
-    for M in wanted:
+    for M in sorted(set(int(M) for M in sectors)):
         idx = np.nonzero(mags == M)[0]
         if idx.size == 0:
             continue
         sub = csr[idx][:, idx]
         block = sub.toarray() if sp.issparse(sub) else np.asarray(sub)
         blocks[M] = SectorBlock(
-            BasisEncoding("sector", L, idx.size, sector=M, states=idx),
+            BasisEncoding("sector", L, idx.size, states=idx),
             block.real if np.isrealobj(block) else block,
         )
     return blocks

@@ -265,3 +265,43 @@ def mp_filtration_time(L, theta0, h_tau, which, eps, bits=160):
             if below(n + 2**k, ahead):
                 n, vec = n + 2**k, ahead
         return n + 1
+
+
+def dark_complement(phases, removal, tol=1e-9):
+    """Dark basis of F in the engine frame by the complement construction.
+
+    Coordinates whose eigenphases agree to tol form a degenerate group.
+    Within a group the dark vectors are an orthonormal basis of the
+    complement of the removal component, or every group coordinate when
+    that component vanishes.  Returns the (dim, k) columns and the
+    eigenphase of each.
+    """
+    dim = phases.shape[0]
+    cols, values = [], []
+    left = list(range(dim))
+    while left:
+        members = [j for j in left if abs(phases[j] - phases[left[0]]) < tol]
+        left = [j for j in left if j not in members]
+        a = np.conj(removal[members])
+        if np.linalg.norm(a) < 1e-12:
+            null = np.eye(len(members))
+        else:
+            null = sla.null_space(a[None, :])
+        for v in null.T:
+            vec = np.zeros(dim, dtype=complex)
+            vec[members] = v
+            cols.append(vec)
+            values.append(phases[members[0]])
+    return np.reshape(np.transpose(cols), (dim, len(cols))), np.array(values)
+
+
+def long_time_state(phases, removal, psi0, n):
+    """Normalized late-time state predicted from the dark subspace alone.
+
+    The bright components are gone; what remains is the dark part of
+    psi0 with each dark vector rotated by its eigenphase to the n-th
+    power.
+    """
+    vectors, values = dark_complement(phases, removal)
+    out = vectors @ (values**n * (vectors.conj().T @ psi0))
+    return out / np.linalg.norm(out)

@@ -1,17 +1,18 @@
 """Digit encoding, sectors, and the global-flip permutation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from darkfilter.basis import (
     BasisEncoding,
     digits_of,
-    flip_permutation,
     magnetization_of,
-    sector_indices,
     string_parity_sign,
 )
 from darkfilter.errors import ValidationError
+from darkfilter.spin_model import ChainParams, build_hamiltonian
 
 
 def test_digits_little_endian():
@@ -33,20 +34,24 @@ def test_magnetization_counts_m_values():
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_flip_permutation_is_digit_complement(L):
-    perm = flip_permutation(L)
-    assert np.array_equal(perm, 3**L - 1 - np.arange(3**L))
-    assert np.array_equal(perm[perm], np.arange(3**L))
-    # the flip negates the magnetization
+    # the engines take the flip d -> 2 - d on every site to be the index
+    # reversal i -> 3^L - 1 - i, which negates the magnetization
+    flipped = ((2 - digits_of(L)) * 3 ** np.arange(L)).sum(axis=1)
+    assert np.array_equal(flipped, 3**L - 1 - np.arange(3**L))
     mags = magnetization_of(L)
-    assert np.array_equal(mags[perm], -mags)
+    assert np.array_equal(mags[::-1], -mags)
 
 
 def test_sector_indices_partition_the_space():
-    by_m = sector_indices(3)
-    merged = np.sort(np.concatenate(list(by_m.values())))
-    assert np.array_equal(merged, np.arange(27))
-    for M, idx in by_m.items():
-        assert np.all(magnetization_of(3)[idx] == M)
+    # sector M holds the configurations whose site values m sum to M
+    L = 3
+    mags = magnetization_of(L)
+    for M in range(-L, L + 1):
+        size = sum(1 for ms in itertools.product((1, 0, -1), repeat=L)
+                   if sum(ms) == M)
+        assert np.count_nonzero(mags == M) == size
+    assert sum(np.count_nonzero(mags == M)
+               for M in range(-L, L + 1)) == 3**L
 
 
 @pytest.mark.parametrize(
@@ -57,25 +62,11 @@ def test_string_parity_sign_period_four(L, sign):
     assert string_parity_sign(L) == sign
 
 
-def test_index_of_config():
-    basis = BasisEncoding.full(2)
-    assert basis.index_of_config((1, 1)) == 0
-    assert basis.index_of_config((-1, -1)) == 8
-    assert basis.index_of_config((0, 1)) == 1
-    sector = BasisEncoding.sector_basis(2, 0)
-    assert sector.dimension == 3
-    assert sector.index_of_config((0, 0)) == list(sector.states).index(4)
-    with pytest.raises(ValidationError):
-        sector.index_of_config((1, 1))   # M=2 config not in M=0
-
-
 def test_full_space_cap_guard():
     with pytest.raises(ValidationError):
         BasisEncoding.full(11)
     with pytest.raises(ValidationError):
         BasisEncoding.full(0)
-
-
-def test_empty_sector_rejected():
-    with pytest.raises(ValidationError):
-        BasisEncoding.sector_basis(2, 5)
+    # the Hamiltonian refuses before it builds anything
+    with pytest.raises(ValidationError, match="cap"):
+        build_hamiltonian(ChainParams(L=11))

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from darkfilter import experiments, filtration
+from darkfilter.basis import BasisEncoding, magnetization_of
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import (
     ExperimentSpec,
@@ -16,22 +17,20 @@ from darkfilter.experiments import (
     tar2_optimal_angle,
 )
 from darkfilter.filtration import (
+    FiltrationSetup,
     RotatingTarget,
     dark_projection,
-    dark_states,
     dark_subspace,
     degeneracy_groups,
     filtration_time,
     full_setup,
     generic_setup,
-    long_time_state,
     reduced_setup,
     resonance_period,
     run_filtration,
     spectral_decomposition,
 )
 from darkfilter.spin_model import (
-    SZ,
     ChainParams,
     ManyBodyOperator,
     build_hamiltonian,
@@ -39,20 +38,50 @@ from darkfilter.spin_model import (
 )
 
 from helpers import (
+    SZ,
+    dark_complement,
     dense_filtration_matrix,
     dense_hamiltonian,
     dense_stepping,
     flip_permutation_dense,
     kron_site,
+    long_time_state,
     product_state,
 )
+
+
+def _states(setup, initial, n_steps, string_every=0):
+    """run_filtration with the input-basis unit vectors as target.
+
+    With e_k as target components, Trajectory.overlaps[n, k] is amplitude
+    k of the unnormalised F^n psi0.  Returns the trajectory and those
+    states, (n_steps + 1, input dimension), zero off the engine sectors.
+    """
+    dim = setup.basis.dimension
+    support = np.arange(dim) if setup.sector_eigs is None else np.unique(
+        np.concatenate([b.indices for b in setup.sector_eigs]))
+    probes = RotatingTarget(list(np.eye(dim)[support]), np.ones(support.size),
+                            np.zeros(support.size))
+    traj = run_filtration(setup, initial, n_steps, target=probes,
+                          string_every=string_every)
+    states = np.zeros((traj.steps.size, dim), dtype=complex)
+    states[:, support] = traj.overlaps
+    return traj, states
+
+
+def _noisy_removal(L, lam, seed):
+    """Protocol removal state plus seeded noise, weight in every sector."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    noise = rng.standard_normal(3**L) + 1j * rng.standard_normal(3**L)
+    removal = product_state(L, math.pi) + lam * noise / np.linalg.norm(noise)
+    return removal / np.linalg.norm(removal)
 
 
 def test_full_engine_matches_dense_oracle():
     """30 protocol steps vs literal matrix powers of F = (1-|r><r|) expm."""
     L, theta0, tau = 3, 0.3, 0.7
     setup, psi0 = full_setup(ChainParams(L=L), tau, theta0)
-    traj = run_filtration(setup, psi0, 30, checkpoints=(30,), string_every=0)
+    traj, states = _states(setup, psi0, 30)
 
     ham = dense_hamiltonian(L)
     fmat = dense_filtration_matrix(ham, tau, product_state(L, math.pi))
@@ -60,8 +89,7 @@ def test_full_engine_matches_dense_oracle():
     for _ in range(30):
         vec = fmat @ vec
     assert abs(traj.survival[30] - np.vdot(vec, vec).real) < 1e-12
-    recorded = traj.checkpoints[30].amplitudes
-    assert np.max(np.abs(recorded - vec / np.linalg.norm(vec))) < 1e-10
+    assert np.max(np.abs(states[30] - vec)) < 1e-10
 
 
 def test_tower_and_full_engines_agree():
@@ -71,15 +99,15 @@ def test_tower_and_full_engines_agree():
     params = ChainParams(L=L)
     red_setup, red_init = reduced_setup(params, tau, theta0)
     full_s, full_init = full_setup(params, tau, theta0)
-    kw = dict(string_every=1, checkpoints=(100,))
-    traj_r = run_filtration(red_setup, red_init, 100, **kw)
-    traj_f = run_filtration(full_s, full_init, 100, **kw)
+    traj_r, states_r = _states(red_setup, red_init, 100, string_every=1)
+    traj_f, states_f = _states(full_s, full_init, 100, string_every=1)
     assert np.max(np.abs(traj_r.survival - traj_f.survival)) < 1e-12
     assert np.max(np.abs(traj_r.string - traj_f.string)) < 1e-12
-    # checkpoint states coincide up to the engines' global phase convention
+    # the states coincide up to the engines' global phase convention
     tower = build_tower(params)
-    embedded = tower.states.T @ traj_r.checkpoints[100].amplitudes
-    other = traj_f.checkpoints[100].amplitudes
+    embedded = tower.states.T @ states_r[100]
+    embedded /= np.linalg.norm(embedded)
+    other = states_f[100] / np.linalg.norm(states_f[100])
     phase = np.vdot(embedded, other)
     assert abs(abs(phase) - 1.0) < 1e-10
     assert np.max(np.abs(embedded * phase / abs(phase) - other)) < 1e-10
@@ -114,21 +142,22 @@ def test_degeneracy_groups_via_propagator():
     """degeneracy_groups of the full engine vs eigenphases of dense expm."""
     params = ChainParams(L=3, J3=0.1)
     tau = resonance_period(params.tower_energy(0), params.tower_energy(1))
-    setup, _ = full_setup(params, tau, 0.0, sectors=range(-3, 4))
+    setup, _ = full_setup(params, tau, 0.0, removal=_noisy_removal(3, 0.1, 2))
     groups = degeneracy_groups(setup)
-    assert sum(g.degeneracy for g in groups) == 27
-    assert any(g.degeneracy > 1 for g in groups)
+    assert sum(len(g.members) for g in groups) == 27
+    assert any(len(g.members) > 1 for g in groups)
     dense = np.linalg.eigvals(
         sla.expm(-1j * tau * dense_hamiltonian(3, J3=0.1)))
     for g in groups:
         assert np.max(np.abs(setup.phases[list(g.members)] - g.phase)) < 1e-9
-        assert np.count_nonzero(np.abs(dense - g.phase) < 1e-9) == g.degeneracy
+        assert np.count_nonzero(np.abs(dense - g.phase) < 1e-9) \
+            == len(g.members)
 
 
 def test_propagator_matches_expm():
     """The full engine's U(tau) = V diag(phases) V^dag is expm(-iH tau)."""
     setup, _ = full_setup(ChainParams(L=3, J3=0.1), 0.37, 0.0,
-                          sectors=range(-3, 4))
+                          removal=_noisy_removal(3, 0.1, 2))
     eye = np.eye(27, dtype=complex)
     u = np.column_stack([setup.from_eigen(setup.phases * setup.to_eigen(col))
                          for col in eye.T])
@@ -154,11 +183,7 @@ def _oracle_engine(case):
     removal = product_state(L, math.pi)
     custom = None
     if lam:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        noise = rng.standard_normal(3**L) + 1j * rng.standard_normal(3**L)
-        removal = removal + lam * noise / np.linalg.norm(noise)
-        removal = removal / np.linalg.norm(removal)
-        custom = removal
+        removal = custom = _noisy_removal(L, lam, seed)
     setup, psi0 = full_setup(params, math.pi / L, 0.3, removal=custom)
     return setup, psi0, dense_hamiltonian(L, J2=J2, J3=J3), removal
 
@@ -169,13 +194,14 @@ def test_full_engine_matches_dense_stepping(case):
     setup, psi0, ham, removal = _oracle_engine(case)
     L = case[0]
     n = 150
-    traj = run_filtration(setup, psi0, n, string_every=1, checkpoints=(n,))
+    traj, states = _states(setup, psi0, n, string_every=1)
     survival, string, last = dense_stepping(
         ham, math.pi / L, removal, psi0.amplitudes, n,
         flip_permutation_dense(L))
     assert np.max(np.abs(traj.survival - survival)) <= 1e-10
     assert np.max(np.abs(traj.string - string)) <= 1e-10
-    assert np.max(np.abs(traj.checkpoints[n].amplitudes - last)) <= 1e-10
+    assert np.max(np.abs(states[n] / math.sqrt(traj.survival[n]) - last)) \
+        <= 1e-10
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=ORACLE_IDS)
@@ -238,29 +264,27 @@ def test_full_setup_checks_flip_symmetry(monkeypatch):
     # is no longer sector M flipped and the engine must refuse to pair
     L = 4
     params = ChainParams(L=L, J2=0.02, J3=0.03)
-    assert filtration.check_flip_symmetry(build_hamiltonian(params),
-                                          params.h) <= 1e-12
+    assert filtration.check_flip_symmetry(build_hamiltonian(params), params.h,
+                                          magnetization_of(L)) <= 1e-12
     odd = kron_site(SZ, 1, L) @ kron_site(SZ @ SZ, 2, L)
     real = filtration.build_hamiltonian
 
-    def broken(params, cap=filtration.FULL_SPACE_CAP):
-        ham = real(params, cap)
+    def broken(params):
+        ham = real(params)
         return ManyBodyOperator(ham.basis,
-                                ham.matrix + sp.csr_array(0.01 * odd.real),
-                                hermitian=True)
+                                ham.matrix + sp.csr_array(0.01 * odd.real))
 
     monkeypatch.setattr(filtration, "build_hamiltonian", broken)
     with pytest.raises(NumericsError, match="flip symmetric"):
         full_setup(params, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("method", ["determinant", "complement"])
-def test_dark_states_defining_properties(method):
+def test_dark_states_defining_properties():
     """Unit norm, orthogonal to the removal state, eigenvectors of F."""
     L = 5
     tau = math.pi / 2.0
     setup, psi0 = reduced_setup(ChainParams(L=L), tau, 0.2)
-    dark = dark_subspace(setup, method=method)
+    dark = dark_subspace(setup)
     assert dark.count == 4         # n mod 2 groups of size 3 give 2 + 2
     r = setup.removal_eig
     fmat = np.diag(setup.phases) - np.outer(r, r.conj() * setup.phases)
@@ -275,12 +299,13 @@ def test_dark_states_defining_properties(method):
 
 
 def test_dark_state_methods_span_the_same_subspace():
+    # the determinant construction against the complement oracle
     setup, _ = reduced_setup(ChainParams(L=6), math.pi / 2.0, 0.1)
-    det = dark_subspace(setup, method="determinant")
-    comp = dark_subspace(setup, method="complement")
-    assert det.count == comp.count == 5
+    det = dark_subspace(setup)
+    comp, _ = dark_complement(setup.phases, setup.removal_eig)
+    assert det.count == comp.shape[1] == 5
     pa = det.vectors @ det.vectors.conj().T
-    pb = comp.vectors @ comp.vectors.conj().T
+    pb = comp @ comp.conj().T
     assert np.max(np.abs(pa - pb)) < 1e-10
 
 
@@ -298,7 +323,7 @@ def test_dark_projection_matches_explicit_subspace(engine_tau):
     dark = dark_subspace(setup)
     rng = np.random.default_rng(5)
     vec = rng.normal(size=setup.dimension) + 1j * rng.normal(size=setup.dimension)
-    explicit = dark.project(vec)
+    explicit = dark.vectors @ dark.overlaps(vec)
     implicit = dark_projection(setup, vec)
     assert np.max(np.abs(explicit - implicit)) < 1e-10
     psi = setup.to_eigen(psi0)
@@ -313,17 +338,17 @@ def test_dark_projection_rejects_wrong_shape():
 
 
 def test_dark_states_zero_overlap_group_is_fully_dark():
-    # a removal state supported on two of three degenerate kets leaves
-    # the orthogonal complement entirely dark
-    class Group:
-        vectors = np.eye(4, 3).astype(complex)
-        members = (0, 1, 2)
-        phase = 1.0 + 0.0j
-
-    removal = np.zeros(4, dtype=complex)
-    removal[3] = 1.0
-    dark = dark_states(Group(), removal)
+    # a removal state with no weight on a group of three degenerate
+    # coordinates leaves all three dark
+    energies = np.array([0.0, 0.0, 0.0, 0.5])
+    removal = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+    setup = FiltrationSetup(
+        engine="generic", tau=1.0, basis=BasisEncoding.generic(4),
+        energies=energies, phases=np.exp(-1j * energies), removal_eig=removal)
+    dark = dark_subspace(setup)
     assert dark.count == 3
+    assert dark.members == ((0, 1, 2),) * 3
+    assert np.array_equal(dark.vectors, np.eye(4, 3))
 
 
 def test_run_filtration_chunking_is_invisible():
@@ -331,9 +356,9 @@ def test_run_filtration_chunking_is_invisible():
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.4)
     length = filtration.chunk_length(setup.dimension, True)
     n, shift = 3 * length + 7, 5                  # shift is not a boundary
-    a = run_filtration(setup, psi0, n, string_every=1, checkpoints=(shift,))
-    b = run_filtration(setup, a.checkpoints[shift], n - shift,
-                       string_every=1)
+    a, states = _states(setup, psi0, n, string_every=1)
+    b = run_filtration(setup, states[shift] / np.linalg.norm(states[shift]),
+                       n - shift, string_every=1)
     assert np.max(np.abs(a.survival[shift] * b.survival
                          / a.survival[shift:] - 1.0)) <= 1e-10
     assert np.max(np.abs(a.string[shift:] - b.string)) <= 1e-12
@@ -351,6 +376,14 @@ def test_depletion_stops_early():
     assert traj.survival[1] < 1e-30
 
 
+def test_exact_depletion_with_a_target_is_a_numerics_error():
+    # the removal state is the whole space: one step leaves S_1 = 0 and
+    # Q_1 = 0/0, which must not pass as a recorded fidelity
+    setup = generic_setup([[0.3]], [1.0], tau=1.0)
+    with pytest.raises(NumericsError, match="at step 1"):
+        run_filtration(setup, [1.0], 3, target=RotatingTarget.static([1.0]))
+
+
 def test_run_filtration_validates_input():
     setup, psi0 = reduced_setup(ChainParams(L=4), 1.0, 0.0)
     with pytest.raises(ValidationError):
@@ -361,31 +394,33 @@ def test_run_filtration_validates_input():
         run_filtration(setup, psi0, 2.5)
 
 
+def _dark_target(setup, psi0):
+    """The late-time prediction as a target rotating with the dark phases."""
+    vectors, values = dark_complement(setup.phases, setup.removal_eig)
+    ov = vectors.conj().T @ psi0.amplitudes
+    keep = np.abs(ov) > 1e-14
+    return RotatingTarget(list(vectors[:, keep].T),
+                          ov[keep] / np.linalg.norm(ov[keep]),
+                          -np.angle(values[keep]))
+
+
 def test_long_time_state_matches_late_checkpoint():
     L = 6
     setup, psi0 = reduced_setup(ChainParams(L=L), math.pi / 6.0, math.pi / 7.0)
     n = 2000
-    traj = run_filtration(setup, psi0, n, checkpoints=(n,), string_every=0)
-    dark = dark_subspace(setup)
-    predicted = long_time_state(dark, psi0, n)
-    assert np.max(np.abs(predicted.amplitudes
-                         - traj.checkpoints[n].amplitudes)) < 1e-8
-
-
-def test_long_time_state_requires_dark_weight():
-    setup, _ = reduced_setup(ChainParams(L=4), 1.0, 0.0)  # no degeneracy
-    dark = dark_subspace(setup)
-    assert dark.count == 0
-    with pytest.raises(NumericsError):
-        long_time_state(dark, np.ones(5, dtype=complex) / math.sqrt(5.0), 10)
+    _, states = _states(setup, psi0, n)
+    predicted = long_time_state(setup.phases, setup.removal_eig,
+                                psi0.amplitudes, n)
+    assert np.max(np.abs(predicted
+                         - states[n] / np.linalg.norm(states[n]))) < 1e-8
 
 
 def test_rotating_target_tracks_dark_rotation():
     setup, psi0 = reduced_setup(ChainParams(L=5), math.pi / 5.0, 0.3)
-    dark = dark_subspace(setup)
-    target = RotatingTarget.from_dark_subspace(dark, psi0.amplitudes)
+    target = _dark_target(setup, psi0)
     for n in (0, 1, 7, 100):
-        expected = long_time_state(dark, psi0, n).amplitudes
+        expected = long_time_state(setup.phases, setup.removal_eig,
+                                   psi0.amplitudes, n)
         got = target.at(n)
         phase = np.vdot(got, expected)
         assert abs(abs(phase) - 1.0) < 1e-12
@@ -394,8 +429,7 @@ def test_rotating_target_tracks_dark_rotation():
 
 def test_fidelity_converges_to_dark_prediction():
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.25)
-    dark = dark_subspace(setup)
-    target = RotatingTarget.from_dark_subspace(dark, psi0.amplitudes)
+    target = _dark_target(setup, psi0)
     traj = run_filtration(setup, psi0, 1500, target=target, string_every=0)
     assert traj.q[-1] > 1.0 - 1e-8
     ft = filtration_time(traj, 0.01)
@@ -405,8 +439,7 @@ def test_fidelity_converges_to_dark_prediction():
 
 def test_filtration_time_unreached():
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.25)
-    dark = dark_subspace(setup)
-    target = RotatingTarget.from_dark_subspace(dark, psi0.amplitudes)
+    target = _dark_target(setup, psi0)
     traj = run_filtration(setup, psi0, 3, target=target, string_every=0)
     ft = filtration_time(traj, 1e-9)
     assert not ft.reached and ft.n_eps is None
@@ -423,7 +456,7 @@ def test_survival_limit_is_dark_weight():
     dark = dark_subspace(setup)
     weight = float(np.sum(np.abs(dark.overlaps(psi0.amplitudes)) ** 2))
     traj = run_filtration(setup, psi0, 1500, string_every=0)
-    assert abs(traj.final_survival - weight) < 1e-10
+    assert abs(traj.survival[-1] - weight) < 1e-10
 
 
 def test_spectral_decomposition_classifies_modes():
@@ -455,7 +488,7 @@ def test_generic_setup_default_tau_glues_band_edges():
     w = np.sort(sla.eigvalsh(mat))
     assert abs(setup.tau - 2.0 * math.pi / (w[-1] - w[0])) < 1e-12
     groups = degeneracy_groups(setup)
-    sizes = sorted(g.degeneracy for g in groups)
+    sizes = sorted(len(g.members) for g in groups)
     assert sizes == [1] * 10 + [2]          # only the glued edge pair
     with pytest.raises(ValidationError):
         generic_setup(a, removal)           # not Hermitian

@@ -11,10 +11,11 @@ from darkfilter.cli import main
 from darkfilter.config import (
     parse_config,
     scan_options,
-    serialize_config,
     sweep_options,
+    table1_options,
 )
 from darkfilter.errors import ValidationError
+from darkfilter.experiments import document_of
 from darkfilter.output import emit_csv, format_cell, write_metadata
 
 
@@ -158,7 +159,7 @@ def test_broken_symmetry_forces_full_engine():
 def test_serialize_parse_roundtrip():
     spec = parse_config({"L": 7, "target": "tar2", "n_steps": 444,
                          "D": 0.2, "J3": 0.1})
-    again = parse_config(json.loads(serialize_config(spec)))
+    again = parse_config(json.loads(json.dumps(document_of(spec))))
     assert again == spec
 
 
@@ -178,6 +179,33 @@ def test_sweep_options_defaults_by_variant():
 def test_scan_options_default_range():
     assert scan_options({}) == list(range(4, 17))
     assert scan_options({"L_values": [4, 6]}) == [4, 6]
+
+
+@pytest.mark.parametrize("values", [[], [4, True], [4.0], "4", None],
+                         ids=["empty", "bool", "float", "string", "null"])
+def test_L_values_checked_alike(values):
+    with pytest.raises(ValidationError, match="L_values"):
+        scan_options({"L_values": values})
+    with pytest.raises(ValidationError, match="L_values"):
+        sweep_options({"L_values": values, "variant": "tar2"})
+
+
+def test_non_object_documents_rejected():
+    for doc in ([1], "[1]", 3):
+        for parse in (parse_config, sweep_options, scan_options,
+                      table1_options):
+            with pytest.raises(ValidationError, match="JSON object"):
+                parse(doc)
+
+
+def test_table1_options():
+    assert table1_options({}) == pytest.approx(math.pi / 7.0)
+    assert table1_options({"theta0": 1}) == 1.0
+    with pytest.raises(ValidationError, match="thetaO"):
+        table1_options({"thetaO": 0.3})
+    for bad in ("abc", True, [0.3], float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="theta0"):
+            table1_options({"theta0": bad})
 
 
 # ------------------------------------------------------------------- cli
@@ -252,6 +280,26 @@ def test_cli_engine_and_seed_overrides(tmp_path):
     meta = json.load(open(tmp_path / "o" / "metadata.json"))
     assert meta["engine"] == "full"
     assert meta["spec"]["perturbations"]["seed"] == 77
+
+
+@pytest.mark.parametrize("text", ['{"thetaO": 0.3}', '{"theta0": "abc"}',
+                                  '[1]', '{"theta0": Infinity}'],
+                         ids=["typo", "string", "list", "infinite"])
+def test_cli_table1_rejects_bad_config(tmp_path, capsys, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["table1", "--config", str(path),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_table1_reads_theta0(tmp_path):
+    cfg = _write(tmp_path, "c.json", {"theta0": 0.5})
+    assert main(["table1", "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    meta = json.load(open(tmp_path / "o" / "metadata.json"))
+    assert meta["theta0"] == 0.5
 
 
 def test_cli_dark_states(tmp_path):

@@ -82,12 +82,14 @@ def test_survival_is_squared_norm_and_monotone():
     # every formed state is orthogonal to the removal direction
     assert np.max(np.abs(rows @ removal.conj())) < 1e-12
     assert np.max(np.abs(kernel.advance(psi, c, 64) - rows[-1])) < 1e-14
+    # with the unit vectors as target components, overlaps[n] is F^n psi
+    units = filtration.RotatingTarget(list(np.eye(32)), np.ones(32),
+                                      np.zeros(32))
     traj = run_filtration(_plain_setup(phases, removal), psi, 300,
-                          checkpoints=(77, 300))
+                          target=units)
     assert np.all(np.diff(traj.survival) <= 1e-15)
     for n in (77, 300):
-        state = traj.checkpoints[n].amplitudes
-        assert abs(np.vdot(removal, state)) < 1e-12
+        assert abs(np.vdot(removal, traj.overlaps[n])) < 1e-12
 
 
 def test_early_stop_on_depletion():

@@ -1,0 +1,96 @@
+"""Property tests over random couplings, angles and resonances.
+
+Each property is checked against something the library does not use to
+compute it: the other engine, the complement oracle, the charge count,
+or the dense eigendecomposition of F.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from darkfilter.filtration import (
+    dark_subspace,
+    full_setup,
+    reduced_setup,
+    run_filtration,
+    spectral_decomposition,
+)
+from darkfilter.spectral import (
+    HULL_SLACK,
+    bright_secular_roots,
+    charge_picture,
+    convex_hull_violation,
+)
+from darkfilter.spin_model import ChainParams
+
+from helpers import dark_complement
+
+COUPLING = st.floats(-0.3, 0.3)
+THETA0 = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def resonances(draw, q_max=8):
+    """h*tau = pi p/q as (p, q) with 1 <= p < q <= q_max."""
+    q = draw(st.integers(2, q_max))
+    return draw(st.integers(1, q - 1)), q
+
+
+def _tower(L, h_tau, theta0, **couplings):
+    params = ChainParams(L=L, **couplings)
+    p, q = h_tau
+    return reduced_setup(params, math.pi * p / (q * params.h), theta0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(L=st.integers(3, 5), h_tau=resonances(), theta0=THETA0,
+       D=COUPLING, J3=COUPLING, h=st.floats(0.5, 1.5))
+def test_tower_and_full_engines_agree_everywhere(L, h_tau, theta0, D, J3, h):
+    # J3 keeps the tower exact, so both engines run the same protocol
+    params = ChainParams(L=L, h=h, D=D, J3=J3)
+    tau = math.pi * h_tau[0] / (h_tau[1] * h)
+    trajs = [run_filtration(*build(params, tau, theta0), 60, string_every=1)
+             for build in (reduced_setup, full_setup)]
+    tower, full = trajs
+    assert np.max(np.abs(tower.survival - full.survival)) <= 1e-10
+    # a normalized string is rounding noise once the state has depleted
+    kept = tower.survival > 1e-4
+    assert np.max(np.abs(tower.string - full.string)[kept]) <= 1e-10
+    for traj in trajs:
+        assert np.all(np.diff(traj.survival) <= 1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(L=st.integers(2, 12), h_tau=resonances(), theta0=THETA0)
+def test_dark_count_is_dimension_minus_charges(L, h_tau, theta0):
+    # every charged group of size g hosts g - 1 dark states, every
+    # uncharged one g, so the count is dim - w
+    setup, _ = _tower(L, h_tau, theta0)
+    dark = dark_subspace(setup)
+    assert dark.count == setup.dimension - charge_picture(setup).w
+    oracle, _ = dark_complement(setup.phases, setup.removal_eig)
+    assert oracle.shape[1] == dark.count
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(L=st.integers(2, 8), h_tau=resonances(q_max=6), theta0=THETA0)
+def test_secular_roots_are_the_dense_bright_spectrum(L, h_tau, theta0):
+    setup, psi0 = _tower(L, h_tau, theta0)
+    cp = charge_picture(setup)
+    roots = bright_secular_roots(cp).roots
+    assert roots.size == cp.w - 1
+    for z in roots:
+        assert convex_hull_violation(z, cp.positions()) <= HULL_SLACK
+    # a root at zero meets the structural zero of the rank-one removal in
+    # a Jordan block, which has no eigendecomposition to compare with
+    assume(np.all(np.abs(roots) > 1e-8))
+    spectrum = spectral_decomposition(setup, psi0)
+    dense = list(spectrum.values[spectrum.select("bright")])
+    assert len(dense) == roots.size
+    for z in roots:
+        gaps = [abs(z - d) for d in dense]
+        assert min(gaps) <= 1e-8
+        dense.pop(int(np.argmin(gaps)))

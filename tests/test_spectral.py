@@ -13,7 +13,6 @@ from darkfilter.spectral import (
     bright_secular_roots,
     charge_picture,
     convex_hull_violation,
-    dominant_bright,
     scaling_predictions,
 )
 from darkfilter.spin_model import ChainParams
@@ -53,8 +52,7 @@ def test_single_charge_has_no_bright_root():
     cp = ChargePicture(np.array([0.7]), np.array([1.0]))
     bs = bright_secular_roots(cp)
     assert bs.count == 0
-    with pytest.raises(ValidationError):
-        dominant_bright(bs)
+    assert bs.dominant is None and not bs.tie
 
 
 def test_opposite_equal_charges_give_trivial_zero():
@@ -70,12 +68,11 @@ def test_secular_roots_match_dense_bright_eigenvalues(h_tau_q):
     cp = charge_picture(setup)
     secular = bright_secular_roots(cp)
     assert secular.count == cp.w - 1
-    dense = BrightSpectrum.from_filtration_spectrum(
-        spectral_decomposition(setup, psi0)
-    )
-    assert dense.count == secular.count
-    # near-tied moduli sort unstably across provenances; match by angle
-    a = dense.roots[np.argsort(np.angle(dense.roots))]
+    spectrum = spectral_decomposition(setup, psi0)
+    dense = spectrum.values[spectrum.select("bright")]
+    assert dense.size == secular.count
+    # near-tied moduli sort unstably across the two methods; match by angle
+    a = dense[np.argsort(np.angle(dense))]
     b = secular.roots[np.argsort(np.angle(secular.roots))]
     assert np.max(np.abs(a - b)) < 1e-8
 
@@ -100,17 +97,15 @@ def test_convex_hull_violation_cases():
 
 def test_bright_spectrum_ordering_and_tie():
     roots = np.array([0.5 + 0.1j, 0.2 + 0.0j, 0.5 - 0.1j])
-    bs = BrightSpectrum.from_roots(roots, "secular")
+    bs = BrightSpectrum.from_roots(roots)
     assert bs.tie
     # ties resolve to the smallest angle in [0, 2 pi)
     assert bs.dominant == pytest.approx(0.5 + 0.1j)
     assert np.all(np.abs(bs.roots[:2]) >= np.abs(bs.roots[2]))
-    picked = dominant_bright(bs)
-    assert picked.tie and picked.zeta == bs.dominant
 
 
 def test_untied_dominant():
-    bs = BrightSpectrum.from_roots(np.array([0.3 + 0.0j, -0.6 + 0.0j]), "dense-F")
+    bs = BrightSpectrum.from_roots(np.array([0.3 + 0.0j, -0.6 + 0.0j]))
     assert not bs.tie
     assert bs.dominant == pytest.approx(-0.6 + 0.0j)
 

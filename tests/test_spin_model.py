@@ -5,20 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from darkfilter.basis import string_parity_sign
+import scipy.sparse as sp
+
+from darkfilter.basis import BasisEncoding, magnetization_of, string_parity_sign
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.spin_model import (
     ChainParams,
+    ManyBodyOperator,
     bimagnon_raising,
     build_hamiltonian,
     build_tower,
     protocol_states,
     sga_residual,
-    string_operator,
     sz_sector_split,
 )
 
-from helpers import dense_hamiltonian, product_state, subset_tower_state
+from helpers import (
+    dense_hamiltonian,
+    flip_permutation_dense,
+    product_state,
+    subset_tower_state,
+)
 
 
 @pytest.mark.parametrize(
@@ -32,22 +39,22 @@ from helpers import dense_hamiltonian, product_state, subset_tower_state
 )
 def test_hamiltonian_matches_kron_oracle(L, kw):
     params = ChainParams(L=L, **kw)
-    ham = build_hamiltonian(params).dense()
+    ham = build_hamiltonian(params).matrix.toarray()
     oracle = dense_hamiltonian(L, params.J, params.h, params.D,
                                params.J2, params.J3)
     assert np.max(np.abs(ham - oracle)) < 1e-12
 
 
 def test_hamiltonian_is_real_symmetric():
-    ham = build_hamiltonian(ChainParams(L=4, J2=0.05, J3=0.1)).dense()
+    ham = build_hamiltonian(ChainParams(L=4, J2=0.05, J3=0.1)).matrix.toarray()
     assert np.max(np.abs(ham - ham.T)) < 1e-14
     assert np.isrealobj(ham) or np.max(np.abs(ham.imag)) < 1e-14
 
 
 def test_sector_split_reassembles():
     op = build_hamiltonian(ChainParams(L=3, J3=0.1))
-    blocks = sz_sector_split(op)
-    dense = op.dense()
+    blocks = sz_sector_split(op, range(-3, 4), magnetization_of(3))
+    dense = op.matrix.toarray()
     total = 0
     for blk in blocks.values():
         idx = blk.basis.states
@@ -83,7 +90,7 @@ def test_tower_states_are_eigenstates(kw):
     tower = build_tower(params)
     for n in range(6):
         vec = tower.states[n]
-        resid = ham.apply(vec) - params.tower_energy(n) * vec
+        resid = ham.matrix @ vec - params.tower_energy(n) * vec
         assert np.linalg.norm(resid) < 1e-12
     # equal spacing 2h between neighbors
     spacing = np.diff(tower.energies)
@@ -97,9 +104,11 @@ def test_range_two_coupling_breaks_the_tower_interior():
     # edge states survive, the interior does not
     for n in (0, 5):
         vec = tower.states[n]
-        assert np.linalg.norm(ham.apply(vec) - params.tower_energy(n) * vec) < 1e-12
+        assert np.linalg.norm(ham.matrix @ vec
+                              - params.tower_energy(n) * vec) < 1e-12
     vec = tower.states[2]
-    assert np.linalg.norm(ham.apply(vec) - params.tower_energy(2) * vec) > 1e-3
+    assert np.linalg.norm(ham.matrix @ vec
+                          - params.tower_energy(2) * vec) > 1e-3
 
 
 def test_bimagnon_raising_walks_the_ladder():
@@ -139,8 +148,8 @@ def test_protocol_states_tower_decomposition(L):
     theta0 = 0.4
     tower = build_tower(ChainParams(L=L))
     psi_r, psi_0 = protocol_states(ChainParams(L=L), theta0)
-    c_r = tower.coefficients(psi_r.amplitudes)
-    c_0 = tower.coefficients(psi_0.amplitudes)
+    c_r = tower.states @ psi_r.amplitudes
+    c_0 = tower.states @ psi_0.amplitudes
     n = np.arange(L + 1)
     weights = np.sqrt([math.comb(L, int(m)) / 2.0**L for m in n])
     # closed forms up to one global phase
@@ -155,16 +164,13 @@ def test_protocol_states_tower_decomposition(L):
 
 @pytest.mark.parametrize("L", [3, 4, 5])
 def test_string_operator_reflects_the_tower(L):
-    flip = string_operator(L)
+    # prod X maps B_n to string_parity_sign(L) B_(L-n)
+    flip = flip_permutation_dense(L)
     tower = build_tower(ChainParams(L=L))
     sign = string_parity_sign(L)
     for n in range(L + 1):
-        image = flip.apply(tower.states[n])
+        image = tower.states[n][flip]
         assert np.max(np.abs(image - sign * tower.states[L - n])) < 1e-12
-    # involution and hermiticity
-    dense = flip.dense()
-    assert np.max(np.abs(dense @ dense - np.eye(3**L))) < 1e-14
-    assert np.max(np.abs(dense - dense.T)) < 1e-14
 
 
 def test_chain_params_validation():
@@ -177,6 +183,9 @@ def test_chain_params_validation():
 
 
 def test_sector_split_rejects_nonconserving_operator():
-    op = string_operator(3)        # flips magnetization M -> -M
+    # the global flip prod X maps magnetization M to -M
+    flip = flip_permutation_dense(3)
+    op = ManyBodyOperator(BasisEncoding.full(3), sp.csr_array(
+        (np.ones(27), (flip, np.arange(27))), shape=(27, 27)))
     with pytest.raises(NumericsError):
-        sz_sector_split(op)
+        sz_sector_split(op, range(-3, 4), magnetization_of(3))
