@@ -32,8 +32,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from darkfilter.basis import (
     BasisEncoding,
@@ -147,7 +145,7 @@ class FiltrationSetup:
         pos = 0
         for blk in self.sector_eigs:
             d = blk.energies.shape[0]
-            out[pos:pos + d] = blk.vectors.conj().T @ vec[blk.indices]
+            out[pos:pos + d] = _matvec(blk.vectors.conj().T, vec[blk.indices])
             pos += d
         lost = abs(float(np.vdot(vec, vec).real) - float(np.vdot(out, out).real))
         if lost > 1e-10:
@@ -166,7 +164,7 @@ class FiltrationSetup:
         for blk in self.sector_eigs:
             d = blk.energies.shape[0]
             # the two flip-parity halves of M = 0 share their indices
-            out[blk.indices] += blk.vectors @ coords[pos:pos + d]
+            out[blk.indices] += _matvec(blk.vectors, coords[pos:pos + d])
             pos += d
         return out
 
@@ -183,6 +181,17 @@ class FiltrationSetup:
         np.conjugate(paired, out=paired)
         paired *= self.flip_sign
         return np.einsum("ij,ij->i", paired, rows)
+
+
+def _matvec(matrix, vec):
+    """matrix @ vec for a complex vec.
+
+    A real matrix acts on the real and imaginary parts apart, so numpy
+    never copies it to complex.
+    """
+    if np.iscomplexobj(matrix):
+        return matrix @ vec
+    return matrix @ vec.real + 1j * (matrix @ vec.imag)
 
 
 def reduced_setup(params, tau, theta0):
@@ -227,17 +236,28 @@ def check_flip_symmetry(ham, h, mags):
     """Largest entry of P H P - H + 2 h Sz, P the global spin flip.
 
     P maps index i to 3^L - 1 - i, so P H P is H with both indices
-    mirrored; the check costs O(nnz).  mags is Sz per index.  Raises
-    NumericsError beyond FLIP_TOL: the full engine pairs sector -M with
-    sector M through P.
+    mirrored: its entry at offset d = row - col and column c is the entry
+    of H at offset -d and column 3^L - 1 - c.  H is summed into a table
+    indexed by (offset, column), one row per offset that H or its mirror
+    holds (two per bond and the diagonal), in O(nnz + offsets * 3^L); the
+    offsets are symmetric, so the mirror is the table reversed in both
+    axes.  mags is Sz per index.  Raises NumericsError beyond FLIP_TOL:
+    the full engine pairs sector -M with sector M through P.
     """
-    L = ham.basis.L
-    top = 3**L - 1
-    coo = ham.matrix.tocoo()
-    mirrored = sp.csr_array((coo.data, (top - coo.row, top - coo.col)),
-                            shape=coo.shape)
-    defect = mirrored - ham.matrix + sp.diags_array(2.0 * h * mags)
-    worst = float(np.max(np.abs(defect.data), initial=0.0))
+    dim = ham.basis.dimension
+    top = dim - 1
+    shift = ham.row - ham.col + top        # offset slot in [0, 2 top]
+    held = np.zeros(2 * dim - 1, dtype=bool)
+    held[shift] = True
+    held[top] = True
+    held |= held[::-1]
+    slot = np.cumsum(held) - 1
+    count = int(slot[-1]) + 1
+    table = np.bincount(slot[shift] * dim + ham.col, weights=ham.data,
+                        minlength=count * dim).reshape(count, dim)
+    defect = table[::-1, ::-1] - table
+    defect[slot[top]] += 2.0 * h * mags
+    worst = float(np.abs(defect, out=defect).max())
     if worst > FLIP_TOL:
         raise NumericsError(
             f"H - h Sz is not flip symmetric (max |P H P - H + 2h Sz| "
@@ -265,7 +285,7 @@ def _flip_parity_halves(matrix, indices):
         if sign > 0:
             block[m, :] /= root
             block[:, m] /= root
-        w, u = sla.eigh(block)
+        w, u = np.linalg.eigh(block)
         vectors = np.zeros((d, size))
         vectors[:m] = u[:m] / root
         vectors[d - m:] = sign * vectors[m - 1::-1]
@@ -282,9 +302,9 @@ def full_setup(params, tau, theta0, removal=None):
     the parity sectors M = L mod 2 hosting the protocol states, plus any
     sector touched by a custom removal vector (e.g. a noisy removal
     spreads everywhere), closed under M -> -M.  P commutes with H - h Sz
-    (checked on the sparse H), so only sectors M > 0 run eigh; sector -M
-    is the flipped copy, and M = 0 splits into its flip-even and
-    flip-odd halves.  In this eigenbasis P is a signed permutation of
+    (checked on the triplets of H), so only sectors M > 0 run eigh;
+    sector -M is the flipped copy, and M = 0 splits into its flip-even
+    and flip-odd halves.  In this eigenbasis P is a signed permutation of
     coordinates, which makes the string operator O(dim).
     Returns (setup, initial product state on the full basis).
     """
@@ -304,15 +324,19 @@ def full_setup(params, tau, theta0, removal=None):
     sectors = set(M for M in range(L + 1) if (M - L) % 2 == 0)
     occupied = np.abs(psi_r.amplitudes) > 0.0
     sectors.update(abs(int(M)) for M in np.unique(mags[occupied]))
-    blocks = sz_sector_split(ham, sectors, mags)
     paired = {}
-    for M in sorted(blocks):
-        blk = blocks.pop(M)        # free each dense block after its eigh
+    # Each dense block is built just before its eigh, which holds several
+    # arrays of the block's size (syevd workspace alone is 2 d^2), so no
+    # other block waits beside it.  M = 0 goes last: its two halves are
+    # smaller than the M = 2 block, and so need less room on top of the
+    # eigenvectors stored by then.
+    for M in sorted(sectors, reverse=True):
+        [blk] = sz_sector_split(ham, [M], mags).values()
         idx = blk.basis.states
         if M == 0:
             paired[0] = _flip_parity_halves(blk.matrix, idx)
             continue
-        w, v = sla.eigh(blk.matrix)
+        w, v = np.linalg.eigh(blk.matrix)
         paired[M] = [SectorEig(M, idx, w, v)]
         # P reverses the sorted order: sector -M is V[::-1], a view
         paired[-M] = [SectorEig(-M, (3**L - 1) - idx[::-1],
@@ -359,7 +383,7 @@ def generic_setup(matrix, removal, tau=None):
     if float(np.max(np.abs(matrix - matrix.conj().T))) > 1e-12:
         raise ValidationError("matrix must be Hermitian")
     dim = matrix.shape[0]
-    w, v = sla.eigh(matrix)
+    w, v = np.linalg.eigh(matrix)
     if tau is None:
         tau = resonance_period(w[0], w[-1])
     removal = np.asarray(removal, dtype=complex)
@@ -614,8 +638,14 @@ class Trajectory:
                 raise NumericsError(f"fidelity left [0, 1]: max {top}")
 
 
-# Survival below this is numerically dead; continuing just underflows.
-DEPLETION_FLOOR = 1e-300
+# A run stops at the first step whose survival falls below this floor.
+# Survival starts at 1, and the survival identity S_n = 1 - sum_k |c_k|^2
+# rounds its terms against that unit weight, so it cannot tell a survival
+# below eps = 2^-52 from zero.  A step that cancels the state leaves far
+# less, only the rounding of its amplitudes: a squared norm of about
+# dim eps^2 (7.5e-32 on the L = 3 tower at h tau = pi/2, theta0 = 0),
+# whose normalized observables are noise.
+DEPLETION_FLOOR = 2.0**-52
 
 # A chunk ends early at the first step whose survival has fallen below
 # this fraction of the chunk's opening weight: the survival identity
@@ -669,8 +699,7 @@ class RenewalKernel:
         self.returns = self.powers.conj() * removal             # D^-k r
         self.buffer = np.empty((B, dim), dtype=complex)
         g = np.concatenate([[1.0], self.powers[:-1] @ np.abs(removal) ** 2])
-        amps = sla.solve_triangular(_toeplitz(g), self.powers * removal.conj(),
-                                    lower=True, unit_diagonal=True)
+        amps = _forward_substitute(_toeplitz(g), self.powers * removal.conj())
         tables = [amps]
         for t in probes:
             h = np.concatenate([[np.vdot(t, removal)],
@@ -691,6 +720,14 @@ class RenewalKernel:
         return self.powers[m - 1] * (psi - c[:m] @ self.returns[:m])
 
 
+def _forward_substitute(lower, rhs):
+    """Solve lower @ x = rhs for a unit lower triangular matrix, row by row."""
+    x = rhs.copy()
+    for j in range(1, lower.shape[0]):
+        x[j] -= lower[j, :j] @ x[:j]
+    return x
+
+
 def _toeplitz(column):
     """Lower triangular Toeplitz matrix with the given first column."""
     lag = np.subtract.outer(np.arange(column.size), np.arange(column.size))
@@ -705,7 +742,8 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
     expectations at the requested stride.  Steps run in chunks through
     the RenewalKernel; at each chunk end the survival identity is checked
     against |psi|^2 (NumericsError beyond SURVIVAL_DRIFT_TOL).  Iteration
-    stops early if the survival weight underflows (depleted flag).
+    stops at the first step whose survival falls below DEPLETION_FLOOR
+    (depleted flag); that step is the last row recorded.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise ValidationError("n_steps must be a non-negative integer")
@@ -996,7 +1034,10 @@ def spectral_decomposition(setup, initial):
     r = setup.removal_eig
     fmat = np.diag(setup.phases).astype(complex)
     fmat -= np.outer(r, r.conj() * setup.phases)
-    values, vl, vr = sla.eig(fmat, left=True, right=True)
+    values, vr = np.linalg.eig(fmat)
+    # the rows of vr^-1 are the left eigenvectors, conjugated
+    vl = np.linalg.inv(vr).conj().T
+    vl /= np.linalg.norm(vl, axis=0)
     align = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
     min_cond = float(np.min(align))
     degraded = min_cond < SPECTRAL_COND_TOL

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from darkfilter.basis import BasisEncoding, digits_of
 from darkfilter.errors import NumericsError, ValidationError
@@ -38,10 +37,6 @@ from darkfilter.errors import NumericsError, ValidationError
 # Largest |element| coupling two magnetization sectors that
 # sz_sector_split tolerates.
 SECTOR_LEAK_TOL = 1e-12
-
-# Local operators in digit order (|+>, |0>, |->).
-SPLUS = np.sqrt(2.0) * (np.diag([1.0, 1.0], k=1))
-SMINUS = SPLUS.T
 
 
 @dataclass(frozen=True)
@@ -87,50 +82,70 @@ class StateVector:
 
 @dataclass
 class ManyBodyOperator:
+    """Real operator on the full basis as COO triplets.
+
+    data[k] sits at (row[k], col[k]); entries at a repeated position add.
+    """
+
     basis: BasisEncoding
-    matrix: sp.csr_array
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
 
-
-def _embed(local, site, L):
-    """Single-site operator at site (1-based) as a sparse full-space matrix."""
-    left = sp.eye_array(3 ** (L - site), format="csr")
-    right = sp.eye_array(3 ** (site - 1), format="csr")
-    return sp.csr_array(sp.kron(left, sp.kron(sp.csr_array(local), right)))
-
-
-def _xy_coupling(L, distance):
-    """sum_i (Sx_i Sx_{i+d} + Sy_i Sy_{i+d}) over the open chain, sparse."""
-    total = sp.csr_array((3**L, 3**L))
-    for i in range(1, L - distance + 1):
-        hop = _embed(SPLUS, i, L) @ _embed(SMINUS, i + distance, L)
-        total = total + 0.5 * (hop + hop.T)
-    return total
+    def __matmul__(self, vec):
+        """The operator applied to a real full-space vector."""
+        return np.bincount(self.row, weights=self.data * vec[self.col],
+                           minlength=self.basis.dimension)
 
 
 def build_hamiltonian(params):
-    """Sparse real-symmetric Hamiltonian on the full 3^L space."""
+    """Real-symmetric Hamiltonian on the full 3^L space, as triplets.
+
+    The diagonal is h sum_j m_j + D sum_j m_j^2, m = 1 - digit.  The XY
+    term of the bond (i, i+d), sites 0-based, is (S+_i S-_(i+d) + h.c.)/2:
+    S+ lowers a digit by one and S- raises it, each with element sqrt(2),
+    so the hop moves index k to k - 3^i + 3^(i+d) with element J_d
+    wherever digit_i >= 1 and digit_(i+d) <= 1, and its conjugate moves
+    it back.  An index difference fixes the bond, so every triplet is one
+    entry of H.
+    """
     L = params.L
     basis = BasisEncoding.full(L)
     digits = digits_of(L)
     m = 1.0 - digits           # per-site Sz eigenvalue
-    diag = params.h * m.sum(axis=1) + params.D * (m**2).sum(axis=1)
-    H = sp.diags_array(diag, format="csr")
-    H = H + params.J * _xy_coupling(L, 1)
-    if params.J2 != 0.0:
-        H = H + params.J2 * _xy_coupling(L, 2)
-    if params.J3 != 0.0:
-        H = H + params.J3 * _xy_coupling(L, 3)
-    return ManyBodyOperator(basis, sp.csr_array(H))
+    index = np.arange(3**L)
+    rows, cols = [index], [index]
+    data = [params.h * m.sum(axis=1) + params.D * (m**2).sum(axis=1)]
+    for d, coupling in ((1, params.J), (2, params.J2), (3, params.J3)):
+        if coupling == 0.0:
+            continue
+        for i in range(L - d):
+            src = index[(digits[:, i] >= 1) & (digits[:, i + d] <= 1)]
+            dst = src - 3**i + 3 ** (i + d)
+            rows += [dst, src]
+            cols += [src, dst]
+            data.append(np.full(2 * src.size, float(coupling)))
+    return ManyBodyOperator(basis, np.concatenate(rows), np.concatenate(cols),
+                            np.concatenate(data))
 
 
 def bimagnon_raising(L):
-    """Q+ = (1/2) sum_j exp(i pi j) (S+_j)^2 as a sparse real matrix."""
-    pair_flip = np.zeros((3, 3))
-    pair_flip[0, 2] = 1.0      # (1/2) (S+)^2 maps |-> to |+>
-    total = sp.csr_array((3**L, 3**L))
+    """Q+ = (1/2) sum_j exp(i pi j) (S+_j)^2 as triplets.
+
+    (S+)^2 / 2 maps |-> (digit 2) to |+> (digit 0) with element 1, so the
+    site-j term moves index k to k - 2 * 3^(j-1) with sign (-1)^j.
+    """
+    basis = BasisEncoding.full(L)
+    digits = digits_of(L)
+    index = np.arange(3**L)
+    rows, cols, data = [], [], []
     for j in range(1, L + 1):
-        total = total + (-1.0) ** j * _embed(pair_flip, j, L)
-    return total
+        src = index[digits[:, j - 1] == 2]
+        rows.append(src - 2 * 3 ** (j - 1))
+        cols.append(src)
+        data.append(np.full(src.size, (-1.0) ** j))
+    return ManyBodyOperator(basis, np.concatenate(rows), np.concatenate(cols),
+                            np.concatenate(data))
 
 
 @dataclass
@@ -147,7 +162,7 @@ class ScarTower:
 
 
 def build_tower(params):
-    """Construct the tower by repeated sparse application of Q+."""
+    """Construct the tower by repeated application of Q+ to Omega."""
     L = params.L
     basis = BasisEncoding.full(L)
     qplus = bimagnon_raising(L)
@@ -191,7 +206,7 @@ def sga_residual(params):
     ladder (n = 0 covers the defining relation on Omega).
     """
     tower = build_tower(params)
-    H = build_hamiltonian(params).matrix
+    H = build_hamiltonian(params)
     qplus = bimagnon_raising(params.L)
     twoh = 2.0 * params.h
     r_eig = 0.0
@@ -240,29 +255,33 @@ def sz_sector_split(operator, sectors, mags):
 
     Verifies that the operator does not couple different total-Sz
     sectors (up to SECTOR_LEAK_TOL) and returns dense blocks keyed by M
-    for the M values in sectors; mags is Sz per full-space index.
+    for the M values in sectors, rows and columns in ascending index
+    order; mags is Sz per full-space index.  Each block is scattered from
+    the triplets inside it.
     """
     L = operator.basis.L
     if operator.basis.kind != "full":
         raise ValidationError("sector split expects a full-space operator")
-    coo = operator.matrix.tocoo()
-    cross = mags[coo.row] != mags[coo.col]
+    row_m, col_m = mags[operator.row], mags[operator.col]
+    cross = row_m != col_m
     if np.any(cross):
-        worst = float(np.max(np.abs(coo.data[cross])))
+        worst = float(np.max(np.abs(operator.data[cross])))
         if worst > SECTOR_LEAK_TOL:
             raise NumericsError(
                 f"operator couples magnetization sectors (max |element| {worst:.3e})"
             )
-    csr = operator.matrix
+    rank = np.empty(mags.size, dtype=np.int64)
     blocks = {}
     for M in sorted(set(int(M) for M in sectors)):
-        idx = np.nonzero(mags == M)[0]
+        idx = np.flatnonzero(mags == M)
         if idx.size == 0:
             continue
-        sub = csr[idx][:, idx]
-        block = sub.toarray() if sp.issparse(sub) else np.asarray(sub)
-        blocks[M] = SectorBlock(
-            BasisEncoding("sector", L, idx.size, states=idx),
-            block.real if np.isrealobj(block) else block,
-        )
+        d = idx.size
+        rank[idx] = np.arange(d)
+        inside = (row_m == M) & (col_m == M)
+        flat = rank[operator.row[inside]] * d + rank[operator.col[inside]]
+        block = np.bincount(flat, weights=operator.data[inside],
+                            minlength=d * d).reshape(d, d)
+        blocks[M] = SectorBlock(BasisEncoding("sector", L, d, states=idx),
+                                block)
     return blocks

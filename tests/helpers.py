@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 SZ = np.diag([1.0, 0.0, -1.0])
 SP = math.sqrt(2.0) * np.diag([1.0, 1.0], k=1)
@@ -47,6 +48,48 @@ def dense_hamiltonian(L, J=1.0, h=1.0, D=0.1, J2=0.0, J3=0.0):
         ham += h * sz + D * sz @ sz
     assert np.max(np.abs(ham.imag)) < 1e-14
     return ham.real
+
+
+def _sparse_site(local, site, L):
+    """Local operator at 1-based site as a sparse full-space matrix."""
+    left = sp.eye_array(3 ** (L - site), format="csr")
+    right = sp.eye_array(3 ** (site - 1), format="csr")
+    return sp.csr_array(sp.kron(left, sp.kron(sp.csr_array(local), right)))
+
+
+def sparse_hamiltonian(L, J=1.0, h=1.0, D=0.1, J2=0.0, J3=0.0):
+    """The chain Hamiltonian from sparse Kronecker products, as CSR.
+
+    Same operator as dense_hamiltonian, built site by site with
+    scipy.sparse so that it reaches the full-engine chain lengths.
+    """
+    ham = sp.csr_array((3**L, 3**L))
+    for j in range(1, L + 1):
+        sz = _sparse_site(SZ, j, L)
+        ham = ham + h * sz + D * (sz @ sz)
+    for dist, coupling in ((1, J), (2, J2), (3, J3)):
+        for j in range(1, L + 1 - dist):
+            hop = _sparse_site(SP, j, L) @ _sparse_site(SM, j + dist, L)
+            ham = ham + coupling * 0.5 * (hop + hop.T)
+    return sp.csr_array(ham)
+
+
+def sparse_bimagnon_raising(L):
+    """Q+ = (1/2) sum_j (-1)^j (S+_j)^2 from sparse Kronecker products."""
+    pair_flip = np.zeros((3, 3))
+    pair_flip[0, 2] = 1.0      # (1/2) (S+)^2 maps |-> to |+>
+    total = sp.csr_array((3**L, 3**L))
+    for j in range(1, L + 1):
+        total = total + (-1.0) ** j * _sparse_site(pair_flip, j, L)
+    return total
+
+
+def triplets_to_dense(op):
+    """Dense matrix of a triplet operator, repeated positions summed."""
+    dim = op.basis.dimension
+    out = np.zeros((dim, dim))
+    np.add.at(out, (op.row, op.col), op.data)
+    return out
 
 
 def subset_tower_state(L, n):

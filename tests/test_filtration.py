@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from darkfilter import experiments, filtration
 from darkfilter.basis import BasisEncoding, magnetization_of
@@ -271,8 +270,11 @@ def test_full_setup_checks_flip_symmetry(monkeypatch):
 
     def broken(params):
         ham = real(params)
-        return ManyBodyOperator(ham.basis,
-                                ham.matrix + sp.csr_array(0.01 * odd.real))
+        diag = np.arange(3**L)
+        return ManyBodyOperator(ham.basis, np.concatenate([ham.row, diag]),
+                                np.concatenate([ham.col, diag]),
+                                np.concatenate([ham.data,
+                                                0.01 * np.diag(odd).real]))
 
     monkeypatch.setattr(filtration, "build_hamiltonian", broken)
     with pytest.raises(NumericsError, match="flip symmetric"):
@@ -476,6 +478,91 @@ def test_spectral_decomposition_classifies_modes():
         mine = np.abs(np.angle(dark.phases) - phase) < 1e-8
         want = float(np.sum(np.abs(ov[mine]) ** 2))
         assert abs(float(np.vdot(resultant, resultant).real) - want) < 1e-10
+
+
+def _spectral_cases():
+    params = ChainParams(L=4, J2=0.05, J3=0.1)
+    full, full0 = full_setup(params, math.pi / 4.0, 0.3)
+    rng = np.random.Generator(np.random.Philox(key=11))
+    a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+    removal = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    generic = generic_setup((a + a.conj().T) / 2.0,
+                            removal / np.linalg.norm(removal))
+    initial = np.zeros(10, dtype=complex)
+    initial[0] = 1.0
+    return {
+        "tower": reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.15),
+        "full": (full, full0),
+        "generic": (generic, initial),
+    }
+
+
+@pytest.mark.parametrize("case", ["tower", "full", "generic"])
+def test_spectral_decomposition_matches_scipy_eig(case):
+    setup, initial = _spectral_cases()[case]
+    spec = spectral_decomposition(setup, initial)
+    r, psi0 = setup.removal_eig, setup.to_eigen(initial)
+    fmat = np.diag(setup.phases) - np.outer(r, r.conj() * setup.phases)
+    values, vl, vr = sla.eig(fmat, left=True, right=True)
+    eta = (vl.conj().T @ psi0) / np.einsum("ij,ij->j", vl.conj(), vr)
+    # pair each eigenvalue with the nearest oracle value, one to one
+    left = list(range(values.size))
+    for z, kind in zip(spec.values, spec.kinds):
+        j = left.pop(int(np.argmin(np.abs(values[left] - z))))
+        assert abs(values[j] - z) <= 1e-12
+        mod = abs(values[j])
+        want = ("dark" if mod > 1.0 - 1e-8
+                else "trivial-zero" if mod < 1e-12 else "bright")
+        assert kind == want
+    # the expansion sum_l eta_l zeta_l^n r_l is basis independent
+    for n in range(12):
+        mine = spec.right @ (spec.eta * spec.values**n)
+        oracle = vr @ (eta * values**n)
+        assert np.max(np.abs(mine - oracle)) <= 1e-12
+    # left vectors: unit columns with l^H F = zeta l^H
+    assert np.max(np.abs(np.linalg.norm(spec.left, axis=0) - 1.0)) <= 1e-12
+    assert np.max(np.abs(spec.left.conj().T @ fmat
+                         - spec.values[:, None] * spec.left.conj().T)) <= 1e-10
+
+
+def test_spectral_decomposition_refuses_singular_eigenvectors(monkeypatch):
+    setup, psi0 = reduced_setup(ChainParams(L=3), math.pi / 3.0, 0.15)
+    real_eig = np.linalg.eig
+
+    def parallel(matrix):
+        values, vectors = real_eig(matrix)
+        vectors[:, 1] = vectors[:, 0]       # as if F were defective
+        return values, vectors
+
+    # inverting the eigenvectors then fails to reproduce the steps of F
+    monkeypatch.setattr(np.linalg, "eig", parallel)
+    with pytest.raises(NumericsError, match="reconstruction residual"):
+        spectral_decomposition(setup, psi0)
+
+
+@pytest.mark.parametrize("case", ["full", "generic"])
+def test_eigenbasis_projections_match_the_complex_product(case):
+    setup, _ = _spectral_cases()[case]
+    rng = np.random.Generator(np.random.Philox(key=5))
+    inside = np.concatenate([blk.indices for blk in setup.sector_eigs])
+    vec = np.zeros(setup.basis.dimension, dtype=complex)
+    vec[inside] = rng.standard_normal(inside.size) \
+        + 1j * rng.standard_normal(inside.size)
+    vec /= np.linalg.norm(vec)
+    coords = setup.to_eigen(vec)
+    oracle = np.concatenate([blk.vectors.astype(complex).conj().T
+                             @ vec[blk.indices]
+                             for blk in setup.sector_eigs])
+    assert np.max(np.abs(coords - oracle)) <= 1e-14
+    image = np.zeros_like(vec)
+    pos = 0
+    for blk in setup.sector_eigs:
+        d = blk.energies.size
+        image[blk.indices] += blk.vectors.astype(complex) @ coords[pos:pos + d]
+        pos += d
+    back = setup.from_eigen(coords)
+    assert np.max(np.abs(back - image)) <= 1e-14
+    assert np.max(np.abs(back - vec)) <= 1e-14
 
 
 def test_generic_setup_default_tau_glues_band_edges():

@@ -3,11 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from darkfilter.cli import main
+import darkfilter
+from darkfilter.cli import SUBCOMMANDS, main
 from darkfilter.config import (
     parse_config,
     scan_options,
@@ -326,3 +329,47 @@ def test_cli_quiet_silences_summary(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     main(["tower-check", "--config", cfg, "--out", str(tmp_path / "o2")])
     assert "residual" in capsys.readouterr().out
+
+
+# a small run of every subcommand, both engines, random draws included
+SMALL_RUNS = [
+    ("tower-check", {"L": 4, "J3": 0.1}, []),
+    ("filter-run", {"L": 5, "target": "tar2", "n_steps": 60}, []),
+    ("filter-run", {"L": 4, "target": "tar1", "n_steps": 60,
+                    "perturbations": {"lambda": 0.05, "seed": 3}},
+     ["--engine", "full"]),
+    ("dark-states", {"L": 4, "target": "tar1"}, ["--engine", "full"]),
+    ("bright-spectrum", {"L": 5, "target": "tar1"}, []),
+    ("scaling-sweep", {"L_values": [6, 7], "variant": "tar1-orthogonal"}, []),
+    ("table1", {}, []),
+    ("perturb", {"L": 4, "J2": 0.02, "n_steps": 60}, []),
+    ("goe-demo", {"goe": {"D_goe": 8, "seed": 5}}, []),
+    ("zeta-scan", {"L_values": [4, 5]}, []),
+]
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+from darkfilter.cli import main
+report = []
+for sub, cfg, out, extra in json.loads(sys.argv[1]):
+    status = main([sub, "--config", cfg, "--out", out, "--quiet"] + extra)
+    loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+    report.append([sub, status, loaded])
+print(json.dumps(report))
+"""
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    assert sorted({sub for sub, _, _ in SMALL_RUNS}) == sorted(SUBCOMMANDS)
+    runs = []
+    for k, (sub, doc, extra) in enumerate(SMALL_RUNS):
+        runs.append([sub, _write(tmp_path, f"c{k}.json", doc),
+                     str(tmp_path / f"o{k}"), extra])
+    src = os.path.dirname(os.path.dirname(darkfilter.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT,
+                          json.dumps(runs)], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert [status for _, status, _ in report] == [0] * len(SMALL_RUNS)
+    assert [loaded for _, _, loaded in report] == [[]] * len(SMALL_RUNS)

@@ -25,6 +25,7 @@ from darkfilter.filtration import (
     RenewalKernel,
     SectorEig,
     chunk_length,
+    full_setup,
     generic_setup,
     reduced_setup,
     run_filtration,
@@ -99,6 +100,21 @@ def test_early_stop_on_depletion():
     assert traj.depleted
     assert traj.steps.size == 2
     assert traj.survival[1] < DEPLETION_FLOOR
+
+
+@pytest.mark.parametrize("build", [reduced_setup, full_setup],
+                         ids=["tower", "full"])
+def test_rounding_level_depletion_stops_the_run(build):
+    # at h tau = pi/2 and theta0 = 0 one step cancels the L = 3 state down
+    # to the rounding of its amplitudes (S_1 ~ 1e-31); stepping on would
+    # report normalized rounding noise as data
+    params = ChainParams(L=3)
+    setup, psi0 = build(params, math.pi / (2.0 * params.h), 0.0)
+    traj = run_filtration(setup, psi0, 50, string_every=1)
+    assert traj.depleted
+    assert traj.steps.size == 2
+    assert np.all(traj.survival[:-1] >= DEPLETION_FLOOR)
+    assert traj.survival[-1] < DEPLETION_FLOOR
 
 
 def _tower_case():

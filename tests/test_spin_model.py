@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-
-import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkfilter.basis import BasisEncoding, magnetization_of, string_parity_sign
 from darkfilter.errors import NumericsError, ValidationError
@@ -24,7 +24,10 @@ from helpers import (
     dense_hamiltonian,
     flip_permutation_dense,
     product_state,
+    sparse_bimagnon_raising,
+    sparse_hamiltonian,
     subset_tower_state,
+    triplets_to_dense,
 )
 
 
@@ -39,14 +42,15 @@ from helpers import (
 )
 def test_hamiltonian_matches_kron_oracle(L, kw):
     params = ChainParams(L=L, **kw)
-    ham = build_hamiltonian(params).matrix.toarray()
+    ham = triplets_to_dense(build_hamiltonian(params))
     oracle = dense_hamiltonian(L, params.J, params.h, params.D,
                                params.J2, params.J3)
     assert np.max(np.abs(ham - oracle)) < 1e-12
 
 
 def test_hamiltonian_is_real_symmetric():
-    ham = build_hamiltonian(ChainParams(L=4, J2=0.05, J3=0.1)).matrix.toarray()
+    ham = triplets_to_dense(build_hamiltonian(ChainParams(L=4, J2=0.05,
+                                                         J3=0.1)))
     assert np.max(np.abs(ham - ham.T)) < 1e-14
     assert np.isrealobj(ham) or np.max(np.abs(ham.imag)) < 1e-14
 
@@ -54,7 +58,7 @@ def test_hamiltonian_is_real_symmetric():
 def test_sector_split_reassembles():
     op = build_hamiltonian(ChainParams(L=3, J3=0.1))
     blocks = sz_sector_split(op, range(-3, 4), magnetization_of(3))
-    dense = op.matrix.toarray()
+    dense = triplets_to_dense(op)
     total = 0
     for blk in blocks.values():
         idx = blk.basis.states
@@ -90,7 +94,7 @@ def test_tower_states_are_eigenstates(kw):
     tower = build_tower(params)
     for n in range(6):
         vec = tower.states[n]
-        resid = ham.matrix @ vec - params.tower_energy(n) * vec
+        resid = ham @ vec - params.tower_energy(n) * vec
         assert np.linalg.norm(resid) < 1e-12
     # equal spacing 2h between neighbors
     spacing = np.diff(tower.energies)
@@ -104,10 +108,10 @@ def test_range_two_coupling_breaks_the_tower_interior():
     # edge states survive, the interior does not
     for n in (0, 5):
         vec = tower.states[n]
-        assert np.linalg.norm(ham.matrix @ vec
+        assert np.linalg.norm(ham @ vec
                               - params.tower_energy(n) * vec) < 1e-12
     vec = tower.states[2]
-    assert np.linalg.norm(ham.matrix @ vec
+    assert np.linalg.norm(ham @ vec
                           - params.tower_energy(2) * vec) > 1e-3
 
 
@@ -185,7 +189,38 @@ def test_chain_params_validation():
 def test_sector_split_rejects_nonconserving_operator():
     # the global flip prod X maps magnetization M to -M
     flip = flip_permutation_dense(3)
-    op = ManyBodyOperator(BasisEncoding.full(3), sp.csr_array(
-        (np.ones(27), (flip, np.arange(27))), shape=(27, 27)))
+    op = ManyBodyOperator(BasisEncoding.full(3), flip, np.arange(27),
+                          np.ones(27))
     with pytest.raises(NumericsError):
         sz_sector_split(op, range(-3, 4), magnetization_of(3))
+
+
+COUPLING = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(L=st.integers(2, 6), J=COUPLING, J2=COUPLING, J3=COUPLING,
+       h=COUPLING, D=COUPLING)
+def test_triplets_match_sparse_kron_oracle(L, J, J2, J3, h, D):
+    params = ChainParams(L=L, J=J, h=h, D=D, J2=J2, J3=J3)
+    oracle = sparse_hamiltonian(L, J, h, D, J2, J3).toarray()
+    mags = magnetization_of(L)
+    blocks = sz_sector_split(build_hamiltonian(params), range(-L, L + 1), mags)
+    assert sorted(blocks) == list(range(-L, L + 1))
+    for M, blk in blocks.items():
+        idx = blk.basis.states
+        assert np.array_equal(idx, np.flatnonzero(mags == M))
+        assert np.max(np.abs(blk.matrix - oracle[np.ix_(idx, idx)])) <= 1e-14
+    # the oracle has no entry between sectors for the blocks to miss
+    assert np.max(np.abs(oracle[mags[:, None] != mags[None, :]]),
+                  initial=0.0) == 0.0
+    oracle_q = sparse_bimagnon_raising(L)
+    assert np.array_equal(triplets_to_dense(bimagnon_raising(L)),
+                          oracle_q.toarray())
+    vec = np.zeros(3**L)
+    vec[-1] = 1.0
+    tower = build_tower(params)
+    for n in range(L + 1):
+        assert np.max(np.abs(tower.states[n] - vec)) <= 1e-14
+        vec = oracle_q @ vec
+        vec /= max(np.linalg.norm(vec), 1e-300)
