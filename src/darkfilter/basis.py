@@ -83,6 +83,25 @@ class BasisEncoding:
         return cls("generic", 0, dimension)
 
 
+def reflection_of(L):
+    """Full-space index of each configuration mirrored, site j -> L+1-j."""
+    return digits_of(L).astype(np.int64) @ (3 ** np.arange(L - 1, -1, -1))
+
+
+def reflection_twist(L, M):
+    """Sign (+1 or -1) of the twisted reflection R' = R s(M) on sector M.
+
+    R maps the staggered phase exp(i pi j) of site j to (-1)^(L+1)
+    exp(i pi j), so a protocol product configuration with n = (L-M)/2
+    sites in |-> picks up (-1)^((L+1) n): nothing for odd L, (-1)^n for
+    even L.  s(M) undoes that sign, so the protocol states are R'-even.
+    Sectors the product states miss (L - M odd) take n = (L-|M|)//2; s is
+    even in M throughout, so R' commutes with the spin flip.
+    """
+    n = (L - np.abs(M)) // 2
+    return 1 - 2 * (((L + 1) * n) % 2)
+
+
 def string_parity_sign(L):
     """Sign picked up by a tower state under the global spin flip.
 

@@ -343,6 +343,7 @@ def run_tar1(spec: ExperimentSpec, out_dir) -> RunArtifacts:
         "reached": ft.reached,
         "q_final": float(traj.q[-1]),
         "max_q": ft.max_q,
+        "depleted": traj.depleted,
     }
     return _finish(out_dir, "run_tar1", document_of(spec),
                    {"trajectory": path}, extra, t0)
@@ -410,6 +411,7 @@ def run_tar2(spec: ExperimentSpec, out_dir) -> RunArtifacts:
         "reached": ft.reached,
         "q_final": float(traj.q[-1]),
         "max_q": ft.max_q,
+        "depleted": traj.depleted,
     }
     string_check_from = string_check_start(traj, STRING_LAW_TOL)
     if string_check_from is not None:
@@ -664,7 +666,8 @@ def perturbation_study(spec: ExperimentSpec, out_dir,
         files[f"trajectory_{which}"] = path
         info = {"q_final": float(traj.q[-1]),
                 "max_q": float(np.max(traj.q)),
-                "theta0": theta0, "h_tau": list(h_tau)}
+                "theta0": theta0, "h_tau": list(h_tau),
+                "depleted": traj.depleted}
         if which == "tar1":
             # the GHZ target must sit inside the perturbed dark manifold
             tvec = setup.to_eigen(target.at(0))

@@ -13,8 +13,10 @@ with no Python loop over its steps.  Three engines exist:
 
 * ``tower``   -- the (L+1)-dimensional bi-magnon ladder, H diagonal by
   construction; valid only for J2 = 0.
-* ``full``    -- magnetization-blocked exact diagonalization of the full
-  chain, with sector -M taken from sector M by the spin flip; handles
+* ``full``    -- exact diagonalization of the full chain in blocks of
+  magnetization and of the symmetry group {1, P, R'} (spin flip and
+  twisted site reflection), with sector -M taken from sector M by the
+  flip; a run steps only the blocks its states reach.  Handles
   SGA-breaking perturbations and modified removal states.
 * ``generic`` -- an arbitrary Hermitian matrix (random-matrix demos).
 
@@ -36,6 +38,8 @@ import numpy as np
 from darkfilter.basis import (
     BasisEncoding,
     magnetization_of,
+    reflection_of,
+    reflection_twist,
     string_parity_sign,
 )
 from darkfilter.errors import NumericsError, ValidationError
@@ -73,13 +77,23 @@ def resonance_period(ea, eb, k=1):
 
 @dataclass
 class SectorEig:
-    """Eigendecomposition of one diagonal block of H."""
+    """Eigendecomposition of H on one symmetry block.
+
+    The block's basis holds one symmetrized vector per orbit of a group
+    of G signed permutations: column a is sum_g coefs[g, a] e_(images[g, a])
+    over the input basis, images[:, a] being the orbit representative's
+    images under the G elements.  An image repeats when the orbit is
+    shorter than the group, and its coefficients then add.  Eigenvectors
+    are stored in these orbit coordinates.
+    """
 
     label: int                  # magnetization M (0 for generic engines)
-    indices: np.ndarray         # positions of the block in the input basis
+    images: np.ndarray          # (G, n) input-basis indices
+    coefs: np.ndarray           # (G, n) real
     energies: np.ndarray
-    vectors: np.ndarray         # columns are eigenvectors
+    vectors: np.ndarray         # (n, n) columns are eigenvectors
     parity: float = 1.0         # P maps column j to parity * column j of -M
+    reflection: float = 1.0     # eigenvalue of the twisted reflection R'
 
 
 @dataclass
@@ -145,7 +159,8 @@ class FiltrationSetup:
         pos = 0
         for blk in self.sector_eigs:
             d = blk.energies.shape[0]
-            out[pos:pos + d] = _matvec(blk.vectors.conj().T, vec[blk.indices])
+            orbits = np.einsum("ga,ga->a", blk.coefs, vec[blk.images])
+            out[pos:pos + d] = _matvec(blk.vectors.conj().T, orbits)
             pos += d
         lost = abs(float(np.vdot(vec, vec).real) - float(np.vdot(out, out).real))
         if lost > 1e-10:
@@ -163,10 +178,49 @@ class FiltrationSetup:
         pos = 0
         for blk in self.sector_eigs:
             d = blk.energies.shape[0]
-            # the two flip-parity halves of M = 0 share their indices
-            out[blk.indices] += _matvec(blk.vectors, coords[pos:pos + d])
+            orbits = _matvec(blk.vectors, coords[pos:pos + d])
+            # the images under one group element are distinct
+            for img, coef in zip(blk.images, blk.coefs):
+                out[img] += coef * orbits
             pos += d
         return out
+
+    def reached(self, psi):
+        """The engine cut down to the blocks that psi or the removal reaches.
+
+        psi is in engine coordinates.  A block is unreached when psi and
+        the removal state both carry weight below DEPLETION_FLOOR in it
+        (a symmetry leaves them rounding, about 1e-32); F maps the span of
+        the other blocks into itself, so a run from psi never leaves it.
+        The kept set is closed under the spin flip, which maps each block
+        onto one block, so the string operator stays a signed permutation
+        of the kept coordinates.  Returns the engine and the kept
+        coordinates as an index for engine arrays (a slice when all are).
+        """
+        if self.sector_eigs is None:
+            return self, slice(None)
+        sizes = [blk.energies.shape[0] for blk in self.sector_eigs]
+        starts = np.cumsum([0] + sizes[:-1])
+        weight = np.maximum(
+            np.add.reduceat(np.abs(psi) ** 2, starts),
+            np.add.reduceat(np.abs(self.removal_eig) ** 2, starts))
+        mask = np.repeat(weight >= DEPLETION_FLOOR, sizes)
+        if self.flip_pos is not None:
+            mask |= mask[self.flip_pos]
+        if mask.all():
+            return self, slice(None)
+        keep = np.flatnonzero(mask)
+        flip_pos = flip_sign = None
+        if self.flip_pos is not None:
+            flip_pos = (np.cumsum(mask) - 1)[self.flip_pos[keep]]
+            flip_sign = self.flip_sign[keep]
+        engine = replace(
+            self, energies=self.energies[keep], phases=self.phases[keep],
+            removal_eig=self.removal_eig[keep],
+            sector_eigs=[blk for blk, start in zip(self.sector_eigs, starts)
+                         if mask[start]],
+            flip_pos=flip_pos, flip_sign=flip_sign)
+        return engine, keep
 
     def string_rows(self, rows):
         """<psi|prod X|psi> for each eigenbasis row of the (m, dim) array.
@@ -228,36 +282,55 @@ def reduced_setup(params, tau, theta0):
     return setup, StateVector(setup.basis, initial)
 
 
-# Largest entry of P H P - H + 2 h Sz that the flip pairing tolerates.
+# Largest entry of P H P - H + 2 h Sz, or of R' H R' - H, that the
+# symmetry blocks tolerate.
 FLIP_TOL = 1e-12
 
 
-def check_flip_symmetry(ham, h, mags):
-    """Largest entry of P H P - H + 2 h Sz, P the global spin flip.
+def _symmetry_defect(ham, image, sign, diagonal):
+    """Largest entry of S H S - H + diag(diagonal).
 
-    P maps index i to 3^L - 1 - i, so P H P is H with both indices
-    mirrored: its entry at offset d = row - col and column c is the entry
-    of H at offset -d and column 3^L - 1 - c.  H is summed into a table
-    indexed by (offset, column), one row per offset that H or its mirror
-    holds (two per bond and the diagonal), in O(nnz + offsets * 3^L); the
-    offsets are symmetric, so the mirror is the table reversed in both
-    axes.  mags is Sz per index.  Raises NumericsError beyond FLIP_TOL:
-    the full engine pairs sector -M with sector M through P.
+    S is the signed permutation e_k -> sign_k e_(image k), an involution,
+    so S H S holds sign_x sign_y H[image x, image y] at (x, y).  H is
+    read from a table of its triplets indexed by (offset x - y, column
+    y), one row per offset that H holds (two per bond and the diagonal),
+    in O(nnz + offsets * 3^L); an offset H does not hold reads 0.  The
+    defect is taken at every position H holds and on the diagonal: a
+    position off the diagonal where only S H S holds an entry mirrors one
+    where H does, with the same defect.
     """
     dim = ham.basis.dimension
     top = dim - 1
     shift = ham.row - ham.col + top        # offset slot in [0, 2 top]
     held = np.zeros(2 * dim - 1, dtype=bool)
     held[shift] = True
-    held[top] = True
-    held |= held[::-1]
     slot = np.cumsum(held) - 1
-    count = int(slot[-1]) + 1
     table = np.bincount(slot[shift] * dim + ham.col, weights=ham.data,
-                        minlength=count * dim).reshape(count, dim)
-    defect = table[::-1, ::-1] - table
-    defect[slot[top]] += 2.0 * h * mags
-    worst = float(np.abs(defect, out=defect).max())
+                        minlength=(int(slot[-1]) + 1) * dim)
+
+    def entries(x, y):
+        at = x - y + top
+        return np.where(held[at], table[np.maximum(slot[at], 0) * dim + y],
+                        0.0)
+
+    diag = np.arange(dim)
+    x = np.concatenate([ham.row, diag])
+    y = np.concatenate([ham.col, diag])
+    defect = sign[x] * sign[y] * entries(image[x], image[y]) - entries(x, y)
+    defect += np.where(x == y, diagonal[x], 0.0)
+    return float(np.max(np.abs(defect)))
+
+
+def check_flip_symmetry(ham, h, mags):
+    """Largest entry of P H P - H + 2 h Sz, P the global spin flip.
+
+    P maps index i to 3^L - 1 - i; mags is Sz per index.  Raises
+    NumericsError beyond FLIP_TOL: the full engine pairs sector -M with
+    sector M through P.
+    """
+    dim = ham.basis.dimension
+    worst = _symmetry_defect(ham, np.arange(dim)[::-1], np.ones(dim),
+                             2.0 * h * mags)
     if worst > FLIP_TOL:
         raise NumericsError(
             f"H - h Sz is not flip symmetric (max |P H P - H + 2h Sz| "
@@ -266,46 +339,92 @@ def check_flip_symmetry(ham, h, mags):
     return worst
 
 
-def _flip_parity_halves(matrix, indices):
-    """eigh of the M = 0 block, split by flip parity.
+def check_reflection_symmetry(ham, mags):
+    """Largest entry of R' H R' - H, R' the twisted site reflection.
 
-    P maps sorted position k to d-1-k, with one fixed point in the
-    middle (every site in |0>).  In the basis (e_k +- e_(d-1-k))/sqrt(2)
-    the block is A[lo,lo] +- A[lo,hi], where the fixed point enters the
-    even half alone (its row and column scaled by 1/sqrt(2)).  Returns
-    the even and odd SectorEig, with eigenvectors over the whole sector.
+    R' maps configuration k to its mirror image with the sign
+    basis.reflection_twist of its sector; mags is Sz per index.  Raises
+    NumericsError beyond FLIP_TOL: the full engine splits each sector
+    into the characters of R'.
     """
-    d = matrix.shape[0]
-    m = d // 2
-    mirror = matrix[:, ::-1]
-    root = math.sqrt(2.0)
-    halves = []
-    for sign, size in ((1.0, m + 1), (-1.0, m)):
-        block = matrix[:size, :size] + sign * mirror[:size, :size]
-        if sign > 0:
-            block[m, :] /= root
-            block[:, m] /= root
-        w, u = np.linalg.eigh(block)
-        vectors = np.zeros((d, size))
-        vectors[:m] = u[:m] / root
-        vectors[d - m:] = sign * vectors[m - 1::-1]
-        if sign > 0:
-            vectors[m] = u[m]
-        halves.append(SectorEig(0, indices, w, vectors, parity=sign))
-    return halves
+    L = ham.basis.L
+    worst = _symmetry_defect(ham, reflection_of(L),
+                             reflection_twist(L, mags).astype(float),
+                             np.zeros(ham.basis.dimension))
+    if worst > FLIP_TOL:
+        raise NumericsError(
+            f"H is not symmetric under the site reflection (max "
+            f"|R' H R' - H| {worst:.3e})"
+        )
+    return worst
+
+
+def _character_blocks(op, group, twist):
+    """eigh of a sector's H on each character block of its symmetry group.
+
+    op holds the sector's triplets over sector positions.  group[g] maps
+    each position to its image under element g of {1, R'}, or of
+    {1, R', P, P R'} on the sector M = 0, which P maps to itself; the
+    elements holding R' carry the sign twist.  A character (e, p) takes
+    the value e on R' and p on P.  An orbit enters a character's block
+    when every element that fixes its representative acts there as +1,
+    with the unit vector sum_g chi(g) sign(g) e_(g rep) / sqrt(G |stab|).
+    The block is scattered straight from the triplets, each carrying the
+    coefficients of its two ends.  Yields (e, p, images as sector
+    positions, coefs, energies, vectors) for each non-empty block.
+    """
+    G, d = group.shape
+    reps = np.flatnonzero(group.min(axis=0) == np.arange(d))
+    images = group[:, reps]
+    fixed = images == reps
+    row, col = op.row, op.col
+    for e in (1.0, -1.0):
+        for p in (1.0, -1.0)[:G // 2]:
+            phase = np.array([1.0, twist * e, p, twist * e * p])[:G]
+            ok = np.all(~fixed | (phase[:, None] > 0.0), axis=0)
+            n = int(np.count_nonzero(ok))
+            if n == 0:
+                continue
+            imgs = images[:, ok]
+            coefs = phase[:, None] / np.sqrt(G * fixed[:, ok].sum(axis=0))
+            slot = np.full(d, -1)
+            weight = np.zeros(d)
+            for img, coef in zip(imgs, coefs):
+                slot[img] = np.arange(n)
+                weight[img] += coef
+            use = (slot[row] >= 0) & (slot[col] >= 0)
+            r, c = row[use], col[use]
+            w, v = np.linalg.eigh(np.bincount(
+                slot[r] * n + slot[c],
+                weights=weight[r] * weight[c] * op.data[use],
+                minlength=n * n).reshape(n, n))
+            yield e, p, imgs, coefs, w, v
 
 
 def full_setup(params, tau, theta0, removal=None):
-    """Sector-blocked full-space engine, paired by the spin flip P.
+    """Full-space engine blocked by Sz and the symmetry group {1, P, R'}.
 
     Diagonalizes H inside the total-Sz sectors that can carry weight:
     the parity sectors M = L mod 2 hosting the protocol states, plus any
     sector touched by a custom removal vector (e.g. a noisy removal
-    spreads everywhere), closed under M -> -M.  P commutes with H - h Sz
-    (checked on the triplets of H), so only sectors M > 0 run eigh;
-    sector -M is the flipped copy, and M = 0 splits into its flip-even
-    and flip-odd halves.  In this eigenbasis P is a signed permutation of
-    coordinates, which makes the string operator O(dim).
+    spreads everywhere), closed under M -> -M.  Two symmetries, both
+    checked on the triplets of H, split them further:
+
+    * the spin flip P maps sector M to -M and commutes with H - h Sz, so
+      only sectors M >= 0 run eigh and sector -M is the flipped copy;
+    * the site reflection commutes with H.  On even L it maps the
+      staggered phases of the product states to minus themselves on
+      every |-> site, so the engine uses the twisted reflection
+      R' = R (-1)^((L-M)/2) (basis.reflection_twist), under which the
+      removal, initial, target and tower states are all even.
+
+    Each sector M > 0 splits into the two characters of R', and M = 0
+    into the four of {1, P, R', P R'}.  Each character block is scattered
+    straight from the triplets onto one symmetrized vector per orbit,
+    never through the whole sector, and its eigenvectors stay in those
+    orbit coordinates (SectorEig).  In this eigenbasis P is a signed
+    permutation of coordinates, which makes the string operator O(dim);
+    run_filtration steps only the blocks a run reaches (reached).
     Returns (setup, initial product state on the full basis).
     """
     if not isinstance(params, ChainParams):
@@ -314,6 +433,7 @@ def full_setup(params, tau, theta0, removal=None):
     ham = build_hamiltonian(params)
     mags = magnetization_of(L)
     check_flip_symmetry(ham, params.h, mags)
+    check_reflection_symmetry(ham, mags)
     psi_r, psi_0 = protocol_states(params, theta0)
     if removal is not None:
         vec = removal.amplitudes if isinstance(removal, StateVector) else removal
@@ -324,36 +444,44 @@ def full_setup(params, tau, theta0, removal=None):
     sectors = set(M for M in range(L + 1) if (M - L) % 2 == 0)
     occupied = np.abs(psi_r.amplitudes) > 0.0
     sectors.update(abs(int(M)) for M in np.unique(mags[occupied]))
-    paired = {}
-    # Each dense block is built just before its eigh, which holds several
-    # arrays of the block's size (syevd workspace alone is 2 d^2), so no
-    # other block waits beside it.  M = 0 goes last: its two halves are
-    # smaller than the M = 2 block, and so need less room on top of the
-    # eigenvectors stored by then.
-    for M in sorted(sectors, reverse=True):
-        [blk] = sz_sector_split(ham, [M], mags).values()
-        idx = blk.basis.states
+    split = sz_sector_split(ham, sectors, mags)
+    mirror = reflection_of(L)
+    top = 3**L - 1
+    blocks = []
+    # eigh holds several arrays of its block's size (syevd workspace alone
+    # is 2 d^2), so each block is built just before its eigh, and the
+    # largest go first, while few eigenvectors are stored beside them
+    for M in sorted(split, key=lambda M: -split[M].basis.dimension
+                    / (4 if M == 0 else 2)):
+        idx = split[M].basis.states
+        group = [np.arange(idx.size), np.searchsorted(idx, mirror[idx])]
         if M == 0:
-            paired[0] = _flip_parity_halves(blk.matrix, idx)
-            continue
-        w, v = np.linalg.eigh(blk.matrix)
-        paired[M] = [SectorEig(M, idx, w, v)]
-        # P reverses the sorted order: sector -M is V[::-1], a view
-        paired[-M] = [SectorEig(-M, (3**L - 1) - idx[::-1],
-                                w - 2.0 * params.h * M, v[::-1])]
-    sector_eigs = [eig for M in sorted(paired) for eig in paired[M]]
-    sizes = [eig.energies.shape[0] for eig in sector_eigs]
+            flipped = group[0][::-1]       # P reverses the sorted order
+            group += [flipped, flipped[group[1]]]
+        for e, p, imgs, coefs, w, v in _character_blocks(
+                split[M], np.array(group), float(reflection_twist(L, M))):
+            blocks.append(SectorEig(M, idx[imgs], coefs, w, v, parity=p,
+                                    reflection=e))
+            if M:
+                # P maps orbit to orbit and commutes with R': sector -M
+                # has the same orbit coordinates and eigenvectors
+                blocks.append(SectorEig(-M, top - idx[imgs], coefs,
+                                        w - 2.0 * params.h * M, v,
+                                        reflection=e))
+    blocks.sort(key=lambda b: (b.label, -b.reflection, -b.parity))
+    sizes = [b.energies.shape[0] for b in blocks]
     offsets = np.cumsum([0] + sizes[:-1])
-    start = {eig.label: off for eig, off in zip(sector_eigs, offsets)}
-    # P maps eigenvector j of sector M to eigenvector j of sector -M and
-    # each M = 0 eigenvector to itself times its half's parity
+    start = {(b.label, b.reflection, b.parity): off
+             for b, off in zip(blocks, offsets)}
+    # P maps eigenvector j of block (M, e, p) to p times eigenvector j of
+    # block (-M, e, p); p = 1 off M = 0
     flip_pos = np.concatenate([
-        np.arange(d) + (start[-eig.label] if eig.label else off)
-        for eig, off, d in zip(sector_eigs, offsets, sizes)
+        np.arange(d) + start[-b.label, b.reflection, b.parity]
+        for b, d in zip(blocks, sizes)
     ])
-    flip_sign = np.concatenate([np.full(d, eig.parity)
-                                for eig, d in zip(sector_eigs, sizes)])
-    energies = np.concatenate([eig.energies for eig in sector_eigs])
+    flip_sign = np.concatenate([np.full(d, b.parity)
+                                for b, d in zip(blocks, sizes)])
+    energies = np.concatenate([b.energies for b in blocks])
     setup = FiltrationSetup(
         engine="full",
         tau=tau,
@@ -363,7 +491,7 @@ def full_setup(params, tau, theta0, removal=None):
         removal_eig=psi_r,
         params=params,
         theta0=theta0,
-        sector_eigs=sector_eigs,
+        sector_eigs=blocks,
         flip_pos=flip_pos,
         flip_sign=flip_sign,
     )
@@ -390,7 +518,7 @@ def generic_setup(matrix, removal, tau=None):
     if removal.shape != (dim,):
         raise ValidationError("removal dimension mismatch")
     basis = BasisEncoding.generic(dim)
-    blk = SectorEig(0, np.arange(dim), w, v)
+    blk = SectorEig(0, np.arange(dim)[None, :], np.ones((1, dim)), w, v)
     setup = FiltrationSetup(
         engine="generic",
         tau=tau,
@@ -740,7 +868,10 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
     The state is propagated unnormalized in the eigenbasis; survival and
     probe overlaps are recorded at every step (including n=0), string
     expectations at the requested stride.  Steps run in chunks through
-    the RenewalKernel; at each chunk end the survival identity is checked
+    the RenewalKernel, on the blocks of the engine that the initial state
+    or the removal reaches (FiltrationSetup.reached); target norms are
+    taken over the whole engine.  At each chunk end the survival identity
+    is checked
     against |psi|^2 (NumericsError beyond SURVIVAL_DRIFT_TOL).  Iteration
     stops at the first step whose survival falls below DEPLETION_FLOOR
     (depleted flag); that step is the last row recorded.
@@ -757,6 +888,8 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
             else RotatingTarget.static(target)
         probes = np.array([setup.to_eigen(c) for c in rot.components])
         gram = probes.conj() @ probes.T
+    setup, keep = setup.reached(psi)
+    psi, probes = psi[keep], probes[:, keep]
     want_string = setup.supports_string and string_every and string_every > 0
     every = string_every if want_string else 0
 

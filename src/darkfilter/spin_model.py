@@ -82,7 +82,7 @@ class StateVector:
 
 @dataclass
 class ManyBodyOperator:
-    """Real operator on the full basis as COO triplets.
+    """Real operator on a basis (the full space or a sector) as COO triplets.
 
     data[k] sits at (row[k], col[k]); entries at a repeated position add.
     """
@@ -93,7 +93,7 @@ class ManyBodyOperator:
     data: np.ndarray
 
     def __matmul__(self, vec):
-        """The operator applied to a real full-space vector."""
+        """The operator applied to a real vector over its basis."""
         return np.bincount(self.row, weights=self.data * vec[self.col],
                            minlength=self.basis.dimension)
 
@@ -244,20 +244,15 @@ def protocol_states(params, theta0):
     return product(np.pi), product(theta0)
 
 
-@dataclass(frozen=True)
-class SectorBlock:
-    basis: BasisEncoding
-    matrix: np.ndarray          # dense real block
-
-
 def sz_sector_split(operator, sectors, mags):
     """Split a full-space operator into its magnetization-diagonal blocks.
 
     Verifies that the operator does not couple different total-Sz
-    sectors (up to SECTOR_LEAK_TOL) and returns dense blocks keyed by M
-    for the M values in sectors, rows and columns in ascending index
-    order; mags is Sz per full-space index.  Each block is scattered from
-    the triplets inside it.
+    sectors (up to SECTOR_LEAK_TOL) and returns, keyed by M for the M
+    values in sectors, the triplets inside each sector as an operator on
+    that sector's basis: positions count the sector's configurations in
+    ascending index order, which basis.states lists.  mags is Sz per
+    full-space index.
     """
     L = operator.basis.L
     if operator.basis.kind != "full":
@@ -276,12 +271,10 @@ def sz_sector_split(operator, sectors, mags):
         idx = np.flatnonzero(mags == M)
         if idx.size == 0:
             continue
-        d = idx.size
-        rank[idx] = np.arange(d)
+        rank[idx] = np.arange(idx.size)
         inside = (row_m == M) & (col_m == M)
-        flat = rank[operator.row[inside]] * d + rank[operator.col[inside]]
-        block = np.bincount(flat, weights=operator.data[inside],
-                            minlength=d * d).reshape(d, d)
-        blocks[M] = SectorBlock(BasisEncoding("sector", L, d, states=idx),
-                                block)
+        blocks[M] = ManyBodyOperator(
+            BasisEncoding("sector", L, idx.size, states=idx),
+            rank[operator.row[inside]], rank[operator.col[inside]],
+            operator.data[inside])
     return blocks

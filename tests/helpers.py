@@ -131,6 +131,24 @@ def dense_filtration_matrix(ham, tau, removal):
     return proj @ unitary
 
 
+def engine_support(setup):
+    """Sorted input-basis indices that the blocks of an engine cover."""
+    return np.unique(np.concatenate([blk.images.ravel()
+                                     for blk in setup.sector_eigs]))
+
+
+def block_eigenvectors(blk, dim):
+    """(dim, n) eigenvectors of a SectorEig on the input basis.
+
+    Column a of the orbit basis is sum_g coefs[g, a] e_(images[g, a]).
+    """
+    n = blk.images.shape[1]
+    orbits = np.zeros((dim, n), dtype=blk.vectors.dtype)
+    for img, coef in zip(blk.images, blk.coefs):
+        orbits[img, np.arange(n)] += coef
+    return orbits @ blk.vectors
+
+
 def flip_permutation_dense(L):
     """Index of the flipped configuration, digit d -> 2 - d on every site."""
     perm = np.empty(3**L, dtype=np.int64)
@@ -141,6 +159,23 @@ def flip_permutation_dense(L):
             rest //= 3
         perm[idx] = flipped
     return perm
+
+
+def twisted_reflection_dense(L):
+    """Site reflection j -> L+1-j by digit reversal, and the sign of R'.
+
+    Returns the mirrored index of every configuration and the sign that
+    the twisted reflection R' = R (-1)^((L+1) n) gives it, n = (L-|M|)//2
+    the number of |-> sites of a product configuration in its sector M.
+    """
+    mirror = np.empty(3**L, dtype=np.int64)
+    twist = np.empty(3**L)
+    for idx in range(3**L):
+        digits = [(idx // 3**j) % 3 for j in range(L)]
+        mirror[idx] = sum(d * 3 ** (L - 1 - j) for j, d in enumerate(digits))
+        mag = sum(1 - d for d in digits)
+        twist[idx] = (-1.0) ** ((L + 1) * ((L - abs(mag)) // 2))
+    return mirror, twist
 
 
 def dense_stepping(ham, tau, removal, psi0, n_steps, flip):

@@ -1,5 +1,6 @@
 """Filtration engines, dark subspaces, and trajectories vs dense oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 import scipy.linalg as sla
 
 from darkfilter import experiments, filtration
-from darkfilter.basis import BasisEncoding, magnetization_of
+from darkfilter.basis import (BasisEncoding, magnetization_of,
+                              string_parity_sign)
+from darkfilter.cli import main
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import (
     ExperimentSpec,
@@ -38,14 +41,17 @@ from darkfilter.spin_model import (
 
 from helpers import (
     SZ,
+    block_eigenvectors,
     dark_complement,
     dense_filtration_matrix,
     dense_hamiltonian,
     dense_stepping,
+    engine_support,
     flip_permutation_dense,
     kron_site,
     long_time_state,
     product_state,
+    twisted_reflection_dense,
 )
 
 
@@ -57,8 +63,8 @@ def _states(setup, initial, n_steps, string_every=0):
     states, (n_steps + 1, input dimension), zero off the engine sectors.
     """
     dim = setup.basis.dimension
-    support = np.arange(dim) if setup.sector_eigs is None else np.unique(
-        np.concatenate([b.indices for b in setup.sector_eigs]))
+    support = np.arange(dim) if setup.sector_eigs is None \
+        else engine_support(setup)
     probes = RotatingTarget(list(np.eye(dim)[support]), np.ones(support.size),
                             np.zeros(support.size))
     traj = run_filtration(setup, initial, n_steps, target=probes,
@@ -165,14 +171,18 @@ def test_propagator_matches_expm():
 
 
 # (L, J2, J3, lam, noise seed): tower-breaking and tower-keeping
-# couplings, and removal states with seeded noise in every sector
+# couplings, the twisted reflection R' (even L) and the plain one (odd
+# L), and removal states with seeded noise in every sector
 ORACLE_CASES = [
     (5, 0.03, 0.02, 0.0, None),
     (6, 0.02, 0.0, 0.0, None),
     (5, 0.03, 0.02, 0.05, 12),
     (4, 0.0, 0.0, 0.1, 4),
+    (4, 0.03, 0.02, 0.0, None),
+    (4, 0.03, 0.02, 0.05, 12),
 ]
-ORACLE_IDS = ["L5-J2-J3", "L6-J2", "L5-J2-J3-noise", "L4-noise"]
+ORACLE_IDS = ["L5-J2-J3", "L6-J2", "L5-J2-J3-noise", "L4-noise", "L4-J2-J3",
+              "L4-J2-J3-noise"]
 
 
 def _oracle_engine(case):
@@ -189,9 +199,22 @@ def _oracle_engine(case):
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=ORACLE_IDS)
 def test_full_engine_matches_dense_stepping(case):
-    """150 steps of the flip-paired engine vs dense F in 3^L, with prod X."""
+    """150 steps of the symmetry-blocked engine vs dense F in 3^L, with
+    prod X, on the blocks the run reaches."""
     setup, psi0, ham, removal = _oracle_engine(case)
-    L = case[0]
+    L, lam = case[0], case[3]
+    every = {(b.label, b.reflection, b.parity) for b in setup.sector_eigs}
+    engine, _ = setup.reached(setup.to_eigen(psi0))
+    kept = {(b.label, b.reflection, b.parity) for b in engine.sector_eigs}
+    if lam:
+        # a noisy removal reaches both characters of every sector
+        assert kept == every
+        assert {b[1] for b in kept} == {1.0, -1.0}
+    else:
+        # the protocol reaches the R'-even blocks, and on M = 0 only the
+        # flip character of the tower state B_(L/2)
+        assert kept == {b for b in every if b[1] == 1.0
+                        and (b[0] != 0 or b[2] == string_parity_sign(L))}
     n = 150
     traj, states = _states(setup, psi0, n, string_every=1)
     survival, string, last = dense_stepping(
@@ -207,26 +230,35 @@ def test_full_engine_matches_dense_stepping(case):
 def test_full_engine_spectrum_and_block_residuals(case):
     setup, _, ham, _ = _oracle_engine(case)
     L = case[0]
-    support = np.unique(np.concatenate([b.indices for b in setup.sector_eigs]))
+    support = engine_support(setup)
     assert support.size == setup.dimension
     assert set(flip_permutation_dense(L)[support]) == set(support)
     dense = sla.eigvalsh(ham[np.ix_(support, support)])
     assert np.max(np.abs(np.sort(setup.energies) - dense)) <= 1e-10
     assert any(b.label < 0 for b in setup.sector_eigs)
+    flip = flip_permutation_dense(L)
+    mirror, twist = twisted_reflection_dense(L)
     for blk in setup.sector_eigs:
-        block = ham[np.ix_(blk.indices, blk.indices)]
-        vecs = blk.vectors
-        resid = np.linalg.norm(block @ vecs - vecs * blk.energies)
+        vecs = block_eigenvectors(blk, 3**L)
+        resid = np.linalg.norm(ham @ vecs - vecs * blk.energies)
         assert resid <= 1e-10, (blk.label, resid)
         gram = vecs.T @ vecs
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
-    # the two flip-parity halves of M = 0 together span the sector
-    halves = [b for b in setup.sector_eigs if b.label == 0]
-    if halves:
-        assert sorted(b.parity for b in halves) == [-1.0, 1.0]
-        both = np.hstack([b.vectors for b in halves])
-        assert both.shape[0] == both.shape[1]
-        assert np.max(np.abs(both.T @ both - np.eye(both.shape[0]))) <= 1e-12
+        # each block is an eigenspace of R', and of P on M = 0
+        assert np.max(np.abs(twist[:, None] * vecs[mirror]
+                             - blk.reflection * vecs)) <= 1e-14
+        if blk.label == 0:
+            assert np.max(np.abs(vecs[flip] - blk.parity * vecs)) <= 1e-14
+    # the character blocks of M = 0 together span the sector
+    zero = [b for b in setup.sector_eigs if b.label == 0]
+    if zero:
+        assert len({(b.reflection, b.parity) for b in zero}) == len(zero)
+        both = np.hstack([block_eigenvectors(b, 3**L) for b in zero])
+        sector = np.flatnonzero(magnetization_of(L) == 0)
+        assert both.shape[1] == sector.size
+        assert np.max(np.abs(both.T @ both - np.eye(both.shape[1]))) <= 1e-12
+        assert np.max(np.abs(both[np.setdiff1d(np.arange(3**L), sector)]),
+                      initial=0.0) == 0.0
 
 
 def test_perturbation_study_reuses_engine_for_tar2(tmp_path, monkeypatch):
@@ -279,6 +311,93 @@ def test_full_setup_checks_flip_symmetry(monkeypatch):
     monkeypatch.setattr(filtration, "build_hamiltonian", broken)
     with pytest.raises(NumericsError, match="flip symmetric"):
         full_setup(params, 1.0, 0.0)
+
+
+def _site_one_quadratic(L, c):
+    """build_hamiltonian plus c (Sz_1)^2: Sz- and flip-symmetric, not R."""
+    real = filtration.build_hamiltonian
+    term = c * np.diag(kron_site(SZ @ SZ, 1, L)).real
+    diag = np.arange(3**L)
+
+    def broken(params):
+        ham = real(params)
+        return ManyBodyOperator(ham.basis, np.concatenate([ham.row, diag]),
+                                np.concatenate([ham.col, diag]),
+                                np.concatenate([ham.data, term]))
+    return broken
+
+
+@pytest.mark.parametrize("L", [4, 5], ids=["twisted", "plain"])
+def test_full_setup_checks_reflection_symmetry(L, monkeypatch, tmp_path):
+    # a site-1-only (Sz_1)^2 term conserves Sz and commutes with the flip,
+    # but not with the site reflection, so the engine must refuse to split
+    # the sectors into reflection characters
+    params = ChainParams(L=L, J2=0.02, J3=0.03)
+    mags = magnetization_of(L)
+    assert filtration.check_reflection_symmetry(build_hamiltonian(params),
+                                                mags) <= 1e-12
+    broken = _site_one_quadratic(L, 0.01)
+    ham = broken(params)
+    assert filtration.check_flip_symmetry(ham, params.h, mags) <= 1e-12
+    with pytest.raises(NumericsError, match="site reflection"):
+        filtration.check_reflection_symmetry(ham, mags)
+    monkeypatch.setattr(filtration, "build_hamiltonian", broken)
+    with pytest.raises(NumericsError, match="site reflection"):
+        full_setup(params, 1.0, 0.0)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(f'{{"L": {L}, "J2": 0.02, "n_steps": 10}}')
+    assert main(["perturb", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("L", [4, 5, 7, 8])
+def test_protocol_states_are_reflection_even(L):
+    """Removal, initial and tower states are even under R' (R on odd L)."""
+    mirror, twist = twisted_reflection_dense(L)
+    states = [product_state(L, math.pi), product_state(L, 0.3),
+              *build_tower(ChainParams(L=L)).states]
+    for vec in states:
+        assert np.max(np.abs(twist * vec[mirror] - vec)) <= 1e-15
+    if L % 2 == 0:
+        # the plain reflection maps them to minus themselves on odd n
+        assert np.max(np.abs(product_state(L, 0.3)[mirror]
+                             - product_state(L, 0.3))) > 0.1
+
+
+@pytest.mark.parametrize("L", [6, 7])
+def test_protocol_run_steps_only_the_even_blocks(L, monkeypatch):
+    params = ChainParams(L=L, J2=0.02)
+    setup, psi0 = full_setup(params, math.pi / L, 0.3)
+    # every sector M = L mod 2 is still diagonalized whole
+    mags = magnetization_of(L)
+    assert setup.dimension == np.count_nonzero((L - mags) % 2 == 0)
+    even = [b for b in setup.sector_eigs if b.reflection == 1.0
+            and (b.label != 0 or b.parity == string_parity_sign(L))]
+    # about half: the mirror-symmetric configurations are all R'-even
+    assert sum(b.energies.size for b in even) < 0.55 * setup.dimension
+    dims = []
+    build = filtration.RenewalKernel.__init__
+
+    def recording(self, phases, *args):
+        dims.append(phases.shape[0])
+        build(self, phases, *args)
+
+    monkeypatch.setattr(filtration.RenewalKernel, "__init__", recording)
+    traj = run_filtration(setup, psi0, 50, string_every=1,
+                          target=make_target(setup, "tar1"))
+    assert dims == [sum(b.energies.size for b in even)]
+    assert traj.steps.size == 51
+
+
+def test_full_dark_states_census_unchanged(tmp_path):
+    """Every block is still diagonalized: the full-engine dark census."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"L": 5, "h_tau": [1, 5], "engine": "full"}')
+    assert main(["dark-states", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    meta = json.loads((tmp_path / "o" / "metadata.json").read_text())
+    assert meta["count"] == 117
+    assert abs(meta["dark_weight"] - 0.06249999999999997) <= 1e-16
 
 
 def test_dark_states_defining_properties():
@@ -544,24 +663,19 @@ def test_spectral_decomposition_refuses_singular_eigenvectors(monkeypatch):
 def test_eigenbasis_projections_match_the_complex_product(case):
     setup, _ = _spectral_cases()[case]
     rng = np.random.Generator(np.random.Philox(key=5))
-    inside = np.concatenate([blk.indices for blk in setup.sector_eigs])
-    vec = np.zeros(setup.basis.dimension, dtype=complex)
+    inside = engine_support(setup)
+    dim = setup.basis.dimension
+    vec = np.zeros(dim, dtype=complex)
     vec[inside] = rng.standard_normal(inside.size) \
         + 1j * rng.standard_normal(inside.size)
     vec /= np.linalg.norm(vec)
     coords = setup.to_eigen(vec)
-    oracle = np.concatenate([blk.vectors.astype(complex).conj().T
-                             @ vec[blk.indices]
-                             for blk in setup.sector_eigs])
+    columns = np.hstack([block_eigenvectors(blk, dim).astype(complex)
+                         for blk in setup.sector_eigs])
+    oracle = columns.conj().T @ vec
     assert np.max(np.abs(coords - oracle)) <= 1e-14
-    image = np.zeros_like(vec)
-    pos = 0
-    for blk in setup.sector_eigs:
-        d = blk.energies.size
-        image[blk.indices] += blk.vectors.astype(complex) @ coords[pos:pos + d]
-        pos += d
     back = setup.from_eigen(coords)
-    assert np.max(np.abs(back - image)) <= 1e-14
+    assert np.max(np.abs(back - columns @ coords)) <= 1e-14
     assert np.max(np.abs(back - vec)) <= 1e-14
 
 

@@ -19,6 +19,7 @@ from darkfilter.config import (
 )
 from darkfilter.errors import ValidationError
 from darkfilter.experiments import document_of
+from darkfilter.filtration import DEPLETION_FLOOR
 from darkfilter.output import emit_csv, format_cell, write_metadata
 
 
@@ -303,6 +304,35 @@ def test_cli_table1_reads_theta0(tmp_path):
                  "--out", str(tmp_path / "o"), "--quiet"]) == 0
     meta = json.load(open(tmp_path / "o" / "metadata.json"))
     assert meta["theta0"] == 0.5
+
+
+def test_cli_metadata_reports_depletion(tmp_path):
+    # a strong tower-breaking J2 leaves the L = 3 chain no dark state that
+    # this start reaches, so its survival falls below DEPLETION_FLOOR and
+    # the run stops early; the metadata says so
+    cfg = _write(tmp_path, "c.json",
+                 {"L": 3, "J2": 1.0, "target": "tar2", "theta0": 0.5,
+                  "n_steps": 4000, "engine": "full"})
+    assert main(["filter-run", "--config", cfg,
+                 "--out", str(tmp_path / "d"), "--quiet"]) == 0
+    meta = json.load(open(tmp_path / "d" / "metadata.json"))
+    assert meta["depleted"] is True
+    survival = np.genfromtxt(tmp_path / "d" / "trajectory.csv",
+                             delimiter=",", names=True)["survival"]
+    assert survival.size < 4001
+    assert survival[-1] < DEPLETION_FLOOR <= survival[-2]
+    cfg = _write(tmp_path, "k.json",
+                 {"L": 5, "target": "tar1", "n_steps": 200})
+    assert main(["filter-run", "--config", cfg,
+                 "--out", str(tmp_path / "k"), "--quiet"]) == 0
+    assert json.load(open(tmp_path / "k" / "metadata.json"))["depleted"] \
+        is False
+    cfg = _write(tmp_path, "p.json", {"L": 4, "J2": 0.02, "n_steps": 100})
+    assert main(["perturb", "--config", cfg,
+                 "--out", str(tmp_path / "p"), "--quiet"]) == 0
+    meta = json.load(open(tmp_path / "p" / "metadata.json"))
+    assert meta["tar1"]["depleted"] is False
+    assert meta["tar2"]["depleted"] is False
 
 
 def test_cli_dark_states(tmp_path):

@@ -56,8 +56,8 @@ def _plain_setup(phases, removal):
     return FiltrationSetup(
         engine="generic", tau=1.0, basis=BasisEncoding.generic(dim),
         energies=energies, phases=phases, removal_eig=removal,
-        sector_eigs=[SectorEig(0, np.arange(dim), energies,
-                               np.eye(dim, dtype=complex))],
+        sector_eigs=[SectorEig(0, np.arange(dim)[None, :], np.ones((1, dim)),
+                               energies, np.eye(dim, dtype=complex))],
     )
 
 

@@ -62,7 +62,8 @@ def test_sector_split_reassembles():
     total = 0
     for blk in blocks.values():
         idx = blk.basis.states
-        assert np.max(np.abs(dense[np.ix_(idx, idx)] - blk.matrix)) < 1e-14
+        assert np.max(np.abs(dense[np.ix_(idx, idx)]
+                             - triplets_to_dense(blk))) < 1e-14
         total += idx.size
     assert total == 27
     # off-block entries vanish: Sz is conserved
@@ -210,7 +211,8 @@ def test_triplets_match_sparse_kron_oracle(L, J, J2, J3, h, D):
     for M, blk in blocks.items():
         idx = blk.basis.states
         assert np.array_equal(idx, np.flatnonzero(mags == M))
-        assert np.max(np.abs(blk.matrix - oracle[np.ix_(idx, idx)])) <= 1e-14
+        assert np.max(np.abs(triplets_to_dense(blk)
+                             - oracle[np.ix_(idx, idx)])) <= 1e-14
     # the oracle has no entry between sectors for the blocks to miss
     assert np.max(np.abs(oracle[mags[:, None] != mags[None, :]]),
                   initial=0.0) == 0.0
