@@ -874,7 +874,9 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
     is checked
     against |psi|^2 (NumericsError beyond SURVIVAL_DRIFT_TOL).  Iteration
     stops at the first step whose survival falls below DEPLETION_FLOOR
-    (depleted flag); that step is the last row recorded.
+    (depleted flag).  That step is not recorded, as its observables are
+    normalized by rounding noise: the trajectory ends at the last step at
+    or above the floor.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise ValidationError("n_steps must be a non-negative integer")
@@ -940,13 +942,14 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
             depleted = weight < DEPLETION_FLOOR
         if overlaps is not None:
             overlaps[lo:lo + m] = out[B:].reshape(-1, B)[:, :m].T
-        if first < m:
-            s_steps.append(np.arange(lo + first, lo + m, every))
-            s_vals.append(setup.string_rows(rows[first::every])
-                          / survival[lo + first:lo + m:every])
+        kept = m - depleted                # the depleting step is not kept
+        if first < kept:
+            s_steps.append(np.arange(lo + first, lo + kept, every))
+            s_vals.append(setup.string_rows(rows[first:kept:every])
+                          / survival[lo + first:lo + kept:every])
         done += m
 
-    count = done + 1
+    count = done + 1 - depleted
     steps = np.arange(count)
     survival = survival[:count]
     q = None

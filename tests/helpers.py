@@ -383,3 +383,29 @@ def long_time_state(phases, removal, psi0, n):
     vectors, values = dark_complement(phases, removal)
     out = vectors @ (values**n * (vectors.conj().T @ psi0))
     return out / np.linalg.norm(out)
+
+
+def _oracle_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def rowwise_csv(header, columns):
+    """CSV bytes written one cell and one row at a time.
+
+    Each cell is formatted on its own ("%.17g" for floats, "%d" for
+    integers, 1/0 for booleans, blank for None) and each row joined with
+    commas, as the writer did before it formatted whole blocks.
+    """
+    rows = max((len(c) for c in columns if c is not None), default=0)
+    cells = [[""] * rows if c is None else [_oracle_cell(v) for v in c]
+             for c in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    return ("\n".join(lines) + "\n").encode()

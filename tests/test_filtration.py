@@ -21,6 +21,7 @@ from darkfilter.experiments import (
 from darkfilter.filtration import (
     FiltrationSetup,
     RotatingTarget,
+    Trajectory,
     dark_projection,
     dark_subspace,
     degeneracy_groups,
@@ -493,16 +494,22 @@ def test_depletion_stops_early():
     setup = generic_setup(mat, removal, tau=1.0)
     traj = run_filtration(setup, psi0, 40)
     assert traj.depleted
-    assert traj.steps.shape[0] < 41
-    assert traj.survival[1] < 1e-30
+    # S_1 is rounding (below 1e-30), so step 1 is not recorded
+    assert traj.steps.tolist() == [0]
 
 
-def test_exact_depletion_with_a_target_is_a_numerics_error():
-    # the removal state is the whole space: one step leaves S_1 = 0 and
-    # Q_1 = 0/0, which must not pass as a recorded fidelity
+def test_exact_depletion_with_a_target_records_no_fidelity():
+    # the removal state is the whole space: one step leaves S_1 = 0, and
+    # Q_1 = 0/0 must not pass as a recorded fidelity; the run stops
+    # before it, and a NaN fidelity that reached a trajectory is refused
     setup = generic_setup([[0.3]], [1.0], tau=1.0)
+    traj = run_filtration(setup, [1.0], 3, target=RotatingTarget.static([1.0]))
+    assert traj.depleted
+    assert traj.steps.tolist() == [0] and traj.q.tolist() == [1.0]
     with pytest.raises(NumericsError, match="at step 1"):
-        run_filtration(setup, [1.0], 3, target=RotatingTarget.static([1.0]))
+        Trajectory(steps=np.arange(2), survival=np.array([1.0, 0.0]),
+                   q=np.array([1.0, np.nan]), overlaps=None,
+                   string_steps=None, string=None, depleted=True)
 
 
 def test_run_filtration_validates_input():

@@ -5,9 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import darkfilter
 from darkfilter.cli import SUBCOMMANDS, main
@@ -20,7 +23,9 @@ from darkfilter.config import (
 from darkfilter.errors import ValidationError
 from darkfilter.experiments import document_of
 from darkfilter.filtration import DEPLETION_FLOOR
-from darkfilter.output import emit_csv, format_cell, write_metadata
+from darkfilter.output import BLOCK_ROWS, emit_csv, format_cell, write_metadata
+
+from helpers import rowwise_csv
 
 
 # ---------------------------------------------------------------- output
@@ -83,9 +88,139 @@ def test_emit_csv_format_regression(tmp_path, name, column, text):
 
 def test_emit_csv_rejects_bad_cells(tmp_path):
     for column in ([1.0, float("inf")], np.array([0.0, np.nan]), ["a,b"],
-                   ["two\nlines"], [1 + 2j]):
+                   ["two\nlines"], [1 + 2j], ["nul\0"]):
         with pytest.raises(ValidationError):
             emit_csv(tmp_path / "bad.csv", ("x",), [column])
+    with pytest.raises(ValidationError, match="NUL"):
+        format_cell("a\0b")
+    assert not os.path.exists(tmp_path / "bad.csv")
+    # a bad cell in the second block, formatted on the worker thread,
+    # raises on the caller and still leaves no file
+    column = ["x"] * (2 * BLOCK_ROWS)
+    column[-1] = "a,b"
+    with pytest.raises(ValidationError, match="quoting"):
+        emit_csv(tmp_path / "late.csv", ("x",), [column])
+    assert not os.path.exists(tmp_path / "late.csv")
+
+
+def _written(path, column):
+    """The cells emit_csv writes for one column, as text."""
+    emit_csv(path, ("x",), [column])
+    return open(path, "rb").read().decode().split("\n")[1:-1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+       ties=st.lists(st.tuples(st.integers(2**50, 2**51 - 1),
+                               st.integers(-20, 100)), max_size=16))
+def test_float_cells_match_percent_format(tmp_path_factory, bits, ties):
+    # random IEEE patterns (every exponent, the out-of-range batch too),
+    # and exact decimal ties (k + 1/4) 2^-s, which round half to even
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([values[np.isfinite(values)],
+                             [math.ldexp(k + 0.25, -s) for k, s in ties]])
+    path = tmp_path_factory.mktemp("cells") / "f.csv"
+    assert _written(path, values) == ["%.17g" % v for v in values.tolist()]
+
+
+def test_float_cells_at_powers_of_ten_and_range_edges(tmp_path):
+    # log10 rounds x just below 10^p up to p; the exponent is confirmed
+    # on the truncated quotient instead
+    near = []
+    for p in range(-12, 19):
+        for step in (-2, -1, 0, 1, 2):
+            x = 10.0**p
+            for _ in range(abs(step)):
+                x = np.nextafter(x, np.inf if step > 0 else 0.0)
+            near += [x, -x]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+             2.2250738585072014e-308, 1e-11, np.nextafter(1e-11, 1.0),
+             np.nextafter(1e-11, 0.0), 1e17, np.nextafter(1e17, 0.0),
+             1e-5, 9.9999999999999995e-5, 1e-4, 0.5, 1.0, 2.0**53,
+             2.0**53 + 2.0, 99999999999999984.0, 1.7976931348623157e308]
+    values = np.array(near + edges + [-v for v in edges])
+    assert _written(tmp_path / "f.csv", values) == \
+        ["%.17g" % v for v in values.tolist()]
+    single = np.array([0.1, 1.0 / 3.0, 3.4028234663852886e38, 1e-45,
+                       -2.5, 7.0], dtype=np.float32)
+    assert _written(tmp_path / "s.csv", single) == \
+        ["%.17g" % float(v) for v in single]
+
+
+def test_int_cells_match_str_at_the_extremes(tmp_path):
+    for dtype in (np.int8, np.int32, np.int64, np.uint8, np.uint64):
+        info = np.iinfo(dtype)
+        values = np.array([info.min, info.max, 0, info.max - 1, 9, 10, 99,
+                           100, info.min + 1], dtype=dtype)
+        assert _written(tmp_path / "i.csv", values) == \
+            [str(int(v)) for v in values]
+
+
+def _oracle_table(rows):
+    """Columns of every kind the writer takes, with out-of-range floats."""
+    rng = np.random.Generator(np.random.Philox(key=11))
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-14, 19, rows)
+    floats[::7] = 0.0
+    floats[3::11] = 1e-300
+    strings = np.full(rows, None)
+    strings[::3] = rng.standard_normal(rows)[::3].tolist()
+    mixed = [[None, 7, "dark", 0.25, True, np.int64(-3)][i % 6]
+             for i in range(rows)]
+    return [np.arange(rows), floats, None, ["kind%d" % (i % 4)
+                                            for i in range(rows)],
+            mixed, strings, floats.astype(np.float32),
+            rng.integers(0, 2**64 - 1, rows, dtype=np.uint64,
+                         endpoint=True)]
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                  BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_emit_csv_matches_rowwise_oracle(tmp_path, rows):
+    columns = _oracle_table(rows)
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    path = emit_csv(tmp_path / "t.csv", header, columns)
+    assert open(path, "rb").read() == rowwise_csv(header, columns)
+
+
+def test_one_block_table_starts_no_thread(tmp_path, monkeypatch):
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    emit_csv(tmp_path / "one.csv", ("x",), [np.arange(BLOCK_ROWS, dtype=float)])
+    assert started == []
+    emit_csv(tmp_path / "two.csv", ("x",),
+             [np.arange(BLOCK_ROWS + 1, dtype=float)])
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+IMPORT_SCRIPT = """
+import sys
+import numpy
+before = set(sys.modules)
+import darkfilter.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+print("concurrent.futures" in sys.modules)
+"""
+
+# what importing the CLI loads on top of numpy: the package and these
+CLI_IMPORTS = {"__future__", "_json", "argparse", "copy", "dataclasses",
+               "gettext", "json"}
+
+
+def test_cli_import_loads_no_further_modules():
+    src = os.path.dirname(os.path.dirname(darkfilter.__file__))
+    out = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout.split("\n")
+    added = {name.split(".")[0] for name in out[0].split()}
+    assert added - {"darkfilter"} <= CLI_IMPORTS
+    assert out[1] == "False"
 
 
 def test_write_metadata_sorted_and_plain(tmp_path):
@@ -320,7 +455,8 @@ def test_cli_metadata_reports_depletion(tmp_path):
     survival = np.genfromtxt(tmp_path / "d" / "trajectory.csv",
                              delimiter=",", names=True)["survival"]
     assert survival.size < 4001
-    assert survival[-1] < DEPLETION_FLOOR <= survival[-2]
+    # the step that falls below the floor is not recorded
+    assert np.all(survival >= DEPLETION_FLOOR)
     cfg = _write(tmp_path, "k.json",
                  {"L": 5, "target": "tar1", "n_steps": 200})
     assert main(["filter-run", "--config", cfg,
@@ -333,6 +469,24 @@ def test_cli_metadata_reports_depletion(tmp_path):
     meta = json.load(open(tmp_path / "p" / "metadata.json"))
     assert meta["tar1"]["depleted"] is False
     assert meta["tar2"]["depleted"] is False
+
+
+@pytest.mark.parametrize("theta0", [1e-8, 1e-9, 1e-10])
+def test_cli_depleting_start_records_no_rounding_row(tmp_path, theta0):
+    # at h tau = pi/2 the L = 3 tar2 start keeps a dark weight of about
+    # 0.75 theta0^2, below DEPLETION_FLOOR: step 1 holds rounding noise,
+    # whose normalized fidelity left [0, 1] (exit 2) when it was recorded
+    cfg = _write(tmp_path, "c.json",
+                 {"L": 3, "target": "tar2", "theta0": theta0,
+                  "h_tau": [1, 2], "n_steps": 50})
+    assert main(["filter-run", "--config", cfg,
+                 "--out", str(tmp_path / "d"), "--quiet"]) == 0
+    assert json.load(open(tmp_path / "d" / "metadata.json"))["depleted"] \
+        is True
+    data = np.genfromtxt(tmp_path / "d" / "trajectory.csv", delimiter=",",
+                         names=True, ndmin=1)
+    assert np.all(data["survival"] >= DEPLETION_FLOOR)
+    assert np.all((data["q_n"] >= 0.0) & (data["q_n"] <= 1.0))
 
 
 def test_cli_dark_states(tmp_path):

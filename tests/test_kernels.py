@@ -98,8 +98,9 @@ def test_early_stop_on_depletion():
     setup = _plain_setup(np.array([1.0 + 0.0j]), np.array([1.0 + 0.0j]))
     traj = run_filtration(setup, np.array([1.0 + 0.0j]), 10)
     assert traj.depleted
-    assert traj.steps.size == 2
-    assert traj.survival[1] < DEPLETION_FLOOR
+    # the depleting step is not recorded: the trajectory ends at n = 0
+    assert traj.steps.size == 1
+    assert np.all(traj.survival >= DEPLETION_FLOOR)
 
 
 @pytest.mark.parametrize("build", [reduced_setup, full_setup],
@@ -112,9 +113,10 @@ def test_rounding_level_depletion_stops_the_run(build):
     setup, psi0 = build(params, math.pi / (2.0 * params.h), 0.0)
     traj = run_filtration(setup, psi0, 50, string_every=1)
     assert traj.depleted
-    assert traj.steps.size == 2
-    assert np.all(traj.survival[:-1] >= DEPLETION_FLOOR)
-    assert traj.survival[-1] < DEPLETION_FLOOR
+    # step 1 holds only rounding and is not recorded
+    assert traj.steps.size == 1
+    assert np.all(traj.survival >= DEPLETION_FLOOR)
+    assert np.array_equal(traj.string_steps, traj.steps)
 
 
 def _tower_case():
