@@ -9,7 +9,9 @@ everything else is depleted exponentially.
 All engines iterate in the eigenbasis of H, where U is diagonal, through
 one chunked kernel (RenewalKernel): a chunk of B steps is a few
 matrix-vector products against tables fixed per run, O(B dim) in all,
-with no Python loop over its steps.  Three engines exist:
+with no Python loop over its steps.  The string operator comes from the
+same chunk scalars, summed over the flip groups of coordinates, so a
+state is formed only at a chunk's end.  Three engines exist:
 
 * ``tower``   -- the (L+1)-dimensional bi-magnon ladder, H diagonal by
   construction; valid only for J2 = 0.
@@ -132,10 +134,6 @@ class FiltrationSetup:
     def dimension(self):
         return self.energies.shape[0]
 
-    @property
-    def supports_string(self):
-        return self.flip_pos is not None
-
     def retuned(self, tau, theta0):
         """The same engine at another period and initial angle.
 
@@ -222,19 +220,15 @@ class FiltrationSetup:
             flip_pos=flip_pos, flip_sign=flip_sign)
         return engine, keep
 
-    def string_rows(self, rows):
-        """<psi|prod X|psi> for each eigenbasis row of the (m, dim) array.
+    def string_rows(self, psi):
+        """<psi|prod X|psi> for an eigenbasis state psi.
 
-        Values are for the rows as given (unnormalized); divide by the
-        survival weight to report normalized expectations.
+        The value is for psi as given (unnormalized); divide by the
+        survival weight to report a normalized expectation.
         """
         if self.flip_pos is None:
             raise ValidationError("string operator unavailable for this engine")
-        rows = np.atleast_2d(rows)
-        paired = np.take(rows, self.flip_pos, axis=1)
-        np.conjugate(paired, out=paired)
-        paired *= self.flip_sign
-        return np.einsum("ij,ij->i", paired, rows)
+        return np.vdot(self.flip_sign * psi[self.flip_pos], psi)
 
 
 def _matvec(matrix, vec):
@@ -443,7 +437,7 @@ def full_setup(params, tau, theta0, removal=None):
             raise ValidationError("custom removal vector must have unit norm")
     sectors = set(M for M in range(L + 1) if (M - L) % 2 == 0)
     occupied = np.abs(psi_r.amplitudes) > 0.0
-    sectors.update(abs(int(M)) for M in np.unique(mags[occupied]))
+    sectors.update(np.abs(mags[occupied]).tolist())
     split = sz_sector_split(ham, sectors, mags)
     mirror = reflection_of(L)
     top = 3**L - 1
@@ -544,32 +538,37 @@ class PhaseGroup:
 
 
 def _cluster_angles(angles, tol):
-    """Sort eigenphase angles and cluster gaps below tol, with wrap-around."""
+    """Cluster angles whose sorted gaps are below tol, with wrap-around.
+
+    Returns (order, starts, label): cluster k holds the indices
+    order[starts[k]:starts[k + 1]] in ascending angle, and label[i] is the
+    cluster of index i.  Clusters come in ascending angle, except that a
+    cluster reaching across pi comes first, its members near pi before
+    those near -pi.  Warns when two clusters are closer than 10 tol.
+    """
     order = np.argsort(angles, kind="stable")
-    sorted_angles = angles[order]
-    clusters = [[0]]
-    for i in range(1, sorted_angles.size):
-        if sorted_angles[i] - sorted_angles[i - 1] < tol:
-            clusters[-1].append(i)
+    ordered = angles[order]
+    starts = np.flatnonzero(np.diff(ordered) >= tol) + 1
+    gaps = ordered[starts] - ordered[starts - 1]
+    if starts.size:
+        wrap = ordered[0] + 2.0 * math.pi - ordered[-1]
+        if wrap < tol:
+            # the last cluster joins the first across pi
+            shift = order.size - starts[-1]
+            order = np.roll(order, shift)
+            starts = starts[:-1] + shift
         else:
-            clusters.append([i])
-    if len(clusters) > 1:
-        wrap_gap = sorted_angles[0] + 2.0 * math.pi - sorted_angles[-1]
-        if wrap_gap < tol:
-            clusters[0] = clusters.pop() + clusters[0]
-    gaps = []
-    for a, b in zip(clusters, clusters[1:]):
-        gaps.append(sorted_angles[b[0]] - sorted_angles[a[-1]])
-    if len(clusters) > 1:
-        gaps.append(sorted_angles[clusters[0][0]] + 2.0 * math.pi
-                    - sorted_angles[clusters[-1][-1]])
-    if gaps and min(gaps) < 10.0 * tol:
+            gaps = np.append(gaps, wrap)
+    if starts.size and gaps.min() < 10.0 * tol:
         warnings.warn(
-            f"eigenphase clusters separated by only {min(gaps):.2e} rad; "
+            f"eigenphase clusters separated by only {gaps.min():.2e} rad; "
             "grouping may be ambiguous",
             stacklevel=3,
         )
-    return [order[c] for c in clusters]
+    starts = np.concatenate([[0], starts])
+    label = np.empty(order.size, dtype=np.intp)
+    label[order] = np.cumsum(np.bincount(starts, minlength=order.size)) - 1
+    return order, starts, label
 
 
 def degeneracy_groups(setup):
@@ -582,7 +581,8 @@ def degeneracy_groups(setup):
         raise ValidationError("expected a FiltrationSetup")
     values = setup.phases
     groups = []
-    for members in _cluster_angles(np.angle(values), setup.phase_tol):
+    order, starts, _ = _cluster_angles(np.angle(values), setup.phase_tol)
+    for members in np.split(order, starts[1:]):
         members = tuple(int(m) for m in np.sort(members))
         rep = values[members[0]]
         groups.append(PhaseGroup(complex(rep / abs(rep)), members))
@@ -681,24 +681,25 @@ def dark_projection(setup, vec):
 
     Within each degenerate eigenphase group the dark part is the
     complement of the normalized removal component, so the projection
-    only needs the group index sets.  Unlike dark_subspace this never
+    needs only two sums per group: the removal weight and its overlap
+    with vec, both taken by bincount over the group labels.  Unlike
+    dark_subspace this never
     materializes a dark basis, which keeps the full engine at L = 10
     (dimension ~3e4) inside a few hundred MB.
     """
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (setup.dimension,):
         raise ValidationError("dark projection expects engine-frame coordinates")
-    out = vec.copy()
-    angles = np.angle(setup.phases)
+    *_, label = _cluster_angles(np.angle(setup.phases), setup.phase_tol)
     removal = setup.removal_eig
-    for members in _cluster_angles(angles, setup.phase_tol):
-        a = removal[members]
-        na = float(np.linalg.norm(a))
-        if na < DARK_OVERLAP_TOL:
-            continue                       # zero-overlap group: fully dark
-        a = a / na
-        out[members] -= a * (a.conj() @ vec[members])
-    return out
+    weight = np.bincount(label, weights=removal.real**2 + removal.imag**2)
+    dot = removal.conj() * vec
+    dot = np.bincount(label, weights=dot.real) \
+        + 1j * np.bincount(label, weights=dot.imag)
+    # a group without removal component is fully dark
+    scale = np.divide(dot, weight, out=np.zeros_like(dot),
+                      where=np.sqrt(weight) >= DARK_OVERLAP_TOL)
+    return vec - removal * scale[label]
 
 
 @dataclass
@@ -778,28 +779,28 @@ DEPLETION_FLOOR = 2.0**-52
 # A chunk ends early at the first step whose survival has fallen below
 # this fraction of the chunk's opening weight: the survival identity
 # subtracts from that weight, so it keeps its relative digits only
-# while the weight has not dropped far.  That step's survival is then
-# the squared norm of its state, and the next chunk starts from it.
+# while the weight has not dropped far.  That step's survival, probe
+# overlaps and string are then taken from its state, and the next chunk
+# starts from it.
 CHUNK_DROP = 1.0 / 16.0
 
-# Largest gap between the survival identity and |psi|^2 at a chunk end,
-# relative to the chunk's opening weight (NumericsError beyond it).
-SURVIVAL_DRIFT_TOL = 1e-10
+# Largest gap at a chunk end between a renewal value (the survival
+# identity, the flip-group string) and the same quantity of the formed
+# state, relative to the chunk's opening weight (NumericsError beyond).
+CHUNK_DRIFT_TOL = 1e-10
 
 # array library that runs the step kernel, recorded in run metadata
 BACKEND = "numpy"
 
 
-def chunk_length(dim, rows):
+def chunk_length(dim):
     """Steps per renewal chunk on an engine of dimension dim.
 
-    Without rows a step costs a few gemv columns at any chunk length,
-    so chunks are long up to a table budget; a formed row costs the
-    chunk length again, so chunks that form rows stay short on large
-    engines.  A power of two between 8 and 64.
+    A step costs a few gemv columns at any chunk length, so chunks are
+    long up to a budget of 2^18 entries per (B, dim) table: a power of
+    two between 8 and 64.
     """
-    budget = 2**16 if rows else 2**18        # entries of one (B, dim) table
-    fit = max(budget // dim, 1).bit_length() - 1
+    fit = max(2**18 // dim, 1).bit_length() - 1
     return 1 << min(6, max(3, fit))
 
 
@@ -816,44 +817,82 @@ class RenewalKernel:
     overlaps t^H psi_j of a probe t are one more, against
     Z * conj(t) - H T^-1 (Z * conj(r)), H the Toeplitz matrix of
     h_m = t^H D^m r.  Survival follows S_j = S_0 - sum_(k<=j) |c_k|^2.
-    States are formed only on request, in the frame that D^j carries:
-    psi_j = Z_j * (psi - sum_(k<=j) c_k D^-k r).
+    The state is formed only at a chunk's end, in the frame that D^j
+    carries: psi_j = Z_j * y_j, y_j = psi - sum_(k<=j) c_k R_k, with
+    R_k = D^-k r.
+
+    The string <psi_j|P|psi_j> of a signed flip permutation P (i to
+    pi(i), sign s_i) needs no state either.  With w_i = conj(ph[pi i])
+    ph[i] it is sum_g w_g^j Q_g(y_j), Q_g(u) = sum_(i in g) s_i
+    conj(u[pi i]) u[i], over the flip groups g of coordinates that share
+    one w (clustered as eigenphases are, w_g taken from a member; pi maps
+    each group onto one group).  Q_g(y_j) is Q_g(psi), minus the prefix
+    sum of c_k A_g[k] with A_g = R[:, g] @ (s conj(psi[pi]))[g], minus
+    the same for pi(g) conjugated, plus the prefix quadratic
+    sum_(k,l<=j) conj(c_k) G_g[k, l] c_l of the table G_g = R^H P_g R
+    fixed per run.  G_g is Toeplitz up to a phase per row, so it costs
+    O(B dim G) to build for G groups, and a chunk O(B dim G + G B^2).
     """
 
-    def __init__(self, phases, removal, probes, length):
+    def __init__(self, phases, removal, probes, length, flip=None):
         self.length = B = length
         dim = phases.shape[0]
         self.powers = np.cumprod(np.broadcast_to(phases, (B, dim)), axis=0)
         self.returns = self.powers.conj() * removal             # D^-k r
-        self.buffer = np.empty((B, dim), dtype=complex)
         g = np.concatenate([[1.0], self.powers[:-1] @ np.abs(removal) ** 2])
-        amps = _forward_substitute(_toeplitz(g), self.powers * removal.conj())
-        tables = [amps]
-        for t in probes:
+        self.tables = np.empty(((1 + len(probes)) * B, dim), dtype=complex)
+        amps = np.multiply(self.powers, removal.conj(), out=self.tables[:B])
+        _forward_substitute(_toeplitz(g), amps)
+        for t, out in zip(probes, self.tables[B:].reshape(-1, B, dim)):
             h = np.concatenate([[np.vdot(t, removal)],
                                 self.powers[:-1] @ (t.conj() * removal)])
-            tables.append(self.powers * t.conj() - _toeplitz(h) @ amps)
-        self.tables = np.concatenate(tables)
+            np.subtract(self.powers * t.conj(), _toeplitz(h) @ amps, out=out)
+        self.flip = flip
+        if flip is not None:
+            pos, sign = flip
+            w = phases[pos].conj() * phases
+            order, starts, self.group = _cluster_angles(np.angle(w),
+                                                        PHASE_TOL)
+            rep = order[starts]
+            self.mirror = self.group[pos[rep]]
+            self.group_powers = np.cumprod(
+                np.broadcast_to(w[rep], (B, rep.size)), axis=0)
+            # with ph[pi i] = conj(w_g) ph[i] on group g, G_g[k, l] is
+            # conj(w_g)^k u_g(k - l), u_g(m) = sum_(i in g) ph[i]^m x_i
+            x = self._by_group(sign * removal[pos].conj() * removal)
+            u = np.concatenate([(self.powers[-2::-1] @ x.conj()).conj(),
+                                x.sum(axis=0)[None], self.powers[:-1] @ x])
+            lag = np.subtract.outer(np.arange(B), np.arange(B)) + B - 1
+            gram = (self.group_powers.conj()[:, None] * u[lag]).transpose(
+                2, 0, 1)
+            self.gram_lower = np.tril(gram)
+            self.gram_upper = np.triu(gram, 1).transpose(0, 2, 1)
 
-    def rows(self, psi, c, m):
-        """psi_1 .. psi_m as an (m, dim) view of a buffer the next call reuses."""
-        rows = np.matmul(np.tril(np.broadcast_to(c[:m], (m, m))),
-                         self.returns[:m], out=self.buffer[:m])
-        np.subtract(psi, rows, out=rows)
-        rows *= self.powers[:m]
-        return rows
+    def _by_group(self, values):
+        """(dim, G) matrix holding values[i] in the column of i's group."""
+        out = np.zeros((values.size, self.mirror.size), dtype=complex)
+        out[np.arange(values.size), self.group] = values
+        return out
+
+    def strings(self, psi, c):
+        """<psi_j|P|psi_j> for j = 1 .. B, without forming psi_j."""
+        pos, sign = self.flip
+        paired = self._by_group(sign * psi[pos].conj())
+        linear = np.cumsum(c[:, None] * (self.returns @ paired), axis=0)
+        quad = np.cumsum(c.conj() * (self.gram_lower @ c)
+                         + c * (self.gram_upper @ c.conj()), axis=1).T
+        q = psi @ paired - linear - linear[:, self.mirror].conj() + quad
+        return np.einsum("jg,jg->j", self.group_powers, q)
 
     def advance(self, psi, c, m):
         """psi_m, without forming the states before it."""
         return self.powers[m - 1] * (psi - c[:m] @ self.returns[:m])
 
 
-def _forward_substitute(lower, rhs):
-    """Solve lower @ x = rhs for a unit lower triangular matrix, row by row."""
-    x = rhs.copy()
+def _forward_substitute(lower, x):
+    """Solve lower @ y = x in place for a unit lower triangular matrix."""
     for j in range(1, lower.shape[0]):
         x[j] -= lower[j, :j] @ x[:j]
-    return x
 
 
 def _toeplitz(column):
@@ -871,9 +910,10 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
     the RenewalKernel, on the blocks of the engine that the initial state
     or the removal reaches (FiltrationSetup.reached); target norms are
     taken over the whole engine.  At each chunk end the survival identity
-    is checked
-    against |psi|^2 (NumericsError beyond SURVIVAL_DRIFT_TOL).  Iteration
-    stops at the first step whose survival falls below DEPLETION_FLOOR
+    and the flip-group string are checked against the formed state
+    (NumericsError beyond CHUNK_DRIFT_TOL).  A chunk cut short by
+    CHUNK_DROP records its last step from that state.  Iteration stops
+    at the first step whose survival falls below DEPLETION_FLOOR
     (depleted flag).  That step is not recorded, as its observables are
     normalized by rounding noise: the trajectory ends at the last step at
     or above the floor.
@@ -892,23 +932,23 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
         gram = probes.conj() @ probes.T
     setup, keep = setup.reached(psi)
     psi, probes = psi[keep], probes[:, keep]
-    want_string = setup.supports_string and string_every and string_every > 0
-    every = string_every if want_string else 0
+    every = string_every if setup.flip_pos is not None and string_every \
+        and string_every > 0 else 0
 
     total = n_steps + 1
     survival = np.empty(total)
     survival[0] = float(np.vdot(psi, psi).real)
-    overlaps = None
+    overlaps = string = None
     if rot is not None:
         overlaps = np.empty((total, probes.shape[0]), dtype=complex)
         overlaps[0] = probes.conj() @ psi
-    s_steps, s_vals = [], []
-    if want_string:
-        s_steps.append(np.zeros(1, dtype=np.int64))
-        s_vals.append(setup.string_rows(psi[None, :]) / survival[0])
+    if every:
+        string = np.empty(total, dtype=complex)     # normalized at the end
+        string[0] = setup.string_rows(psi)
 
-    kernel = RenewalKernel(setup.phases, setup.removal_eig, probes,
-                           chunk_length(setup.dimension, bool(every)))
+    kernel = RenewalKernel(
+        setup.phases, setup.removal_eig, probes, chunk_length(setup.dimension),
+        (setup.flip_pos, setup.flip_sign) if every else None)
     B = kernel.length
     done = 0
     depleted = False
@@ -922,31 +962,32 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
         cut = surv[m - 1] < floor
         if cut:
             m = int(np.argmax(surv < floor)) + 1
-        lo = done + 1
-        first = (-lo) % every if every else m     # first string sample
-        if first < m:
-            rows = kernel.rows(psi, c, m)
-            psi = rows[m - 1].copy()
-        else:
-            psi = kernel.advance(psi, c, m)
-        opening, weight = weight, float(np.vdot(psi, psi).real)
-        drift = abs(surv[m - 1] - weight)
-        if drift > SURVIVAL_DRIFT_TOL * opening:
-            raise NumericsError(
-                f"survival identity drifted by {drift:.3e} from |psi|^2 at "
-                f"step {lo + m - 1}, in a chunk that opened at {opening:.3e}"
-            )
-        survival[lo:lo + m] = surv[:m]
-        if cut:
-            survival[lo + m - 1] = weight
-            depleted = weight < DEPLETION_FLOOR
+        lo, end = done + 1, done + m
+        survival[lo:end + 1] = surv[:m]
         if overlaps is not None:
-            overlaps[lo:lo + m] = out[B:].reshape(-1, B)[:, :m].T
-        kept = m - depleted                # the depleting step is not kept
-        if first < kept:
-            s_steps.append(np.arange(lo + first, lo + kept, every))
-            s_vals.append(setup.string_rows(rows[first:kept:every])
-                          / survival[lo + first:lo + kept:every])
+            overlaps[lo:end + 1] = out[B:].reshape(-1, B)[:, :m].T
+        if every:
+            string[lo:end + 1] = kernel.strings(psi, c)[:m]
+        psi = kernel.advance(psi, c, m)
+        opening, weight = weight, float(np.vdot(psi, psi).real)
+        formed = [("survival identity", survival, weight)]
+        if every:
+            formed.append(("flip-group string", string, setup.string_rows(psi)))
+        for name, values, value in formed:
+            drift = abs(values[end] - value)
+            if drift > CHUNK_DRIFT_TOL * opening:
+                raise NumericsError(
+                    f"{name} drifted by {drift:.3e} from the formed state "
+                    f"at step {end}, in a chunk that opened at {opening:.3e}"
+                )
+            if cut:
+                # the renewal values err relative to the opening weight,
+                # far above this step's own: take them from the state
+                values[end] = value
+        if cut:
+            if overlaps is not None:
+                overlaps[end] = probes.conj() @ psi
+            depleted = weight < DEPLETION_FLOOR
         done += m
 
     count = done + 1 - depleted
@@ -968,8 +1009,8 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
         survival=survival,
         q=q,
         overlaps=overlaps,
-        string_steps=np.concatenate(s_steps) if want_string else None,
-        string=np.concatenate(s_vals) if want_string else None,
+        string_steps=steps[::every] if every else None,
+        string=string[:count:every] / survival[::every] if every else None,
         depleted=depleted,
     )
 

@@ -83,7 +83,8 @@ def charge_picture(setup):
     weight = np.abs(setup.removal_eig) ** 2
     angles = []
     weights = []
-    for members in _cluster_angles(phase_angles, setup.phase_tol):
+    order, starts, _ = _cluster_angles(phase_angles, setup.phase_tol)
+    for members in np.split(order, starts[1:]):
         rep = phase_angles[members[0]]
         angles.append((-rep) % (2.0 * math.pi))
         weights.append(float(np.sum(weight[members])))

@@ -373,6 +373,26 @@ def dark_complement(phases, removal, tol=1e-9):
     return np.reshape(np.transpose(cols), (dim, len(cols))), np.array(values)
 
 
+def cluster_angles_loop(angles, tol):
+    """Sorted angles clustered one gap at a time, with wrap-around.
+
+    A gap below tol joins an angle to the cluster before it; when the
+    gap across pi is below tol too, the last cluster is put in front of
+    the first.  Returns the clusters as arrays of indices into angles.
+    """
+    order = np.argsort(angles, kind="stable")
+    ordered = angles[order]
+    clusters = [[0]]
+    for i in range(1, ordered.size):
+        if ordered[i] - ordered[i - 1] < tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    if len(clusters) > 1 and ordered[0] + 2.0 * math.pi - ordered[-1] < tol:
+        clusters[0] = clusters.pop() + clusters[0]
+    return [order[c] for c in clusters]
+
+
 def long_time_state(phases, removal, psi0, n):
     """Normalized late-time state predicted from the dark subspace alone.
 

@@ -2,10 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkfilter import experiments, filtration
 from darkfilter.basis import (BasisEncoding, magnetization_of,
@@ -43,6 +46,7 @@ from darkfilter.spin_model import (
 from helpers import (
     SZ,
     block_eigenvectors,
+    cluster_angles_loop,
     dark_complement,
     dense_filtration_matrix,
     dense_hamiltonian,
@@ -453,6 +457,26 @@ def test_dark_projection_matches_explicit_subspace(engine_tau):
     assert abs(weight - float(np.sum(np.abs(dark.overlaps(psi)) ** 2))) < 1e-12
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(
+    st.sampled_from([-math.pi, -1.0, 0.0, 0.5, 2.0, math.pi]),
+    st.integers(-2, 2)), min_size=1, max_size=12))
+def test_cluster_angles_matches_the_gap_loop(points):
+    # offsets of 4e-10 chain into clusters below PHASE_TOL = 1e-9, and
+    # the points at -pi and pi into one cluster across the cut
+    angles = np.clip([c + 4e-10 * k for c, k in points], -math.pi, math.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        order, starts, label = filtration._cluster_angles(
+            angles, filtration.PHASE_TOL)
+    clusters = np.split(order, starts[1:])
+    oracle = cluster_angles_loop(angles, filtration.PHASE_TOL)
+    assert len(clusters) == len(oracle)
+    for k, (got, want) in enumerate(zip(clusters, oracle)):
+        assert np.array_equal(got, want)
+        assert np.all(label[got] == k)
+
+
 def test_dark_projection_rejects_wrong_shape():
     setup, _ = reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.2)
     with pytest.raises(ValidationError):
@@ -476,7 +500,7 @@ def test_dark_states_zero_overlap_group_is_fully_dark():
 def test_run_filtration_chunking_is_invisible():
     """Restarting mid-chunk moves every chunk boundary, not the trajectory."""
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.4)
-    length = filtration.chunk_length(setup.dimension, True)
+    length = filtration.chunk_length(setup.dimension)
     n, shift = 3 * length + 7, 5                  # shift is not a boundary
     a, states = _states(setup, psi0, n, string_every=1)
     b = run_filtration(setup, states[shift] / np.linalg.norm(states[shift]),

@@ -223,6 +223,27 @@ def test_cli_import_loads_no_further_modules():
     assert out[1] == "False"
 
 
+NO_MASKED_SCRIPT = """
+import math, sys
+from darkfilter.filtration import full_setup, run_filtration
+from darkfilter.spin_model import ChainParams
+setup, psi0 = full_setup(ChainParams(L=4, J2=0.02), math.pi / 4, 0.3)
+loaded = "numpy.ma" in sys.modules
+run_filtration(setup, psi0, 100, string_every=1)
+print(loaded, "numpy.ma" in sys.modules)
+"""
+
+
+def test_full_engine_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 13 ms a process
+    src = os.path.dirname(os.path.dirname(darkfilter.__file__))
+    out = subprocess.run([sys.executable, "-c", NO_MASKED_SCRIPT],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout.split()
+    assert out == ["False", "False"]
+
+
 def test_write_metadata_sorted_and_plain(tmp_path):
     path = tmp_path / "m.json"
     write_metadata(path, {"b": np.float64(0.5), "a": np.int64(3),
@@ -471,22 +492,32 @@ def test_cli_metadata_reports_depletion(tmp_path):
     assert meta["tar2"]["depleted"] is False
 
 
-@pytest.mark.parametrize("theta0", [1e-8, 1e-9, 1e-10])
+@pytest.mark.parametrize("theta0", [1e-7, 1e-8, 1e-9, 1e-10])
 def test_cli_depleting_start_records_no_rounding_row(tmp_path, theta0):
     # at h tau = pi/2 the L = 3 tar2 start keeps a dark weight of about
-    # 0.75 theta0^2, below DEPLETION_FLOOR: step 1 holds rounding noise,
-    # whose normalized fidelity left [0, 1] (exit 2) when it was recorded
+    # 0.75 theta0^2.  Below DEPLETION_FLOOR step 1 holds rounding noise,
+    # whose normalized fidelity left [0, 1] (exit 2) when it was recorded.
+    # Above it (theta0 = 1e-7) step 1 cuts its chunk, and its overlaps,
+    # once taken from the renewal formula, gave a fidelity above 1 (exit 2)
     cfg = _write(tmp_path, "c.json",
                  {"L": 3, "target": "tar2", "theta0": theta0,
                   "h_tau": [1, 2], "n_steps": 50})
     assert main(["filter-run", "--config", cfg,
                  "--out", str(tmp_path / "d"), "--quiet"]) == 0
+    depleted = 0.75 * theta0**2 < DEPLETION_FLOOR
     assert json.load(open(tmp_path / "d" / "metadata.json"))["depleted"] \
-        is True
+        is depleted
     data = np.genfromtxt(tmp_path / "d" / "trajectory.csv", delimiter=",",
                          names=True, ndmin=1)
     assert np.all(data["survival"] >= DEPLETION_FLOOR)
-    assert np.all((data["q_n"] >= 0.0) & (data["q_n"] <= 1.0))
+    if depleted:
+        assert np.all((data["q_n"] >= 0.0) & (data["q_n"] <= 1.0))
+    else:
+        # only the dark target, a cat with string +-1, survives step 1
+        assert data.size == 51
+        assert np.max(np.abs(data["q_n"][1:] - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.abs(data["string_re"][1:]) - 1.0)) <= 1e-12
+        assert np.max(np.abs(data["string_im"])) <= 1e-12
 
 
 def test_cli_dark_states(tmp_path):

@@ -73,16 +73,22 @@ def _fidelity(target, overlaps, survival, gram):
 
 def test_survival_is_squared_norm_and_monotone():
     psi, phases, removal = _random_problem(32, 11)
-    kernel = RenewalKernel(phases, removal, np.zeros((0, 32)), 64)
+    # a signed involution: pairs (i, 31 - i), sign shared within a pair
+    pos = np.arange(32)[::-1]
+    sign = np.where(np.minimum(pos, np.arange(32)) % 3 == 0, -1.0, 1.0)
+    kernel = RenewalKernel(phases, removal, np.zeros((0, 32)), 64,
+                           (pos, sign))
     c = kernel.tables @ psi
-    rows = kernel.rows(psi, c, 64).copy()
+    rows = np.array([kernel.advance(psi, c, j) for j in range(1, 65)])
     survival = 1.0 - np.cumsum(np.abs(c) ** 2)
     norms = np.linalg.norm(rows, axis=1) ** 2
     assert np.max(np.abs(norms - survival)) < 1e-12
     assert np.all(np.diff(survival) <= 0.0)
     # every formed state is orthogonal to the removal direction
     assert np.max(np.abs(rows @ removal.conj())) < 1e-12
-    assert np.max(np.abs(kernel.advance(psi, c, 64) - rows[-1])) < 1e-14
+    # the flip-group strings are those of the formed states
+    formed = np.einsum("ji,ji->j", (sign * rows[:, pos]).conj(), rows)
+    assert np.max(np.abs(kernel.strings(psi, c) - formed)) < 1e-12
     # with the unit vectors as target components, overlaps[n] is F^n psi
     units = filtration.RotatingTarget(list(np.eye(32)), np.ones(32),
                                       np.zeros(32))
@@ -154,7 +160,7 @@ def _generic_case():
                          ids=["tower", "full-noisy", "generic"])
 def test_kernel_matches_explicit_stepping(build):
     setup, initial, target, every = build()
-    length = chunk_length(setup.dimension, bool(every))
+    length = chunk_length(setup.dimension)
     n_steps = 5 * length + length // 2 + 1          # ends inside a chunk
     traj = run_filtration(setup, initial, n_steps, target=target,
                           string_every=every)
@@ -196,6 +202,35 @@ def test_kernel_property_random_problems(dim, seed, n_steps):
     assert np.max(np.abs(traj.overlaps - overlaps[:count])) <= OBSERVABLE_ATOL
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(L=st.integers(3, 5), J2=st.floats(-0.1, 0.1),
+       theta0=st.one_of(st.floats(0.0, 2.0 * math.pi),
+                        st.sampled_from([1e-7, 1e-3])),
+       h_tau=st.integers(2, 8).flatmap(
+           lambda q: st.tuples(st.integers(1, q - 1), st.just(q))),
+       lam=st.sampled_from([0.0, 0.3, 1.0]), every=st.integers(1, 5),
+       n_steps=st.integers(0, 300))
+def test_rowless_strings_match_explicit_stepping(L, J2, theta0, h_tau, lam,
+                                                 every, n_steps):
+    # a start near theta0 = 0 loses most of its weight in the first steps,
+    # which ends chunks early; n_steps mostly ends a run inside a chunk
+    spec = ExperimentSpec(
+        name="rowless", params=ChainParams(L=L, J2=J2), theta0=theta0,
+        h_tau=h_tau, n_steps=0, engine="full",
+        perturbations=Perturbations(lam=lam, seed=7) if lam
+        else Perturbations())
+    setup, initial = build_setup(spec)
+    traj = run_filtration(setup, initial, n_steps, string_every=every)
+    string = explicit_stepping(setup.phases, setup.removal_eig,
+                               setup.to_eigen(initial), n_steps,
+                               flip=(setup.flip_pos, setup.flip_sign))[2]
+    count = traj.steps.size
+    assert count == n_steps + 1 or traj.depleted
+    assert np.array_equal(traj.string_steps, np.arange(0, count, every))
+    assert np.max(np.abs(traj.string - string[:count:every])) \
+        <= OBSERVABLE_ATOL
+
+
 def test_renewal_and_stepping_track_extended_precision():
     L, theta0, n_steps = 6, 0.4, 400
     setup, initial = reduced_setup(ChainParams(L=L), math.pi / L, theta0)
@@ -220,3 +255,19 @@ def test_corrupted_kernel_table_exits_2(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"L": 6, "target": "tar1", "n_steps": 200}))
     assert main(["filter-run", "--config", str(cfg),
                  "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+def test_corrupted_string_table_exits_2(tmp_path, monkeypatch, capsys):
+    """The flip-group string check at each chunk end catches a bad table."""
+    build = RenewalKernel.__init__
+
+    def corrupted(self, *args):
+        build(self, *args)
+        self.gram_lower[0] += 1e-6
+
+    monkeypatch.setattr(RenewalKernel, "__init__", corrupted)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"L": 6, "target": "tar1", "n_steps": 200}))
+    assert main(["filter-run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "flip-group string drifted" in capsys.readouterr().err
