@@ -24,8 +24,8 @@ from .config import parse_config, scan_options, sweep_options, table1_options
 from .errors import NumericsError, ValidationError
 from .experiments import (ExperimentSpec, GoeBlock, Perturbations,
                           build_setup, dark_labels, document_of, goe_demo,
-                          perturbation_study, run_tar1, run_tar2,
-                          sweep_n_epsilon, table1_scan, zeta_vs_L_scan)
+                          perturbation_study, run_target, sweep_n_epsilon,
+                          table1_scan, zeta_vs_L_scan)
 from .filtration import dark_subspace
 from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
                      write_metadata)
@@ -123,8 +123,7 @@ def _cmd_tower_check(cli, doc):
 
 def _cmd_filter_run(cli, doc):
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
-    runner = run_tar1 if spec.target == "tar1" else run_tar2
-    art = runner(spec, cli.out_dir)
+    art = run_target(spec, cli.out_dir)
     meta = art.metadata
     _say(cli, f"{spec.target}: n_eps={meta['n_eps']} "
               f"q_final={meta['q_final']:.6f}")

@@ -1,9 +1,10 @@
 """JSON experiment-document parsing with strict key validation.
 
-A document is a flat JSON object; unknown keys are rejected by name so
-typos never silently fall back to defaults.  h*tau is written as the
-integer pair [p, q] meaning pi*p/q, which keeps resonances exact: the
-document_of echo of a spec parses back to the same spec.
+A document is a flat JSON object.  Each subcommand reads the keys KEYS
+lists for it, and any other key is rejected by name, so neither a typo
+nor a key the subcommand would ignore passes silently.  h*tau is written
+as the integer pair [p, q] meaning pi*p/q, which keeps resonances exact:
+the document_of echo of a spec parses back to the same spec.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import json
 import math
 
 from .errors import ValidationError
-from .experiments import (TABLE1_THETA0, ExperimentSpec, GoeBlock,
-                          Perturbations, orthogonality_angle, tar1_resonance,
-                          tar2_resonance, tar2_optimal_angle)
+from .experiments import (TABLE1_THETA0, TARGETS, ExperimentSpec, GoeBlock,
+                          Perturbations, tar1_resonance)
 from .spin_model import ChainParams
 
 # protocol defaults: J = 1 sets the unit of energy, D = 0.1 the
@@ -22,23 +22,33 @@ from .spin_model import ChainParams
 DEFAULTS = {"J": 1.0, "h": 1.0, "D": 0.1, "J2": 0.0, "J3": 0.0,
             "eps": 0.01, "n_steps": 5000}
 
-TOP_KEYS = {
-    "name", "target", "L", "J", "h", "D", "J2", "J3", "theta0", "h_tau",
-    "n_steps", "eps", "engine", "perturbations", "goe", "L_values",
-    "theta0_rule", "variant",
-}
-PERT_KEYS = {"lambda", "seed"}
-GOE_KEYS = {"D_goe", "seed"}
+CHAIN_KEYS = ("L", "J", "h", "D", "J2", "J3")
+RUN_KEYS = ("name", "target", *CHAIN_KEYS, "theta0", "h_tau", "engine",
+            "perturbations")
 
-# the table1 census reads only its initial-state angle
-TABLE1_KEYS = {"theta0"}
+# subcommand -> (the keys it reads, the keys it requires)
+KEYS = {
+    "tower-check": (("name", *CHAIN_KEYS), ("L",)),
+    "filter-run": ((*RUN_KEYS, "n_steps", "eps"), ("L", "target")),
+    "dark-states": (RUN_KEYS, ("L",)),
+    "bright-spectrum": (("name", "target", *CHAIN_KEYS, "h_tau", "engine"),
+                        ("L",)),
+    "scaling-sweep": (("L_values", "variant", "theta0_rule", "eps"),
+                      ("L_values", "variant")),
+    "table1": (("theta0",), ()),
+    "perturb": (("name", *CHAIN_KEYS, "n_steps", "perturbations"), ("L",)),
+    "goe-demo": (("goe", "n_steps"), ()),
+    "zeta-scan": (("L_values",), ()),
+}
+PERT_KEYS = ("lambda", "seed")
+GOE_KEYS = ("D_goe", "seed")
 
 
 def _reject_unknown(doc, allowed, where):
-    extra = sorted(set(doc) - allowed)
+    extra = sorted(set(doc) - set(allowed))
     if extra:
         raise ValidationError(
-            f"unknown key{'s' if len(extra) > 1 else ''} in {where}: "
+            f"unknown key{'s' if len(extra) > 1 else ''} for {where}: "
             + ", ".join(repr(k) for k in extra)
         )
 
@@ -63,7 +73,8 @@ def _finite(doc, key, default):
     return val
 
 
-def _load(document):
+def _load(document, subcommand):
+    """The document as a dict, checked against the KEYS of subcommand."""
     if isinstance(document, str):
         try:
             document = json.loads(document)
@@ -71,6 +82,11 @@ def _load(document):
             raise ValidationError(f"malformed JSON document: {exc}") from None
     if not isinstance(document, dict):
         raise ValidationError("document must be a JSON object")
+    allowed, required = KEYS[subcommand]
+    _reject_unknown(document, allowed, subcommand)
+    missing = [key for key in required if key not in document]
+    if missing:
+        raise ValidationError("missing required keys: " + ", ".join(missing))
     return dict(document)
 
 
@@ -83,7 +99,7 @@ def _L_values(doc):
     return list(values)
 
 
-def _resolve_htau(doc, target, L, required=True):
+def _resolve_htau(doc, target, L, required):
     if "h_tau" in doc:
         pair = doc["h_tau"]
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
@@ -96,26 +112,21 @@ def _resolve_htau(doc, target, L, required=True):
         if p <= 0 or q <= 0:
             raise ValidationError("h_tau integers must be positive")
         return p, q
-    if target == "tar1":
-        return tar1_resonance(L)
-    if target == "tar2":
-        return tar2_resonance(L)
-    if not required:
-        # study drivers pick their own per-target resonances
-        return tar1_resonance(L)
-    raise ValidationError(
-        "h_tau is required when no target fixes the resonance"
-    )
+    if target is not None:
+        return TARGETS[target].resonance(L)
+    if required:
+        raise ValidationError(
+            "h_tau is required when no target fixes the resonance"
+        )
+    # a subcommand that reads no resonance echoes this one; the study
+    # drivers pick their own per target
+    return tar1_resonance(L)
 
 
 def _resolve_theta0(doc, target, L):
     if "theta0" in doc:
         return _finite(doc, "theta0", None)
-    if target == "tar1":
-        return orthogonality_angle(L)
-    if target == "tar2":
-        return tar2_optimal_angle(L)
-    return 0.0
+    return 0.0 if target is None else TARGETS[target].angle(L)
 
 
 def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
@@ -124,23 +135,9 @@ def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
     Defaults fill in the fixed physical choices; the target, when given,
     derives the resonance h*tau and the initial-state angle theta0.
     """
-    doc = _load(document)
-    _reject_unknown(doc, TOP_KEYS, "document")
-    needs_chain = subcommand not in ("goe-demo",)
-    required = []
-    if needs_chain and "L" not in doc:
-        required.append("L")
-    if subcommand == "filter-run" and "target" not in doc:
-        required.append("target")
-    if subcommand == "scaling-sweep":
-        for key in ("L_values", "variant"):
-            if key not in doc:
-                required.append(key)
-    if required:
-        raise ValidationError("missing required keys: " + ", ".join(required))
-
+    doc = _load(document, subcommand)
     target = doc.get("target")
-    if target is not None and target not in ("tar1", "tar2"):
+    if target is not None and target not in TARGETS:
         raise ValidationError(f"unknown target {target!r}")
 
     L = _number(doc, "L", default=4, integer=True)
@@ -165,7 +162,7 @@ def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
         )
 
     goe = None
-    if "goe" in doc or subcommand == "goe-demo":
+    if subcommand == "goe-demo":
         sub = doc.get("goe", {})
         if not isinstance(sub, dict):
             raise ValidationError("goe must be an object")
@@ -181,9 +178,8 @@ def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
     if engine not in ("tower", "full"):
         raise ValidationError(f"unknown engine {engine!r}")
 
-    needs_htau = subcommand in ("filter-run", "dark-states",
-                                "bright-spectrum")
-    h_tau = _resolve_htau(doc, target, L, required=needs_htau)
+    # a subcommand that reads h_tau needs a resonance
+    h_tau = _resolve_htau(doc, target, L, "h_tau" in KEYS[subcommand][0])
     theta0 = _resolve_theta0(doc, target, L)
     name = doc.get("name", subcommand)
     if not isinstance(name, str) or not name:
@@ -205,10 +201,7 @@ def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
 
 def sweep_options(document):
     """List-style options for the scaling sweep subcommand."""
-    doc = _load(document)
-    _reject_unknown(doc, TOP_KEYS, "document")
-    if "L_values" not in doc or "variant" not in doc:
-        raise ValidationError("missing required keys: L_values, variant")
+    doc = _load(document, "scaling-sweep")
     values = _L_values(doc)
     variant = doc["variant"]
     if variant not in ("tar1-general", "tar1-orthogonal", "tar2"):
@@ -223,8 +216,7 @@ def sweep_options(document):
 
 def scan_options(document):
     """Optional L_values override for the dominant-eigenvalue scan."""
-    doc = _load(document)
-    _reject_unknown(doc, TOP_KEYS, "document")
+    doc = _load(document, "zeta-scan")
     if "L_values" in doc:
         return _L_values(doc)
     return list(range(4, 17))
@@ -232,6 +224,5 @@ def scan_options(document):
 
 def table1_options(document):
     """Initial-state angle theta0 of the table1 census."""
-    doc = _load(document)
-    _reject_unknown(doc, TABLE1_KEYS, "table1 document")
+    doc = _load(document, "table1")
     return _finite(doc, "theta0", TABLE1_THETA0)

@@ -2,7 +2,10 @@
 
 Each driver consumes an ExperimentSpec (or a few plain arguments),
 runs the protocol, and writes CSV artifacts plus a JSON metadata
-sidecar into an output directory.  Re-running with the same spec and
+sidecar into an output directory.  A target superposition is declared
+once, in TARGETS: its resonance, default angle, components and
+rotation.  run_target prepares the target a spec names, and
+perturbation_study and the scaling sweep read the same table.  Re-running with the same spec and
 seed reproduces the CSV bodies byte for byte; the sidecar additionally
 records wall time, code version, and the RNG family, so only the data
 files are expected to compare equal.
@@ -18,6 +21,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +38,8 @@ from .spectral import (bright_secular_roots, charge_picture,
 from .spin_model import ChainParams, StateVector, build_tower, protocol_states
 
 RNG_FAMILY = "philox"
-# tolerance to which run_tar2 checks the string-oscillation law
+# tolerance to which run_target checks the string-oscillation law of a
+# rotating target
 STRING_LAW_TOL = 0.01
 # largest chain length at which scaling sweeps are certified (see
 # sweep_n_epsilon)
@@ -136,7 +141,7 @@ class ExperimentSpec:
             raise ValidationError("eps must lie in (0, 1)")
         if self.engine not in ("tower", "full"):
             raise ValidationError(f"unknown engine {self.engine!r}")
-        if self.target not in (None, "tar1", "tar2"):
+        if self.target is not None and self.target not in TARGETS:
             raise ValidationError(f"unknown target {self.target!r}")
         if self.engine == "tower" and (self.params.J2 != 0.0
                                        or self.perturbations.lam != 0.0):
@@ -256,6 +261,30 @@ def tar2_components(L):
     return [phi1, phi2]
 
 
+class TargetRule(NamedTuple):
+    """How the protocol fixes one target superposition at chain length L."""
+
+    resonance: Callable    # L -> (p, q), the resonance h tau = pi p/q
+    angle: Callable        # L -> default initial-state angle theta0
+    components: Callable   # L -> component vectors in tower coordinates
+    weights: Callable      # theta0 -> component weights
+    turns: tuple           # per-step phase of each component, in h tau
+
+    @property
+    def rotating(self):
+        return any(self.turns)
+
+
+# the static GHZ cat, and the cat whose two components beat at 2 h tau
+TARGETS = {
+    "tar1": TargetRule(tar1_resonance, orthogonality_angle, tar1_components,
+                       lambda theta0: np.ones(1), (0.0,)),
+    "tar2": TargetRule(tar2_resonance, tar2_optimal_angle, tar2_components,
+                       lambda theta0: np.array([np.exp(1j * theta0), -1.0])
+                       / math.sqrt(2), (0.0, 2.0)),
+}
+
+
 def _embed_components(setup, components):
     """Tower-coordinate targets lifted to the engine's state basis."""
     if setup.engine == "tower":
@@ -264,19 +293,15 @@ def _embed_components(setup, components):
     return [tower.states.T @ np.asarray(c) for c in components]
 
 
-def make_target(setup, which, theta0=None):
-    """Static GHZ target (tar1) or rotating two-component target (tar2)."""
-    L = setup.params.L
-    theta0 = setup.theta0 if theta0 is None else theta0
-    if which == "tar1":
-        comps = _embed_components(setup, tar1_components(L))
-        return RotatingTarget.static(comps[0])
-    if which == "tar2":
-        comps = _embed_components(setup, tar2_components(L))
-        weights = np.array([np.exp(1j * theta0), -1.0]) / math.sqrt(2)
-        angles = np.array([0.0, 2.0 * setup.params.h * setup.tau])
-        return RotatingTarget(components=comps, weights=weights, angles=angles)
-    raise ValidationError(f"unknown target {which!r}")
+def make_target(setup, which):
+    """The target `which` of TARGETS at the setup's theta0 and period."""
+    if which not in TARGETS:
+        raise ValidationError(f"unknown target {which!r}")
+    rule = TARGETS[which]
+    return RotatingTarget(
+        components=_embed_components(setup, rule.components(setup.params.L)),
+        weights=rule.weights(setup.theta0),
+        angles=np.array(rule.turns) * setup.params.h * setup.tau)
 
 
 def _check_target_reachable(setup, initial, target):
@@ -299,54 +324,12 @@ def _check_target_reachable(setup, initial, target):
 
 
 def _trajectory_columns(traj):
-    """Columns of the trajectory schema; unsampled string cells are blank."""
-    string_re = string_im = None
-    if traj.string_steps is not None:
-        if np.array_equal(traj.string_steps, traj.steps):
-            string_re, string_im = traj.string.real, traj.string.imag
-        else:
-            string_re = np.full(traj.steps.size, None)
-            string_im = np.full(traj.steps.size, None)
-            string_re[traj.string_steps] = traj.string.real.tolist()
-            string_im[traj.string_steps] = traj.string.imag.tolist()
-    return [traj.steps, traj.survival, traj.q, string_re, string_im]
-
-
-def _require_htau(spec, expected, label):
-    p, q = spec.h_tau
-    g = math.gcd(p, q)
-    if (p // g, q // g) != expected:
-        raise ValidationError(
-            f"{label} requires h*tau = pi*{expected[0]}/{expected[1]}, "
-            f"got pi*{p}/{q}"
-        )
-
-
-def run_tar1(spec: ExperimentSpec, out_dir) -> RunArtifacts:
-    """GHZ preparation run: trajectory CSV plus the extracted n_eps."""
-    t0 = time.time()
-    _require_htau(spec, (1, spec.params.L), "tar1")
-    ensure_dir(out_dir)
-    setup, initial = build_setup(spec)
-    target = make_target(setup, "tar1")
-    _check_target_reachable(setup, initial, target)
-    traj = run_filtration(setup, initial, spec.n_steps, target=target,
-                          string_every=1)
-    ft = filtration_time(traj, spec.eps)
-    path = emit_csv(os.path.join(out_dir, "trajectory.csv"),
-                    SCHEMAS["trajectory"], _trajectory_columns(traj))
-    extra = {
-        "target": "tar1",
-        "engine": setup.engine,
-        "backend": BACKEND,
-        "n_eps": ft.n_eps,
-        "reached": ft.reached,
-        "q_final": float(traj.q[-1]),
-        "max_q": ft.max_q,
-        "depleted": traj.depleted,
-    }
-    return _finish(out_dir, "run_tar1", document_of(spec),
-                   {"trajectory": path}, extra, t0)
+    """Columns of the trajectory schema; string cells are blank without a
+    spin flip."""
+    if traj.string is None:
+        return [traj.steps, traj.survival, traj.q, None, None]
+    return [traj.steps, traj.survival, traj.q, traj.string.real,
+            traj.string.imag]
 
 
 def string_check_start(traj, tol):
@@ -373,11 +356,10 @@ def string_law_deviation(traj, theta0, h_tau_value, L, n_min):
     """
     if traj.string is None:
         raise ValidationError("trajectory carries no string expectation")
-    steps = traj.string_steps
-    sel = steps >= n_min
+    sel = traj.steps >= n_min
     if not np.any(sel):
         raise ValidationError(f"no string samples at n >= {n_min}")
-    n = steps[sel]
+    n = traj.steps[sel]
     vals = traj.string[sel]
     law = np.cos(theta0 + 2.0 * n * h_tau_value)
     signed = string_parity_sign(L) * (-1.0) ** L * law
@@ -386,25 +368,33 @@ def string_law_deviation(traj, theta0, h_tau_value, L, n_min):
     return dev_abs, dev_signed
 
 
-def run_tar2(spec: ExperimentSpec, out_dir) -> RunArtifacts:
-    """Rotating cat-state run; verifies the string-oscillation law.
+def run_target(spec: ExperimentSpec, out_dir) -> RunArtifacts:
+    """Preparation run of spec.target: trajectory CSV plus the extracted n_eps.
 
-    The law is checked from the step on which the run's own fidelity
-    certifies it to STRING_LAW_TOL (see string_check_start); a run that
-    never gets there records no string_* entries.
+    A rotating target also has its string-oscillation law checked, from
+    the step on which the run's own fidelity certifies it to
+    STRING_LAW_TOL (see string_check_start); a run that never gets there
+    records no string_* entries.
     """
     t0 = time.time()
-    L = spec.params.L
-    _require_htau(spec, (1, L - 1), "tar2")
+    if spec.target is None:
+        raise ValidationError("a preparation run needs a target")
+    rule = TARGETS[spec.target]
+    p, q = spec.h_tau
+    g, want = math.gcd(p, q), rule.resonance(spec.params.L)
+    if (p // g, q // g) != want:
+        raise ValidationError(
+            f"{spec.target} requires h*tau = pi*{want[0]}/{want[1]}, "
+            f"got pi*{p}/{q}"
+        )
     ensure_dir(out_dir)
     setup, initial = build_setup(spec)
-    target = make_target(setup, "tar2")
+    target = make_target(setup, spec.target)
     _check_target_reachable(setup, initial, target)
-    traj = run_filtration(setup, initial, spec.n_steps, target=target,
-                          string_every=1)
+    traj = run_filtration(setup, initial, spec.n_steps, target=target)
     ft = filtration_time(traj, spec.eps)
     extra = {
-        "target": "tar2",
+        "target": spec.target,
         "engine": setup.engine,
         "backend": BACKEND,
         "n_eps": ft.n_eps,
@@ -413,26 +403,26 @@ def run_tar2(spec: ExperimentSpec, out_dir) -> RunArtifacts:
         "max_q": ft.max_q,
         "depleted": traj.depleted,
     }
-    string_check_from = string_check_start(traj, STRING_LAW_TOL)
+    string_check_from = (string_check_start(traj, STRING_LAW_TOL)
+                         if rule.rotating else None)
     if string_check_from is not None:
         dev_abs, dev_signed = string_law_deviation(
-            traj, spec.theta0, spec.h_tau_value, L, n_min=string_check_from
+            traj, spec.theta0, spec.h_tau_value, spec.params.L,
+            n_min=string_check_from
         )
         extra["string_dev_abs"] = dev_abs
         extra["string_dev_signed"] = dev_signed
         extra["string_check_from"] = string_check_from
     path = emit_csv(os.path.join(out_dir, "trajectory.csv"),
                     SCHEMAS["trajectory"], _trajectory_columns(traj))
-    return _finish(out_dir, "run_tar2", document_of(spec),
+    return _finish(out_dir, f"run_{spec.target}", document_of(spec),
                    {"trajectory": path}, extra, t0)
 
 
 def _sweep_case(L, variant, theta0, eps):
     """One point of the filtration-time sweep, tower engine."""
-    if variant == "tar2":
-        h_tau, which = tar2_resonance(L), "tar2"
-    else:
-        h_tau, which = tar1_resonance(L), "tar1"
+    which = variant.split("-")[0]          # a variant names its target first
+    h_tau = TARGETS[which].resonance(L)
     spec = ExperimentSpec(name=f"sweep-L{L}", params=ChainParams(L=L),
                           theta0=theta0, h_tau=h_tau, n_steps=0, eps=eps)
     setup, initial = build_setup(spec)
@@ -615,60 +605,55 @@ def detect_plateau(q):
     return start, end, height
 
 
-def perturbation_study(spec: ExperimentSpec, out_dir,
-                       string_every=1) -> RunArtifacts:
+def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
     """Metastability under tower-breaking coupling and removal noise.
 
-    Runs both targets with the spec's couplings and noise: tar1 at its
-    own resonance and orthogonality angle, tar2 at its resonance and
-    optimal angle, on one build and diagonalization of H.  Verifies that
-    the edge tower states stay exact eigenstates of the perturbed chain
-    (their residuals read in that eigenbasis), that the GHZ target stays
-    inside the dark manifold, and records the plateau of the unstable
-    target.
+    Runs every target of TARGETS with the spec's couplings and noise,
+    each at its own resonance and initial-state angle, on one build and
+    diagonalization of H.  Verifies that the edge tower states stay
+    exact eigenstates of the perturbed chain (their residuals read in
+    that eigenbasis), that the static GHZ target stays inside the dark
+    manifold, and records the plateau of the unstable rotating target.
     """
     t0 = time.time()
     params = spec.params
-    if params.L > 10:
+    L = params.L
+    if L > 10:
         raise ValidationError("full engine capped at L = 10")
     ensure_dir(out_dir)
-    tower = build_tower(ChainParams(L=params.L))
-    edge_residuals = {}
+    # H and the removal state depend on neither tau nor theta0: one
+    # eigenbasis serves every leg, retuned to its own phases
+    engine, _ = build_setup(replace(spec, engine="full"))
+    tower = build_tower(ChainParams(L=L))
+    # |(H - E_n) B_n| in the eigenbasis of H, where H is diagonal
+    edge_residuals = {
+        f"B{n}": float(np.linalg.norm(
+            (engine.energies - params.tower_energy(n))
+            * engine.to_eigen(tower.state(n))))
+        for n in (0, L)
+    }
     files = {}
     extra = {"edge_residuals": edge_residuals,
              "lam": spec.perturbations.lam,
              "noise_seed": spec.perturbations.seed}
-    setup = None
-    for which in ("tar1", "tar2"):
-        L = params.L
-        h_tau = tar1_resonance(L) if which == "tar1" else tar2_resonance(L)
-        theta0 = (orthogonality_angle(L) if which == "tar1"
-                  else tar2_optimal_angle(L))
-        leg = replace(spec, name=f"{spec.name}-{which}", engine="full",
-                      target=which, theta0=theta0, h_tau=h_tau)
-        if setup is None:
-            setup, initial = build_setup(leg)
-            # |(H - E_n) B_n| in the eigenbasis of H, where H is diagonal
-            for n in (0, L):
-                coords = setup.to_eigen(tower.state(n))
-                edge_residuals[f"B{n}"] = float(np.linalg.norm(
-                    (setup.energies - params.tower_energy(n)) * coords))
-        else:
-            # H and the removal state depend on neither tau nor theta0:
-            # the tar1 eigenbasis serves the tar2 leg as well
-            setup = setup.retuned(leg.tau, theta0)
-            initial = protocol_states(params, theta0)[1]
+    for which, rule in TARGETS.items():
+        (p, q), theta0 = rule.resonance(L), rule.angle(L)
+        setup = engine.retuned(math.pi * p / q / params.h, theta0)
+        initial = protocol_states(params, theta0)[1]
         target = make_target(setup, which)
-        traj = run_filtration(setup, initial, leg.n_steps, target=target,
-                              string_every=string_every)
+        traj = run_filtration(setup, initial, spec.n_steps, target=target)
         path = emit_csv(os.path.join(out_dir, f"trajectory_{which}.csv"),
                         SCHEMAS["trajectory"], _trajectory_columns(traj))
         files[f"trajectory_{which}"] = path
         info = {"q_final": float(traj.q[-1]),
                 "max_q": float(np.max(traj.q)),
-                "theta0": theta0, "h_tau": list(h_tau),
+                "theta0": theta0, "h_tau": [p, q],
                 "depleted": traj.depleted}
-        if which == "tar1":
+        if rule.rotating:
+            found = detect_plateau(traj.q)
+            info["plateau"] = None if found is None \
+                else dict(zip(("start", "exit", "height"), found))
+        else:
             # the GHZ target must sit inside the perturbed dark manifold
             tvec = setup.to_eigen(target.at(0))
             info["dark_residual"] = float(
@@ -678,14 +663,6 @@ def perturbation_study(spec: ExperimentSpec, out_dir,
                 np.linalg.norm(dark_projection(setup, setup.to_eigen(initial)))
                 ** 2
             )
-        else:
-            found = detect_plateau(traj.q)
-            if found is not None:
-                start, end, height = found
-                info["plateau"] = {"start": start, "exit": end,
-                                   "height": height}
-            else:
-                info["plateau"] = None
         extra[which] = info
     return _finish(out_dir, "perturbation_study", document_of(spec),
                    files, extra, t0)
@@ -745,8 +722,7 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None) -> RunArtifacts:
             f"{n_bound}"
         )
     target = RotatingTarget.static(setup.from_eigen(phi))
-    traj = run_filtration(setup, initial, n_steps, target=target,
-                          string_every=0)
+    traj = run_filtration(setup, initial, n_steps, target=target)
     tail = traj.survival[n_bound:]
     worst = float(np.max(np.abs(tail - expect)))
     if worst >= GOE_CONV_TOL:

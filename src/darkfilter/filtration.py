@@ -9,12 +9,16 @@ everything else is depleted exponentially.
 All engines iterate in the eigenbasis of H, where U is diagonal, through
 one chunked kernel (RenewalKernel): a chunk of B steps is a few
 matrix-vector products against tables fixed per run, O(B dim) in all,
-with no Python loop over its steps.  The string operator comes from the
-same chunk scalars, summed over the flip groups of coordinates, so a
-state is formed only at a chunk's end.  Three engines exist:
+with no Python loop over its steps.  On an engine with a spin flip the
+string operator is recorded on every step; it comes from the same chunk
+scalars, summed over the flip groups of coordinates, so a state is
+formed only at a chunk's end.  Every engine holds its eigenbasis as
+symmetry blocks (SectorEig), so states enter and leave it by one path.
+Three engines exist:
 
 * ``tower``   -- the (L+1)-dimensional bi-magnon ladder, H diagonal by
-  construction; valid only for J2 = 0.
+  construction, one block with identity eigenvectors; valid only for
+  J2 = 0.
 * ``full``    -- exact diagonalization of the full chain in blocks of
   magnetization and of the symmetry group {1, P, R'} (spin flip and
   twisted site reflection), with sector -M taken from sector M by the
@@ -110,14 +114,14 @@ class FiltrationSetup:
     # removal state in the eigenbasis, unit norm; an input-basis
     # StateVector is projected with to_eigen on construction
     removal_eig: np.ndarray | StateVector
+    # the blocks of H, in engine order; coordinates follow them
+    sector_eigs: list[SectorEig]
     params: ChainParams | None = None
     theta0: float | None = None
-    sector_eigs: list[SectorEig] | None = None
     # the spin flip prod X in the eigenbasis: it maps coordinate i to
     # flip_pos[i] with sign flip_sign[i]; None when no flip is defined
     flip_pos: np.ndarray | None = None
     flip_sign: np.ndarray | None = None
-    phase_tol: float = PHASE_TOL
 
     def __post_init__(self):
         self.energies = np.asarray(self.energies, dtype=float)
@@ -147,10 +151,6 @@ class FiltrationSetup:
         """Input-basis state (StateVector or array) -> eigenbasis coords."""
         vec = state.amplitudes if isinstance(state, StateVector) else state
         vec = np.asarray(vec, dtype=complex)
-        if self.engine == "tower":
-            if vec.shape != (self.dimension,):
-                raise ValidationError("state dimension does not match setup")
-            return vec.copy()
         if vec.shape != (self.basis.dimension,):
             raise ValidationError("state dimension does not match setup basis")
         out = np.empty(self.dimension, dtype=complex)
@@ -170,8 +170,6 @@ class FiltrationSetup:
     def from_eigen(self, coords):
         """Eigenbasis coords -> input-basis amplitude vector."""
         coords = np.asarray(coords, dtype=complex)
-        if self.engine == "tower":
-            return coords.copy()
         out = np.zeros(self.basis.dimension, dtype=complex)
         pos = 0
         for blk in self.sector_eigs:
@@ -195,8 +193,6 @@ class FiltrationSetup:
         of the kept coordinates.  Returns the engine and the kept
         coordinates as an index for engine arrays (a slice when all are).
         """
-        if self.sector_eigs is None:
-            return self, slice(None)
         sizes = [blk.energies.shape[0] for blk in self.sector_eigs]
         starts = np.cumsum([0] + sizes[:-1])
         weight = np.maximum(
@@ -248,8 +244,9 @@ def reduced_setup(params, tau, theta0):
     Needs no full-space vectors, so it scales far beyond the dense cap.
     The removal and initial states are the exact tower decompositions of
     the protocol product states, with binomial weights sqrt(C(L,n)/2^L).
-    The spin flip maps B_n to string_parity_sign(L) B_(L-n).
-    Returns (setup, initial state in the tower basis).
+    The spin flip maps B_n to string_parity_sign(L) B_(L-n).  The tower
+    basis is the eigenbasis, one block whose eigenvectors are the
+    identity.  Returns (setup, initial state in the tower basis).
     """
     if not isinstance(params, ChainParams):
         raise ValidationError("reduced_setup expects ChainParams")
@@ -268,6 +265,8 @@ def reduced_setup(params, tau, theta0):
         energies=energies,
         phases=np.exp(-1j * energies * tau),
         removal_eig=removal.astype(complex),
+        sector_eigs=[SectorEig(0, n[None, :], np.ones((1, L + 1)), energies,
+                               np.eye(L + 1))],
         params=params,
         theta0=theta0,
         flip_pos=n[::-1],
@@ -483,9 +482,9 @@ def full_setup(params, tau, theta0, removal=None):
         energies=energies,
         phases=np.exp(-1j * energies * tau),
         removal_eig=psi_r,
+        sector_eigs=blocks,
         params=params,
         theta0=theta0,
-        sector_eigs=blocks,
         flip_pos=flip_pos,
         flip_sign=flip_sign,
     )
@@ -575,13 +574,13 @@ def degeneracy_groups(setup):
     """Cluster the eigenphases of U(tau) into degenerate groups.
 
     The phases are diagonal in the engine frame, so a group is a set of
-    engine coordinates.  Clusters are gaps below setup.phase_tol.
+    engine coordinates.  Clusters are gaps below PHASE_TOL.
     """
     if not isinstance(setup, FiltrationSetup):
         raise ValidationError("expected a FiltrationSetup")
     values = setup.phases
     groups = []
-    order, starts, _ = _cluster_angles(np.angle(values), setup.phase_tol)
+    order, starts, _ = _cluster_angles(np.angle(values), PHASE_TOL)
     for members in np.split(order, starts[1:]):
         members = tuple(int(m) for m in np.sort(members))
         rep = values[members[0]]
@@ -690,7 +689,7 @@ def dark_projection(setup, vec):
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (setup.dimension,):
         raise ValidationError("dark projection expects engine-frame coordinates")
-    *_, label = _cluster_angles(np.angle(setup.phases), setup.phase_tol)
+    *_, label = _cluster_angles(np.angle(setup.phases), PHASE_TOL)
     removal = setup.removal_eig
     weight = np.bincount(label, weights=removal.real**2 + removal.imag**2)
     dot = removal.conj() * vec
@@ -739,14 +738,14 @@ class Trajectory:
 
     survival[n] is the squared norm of the unnormalized F^n psi0 (the
     probability of n consecutive non-detections); q[n] the fidelity to
-    the target; string values are sampled every string_every steps.
+    the target; string[n] the string operator's expectation, on every
+    step of an engine with a spin flip.
     """
 
     steps: np.ndarray
     survival: np.ndarray
     q: np.ndarray | None
     overlaps: np.ndarray | None          # (n+1, k) probe overlaps with F^n psi0
-    string_steps: np.ndarray | None
     string: np.ndarray | None
     depleted: bool
 
@@ -901,12 +900,25 @@ def _toeplitz(column):
     return np.where(lag >= 0, column[np.maximum(lag, 0)], 0.0)
 
 
-def run_filtration(setup, initial, n_steps, target=None, string_every=1):
+def _fidelity(coef, overlaps, gram, survival):
+    """Q_n = |<t_n|psi_n>|^2 / (<t_n|t_n> S_n) of a target on each row n.
+
+    The target t_n = sum_j coef[n, j] c_j has the Gram matrix gram over
+    its components c_j, overlaps[n, j] = <c_j|psi_n> holds the probe
+    overlaps of the unnormalized state and survival[n] = S_n its weight.
+    """
+    numer = np.abs(np.einsum("nj,nj->n", coef.conj(), overlaps)) ** 2
+    tnorm = np.einsum("nj,jk,nk->n", coef.conj(), gram, coef).real
+    return numer / (tnorm * survival)
+
+
+def run_filtration(setup, initial, n_steps, target=None):
     """Iterate the filtration operator and record observables.
 
-    The state is propagated unnormalized in the eigenbasis; survival and
-    probe overlaps are recorded at every step (including n=0), string
-    expectations at the requested stride.  Steps run in chunks through
+    The state is propagated unnormalized in the eigenbasis; survival,
+    probe overlaps and, on an engine with a spin flip, the string
+    expectation are recorded at every step (including n=0), and Q_n
+    follows from the overlaps (_fidelity).  Steps run in chunks through
     the RenewalKernel, on the blocks of the engine that the initial state
     or the removal reaches (FiltrationSetup.reached); target norms are
     taken over the whole engine.  At each chunk end the survival identity
@@ -932,8 +944,7 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
         gram = probes.conj() @ probes.T
     setup, keep = setup.reached(psi)
     psi, probes = psi[keep], probes[:, keep]
-    every = string_every if setup.flip_pos is not None and string_every \
-        and string_every > 0 else 0
+    flip = setup.flip_pos is not None
 
     total = n_steps + 1
     survival = np.empty(total)
@@ -942,13 +953,13 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
     if rot is not None:
         overlaps = np.empty((total, probes.shape[0]), dtype=complex)
         overlaps[0] = probes.conj() @ psi
-    if every:
+    if flip:
         string = np.empty(total, dtype=complex)     # normalized at the end
         string[0] = setup.string_rows(psi)
 
     kernel = RenewalKernel(
         setup.phases, setup.removal_eig, probes, chunk_length(setup.dimension),
-        (setup.flip_pos, setup.flip_sign) if every else None)
+        (setup.flip_pos, setup.flip_sign) if flip else None)
     B = kernel.length
     done = 0
     depleted = False
@@ -966,12 +977,12 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
         survival[lo:end + 1] = surv[:m]
         if overlaps is not None:
             overlaps[lo:end + 1] = out[B:].reshape(-1, B)[:, :m].T
-        if every:
+        if flip:
             string[lo:end + 1] = kernel.strings(psi, c)[:m]
         psi = kernel.advance(psi, c, m)
         opening, weight = weight, float(np.vdot(psi, psi).real)
         formed = [("survival identity", survival, weight)]
-        if every:
+        if flip:
             formed.append(("flip-group string", string, setup.string_rows(psi)))
         for name, values, value in formed:
             drift = abs(values[end] - value)
@@ -999,18 +1010,15 @@ def run_filtration(setup, initial, n_steps, target=None, string_every=1):
         coef = rot.weights[None, :] * np.exp(
             -1j * np.outer(steps, rot.angles)
         )
-        numer = np.abs(np.einsum("nj,nj->n", coef.conj(), overlaps)) ** 2
-        tnorm = np.einsum("nj,jk,nk->n", coef.conj(), gram, coef).real
         with np.errstate(divide="ignore", invalid="ignore"):
             # exact depletion gives 0/0, which Trajectory rejects
-            q = numer / (tnorm * survival)
+            q = _fidelity(coef, overlaps, gram, survival)
     return Trajectory(
         steps=steps,
         survival=survival,
         q=q,
         overlaps=overlaps,
-        string_steps=steps[::every] if every else None,
-        string=string[:count:every] / survival[::every] if every else None,
+        string=string[:count] / survival if flip else None,
         depleted=depleted,
     )
 
@@ -1061,9 +1069,10 @@ def jump_filtration_time(setup, initial, target, eps, h_tau):
     k until Q at n = 2^k reaches 1 - eps brackets the crossing in
     (2^(k-1), 2^k]; binary lifting from 2^(k-1) down to 1 then pins it.
     The state F^n psi0 is built from the powers F^(2^k) of the
-    (L+1)-dimensional filtration matrix, and Q_n is evaluated as
-    run_filtration does, with the phases of F and the rotation of the
-    target reduced modulo 2 pi from integers so they do not drift with n.
+    (L+1)-dimensional filtration matrix, and Q_n is evaluated by the
+    helper run_filtration uses (_fidelity), with the phases of F and the
+    rotation of the target reduced modulo 2 pi from integers so they do
+    not drift with n.
 
     The search is valid because the target lies in the dark subspace:
     its overlap modulus is conserved, so Q_n = Q_0 S_0 / S_n never
@@ -1083,7 +1092,7 @@ def jump_filtration_time(setup, initial, target, eps, h_tau):
     phases = _pi_phases(levels, q)
     drift = float(np.max(np.abs(setup.phases * setup.phases[0].conj()
                                 - phases)))
-    if drift > setup.phase_tol:
+    if drift > PHASE_TOL:
         raise ValidationError(
             f"setup phases are not at h*tau = pi*{p}/{q} (off by {drift:.2e})"
         )
@@ -1104,9 +1113,10 @@ def jump_filtration_time(setup, initial, target, eps, h_tau):
     def amplitude(n, psi):
         """(Q_n, Q_n S_n) of the unnormalised state psi = F^n psi0."""
         coef = rot.weights * _pi_phases([t * n for t in turns], q)
-        numer = abs(np.vdot(coef, probes.conj() @ psi)) ** 2
-        tnorm = float((coef.conj() @ gram @ coef).real)
-        return numer / (tnorm * float(np.vdot(psi, psi).real)), numer / tnorm
+        survival = float(np.vdot(psi, psi).real)
+        q_n = float(_fidelity(coef[None], (probes.conj() @ psi)[None], gram,
+                              survival)[0])
+        return q_n, q_n * survival
 
     q0, kept = amplitude(0, psi0)
     dark = dark_projection(setup, psi0)

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# PHASE_TOL is read from the module at call time, so a patched value
+# reaches the charge picture as well
+from darkfilter import filtration
 from darkfilter.errors import NumericsError, ValidationError
-from darkfilter.filtration import FiltrationSetup, _cluster_angles
 
 # Weights below this are structural zeros of the removal decomposition:
 # the group hosts dark directions only and exerts no force.
@@ -77,13 +79,14 @@ class ChargePicture:
 
 def charge_picture(setup):
     """Cluster the engine's eigenphases and sum removal weight per group."""
-    if not isinstance(setup, FiltrationSetup):
+    if not isinstance(setup, filtration.FiltrationSetup):
         raise ValidationError("charge_picture expects a FiltrationSetup")
     phase_angles = np.angle(setup.phases)
     weight = np.abs(setup.removal_eig) ** 2
     angles = []
     weights = []
-    order, starts, _ = _cluster_angles(phase_angles, setup.phase_tol)
+    order, starts, _ = filtration._cluster_angles(phase_angles,
+                                                  filtration.PHASE_TOL)
     for members in np.split(order, starts[1:]):
         rep = phase_angles[members[0]]
         angles.append((-rep) % (2.0 * math.pi))

@@ -32,8 +32,7 @@ from darkfilter.experiments import (
     goe_demo,
     orthogonality_angle,
     perturbation_study,
-    run_tar1,
-    run_tar2,
+    run_target,
     sweep_n_epsilon,
     table1_scan,
     tar2_optimal_angle,
@@ -154,9 +153,9 @@ def cat_l14(tmp_path_factory):
     L = 14
     spec = ExperimentSpec(name="acceptance-cat", params=ChainParams(L=L),
                           theta0=tar2_optimal_angle(L), h_tau=(1, L - 1),
-                          n_steps=4000, eps=0.01)
+                          n_steps=4000, eps=0.01, target="tar2")
     t0 = time.perf_counter()
-    art = run_tar2(spec, tmp_path_factory.mktemp("cat_l14"))
+    art = run_target(spec, tmp_path_factory.mktemp("cat_l14"))
     return art, time.perf_counter() - t0
 
 
@@ -288,7 +287,7 @@ def perturbed_l8(tmp_path_factory):
                           engine="full")
     out = tmp_path_factory.mktemp("perturbed_l8")
     t0 = time.perf_counter()
-    art = perturbation_study(spec, out, string_every=0)
+    art = perturbation_study(spec, out)
     return art, out, time.perf_counter() - t0
 
 
@@ -337,7 +336,7 @@ def test_criterion_08_darkness_gap_detects_detuning():
                           n_steps=2000, engine="full")
     setup, initial = build_setup(spec)
     traj = run_filtration(setup, initial, spec.n_steps,
-                          target=make_target(setup, "tar1"), string_every=0)
+                          target=make_target(setup, "tar1"))
     assert ghz_darkness_gap(traj.q, traj.survival, 2.0 ** (1 - 8)) > 0.5
 
 
@@ -363,7 +362,7 @@ def test_criterion_08_perturbed_metastability_extended(tmp_path):
                           params=ChainParams(L=10, J2=0.02),
                           theta0=0.0, h_tau=(1, 10), n_steps=20000,
                           engine="full")
-    perturbation_study(spec, tmp_path, string_every=0)
+    perturbation_study(spec, tmp_path)
     q = read_column(os.path.join(tmp_path, "trajectory_tar2.csv"), "q_n")
     mid = float(np.mean(q[5000:10000]))
     late = float(np.mean(q[19000:]))
@@ -383,9 +382,9 @@ def test_criterion_09_engine_equivalence():
     results = {}
     for build in (reduced_setup, full_setup):
         setup, psi0 = build(params, tau, theta0)
-        target = make_target(setup, "tar1", theta0=theta0)
+        target = make_target(setup, "tar1")
         results[setup.engine] = run_filtration(setup, psi0, 200,
-                                               target=target, string_every=1)
+                                               target=target)
     tower, full = results["tower"], results["full"]
     worst = max(
         float(np.max(np.abs(tower.survival - full.survival))),
@@ -415,9 +414,9 @@ def test_criterion_10_byte_determinism(tmp_path):
     t0 = time.perf_counter()
     ghz_spec = ExperimentSpec(name="acceptance-det", params=ChainParams(L=8),
                               theta0=orthogonality_angle(8), h_tau=(1, 8),
-                              n_steps=500, eps=0.01)
+                              n_steps=500, eps=0.01, target="tar1")
     jobs = {
-        "trajectory": lambda d: run_tar1(ghz_spec, d),
+        "trajectory": lambda d: run_target(ghz_spec, d),
         "census": lambda d: table1_scan(d),
         "goe": lambda d: goe_demo(d, d_goe=64, seed=23),
         "scaling": lambda d: sweep_n_epsilon(range(6, 9), "orthogonal", 0.01,

@@ -1,15 +1,19 @@
 """The public surface: darkfilter.__all__ lists only names the package uses.
 
 A name in __all__ that no package module reads, beyond its own
-definition, is library code that only its tests call.
+definition, is library code that only its tests call.  The names the
+benchmark traces by lookup must resolve as well.
 """
 
 import ast
+import importlib
 import pathlib
+import sys
 
 import darkfilter
 
 PACKAGE = pathlib.Path(darkfilter.__file__).parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def _names_read_by_the_package():
@@ -36,3 +40,36 @@ def test_every_public_name_is_used_by_the_package():
 def test_all_names_resolve():
     for name in darkfilter.__all__:
         assert hasattr(darkfilter, name), name
+
+
+def test_benchmark_layer_names_resolve(monkeypatch):
+    # a traced benchmark run looks these names up with getattr, so a
+    # renamed function would break it without failing any other test
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for module in ("layers", "spans"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    layers = importlib.import_module("layers")
+    names = [*layers.SETUP_FUNCTIONS, *layers.TRACED_METHODS,
+             *layers.COUNTS, *layers.UNWRAPPED]
+    assert names
+    for name in names:
+        layer, *path = name.split(".")
+        assert layer in layers.LAYERS, name
+        obj = importlib.import_module(f"darkfilter.{layer}")
+        for attr in path:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+        assert callable(obj), name
+
+
+def test_benchmark_documents_pass_the_config_check(monkeypatch):
+    from darkfilter.config import parse_config, sweep_options
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    parsers = {"scaling-sweep": sweep_options}
+    for table in (workloads.WORKLOADS, workloads.SMOKE):
+        for work in table.values():
+            doc, _ = work.inputs(7)
+            parsers.get(work.subcommand,
+                        lambda d: parse_config(d, work.subcommand))(doc)

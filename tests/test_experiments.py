@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darkfilter import filtration
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import (
     ExperimentSpec,
@@ -26,8 +27,7 @@ from darkfilter.experiments import (
     noise_vector,
     orthogonality_angle,
     perturbation_study,
-    run_tar1,
-    run_tar2,
+    run_target,
     sample_goe,
     sweep_n_epsilon,
     table1_scan,
@@ -40,6 +40,7 @@ from darkfilter.experiments import (
 )
 from darkfilter.filtration import (filtration_time, jump_filtration_time,
                                    reduced_setup, run_filtration)
+from darkfilter.spectral import charge_picture
 from darkfilter.spin_model import ChainParams
 from helpers import mp_filtration_time
 
@@ -113,8 +114,9 @@ def _tower_spec(L, theta0, h_tau, n_steps, **kw):
 
 def test_run_tar1_artifacts(tmp_path):
     L = 6
-    spec = _tower_spec(L, orthogonality_angle(L), tar1_resonance(L), 400)
-    art = run_tar1(spec, tmp_path)
+    spec = _tower_spec(L, orthogonality_angle(L), tar1_resonance(L), 400,
+                       target="tar1")
+    art = run_target(spec, tmp_path)
     header, rows = read_csv(art.paths["trajectory"])
     assert header == ["n", "survival", "q_n", "string_re", "string_im"]
     assert len(rows) == 401
@@ -131,22 +133,29 @@ def test_run_tar1_artifacts(tmp_path):
 
 
 def test_run_tar1_rejects_wrong_resonance(tmp_path):
-    spec = _tower_spec(6, 0.3, (1, 5), 50)
+    spec = _tower_spec(6, 0.3, (1, 5), 50, target="tar1")
     with pytest.raises(ValidationError):
-        run_tar1(spec, tmp_path)
+        run_target(spec, tmp_path)
+
+
+def test_run_target_needs_a_target(tmp_path):
+    with pytest.raises(ValidationError, match="needs a target"):
+        run_target(_tower_spec(6, 0.3, (1, 6), 50), tmp_path)
 
 
 def test_run_tar1_rejects_zero_overlap_angle(tmp_path):
     # theta0 = 0 at even L zeroes the GHZ component of psi0
-    spec = _tower_spec(6, 0.0, (1, 6), 50)
+    spec = _tower_spec(6, 0.0, (1, 6), 50, target="tar1")
     with pytest.raises(ValidationError):
-        run_tar1(spec, tmp_path)
+        run_target(spec, tmp_path)
 
 
 def test_run_tar2_artifacts(tmp_path):
     L = 8
-    spec = _tower_spec(L, tar2_optimal_angle(L), tar2_resonance(L), 800)
-    art = run_tar2(spec, tmp_path)
+    spec = _tower_spec(L, tar2_optimal_angle(L), tar2_resonance(L), 800,
+                       target="tar2")
+    art = run_target(spec, tmp_path)
+    assert art.metadata["experiment"] == "run_tar2"
     assert art.metadata["reached"]
     assert art.metadata["string_dev_abs"] < 0.01
     # the checked window starts where this run's Q_n certifies the law
@@ -161,8 +170,9 @@ def test_run_tar2_artifacts(tmp_path):
 def test_run_tar2_omits_string_law_before_certified(tmp_path):
     # 40 steps at L=8 stay short of Q_n >= 1 - (0.01/2)^2
     L = 8
-    spec = _tower_spec(L, tar2_optimal_angle(L), tar2_resonance(L), 40)
-    art = run_tar2(spec, tmp_path)
+    spec = _tower_spec(L, tar2_optimal_angle(L), tar2_resonance(L), 40,
+                       target="tar2")
+    art = run_target(spec, tmp_path)
     assert art.metadata["max_q"] < 1.0 - 0.005 ** 2
     for key in ("string_dev_abs", "string_dev_signed", "string_check_from"):
         assert key not in art.metadata
@@ -214,8 +224,7 @@ def _sweep_problem(L, variant):
 
 
 def _stepped_n_eps(setup, initial, target, eps, n_steps):
-    traj = run_filtration(setup, initial, n_steps, target=target,
-                          string_every=0)
+    traj = run_filtration(setup, initial, n_steps, target=target)
     return filtration_time(traj, eps).n_eps
 
 
@@ -252,14 +261,17 @@ def test_jump_ahead_matches_extended_precision(variant, L):
         assert n_jump == 1388864
 
 
-def test_jump_ahead_darkness_invariant_catches_detuning():
+def test_jump_ahead_darkness_invariant_catches_detuning(monkeypatch):
     # At h tau = 1.001 pi/L the GHZ edges B_0, B_L no longer share a
     # phase.  A phase tolerance loose enough to group them anyway makes
     # the GHZ target look dark; its amplitude then drifts at n = 1.
     L = 8
     setup, initial = reduced_setup(ChainParams(L=L), 1.001 * math.pi / L,
                                    orthogonality_angle(L))
-    setup.phase_tol = 0.01
+    charges = charge_picture(setup).w
+    monkeypatch.setattr(filtration, "PHASE_TOL", 0.01)
+    # the charge picture reads the tolerance when called: B_0, B_L merge
+    assert charge_picture(setup).w == charges - 1
     with pytest.raises(NumericsError, match="not dark"):
         jump_filtration_time(setup, initial, make_target(setup, "tar1"),
                              0.01, (1001, 1000 * L))
@@ -348,7 +360,7 @@ def test_perturbation_study_smoke(tmp_path):
     spec = ExperimentSpec(name="p", params=ChainParams(L=6, J2=0.02),
                           theta0=0.0, h_tau=(1, 6), n_steps=600,
                           engine="full")
-    art = perturbation_study(spec, tmp_path, string_every=5)
+    art = perturbation_study(spec, tmp_path)
     meta = art.metadata
     assert meta["edge_residuals"]["B0"] < 1e-12
     assert meta["edge_residuals"]["B6"] < 1e-12
@@ -370,8 +382,9 @@ def test_noisy_removal_runs(tmp_path):
     pert = Perturbations(lam=0.05, seed=12)
     spec = ExperimentSpec(name="n", params=ChainParams(L=5),
                           theta0=orthogonality_angle(5), h_tau=(1, 5),
-                          n_steps=300, engine="full", perturbations=pert)
-    art = run_tar1(spec, tmp_path)
+                          n_steps=300, engine="full", target="tar1",
+                          perturbations=pert)
+    art = run_target(spec, tmp_path)
     assert art.metadata["engine"] == "full"
     # noise shifts the reachable fidelity below the clean value
     assert art.metadata["max_q"] < 1.0 - 1e-6

@@ -24,6 +24,7 @@ from darkfilter.experiments import (
 from darkfilter.filtration import (
     FiltrationSetup,
     RotatingTarget,
+    SectorEig,
     Trajectory,
     dark_projection,
     dark_subspace,
@@ -60,7 +61,7 @@ from helpers import (
 )
 
 
-def _states(setup, initial, n_steps, string_every=0):
+def _states(setup, initial, n_steps):
     """run_filtration with the input-basis unit vectors as target.
 
     With e_k as target components, Trajectory.overlaps[n, k] is amplitude
@@ -68,12 +69,10 @@ def _states(setup, initial, n_steps, string_every=0):
     states, (n_steps + 1, input dimension), zero off the engine sectors.
     """
     dim = setup.basis.dimension
-    support = np.arange(dim) if setup.sector_eigs is None \
-        else engine_support(setup)
+    support = engine_support(setup)
     probes = RotatingTarget(list(np.eye(dim)[support]), np.ones(support.size),
                             np.zeros(support.size))
-    traj = run_filtration(setup, initial, n_steps, target=probes,
-                          string_every=string_every)
+    traj = run_filtration(setup, initial, n_steps, target=probes)
     states = np.zeros((traj.steps.size, dim), dtype=complex)
     states[:, support] = traj.overlaps
     return traj, states
@@ -109,8 +108,8 @@ def test_tower_and_full_engines_agree():
     params = ChainParams(L=L)
     red_setup, red_init = reduced_setup(params, tau, theta0)
     full_s, full_init = full_setup(params, tau, theta0)
-    traj_r, states_r = _states(red_setup, red_init, 100, string_every=1)
-    traj_f, states_f = _states(full_s, full_init, 100, string_every=1)
+    traj_r, states_r = _states(red_setup, red_init, 100)
+    traj_f, states_f = _states(full_s, full_init, 100)
     assert np.max(np.abs(traj_r.survival - traj_f.survival)) < 1e-12
     assert np.max(np.abs(traj_r.string - traj_f.string)) < 1e-12
     # the states coincide up to the engines' global phase convention
@@ -221,7 +220,7 @@ def test_full_engine_matches_dense_stepping(case):
         assert kept == {b for b in every if b[1] == 1.0
                         and (b[0] != 0 or b[2] == string_parity_sign(L))}
     n = 150
-    traj, states = _states(setup, psi0, n, string_every=1)
+    traj, states = _states(setup, psi0, n)
     survival, string, last = dense_stepping(
         ham, math.pi / L, removal, psi0.amplitudes, n,
         flip_permutation_dense(L))
@@ -281,14 +280,13 @@ def test_perturbation_study_reuses_engine_for_tar2(tmp_path, monkeypatch):
     params = ChainParams(L=L, J2=0.02)
     spec = ExperimentSpec(name="reuse", params=params, theta0=0.0,
                           h_tau=(1, L), n_steps=150, engine="full")
-    perturbation_study(spec, tmp_path, string_every=1)
+    perturbation_study(spec, tmp_path)
     assert len(calls) == 1
     got = np.genfromtxt(tmp_path / "trajectory_tar2.csv", delimiter=",",
                         names=True)
     theta0 = tar2_optimal_angle(L)
     fresh, psi0 = real(params, math.pi / (L - 1), theta0)
-    traj = run_filtration(fresh, psi0, 150, string_every=1,
-                          target=make_target(fresh, "tar2"))
+    traj = run_filtration(fresh, psi0, 150, target=make_target(fresh, "tar2"))
     assert np.max(np.abs(got["survival"] - traj.survival)) <= 1e-12
     assert np.max(np.abs(got["q_n"] - traj.q)) <= 1e-12
     assert np.max(np.abs(got["string_re"] - traj.string.real)) <= 1e-12
@@ -388,8 +386,7 @@ def test_protocol_run_steps_only_the_even_blocks(L, monkeypatch):
         build(self, phases, *args)
 
     monkeypatch.setattr(filtration.RenewalKernel, "__init__", recording)
-    traj = run_filtration(setup, psi0, 50, string_every=1,
-                          target=make_target(setup, "tar1"))
+    traj = run_filtration(setup, psi0, 50, target=make_target(setup, "tar1"))
     assert dims == [sum(b.energies.size for b in even)]
     assert traj.steps.size == 51
 
@@ -490,7 +487,9 @@ def test_dark_states_zero_overlap_group_is_fully_dark():
     removal = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
     setup = FiltrationSetup(
         engine="generic", tau=1.0, basis=BasisEncoding.generic(4),
-        energies=energies, phases=np.exp(-1j * energies), removal_eig=removal)
+        energies=energies, phases=np.exp(-1j * energies), removal_eig=removal,
+        sector_eigs=[SectorEig(0, np.arange(4)[None, :], np.ones((1, 4)),
+                               energies, np.eye(4))])
     dark = dark_subspace(setup)
     assert dark.count == 3
     assert dark.members == ((0, 1, 2),) * 3
@@ -502,9 +501,9 @@ def test_run_filtration_chunking_is_invisible():
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.4)
     length = filtration.chunk_length(setup.dimension)
     n, shift = 3 * length + 7, 5                  # shift is not a boundary
-    a, states = _states(setup, psi0, n, string_every=1)
+    a, states = _states(setup, psi0, n)
     b = run_filtration(setup, states[shift] / np.linalg.norm(states[shift]),
-                       n - shift, string_every=1)
+                       n - shift)
     assert np.max(np.abs(a.survival[shift] * b.survival
                          / a.survival[shift:] - 1.0)) <= 1e-10
     assert np.max(np.abs(a.string[shift:] - b.string)) <= 1e-12
@@ -532,8 +531,8 @@ def test_exact_depletion_with_a_target_records_no_fidelity():
     assert traj.steps.tolist() == [0] and traj.q.tolist() == [1.0]
     with pytest.raises(NumericsError, match="at step 1"):
         Trajectory(steps=np.arange(2), survival=np.array([1.0, 0.0]),
-                   q=np.array([1.0, np.nan]), overlaps=None,
-                   string_steps=None, string=None, depleted=True)
+                   q=np.array([1.0, np.nan]), overlaps=None, string=None,
+                   depleted=True)
 
 
 def test_run_filtration_validates_input():
@@ -582,7 +581,7 @@ def test_rotating_target_tracks_dark_rotation():
 def test_fidelity_converges_to_dark_prediction():
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.25)
     target = _dark_target(setup, psi0)
-    traj = run_filtration(setup, psi0, 1500, target=target, string_every=0)
+    traj = run_filtration(setup, psi0, 1500, target=target)
     assert traj.q[-1] > 1.0 - 1e-8
     ft = filtration_time(traj, 0.01)
     assert ft.reached
@@ -592,12 +591,12 @@ def test_fidelity_converges_to_dark_prediction():
 def test_filtration_time_unreached():
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.25)
     target = _dark_target(setup, psi0)
-    traj = run_filtration(setup, psi0, 3, target=target, string_every=0)
+    traj = run_filtration(setup, psi0, 3, target=target)
     ft = filtration_time(traj, 1e-9)
     assert not ft.reached and ft.n_eps is None
     with pytest.raises(ValidationError):
         filtration_time(traj, 0.0)
-    plain = run_filtration(setup, psi0, 3, string_every=0)
+    plain = run_filtration(setup, psi0, 3)
     with pytest.raises(ValidationError):
         filtration_time(plain, 0.01)
 
@@ -607,7 +606,7 @@ def test_survival_limit_is_dark_weight():
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.8)
     dark = dark_subspace(setup)
     weight = float(np.sum(np.abs(dark.overlaps(psi0.amplitudes)) ** 2))
-    traj = run_filtration(setup, psi0, 1500, string_every=0)
+    traj = run_filtration(setup, psi0, 1500)
     assert abs(traj.survival[-1] - weight) < 1e-10
 
 

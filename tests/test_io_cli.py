@@ -229,7 +229,7 @@ from darkfilter.filtration import full_setup, run_filtration
 from darkfilter.spin_model import ChainParams
 setup, psi0 = full_setup(ChainParams(L=4, J2=0.02), math.pi / 4, 0.3)
 loaded = "numpy.ma" in sys.modules
-run_filtration(setup, psi0, 100, string_every=1)
+run_filtration(setup, psi0, 100)
 print(loaded, "numpy.ma" in sys.modules)
 """
 
@@ -561,6 +561,52 @@ SMALL_RUNS = [
     ("goe-demo", {"goe": {"D_goe": 8, "seed": 5}}, []),
     ("zeta-scan", {"L_values": [4, 5]}, []),
 ]
+
+# every config key with a valid value, and the keys each subcommand
+# reads (README "Config keys"); any other key must exit 1
+KEY_VALUES = {
+    "name": "run", "target": "tar1", "L": 5, "J": 1.0, "h": 1.0, "D": 0.1,
+    "J2": 0.0, "J3": 0.0, "theta0": 0.3, "h_tau": [1, 5], "n_steps": 60,
+    "eps": 0.01, "engine": "tower", "perturbations": {"lambda": 0.0},
+    "goe": {"D_goe": 8, "seed": 5}, "L_values": [4, 5],
+    "theta0_rule": "general", "variant": "tar1-general",
+}
+CHAIN = "L J h D J2 J3 "
+READS = {
+    "tower-check": "name " + CHAIN,
+    "filter-run": "name target " + CHAIN
+                  + "theta0 h_tau n_steps eps engine perturbations",
+    "dark-states": "name target " + CHAIN
+                   + "theta0 h_tau engine perturbations",
+    "bright-spectrum": "name target " + CHAIN + "h_tau engine",
+    "scaling-sweep": "L_values variant theta0_rule eps",
+    "table1": "theta0",
+    "perturb": "name " + CHAIN + "n_steps perturbations",
+    "goe-demo": "goe n_steps",
+    "zeta-scan": "L_values",
+}
+IGNORED = [(sub, key) for sub, keys in READS.items()
+           for key in KEY_VALUES if key not in keys.split()]
+
+
+@pytest.mark.parametrize("sub,key", IGNORED)
+def test_ignored_key_exits_1(tmp_path, capsys, sub, key):
+    base = next(doc for name, doc, _ in SMALL_RUNS if name == sub)
+    cfg = _write(tmp_path, "c.json", dict(base, **{key: KEY_VALUES[key]}))
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_read_keys_are_accepted():
+    assert sorted(READS) == sorted(SUBCOMMANDS)
+    parsers = {"scaling-sweep": sweep_options, "table1": table1_options,
+               "zeta-scan": scan_options}
+    for sub, keys in READS.items():
+        doc = {key: KEY_VALUES[key] for key in keys.split()}
+        parsers.get(sub, lambda d: parse_config(d, sub))(doc)
+
 
 NO_SCIPY_SCRIPT = """
 import json, sys

@@ -117,12 +117,12 @@ def test_rounding_level_depletion_stops_the_run(build):
     # report normalized rounding noise as data
     params = ChainParams(L=3)
     setup, psi0 = build(params, math.pi / (2.0 * params.h), 0.0)
-    traj = run_filtration(setup, psi0, 50, string_every=1)
+    traj = run_filtration(setup, psi0, 50)
     assert traj.depleted
     # step 1 holds only rounding and is not recorded
     assert traj.steps.size == 1
     assert np.all(traj.survival >= DEPLETION_FLOOR)
-    assert np.array_equal(traj.string_steps, traj.steps)
+    assert traj.string.shape == traj.steps.shape
 
 
 def _tower_case():
@@ -131,7 +131,7 @@ def _tower_case():
                           theta0=tar2_optimal_angle(L), h_tau=(1, L - 1),
                           n_steps=0)
     setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, "tar2"), 1
+    return setup, initial, make_target(setup, "tar2")
 
 
 def _full_case():
@@ -142,7 +142,7 @@ def _full_case():
                           n_steps=0, engine="full",
                           perturbations=Perturbations(lam=0.2, seed=5))
     setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, "tar1"), 3
+    return setup, initial, make_target(setup, "tar1")
 
 
 def _generic_case():
@@ -153,19 +153,20 @@ def _generic_case():
     setup = generic_setup((a + a.conj().T) / 2.0,
                           removal / np.linalg.norm(removal), tau=0.9)
     target = filtration.RotatingTarget.static(probe)
-    return setup, initial / np.linalg.norm(initial), target, 0
+    return setup, initial / np.linalg.norm(initial), target
 
 
 @pytest.mark.parametrize("build", [_tower_case, _full_case, _generic_case],
                          ids=["tower", "full-noisy", "generic"])
 def test_kernel_matches_explicit_stepping(build):
-    setup, initial, target, every = build()
+    setup, initial, target = build()
     length = chunk_length(setup.dimension)
     n_steps = 5 * length + length // 2 + 1          # ends inside a chunk
-    traj = run_filtration(setup, initial, n_steps, target=target,
-                          string_every=every)
+    traj = run_filtration(setup, initial, n_steps, target=target)
     probes = np.array([setup.to_eigen(c) for c in target.components])
-    flip = (setup.flip_pos, setup.flip_sign) if every else None
+    # the generic engine has no spin flip, so no string
+    flip = None if setup.flip_pos is None \
+        else (setup.flip_pos, setup.flip_sign)
     survival, overlaps, string, _ = explicit_stepping(
         setup.phases, setup.removal_eig, setup.to_eigen(initial), n_steps,
         probes, flip)
@@ -174,11 +175,10 @@ def test_kernel_matches_explicit_stepping(build):
     assert np.max(np.abs(traj.overlaps - overlaps)) <= OBSERVABLE_ATOL
     q = _fidelity(target, overlaps, survival, probes.conj() @ probes.T)
     assert np.max(np.abs(traj.q - q)) <= OBSERVABLE_ATOL
-    if every:
-        assert np.array_equal(traj.string_steps, np.arange(0, n_steps + 1,
-                                                           every))
-        assert np.max(np.abs(traj.string - string[::every])) \
-            <= OBSERVABLE_ATOL
+    if flip is None:
+        assert traj.string is None
+    else:
+        assert np.max(np.abs(traj.string - string)) <= OBSERVABLE_ATOL
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,10 +208,9 @@ def test_kernel_property_random_problems(dim, seed, n_steps):
                         st.sampled_from([1e-7, 1e-3])),
        h_tau=st.integers(2, 8).flatmap(
            lambda q: st.tuples(st.integers(1, q - 1), st.just(q))),
-       lam=st.sampled_from([0.0, 0.3, 1.0]), every=st.integers(1, 5),
-       n_steps=st.integers(0, 300))
+       lam=st.sampled_from([0.0, 0.3, 1.0]), n_steps=st.integers(0, 300))
 def test_rowless_strings_match_explicit_stepping(L, J2, theta0, h_tau, lam,
-                                                 every, n_steps):
+                                                 n_steps):
     # a start near theta0 = 0 loses most of its weight in the first steps,
     # which ends chunks early; n_steps mostly ends a run inside a chunk
     spec = ExperimentSpec(
@@ -220,22 +219,20 @@ def test_rowless_strings_match_explicit_stepping(L, J2, theta0, h_tau, lam,
         perturbations=Perturbations(lam=lam, seed=7) if lam
         else Perturbations())
     setup, initial = build_setup(spec)
-    traj = run_filtration(setup, initial, n_steps, string_every=every)
+    traj = run_filtration(setup, initial, n_steps)
     string = explicit_stepping(setup.phases, setup.removal_eig,
                                setup.to_eigen(initial), n_steps,
                                flip=(setup.flip_pos, setup.flip_sign))[2]
     count = traj.steps.size
     assert count == n_steps + 1 or traj.depleted
-    assert np.array_equal(traj.string_steps, np.arange(0, count, every))
-    assert np.max(np.abs(traj.string - string[:count:every])) \
-        <= OBSERVABLE_ATOL
+    assert np.max(np.abs(traj.string - string[:count])) <= OBSERVABLE_ATOL
 
 
 def test_renewal_and_stepping_track_extended_precision():
     L, theta0, n_steps = 6, 0.4, 400
     setup, initial = reduced_setup(ChainParams(L=L), math.pi / L, theta0)
     exact = np.array(mp_tower_survival(L, (1, L), theta0, n_steps))
-    traj = run_filtration(setup, initial, n_steps, string_every=0)
+    traj = run_filtration(setup, initial, n_steps)
     stepped = explicit_stepping(setup.phases, setup.removal_eig,
                                 setup.to_eigen(initial), n_steps)[0]
     for path in (traj.survival, stepped):

@@ -52,7 +52,7 @@ def test_tower_and_full_engines_agree_everywhere(L, h_tau, theta0, D, J3, h):
     # J3 keeps the tower exact, so both engines run the same protocol
     params = ChainParams(L=L, h=h, D=D, J3=J3)
     tau = math.pi * h_tau[0] / (h_tau[1] * h)
-    trajs = [run_filtration(*build(params, tau, theta0), 60, string_every=1)
+    trajs = [run_filtration(*build(params, tau, theta0), 60)
              for build in (reduced_setup, full_setup)]
     tower, full = trajs
     assert np.max(np.abs(tower.survival - full.survival)) <= 1e-10
