@@ -3,6 +3,9 @@
 Usage: darkfilter <subcommand> --config <file> --out <dir>
                   [--seed <u64>] [--engine full|tower] [--quiet]
 
+--seed and --engine are accepted only by a subcommand that reads the
+config keys they override (FLAG_KEYS).
+
 Exit status: 0 on success, 1 on validation failure (bad arguments,
 malformed config, precondition violations), 2 on numerical-invariant
 failure (residuals, count mismatches, convergence misses).
@@ -20,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import parse_config, scan_options, sweep_options, table1_options
+from .config import (KEYS, parse_config, scan_options, sweep_options,
+                     table1_options)
 from .errors import NumericsError, ValidationError
 from .experiments import (ExperimentSpec, GoeBlock, Perturbations,
                           build_setup, dark_labels, document_of, goe_demo,
@@ -38,6 +42,10 @@ SUBCOMMANDS = (
 )
 
 SGA_TOL = 1e-10
+
+# CLI flag -> the config keys it overrides; a subcommand that reads none
+# of them refuses the flag
+FLAG_KEYS = {"engine": ("engine",), "seed": ("perturbations", "goe")}
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,15 @@ def _read_document(path):
         raise ValidationError(f"malformed JSON in {path}: {exc}") from None
 
 
+def _check_flags(cli):
+    reads = KEYS[cli.subcommand][0]
+    for flag, keys in FLAG_KEYS.items():
+        if getattr(cli, flag) is not None and not set(keys) & set(reads):
+            raise ValidationError(
+                f"--{flag} is not read by {cli.subcommand}"
+            )
+
+
 def _apply_overrides(spec: ExperimentSpec, cli: CliConfig) -> ExperimentSpec:
     if cli.seed is not None:
         pert = Perturbations(lam=spec.perturbations.lam, seed=cli.seed)
@@ -132,7 +149,8 @@ def _cmd_filter_run(cli, doc):
 
 def _cmd_dark_states(cli, doc):
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
-    setup, initial = build_setup(spec)
+    # the census lists the dark states of every block, reached or not
+    setup, initial = build_setup(spec, all_blocks=True)
     dark = dark_subspace(setup)
     ensure_dir(cli.out_dir)
     path = emit_csv(os.path.join(cli.out_dir, "spectrum.csv"),
@@ -251,6 +269,7 @@ DISPATCH = {
 def run_command(cli: CliConfig) -> int:
     """Dispatch a parsed command line; returns the process exit status."""
     try:
+        _check_flags(cli)
         doc = _read_document(cli.config_path)
         DISPATCH[cli.subcommand](cli, doc)
     except ValidationError as exc:

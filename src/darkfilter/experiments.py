@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import string_parity_sign
+from .basis import FULL_SPACE_CAP, string_parity_sign
 from .errors import NumericsError, ValidationError
 from .filtration import (BACKEND, RotatingTarget, dark_projection,
                          dark_subspace, full_setup, generic_setup,
@@ -228,15 +228,20 @@ def _mixed_removal(params, theta0, pert):
     return StateVector(psi_r.basis, vec / np.linalg.norm(vec))
 
 
-def build_setup(spec: ExperimentSpec):
-    """Engine dispatch: returns (setup, initial state)."""
+def build_setup(spec: ExperimentSpec, *, all_blocks=False):
+    """Engine dispatch: returns (setup, initial state).
+
+    all_blocks keeps every symmetry block of the full engine
+    (full_setup), not only those a run reaches.
+    """
     if spec.engine == "tower":
         return reduced_setup(spec.params, spec.tau, spec.theta0)
     removal = None
     if spec.perturbations.lam > 0.0:
         removal = _mixed_removal(spec.params, spec.theta0,
                                  spec.perturbations)
-    return full_setup(spec.params, spec.tau, spec.theta0, removal=removal)
+    return full_setup(spec.params, spec.tau, spec.theta0, removal=removal,
+                      all_blocks=all_blocks)
 
 
 def _tower_vec(L, entries):
@@ -618,8 +623,8 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
     t0 = time.time()
     params = spec.params
     L = params.L
-    if L > 10:
-        raise ValidationError("full engine capped at L = 10")
+    if L > FULL_SPACE_CAP:
+        raise ValidationError(f"full engine capped at L = {FULL_SPACE_CAP}")
     ensure_dir(out_dir)
     # H and the removal state depend on neither tau nor theta0: one
     # eigenbasis serves every leg, retuned to its own phases

@@ -22,8 +22,9 @@ Three engines exist:
 * ``full``    -- exact diagonalization of the full chain in blocks of
   magnetization and of the symmetry group {1, P, R'} (spin flip and
   twisted site reflection), with sector -M taken from sector M by the
-  flip; a run steps only the blocks its states reach.  Handles
-  SGA-breaking perturbations and modified removal states.
+  flip; only the blocks that the removal or the initial state reaches
+  are diagonalized and kept.  Handles SGA-breaking perturbations and
+  modified removal states.
 * ``generic`` -- an arbitrary Hermitian matrix (random-matrix demos).
 
 Iteration never renormalizes the internal state; survival probability is
@@ -142,7 +143,10 @@ class FiltrationSetup:
         """The same engine at another period and initial angle.
 
         H and the removal state depend on neither, so the eigenbasis is
-        reused and only the phases exp(-i E tau) are recomputed.
+        reused and only the phases exp(-i E tau) are recomputed.  The
+        full engine's blocks are those the removal reaches, which hold
+        the protocol state at every angle; to_eigen refuses a state that
+        leaves them.
         """
         return replace(self, tau=tau, theta0=theta0,
                        phases=np.exp(-1j * self.energies * tau))
@@ -180,41 +184,6 @@ class FiltrationSetup:
                 out[img] += coef * orbits
             pos += d
         return out
-
-    def reached(self, psi):
-        """The engine cut down to the blocks that psi or the removal reaches.
-
-        psi is in engine coordinates.  A block is unreached when psi and
-        the removal state both carry weight below DEPLETION_FLOOR in it
-        (a symmetry leaves them rounding, about 1e-32); F maps the span of
-        the other blocks into itself, so a run from psi never leaves it.
-        The kept set is closed under the spin flip, which maps each block
-        onto one block, so the string operator stays a signed permutation
-        of the kept coordinates.  Returns the engine and the kept
-        coordinates as an index for engine arrays (a slice when all are).
-        """
-        sizes = [blk.energies.shape[0] for blk in self.sector_eigs]
-        starts = np.cumsum([0] + sizes[:-1])
-        weight = np.maximum(
-            np.add.reduceat(np.abs(psi) ** 2, starts),
-            np.add.reduceat(np.abs(self.removal_eig) ** 2, starts))
-        mask = np.repeat(weight >= DEPLETION_FLOOR, sizes)
-        if self.flip_pos is not None:
-            mask |= mask[self.flip_pos]
-        if mask.all():
-            return self, slice(None)
-        keep = np.flatnonzero(mask)
-        flip_pos = flip_sign = None
-        if self.flip_pos is not None:
-            flip_pos = (np.cumsum(mask) - 1)[self.flip_pos[keep]]
-            flip_sign = self.flip_sign[keep]
-        engine = replace(
-            self, energies=self.energies[keep], phases=self.phases[keep],
-            removal_eig=self.removal_eig[keep],
-            sector_eigs=[blk for blk, start in zip(self.sector_eigs, starts)
-                         if mask[start]],
-            flip_pos=flip_pos, flip_sign=flip_sign)
-        return engine, keep
 
     def string_rows(self, psi):
         """<psi|prod X|psi> for an eigenbasis state psi.
@@ -352,56 +321,67 @@ def check_reflection_symmetry(ham, mags):
     return worst
 
 
-def _character_blocks(op, group, twist):
-    """eigh of a sector's H on each character block of its symmetry group.
+def _character_blocks(group, twist):
+    """Orbit bases of a sector's character blocks under its symmetry group.
 
-    op holds the sector's triplets over sector positions.  group[g] maps
-    each position to its image under element g of {1, R'}, or of
-    {1, R', P, P R'} on the sector M = 0, which P maps to itself; the
-    elements holding R' carry the sign twist.  A character (e, p) takes
-    the value e on R' and p on P.  An orbit enters a character's block
-    when every element that fixes its representative acts there as +1,
-    with the unit vector sum_g chi(g) sign(g) e_(g rep) / sqrt(G |stab|).
-    The block is scattered straight from the triplets, each carrying the
-    coefficients of its two ends.  Yields (e, p, images as sector
-    positions, coefs, energies, vectors) for each non-empty block.
+    group[g] maps each sector position to its image under element g of
+    {1, R'}, or of {1, R', P, P R'} on the sector M = 0, which P maps to
+    itself; the elements holding R' carry the sign twist.  A character
+    (e, p) takes the value e on R' and p on P.  An orbit enters a
+    character's block when every element that fixes its representative
+    acts there as +1, with the unit vector
+    sum_g chi(g) sign(g) e_(g rep) / sqrt(G |stab|).  These vectors are
+    orthonormal, so a state's weight in the block needs no eigenvector.
+    Yields (e, p, images as sector positions, coefs) for each non-empty
+    block.
     """
     G, d = group.shape
     reps = np.flatnonzero(group.min(axis=0) == np.arange(d))
     images = group[:, reps]
     fixed = images == reps
-    row, col = op.row, op.col
     for e in (1.0, -1.0):
         for p in (1.0, -1.0)[:G // 2]:
             phase = np.array([1.0, twist * e, p, twist * e * p])[:G]
             ok = np.all(~fixed | (phase[:, None] > 0.0), axis=0)
-            n = int(np.count_nonzero(ok))
-            if n == 0:
-                continue
-            imgs = images[:, ok]
-            coefs = phase[:, None] / np.sqrt(G * fixed[:, ok].sum(axis=0))
-            slot = np.full(d, -1)
-            weight = np.zeros(d)
-            for img, coef in zip(imgs, coefs):
-                slot[img] = np.arange(n)
-                weight[img] += coef
-            use = (slot[row] >= 0) & (slot[col] >= 0)
-            r, c = row[use], col[use]
-            w, v = np.linalg.eigh(np.bincount(
-                slot[r] * n + slot[c],
-                weights=weight[r] * weight[c] * op.data[use],
-                minlength=n * n).reshape(n, n))
-            yield e, p, imgs, coefs, w, v
+            if ok.any():
+                yield (e, p, images[:, ok],
+                       phase[:, None] / np.sqrt(G * fixed[:, ok].sum(axis=0)))
 
 
-def full_setup(params, tau, theta0, removal=None):
+def _block_eigh(op, imgs, coefs):
+    """eigh of a sector's H on one character block.
+
+    op holds the sector's triplets over sector positions.  The block is
+    scattered straight from the triplets, each carrying the coefficients
+    of its two ends, never through the whole sector.
+    """
+    n = imgs.shape[1]
+    slot = np.full(op.basis.dimension, -1)
+    weight = np.zeros(op.basis.dimension)
+    for img, coef in zip(imgs, coefs):
+        slot[img] = np.arange(n)
+        weight[img] += coef
+    use = (slot[op.row] >= 0) & (slot[op.col] >= 0)
+    r, c = op.row[use], op.col[use]
+    return np.linalg.eigh(np.bincount(
+        slot[r] * n + slot[c], weights=weight[r] * weight[c] * op.data[use],
+        minlength=n * n).reshape(n, n))
+
+
+def _orbit_weight(vec, images, coefs):
+    """Squared norm of an input-basis vector in a block's orbit basis."""
+    orbits = np.einsum("ga,ga->a", coefs, vec[images])
+    return float(np.vdot(orbits, orbits).real)
+
+
+def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
     """Full-space engine blocked by Sz and the symmetry group {1, P, R'}.
 
-    Diagonalizes H inside the total-Sz sectors that can carry weight:
-    the parity sectors M = L mod 2 hosting the protocol states, plus any
-    sector touched by a custom removal vector (e.g. a noisy removal
-    spreads everywhere), closed under M -> -M.  Two symmetries, both
-    checked on the triplets of H, split them further:
+    Works inside the total-Sz sectors that can carry weight: the parity
+    sectors M = L mod 2 hosting the protocol states, plus any sector
+    touched by a custom removal vector (e.g. a noisy removal spreads
+    everywhere), closed under M -> -M.  Two symmetries, both checked on
+    the triplets of H, split them further:
 
     * the spin flip P maps sector M to -M and commutes with H - h Sz, so
       only sectors M >= 0 run eigh and sector -M is the flipped copy;
@@ -412,13 +392,20 @@ def full_setup(params, tau, theta0, removal=None):
       removal, initial, target and tower states are all even.
 
     Each sector M > 0 splits into the two characters of R', and M = 0
-    into the four of {1, P, R', P R'}.  Each character block is scattered
+    into the four of {1, P, R', P R'}.  A block enters the engine when
+    the removal or the initial state carries weight at or above
+    DEPLETION_FLOOR in it, or in its flipped copy in sector -M (a
+    symmetry leaves them rounding, about 1e-32): F maps the span of
+    these blocks into itself, so a run from the initial state never
+    leaves it, and the kept set is closed under P.  The weights come
+    from the orbit basis, before any eigh, so an unreached block is
+    never scattered or diagonalized; all_blocks keeps every block, for
+    the census of every dark state.  Each kept block is scattered
     straight from the triplets onto one symmetrized vector per orbit,
-    never through the whole sector, and its eigenvectors stay in those
-    orbit coordinates (SectorEig).  In this eigenbasis P is a signed
-    permutation of coordinates, which makes the string operator O(dim);
-    run_filtration steps only the blocks a run reaches (reached).
-    Returns (setup, initial product state on the full basis).
+    and its eigenvectors stay in those orbit coordinates (SectorEig).
+    In this eigenbasis P is a signed permutation of coordinates, which
+    makes the string operator O(dim).  Returns (setup, initial product
+    state on the full basis).
     """
     if not isinstance(params, ChainParams):
         raise ValidationError("full_setup expects ChainParams")
@@ -451,14 +438,21 @@ def full_setup(params, tau, theta0, removal=None):
         if M == 0:
             flipped = group[0][::-1]       # P reverses the sorted order
             group += [flipped, flipped[group[1]]]
-        for e, p, imgs, coefs, w, v in _character_blocks(
-                split[M], np.array(group), float(reflection_twist(L, M))):
-            blocks.append(SectorEig(M, idx[imgs], coefs, w, v, parity=p,
+        for e, p, imgs, coefs in _character_blocks(
+                np.array(group), float(reflection_twist(L, M))):
+            # P maps orbit to orbit and commutes with R': sector -M has
+            # the same orbit coordinates and eigenvectors
+            images = [idx[imgs], top - idx[imgs]][:1 + (M > 0)]
+            if not all_blocks and max(
+                    _orbit_weight(state.amplitudes, img, coefs)
+                    for state in (psi_r, psi_0)
+                    for img in images) < DEPLETION_FLOOR:
+                continue
+            w, v = _block_eigh(split[M], imgs, coefs)
+            blocks.append(SectorEig(M, images[0], coefs, w, v, parity=p,
                                     reflection=e))
             if M:
-                # P maps orbit to orbit and commutes with R': sector -M
-                # has the same orbit coordinates and eigenvectors
-                blocks.append(SectorEig(-M, top - idx[imgs], coefs,
+                blocks.append(SectorEig(-M, images[1], coefs,
                                         w - 2.0 * params.h * M, v,
                                         reflection=e))
     blocks.sort(key=lambda b: (b.label, -b.reflection, -b.parity))
@@ -919,10 +913,11 @@ def run_filtration(setup, initial, n_steps, target=None):
     probe overlaps and, on an engine with a spin flip, the string
     expectation are recorded at every step (including n=0), and Q_n
     follows from the overlaps (_fidelity).  Steps run in chunks through
-    the RenewalKernel, on the blocks of the engine that the initial state
-    or the removal reaches (FiltrationSetup.reached); target norms are
-    taken over the whole engine.  At each chunk end the survival identity
-    and the flip-group string are checked against the formed state
+    the RenewalKernel on every coordinate of the engine, which for the
+    full engine are the blocks its removal and initial state reach
+    (full_setup); to_eigen refuses an initial state or a target with
+    weight outside them.  At each chunk end the survival identity and
+    the flip-group string are checked against the formed state
     (NumericsError beyond CHUNK_DRIFT_TOL).  A chunk cut short by
     CHUNK_DROP records its last step from that state.  Iteration stops
     at the first step whose survival falls below DEPLETION_FLOOR
@@ -942,8 +937,6 @@ def run_filtration(setup, initial, n_steps, target=None):
             else RotatingTarget.static(target)
         probes = np.array([setup.to_eigen(c) for c in rot.components])
         gram = probes.conj() @ probes.T
-    setup, keep = setup.reached(psi)
-    psi, probes = psi[keep], probes[:, keep]
     flip = setup.flip_pos is not None
 
     total = n_steps + 1

@@ -149,6 +149,35 @@ def block_eigenvectors(blk, dim):
     return orbits @ blk.vectors
 
 
+def engine_columns(setup):
+    """(input dimension, engine dimension) eigenvectors of every block."""
+    dim = setup.basis.dimension
+    return np.hstack([block_eigenvectors(blk, dim)
+                      for blk in setup.sector_eigs])
+
+
+def character_energies(ham, L, label, reflection, parity):
+    """Eigenvalues of dense H on one symmetry character of sector label.
+
+    The character space is the range of (1 + e R')/2 inside the sector,
+    times (1 + p P)/2 on M = 0, with R' and P from the digit-loop
+    permutations below, independent of the engine's orbit bases.
+    """
+    digits = (np.arange(3**L)[:, None] // 3 ** np.arange(L)) % 3
+    sector = np.flatnonzero((1 - digits).sum(axis=1) == label)
+    eye = np.eye(sector.size)
+    mirror, twist = twisted_reflection_dense(L)
+    proj = (eye + reflection * twist[sector][:, None]
+            * eye[np.searchsorted(sector, mirror[sector])]) / 2.0
+    if label == 0:
+        flip = flip_permutation_dense(L)
+        proj = proj @ (eye + parity
+                       * eye[np.searchsorted(sector, flip[sector])]) / 2.0
+    values, vectors = np.linalg.eigh(proj)
+    basis = vectors[:, values > 0.5]
+    return sla.eigvalsh(basis.T @ ham[np.ix_(sector, sector)] @ basis)
+
+
 def flip_permutation_dense(L):
     """Index of the flipped configuration, digit d -> 2 - d on every site."""
     perm = np.empty(3**L, dtype=np.int64)

@@ -1,5 +1,6 @@
 """Filtration engines, dark subspaces, and trajectories vs dense oracles."""
 
+import inspect
 import json
 import math
 import warnings
@@ -47,11 +48,13 @@ from darkfilter.spin_model import (
 from helpers import (
     SZ,
     block_eigenvectors,
+    character_energies,
     cluster_angles_loop,
     dark_complement,
     dense_filtration_matrix,
     dense_hamiltonian,
     dense_stepping,
+    engine_columns,
     engine_support,
     flip_permutation_dense,
     kron_site,
@@ -64,14 +67,18 @@ from helpers import (
 def _states(setup, initial, n_steps):
     """run_filtration with the input-basis unit vectors as target.
 
-    With e_k as target components, Trajectory.overlaps[n, k] is amplitude
-    k of the unnormalised F^n psi0.  Returns the trajectory and those
-    states, (n_steps + 1, input dimension), zero off the engine sectors.
+    The target components are the projections t_k = V V^H e_k of the unit
+    vectors onto the engine span (V = engine_columns), so that
+    Trajectory.overlaps[n, k] = <t_k|psi_n> = <e_k|psi_n> is amplitude k
+    of the unnormalised F^n psi0, which never leaves that span.  Returns
+    the trajectory and those states, (n_steps + 1, input dimension), zero
+    off the configurations the engine covers.
     """
     dim = setup.basis.dimension
     support = engine_support(setup)
-    probes = RotatingTarget(list(np.eye(dim)[support]), np.ones(support.size),
-                            np.zeros(support.size))
+    columns = engine_columns(setup)
+    probes = RotatingTarget(list(columns[support].conj() @ columns.T),
+                            np.ones(support.size), np.zeros(support.size))
     traj = run_filtration(setup, initial, n_steps, target=probes)
     states = np.zeros((traj.steps.size, dim), dtype=complex)
     states[:, support] = traj.overlaps
@@ -189,7 +196,7 @@ ORACLE_IDS = ["L5-J2-J3", "L6-J2", "L5-J2-J3-noise", "L4-noise", "L4-J2-J3",
               "L4-J2-J3-noise"]
 
 
-def _oracle_engine(case):
+def _oracle_engine(case, all_blocks=False):
     """(setup, psi0, dense H, dense removal) at h tau = pi/L, theta0 = 0.3."""
     L, J2, J3, lam, seed = case
     params = ChainParams(L=L, J2=J2, J3=J3)
@@ -197,8 +204,13 @@ def _oracle_engine(case):
     custom = None
     if lam:
         removal = custom = _noisy_removal(L, lam, seed)
-    setup, psi0 = full_setup(params, math.pi / L, 0.3, removal=custom)
+    setup, psi0 = full_setup(params, math.pi / L, 0.3, removal=custom,
+                             all_blocks=all_blocks)
     return setup, psi0, dense_hamiltonian(L, J2=J2, J3=J3), removal
+
+
+def _keys(setup):
+    return [(b.label, b.reflection, b.parity) for b in setup.sector_eigs]
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=ORACLE_IDS)
@@ -207,9 +219,8 @@ def test_full_engine_matches_dense_stepping(case):
     prod X, on the blocks the run reaches."""
     setup, psi0, ham, removal = _oracle_engine(case)
     L, lam = case[0], case[3]
-    every = {(b.label, b.reflection, b.parity) for b in setup.sector_eigs}
-    engine, _ = setup.reached(setup.to_eigen(psi0))
-    kept = {(b.label, b.reflection, b.parity) for b in engine.sector_eigs}
+    every = set(_keys(_oracle_engine(case, all_blocks=True)[0]))
+    kept = set(_keys(setup))
     if lam:
         # a noisy removal reaches both characters of every sector
         assert kept == every
@@ -232,17 +243,30 @@ def test_full_engine_matches_dense_stepping(case):
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=ORACLE_IDS)
 def test_full_engine_spectrum_and_block_residuals(case):
+    """The census engine spans its sectors; the engine is its reached cut."""
     setup, _, ham, _ = _oracle_engine(case)
+    every = _oracle_engine(case, all_blocks=True)[0]
     L = case[0]
-    support = engine_support(setup)
-    assert support.size == setup.dimension
-    assert set(flip_permutation_dense(L)[support]) == set(support)
-    dense = sla.eigvalsh(ham[np.ix_(support, support)])
-    assert np.max(np.abs(np.sort(setup.energies) - dense)) <= 1e-10
-    assert any(b.label < 0 for b in setup.sector_eigs)
     flip = flip_permutation_dense(L)
+    support = engine_support(every)
+    assert support.size == every.dimension
+    assert set(flip[support]) == set(support)
+    dense = sla.eigvalsh(ham[np.ix_(support, support)])
+    assert np.max(np.abs(np.sort(every.energies) - dense)) <= 1e-10
+    # each kept block is the census engine's block, to the bit, and holds
+    # the spectrum of dense H on its symmetry character
+    census = dict(zip(_keys(every), every.sector_eigs))
+    for key, blk in zip(_keys(setup), setup.sector_eigs):
+        same = census[key]
+        for field in ("images", "coefs", "energies", "vectors"):
+            assert np.array_equal(getattr(blk, field), getattr(same, field))
+        dense = character_energies(ham, L, *key)
+        assert np.max(np.abs(np.sort(blk.energies) - dense)) <= 1e-10
+    support = engine_support(setup)
+    assert set(flip[support]) == set(support)
+    assert any(b.label < 0 for b in setup.sector_eigs)
     mirror, twist = twisted_reflection_dense(L)
-    for blk in setup.sector_eigs:
+    for blk in every.sector_eigs:
         vecs = block_eigenvectors(blk, 3**L)
         resid = np.linalg.norm(ham @ vecs - vecs * blk.energies)
         assert resid <= 1e-10, (blk.label, resid)
@@ -254,7 +278,7 @@ def test_full_engine_spectrum_and_block_residuals(case):
         if blk.label == 0:
             assert np.max(np.abs(vecs[flip] - blk.parity * vecs)) <= 1e-14
     # the character blocks of M = 0 together span the sector
-    zero = [b for b in setup.sector_eigs if b.label == 0]
+    zero = [b for b in every.sector_eigs if b.label == 0]
     if zero:
         assert len({(b.reflection, b.parity) for b in zero}) == len(zero)
         both = np.hstack([block_eigenvectors(b, 3**L) for b in zero])
@@ -371,13 +395,16 @@ def test_protocol_states_are_reflection_even(L):
 def test_protocol_run_steps_only_the_even_blocks(L, monkeypatch):
     params = ChainParams(L=L, J2=0.02)
     setup, psi0 = full_setup(params, math.pi / L, 0.3)
-    # every sector M = L mod 2 is still diagonalized whole
+    every, _ = full_setup(params, math.pi / L, 0.3, all_blocks=True)
+    # the census engine holds every sector M = L mod 2 whole
     mags = magnetization_of(L)
-    assert setup.dimension == np.count_nonzero((L - mags) % 2 == 0)
-    even = [b for b in setup.sector_eigs if b.reflection == 1.0
+    assert every.dimension == np.count_nonzero((L - mags) % 2 == 0)
+    even = [b for b in every.sector_eigs if b.reflection == 1.0
             and (b.label != 0 or b.parity == string_parity_sign(L))]
+    assert _keys(setup) == [(b.label, b.reflection, b.parity) for b in even]
+    assert setup.dimension == sum(b.energies.size for b in even)
     # about half: the mirror-symmetric configurations are all R'-even
-    assert sum(b.energies.size for b in even) < 0.55 * setup.dimension
+    assert setup.dimension < 0.55 * every.dimension
     dims = []
     build = filtration.RenewalKernel.__init__
 
@@ -387,8 +414,49 @@ def test_protocol_run_steps_only_the_even_blocks(L, monkeypatch):
 
     monkeypatch.setattr(filtration.RenewalKernel, "__init__", recording)
     traj = run_filtration(setup, psi0, 50, target=make_target(setup, "tar1"))
-    assert dims == [sum(b.energies.size for b in even)]
+    assert dims == [setup.dimension]
     assert traj.steps.size == 51
+
+
+@pytest.mark.parametrize("L", [6, 7])
+def test_full_setup_diagonalizes_only_the_reached_blocks(L, monkeypatch):
+    """eigh runs inside full_setup, once per kept block of a sector
+    M >= 0; a kept block is one where the removal or the initial state
+    has weight at or above DEPLETION_FLOOR, closed under the flip, and
+    all_blocks keeps every block."""
+    params = ChainParams(L=L, J2=0.02)
+    real = np.linalg.eigh
+    calls = []
+
+    def recording(matrix):
+        inside = any(info.frame.f_code is full_setup.__code__
+                     for info in inspect.stack(0))
+        values, vectors = real(matrix)
+        calls.append((inside, values.tolist()))
+        return values, vectors
+
+    monkeypatch.setattr(filtration.np.linalg, "eigh", recording)
+    engines = {}
+    for all_blocks in (False, True):
+        calls.clear()
+        setup, _ = full_setup(params, math.pi / L, 0.3, all_blocks=all_blocks)
+        upper = [b.energies.tolist() for b in setup.sector_eigs
+                 if b.label >= 0]
+        assert all(inside for inside, _ in calls)
+        assert sorted(values for _, values in calls) == sorted(upper)
+        engines[all_blocks] = setup
+    monkeypatch.undo()
+    every = engines[True]
+    weight = {}
+    for key, blk in zip(_keys(every), every.sector_eigs):
+        vecs = block_eigenvectors(blk, 3**L)
+        weight[key] = max(np.linalg.norm(vecs.T @ product_state(L, theta))**2
+                          for theta in (math.pi, 0.3))
+    reached = {key for key, w in weight.items()
+               if max(w, weight[(-key[0], *key[1:])])
+               >= filtration.DEPLETION_FLOOR}
+    assert set(_keys(engines[False])) == reached
+    assert len(reached) < len(weight)
 
 
 def test_full_dark_states_census_unchanged(tmp_path):
@@ -698,10 +766,11 @@ def test_eigenbasis_projections_match_the_complex_product(case):
     vec = np.zeros(dim, dtype=complex)
     vec[inside] = rng.standard_normal(inside.size) \
         + 1j * rng.standard_normal(inside.size)
+    # a vector in the engine span, which the blocks hold without loss
+    columns = engine_columns(setup).astype(complex)
+    vec = columns @ (columns.conj().T @ vec)
     vec /= np.linalg.norm(vec)
     coords = setup.to_eigen(vec)
-    columns = np.hstack([block_eigenvectors(blk, dim).astype(complex)
-                         for blk in setup.sector_eigs])
     oracle = columns.conj().T @ vec
     assert np.max(np.abs(coords - oracle)) <= 1e-14
     back = setup.from_eigen(coords)

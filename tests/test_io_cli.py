@@ -608,6 +608,26 @@ def test_read_keys_are_accepted():
         parsers.get(sub, lambda d: parse_config(d, sub))(doc)
 
 
+# the subcommands whose config keys a CLI flag overrides (README "Config
+# keys"): --engine sets "engine", --seed the seed of "perturbations" or "goe"
+FLAG_READERS = {
+    "--engine": ("full", "filter-run dark-states bright-spectrum"),
+    "--seed": ("9", "filter-run dark-states perturb goe-demo"),
+}
+UNREAD_FLAGS = [(sub, flag) for flag, (_, subs) in FLAG_READERS.items()
+                for sub in SUBCOMMANDS if sub not in subs.split()]
+
+
+@pytest.mark.parametrize("sub,flag", UNREAD_FLAGS)
+def test_unread_flag_exits_1(tmp_path, capsys, sub, flag):
+    doc = next(doc for name, doc, _ in SMALL_RUNS if name == sub)
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                 flag, FLAG_READERS[flag][0], "--quiet"]) == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 NO_SCIPY_SCRIPT = """
 import json, sys
 from darkfilter.cli import main

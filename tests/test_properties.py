@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from darkfilter.experiments import TARGETS, make_target
 from darkfilter.filtration import (
     dark_subspace,
     full_setup,
@@ -26,7 +27,7 @@ from darkfilter.spectral import (
 )
 from darkfilter.spin_model import ChainParams
 
-from helpers import dark_complement
+from helpers import dark_complement, product_state, subset_tower_state
 
 COUPLING = st.floats(-0.3, 0.3)
 THETA0 = st.floats(0.0, 2.0 * math.pi)
@@ -94,3 +95,37 @@ def test_secular_roots_are_the_dense_bright_spectrum(L, h_tau, theta0):
         gaps = [abs(z - d) for d in dense]
         assert min(gaps) <= 1e-8
         dense.pop(int(np.argmin(gaps)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(L=st.integers(3, 7), J2=COUPLING, J3=COUPLING, built=THETA0,
+       theta0=THETA0, seed=st.integers(0, 2**32 - 1))
+def test_engine_holds_every_leg_it_is_retuned_to(L, J2, J3, built, theta0,
+                                                 seed):
+    # perturbation_study builds the full engine at one angle and retunes
+    # it to each leg's own: the protocol state at any angle, the tower
+    # states and both targets must lie in the blocks it kept, which the
+    # norm of their engine coordinates shows
+    params = ChainParams(L=L, J2=J2, J3=J3)
+    setup, _ = full_setup(params, math.pi / L, built)
+    states = [product_state(L, theta0),
+              *(subset_tower_state(L, n) for n in range(L + 1))]
+    for which, rule in TARGETS.items():
+        p, q = rule.resonance(L)
+        leg = setup.retuned(math.pi * p / (q * params.h), theta0)
+        states += make_target(leg, which).components
+    for vec in states:
+        coords = setup.to_eigen(vec)
+        assert abs(np.vdot(vec, vec).real
+                   - np.vdot(coords, coords).real) <= 1e-13
+    # a noisy removal reaches every block
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    noise = rng.standard_normal(3**L) + 1j * rng.standard_normal(3**L)
+    removal = product_state(L, math.pi) + 0.05 * noise / np.linalg.norm(noise)
+    removal /= np.linalg.norm(removal)
+    engines = [full_setup(params, math.pi / L, built, removal=removal,
+                          all_blocks=every)[0] for every in (False, True)]
+    keys = [[(b.label, b.reflection, b.parity) for b in engine.sector_eigs]
+            for engine in engines]
+    assert keys[0] == keys[1]
+    assert {b[1] for b in keys[0]} == {1.0, -1.0}
