@@ -29,7 +29,6 @@ from darkfilter.spin_model import (
     build_tower,
     protocol_states,
     sga_residual,
-    sz_sector_split,
 )
 from darkfilter.filtration import (
     DarkSubspace,
@@ -99,6 +98,5 @@ __all__ = [
     "scaling_predictions",
     "sga_residual",
     "spectral_decomposition",
-    "sz_sector_split",
     "__version__",
 ]

@@ -9,15 +9,18 @@ protocol's product states carry alternating signs exp(i*pi*j).
 
 Three encodings are used:
 
-* ``full``   -- all 3^L configurations;
-* ``sector`` -- the configurations with fixed total magnetization M;
-* ``tower``  -- the (L+1)-dimensional bi-magnon ladder, indexed by the
-  number of bi-magnons n = 0..L.
+* ``full``    -- all 3^L configurations; a magnetization sector is the
+  set of indices where magnetization_of equals M, never a basis of its
+  own;
+* ``tower``   -- the (L+1)-dimensional bi-magnon ladder, indexed by the
+  number of bi-magnons n = 0..L;
+* ``generic`` -- a plain D-dimensional computational basis with no spin
+  structure (the random-matrix benchmark).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,21 +46,14 @@ def magnetization_of(L):
 
 @dataclass(frozen=True)
 class BasisEncoding:
-    """A declared basis over which amplitudes and operators live.
+    """A declared basis over which amplitudes and operators live."""
 
-    ``states`` is the sorted array of full-space indices for ``sector``
-    encodings and ``None`` otherwise.  ``kind == "generic"`` is a plain
-    D-dimensional computational basis with no spin structure (used by the
-    random-matrix benchmark).
-    """
-
-    kind: str                      # "full" | "sector" | "tower" | "generic"
+    kind: str                      # "full" | "tower" | "generic"
     L: int
     dimension: int
-    states: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("full", "sector", "tower", "generic"):
+        if self.kind not in ("full", "tower", "generic"):
             raise ValidationError(f"unknown basis kind {self.kind!r}")
 
     @classmethod

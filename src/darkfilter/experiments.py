@@ -86,6 +86,12 @@ THETA0_RULES = {
 }
 
 
+def _check_seed(seed):
+    # a seed keys a Philox generator and is documented as a u64
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2^64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class Perturbations:
     """Removal-state noise: psi_r mixed with lam * nu, nu seeded Gaussian."""
@@ -98,6 +104,8 @@ class Perturbations:
             raise ValidationError("noise strength lam must be >= 0 and finite")
         if self.lam > 0.0 and self.seed is None:
             raise ValidationError("removal noise requires an explicit seed")
+        if self.seed is not None:
+            _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,7 @@ class GoeBlock:
     def __post_init__(self):
         if self.d_goe < 4:
             raise ValidationError("GOE dimension must be at least 4")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

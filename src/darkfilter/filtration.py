@@ -52,10 +52,10 @@ from darkfilter.basis import (
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.spin_model import (
     ChainParams,
+    ManyBodyOperator,
     StateVector,
     build_hamiltonian,
     protocol_states,
-    sz_sector_split,
 )
 
 # Degeneracy clustering tolerance for eigenphases, in radians.  The
@@ -71,15 +71,13 @@ DARK_OVERLAP_TOL = 1e-12
 SPECTRUM_CAP = 4000
 
 
-def resonance_period(ea, eb, k=1):
-    """Period tau = 2 pi k / |eb - ea| that makes two eigenphases collide."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k!r}")
+def resonance_period(ea, eb):
+    """Period tau = 2 pi / |eb - ea| that makes two eigenphases collide."""
     if ea == eb:
         raise ValidationError(
             "energies already degenerate: every period is resonant"
         )
-    return 2.0 * math.pi * k / abs(eb - ea)
+    return 2.0 * math.pi / abs(eb - ea)
 
 
 @dataclass
@@ -244,8 +242,8 @@ def reduced_setup(params, tau, theta0):
     return setup, StateVector(setup.basis, initial)
 
 
-# Largest entry of P H P - H + 2 h Sz, or of R' H R' - H, that the
-# symmetry blocks tolerate.
+# Largest entry of H coupling two Sz sectors, of P H P - H + 2 h Sz, or
+# of R' H R' - H, that the symmetry blocks tolerate.
 FLIP_TOL = 1e-12
 
 
@@ -324,21 +322,21 @@ def check_reflection_symmetry(ham, mags):
 def _character_blocks(group, twist):
     """Orbit bases of a sector's character blocks under its symmetry group.
 
-    group[g] maps each sector position to its image under element g of
-    {1, R'}, or of {1, R', P, P R'} on the sector M = 0, which P maps to
-    itself; the elements holding R' carry the sign twist.  A character
-    (e, p) takes the value e on R' and p on P.  An orbit enters a
-    character's block when every element that fixes its representative
-    acts there as +1, with the unit vector
+    group[g] maps each configuration of sector M, as a full-space index,
+    to its image under element g of {1, R'}, or of {1, R', P, P R'} on
+    the sector M = 0, which P maps to itself; group[0] lists the sector.
+    The elements holding R' carry the sign twist.  A character (e, p)
+    takes the value e on R' and p on P.  An orbit enters a character's
+    block when every element that fixes its representative, the orbit's
+    smallest index, acts there as +1, with the unit vector
     sum_g chi(g) sign(g) e_(g rep) / sqrt(G |stab|).  These vectors are
     orthonormal, so a state's weight in the block needs no eigenvector.
-    Yields (e, p, images as sector positions, coefs) for each non-empty
-    block.
+    Yields (e, p, images as full-space indices, coefs) for each
+    non-empty block.
     """
-    G, d = group.shape
-    reps = np.flatnonzero(group.min(axis=0) == np.arange(d))
-    images = group[:, reps]
-    fixed = images == reps
+    G = group.shape[0]
+    images = group[:, group.min(axis=0) == group[0]]
+    fixed = images == images[0]
     for e in (1.0, -1.0):
         for p in (1.0, -1.0)[:G // 2]:
             phase = np.array([1.0, twist * e, p, twist * e * p])[:G]
@@ -349,11 +347,12 @@ def _character_blocks(group, twist):
 
 
 def _block_eigh(op, imgs, coefs):
-    """eigh of a sector's H on one character block.
+    """eigh of H on one character block of a sector.
 
-    op holds the sector's triplets over sector positions.  The block is
-    scattered straight from the triplets, each carrying the coefficients
-    of its two ends, never through the whole sector.
+    op holds the triplets of H whose row lies in the sector, over the
+    full space.  The block is scattered straight from them, each
+    carrying the coefficients of its two ends, never through the whole
+    sector.
     """
     n = imgs.shape[1]
     slot = np.full(op.basis.dimension, -1)
@@ -380,9 +379,10 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
     Works inside the total-Sz sectors that can carry weight: the parity
     sectors M = L mod 2 hosting the protocol states, plus any sector
     touched by a custom removal vector (e.g. a noisy removal spreads
-    everywhere), closed under M -> -M.  Two symmetries, both checked on
-    the triplets of H, split them further:
+    everywhere), closed under M -> -M.  Three symmetries, each checked on
+    the triplets of H to FLIP_TOL, set the blocks:
 
+    * H conserves Sz, so no triplet couples two sectors;
     * the spin flip P maps sector M to -M and commutes with H - h Sz, so
       only sectors M >= 0 run eigh and sector -M is the flipped copy;
     * the site reflection commutes with H.  On even L it maps the
@@ -392,8 +392,9 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
       removal, initial, target and tower states are all even.
 
     Each sector M > 0 splits into the two characters of R', and M = 0
-    into the four of {1, P, R', P R'}.  A block enters the engine when
-    the removal or the initial state carries weight at or above
+    into the four of {1, P, R', P R'}; the orbits are read off the
+    full-space index maps of these elements.  A block enters the engine
+    when the removal or the initial state carries weight at or above
     DEPLETION_FLOOR in it, or in its flipped copy in sector -M (a
     symmetry leaves them rounding, about 1e-32): F maps the span of
     these blocks into itself, so a run from the initial state never
@@ -401,17 +402,24 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
     from the orbit basis, before any eigh, so an unreached block is
     never scattered or diagonalized; all_blocks keeps every block, for
     the census of every dark state.  Each kept block is scattered
-    straight from the triplets onto one symmetrized vector per orbit,
-    and its eigenvectors stay in those orbit coordinates (SectorEig).
-    In this eigenbasis P is a signed permutation of coordinates, which
-    makes the string operator O(dim).  Returns (setup, initial product
-    state on the full basis).
+    straight from the sector's triplets of H onto one symmetrized vector
+    per orbit, and its eigenvectors stay in those orbit coordinates
+    (SectorEig).  In this eigenbasis P is a signed permutation of
+    coordinates, which makes the string operator O(dim).  Returns
+    (setup, initial product state on the full basis).
     """
     if not isinstance(params, ChainParams):
         raise ValidationError("full_setup expects ChainParams")
     L = params.L
     ham = build_hamiltonian(params)
     mags = magnetization_of(L)
+    row_m = mags[ham.row]
+    cross = row_m != mags[ham.col]
+    leak = float(np.max(np.abs(ham.data[cross]), initial=0.0))
+    if leak > FLIP_TOL:
+        raise NumericsError(
+            f"H couples magnetization sectors (max |element| {leak:.3e})"
+        )
     check_flip_symmetry(ham, params.h, mags)
     check_reflection_symmetry(ham, mags)
     psi_r, psi_0 = protocol_states(params, theta0)
@@ -424,32 +432,34 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
     sectors = set(M for M in range(L + 1) if (M - L) % 2 == 0)
     occupied = np.abs(psi_r.amplitudes) > 0.0
     sectors.update(np.abs(mags[occupied]).tolist())
-    split = sz_sector_split(ham, sectors, mags)
+    members = {M: np.flatnonzero(mags == M) for M in sorted(sectors)}
     mirror = reflection_of(L)
     top = 3**L - 1
     blocks = []
     # eigh holds several arrays of its block's size (syevd workspace alone
     # is 2 d^2), so each block is built just before its eigh, and the
     # largest go first, while few eigenvectors are stored beside them
-    for M in sorted(split, key=lambda M: -split[M].basis.dimension
+    for M in sorted(members, key=lambda M: -members[M].size
                     / (4 if M == 0 else 2)):
-        idx = split[M].basis.states
-        group = [np.arange(idx.size), np.searchsorted(idx, mirror[idx])]
+        idx = members[M]
+        group = [idx, mirror[idx]]
         if M == 0:
-            flipped = group[0][::-1]       # P reverses the sorted order
-            group += [flipped, flipped[group[1]]]
+            group += [top - idx, top - mirror[idx]]
+        inside = row_m == M
+        op = ManyBodyOperator(ham.basis, ham.row[inside], ham.col[inside],
+                              ham.data[inside])
         for e, p, imgs, coefs in _character_blocks(
                 np.array(group), float(reflection_twist(L, M))):
             # P maps orbit to orbit and commutes with R': sector -M has
             # the same orbit coordinates and eigenvectors
-            images = [idx[imgs], top - idx[imgs]][:1 + (M > 0)]
+            images = [imgs, top - imgs][:1 + (M > 0)]
             if not all_blocks and max(
                     _orbit_weight(state.amplitudes, img, coefs)
                     for state in (psi_r, psi_0)
                     for img in images) < DEPLETION_FLOOR:
                 continue
-            w, v = _block_eigh(split[M], imgs, coefs)
-            blocks.append(SectorEig(M, images[0], coefs, w, v, parity=p,
+            w, v = _block_eigh(op, imgs, coefs)
+            blocks.append(SectorEig(M, imgs, coefs, w, v, parity=p,
                                     reflection=e))
             if M:
                 blocks.append(SectorEig(-M, images[1], coefs,

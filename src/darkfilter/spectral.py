@@ -73,9 +73,6 @@ class ChargePicture:
         keep = self.weights > ZERO_WEIGHT
         return self.angles[keep], self.weights[keep]
 
-    def positions(self):
-        return np.exp(-1j * self.angles)
-
 
 def charge_picture(setup):
     """Cluster the engine's eigenphases and sum removal weight per group."""
@@ -136,7 +133,6 @@ class BrightSpectrum:
 
     roots: np.ndarray
     dominant: complex | None
-    tie: bool
 
     @property
     def count(self):
@@ -149,14 +145,13 @@ class BrightSpectrum:
                             -np.abs(roots)))
         roots = roots[order]
         if roots.size == 0:
-            return cls(roots, None, False)
+            return cls(roots, None)
         mods = np.abs(roots)
         near = np.nonzero(mods > mods[0] - 1e-12)[0]
-        tied = near.size > 1
         # the order of near-tied moduli is rounding noise; resolve the
         # dominant member by angle
         top = near[np.argmin(np.angle(roots[near]) % (2.0 * math.pi))]
-        return cls(roots, complex(roots[top]), bool(tied))
+        return cls(roots, complex(roots[top]))
 
 
 def bright_secular_roots(cp):

@@ -34,10 +34,6 @@ import numpy as np
 from darkfilter.basis import BasisEncoding, digits_of
 from darkfilter.errors import NumericsError, ValidationError
 
-# Largest |element| coupling two magnetization sectors that
-# sz_sector_split tolerates.
-SECTOR_LEAK_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -82,9 +78,10 @@ class StateVector:
 
 @dataclass
 class ManyBodyOperator:
-    """Real operator on a basis (the full space or a sector) as COO triplets.
+    """Real operator on the full space as COO triplets.
 
-    data[k] sits at (row[k], col[k]); entries at a repeated position add.
+    data[k] sits at (row[k], col[k]), both full-space indices; entries at
+    a repeated position add.
     """
 
     basis: BasisEncoding
@@ -242,39 +239,3 @@ def protocol_states(params, theta0):
         return StateVector(basis, vec)
 
     return product(np.pi), product(theta0)
-
-
-def sz_sector_split(operator, sectors, mags):
-    """Split a full-space operator into its magnetization-diagonal blocks.
-
-    Verifies that the operator does not couple different total-Sz
-    sectors (up to SECTOR_LEAK_TOL) and returns, keyed by M for the M
-    values in sectors, the triplets inside each sector as an operator on
-    that sector's basis: positions count the sector's configurations in
-    ascending index order, which basis.states lists.  mags is Sz per
-    full-space index.
-    """
-    L = operator.basis.L
-    if operator.basis.kind != "full":
-        raise ValidationError("sector split expects a full-space operator")
-    row_m, col_m = mags[operator.row], mags[operator.col]
-    cross = row_m != col_m
-    if np.any(cross):
-        worst = float(np.max(np.abs(operator.data[cross])))
-        if worst > SECTOR_LEAK_TOL:
-            raise NumericsError(
-                f"operator couples magnetization sectors (max |element| {worst:.3e})"
-            )
-    rank = np.empty(mags.size, dtype=np.int64)
-    blocks = {}
-    for M in sorted(set(int(M) for M in sectors)):
-        idx = np.flatnonzero(mags == M)
-        if idx.size == 0:
-            continue
-        rank[idx] = np.arange(idx.size)
-        inside = (row_m == M) & (col_m == M)
-        blocks[M] = ManyBodyOperator(
-            BasisEncoding("sector", L, idx.size, states=idx),
-            rank[operator.row[inside]], rank[operator.col[inside]],
-            operator.data[inside])
-    return blocks

@@ -243,7 +243,7 @@ def test_criterion_05_secular_vs_dense_spectra():
             left.pop(k)
         for root in spectrum.roots:
             worst_hull = max(worst_hull, convex_hull_violation(
-                root, picture.positions()))
+                root, np.exp(-1j * picture.angles)))
     dt = time.perf_counter() - t0
     ok = count_ok and worst_root < 1e-8 and worst_hull < 1e-12 and dt < 60.0
     assert verdict(5, "secular-vs-dense-spectra", ok,

@@ -131,11 +131,9 @@ def test_tower_and_full_engines_agree():
 
 def test_resonance_period():
     assert resonance_period(0.0, 2.0) == math.pi
-    assert resonance_period(1.0, -1.0, k=3) == 3.0 * math.pi
+    assert resonance_period(1.0, -1.0) == math.pi
     with pytest.raises(ValidationError):
         resonance_period(1.0, 1.0)
-    with pytest.raises(ValidationError):
-        resonance_period(0.0, 1.0, k=0)
 
 
 def test_degeneracy_groups_at_resonance():
@@ -338,6 +336,31 @@ def test_full_setup_checks_flip_symmetry(monkeypatch):
     monkeypatch.setattr(filtration, "build_hamiltonian", broken)
     with pytest.raises(NumericsError, match="flip symmetric"):
         full_setup(params, 1.0, 0.0)
+
+
+def test_full_setup_checks_sz_conservation(monkeypatch, tmp_path):
+    # a symmetric pair coupling |00..0> (M = 0) to the same state with
+    # site 1 raised (M = 1): the engine blocks by Sz and must refuse
+    L = 4
+    real = filtration.build_hamiltonian
+    zero = (3**L - 1) // 2                 # every digit 1
+    mags = magnetization_of(L)
+    assert (mags[zero], mags[zero - 1]) == (0, 1)
+
+    def broken(params):
+        ham = real(params)
+        return ManyBodyOperator(ham.basis,
+                                np.concatenate([ham.row, [zero, zero - 1]]),
+                                np.concatenate([ham.col, [zero - 1, zero]]),
+                                np.concatenate([ham.data, [0.01, 0.01]]))
+
+    monkeypatch.setattr(filtration, "build_hamiltonian", broken)
+    with pytest.raises(NumericsError, match="magnetization sectors"):
+        full_setup(ChainParams(L=L, J2=0.02), 1.0, 0.0)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(f'{{"L": {L}, "J2": 0.02, "n_steps": 10}}')
+    assert main(["perturb", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
 
 def _site_one_quadratic(L, c):

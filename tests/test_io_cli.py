@@ -21,7 +21,7 @@ from darkfilter.config import (
     table1_options,
 )
 from darkfilter.errors import ValidationError
-from darkfilter.experiments import document_of
+from darkfilter.experiments import GoeBlock, Perturbations, document_of
 from darkfilter.filtration import DEPLETION_FLOOR
 from darkfilter.output import BLOCK_ROWS, emit_csv, format_cell, write_metadata
 
@@ -626,6 +626,33 @@ def test_unread_flag_exits_1(tmp_path, capsys, sub, flag):
                  flag, FLAG_READERS[flag][0], "--quiet"]) == 1
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+PERTURB_DOC = {"L": 4, "J2": 0.02, "n_steps": 60}
+NOISY = {"lambda": 0.05}
+BAD_SEEDS = [
+    ("perturb", PERTURB_DOC, ["--seed", "-1"]),
+    ("perturb", dict(PERTURB_DOC, perturbations=dict(NOISY, seed=-1)), []),
+    ("perturb", dict(PERTURB_DOC, perturbations=dict(NOISY, seed=1e30)), []),
+    ("goe-demo", {"goe": {"D_goe": 8, "seed": -5}}, []),
+    ("goe-demo", {"goe": {"D_goe": 8, "seed": 2**64}}, []),
+    ("goe-demo", {"goe": {"D_goe": 8, "seed": 5}}, ["--seed", str(2**64)]),
+]
+
+
+@pytest.mark.parametrize("sub,doc,extra", BAD_SEEDS)
+def test_out_of_range_seed_exits_1(tmp_path, capsys, sub, doc, extra):
+    # a seed keys a Philox generator, which rejects a negative key with a
+    # ValueError; the CLI documents --seed as a u64
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    # the ends of the range are accepted
+    Perturbations(lam=0.05, seed=0)
+    GoeBlock(seed=2**64 - 1)
 
 
 NO_SCIPY_SCRIPT = """

@@ -84,7 +84,7 @@ def test_secular_roots_are_the_dense_bright_spectrum(L, h_tau, theta0):
     roots = bright_secular_roots(cp).roots
     assert roots.size == cp.w - 1
     for z in roots:
-        assert convex_hull_violation(z, cp.positions()) <= HULL_SLACK
+        assert convex_hull_violation(z, np.exp(-1j * cp.angles)) <= HULL_SLACK
     # a root at zero meets the structural zero of the rank-one removal in
     # a Jordan block, which has no eigendecomposition to compare with
     assume(np.all(np.abs(roots) > 1e-8))

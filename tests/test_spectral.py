@@ -27,7 +27,7 @@ def test_charge_picture_binomial_weights():
     assert np.allclose(sorted(cp.weights), want, atol=1e-14)
     assert abs(float(np.sum(cp.weights)) - 1.0) < 1e-14
     # charge positions are the actual eigenphases of U(tau)
-    for pos in cp.positions():
+    for pos in np.exp(-1j * cp.angles):
         assert np.min(np.abs(setup.phases - pos)) < 1e-12
 
 
@@ -52,7 +52,7 @@ def test_single_charge_has_no_bright_root():
     cp = ChargePicture(np.array([0.7]), np.array([1.0]))
     bs = bright_secular_roots(cp)
     assert bs.count == 0
-    assert bs.dominant is None and not bs.tie
+    assert bs.dominant is None
 
 
 def test_opposite_equal_charges_give_trivial_zero():
@@ -98,7 +98,6 @@ def test_convex_hull_violation_cases():
 def test_bright_spectrum_ordering_and_tie():
     roots = np.array([0.5 + 0.1j, 0.2 + 0.0j, 0.5 - 0.1j])
     bs = BrightSpectrum.from_roots(roots)
-    assert bs.tie
     # ties resolve to the smallest angle in [0, 2 pi)
     assert bs.dominant == pytest.approx(0.5 + 0.1j)
     assert np.all(np.abs(bs.roots[:2]) >= np.abs(bs.roots[2]))
@@ -106,7 +105,6 @@ def test_bright_spectrum_ordering_and_tie():
 
 def test_untied_dominant():
     bs = BrightSpectrum.from_roots(np.array([0.3 + 0.0j, -0.6 + 0.0j]))
-    assert not bs.tie
     assert bs.dominant == pytest.approx(-0.6 + 0.0j)
 
 

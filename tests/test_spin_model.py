@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkfilter.basis import BasisEncoding, magnetization_of, string_parity_sign
-from darkfilter.errors import NumericsError, ValidationError
+from darkfilter.basis import magnetization_of, string_parity_sign
+from darkfilter.errors import ValidationError
 from darkfilter.spin_model import (
     ChainParams,
-    ManyBodyOperator,
     bimagnon_raising,
     build_hamiltonian,
     build_tower,
     protocol_states,
     sga_residual,
-    sz_sector_split,
 )
 
 from helpers import (
@@ -53,25 +51,6 @@ def test_hamiltonian_is_real_symmetric():
                                                          J3=0.1)))
     assert np.max(np.abs(ham - ham.T)) < 1e-14
     assert np.isrealobj(ham) or np.max(np.abs(ham.imag)) < 1e-14
-
-
-def test_sector_split_reassembles():
-    op = build_hamiltonian(ChainParams(L=3, J3=0.1))
-    blocks = sz_sector_split(op, range(-3, 4), magnetization_of(3))
-    dense = triplets_to_dense(op)
-    total = 0
-    for blk in blocks.values():
-        idx = blk.basis.states
-        assert np.max(np.abs(dense[np.ix_(idx, idx)]
-                             - triplets_to_dense(blk))) < 1e-14
-        total += idx.size
-    assert total == 27
-    # off-block entries vanish: Sz is conserved
-    for ma, blk_a in blocks.items():
-        for mb, blk_b in blocks.items():
-            if ma != mb:
-                cross = dense[np.ix_(blk_a.basis.states, blk_b.basis.states)]
-                assert np.max(np.abs(cross)) < 1e-14
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
@@ -187,15 +166,6 @@ def test_chain_params_validation():
         ChainParams(L=2.5)
 
 
-def test_sector_split_rejects_nonconserving_operator():
-    # the global flip prod X maps magnetization M to -M
-    flip = flip_permutation_dense(3)
-    op = ManyBodyOperator(BasisEncoding.full(3), flip, np.arange(27),
-                          np.ones(27))
-    with pytest.raises(NumericsError):
-        sz_sector_split(op, range(-3, 4), magnetization_of(3))
-
-
 COUPLING = st.floats(-1.5, 1.5)
 
 
@@ -205,15 +175,11 @@ COUPLING = st.floats(-1.5, 1.5)
 def test_triplets_match_sparse_kron_oracle(L, J, J2, J3, h, D):
     params = ChainParams(L=L, J=J, h=h, D=D, J2=J2, J3=J3)
     oracle = sparse_hamiltonian(L, J, h, D, J2, J3).toarray()
+    assert np.max(np.abs(triplets_to_dense(build_hamiltonian(params))
+                         - oracle)) <= 1e-14
+    # the oracle has no entry between sectors for the engine's blocks to
+    # miss
     mags = magnetization_of(L)
-    blocks = sz_sector_split(build_hamiltonian(params), range(-L, L + 1), mags)
-    assert sorted(blocks) == list(range(-L, L + 1))
-    for M, blk in blocks.items():
-        idx = blk.basis.states
-        assert np.array_equal(idx, np.flatnonzero(mags == M))
-        assert np.max(np.abs(triplets_to_dense(blk)
-                             - oracle[np.ix_(idx, idx)])) <= 1e-14
-    # the oracle has no entry between sectors for the blocks to miss
     assert np.max(np.abs(oracle[mags[:, None] != mags[None, :]]),
                   initial=0.0) == 0.0
     oracle_q = sparse_bimagnon_raising(L)
