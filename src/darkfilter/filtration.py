@@ -796,33 +796,34 @@ CHUNK_DRIFT_TOL = 1e-10
 BACKEND = "numpy"
 
 
-def chunk_length(dim):
-    """Steps per renewal chunk on an engine of dimension dim.
+def chunk_length(setup):
+    """Steps per renewal chunk on an engine.
 
     A step costs a few gemv columns at any chunk length, so chunks are
-    long up to a budget of 2^18 entries per (B, dim) table: a power of
-    two between 8 and 64.
+    long, up to a budget of 2^18 entries per (B, dim) table: a power of
+    two of at least 8, and at most 256, or 64 on an engine with a spin
+    flip, whose string costs G B^2 per chunk for G flip groups.
     """
-    fit = max(2**18 // dim, 1).bit_length() - 1
-    return 1 << min(6, max(3, fit))
+    top = 6 if setup.flip_pos is not None else 8
+    fit = max(2**18 // setup.dimension, 1).bit_length() - 1
+    return 1 << min(top, max(3, fit))
 
 
 class RenewalKernel:
     """Chunks of B filtration steps from the quantum renewal equation.
 
-    With D = diag(phases) and r the removal state, the amplitude removed
-    at step j of a chunk that starts from psi is c_j = r^H D psi_(j-1).
-    Expanding psi_j = D^j psi - sum_(k<=j) c_k D^(j-k) r gives the
-    renewal equation T c = a (Friedman, Kessler and Barkai, PRE 95,
-    032141, 2017): a_j = r^H D^j psi, and T is the unit lower triangular
-    Toeplitz matrix of g_m = r^H D^m r.  So c = T^-1 a is one gemv
-    against the fixed table T^-1 (Z * conj(r)), Z_j = phases^j, and the
-    overlaps t^H psi_j of a probe t are one more, against
-    Z * conj(t) - H T^-1 (Z * conj(r)), H the Toeplitz matrix of
-    h_m = t^H D^m r.  Survival follows S_j = S_0 - sum_(k<=j) |c_k|^2.
-    The state is formed only at a chunk's end, in the frame that D^j
-    carries: psi_j = Z_j * y_j, y_j = psi - sum_(k<=j) c_k R_k, with
-    R_k = D^-k r.
+    With D = diag(phases) and r the removal state, one step is
+    F = (1 - r r^H) D, and the amplitude removed at step j of a chunk
+    that starts from psi is c_j = r^H D psi_(j-1) = r^H D F^(j-1) psi;
+    the overlap of a probe t with psi_j is t^H F^j psi.  Each is one
+    gemv against a table fixed per run whose rows follow by the
+    recursion row_(j+1) = row_j F = (row_j - (row_j . r) r^H) * phases,
+    from r^H D for c and from t^H F for a probe, O(B dim) in all.  This
+    is the renewal equation of Friedman, Kessler and Barkai (PRE 95,
+    032141, 2017) solved row by row.  Survival follows
+    S_j = S_0 - sum_(k<=j) |c_k|^2.  The state is formed only at a
+    chunk's end, in the frame that D^j carries: psi_j = Z_j * y_j,
+    Z_j = phases^j, y_j = psi - sum_(k<=j) c_k R_k, with R_k = D^-k r.
 
     The string <psi_j|P|psi_j> of a signed flip permutation P (i to
     pi(i), sign s_i) needs no state either.  With w_i = conj(ph[pi i])
@@ -842,14 +843,18 @@ class RenewalKernel:
         dim = phases.shape[0]
         self.powers = np.cumprod(np.broadcast_to(phases, (B, dim)), axis=0)
         self.returns = self.powers.conj() * removal             # D^-k r
-        g = np.concatenate([[1.0], self.powers[:-1] @ np.abs(removal) ** 2])
+        bra = removal.conj()
+
+        def times_f(rows):
+            return (rows - np.outer(rows @ removal, bra)) * phases
+
+        # tables[i B + j] is row j of table i: c first, then each probe
         self.tables = np.empty(((1 + len(probes)) * B, dim), dtype=complex)
-        amps = np.multiply(self.powers, removal.conj(), out=self.tables[:B])
-        _forward_substitute(_toeplitz(g), amps)
-        for t, out in zip(probes, self.tables[B:].reshape(-1, B, dim)):
-            h = np.concatenate([[np.vdot(t, removal)],
-                                self.powers[:-1] @ (t.conj() * removal)])
-            np.subtract(self.powers * t.conj(), _toeplitz(h) @ amps, out=out)
+        rows = self.tables.reshape(-1, B, dim)
+        rows[0, 0] = bra * phases                   # r^H D
+        rows[1:, 0] = times_f(probes.conj())        # t^H F
+        for j in range(1, B):
+            rows[:, j] = times_f(rows[:, j - 1])
         self.flip = flip
         if flip is not None:
             pos, sign = flip
@@ -868,8 +873,11 @@ class RenewalKernel:
             lag = np.subtract.outer(np.arange(B), np.arange(B)) + B - 1
             gram = (self.group_powers.conj()[:, None] * u[lag]).transpose(
                 2, 0, 1)
-            self.gram_lower = np.tril(gram)
-            self.gram_upper = np.triu(gram, 1).transpose(0, 2, 1)
+            # contiguous, as the products in strings run 3-4 times
+            # slower on strided tables
+            self.gram_lower = np.ascontiguousarray(np.tril(gram))
+            self.gram_upper = np.ascontiguousarray(
+                np.triu(gram, 1).transpose(0, 2, 1))
 
     def _by_group(self, values):
         """(dim, G) matrix holding values[i] in the column of i's group."""
@@ -892,28 +900,17 @@ class RenewalKernel:
         return self.powers[m - 1] * (psi - c[:m] @ self.returns[:m])
 
 
-def _forward_substitute(lower, x):
-    """Solve lower @ y = x in place for a unit lower triangular matrix."""
-    for j in range(1, lower.shape[0]):
-        x[j] -= lower[j, :j] @ x[:j]
-
-
-def _toeplitz(column):
-    """Lower triangular Toeplitz matrix with the given first column."""
-    lag = np.subtract.outer(np.arange(column.size), np.arange(column.size))
-    return np.where(lag >= 0, column[np.maximum(lag, 0)], 0.0)
-
-
 def _fidelity(coef, overlaps, gram, survival):
     """Q_n = |<t_n|psi_n>|^2 / (<t_n|t_n> S_n) of a target on each row n.
 
     The target t_n = sum_j coef[n, j] c_j has the Gram matrix gram over
     its components c_j, overlaps[n, j] = <c_j|psi_n> holds the probe
     overlaps of the unnormalized state and survival[n] = S_n its weight.
+    A coef of one row serves every row.
     """
-    numer = np.abs(np.einsum("nj,nj->n", coef.conj(), overlaps)) ** 2
-    tnorm = np.einsum("nj,jk,nk->n", coef.conj(), gram, coef).real
-    return numer / (tnorm * survival)
+    amp = np.einsum("...j,...j->...", coef.conj(), overlaps)
+    tnorm = np.einsum("...j,...j->...", coef.conj() @ gram, coef).real
+    return (amp.real**2 + amp.imag**2) / (tnorm * survival)
 
 
 def run_filtration(setup, initial, n_steps, target=None):
@@ -961,7 +958,7 @@ def run_filtration(setup, initial, n_steps, target=None):
         string[0] = setup.string_rows(psi)
 
     kernel = RenewalKernel(
-        setup.phases, setup.removal_eig, probes, chunk_length(setup.dimension),
+        setup.phases, setup.removal_eig, probes, chunk_length(setup),
         (setup.flip_pos, setup.flip_sign) if flip else None)
     B = kernel.length
     done = 0
@@ -1010,9 +1007,10 @@ def run_filtration(setup, initial, n_steps, target=None):
     q = None
     if rot is not None:
         overlaps = overlaps[:count]
-        coef = rot.weights[None, :] * np.exp(
-            -1j * np.outer(steps, rot.angles)
-        )
+        # a static target needs no per-row rotation
+        coef = rot.weights[None, :]
+        if np.any(rot.angles):
+            coef = coef * np.exp(-1j * np.outer(steps, rot.angles))
         with np.errstate(divide="ignore", invalid="ignore"):
             # exact depletion gives 0/0, which Trajectory rejects
             q = _fidelity(coef, overlaps, gram, survival)

@@ -3,11 +3,12 @@
 CSV is the bulk-numerics contract: floats are written as "%.17g" (17
 significant digits), lines end with a bare newline, and row order is
 whatever the caller passes, so identical inputs produce byte-identical
-bodies.  emit_csv is the one write path.  It turns each column of a
-block of BLOCK_ROWS rows into a NUL-padded uint8 matrix, one row per
-cell, joins the cells with constant ',' and '\n' columns and deletes
-the NULs.  Float arrays get their "%.17g" digits from the IEEE bits by
-exact integer arithmetic, integer arrays "%d", and any other column
+bodies.  emit_csv is the one write path.  A block of BLOCK_ROWS rows
+is one NUL-padded uint8 matrix, a row per table row: each column
+writes its cells into a span of fixed width (FLOAT_WIDTH for floats),
+between constant ',' and '\n' columns, and the NULs are deleted.
+Float arrays get their "%.17g" digits from the IEEE bits by exact
+integer arithmetic, integer arrays "%d", and any other column
 format_cell per cell; floats outside the exact range (zero, subnormals,
 |x| <= 1e-11 or >= 1e17) go through "%" in one batch per block.  Two
 blocks are formatted at a time, one on a worker thread and one on the
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -71,34 +73,48 @@ _POW5 = np.array([5**j for j in range(28)], dtype=_U64)
 _EXACT_LOW, _EXACT_HIGH = 1e-11, 1e17
 
 
-def _float_templates():
-    """The 44 byte slots of a 17-digit %.17g cell with zero digits.
+def _point(k):
+    """Digit after which a cell's frame holds its point slot: k for k >= 0,
+    0 in exponent form (k < -4), the last digit when "0.000" holds it."""
+    return np.where(k >= 0, k, np.where(k < -4, 0, 16))
 
-    Row (k + 11) 17 + last serves decimal exponent k in [-11, 16] and the
-    last nonzero digit at position last.  Slot 0 holds the sign, slots
-    1-5 the "0.000" of -4 <= k < 0, slots 6-39 the 17 digits each
-    followed by a slot for '.', and slots 40-43 the exponent "e-NN" of
-    k < -4; unused slots are NUL.
+
+def _float_templates():
+    """The FLOAT_WIDTH byte slots of a %.17g cell with zero digits.
+
+    Row (k + 11) 18 + last serves decimal exponent k in [-11, 16] and the
+    last nonzero digit slot last.  Slot 0 holds the sign, slots 1-5 the
+    "0.000" of -4 <= k < 0, slots 6-23 the digit frame and slots 24-27
+    the exponent "e-NN" of k < -4; unused slots are NUL.  The frame holds
+    the 17 digits with an empty slot inserted after digit _point(k),
+    which shows '.' when a nonzero digit follows it.
     """
-    k, last = np.meshgrid(np.arange(-11, 17), np.arange(17), indexing="ij")
+    k, last = np.meshgrid(np.arange(-11, 17), np.arange(18), indexing="ij")
     small, sci = (k >= -4) & (k < 0), k < -4
-    point = np.where(k >= 0, k, np.where(sci, 0, -1))  # the digit '.' follows
-    out = np.zeros(k.shape + (44,), dtype=np.uint8)
+    point = _point(k)
+    shown = np.where(k >= 0, np.maximum(last, point), last)
+    out = np.zeros(k.shape + (FLOAT_WIDTH,), dtype=np.uint8)
     for slot, char, mask in ((1, "0", small), (2, ".", small),
                              (3, "0", small & (k <= -2)),
                              (4, "0", small & (k <= -3)),
                              (5, "0", small & (k <= -4)),
-                             (40, "e", sci), (41, "-", sci)):
+                             (24, "e", sci), (25, "-", sci)):
         out[..., slot] = mask * np.uint8(ord(char))
-    out[..., 42] = np.where(sci, ord("0") + (-k) // 10, 0)
-    out[..., 43] = np.where(sci, ord("0") + (-k) % 10, 0)
-    for i in range(17):
-        out[..., 6 + 2 * i] = (i <= np.maximum(last, point)) * np.uint8(48)
-        out[..., 7 + 2 * i] = ((i == point) & (point < last)) * np.uint8(46)
-    return out.reshape(-1, 44)
+    out[..., 26] = np.where(sci, ord("0") + (-k) // 10, 0)
+    out[..., 27] = np.where(sci, ord("0") + (-k) % 10, 0)
+    for j in range(18):
+        dot = j == point + 1
+        out[..., 6 + j] = np.where(dot, (last > j) * np.uint8(ord(".")),
+                                   (j <= shown) * np.uint8(ord("0")))
+    return out.reshape(-1, FLOAT_WIDTH)
 
 
+# bytes of a float cell: the widest exact-range cell is 23 bytes and the
+# widest "%" text 24 ("-2.2250738585072014e-308")
+FLOAT_WIDTH = 28
 _FLOAT_TEMPLATES = _float_templates()
+_POW10 = np.array([10**j for j in range(17)], dtype=_U64)
+_BITS = 2.0 ** np.arange(18)
 
 
 def _quotient(m, e, k):
@@ -127,19 +143,21 @@ def _quotient(m, e, k):
     return q, up
 
 
-def _float_cells(x):
-    """Exact "%.17g" text of a float64 array as a NUL-padded uint8 matrix.
+def _float_cells(x, out):
+    """Exact "%.17g" text of a float64 array into the NUL-padded out.
 
     In the exact range each value is m 2^e; its 17 digits are the
     integer D = round(m 2^e 10^(16-k)), half to even, with k the decimal
     exponent.  k is first read from log10 and then confirmed on the
     truncated quotient, which lies in [10^16, 10^17) only for the right
-    k.  Other values (zero, subnormals, |x| <= 1e-11 or >= 1e17) go
-    through "%" in one batch.
+    k.  An empty digit slot is inserted after digit _point(k) by
+    spreading D to 18 digits, D' = 10 D - 9 (D mod 10^(16-point)).
+    Other values (zero, subnormals, |x| <= 1e-11 or >= 1e17) go through
+    "%" in one batch.
     """
     a = np.abs(x)
     exact = (a > _EXACT_LOW) & (a < _EXACT_HIGH)
-    a = np.where(exact, a, 1.0)
+    a[~exact] = 1.0
     bits = a.view(_U64)
     m = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
     e = (bits >> _U64(52)).astype(np.int64) - 1075
@@ -155,22 +173,24 @@ def _float_cells(x):
     # power of ten (the test at the nextafter neighbours of 10^p shows
     # it), so rounding up never carries into k + 1
     q += up
+    q = q * _U64(10) - _U64(9) * (q % _POW10[16 - _point(k)])
 
-    # 17 digits from two halves of at most 9 digits, in uint32
+    # 18 digits from two halves of 9 digits, in uint32
     high = q // _U64(10**9)
-    halves = ((high.astype(np.uint32), 7, -1),
-              ((q - high * _U64(10**9)).astype(np.uint32), 16, 7))
-    digits = np.empty((x.size, 17), dtype=np.uint8)
-    for rest, top, stop in halves:
-        for i in range(top, stop, -1):
+    digits = np.empty((x.size, 18), dtype=np.uint8)
+    for rest, top in ((high.astype(np.uint32), 8),
+                      ((q - high * _U64(10**9)).astype(np.uint32), 17)):
+        for i in range(top, top - 9, -1):
             div = rest // np.uint32(10)
             digits[:, i] = rest - div * np.uint32(10)
             rest = div
-    last = 16 - np.argmax(digits[:, ::-1] != 0, axis=1)
+    # the last nonzero digit is the top bit of sum_j 2^j [digit j != 0]
+    last = np.frexp((digits != 0) @ _BITS)[1] - 1
     # the template holds '0' in each digit slot shown, and the hidden
     # slots follow the last nonzero digit, so adding the digits fills it
-    out = _FLOAT_TEMPLATES[(k + 11) * 17 + last]
-    out[:, 6:40:2] += digits
+    np.take(_FLOAT_TEMPLATES, (k + 11) * 18 + last, axis=0, out=out,
+            mode="clip")
+    out[:, 6:24] += digits
     out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     rest = np.flatnonzero(~exact)
     if rest.size:
@@ -178,23 +198,29 @@ def _float_cells(x):
                         dtype=bytes)
         out[rest] = 0
         out[rest, :text.itemsize] = text.view(np.uint8).reshape(rest.size, -1)
-    return out
 
 
-def _int_cells(v):
-    """"%d" text of an integer array as a NUL-padded uint8 matrix."""
+def _int_width(v):
+    """Bytes of the "%d" cells of an integer array: a sign and the digits."""
+    top = max(-int(v.min()), int(v.max())) if v.size else 0
+    return 1 + len(str(top))
+
+
+def _int_cells(v, out):
+    """"%d" text of an integer array into the NUL-padded out."""
     neg = v < 0
     mag = v.astype(_U64)                       # two's complement wraps
     mag[neg] = -mag[neg]
-    width = len(str(int(mag.max()))) if mag.size else 1
-    out = np.zeros((v.size, 1 + width), dtype=np.uint8)
-    out[:, 0] = np.where(neg, ord("-"), 0)
-    rest = mag
+    out[:, 0] = neg * np.uint8(ord("-"))
+    width = out.shape[1] - 1
+    # up to nine digits fit the faster uint32
+    rest = mag.astype(np.uint32) if width < 10 else mag
+    ten, zero = rest.dtype.type(10), rest.dtype.type(ord("0"))
     for p in range(width):
-        rest, d = np.divmod(rest, _U64(10))
-        out[:, width - p] = np.where((mag >= _U64(10**p)) | (p == 0),
-                                     d + ord("0"), 0)
-    return out
+        div = rest // ten
+        out[:, -1 - p] = np.where((rest > 0) | (p == 0),
+                                  rest - div * ten + zero, 0)
+        rest = div
 
 
 def _text_cells(column):
@@ -203,26 +229,32 @@ def _text_cells(column):
     return cells.view(np.uint8).reshape(cells.size, cells.itemsize)
 
 
-def _cells(column, rows):
+def _cells(column):
+    """(width, write) of a column's cells; write fills a (rows, width) span."""
     if column is None:
-        return np.zeros((rows, 0), dtype=np.uint8)
+        return 0, None
     if isinstance(column, np.ndarray) and column.ndim == 1:
         if column.dtype.kind == "f":
-            return _float_cells(column.astype(np.float64, copy=False))
+            return FLOAT_WIDTH, partial(
+                _float_cells, column.astype(np.float64, copy=False))
         if column.dtype.kind in "iu":
-            return _int_cells(column)
-    return _text_cells(column)
+            return _int_width(column), partial(_int_cells, column)
+    text = _text_cells(column)
+    return text.shape[1], partial(np.copyto, src=text)
 
 
 def _block(columns, lo, hi):
     """Rows lo:hi of the table as CSV bytes."""
-    rows = hi - lo
-    comma = np.full((rows, 1), ord(","), dtype=np.uint8)
-    parts = []
-    for c in columns:
-        parts += [_cells(None if c is None else c[lo:hi], rows), comma]
-    parts[-1] = np.full((rows, 1), ord("\n"), dtype=np.uint8)
-    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+    cells = [_cells(None if c is None else c[lo:hi]) for c in columns]
+    out = np.empty((hi - lo, sum(w + 1 for w, _ in cells)), dtype=np.uint8)
+    at = 0
+    for width, write in cells:
+        if write is not None:
+            write(out[:, at:at + width])
+        at += width + 1
+        out[:, at - 1] = ord(",")
+    out[:, -1] = ord("\n")
+    return out.tobytes().translate(None, b"\0")
 
 
 def _two_blocks(columns, spans):

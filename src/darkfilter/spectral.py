@@ -160,7 +160,9 @@ def bright_secular_roots(cp):
     Clears denominators into the degree w-1 polynomial
     sum_l p_l prod_{m != l} (z_m - zeta) and takes companion-matrix
     roots; each root is then verified against the force-balance residual
-    and hull containment.
+    and hull containment.  Clustered charges give coefficients of
+    binomial size, which overflow for large w: the sum is checked after
+    each term, and an overflow raises NumericsError.
     """
     angles, weights = cp.charged
     w = angles.size
@@ -173,6 +175,11 @@ def bright_secular_roots(cp):
     for l in range(w):
         others = np.delete(poles, l)
         coeffs = coeffs + weights[l] * np.poly(others)
+        if not np.all(np.isfinite(coeffs)):
+            raise NumericsError(
+                f"secular polynomial of w = {w} charges overflows double "
+                f"precision (term {l + 1} of {w})"
+            )
     roots = np.roots(coeffs)
     for z in roots:
         resid = abs(np.sum(weights / (poles - z)))

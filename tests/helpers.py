@@ -256,6 +256,36 @@ def explicit_stepping(phases, removal, psi0, n_steps, probes=None,
             psi)
 
 
+def renewal_tables(phases, removal, probes, length):
+    """The renewal kernel's tables by the renewal equation T c = a.
+
+    a_j = r^H D^j psi, and T is the unit lower triangular Toeplitz
+    matrix of g_m = r^H D^m r, so the c table is T^-1 (Z * conj(r)),
+    Z_j = phases^j, solved by forward substitution over its rows; a
+    probe t's table is Z * conj(t) - H T^-1 (Z * conj(r)), H the lower
+    triangular Toeplitz matrix of h_m = t^H D^m r.  Returns the tables
+    stacked as RenewalKernel.tables holds them: c first, then each probe.
+    """
+    powers = np.cumprod(np.broadcast_to(phases, (length, phases.size)),
+                        axis=0)
+    lag = np.subtract.outer(np.arange(length), np.arange(length))
+
+    def toeplitz(column):
+        return np.where(lag >= 0, column[np.maximum(lag, 0)], 0.0)
+
+    g = np.concatenate([[1.0], powers[:-1] @ np.abs(removal) ** 2])
+    lower = toeplitz(g)
+    amps = powers * removal.conj()
+    for j in range(1, length):
+        amps[j] -= lower[j, :j] @ amps[:j]
+    tables = [amps]
+    for t in probes:
+        h = np.concatenate([[np.vdot(t, removal)],
+                            powers[:-1] @ (t.conj() * removal)])
+        tables.append(powers * t.conj() - toeplitz(h) @ amps)
+    return np.concatenate(tables)
+
+
 def mp_tower_survival(L, h_tau, theta0, n_steps, digits=50):
     """Survival S_n on the tower engine in mpmath at `digits` digits.
 

@@ -590,7 +590,7 @@ def test_dark_states_zero_overlap_group_is_fully_dark():
 def test_run_filtration_chunking_is_invisible():
     """Restarting mid-chunk moves every chunk boundary, not the trajectory."""
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.4)
-    length = filtration.chunk_length(setup.dimension)
+    length = filtration.chunk_length(setup)
     n, shift = 3 * length + 7, 5                  # shift is not a boundary
     a, states = _states(setup, psi0, n)
     b = run_filtration(setup, states[shift] / np.linalg.norm(states[shift]),

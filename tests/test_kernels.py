@@ -17,6 +17,7 @@ from darkfilter.experiments import (
     build_setup,
     make_target,
     orthogonality_angle,
+    sample_goe,
     tar2_optimal_angle,
 )
 from darkfilter.filtration import (
@@ -32,7 +33,7 @@ from darkfilter.filtration import (
 )
 from darkfilter.spin_model import ChainParams
 
-from helpers import explicit_stepping, mp_tower_survival
+from helpers import explicit_stepping, mp_tower_survival, renewal_tables
 
 # agreement of run_filtration with explicit stepping
 SURVIVAL_RTOL = 1e-10
@@ -156,11 +157,41 @@ def _generic_case():
     return setup, initial / np.linalg.norm(initial), target
 
 
+def _goe_case():
+    # the goe-demo engine: dim 64, removal |1>, initial |0>
+    removal, initial = np.eye(64, dtype=complex)[[1, 0]]
+    setup = generic_setup(sample_goe(64, 23), removal)
+    return setup, initial, filtration.RotatingTarget.static(initial)
+
+
+ENGINES = [_tower_case, _full_case, _generic_case, _goe_case]
+ENGINE_IDS = ["tower", "full-noisy", "generic", "goe"]
+
+
+@pytest.mark.parametrize("length", [64, 256])
+@pytest.mark.parametrize("build", ENGINES, ids=ENGINE_IDS)
+def test_recursive_tables_match_renewal_equation(build, length):
+    setup, _, target = build()
+    probes = np.array([setup.to_eigen(c) for c in target.components])
+    probes /= np.linalg.norm(probes, axis=1)[:, None]
+    kernel = RenewalKernel(setup.phases, setup.removal_eig, probes, length)
+    oracle = renewal_tables(setup.phases, setup.removal_eig, probes, length)
+    assert np.max(np.abs(kernel.tables - oracle)) <= 1e-13
+
+
+@pytest.mark.parametrize("build", ENGINES, ids=ENGINE_IDS)
+def test_chunk_length_reads_the_engine(build):
+    setup = build()[0]
+    # engines with a spin flip pay G B^2 per chunk for the string
+    want = 64 if setup.flip_pos is not None else 256
+    assert chunk_length(setup) == want
+
+
 @pytest.mark.parametrize("build", [_tower_case, _full_case, _generic_case],
                          ids=["tower", "full-noisy", "generic"])
 def test_kernel_matches_explicit_stepping(build):
     setup, initial, target = build()
-    length = chunk_length(setup.dimension)
+    length = chunk_length(setup)
     n_steps = 5 * length + length // 2 + 1          # ends inside a chunk
     traj = run_filtration(setup, initial, n_steps, target=target)
     probes = np.array([setup.to_eigen(c) for c in target.components])

@@ -62,6 +62,15 @@ def test_opposite_equal_charges_give_trivial_zero():
     assert abs(bs.roots[0]) < 1e-14
 
 
+def test_secular_polynomial_overflow_raises_numerics_error():
+    # 1200 charges in an arc of 0.01 rad give coefficients near
+    # C(1199, 600) ~ 1e359, beyond double precision
+    w = 1200
+    cp = ChargePicture(np.linspace(0.0, 0.01, w), np.full(w, 1.0 / w))
+    with pytest.raises(NumericsError, match="w = 1200"):
+        bright_secular_roots(cp)
+
+
 @pytest.mark.parametrize("h_tau_q", [3, 4, 6])
 def test_secular_roots_match_dense_bright_eigenvalues(h_tau_q):
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / h_tau_q, 0.2)
