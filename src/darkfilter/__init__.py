@@ -10,7 +10,7 @@ such as GHZ-type cat states of the spin-1 XY chain.
 Subpackages:
 
 * ``spin_model``  -- chain Hamiltonians, the bi-magnon tower, protocol states;
-* ``filtration``  -- engines, trajectory iteration, dark subspaces, spectra;
+* ``filtration``  -- engines, trajectory iteration, dark subspaces;
 * ``spectral``    -- secular equation, charge picture, scaling laws;
 * ``experiments`` -- reproducible preset studies writing CSV artifacts;
 * ``cli``         -- the ``darkfilter`` command-line entry point.
@@ -33,7 +33,6 @@ from darkfilter.spin_model import (
 from darkfilter.filtration import (
     DarkSubspace,
     FiltrationSetup,
-    FiltrationSpectrum,
     FiltrationTime,
     PhaseGroup,
     RotatingTarget,
@@ -47,7 +46,6 @@ from darkfilter.filtration import (
     reduced_setup,
     resonance_period,
     run_filtration,
-    spectral_decomposition,
 )
 from darkfilter.spectral import (
     BrightSpectrum,
@@ -68,7 +66,6 @@ __all__ = [
     "DarkSubspace",
     "DarkfilterError",
     "FiltrationSetup",
-    "FiltrationSpectrum",
     "FiltrationTime",
     "ManyBodyOperator",
     "NumericsError",
@@ -97,6 +94,5 @@ __all__ = [
     "run_filtration",
     "scaling_predictions",
     "sga_residual",
-    "spectral_decomposition",
     "__version__",
 ]

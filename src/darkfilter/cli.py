@@ -173,8 +173,7 @@ def _cmd_bright_spectrum(cli, doc):
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
     if spec.engine != "tower":
         raise ValidationError(
-            "bright-spectrum works on the tower engine; the full spectrum "
-            "has thousands of charges and no stable secular polynomial"
+            "bright-spectrum works on the tower engine only"
         )
     setup, _ = build_setup(spec)
     cp = charge_picture(setup)
@@ -205,7 +204,10 @@ def _cmd_bright_spectrum(cli, doc):
 def _cmd_scaling_sweep(cli, doc):
     L_values, rule, eps, variant = sweep_options(doc)
     art = sweep_n_epsilon(L_values, rule, eps, variant, cli.out_dir)
-    _say(cli, f"{variant} ({rule}): slope {art.metadata['slope_log2']:.4f}")
+    slope = art.metadata["slope_log2"]
+    # no slope without two points of n_eps > 0
+    _say(cli, f"{variant} ({rule}): slope "
+              + ("none" if slope is None else f"{slope:.4f}"))
     return art
 
 

@@ -30,7 +30,7 @@ from .errors import NumericsError, ValidationError
 from .filtration import (BACKEND, RotatingTarget, dark_projection,
                          dark_subspace, full_setup, generic_setup,
                          jump_filtration_time, reduced_setup, run_filtration,
-                         filtration_time, spectral_decomposition)
+                         filtration_time)
 from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
                      write_metadata)
 from .spectral import (bright_secular_roots, charge_picture,
@@ -498,9 +498,12 @@ def sweep_n_epsilon(L_values, theta0_rule, eps, variant,
 
 
 def fit_slope_log2(rows):
-    """Least-squares slope of log2(n_eps) against L."""
-    L = np.array([r[0] for r in rows], dtype=float)
-    n = np.array([r[1] for r in rows], dtype=float)
+    """Least-squares slope of log2(n_eps) against L, over n_eps > 0.
+
+    None when fewer than two points are left.
+    """
+    L = np.array([r[0] for r in rows if r[1] > 0], dtype=float)
+    n = np.array([r[1] for r in rows if r[1] > 0], dtype=float)
     if L.size < 2:
         return None
     return float(np.polyfit(L, np.log2(n), 1)[0])
@@ -694,6 +697,12 @@ def sample_goe(d_goe, seed):
 # dark weight to GOE_CONV_TOL
 GOE_BRIGHT_BOUND = 1e-8
 GOE_CONV_TOL = 1e-6
+# goe_demo labels its spectrum by modulus: above 1 - GOE_DARK_TOL dark,
+# below GOE_ZERO_TOL trivial-zero, bright in between.  n_bound covers
+# the bright label only, so a root that needs ~1e8 steps to decay does
+# not set the run length.
+GOE_DARK_TOL = 1e-8
+GOE_ZERO_TOL = 1e-12
 
 
 def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None) -> RunArtifacts:
@@ -723,9 +732,16 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None) -> RunArtifacts:
     phi /= np.linalg.norm(phi)
     psi0 = setup.to_eigen(initial)
     expect = float(np.abs(np.vdot(phi, psi0)) ** 2)
-    spec_f = spectral_decomposition(setup, initial)
-    bright = spec_f.select("bright")
-    zeta_d = float(np.max(np.abs(spec_f.values[bright])))
+    # the spectrum of F: the dark phases, the w - 1 secular roots and the
+    # one zero of the rank-one removal
+    cp = charge_picture(setup)
+    values = np.concatenate([dark_subspace(setup).phases,
+                             bright_secular_roots(cp).roots, [0.0]])
+    moduli = np.abs(values)
+    kinds = np.where(moduli > 1.0 - GOE_DARK_TOL, "dark",
+                     np.where(moduli < GOE_ZERO_TOL, "trivial-zero",
+                              "bright"))
+    zeta_d = float(np.max(moduli[kinds == "bright"]))
     n_bound = int(math.ceil(math.log(GOE_BRIGHT_BOUND)
                             / (2.0 * math.log(zeta_d))))
     if n_steps is None:
@@ -746,14 +762,11 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None) -> RunArtifacts:
         )
     traj_path = emit_csv(os.path.join(out_dir, "trajectory.csv"),
                          SCHEMAS["trajectory"], _trajectory_columns(traj))
-    values = spec_f.values
-    order = sorted(range(dim), key=lambda i: (-abs(values[i]),
-                                              np.angle(values[i]).round(12)))
+    order = np.lexsort((np.angle(values).round(12), -moduli))
     spec_path = emit_csv(os.path.join(out_dir, "spectrum.csv"),
                          SCHEMAS["spectrum"],
                          spectrum_columns(values[order],
-                                          [spec_f.kinds[i] for i in order]))
-    cp = charge_picture(setup)
+                                          kinds[order].tolist()))
     charge_path = emit_csv(os.path.join(out_dir, "charges.csv"),
                            SCHEMAS["charges"], [cp.angles, cp.weights])
     off = mat[~np.eye(dim, dtype=bool)]
@@ -791,6 +804,10 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
     L_values = [int(L) for L in L_values]
     if any(L < 4 for L in L_values):
         raise ValidationError("scan needs L >= 4 to populate all 4 classes")
+    if any(a >= b for a, b in zip(L_values, L_values[1:])):
+        raise ValidationError(
+            f"L_values must be strictly increasing, got {L_values}"
+        )
     ensure_dir(out_dir)
     p, q = ZETA_H_TAU
     moduli = []

@@ -29,9 +29,10 @@ Three engines exist:
 
 Iteration never renormalizes the internal state; survival probability is
 its squared norm, and all reported quantities are normalized on output.
-The non-normal eigendecomposition is an analysis tool only, never the
-propagation path.  On the tower engine, jump_filtration_time finds a
-filtration time from powers of F instead of iterating.
+F is never diagonalized: its dark part comes from dark_subspace and its
+bright eigenvalues from the secular equation of the spectral module.
+On the tower engine, jump_filtration_time finds a filtration time from
+powers of F instead of iterating.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ PHASE_TOL = 1e-9
 # A degenerate group whose removal component is smaller than this is
 # fully dark.
 DARK_OVERLAP_TOL = 1e-12
-
-# Dense non-normal eigendecomposition guard.
-SPECTRUM_CAP = 4000
 
 
 def resonance_period(ea, eb):
@@ -222,7 +220,8 @@ def reduced_setup(params, tau, theta0):
     L = params.L
     n = np.arange(L + 1)
     energies = (params.D - params.h) * L + 2.0 * params.h * n
-    weights = np.sqrt([math.comb(L, int(m)) / 2.0**L for m in n])
+    # exact integer division: 2.0**L overflows from L = 1024
+    weights = np.sqrt([math.comb(L, int(m)) / 2**L for m in n])
     removal = (-1.0) ** n * weights
     initial = np.exp(1j * (L - n) * theta0) * weights
     setup = FiltrationSetup(
@@ -1175,84 +1174,3 @@ def jump_filtration_time(setup, initial, target, eps, h_tau):
             "too close to resolve in double precision"
         )
     return n + 1
-
-
-@dataclass
-class FiltrationSpectrum:
-    """Full non-normal eigensystem of F with dark/bright classification."""
-
-    values: np.ndarray
-    right: np.ndarray            # columns, unit 2-norm
-    left: np.ndarray             # columns a with a^H F = zeta a^H
-    eta: np.ndarray              # <zeta_l|psi0> / <zeta_l|zeta_r>
-    kinds: list                  # "dark" | "bright" | "trivial-zero"
-    min_condition: float         # smallest left-right alignment |<l|r>|
-    degraded: bool
-    recon_residual: float
-
-    def select(self, kind):
-        idx = [i for i, k in enumerate(self.kinds) if k == kind]
-        return np.array(idx, dtype=int)
-
-
-# spectral_decomposition: moduli above 1 - SPECTRAL_DARK_TOL are dark,
-# below SPECTRAL_ZERO_TOL trivial zeros; a left-right alignment below
-# SPECTRAL_COND_TOL marks the eigensystem degraded; the expansion is
-# checked against SPECTRAL_CHECK_STEPS explicit steps.
-SPECTRAL_DARK_TOL = 1e-8
-SPECTRAL_ZERO_TOL = 1e-12
-SPECTRAL_COND_TOL = 1e-8
-SPECTRAL_CHECK_STEPS = 50
-
-
-def spectral_decomposition(setup, initial):
-    """Dense eigendecomposition of F = (1 - |r><r|) U in the eigenframe.
-
-    Returns eigenvalues with left/right vectors and the expansion
-    coefficients eta of the initial state, verified by re-summing the
-    first SPECTRAL_CHECK_STEPS of the trajectory.  Analysis only:
-    propagation always goes through run_filtration.
-    """
-    dim = setup.dimension
-    if dim > SPECTRUM_CAP:
-        raise ValidationError(
-            f"dimension {dim} too large for dense non-normal analysis"
-        )
-    psi0 = setup.to_eigen(initial)
-    r = setup.removal_eig
-    fmat = np.diag(setup.phases).astype(complex)
-    fmat -= np.outer(r, r.conj() * setup.phases)
-    values, vr = np.linalg.eig(fmat)
-    # the rows of vr^-1 are the left eigenvectors, conjugated
-    vl = np.linalg.inv(vr).conj().T
-    vl /= np.linalg.norm(vl, axis=0)
-    align = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
-    min_cond = float(np.min(align))
-    degraded = min_cond < SPECTRAL_COND_TOL
-    denom = np.einsum("ij,ij->j", vl.conj(), vr)
-    eta = (vl.conj().T @ psi0) / denom
-    kinds = []
-    for z in values:
-        mod = abs(z)
-        if mod > 1.0 - SPECTRAL_DARK_TOL:
-            kinds.append("dark")
-        elif mod < SPECTRAL_ZERO_TOL:
-            kinds.append("trivial-zero")
-        else:
-            kinds.append("bright")
-    resid = 0.0
-    direct = psi0.copy()
-    scaled = vr * eta
-    for n in range(1, SPECTRAL_CHECK_STEPS + 1):
-        direct = setup.phases * direct
-        direct -= r * np.vdot(r, direct)
-        recon = scaled @ values**n
-        resid = max(resid, float(np.linalg.norm(recon - direct)))
-    allowance = 1e-6 if not degraded else 1e-6 / max(min_cond, 1e-30)
-    if resid > allowance:
-        raise NumericsError(
-            f"spectral reconstruction residual {resid:.3e} exceeds "
-            f"tolerance {allowance:.3e}"
-        )
-    return FiltrationSpectrum(values, vr, vl, eta, kinds, min_cond,
-                              degraded, resid)

@@ -7,10 +7,12 @@ eigenvalues solve
 
     sum_l p_l / (exp(-i theta_l) - zeta) = 0,
 
-a degree w-1 polynomial condition for w charged phases.  Read as 2D
-electrostatics, charges p_l sit on the unit circle and the bright
-eigenvalues are the force-equilibrium points, which places them inside
-the convex hull of the charge positions.
+which has w - 1 roots for w charged phases.  They are the eigenvalues
+of diag(z) compressed onto the complement of rho = sqrt(p), a
+(w-1) x (w-1) matrix.  Read as 2D electrostatics, charges p_l sit on
+the unit circle and the bright eigenvalues are the force-equilibrium
+points, which places them inside the convex hull of the charge
+positions.
 
 The dominant bright modulus sets the filtration time; the closed-form
 asymptotics for the protocol's two targets are evaluated here.
@@ -32,10 +34,15 @@ from darkfilter.errors import NumericsError, ValidationError
 # the group hosts dark directions only and exerts no force.
 ZERO_WEIGHT = 1e-14
 
-# A secular root is accepted when its force-balance residual is at most
-# ROOT_RESIDUAL_TOL and it lies within HULL_SLACK of the charge hull.
+# A secular root zeta is accepted when its first-order error |f / f'|,
+# f the force sum_l p_l / (z_l - zeta), is at most ROOT_RESIDUAL_TOL and
+# it lies within HULL_SLACK of the charge hull.  |f| alone cannot
+# certify a root next to a pole, where f' is large.
 ROOT_RESIDUAL_TOL = 1e-8
 HULL_SLACK = 1e-10
+
+# Bright moduli closer than this are ordered by angle.
+TIE_MODULUS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,43 +99,41 @@ def charge_picture(setup):
     return ChargePicture(np.asarray(angles)[order], np.asarray(weights)[order])
 
 
-def convex_hull_violation(point, vertices, slack=0.0):
-    """How far a complex point sits outside the hull of complex vertices.
+def convex_hull_violation(points, vertices, slack=0.0):
+    """How far complex points sit outside the hull of complex vertices.
 
-    Returns 0.0 for containment (within slack).  Vertices on the unit
-    circle are hull vertices in angular order, so the polygon test is an
-    edge-by-edge cross product; one and two vertices degenerate to a
-    point and a segment.
+    Returns 0.0 for containment (within slack), one value per point.
+    Vertices on the unit circle are hull vertices in angular order, so
+    the polygon test is an edge-by-edge cross product; one and two
+    vertices degenerate to a point and a segment.
     """
+    points = np.asarray(points, dtype=complex)
     verts = np.asarray(vertices, dtype=complex)
     if verts.size == 0:
         raise ValidationError("hull needs at least one vertex")
     if verts.size == 1:
-        return max(0.0, abs(point - verts[0]) - slack)
+        return np.maximum(0.0, np.abs(points - verts[0]) - slack)
     if verts.size == 2:
         a, b = verts
         seg = b - a
-        t = np.clip(((point - a) * np.conj(seg)).real / abs(seg) ** 2, 0.0, 1.0)
-        return max(0.0, abs(point - (a + t * seg)) - slack)
-    order = np.argsort(np.angle(verts))
-    verts = verts[order]
-    worst = 0.0
-    for i in range(verts.size):
-        a = verts[i]
-        b = verts[(i + 1) % verts.size]
-        edge = b - a
-        # positive cross product = point on the interior (left) side
-        cross = (np.conj(edge) * (point - a)).imag
-        worst = max(worst, -(cross / max(abs(edge), 1e-300)) - slack)
-    return max(0.0, worst)
+        t = np.clip(((points - a) * np.conj(seg)).real / abs(seg) ** 2,
+                    0.0, 1.0)
+        return np.maximum(0.0, np.abs(points - (a + t * seg)) - slack)
+    verts = verts[np.argsort(np.angle(verts))]
+    edges = np.roll(verts, -1) - verts
+    # positive cross product = point on the interior (left) side
+    cross = (np.conj(edges) * (points[..., None] - verts)).imag
+    worst = np.max(-cross / np.maximum(np.abs(edges), 1e-300), axis=-1)
+    return np.maximum(0.0, worst - slack)
 
 
 @dataclass(frozen=True)
 class BrightSpectrum:
     """Bright eigenvalues with their dominant member.
 
-    Roots are sorted by descending modulus, ties by ascending angle in
-    [0, 2pi).  dominant is None when there are no roots.
+    Roots are sorted by descending modulus; moduli within TIE_MODULUS
+    of their neighbour are tied and sorted by ascending angle in
+    [0, 2pi).  dominant is the first root, None when there are none.
     """
 
     roots: np.ndarray
@@ -141,60 +146,57 @@ class BrightSpectrum:
     @classmethod
     def from_roots(cls, roots):
         roots = np.asarray(roots, dtype=complex)
-        order = np.lexsort((np.angle(roots) % (2.0 * math.pi),
-                            -np.abs(roots)))
-        roots = roots[order]
+        roots = roots[np.argsort(-np.abs(roots), kind="stable")]
         if roots.size == 0:
             return cls(roots, None)
-        mods = np.abs(roots)
-        near = np.nonzero(mods > mods[0] - 1e-12)[0]
-        # the order of near-tied moduli is rounding noise; resolve the
-        # dominant member by angle
-        top = near[np.argmin(np.angle(roots[near]) % (2.0 * math.pi))]
-        return cls(roots, complex(roots[top]))
+        # the order of near-tied moduli is rounding noise; resolve it
+        # by angle within each run of gaps below TIE_MODULUS
+        group = np.concatenate([[0], np.cumsum(
+            -np.diff(np.abs(roots)) > TIE_MODULUS)])
+        roots = roots[np.lexsort((np.angle(roots) % (2.0 * math.pi), group))]
+        return cls(roots, complex(roots[0]))
 
 
 def bright_secular_roots(cp):
     """Solve the secular equation for all bright eigenvalues.
 
-    Clears denominators into the degree w-1 polynomial
-    sum_l p_l prod_{m != l} (z_m - zeta) and takes companion-matrix
-    roots; each root is then verified against the force-balance residual
-    and hull containment.  Clustered charges give coefficients of
-    binomial size, which overflow for large w: the sum is checked after
-    each term, and an overflow raises NumericsError.
+    A rank-one update of a unitary has its nonzero eigenvalues equal to
+    those of diag(z) compressed onto the complement of rho = sqrt(p)
+    (Golub, SIAM Rev. 15, 318, 1973).  The Householder reflection H
+    that maps rho to e_0 makes that compression (H Z H)[1:, 1:], whose
+    eigenvalues are the w - 1 roots.  Each root is then verified by its
+    first-order error |f / f'| for f(zeta) = sum_l p_l / (z_l - zeta)
+    and by hull containment.
     """
     angles, weights = cp.charged
     w = angles.size
     if w == 0:
         raise ValidationError("charge picture carries no weight")
     poles = np.exp(-1j * angles)
-    if w == 1:
-        return BrightSpectrum.from_roots(np.zeros(0, dtype=complex))
-    coeffs = np.zeros(w, dtype=complex)
-    for l in range(w):
-        others = np.delete(poles, l)
-        coeffs = coeffs + weights[l] * np.poly(others)
-        if not np.all(np.isfinite(coeffs)):
-            raise NumericsError(
-                f"secular polynomial of w = {w} charges overflows double "
-                f"precision (term {l + 1} of {w})"
-            )
-    roots = np.roots(coeffs)
-    for z in roots:
-        resid = abs(np.sum(weights / (poles - z)))
-        if resid > ROOT_RESIDUAL_TOL:
-            raise NumericsError(
-                f"secular root {z} violates force balance (residual {resid:.3e})"
-            )
-        excess = convex_hull_violation(z, poles, HULL_SLACK)
-        if excess > 0.0:
-            raise NumericsError(
-                f"secular root {z} lies {excess:.3e} outside the charge hull"
-            )
+    # v = rho + e_0 has no cancellation, and H rho = -e_0
+    v = np.sqrt(weights)
+    v[0] += 1.0
+    house = np.eye(w) - 2.0 * np.outer(v, v) / (v @ v)
+    roots = np.linalg.eigvals(((house * poles) @ house)[1:, 1:])
     if roots.shape[0] != w - 1:
         raise NumericsError(
             f"expected {w - 1} bright roots, found {roots.shape[0]}"
+        )
+    inv = 1.0 / (poles - roots[:, None])
+    error = np.abs((inv @ weights) / (inv**2 @ weights))
+    ok = error <= ROOT_RESIDUAL_TOL
+    if not np.all(ok):
+        k = int(np.argmin(ok))
+        raise NumericsError(
+            f"secular root {roots[k]} violates force balance (first-order "
+            f"error {error[k]:.3e})"
+        )
+    excess = convex_hull_violation(roots, poles, HULL_SLACK)
+    if np.any(excess > 0.0):
+        k = int(np.argmax(excess))
+        raise NumericsError(
+            f"secular root {roots[k]} lies {excess[k]:.3e} outside the "
+            "charge hull"
         )
     return BrightSpectrum.from_roots(roots)
 

@@ -9,11 +9,14 @@ significant base-3 digit, local digit = 1 - m for m in {+1, 0, -1}.
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+
+from darkfilter.errors import NumericsError
 
 SZ = np.diag([1.0, 0.0, -1.0])
 SP = math.sqrt(2.0) * np.diag([1.0, 1.0], k=1)
@@ -462,6 +465,100 @@ def long_time_state(phases, removal, psi0, n):
     vectors, values = dark_complement(phases, removal)
     out = vectors @ (values**n * (vectors.conj().T @ psi0))
     return out / np.linalg.norm(out)
+
+
+def hull_violation_loop(point, vertices):
+    """Distance of one point outside the polygon of unit-circle vertices.
+
+    Vertices in angular order, one edge at a time: the largest distance
+    to the outer side of an edge line, 0 inside.
+    """
+    verts = np.asarray(vertices, dtype=complex)
+    verts = verts[np.argsort(np.angle(verts))]
+    worst = 0.0
+    for i in range(verts.size):
+        a, b = verts[i], verts[(i + 1) % verts.size]
+        edge = b - a
+        cross = (np.conj(edge) * (point - a)).imag
+        worst = max(worst, -cross / abs(edge))
+    return worst
+
+
+@dataclass
+class FiltrationSpectrum:
+    """Full non-normal eigensystem of F with dark/bright classification."""
+
+    values: np.ndarray
+    right: np.ndarray            # columns, unit 2-norm
+    left: np.ndarray             # columns a with a^H F = zeta a^H
+    eta: np.ndarray              # <zeta_l|psi0> / <zeta_l|zeta_r>
+    kinds: list                  # "dark" | "bright" | "trivial-zero"
+    min_condition: float         # smallest left-right alignment |<l|r>|
+    degraded: bool
+    recon_residual: float
+
+    def select(self, kind):
+        idx = [i for i, k in enumerate(self.kinds) if k == kind]
+        return np.array(idx, dtype=int)
+
+
+# spectral_decomposition: moduli above 1 - SPECTRAL_DARK_TOL are dark,
+# below SPECTRAL_ZERO_TOL trivial zeros; a left-right alignment below
+# SPECTRAL_COND_TOL marks the eigensystem degraded; the expansion is
+# checked against SPECTRAL_CHECK_STEPS explicit steps.
+SPECTRAL_DARK_TOL = 1e-8
+SPECTRAL_ZERO_TOL = 1e-12
+SPECTRAL_COND_TOL = 1e-8
+SPECTRAL_CHECK_STEPS = 50
+
+
+def spectral_decomposition(setup, initial):
+    """Dense eigendecomposition of F = (1 - |r><r|) U in the eigenframe.
+
+    Returns eigenvalues with left/right vectors and the expansion
+    coefficients eta of the initial state, verified by re-summing the
+    first SPECTRAL_CHECK_STEPS of the trajectory.  Modes are labelled
+    by modulus.  The oracle of the secular roots and of goe_demo's
+    spectrum.
+    """
+    psi0 = setup.to_eigen(initial)
+    r = setup.removal_eig
+    fmat = np.diag(setup.phases).astype(complex)
+    fmat -= np.outer(r, r.conj() * setup.phases)
+    values, vr = np.linalg.eig(fmat)
+    # the rows of vr^-1 are the left eigenvectors, conjugated
+    vl = np.linalg.inv(vr).conj().T
+    vl /= np.linalg.norm(vl, axis=0)
+    align = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
+    min_cond = float(np.min(align))
+    degraded = min_cond < SPECTRAL_COND_TOL
+    denom = np.einsum("ij,ij->j", vl.conj(), vr)
+    eta = (vl.conj().T @ psi0) / denom
+    kinds = []
+    for z in values:
+        mod = abs(z)
+        if mod > 1.0 - SPECTRAL_DARK_TOL:
+            kinds.append("dark")
+        elif mod < SPECTRAL_ZERO_TOL:
+            kinds.append("trivial-zero")
+        else:
+            kinds.append("bright")
+    resid = 0.0
+    direct = psi0.copy()
+    scaled = vr * eta
+    for n in range(1, SPECTRAL_CHECK_STEPS + 1):
+        direct = setup.phases * direct
+        direct -= r * np.vdot(r, direct)
+        recon = scaled @ values**n
+        resid = max(resid, float(np.linalg.norm(recon - direct)))
+    allowance = 1e-6 if not degraded else 1e-6 / max(min_cond, 1e-30)
+    if resid > allowance:
+        raise NumericsError(
+            f"spectral reconstruction residual {resid:.3e} exceeds "
+            f"tolerance {allowance:.3e}"
+        )
+    return FiltrationSpectrum(values, vr, vl, eta, kinds, min_cond,
+                              degraded, resid)
 
 
 def _oracle_cell(value):

@@ -421,6 +421,7 @@ def test_criterion_10_byte_determinism(tmp_path):
         "goe": lambda d: goe_demo(d, d_goe=64, seed=23),
         "scaling": lambda d: sweep_n_epsilon(range(6, 9), "orthogonal", 0.01,
                                              "tar1-orthogonal", d),
+        "zeta": lambda d: zeta_vs_L_scan(d),
     }
     mismatched = []
     for name, job in jobs.items():

@@ -38,11 +38,12 @@ from darkfilter.experiments import (
     tar2_resonance,
     zeta_vs_L_scan,
 )
-from darkfilter.filtration import (filtration_time, jump_filtration_time,
-                                   reduced_setup, run_filtration)
+from darkfilter.filtration import (filtration_time, generic_setup,
+                                   jump_filtration_time, reduced_setup,
+                                   run_filtration)
 from darkfilter.spectral import charge_picture
 from darkfilter.spin_model import ChainParams
-from helpers import mp_filtration_time
+from helpers import mp_filtration_time, spectral_decomposition
 
 
 def read_csv(path):
@@ -407,6 +408,22 @@ def test_goe_block_validation():
 def test_goe_demo_rejects_short_run(tmp_path):
     with pytest.raises(ValidationError):
         goe_demo(tmp_path, d_goe=32, seed=23, n_steps=10)
+
+
+def test_goe_demo_spectrum_matches_the_dense_oracle(tmp_path):
+    art = goe_demo(tmp_path, d_goe=64, seed=23)
+    unit = np.eye(64, dtype=complex)
+    setup = generic_setup(sample_goe(64, 23), unit[1])
+    dense = spectral_decomposition(setup, unit[0])
+    order = np.lexsort((np.angle(dense.values).round(12),
+                        -np.abs(dense.values)))
+    header, rows = read_csv(art.paths["spectrum"])
+    values = np.array([complex(float(r[0]), float(r[1])) for r in rows])
+    assert np.max(np.abs(values - dense.values[order])) <= 1e-12
+    assert [r[3] for r in rows] == [dense.kinds[i] for i in order]
+    zeta_d = np.max(np.abs(dense.values[dense.select("bright")]))
+    n_bound = math.ceil(math.log(1e-8) / (2.0 * math.log(zeta_d)))
+    assert art.metadata["n_bound"] == n_bound == 204127
 
 
 def test_zeta_scan_prefix(tmp_path):

@@ -36,7 +36,6 @@ from darkfilter.filtration import (
     reduced_setup,
     resonance_period,
     run_filtration,
-    spectral_decomposition,
 )
 from darkfilter.spin_model import (
     ChainParams,
@@ -60,6 +59,7 @@ from helpers import (
     kron_site,
     long_time_state,
     product_state,
+    spectral_decomposition,
     twisted_reflection_dense,
 )
 
@@ -134,6 +134,13 @@ def test_resonance_period():
     assert resonance_period(1.0, -1.0) == math.pi
     with pytest.raises(ValidationError):
         resonance_period(1.0, 1.0)
+
+
+def test_tower_weights_beyond_float_powers_of_two():
+    # 2.0**L overflows from L = 1024; the weights C(L, n) / 2^L do not
+    setup, psi0 = reduced_setup(ChainParams(L=1100), math.pi / 1100, 0.3)
+    assert abs(np.linalg.norm(setup.removal_eig) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi0.amplitudes) - 1.0) < 1e-12
 
 
 def test_degeneracy_groups_at_resonance():

@@ -415,6 +415,43 @@ def test_cli_scaling_sweep_rejects_uncertified_length(tmp_path):
     assert not (tmp_path / "o" / "scaling.csv").exists()
 
 
+def test_cli_scaling_sweep_without_a_slope_writes_valid_json(tmp_path,
+                                                              capsys):
+    # eps = 0.999 is met at n = 0 on every length: nothing to fit
+    cfg = _write(tmp_path, "c.json",
+                 {"L_values": [2, 3, 4], "variant": "tar2", "eps": 0.999})
+    assert main(["scaling-sweep", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert "slope none" in capsys.readouterr().out
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    text = (tmp_path / "o" / "metadata.json").read_text()
+    assert json.loads(text, parse_constant=refuse)["slope_log2"] is None
+
+
+@pytest.mark.parametrize("values", [[6, 5], [5, 5], [4, 6, 5]],
+                         ids=["falling", "repeated", "unsorted"])
+def test_cli_zeta_scan_needs_increasing_lengths(tmp_path, capsys, values):
+    cfg = _write(tmp_path, "c.json", {"L_values": values})
+    assert main(["zeta-scan", "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_filter_run_beyond_float_binomials_exits_1(tmp_path, capsys):
+    # 2.0**L overflows from L = 1024; the tower is built, and the run is
+    # refused as an input outside its validity
+    cfg = _write(tmp_path, "c.json",
+                 {"L": 1100, "target": "tar1", "n_steps": 10})
+    assert main(["filter-run", "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_filter_run_and_determinism(tmp_path):
     cfg = _write(tmp_path, "c.json",
                  {"L": 6, "target": "tar1", "n_steps": 300})

@@ -17,7 +17,6 @@ from darkfilter.filtration import (
     full_setup,
     reduced_setup,
     run_filtration,
-    spectral_decomposition,
 )
 from darkfilter.spectral import (
     HULL_SLACK,
@@ -27,7 +26,8 @@ from darkfilter.spectral import (
 )
 from darkfilter.spin_model import ChainParams
 
-from helpers import dark_complement, product_state, subset_tower_state
+from helpers import (dark_complement, product_state, spectral_decomposition,
+                     subset_tower_state)
 
 COUPLING = st.floats(-0.3, 0.3)
 THETA0 = st.floats(0.0, 2.0 * math.pi)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from darkfilter.errors import NumericsError, ValidationError
-from darkfilter.filtration import reduced_setup, spectral_decomposition
+from darkfilter.filtration import reduced_setup
 from darkfilter.spectral import (
+    HULL_SLACK,
     BrightSpectrum,
     ChargePicture,
     bright_secular_roots,
@@ -16,6 +18,8 @@ from darkfilter.spectral import (
     scaling_predictions,
 )
 from darkfilter.spin_model import ChainParams
+
+from helpers import hull_violation_loop, spectral_decomposition
 
 
 def test_charge_picture_binomial_weights():
@@ -62,13 +66,23 @@ def test_opposite_equal_charges_give_trivial_zero():
     assert abs(bs.roots[0]) < 1e-14
 
 
-def test_secular_polynomial_overflow_raises_numerics_error():
-    # 1200 charges in an arc of 0.01 rad give coefficients near
-    # C(1199, 600) ~ 1e359, beyond double precision
-    w = 1200
+def test_clustered_charges_match_dense_eig():
+    # 60 charges in an arc of 0.01 rad: a polynomial in the roots has
+    # coefficients of binomial size; the compression does not
+    w = 60
     cp = ChargePicture(np.linspace(0.0, 0.01, w), np.full(w, 1.0 / w))
-    with pytest.raises(NumericsError, match="w = 1200"):
-        bright_secular_roots(cp)
+    bs = bright_secular_roots(cp)
+    assert bs.count == w - 1
+    poles = np.exp(-1j * cp.angles)
+    assert np.all(convex_hull_violation(bs.roots, poles, HULL_SLACK) == 0.0)
+    rho = np.sqrt(cp.weights)
+    dense = list(sla.eigvals((np.eye(w) - np.outer(rho, rho)) * poles))
+    # the rank-one removal adds one zero the secular roots do not hold
+    dense.pop(int(np.argmin(np.abs(dense))))
+    for z in bs.roots:
+        gaps = np.abs(np.array(dense) - z)
+        assert np.min(gaps) <= 1e-10
+        dense.pop(int(np.argmin(gaps)))
 
 
 @pytest.mark.parametrize("h_tau_q", [3, 4, 6])
@@ -102,6 +116,21 @@ def test_convex_hull_violation_cases():
     assert convex_hull_violation(0.0 + 0.0j, single) == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         convex_hull_violation(0.0 + 0.0j, np.array([]))
+    # an array of points gives the value of each point
+    points = np.array([0.0, 0.5 + 0.2j, 1.2, 0.3 + 0.4j])
+    for verts in (square, pair, single):
+        each = [convex_hull_violation(z, verts) for z in points]
+        assert np.array_equal(convex_hull_violation(points, verts), each)
+
+
+def test_convex_hull_violation_matches_the_edge_loop():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    verts = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 40))
+    points = 1.2 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
+    want = [hull_violation_loop(z, verts) for z in points]
+    assert np.max(np.abs(convex_hull_violation(points, verts) - want)) \
+        <= 1e-15
+    assert np.count_nonzero(want) > 100
 
 
 def test_bright_spectrum_ordering_and_tie():
@@ -110,6 +139,9 @@ def test_bright_spectrum_ordering_and_tie():
     # ties resolve to the smallest angle in [0, 2 pi)
     assert bs.dominant == pytest.approx(0.5 + 0.1j)
     assert np.all(np.abs(bs.roots[:2]) >= np.abs(bs.roots[2]))
+    # moduli within 1e-12 are tied as well, whichever one rounds larger
+    near = np.array([(0.5 - 0.1j) * (1.0 + 5e-13), 0.5 + 0.1j])
+    assert BrightSpectrum.from_roots(near).roots[0] == 0.5 + 0.1j
 
 
 def test_untied_dominant():
