@@ -34,7 +34,6 @@ from darkfilter.filtration import (
     DarkSubspace,
     FiltrationSetup,
     FiltrationTime,
-    PhaseGroup,
     RotatingTarget,
     Trajectory,
     dark_projection,
@@ -69,7 +68,6 @@ __all__ = [
     "FiltrationTime",
     "ManyBodyOperator",
     "NumericsError",
-    "PhaseGroup",
     "RotatingTarget",
     "ScarTower",
     "SgaReport",

@@ -20,7 +20,7 @@ Three encodings are used:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -30,12 +30,17 @@ from darkfilter.errors import ValidationError
 FULL_SPACE_CAP = 10
 
 
+@functools.lru_cache(maxsize=None)
 def digits_of(L):
-    """Array (3^L, L) of base-3 digits, site j in column j-1."""
+    """Array (3^L, L) of base-3 digits, site j in column j-1.
+
+    Built once per L and shared by every caller, so it is read-only.
+    """
     idx = np.arange(3**L)
     out = np.empty((3**L, L), dtype=np.int8)
     for j in range(L):
         out[:, j] = (idx // 3**j) % 3
+    out.flags.writeable = False
     return out
 
 
@@ -44,17 +49,15 @@ def magnetization_of(L):
     return (L - digits_of(L).sum(axis=1, dtype=np.int64)).astype(np.int64)
 
 
-@dataclass(frozen=True)
 class BasisEncoding:
     """A declared basis over which amplitudes and operators live."""
 
-    kind: str                      # "full" | "tower" | "generic"
-    L: int
-    dimension: int
-
-    def __post_init__(self):
-        if self.kind not in ("full", "tower", "generic"):
-            raise ValidationError(f"unknown basis kind {self.kind!r}")
+    def __init__(self, kind, L, dimension):
+        if kind not in ("full", "tower", "generic"):
+            raise ValidationError(f"unknown basis kind {kind!r}")
+        self.kind = kind           # "full" | "tower" | "generic"
+        self.L = L
+        self.dimension = dimension
 
     @classmethod
     def full(cls, L):

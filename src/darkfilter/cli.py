@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,18 +45,6 @@ SGA_TOL = 1e-10
 # CLI flag -> the config keys it overrides; a subcommand that reads none
 # of them refuses the flag
 FLAG_KEYS = {"engine": ("engine",), "seed": ("perturbations", "goe")}
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed command line, ready for run_command."""
-
-    subcommand: str
-    config_path: str | None
-    out_dir: str
-    seed: int | None = None
-    engine: str | None = None
-    quiet: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,16 +91,17 @@ def _check_flags(cli):
             )
 
 
-def _apply_overrides(spec: ExperimentSpec, cli: CliConfig) -> ExperimentSpec:
+def _apply_overrides(spec: ExperimentSpec, cli) -> ExperimentSpec:
+    if cli.seed is None and cli.engine is None:
+        return spec
+    pert, goe = spec.perturbations, spec.goe
     if cli.seed is not None:
-        pert = Perturbations(lam=spec.perturbations.lam, seed=cli.seed)
-        goe = spec.goe
+        pert = Perturbations(lam=pert.lam, seed=cli.seed)
         if goe is not None:
             goe = GoeBlock(d_goe=goe.d_goe, seed=cli.seed)
-        spec = replace(spec, perturbations=pert, goe=goe)
-    if cli.engine is not None:
-        spec = replace(spec, engine=cli.engine)
-    return spec
+    return ExperimentSpec(spec.name, spec.params, spec.theta0, spec.h_tau,
+                          spec.n_steps, spec.eps, cli.engine or spec.engine,
+                          spec.target, pert, goe)
 
 
 def _say(cli, text):
@@ -124,8 +112,8 @@ def _say(cli, text):
 def _cmd_tower_check(cli, doc):
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
     report = sga_residual(spec.params)
-    ensure_dir(cli.out_dir)
-    write_metadata(os.path.join(cli.out_dir, "metadata.json"), {
+    ensure_dir(cli.out)
+    write_metadata(os.path.join(cli.out, "metadata.json"), {
         "experiment": "tower_check",
         "spec": document_of(spec),
         "eigen_residual": report.eigen_residual,
@@ -140,7 +128,7 @@ def _cmd_tower_check(cli, doc):
 
 def _cmd_filter_run(cli, doc):
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
-    art = run_target(spec, cli.out_dir)
+    art = run_target(spec, cli.out)
     meta = art.metadata
     _say(cli, f"{spec.target}: n_eps={meta['n_eps']} "
               f"q_final={meta['q_final']:.6f}")
@@ -152,12 +140,12 @@ def _cmd_dark_states(cli, doc):
     # the census lists the dark states of every block, reached or not
     setup, initial = build_setup(spec, all_blocks=True)
     dark = dark_subspace(setup)
-    ensure_dir(cli.out_dir)
-    path = emit_csv(os.path.join(cli.out_dir, "spectrum.csv"),
+    ensure_dir(cli.out)
+    path = emit_csv(os.path.join(cli.out, "spectrum.csv"),
                     SCHEMAS["spectrum"],
                     spectrum_columns(dark.phases, ["dark"] * dark.count))
     ov = dark.overlaps(setup.to_eigen(initial))
-    write_metadata(os.path.join(cli.out_dir, "metadata.json"), {
+    write_metadata(os.path.join(cli.out, "metadata.json"), {
         "experiment": "dark_states",
         "spec": document_of(spec),
         "count": dark.count,
@@ -179,16 +167,16 @@ def _cmd_bright_spectrum(cli, doc):
     cp = charge_picture(setup)
     bs = bright_secular_roots(cp)
     dark = dark_subspace(setup)
-    ensure_dir(cli.out_dir)
-    spath = emit_csv(os.path.join(cli.out_dir, "spectrum.csv"),
+    ensure_dir(cli.out)
+    spath = emit_csv(os.path.join(cli.out, "spectrum.csv"),
                      SCHEMAS["spectrum"],
                      spectrum_columns(np.concatenate([dark.phases, bs.roots]),
                                       ["dark"] * dark.count
                                       + ["bright"] * bs.roots.size))
-    cpath = emit_csv(os.path.join(cli.out_dir, "charges.csv"),
+    cpath = emit_csv(os.path.join(cli.out, "charges.csv"),
                      SCHEMAS["charges"], [cp.angles, cp.weights])
     dom = max(np.abs(bs.roots)) if bs.roots.size else 0.0
-    write_metadata(os.path.join(cli.out_dir, "metadata.json"), {
+    write_metadata(os.path.join(cli.out, "metadata.json"), {
         "experiment": "bright_spectrum",
         "spec": document_of(spec),
         "w": cp.w,
@@ -203,7 +191,7 @@ def _cmd_bright_spectrum(cli, doc):
 
 def _cmd_scaling_sweep(cli, doc):
     L_values, rule, eps, variant = sweep_options(doc)
-    art = sweep_n_epsilon(L_values, rule, eps, variant, cli.out_dir)
+    art = sweep_n_epsilon(L_values, rule, eps, variant, cli.out)
     slope = art.metadata["slope_log2"]
     # no slope without two points of n_eps > 0
     _say(cli, f"{variant} ({rule}): slope "
@@ -212,7 +200,7 @@ def _cmd_scaling_sweep(cli, doc):
 
 
 def _cmd_table1(cli, doc):
-    art = table1_scan(cli.out_dir, theta0=table1_options(doc))
+    art = table1_scan(cli.out, theta0=table1_options(doc))
     counts = {f"{c['p']}/{c['q']}": c["count"]
               for c in art.metadata["cases"]}
     _say(cli, f"dark counts {counts}")
@@ -223,7 +211,7 @@ def _cmd_perturb(cli, doc):
     if isinstance(doc, dict) and "n_steps" not in doc:
         doc = dict(doc, n_steps=20000)
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
-    art = perturbation_study(spec, cli.out_dir)
+    art = perturbation_study(spec, cli.out)
     info1, info2 = art.metadata["tar1"], art.metadata["tar2"]
     plateau = info2.get("plateau")
     height = plateau["height"] if plateau else math.nan
@@ -237,7 +225,7 @@ def _cmd_goe_demo(cli, doc):
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
     n_steps = spec.n_steps if isinstance(doc, dict) and "n_steps" in doc \
         else None
-    art = goe_demo(cli.out_dir, d_goe=spec.goe.d_goe, seed=spec.goe.seed,
+    art = goe_demo(cli.out, d_goe=spec.goe.d_goe, seed=spec.goe.seed,
                    n_steps=n_steps)
     meta = art.metadata
     _say(cli, f"survival -> {meta['expected_survival']:.8f} "
@@ -247,7 +235,7 @@ def _cmd_goe_demo(cli, doc):
 
 def _cmd_zeta_scan(cli, doc):
     L_values = scan_options(doc)
-    art = zeta_vs_L_scan(cli.out_dir, L_values=L_values)
+    art = zeta_vs_L_scan(cli.out, L_values=L_values)
     mods = art.metadata["moduli"]
     first, last = L_values[0], L_values[-1]
     _say(cli, f"|zeta_d|: L={first} -> {mods[str(first)]:.6f}, "
@@ -268,11 +256,15 @@ DISPATCH = {
 }
 
 
-def run_command(cli: CliConfig) -> int:
-    """Dispatch a parsed command line; returns the process exit status."""
+def run_command(cli) -> int:
+    """Dispatch a parsed command line; returns the process exit status.
+
+    cli is the namespace of build_parser: subcommand, config, out, seed,
+    engine and quiet.
+    """
     try:
         _check_flags(cli)
-        doc = _read_document(cli.config_path)
+        doc = _read_document(cli.config)
         DISPATCH[cli.subcommand](cli, doc)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -286,18 +278,10 @@ def run_command(cli: CliConfig) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        cli = parser.parse_args(argv)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cli = CliConfig(
-        subcommand=args.subcommand,
-        config_path=args.config,
-        out_dir=args.out,
-        seed=args.seed,
-        engine=args.engine,
-        quiet=args.quiet,
-    )
     return run_command(cli)
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
-from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,6 +44,8 @@ STRING_LAW_TOL = 0.01
 # largest chain length at which scaling sweeps are certified (see
 # sweep_n_epsilon)
 SWEEP_L_MAX = 30
+# dark overlaps that a refused run lists (_check_target_reachable)
+DARK_LISTING = 8
 
 def tar1_resonance(L):
     # h*tau = pi/L glues the phases of the tower edges B_0, B_L
@@ -92,71 +94,79 @@ def _check_seed(seed):
         raise ValidationError(f"seed must lie in [0, 2^64), got {seed!r}")
 
 
-@dataclass(frozen=True)
 class Perturbations:
     """Removal-state noise: psi_r mixed with lam * nu, nu seeded Gaussian."""
 
-    lam: float = 0.0
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.lam < 0.0 or not math.isfinite(self.lam):
+    def __init__(self, lam=0.0, seed=None):
+        if lam < 0.0 or not math.isfinite(lam):
             raise ValidationError("noise strength lam must be >= 0 and finite")
-        if self.lam > 0.0 and self.seed is None:
+        if lam > 0.0 and seed is None:
             raise ValidationError("removal noise requires an explicit seed")
-        if self.seed is not None:
-            _check_seed(self.seed)
+        if seed is not None:
+            _check_seed(seed)
+        self.lam = lam
+        self.seed = seed
+
+    def __eq__(self, other):
+        return type(other) is Perturbations and vars(other) == vars(self)
 
 
-@dataclass(frozen=True)
 class GoeBlock:
     """Random-matrix benchmark dimensions; seed fixed for reproducibility."""
 
-    d_goe: int = 64
-    seed: int = 23
-
-    def __post_init__(self):
-        if self.d_goe < 4:
+    def __init__(self, d_goe=64, seed=23):
+        if d_goe < 4:
             raise ValidationError("GOE dimension must be at least 4")
-        _check_seed(self.seed)
+        _check_seed(seed)
+        self.d_goe = d_goe
+        self.seed = seed
+
+    def __eq__(self, other):
+        return type(other) is GoeBlock and vars(other) == vars(self)
 
 
-@dataclass(frozen=True)
 class ExperimentSpec:
     """Fully pinned description of one run.
 
     h*tau is kept as the integer pair (p, q) meaning pi*p/q so resonances
-    stay exact; tau in seconds follows from the field h.
+    stay exact; tau in seconds follows from the field h.  perturbations
+    defaults to a fresh Perturbations() (no noise); goe is set only for
+    the random-matrix benchmark.
     """
 
-    name: str
-    params: ChainParams
-    theta0: float
-    h_tau: tuple[int, int]
-    n_steps: int
-    eps: float = 0.01
-    engine: str = "tower"
-    target: str | None = None
-    perturbations: Perturbations = field(default_factory=Perturbations)
-    goe: GoeBlock | None = None
-
-    def __post_init__(self):
-        p, q = self.h_tau
+    def __init__(self, name, params, theta0, h_tau, n_steps, eps=0.01,
+                 engine="tower", target=None, perturbations=None, goe=None):
+        if perturbations is None:
+            perturbations = Perturbations()
+        p, q = h_tau
         if not (isinstance(p, int) and isinstance(q, int)) or p <= 0 or q <= 0:
             raise ValidationError("h_tau must be a pair of positive integers")
-        if not isinstance(self.n_steps, int) or self.n_steps < 0:
+        if not isinstance(n_steps, int) or n_steps < 0:
             raise ValidationError("n_steps must be a non-negative integer")
-        if not 0.0 < self.eps < 1.0:
+        if not 0.0 < eps < 1.0:
             raise ValidationError("eps must lie in (0, 1)")
-        if self.engine not in ("tower", "full"):
-            raise ValidationError(f"unknown engine {self.engine!r}")
-        if self.target is not None and self.target not in TARGETS:
-            raise ValidationError(f"unknown target {self.target!r}")
-        if self.engine == "tower" and (self.params.J2 != 0.0
-                                       or self.perturbations.lam != 0.0):
+        if engine not in ("tower", "full"):
+            raise ValidationError(f"unknown engine {engine!r}")
+        if target is not None and target not in TARGETS:
+            raise ValidationError(f"unknown target {target!r}")
+        if engine == "tower" and (params.J2 != 0.0
+                                  or perturbations.lam != 0.0):
             raise ValidationError(
                 "tower engine requires J2 = 0 and lam = 0; use engine='full'"
             )
+        self.name = name
+        self.params = params
+        self.theta0 = theta0
+        self.h_tau = h_tau
+        self.n_steps = n_steps
+        self.eps = eps
+        self.engine = engine
+        self.target = target
+        self.perturbations = perturbations
+        self.goe = goe
+
+    def __eq__(self, other):
+        return type(other) is ExperimentSpec and vars(other) == vars(self)
 
     @property
     def h_tau_value(self):
@@ -170,12 +180,12 @@ class ExperimentSpec:
         return self.h_tau_value / self.params.h
 
 
-@dataclass(frozen=True)
 class RunArtifacts:
     """File paths plus the metadata that went into the sidecar."""
 
-    paths: dict
-    metadata: dict
+    def __init__(self, paths, metadata):
+        self.paths = paths
+        self.metadata = metadata
 
 
 def document_of(spec: ExperimentSpec) -> dict:
@@ -319,22 +329,34 @@ def make_target(setup, which):
 
 
 def _check_target_reachable(setup, initial, target):
-    """Abort early when the initial state cannot reach the target."""
+    """Abort early when the initial state cannot reach the target.
+
+    The overlap <t|psi0> is a sum of n terms, so its rounding is at most
+    n eps sum |terms|: an overlap within that bound is zero, however
+    large the bound.  An overlap whose square underflows leaves the
+    fidelity no digits either.  Either is refused, naming the reason and
+    the DARK_LISTING largest overlaps of psi0 with the dark states.
+    """
     psi = setup.to_eigen(initial)
-    t0 = setup.to_eigen(target.at(0))
-    if abs(np.vdot(t0, psi)) > 1e-12:
+    terms = setup.to_eigen(target.at(0)).conj() * psi
+    overlap = abs(terms.sum())
+    bound = terms.size * sys.float_info.epsilon * float(np.sum(np.abs(terms)))
+    if overlap <= bound:
+        reason = (f"zero overlap with the target (|<t|psi0>| = "
+                  f"{overlap:.3e}, within its rounding bound {bound:.3e})")
+    elif overlap**2 < sys.float_info.min:
+        reason = (f"overlap {overlap:.3e} with the target, whose square "
+                  "underflows")
+    else:
         return
-    listing = "skipped (dimension too large)"
+    listing = "dark overlaps skipped (dimension too large)"
     if setup.dimension <= 4096:
         dark = dark_subspace(setup)
-        ov = dark.overlaps(psi)
-        listing = ", ".join(
-            f"{m}:{abs(o):.3e}" for m, o in zip(dark.members, ov)
-        ) or "none"
-    raise ValidationError(
-        "initial state has zero overlap with the target; "
-        f"dark overlaps: {listing}"
-    )
+        ov = np.abs(dark.overlaps(psi))
+        top = np.argsort(-ov, kind="stable")[:DARK_LISTING]
+        listing = f"{ov.size} dark states, largest overlaps: " + (", ".join(
+            f"{dark.members[k]}:{ov[k]:.3e}" for k in top) or "none")
+    raise ValidationError(f"initial state has {reason}; {listing}")
 
 
 def _trajectory_columns(traj):
@@ -640,7 +662,9 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
     ensure_dir(out_dir)
     # H and the removal state depend on neither tau nor theta0: one
     # eigenbasis serves every leg, retuned to its own phases
-    engine, _ = build_setup(replace(spec, engine="full"))
+    engine, _ = build_setup(ExperimentSpec(
+        spec.name, params, spec.theta0, spec.h_tau, spec.n_steps, spec.eps,
+        "full", spec.target, spec.perturbations, spec.goe))
     tower = build_tower(ChainParams(L=L))
     # |(H - E_n) B_n| in the eigenbasis of H, where H is diagonal
     edge_residuals = {

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,7 +77,6 @@ def resonance_period(ea, eb):
     return 2.0 * math.pi / abs(eb - ea)
 
 
-@dataclass
 class SectorEig:
     """Eigendecomposition of H on one symmetry block.
 
@@ -90,42 +88,47 @@ class SectorEig:
     are stored in these orbit coordinates.
     """
 
-    label: int                  # magnetization M (0 for generic engines)
-    images: np.ndarray          # (G, n) input-basis indices
-    coefs: np.ndarray           # (G, n) real
-    energies: np.ndarray
-    vectors: np.ndarray         # (n, n) columns are eigenvectors
-    parity: float = 1.0         # P maps column j to parity * column j of -M
-    reflection: float = 1.0     # eigenvalue of the twisted reflection R'
+    def __init__(self, label, images, coefs, energies, vectors, parity=1.0,
+                 reflection=1.0):
+        self.label = label          # magnetization M (0 for generic engines)
+        self.images = images        # (G, n) input-basis indices
+        self.coefs = coefs          # (G, n) real
+        self.energies = energies
+        self.vectors = vectors      # (n, n) columns are eigenvectors
+        # P maps column j to parity * column j of -M
+        self.parity = parity
+        self.reflection = reflection    # eigenvalue of the twisted R'
 
 
-@dataclass
 class FiltrationSetup:
-    """Everything needed to iterate the protocol in the H eigenbasis."""
+    """Everything needed to iterate the protocol in the H eigenbasis.
 
-    engine: str                 # "tower" | "full" | "generic"
-    tau: float
-    basis: BasisEncoding        # basis of run_filtration inputs/outputs
-    energies: np.ndarray        # (dim,) engine-space eigenvalues of H
-    phases: np.ndarray          # exp(-i E tau)
-    # removal state in the eigenbasis, unit norm; an input-basis
-    # StateVector is projected with to_eigen on construction
-    removal_eig: np.ndarray | StateVector
-    # the blocks of H, in engine order; coordinates follow them
-    sector_eigs: list[SectorEig]
-    params: ChainParams | None = None
-    theta0: float | None = None
-    # the spin flip prod X in the eigenbasis: it maps coordinate i to
-    # flip_pos[i] with sign flip_sign[i]; None when no flip is defined
-    flip_pos: np.ndarray | None = None
-    flip_sign: np.ndarray | None = None
+    engine is "tower", "full" or "generic"; basis is the basis of
+    run_filtration's inputs and outputs; energies (dim,) are the
+    engine-space eigenvalues of H and phases exp(-i E tau).  removal_eig
+    is the removal state in the eigenbasis, unit norm: an input-basis
+    StateVector is projected with to_eigen on construction.  sector_eigs
+    are the blocks of H in engine order, which the coordinates follow.
+    The spin flip prod X maps coordinate i to flip_pos[i] with sign
+    flip_sign[i]; both are None when no flip is defined.
+    """
 
-    def __post_init__(self):
-        self.energies = np.asarray(self.energies, dtype=float)
-        self.phases = np.ascontiguousarray(self.phases, dtype=complex)
-        if isinstance(self.removal_eig, StateVector):
-            self.removal_eig = self.to_eigen(self.removal_eig)
-        self.removal_eig = np.ascontiguousarray(self.removal_eig, dtype=complex)
+    def __init__(self, engine, tau, basis, energies, phases, removal_eig,
+                 sector_eigs, params=None, theta0=None, flip_pos=None,
+                 flip_sign=None):
+        self.engine = engine
+        self.tau = tau
+        self.basis = basis
+        self.energies = np.asarray(energies, dtype=float)
+        self.phases = np.ascontiguousarray(phases, dtype=complex)
+        self.sector_eigs = sector_eigs
+        self.params = params
+        self.theta0 = theta0
+        self.flip_pos = flip_pos
+        self.flip_sign = flip_sign
+        if isinstance(removal_eig, StateVector):
+            removal_eig = self.to_eigen(removal_eig)
+        self.removal_eig = np.ascontiguousarray(removal_eig, dtype=complex)
         if abs(np.linalg.norm(self.removal_eig) - 1.0) > 1e-12:
             raise ValidationError("removal vector must have unit norm")
         if float(np.max(np.abs(np.abs(self.phases) - 1.0))) > 1e-12:
@@ -144,8 +147,11 @@ class FiltrationSetup:
         the protocol state at every angle; to_eigen refuses a state that
         leaves them.
         """
-        return replace(self, tau=tau, theta0=theta0,
-                       phases=np.exp(-1j * self.energies * tau))
+        return FiltrationSetup(self.engine, tau, self.basis, self.energies,
+                               np.exp(-1j * self.energies * tau),
+                               self.removal_eig, self.sector_eigs,
+                               self.params, theta0, self.flip_pos,
+                               self.flip_sign)
 
     def to_eigen(self, state):
         """Input-basis state (StateVector or array) -> eigenbasis coords."""
@@ -527,18 +533,6 @@ def generic_setup(matrix, removal, tau=None):
     return setup
 
 
-@dataclass
-class PhaseGroup:
-    """One cluster of coinciding eigenphases of U(tau)."""
-
-    phase: complex               # representative unimodular eigenvalue
-    members: tuple[int, ...]     # engine coordinates of the group, ascending
-
-    @property
-    def angle(self):
-        return float(np.angle(self.phase))
-
-
 def _cluster_angles(angles, tol):
     """Cluster angles whose sorted gaps are below tol, with wrap-around.
 
@@ -577,7 +571,10 @@ def degeneracy_groups(setup):
     """Cluster the eigenphases of U(tau) into degenerate groups.
 
     The phases are diagonal in the engine frame, so a group is a set of
-    engine coordinates.  Clusters are gaps below PHASE_TOL.
+    engine coordinates.  Clusters are gaps below PHASE_TOL.  Returns
+    (phase, members) pairs in ascending angle of the phase: phase is the
+    group's representative unimodular eigenvalue, members its engine
+    coordinates, ascending.
     """
     if not isinstance(setup, FiltrationSetup):
         raise ValidationError("expected a FiltrationSetup")
@@ -587,18 +584,18 @@ def degeneracy_groups(setup):
     for members in np.split(order, starts[1:]):
         members = tuple(int(m) for m in np.sort(members))
         rep = values[members[0]]
-        groups.append(PhaseGroup(complex(rep / abs(rep)), members))
-    groups.sort(key=lambda g: g.angle)
+        groups.append((complex(rep / abs(rep)), members))
+    groups.sort(key=lambda g: float(np.angle(g[0])))
     return groups
 
 
-@dataclass
 class DarkSubspace:
     """Orthonormal dark vectors with their unimodular eigenphases."""
 
-    vectors: np.ndarray          # (dim, k) orthonormal engine-frame columns
-    phases: np.ndarray           # (k,) eigenvalues of F on each vector
-    members: tuple[tuple[int, ...], ...]   # source group members per vector
+    def __init__(self, vectors, phases, members):
+        self.vectors = vectors      # (dim, k) orthonormal engine-frame columns
+        self.phases = phases        # (k,) eigenvalues of F on each vector
+        self.members = members      # source group members per vector
 
     @property
     def count(self):
@@ -669,11 +666,11 @@ def dark_subspace(setup):
     that is the tower basis itself).
     """
     vectors, phases, members = [], [], []
-    for g in degeneracy_groups(setup):
-        v = _group_darks(g.members, setup.removal_eig)
+    for phase, group in degeneracy_groups(setup):
+        v = _group_darks(group, setup.removal_eig)
         vectors.append(v)
-        phases += [g.phase] * v.shape[1]
-        members += [g.members] * v.shape[1]
+        phases += [phase] * v.shape[1]
+        members += [group] * v.shape[1]
     return DarkSubspace(np.concatenate(vectors, axis=1),
                         np.array(phases, dtype=complex), tuple(members))
 
@@ -704,7 +701,6 @@ def dark_projection(setup, vec):
     return vec - removal * scale[label]
 
 
-@dataclass
 class RotatingTarget:
     """Target state t(n) = sum_j w_j exp(-i n alpha_j) |c_j>, normalized.
 
@@ -712,13 +708,11 @@ class RotatingTarget:
     the breathing cat state whose two components beat at frequency 2h.
     """
 
-    components: list         # arrays in the setup input basis
-    weights: np.ndarray
-    angles: np.ndarray       # per-step phase advance of each component
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=complex)
-        self.angles = np.asarray(self.angles, dtype=float)
+    def __init__(self, components, weights, angles):
+        self.components = components    # arrays in the setup input basis
+        self.weights = np.asarray(weights, dtype=complex)
+        # per-step phase advance of each component
+        self.angles = np.asarray(angles, dtype=float)
         if not (len(self.components) == self.weights.size == self.angles.size):
             raise ValidationError("components, weights, angles must align")
 
@@ -735,38 +729,37 @@ class RotatingTarget:
         return acc / np.linalg.norm(acc)
 
 
-@dataclass
 class Trajectory:
     """Recorded protocol run: everything is reported normalized.
 
     survival[n] is the squared norm of the unnormalized F^n psi0 (the
     probability of n consecutive non-detections); q[n] the fidelity to
-    the target; string[n] the string operator's expectation, on every
-    step of an engine with a spin flip.
+    the target; overlaps[n] the probe overlaps with F^n psi0; string[n]
+    the string operator's expectation, on every step of an engine with a
+    spin flip.  q, overlaps and string may be None.
     """
 
-    steps: np.ndarray
-    survival: np.ndarray
-    q: np.ndarray | None
-    overlaps: np.ndarray | None          # (n+1, k) probe overlaps with F^n psi0
-    string: np.ndarray | None
-    depleted: bool
-
-    def __post_init__(self):
-        rise = float(np.max(np.diff(self.survival), initial=-np.inf))
+    def __init__(self, steps, survival, q, overlaps, string, depleted):
+        rise = float(np.max(np.diff(survival), initial=-np.inf))
         if rise > 1e-12:
             raise NumericsError(f"survival weight increased by {rise:.3e}")
-        if self.q is not None:
-            bad = np.flatnonzero(~np.isfinite(self.q))
+        if q is not None:
+            bad = np.flatnonzero(~np.isfinite(q))
             if bad.size:
                 raise NumericsError(
-                    f"fidelity Q_n is {self.q[bad[0]]} at step "
-                    f"{int(self.steps[bad[0]])} (survival "
-                    f"{self.survival[bad[0]]:.3e})"
+                    f"fidelity Q_n is {q[bad[0]]} at step "
+                    f"{int(steps[bad[0]])} (survival "
+                    f"{survival[bad[0]]:.3e})"
                 )
-            top = float(np.max(self.q, initial=0.0))
-            if top > 1.0 + 1e-10 or float(np.min(self.q, initial=0.0)) < -1e-12:
+            top = float(np.max(q, initial=0.0))
+            if top > 1.0 + 1e-10 or float(np.min(q, initial=0.0)) < -1e-12:
                 raise NumericsError(f"fidelity left [0, 1]: max {top}")
+        self.steps = steps
+        self.survival = survival
+        self.q = q
+        self.overlaps = overlaps        # (n+1, k)
+        self.string = string
+        self.depleted = depleted
 
 
 # A run stops at the first step whose survival falls below this floor.
@@ -1023,13 +1016,13 @@ def run_filtration(setup, initial, n_steps, target=None):
     )
 
 
-@dataclass
 class FiltrationTime:
     """First crossing of the fidelity threshold."""
 
-    n_eps: int | None
-    reached: bool
-    max_q: float
+    def __init__(self, n_eps, reached, max_q):
+        self.n_eps = n_eps          # None when the threshold is never met
+        self.reached = reached
+        self.max_q = max_q
 
 
 def filtration_time(trajectory, eps):

@@ -21,7 +21,6 @@ asymptotics for the protocol's two targets are evaluated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,6 @@ HULL_SLACK = 1e-10
 TIE_MODULUS = 1e-12
 
 
-@dataclass(frozen=True)
 class ChargePicture:
     """Unit-circle charges of the bright secular equation.
 
@@ -55,13 +53,9 @@ class ChargePicture:
     toward w.
     """
 
-    angles: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "angles", np.asarray(self.angles, dtype=float))
-        object.__setattr__(self, "weights",
-                           np.asarray(self.weights, dtype=float))
+    def __init__(self, angles, weights):
+        self.angles = np.asarray(angles, dtype=float)
+        self.weights = np.asarray(weights, dtype=float)
         if self.angles.shape != self.weights.shape:
             raise ValidationError("angles and weights must align")
         if float(np.min(self.weights, initial=0.0)) < -1e-12:
@@ -127,7 +121,6 @@ def convex_hull_violation(points, vertices, slack=0.0):
     return np.maximum(0.0, worst - slack)
 
 
-@dataclass(frozen=True)
 class BrightSpectrum:
     """Bright eigenvalues with their dominant member.
 
@@ -136,8 +129,9 @@ class BrightSpectrum:
     [0, 2pi).  dominant is the first root, None when there are none.
     """
 
-    roots: np.ndarray
-    dominant: complex | None
+    def __init__(self, roots, dominant):
+        self.roots = roots
+        self.dominant = dominant
 
     @property
     def count(self):

@@ -27,7 +27,6 @@ All matrices are real in the digit basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,48 +34,45 @@ from darkfilter.basis import BasisEncoding, digits_of
 from darkfilter.errors import NumericsError, ValidationError
 
 
-@dataclass(frozen=True)
 class ChainParams:
     """Couplings of the spin-1 chain (open boundary)."""
 
-    L: int
-    J: float = 1.0
-    h: float = 1.0
-    D: float = 0.1
-    J2: float = 0.0
-    J3: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.L, (int, np.integer)) or self.L < 2:
-            raise ValidationError(f"L must be an integer >= 2, got {self.L!r}")
-        for name in ("J", "h", "D", "J2", "J3"):
-            v = getattr(self, name)
+    def __init__(self, L, J=1.0, h=1.0, D=0.1, J2=0.0, J3=0.0):
+        if not isinstance(L, (int, np.integer)) or L < 2:
+            raise ValidationError(f"L must be an integer >= 2, got {L!r}")
+        for name, v in (("J", J), ("h", h), ("D", D), ("J2", J2), ("J3", J3)):
             if not math.isfinite(v):
                 raise ValidationError(f"coupling {name} must be finite, got {v!r}")
+        self.L = L
+        self.J = J
+        self.h = h
+        self.D = D
+        self.J2 = J2
+        self.J3 = J3
+
+    def __eq__(self, other):
+        return type(other) is ChainParams and vars(other) == vars(self)
 
     def tower_energy(self, n):
         """Energy of the n-bi-magnon tower state."""
         return (self.D - self.h) * self.L + 2.0 * n * self.h
 
 
-@dataclass
 class StateVector:
-    basis: BasisEncoding
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes)
-        if self.amplitudes.shape != (self.basis.dimension,):
+    def __init__(self, basis, amplitudes):
+        amplitudes = np.asarray(amplitudes)
+        if amplitudes.shape != (basis.dimension,):
             raise ValidationError(
-                f"amplitude shape {self.amplitudes.shape} does not match "
-                f"basis dimension {self.basis.dimension}"
+                f"amplitude shape {amplitudes.shape} does not match "
+                f"basis dimension {basis.dimension}"
             )
+        self.basis = basis
+        self.amplitudes = amplitudes
 
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass
 class ManyBodyOperator:
     """Real operator on the full space as COO triplets.
 
@@ -84,10 +80,11 @@ class ManyBodyOperator:
     a repeated position add.
     """
 
-    basis: BasisEncoding
-    row: np.ndarray
-    col: np.ndarray
-    data: np.ndarray
+    def __init__(self, basis, row, col, data):
+        self.basis = basis
+        self.row = row
+        self.col = col
+        self.data = data
 
     def __matmul__(self, vec):
         """The operator applied to a real vector over its basis."""
@@ -145,14 +142,14 @@ def bimagnon_raising(L):
                             np.concatenate(data))
 
 
-@dataclass
 class ScarTower:
     """The L+1 exact tower states as rows over the full basis."""
 
-    params: ChainParams
-    basis: BasisEncoding
-    states: np.ndarray          # (L+1, 3^L), real
-    energies: np.ndarray        # (L+1,)
+    def __init__(self, params, basis, states, energies):
+        self.params = params
+        self.basis = basis
+        self.states = states        # (L+1, 3^L), real
+        self.energies = energies    # (L+1,)
 
     def state(self, n):
         return StateVector(self.basis, self.states[n].astype(complex))
@@ -178,7 +175,6 @@ def build_tower(params):
     return ScarTower(params, basis, states, energies)
 
 
-@dataclass(frozen=True)
 class SgaReport:
     """Residuals certifying the tower is exact.
 
@@ -186,8 +182,9 @@ class SgaReport:
     algebra_residual: max_n || ([H, Q+] - 2h Q+) B_n ||
     """
 
-    eigen_residual: float
-    algebra_residual: float
+    def __init__(self, eigen_residual, algebra_residual):
+        self.eigen_residual = eigen_residual
+        self.algebra_residual = algebra_residual
 
     @property
     def max(self):

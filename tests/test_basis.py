@@ -23,6 +23,20 @@ def test_digits_little_endian():
     assert np.array_equal(recon, np.arange(27))
 
 
+@pytest.mark.parametrize("L", [1, 4, 6])
+def test_digits_table_is_cached_and_read_only(L):
+    table = digits_of(L)
+    assert digits_of(L) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    fresh = digits_of.__wrapped__(L)
+    assert fresh is not table and np.array_equal(fresh, table)
+    # site 1 is the least significant digit
+    product = np.array(list(itertools.product(range(3), repeat=L)))[:, ::-1]
+    assert np.array_equal(table, product)
+
+
 def test_magnetization_counts_m_values():
     mags = magnetization_of(2)
     # index 0 is all-plus (M=2), index 8 all-minus (M=-2)

@@ -147,16 +147,17 @@ def test_degeneracy_groups_at_resonance():
     # h tau = pi/3 folds the ladder mod 3
     setup, _ = reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.0)
     groups = degeneracy_groups(setup)
-    members = sorted(g.members for g in groups)
-    assert members == [(0, 3, 6), (1, 4), (2, 5)]
-    for g in groups:
-        assert abs(abs(g.phase) - 1.0) < 1e-12
+    assert sorted(members for _, members in groups) \
+        == [(0, 3, 6), (1, 4), (2, 5)]
+    for phase, _ in groups:
+        assert abs(abs(phase) - 1.0) < 1e-12
 
 
 def test_degeneracy_groups_offresonant_all_singletons():
     setup, _ = reduced_setup(ChainParams(L=6), 1.0, 0.0)
     groups = degeneracy_groups(setup)
-    assert sorted(g.members for g in groups) == [(n,) for n in range(7)]
+    assert sorted(members for _, members in groups) \
+        == [(n,) for n in range(7)]
 
 
 def test_degeneracy_groups_via_propagator():
@@ -165,14 +166,14 @@ def test_degeneracy_groups_via_propagator():
     tau = resonance_period(params.tower_energy(0), params.tower_energy(1))
     setup, _ = full_setup(params, tau, 0.0, removal=_noisy_removal(3, 0.1, 2))
     groups = degeneracy_groups(setup)
-    assert sum(len(g.members) for g in groups) == 27
-    assert any(len(g.members) > 1 for g in groups)
+    assert sum(len(members) for _, members in groups) == 27
+    assert any(len(members) > 1 for _, members in groups)
     dense = np.linalg.eigvals(
         sla.expm(-1j * tau * dense_hamiltonian(3, J3=0.1)))
-    for g in groups:
-        assert np.max(np.abs(setup.phases[list(g.members)] - g.phase)) < 1e-9
-        assert np.count_nonzero(np.abs(dense - g.phase) < 1e-9) \
-            == len(g.members)
+    for phase, members in groups:
+        assert np.max(np.abs(setup.phases[list(members)] - phase)) < 1e-9
+        assert np.count_nonzero(np.abs(dense - phase) < 1e-9) \
+            == len(members)
 
 
 def test_propagator_matches_expm():
@@ -818,7 +819,7 @@ def test_generic_setup_default_tau_glues_band_edges():
     w = np.sort(sla.eigvalsh(mat))
     assert abs(setup.tau - 2.0 * math.pi / (w[-1] - w[0])) < 1e-12
     groups = degeneracy_groups(setup)
-    sizes = sorted(len(g.members) for g in groups)
+    sizes = sorted(len(members) for _, members in groups)
     assert sizes == [1] * 10 + [2]          # only the glued edge pair
     with pytest.raises(ValidationError):
         generic_setup(a, removal)           # not Hermitian

@@ -208,8 +208,7 @@ print("concurrent.futures" in sys.modules)
 """
 
 # what importing the CLI loads on top of numpy: the package and these
-CLI_IMPORTS = {"__future__", "_json", "argparse", "copy", "dataclasses",
-               "gettext", "json"}
+CLI_IMPORTS = {"__future__", "_json", "argparse", "gettext", "json"}
 
 
 def test_cli_import_loads_no_further_modules():
@@ -450,6 +449,31 @@ def test_cli_filter_run_beyond_float_binomials_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "o"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_filter_run_small_overlap_runs(tmp_path):
+    # the tar1 overlap at L=100 is sqrt(2) 2^-50: small, far from zero
+    cfg = _write(tmp_path, "c.json",
+                 {"L": 100, "target": "tar1", "n_steps": 10})
+    assert main(["filter-run", "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({"L": 6, "theta0": 0.0}, "zero overlap"),
+    ({"L": 6, "theta0": 0.0, "engine": "full"}, "zero overlap"),
+    ({"L": 1030}, "whose square underflows"),
+    ({"L": 1100}, "zero overlap"),
+], ids=["exact-zero", "full-rounding", "underflow", "float-binomials"])
+def test_cli_filter_run_refusal_names_its_reason(tmp_path, capsys, doc,
+                                                 reason):
+    cfg = _write(tmp_path, "c.json", dict(doc, target="tar1", n_steps=10))
+    assert main(["filter-run", "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial state has ") and reason in err
+    # at most eight "members:overlap" pairs after "error:" and "overlaps:"
+    assert len(err) < 1024 and err.count(":") <= 2 + 8
 
 
 def test_cli_filter_run_and_determinism(tmp_path):
