@@ -229,6 +229,9 @@ def reduced_setup(params, tau, theta0):
     # exact integer division: 2.0**L overflows from L = 1024
     weights = np.sqrt([math.comb(L, int(m)) / 2**L for m in n])
     removal = (-1.0) ** n * weights
+    if not math.isfinite(L * float(theta0)):
+        raise ValidationError(f"theta0 = {theta0!r} overflows the initial "
+                              "state's phases (L - n) theta0")
     initial = np.exp(1j * (L - n) * theta0) * weights
     setup = FiltrationSetup(
         engine="tower",
@@ -248,80 +251,52 @@ def reduced_setup(params, tau, theta0):
 
 
 # Largest entry of H coupling two Sz sectors, of P H P - H + 2 h Sz, or
-# of R' H R' - H, that the symmetry blocks tolerate.
+# of R' H R' - H, that the symmetry blocks tolerate; check_symmetries
+# reads all three in one pass, the flip as H's table against itself.
 FLIP_TOL = 1e-12
 
 
-def _symmetry_defect(ham, image, sign, diagonal):
-    """Largest entry of S H S - H + diag(diagonal).
+def check_symmetries(ham, h, mags, mirror):
+    """(Sz, flip, reflection) defects of H, the blocks' three symmetries.
 
-    S is the signed permutation e_k -> sign_k e_(image k), an involution,
-    so S H S holds sign_x sign_y H[image x, image y] at (x, y).  H is
-    read from a table of its triplets indexed by (offset x - y, column
-    y), one row per offset that H holds (two per bond and the diagonal),
-    in O(nnz + offsets * 3^L); an offset H does not hold reads 0.  The
-    defect is taken at every position H holds and on the diagonal: a
-    position off the diagonal where only S H S holds an entry mirrors one
-    where H does, with the same defect.
+    They are the largest triplet whose row and column lie in different
+    sectors (mags is Sz per index), max |P H P - H + 2h Sz| (P maps index
+    i to 3^L - 1 - i) and max |R' H R' - H| (R' maps i to mirror[i], with
+    the sign basis.reflection_twist of its sector).  Raises NumericsError
+    at the first beyond FLIP_TOL.  H is summed once into a table indexed
+    by (offset x - y, column y), one row per offset that H holds, closed
+    under negation.  P sends (d, y) to (-d, 3^L - 1 - y), so P H P is the
+    table reversed in both axes.  R' H R' is gathered at the images of
+    H's triplets only: a position that only R' H R' holds mirrors one
+    that H holds, with the same defect.
     """
     dim = ham.basis.dimension
     top = dim - 1
     shift = ham.row - ham.col + top        # offset slot in [0, 2 top]
     held = np.zeros(2 * dim - 1, dtype=bool)
-    held[shift] = True
+    held[shift] = held[top] = True
+    held |= held[::-1]
     slot = np.cumsum(held) - 1
     table = np.bincount(slot[shift] * dim + ham.col, weights=ham.data,
-                        minlength=(int(slot[-1]) + 1) * dim)
-
-    def entries(x, y):
-        at = x - y + top
-        return np.where(held[at], table[np.maximum(slot[at], 0) * dim + y],
-                        0.0)
-
-    diag = np.arange(dim)
-    x = np.concatenate([ham.row, diag])
-    y = np.concatenate([ham.col, diag])
-    defect = sign[x] * sign[y] * entries(image[x], image[y]) - entries(x, y)
-    defect += np.where(x == y, diagonal[x], 0.0)
-    return float(np.max(np.abs(defect)))
-
-
-def check_flip_symmetry(ham, h, mags):
-    """Largest entry of P H P - H + 2 h Sz, P the global spin flip.
-
-    P maps index i to 3^L - 1 - i; mags is Sz per index.  Raises
-    NumericsError beyond FLIP_TOL: the full engine pairs sector -M with
-    sector M through P.
-    """
-    dim = ham.basis.dimension
-    worst = _symmetry_defect(ham, np.arange(dim)[::-1], np.ones(dim),
-                             2.0 * h * mags)
-    if worst > FLIP_TOL:
-        raise NumericsError(
-            f"H - h Sz is not flip symmetric (max |P H P - H + 2h Sz| "
-            f"{worst:.3e})"
-        )
-    return worst
-
-
-def check_reflection_symmetry(ham, mags):
-    """Largest entry of R' H R' - H, R' the twisted site reflection.
-
-    R' maps configuration k to its mirror image with the sign
-    basis.reflection_twist of its sector; mags is Sz per index.  Raises
-    NumericsError beyond FLIP_TOL: the full engine splits each sector
-    into the characters of R'.
-    """
-    L = ham.basis.L
-    worst = _symmetry_defect(ham, reflection_of(L),
-                             reflection_twist(L, mags).astype(float),
-                             np.zeros(ham.basis.dimension))
-    if worst > FLIP_TOL:
-        raise NumericsError(
-            f"H is not symmetric under the site reflection (max "
-            f"|R' H R' - H| {worst:.3e})"
-        )
-    return worst
+                        minlength=(int(slot[-1]) + 1) * dim).reshape(-1, dim)
+    flip = table[::-1, ::-1] - table
+    flip[slot[top]] += 2.0 * h * mags
+    sign = reflection_twist(ham.basis.L, mags)
+    at = mirror[ham.row] - mirror[ham.col] + top
+    image = sign[ham.row] * sign[ham.col] * np.where(
+        held[at], table[slot[at], mirror[ham.col]], 0.0)
+    defects = (
+        np.max(np.abs(ham.data[mags[ham.row] != mags[ham.col]]), initial=0.0),
+        np.max(np.abs(flip)),
+        np.max(np.abs(image - table[slot[shift], ham.col]), initial=0.0))
+    for worst, message in zip(defects, (
+            "H couples magnetization sectors (max |element| {:.3e})",
+            "H - h Sz is not flip symmetric (max |P H P - H + 2h Sz| {:.3e})",
+            "H is not symmetric under the site reflection (max "
+            "|R' H R' - H| {:.3e})")):
+        if worst > FLIP_TOL:
+            raise NumericsError(message.format(worst))
+    return tuple(map(float, defects))
 
 
 def _character_blocks(group, twist):
@@ -384,8 +359,9 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
     Works inside the total-Sz sectors that can carry weight: the parity
     sectors M = L mod 2 hosting the protocol states, plus any sector
     touched by a custom removal vector (e.g. a noisy removal spreads
-    everywhere), closed under M -> -M.  Three symmetries, each checked on
-    the triplets of H to FLIP_TOL, set the blocks:
+    everywhere), closed under M -> -M.  Three symmetries set the blocks;
+    check_symmetries checks all three to FLIP_TOL in one pass over one
+    table of H, reading the flip as the table against itself reversed:
 
     * H conserves Sz, so no triplet couples two sectors;
     * the spin flip P maps sector M to -M and commutes with H - h Sz, so
@@ -418,15 +394,8 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
     L = params.L
     ham = build_hamiltonian(params)
     mags = magnetization_of(L)
-    row_m = mags[ham.row]
-    cross = row_m != mags[ham.col]
-    leak = float(np.max(np.abs(ham.data[cross]), initial=0.0))
-    if leak > FLIP_TOL:
-        raise NumericsError(
-            f"H couples magnetization sectors (max |element| {leak:.3e})"
-        )
-    check_flip_symmetry(ham, params.h, mags)
-    check_reflection_symmetry(ham, mags)
+    mirror = reflection_of(L)
+    check_symmetries(ham, params.h, mags, mirror)
     psi_r, psi_0 = protocol_states(params, theta0)
     if removal is not None:
         vec = removal.amplitudes if isinstance(removal, StateVector) else removal
@@ -438,7 +407,7 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
     occupied = np.abs(psi_r.amplitudes) > 0.0
     sectors.update(np.abs(mags[occupied]).tolist())
     members = {M: np.flatnonzero(mags == M) for M in sorted(sectors)}
-    mirror = reflection_of(L)
+    row_m = mags[ham.row]
     top = 3**L - 1
     blocks = []
     # eigh holds several arrays of its block's size (syevd workspace alone

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from darkfilter import experiments, filtration
 from darkfilter.basis import (BasisEncoding, magnetization_of,
-                              string_parity_sign)
+                              reflection_of, string_parity_sign)
 from darkfilter.cli import main
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import (
@@ -60,6 +60,7 @@ from helpers import (
     long_time_state,
     product_state,
     spectral_decomposition,
+    triplets_to_dense,
     twisted_reflection_dense,
 )
 
@@ -328,8 +329,9 @@ def test_full_setup_checks_flip_symmetry(monkeypatch):
     # is no longer sector M flipped and the engine must refuse to pair
     L = 4
     params = ChainParams(L=L, J2=0.02, J3=0.03)
-    assert filtration.check_flip_symmetry(build_hamiltonian(params), params.h,
-                                          magnetization_of(L)) <= 1e-12
+    assert max(filtration.check_symmetries(
+        build_hamiltonian(params), params.h, magnetization_of(L),
+        reflection_of(L))) <= 1e-12
     odd = kron_site(SZ, 1, L) @ kron_site(SZ @ SZ, 2, L)
     real = filtration.build_hamiltonian
 
@@ -391,14 +393,18 @@ def test_full_setup_checks_reflection_symmetry(L, monkeypatch, tmp_path):
     # but not with the site reflection, so the engine must refuse to split
     # the sectors into reflection characters
     params = ChainParams(L=L, J2=0.02, J3=0.03)
-    mags = magnetization_of(L)
-    assert filtration.check_reflection_symmetry(build_hamiltonian(params),
-                                                mags) <= 1e-12
+    mags, mirror = magnetization_of(L), reflection_of(L)
+    assert max(filtration.check_symmetries(build_hamiltonian(params),
+                                           params.h, mags, mirror)) <= 1e-12
     broken = _site_one_quadratic(L, 0.01)
     ham = broken(params)
-    assert filtration.check_flip_symmetry(ham, params.h, mags) <= 1e-12
+    with monkeypatch.context() as patch:
+        patch.setattr(filtration, "FLIP_TOL", math.inf)
+        leak, flip, _ = filtration.check_symmetries(ham, params.h, mags,
+                                                    mirror)
+    assert max(leak, flip) <= 1e-12
     with pytest.raises(NumericsError, match="site reflection"):
-        filtration.check_reflection_symmetry(ham, mags)
+        filtration.check_symmetries(ham, params.h, mags, mirror)
     monkeypatch.setattr(filtration, "build_hamiltonian", broken)
     with pytest.raises(NumericsError, match="site reflection"):
         full_setup(params, 1.0, 0.0)
@@ -406,6 +412,70 @@ def test_full_setup_checks_reflection_symmetry(L, monkeypatch, tmp_path):
     cfg.write_text(f'{{"L": {L}, "J2": 0.02, "n_steps": 10}}')
     assert main(["perturb", "--config", str(cfg),
                  "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+def _symmetry_breakers(L):
+    """Extra triplets (rows, cols, data) to add to H, and the error each
+    raises first: none, a diagonal entry that only P moves, a triplet
+    without its transpose, a symmetric and mirror-symmetric coupling of
+    sectors 0 and 1 (R' is odd there on even L), zero triplets on held,
+    new and cross-sector positions, and a site-1-only (Sz_1)^2 term."""
+    zero = (3**L - 1) // 2                 # every digit 1, M = 0
+    ends = [zero - 1, zero - 3 ** (L - 1)]  # site 1 or site L raised, M = 1
+    diag = np.arange(3**L)
+    return {
+        "none": (([], [], []), None),
+        "diagonal": (([0], [0], [0.01]), "flip symmetric"),
+        "one-sided": (([1], [3], [0.02]), "flip symmetric"),
+        "cross-sector": (([zero, zero, *ends], [*ends, zero, zero],
+                          [0.01] * 4), "magnetization sectors"),
+        "zero-duplicates": (([zero, zero - 1, 5, 0, 0],
+                             [zero - 1, zero, 5, 0, 4], [0.0] * 5), None),
+        "site-one": ((diag, diag,
+                      0.01 * np.diag(kron_site(SZ @ SZ, 1, L)).real),
+                     "site reflection"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["none", "diagonal", "one-sided",
+                                  "cross-sector", "zero-duplicates",
+                                  "site-one"])
+@pytest.mark.parametrize("J2, J3", [(0.0, 0.0), (0.02, 0.03)],
+                         ids=["nn", "J2J3"])
+@pytest.mark.parametrize("L", [3, 4])
+def test_check_symmetries_matches_dense(L, J2, J3, kind, monkeypatch):
+    """The three defects of check_symmetries against dense matrices:
+    the largest cross-sector triplet, max |P H P - H + 2h Sz| and
+    max |R' H R' - H|, with H summed from its triplets."""
+    params = ChainParams(L=L, J2=J2, J3=J3)
+    ham = build_hamiltonian(params)
+    (rows, cols, data), error = _symmetry_breakers(L)[kind]
+    ham = ManyBodyOperator(ham.basis,
+                           np.concatenate([ham.row, rows]).astype(np.int64),
+                           np.concatenate([ham.col, cols]).astype(np.int64),
+                           np.concatenate([ham.data, data]))
+    dense = triplets_to_dense(ham)
+    sz = sum(np.diag(kron_site(SZ, j, L)).real for j in range(1, L + 1))
+    flip = flip_permutation_dense(L)
+    mirror, twist = twisted_reflection_dense(L)
+    want = (
+        np.max(np.abs(ham.data[sz[ham.row] != sz[ham.col]]), initial=0.0),
+        np.max(np.abs(dense[np.ix_(flip, flip)] - dense
+                      + 2.0 * params.h * np.diag(sz))),
+        np.max(np.abs(np.outer(twist, twist) * dense[np.ix_(mirror, mirror)]
+                      - dense)),
+    )
+    args = (ham, params.h, magnetization_of(L), reflection_of(L))
+    with monkeypatch.context() as patch:
+        patch.setattr(filtration, "FLIP_TOL", math.inf)
+        got = filtration.check_symmetries(*args)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+    if error is None:
+        assert max(got) <= 1e-12
+        assert filtration.check_symmetries(*args) == got
+    else:
+        with pytest.raises(NumericsError, match=error):
+            filtration.check_symmetries(*args)
 
 
 @pytest.mark.parametrize("L", [4, 5, 7, 8])

@@ -459,6 +459,20 @@ def test_cli_filter_run_small_overlap_runs(tmp_path):
                  "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("subcommand, doc", [
+    ("dark-states", {"L": 6, "h_tau": [1, 6]}),
+    ("filter-run", {"L": 6, "target": "tar2"}),
+], ids=["dark-states", "filter-run"])
+def test_cli_tower_refuses_overflowing_theta0(tmp_path, capsys, subcommand,
+                                              doc):
+    # theta0 is finite, but (L - n) theta0 overflows to inf and the tower
+    # initial state to NaN
+    cfg = _write(tmp_path, "c.json", dict(doc, theta0=1e308))
+    assert main([subcommand, "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert "theta0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc, reason", [
     ({"L": 6, "theta0": 0.0}, "zero overlap"),
     ({"L": 6, "theta0": 0.0, "engine": "full"}, "zero overlap"),
