@@ -29,10 +29,10 @@ from .experiments import (ExperimentSpec, GoeBlock, Perturbations,
                           build_setup, dark_labels, document_of, goe_demo,
                           perturbation_study, run_target, sweep_n_epsilon,
                           table1_scan, zeta_vs_L_scan)
-from .filtration import dark_subspace
+from .filtration import dark_subspace, degeneracy_groups
 from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
                      write_metadata)
-from .spectral import bright_secular_roots, charge_picture
+from .spectral import mode_spectrum
 from .spin_model import sga_residual
 
 SUBCOMMANDS = (
@@ -139,7 +139,7 @@ def _cmd_dark_states(cli, doc):
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
     # the census lists the dark states of every block, reached or not
     setup, initial = build_setup(spec, all_blocks=True)
-    dark = dark_subspace(setup)
+    dark = dark_subspace(degeneracy_groups(setup))
     ensure_dir(cli.out)
     path = emit_csv(os.path.join(cli.out, "spectrum.csv"),
                     SCHEMAS["spectrum"],
@@ -164,14 +164,12 @@ def _cmd_bright_spectrum(cli, doc):
             "bright-spectrum works on the tower engine only"
         )
     setup, _ = build_setup(spec)
-    cp = charge_picture(setup)
-    bs = bright_secular_roots(cp)
-    dark = dark_subspace(setup)
+    dark, cp, bs = mode_spectrum(setup)
     ensure_dir(cli.out)
     spath = emit_csv(os.path.join(cli.out, "spectrum.csv"),
                      SCHEMAS["spectrum"],
-                     spectrum_columns(np.concatenate([dark.phases, bs.roots]),
-                                      ["dark"] * dark.count
+                     spectrum_columns(np.concatenate([dark, bs.roots]),
+                                      ["dark"] * dark.size
                                       + ["bright"] * bs.roots.size))
     cpath = emit_csv(os.path.join(cli.out, "charges.csv"),
                      SCHEMAS["charges"], [cp.angles, cp.weights])
@@ -180,7 +178,7 @@ def _cmd_bright_spectrum(cli, doc):
         "experiment": "bright_spectrum",
         "spec": document_of(spec),
         "w": cp.w,
-        "n_dark": dark.count,
+        "n_dark": dark.size,
         "n_bright_roots": int(bs.roots.size),
         "dominant_modulus": float(dom),
     })

@@ -28,13 +28,12 @@ import numpy as np
 from .basis import FULL_SPACE_CAP, string_parity_sign
 from .errors import NumericsError, ValidationError
 from .filtration import (BACKEND, RotatingTarget, dark_projection,
-                         dark_subspace, full_setup, generic_setup,
-                         jump_filtration_time, reduced_setup, run_filtration,
-                         filtration_time)
+                         dark_subspace, degeneracy_groups, full_setup,
+                         generic_setup, jump_filtration_time, reduced_setup,
+                         run_filtration, filtration_time)
 from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
                      write_metadata)
-from .spectral import (bright_secular_roots, charge_picture,
-                       scaling_predictions)
+from .spectral import mode_spectrum, scaling_predictions
 from .spin_model import ChainParams, StateVector, build_tower, protocol_states
 
 RNG_FAMILY = "philox"
@@ -351,7 +350,7 @@ def _check_target_reachable(setup, initial, target):
         return
     listing = "dark overlaps skipped (dimension too large)"
     if setup.dimension <= 4096:
-        dark = dark_subspace(setup)
+        dark = dark_subspace(degeneracy_groups(setup))
         ov = np.abs(dark.overlaps(psi))
         top = np.argsort(-ov, kind="stable")[:DARK_LISTING]
         listing = f"{ov.size} dark states, largest overlaps: " + (", ".join(
@@ -579,7 +578,7 @@ def table1_scan(out_dir, theta0=TABLE1_THETA0) -> RunArtifacts:
     for (p, q), expected in TABLE1_CASES:
         tau = math.pi * p / (q * params.h)
         setup, initial = reduced_setup(params, tau, theta0)
-        dark = dark_subspace(setup)
+        dark = dark_subspace(degeneracy_groups(setup))
         if dark.count != expected:
             raise NumericsError(
                 f"h*tau = pi*{p}/{q}: found {dark.count} dark states, "
@@ -696,14 +695,12 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
                 else dict(zip(("start", "exit", "height"), found))
         else:
             # the GHZ target must sit inside the perturbed dark manifold
+            groups = degeneracy_groups(setup)
             tvec = setup.to_eigen(target.at(0))
             info["dark_residual"] = float(
-                np.linalg.norm(tvec - dark_projection(setup, tvec))
-            )
-            info["dark_weight"] = float(
-                np.linalg.norm(dark_projection(setup, setup.to_eigen(initial)))
-                ** 2
-            )
+                np.linalg.norm(tvec - dark_projection(groups, tvec)))
+            dark = dark_projection(groups, setup.to_eigen(initial))
+            info["dark_weight"] = float(np.linalg.norm(dark) ** 2)
         extra[which] = info
     return _finish(out_dir, "perturbation_study", document_of(spec),
                    files, extra, t0)
@@ -758,9 +755,8 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None) -> RunArtifacts:
     expect = float(np.abs(np.vdot(phi, psi0)) ** 2)
     # the spectrum of F: the dark phases, the w - 1 secular roots and the
     # one zero of the rank-one removal
-    cp = charge_picture(setup)
-    values = np.concatenate([dark_subspace(setup).phases,
-                             bright_secular_roots(cp).roots, [0.0]])
+    dark, cp, bright = mode_spectrum(setup)
+    values = np.concatenate([dark, bright.roots, [0.0]])
     moduli = np.abs(values)
     kinds = np.where(moduli > 1.0 - GOE_DARK_TOL, "dark",
                      np.where(moduli < GOE_ZERO_TOL, "trivial-zero",
@@ -822,7 +818,8 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
 
     The four tower phase classes n mod 4 persist at every length; the
     scan asserts that the dominant modulus strictly decreases with L and
-    that each length yields exactly w - 1 bright roots.
+    that each length yields w = 4 charges and the full mode count of F
+    (mode_spectrum).
     """
     t0 = time.time()
     L_values = [int(L) for L in L_values]
@@ -840,15 +837,10 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
         params = ChainParams(L=L)
         tau = math.pi * p / (q * params.h)
         setup, _ = reduced_setup(params, tau, 0.0)
-        cp = charge_picture(setup)
+        _, cp, bs = mode_spectrum(setup)
         if cp.w != 4:
             raise NumericsError(
                 f"L={L}: expected 4 charged phase classes, found {cp.w}"
-            )
-        bs = bright_secular_roots(cp)
-        if bs.roots.shape[0] != cp.w - 1:
-            raise NumericsError(
-                f"L={L}: {bs.roots.shape[0]} roots for w={cp.w}"
             )
         moduli.append(abs(bs.dominant))
         spath = emit_csv(os.path.join(out_dir, f"spectrum_L{L:02d}.csv"),

@@ -29,8 +29,9 @@ Three engines exist:
 
 Iteration never renormalizes the internal state; survival probability is
 its squared norm, and all reported quantities are normalized on output.
-F is never diagonalized: its dark part comes from dark_subspace and its
-bright eigenvalues from the secular equation of the spectral module.
+F is never diagonalized.  degeneracy_groups groups the eigenphases of
+U(tau) once per analysis for dark_subspace (closed-form dark vectors),
+dark_projection and the charges of the spectral module.
 On the tower engine, jump_filtration_time finds a filtration time from
 powers of F instead of iterating.
 """
@@ -66,6 +67,10 @@ PHASE_TOL = 1e-9
 # A degenerate group whose removal component is smaller than this is
 # fully dark.
 DARK_OVERLAP_TOL = 1e-12
+
+# Weights below this are structural zeros of the removal decomposition:
+# the group hosts dark directions only and exerts no force.
+ZERO_WEIGHT = 1e-14
 
 
 def resonance_period(ea, eb):
@@ -536,26 +541,56 @@ def _cluster_angles(angles, tol):
     return order, starts, label
 
 
+class PhaseGroups:
+    """The eigenphases of U(tau) clustered into degenerate groups.
+
+    The one grouping that every dark-state quantity reads: a caller
+    needing several of them groups once.  Group k has the eigenvalue
+    phases[k] of its smallest coordinate, whose eigenphase angle is
+    angles[k], and the removal weight weights[k] = sum |<psi_r|e_i>|^2;
+    groups ascend in angle, and label[i] is the group of coordinate i.
+    A group is reached when its removal norm is at least
+    DARK_OVERLAP_TOL, and then hosts g - 1 dark vectors, else g
+    (dark_counts); it is charged when its weight exceeds ZERO_WEIGHT.
+    """
+
+    def __init__(self, setup, label, angles, phases):
+        removal = setup.removal_eig
+        self.setup = setup
+        self.label = label
+        self.angles = angles
+        self.phases = phases
+        self.weights = np.bincount(label,
+                                   weights=removal.real**2 + removal.imag**2)
+        self.reached = np.sqrt(self.weights) >= DARK_OVERLAP_TOL
+        self.charged = self.weights > ZERO_WEIGHT
+        self.dark_counts = np.bincount(label) - self.reached
+
+    @property
+    def members(self):
+        """Engine coordinates of each group, ascending, as int tuples."""
+        order = np.argsort(self.label, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.label)).tolist()
+        return [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
+
+
 def degeneracy_groups(setup):
     """Cluster the eigenphases of U(tau) into degenerate groups.
 
-    The phases are diagonal in the engine frame, so a group is a set of
-    engine coordinates.  Clusters are gaps below PHASE_TOL.  Returns
-    (phase, members) pairs in ascending angle of the phase: phase is the
-    group's representative unimodular eigenvalue, members its engine
-    coordinates, ascending.
+    A group is a set of engine coordinates whose phases chain by gaps
+    below PHASE_TOL, read when called.  Returns the PhaseGroups.
     """
     if not isinstance(setup, FiltrationSetup):
         raise ValidationError("expected a FiltrationSetup")
-    values = setup.phases
-    groups = []
-    order, starts, _ = _cluster_angles(np.angle(values), PHASE_TOL)
-    for members in np.split(order, starts[1:]):
-        members = tuple(int(m) for m in np.sort(members))
-        rep = values[members[0]]
-        groups.append((complex(rep / abs(rep)), members))
-    groups.sort(key=lambda g: float(np.angle(g[0])))
-    return groups
+    angles = np.angle(setup.phases)
+    order, starts, label = _cluster_angles(angles, PHASE_TOL)
+    first = np.minimum.reduceat(order, starts)
+    rep = setup.phases[first]
+    # libm hypot, as abs of a complex: np.abs may round differently
+    phases = rep / np.hypot(rep.real, rep.imag)
+    rank = np.argsort(np.angle(phases), kind="stable")
+    return PhaseGroups(setup, np.argsort(rank)[label], angles[first][rank],
+                       phases[rank])
 
 
 class DarkSubspace:
@@ -565,109 +600,81 @@ class DarkSubspace:
         self.vectors = vectors      # (dim, k) orthonormal engine-frame columns
         self.phases = phases        # (k,) eigenvalues of F on each vector
         self.members = members      # source group members per vector
-
-    @property
-    def count(self):
-        return self.vectors.shape[1]
+        self.count = vectors.shape[1]
 
     def overlaps(self, vec):
         """<Phi_delta|vec> for each dark vector, vec in engine coordinates."""
         return self.vectors.conj().T @ np.asarray(vec, dtype=complex)
 
 
-def _canonical_phase(vec):
-    """Rotate a vector so its largest-modulus entry is real positive."""
-    i = int(np.argmax(np.abs(vec)))
-    pivot = vec[i]
-    if abs(pivot) == 0.0:
-        return vec
-    return vec * (abs(pivot) / pivot)
+def _canonical_phase(cols):
+    """Rotate each column so its largest-modulus entry is real positive."""
+    pivot = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    return cols * (np.abs(pivot) / pivot)
 
 
-def _group_darks(members, removal):
-    """Dark vectors hosted by one degenerate group, as (dim, k) columns.
+def _group_darks(a):
+    """The g - 1 dark vectors of a reached group, as (g, g - 1) columns.
 
-    If the removal state has no component on the group, every group
-    coordinate is dark.  Otherwise the group contributes g-1 vectors by
-    the recursive formal determinant: the delta-th dark vector is the
-    determinant whose first row holds the group kets e_1..e_(delta+1),
-    the second the removal overlaps <psi_r|e_i>, and the remaining rows
-    the overlaps of the previously built dark vectors; cofactor
-    expansion along the ket row yields a vector automatically orthogonal
-    to psi_r and to all its predecessors.
+    a holds the removal overlaps <psi_r|e_i> of the group's g members
+    and n_d = |a_(0..d)| its prefix norms.  Column d - 1, the vector v
+    that member d adds, is the unit vector with <psi_r|v> = 0 that is
+    orthogonal to every column before it, in O(g):
+
+        (conj(a_(0..d-1)) / n_(d-1)) (a_d / n_d)  -  (n_(d-1) / n_d) e_d.
+
+    Members with exactly zero overlap before the first nonzero one have
+    n = 0 and are dark unit vectors.  Columns are phased canonically.
     """
-    dim = removal.shape[0]
-    idx = list(members)
-    a = removal[idx].conj()
-    if np.linalg.norm(a) < DARK_OVERLAP_TOL:
-        vectors = np.zeros((dim, len(idx)), dtype=complex)
-        vectors[idx, np.arange(len(idx))] = 1.0
-        return vectors
-    rows = [a]
-    darks = []
-    for delta in range(1, len(idx)):
-        size = delta + 1
-        numeric = np.array([row[:size] for row in rows])
-        coeffs = np.empty(size, dtype=complex)
-        for i in range(size):
-            minor = np.delete(numeric, i, axis=1)
-            coeffs[i] = (-1.0) ** i * np.linalg.det(minor)
-        vec = np.zeros(dim, dtype=complex)
-        vec[idx[:size]] = coeffs
-        nrm = np.linalg.norm(vec)
-        if nrm < 1e-14:
-            raise NumericsError(
-                "determinant construction degenerated; removal overlaps "
-                "are numerically dependent"
-            )
-        vec = _canonical_phase(vec / nrm)
-        darks.append(vec)
-        rows.append(vec[idx].conj())
-    if not darks:
-        return np.zeros((dim, 0), dtype=complex)
-    return np.column_stack(darks)
+    g = a.size
+    norms = np.hypot.accumulate(np.abs(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cols = np.triu(a.conj()[:, None] / norms[:-1] * (a[1:] / norms[1:]))
+        cols[np.arange(1, g), np.arange(g - 1)] = -norms[:-1] / norms[1:]
+    lead = int(np.argmax(a != 0))
+    cols[:, :lead] = np.eye(g, lead)
+    return _canonical_phase(cols)
 
 
-def dark_subspace(setup):
-    """All dark states of a setup, concatenated over degenerate groups.
+def dark_subspace(groups):
+    """All dark states of the grouped setup, in the engine eigenbasis.
 
-    Vectors are expressed in the engine eigenbasis (for the tower engine
-    that is the tower basis itself).
+    A reached group hosts the g - 1 vectors of _group_darks, any other
+    its g coordinates (for the tower engine, tower basis states).
     """
-    vectors, phases, members = [], [], []
-    for phase, group in degeneracy_groups(setup):
-        v = _group_darks(group, setup.removal_eig)
-        vectors.append(v)
-        phases += [phase] * v.shape[1]
-        members += [group] * v.shape[1]
-    return DarkSubspace(np.concatenate(vectors, axis=1),
-                        np.array(phases, dtype=complex), tuple(members))
+    removal = groups.setup.removal_eig
+    counts = groups.dark_counts
+    vectors = np.zeros((removal.size, int(counts.sum())), dtype=complex)
+    members = []
+    for group, reached, k in zip(groups.members, groups.reached, counts):
+        if k:
+            idx = list(group)
+            vectors[idx, len(members):len(members) + k] = \
+                _group_darks(removal[idx].conj()) if reached else np.eye(k)
+            members += [group] * k
+    return DarkSubspace(vectors, np.repeat(groups.phases, counts),
+                        tuple(members))
 
 
-def dark_projection(setup, vec):
+def dark_projection(groups, vec):
     """Project engine-frame coordinates onto the dark subspace implicitly.
 
-    Within each degenerate eigenphase group the dark part is the
-    complement of the normalized removal component, so the projection
-    needs only two sums per group: the removal weight and its overlap
-    with vec, both taken by bincount over the group labels.  Unlike
-    dark_subspace this never
-    materializes a dark basis, which keeps the full engine at L = 10
-    (dimension ~3e4) inside a few hundred MB.
+    Within each reached group the dark part is the complement of the
+    normalized removal component, so the projection needs the group's
+    removal weight and one bincount over the labels, never a dark
+    basis: the full engine at L = 10 stays inside a few hundred MB.
     """
     vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (setup.dimension,):
+    removal = groups.setup.removal_eig
+    if vec.shape != removal.shape:
         raise ValidationError("dark projection expects engine-frame coordinates")
-    *_, label = _cluster_angles(np.angle(setup.phases), PHASE_TOL)
-    removal = setup.removal_eig
-    weight = np.bincount(label, weights=removal.real**2 + removal.imag**2)
     dot = removal.conj() * vec
-    dot = np.bincount(label, weights=dot.real) \
-        + 1j * np.bincount(label, weights=dot.imag)
+    dot = np.bincount(groups.label, weights=dot.real) \
+        + 1j * np.bincount(groups.label, weights=dot.imag)
     # a group without removal component is fully dark
-    scale = np.divide(dot, weight, out=np.zeros_like(dot),
-                      where=np.sqrt(weight) >= DARK_OVERLAP_TOL)
-    return vec - removal * scale[label]
+    scale = np.divide(dot, groups.weights, out=np.zeros_like(dot),
+                      where=groups.reached)
+    return vec - removal * scale[groups.label]
 
 
 class RotatingTarget:
@@ -1081,7 +1088,7 @@ def jump_filtration_time(setup, initial, target, eps, h_tau):
         return q_n, q_n * survival
 
     q0, kept = amplitude(0, psi0)
-    dark = dark_projection(setup, psi0)
+    dark = dark_projection(degeneracy_groups(setup), psi0)
     w_dark = float(np.vdot(dark, dark).real)
     q_inf = amplitude(0, dark)[0] if w_dark > 0.0 else 0.0
     if q_inf < thr:

@@ -317,8 +317,8 @@ def emit_csv(path, header, columns):
 def spectrum_columns(values, kinds):
     """Columns of the spectrum schema: re, im, modulus and kind per value."""
     values = np.asarray(values, dtype=complex)
-    # abs of each complex (libm hypot): np.abs may round differently
-    return [values.real, values.imag, [abs(z) for z in values.tolist()],
+    # libm hypot, which abs of a complex calls: np.abs may round differently
+    return [values.real, values.imag, np.hypot(values.real, values.imag),
             kinds]
 
 

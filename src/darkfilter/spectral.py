@@ -14,8 +14,10 @@ the unit circle and the bright eigenvalues are the force-equilibrium
 points, which places them inside the convex hull of the charge
 positions.
 
-The dominant bright modulus sets the filtration time; the closed-form
-asymptotics for the protocol's two targets are evaluated here.
+The charges are the groups of filtration.degeneracy_groups, and
+mode_spectrum checks that the dark phases, the roots and the removal's
+one zero number dim.  The dominant bright modulus sets the filtration
+time; the closed-form asymptotics of the two targets are here.
 """
 
 from __future__ import annotations
@@ -24,14 +26,8 @@ import math
 
 import numpy as np
 
-# PHASE_TOL is read from the module at call time, so a patched value
-# reaches the charge picture as well
-from darkfilter import filtration
 from darkfilter.errors import NumericsError, ValidationError
-
-# Weights below this are structural zeros of the removal decomposition:
-# the group hosts dark directions only and exerts no force.
-ZERO_WEIGHT = 1e-14
+from darkfilter.filtration import PhaseGroups, degeneracy_groups
 
 # A secular root zeta is accepted when its first-order error |f / f'|,
 # f the force sum_l p_l / (z_l - zeta), is at most ROOT_RESIDUAL_TOL and
@@ -49,48 +45,53 @@ class ChargePicture:
 
     angles holds theta_l = E_l tau mod 2pi per degenerate group (charge
     position exp(-i theta_l)); weights the summed removal overlaps p_l.
-    Zero-weight groups are retained for dark accounting but do not count
-    toward w.
+    charged marks the groups that count toward w; the others are kept
+    for dark accounting and exert no force.
     """
 
-    def __init__(self, angles, weights):
+    def __init__(self, angles, weights, charged):
         self.angles = np.asarray(angles, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        if self.angles.shape != self.weights.shape:
-            raise ValidationError("angles and weights must align")
+        self.charged = np.asarray(charged, dtype=bool)
+        if not self.angles.shape == self.weights.shape == self.charged.shape:
+            raise ValidationError("angles, weights and charged must align")
+        self.w = int(np.count_nonzero(self.charged))     # charged phases
         if float(np.min(self.weights, initial=0.0)) < -1e-12:
             raise NumericsError("negative removal weight")
         total = float(np.sum(self.weights))
         if abs(total - 1.0) > 1e-10:
             raise NumericsError(f"removal weights sum to {total}, not 1")
 
-    @property
-    def w(self):
-        """Number of charged (weight-carrying) phases."""
-        return int(np.count_nonzero(self.weights > ZERO_WEIGHT))
 
-    @property
-    def charged(self):
-        keep = self.weights > ZERO_WEIGHT
-        return self.angles[keep], self.weights[keep]
-
-
-def charge_picture(setup):
-    """Cluster the engine's eigenphases and sum removal weight per group."""
-    if not isinstance(setup, filtration.FiltrationSetup):
-        raise ValidationError("charge_picture expects a FiltrationSetup")
-    phase_angles = np.angle(setup.phases)
-    weight = np.abs(setup.removal_eig) ** 2
-    angles = []
-    weights = []
-    order, starts, _ = filtration._cluster_angles(phase_angles,
-                                                  filtration.PHASE_TOL)
-    for members in np.split(order, starts[1:]):
-        rep = phase_angles[members[0]]
-        angles.append((-rep) % (2.0 * math.pi))
-        weights.append(float(np.sum(weight[members])))
+def charge_picture(groups):
+    """The degenerate groups as charges, in ascending charge angle."""
+    if not isinstance(groups, PhaseGroups):
+        raise ValidationError("charge_picture expects PhaseGroups")
+    angles = (-groups.angles) % (2.0 * math.pi)
     order = np.argsort(angles, kind="stable")
-    return ChargePicture(np.asarray(angles)[order], np.asarray(weights)[order])
+    return ChargePicture(angles[order], groups.weights[order],
+                         groups.charged[order])
+
+
+def mode_spectrum(setup):
+    """Every eigenvalue of F, from one grouping of the phases of U(tau).
+
+    The dark phases, the w - 1 secular roots and the one zero of the
+    rank-one removal must number dim.  A group reached but not charged
+    (weight between DARK_OVERLAP_TOL^2 and ZERO_WEIGHT) leaves one mode
+    uncounted: NumericsError before the roots are solved.  Returns the
+    dark phases, the ChargePicture and the BrightSpectrum.
+    """
+    groups = degeneracy_groups(setup)
+    dark = np.repeat(groups.phases, groups.dark_counts)
+    cp = charge_picture(groups)
+    missing = setup.dimension - dark.size - cp.w
+    if missing:
+        raise NumericsError(
+            f"{dark.size} dark + {cp.w - 1} bright (w = {cp.w}) + 1 zero "
+            f"modes of F for dim {setup.dimension}; groups neither dark "
+            f"nor charged: {missing}")
+    return dark, cp, bright_secular_roots(cp)
 
 
 def convex_hull_violation(points, vertices, slack=0.0):
@@ -162,7 +163,7 @@ def bright_secular_roots(cp):
     first-order error |f / f'| for f(zeta) = sum_l p_l / (z_l - zeta)
     and by hull containment.
     """
-    angles, weights = cp.charged
+    angles, weights = cp.angles[cp.charged], cp.weights[cp.charged]
     w = angles.size
     if w == 0:
         raise ValidationError("charge picture carries no weight")

@@ -435,6 +435,41 @@ def dark_complement(phases, removal, tol=1e-9):
     return np.reshape(np.transpose(cols), (dim, len(cols))), np.array(values)
 
 
+def determinant_darks(members, removal):
+    """Dark vectors of one reached group by the recursive determinant.
+
+    The delta-th dark vector is the formal determinant whose first row
+    holds the group kets e_1..e_(delta+1), the second the removal
+    overlaps <psi_r|e_i>, and the remaining rows the overlaps of the
+    dark vectors built before it; cofactor expansion along the ket row
+    gives a vector orthogonal to psi_r and to its predecessors.  Each is
+    normalized and rotated so its largest-modulus entry is real
+    positive.  Returns (dim, g - 1) columns; raises NumericsError when
+    a determinant's norm falls below 1e-14, as it does after two
+    leading zero overlaps.
+    """
+    dim = removal.shape[0]
+    idx = list(members)
+    rows = [removal[idx].conj()]
+    darks = []
+    for delta in range(1, len(idx)):
+        size = delta + 1
+        numeric = np.array([row[:size] for row in rows])
+        coeffs = np.array([(-1.0) ** i * np.linalg.det(
+            np.delete(numeric, i, axis=1)) for i in range(size)])
+        vec = np.zeros(dim, dtype=complex)
+        vec[idx[:size]] = coeffs
+        nrm = np.linalg.norm(vec)
+        if nrm < 1e-14:
+            raise NumericsError("determinant construction degenerated")
+        vec = vec / nrm
+        pivot = vec[int(np.argmax(np.abs(vec)))]
+        vec = vec * (abs(pivot) / pivot)
+        darks.append(vec)
+        rows.append(vec[idx].conj())
+    return np.array(darks).reshape(-1, dim).T
+
+
 def cluster_angles_loop(angles, tol):
     """Sorted angles clustered one gap at a time, with wrap-around.
 

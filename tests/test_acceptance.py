@@ -40,6 +40,7 @@ from darkfilter.experiments import (
 )
 from darkfilter.filtration import (
     dark_subspace,
+    degeneracy_groups,
     full_setup,
     reduced_setup,
     run_filtration,
@@ -100,7 +101,7 @@ def test_criterion_02_dark_state_census():
     for (p, q), expected in TABLE1_CASES:
         tau = math.pi * p / (q * params.h)
         setup, _ = reduced_setup(params, tau, 0.3)
-        dark = dark_subspace(setup)
+        dark = dark_subspace(degeneracy_groups(setup))
         counts[(p, q)] = dark.count
         if dark.count != expected:
             continue
@@ -211,7 +212,7 @@ def test_criterion_05_secular_vs_dense_spectra():
         params = ChainParams(L=L)
         tau = math.pi * p / (q * params.h)
         setup, _ = reduced_setup(params, tau, 0.3)
-        picture = charge_picture(setup)
+        picture = charge_picture(degeneracy_groups(setup))
         spectrum = bright_secular_roots(picture)
         # independent oracle: tower-restricted F from the closed forms
         # for the removal coefficients and the ladder energies

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from darkfilter import experiments, filtration
@@ -37,6 +37,7 @@ from darkfilter.filtration import (
     resonance_period,
     run_filtration,
 )
+from darkfilter.spectral import mode_spectrum
 from darkfilter.spin_model import (
     ChainParams,
     ManyBodyOperator,
@@ -51,6 +52,7 @@ from helpers import (
     cluster_angles_loop,
     dark_complement,
     dense_filtration_matrix,
+    determinant_darks,
     dense_hamiltonian,
     dense_stepping,
     engine_columns,
@@ -148,17 +150,22 @@ def test_degeneracy_groups_at_resonance():
     # h tau = pi/3 folds the ladder mod 3
     setup, _ = reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.0)
     groups = degeneracy_groups(setup)
-    assert sorted(members for _, members in groups) \
-        == [(0, 3, 6), (1, 4), (2, 5)]
-    for phase, _ in groups:
-        assert abs(abs(phase) - 1.0) < 1e-12
+    assert sorted(groups.members) == [(0, 3, 6), (1, 4), (2, 5)]
+    assert np.all(np.abs(np.abs(groups.phases) - 1.0) < 1e-12)
+    # ascending angle, one label per coordinate, binomial weights
+    assert np.all(np.diff(np.angle(groups.phases)) > 0.0)
+    for k, members in enumerate(groups.members):
+        assert np.all(groups.label[list(members)] == k)
+        assert groups.weights[k] == pytest.approx(
+            sum(math.comb(6, n) for n in members) / 64.0, abs=1e-15)
+    assert np.all(groups.reached) and np.all(groups.charged)
+    assert groups.dark_counts.tolist() == [len(m) - 1 for m in groups.members]
 
 
 def test_degeneracy_groups_offresonant_all_singletons():
     setup, _ = reduced_setup(ChainParams(L=6), 1.0, 0.0)
     groups = degeneracy_groups(setup)
-    assert sorted(members for _, members in groups) \
-        == [(n,) for n in range(7)]
+    assert sorted(groups.members) == [(n,) for n in range(7)]
 
 
 def test_degeneracy_groups_via_propagator():
@@ -167,11 +174,11 @@ def test_degeneracy_groups_via_propagator():
     tau = resonance_period(params.tower_energy(0), params.tower_energy(1))
     setup, _ = full_setup(params, tau, 0.0, removal=_noisy_removal(3, 0.1, 2))
     groups = degeneracy_groups(setup)
-    assert sum(len(members) for _, members in groups) == 27
-    assert any(len(members) > 1 for _, members in groups)
+    assert sum(len(members) for members in groups.members) == 27
+    assert any(len(members) > 1 for members in groups.members)
     dense = np.linalg.eigvals(
         sla.expm(-1j * tau * dense_hamiltonian(3, J3=0.1)))
-    for phase, members in groups:
+    for phase, members in zip(groups.phases, groups.members):
         assert np.max(np.abs(setup.phases[list(members)] - phase)) < 1e-9
         assert np.count_nonzero(np.abs(dense - phase) < 1e-9) \
             == len(members)
@@ -576,7 +583,7 @@ def test_dark_states_defining_properties():
     L = 5
     tau = math.pi / 2.0
     setup, psi0 = reduced_setup(ChainParams(L=L), tau, 0.2)
-    dark = dark_subspace(setup)
+    dark = dark_subspace(degeneracy_groups(setup))
     assert dark.count == 4         # n mod 2 groups of size 3 give 2 + 2
     r = setup.removal_eig
     fmat = np.diag(setup.phases) - np.outer(r, r.conj() * setup.phases)
@@ -591,9 +598,9 @@ def test_dark_states_defining_properties():
 
 
 def test_dark_state_methods_span_the_same_subspace():
-    # the determinant construction against the complement oracle
+    # the closed-form dark vectors against the complement oracle
     setup, _ = reduced_setup(ChainParams(L=6), math.pi / 2.0, 0.1)
-    det = dark_subspace(setup)
+    det = dark_subspace(degeneracy_groups(setup))
     comp, _ = dark_complement(setup.phases, setup.removal_eig)
     assert det.count == comp.shape[1] == 5
     pa = det.vectors @ det.vectors.conj().T
@@ -612,14 +619,15 @@ def test_dark_projection_matches_explicit_subspace(engine_tau):
         setup, psi0 = reduced_setup(params, tau, 0.3)
     else:
         setup, psi0 = full_setup(params, tau, 0.3)
-    dark = dark_subspace(setup)
+    groups = degeneracy_groups(setup)
+    dark = dark_subspace(groups)
     rng = np.random.default_rng(5)
     vec = rng.normal(size=setup.dimension) + 1j * rng.normal(size=setup.dimension)
     explicit = dark.vectors @ dark.overlaps(vec)
-    implicit = dark_projection(setup, vec)
+    implicit = dark_projection(groups, vec)
     assert np.max(np.abs(explicit - implicit)) < 1e-10
     psi = setup.to_eigen(psi0)
-    weight = float(np.linalg.norm(dark_projection(setup, psi)) ** 2)
+    weight = float(np.linalg.norm(dark_projection(groups, psi)) ** 2)
     assert abs(weight - float(np.sum(np.abs(dark.overlaps(psi)) ** 2))) < 1e-12
 
 
@@ -646,7 +654,7 @@ def test_cluster_angles_matches_the_gap_loop(points):
 def test_dark_projection_rejects_wrong_shape():
     setup, _ = reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.2)
     with pytest.raises(ValidationError):
-        dark_projection(setup, np.zeros(3))
+        dark_projection(degeneracy_groups(setup), np.zeros(3))
 
 
 def test_dark_states_zero_overlap_group_is_fully_dark():
@@ -659,10 +667,117 @@ def test_dark_states_zero_overlap_group_is_fully_dark():
         energies=energies, phases=np.exp(-1j * energies), removal_eig=removal,
         sector_eigs=[SectorEig(0, np.arange(4)[None, :], np.ones((1, 4)),
                                energies, np.eye(4))])
-    dark = dark_subspace(setup)
+    dark = dark_subspace(degeneracy_groups(setup))
     assert dark.count == 3
     assert dark.members == ((0, 1, 2),) * 3
     assert np.array_equal(dark.vectors, np.eye(4, 3))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(size=st.integers(2, 12), lead=st.booleans(),
+       zeros=st.sets(st.integers(1, 11), max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_darks_match_the_determinant(size, lead, zeros, seed):
+    # random overlaps with exact zeros inside the group and at its end,
+    # and at most one leading zero, which the determinant still handles
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    removal = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    removal[[z for z in zeros if z < size]] = 0.0
+    removal[0] *= not lead
+    assume(np.count_nonzero(removal[:2]))
+    want = determinant_darks(range(size), removal)
+    got = filtration._group_darks(removal.conj())
+    assert got.shape == want.shape == (size, size - 1)
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
+def _lead_zero_groups():
+    """Overlaps the determinant refuses: two leading zeros, and the even
+    tower group at L = 106, h tau = pi/2, which opens with 2^-53, 8e-15."""
+    setup, _ = reduced_setup(ChainParams(L=106), math.pi / 2.0, 0.3)
+    even = setup.removal_eig[0::2]
+    assert abs(even[0]) == 2.0**-53 and abs(even[1]) < 1e-14
+    rng = np.random.Generator(np.random.Philox(key=3))
+    noisy = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    noisy[[0, 1, 5]] = 0.0
+    return [even, noisy]
+
+
+@pytest.mark.parametrize("removal", _lead_zero_groups(),
+                         ids=["tower-L106", "two-leading-zeros"])
+def test_closed_form_darks_where_the_determinant_refuses(removal):
+    with pytest.raises(NumericsError, match="degenerated"):
+        determinant_darks(range(removal.size), removal)
+    cols = filtration._group_darks(removal.conj())
+    g = removal.size
+    assert cols.shape == (g, g - 1)
+    gram = cols.conj().T @ cols
+    assert np.max(np.abs(gram - np.eye(g - 1))) < 2e-15
+    assert np.max(np.abs(removal.conj() @ cols)) \
+        < 2e-16 * np.linalg.norm(removal)
+
+
+def test_large_tower_dark_states_are_orthonormal_and_dark():
+    # L = 160 at h tau = pi/2: the parity groups host 159 dark states
+    setup, _ = reduced_setup(ChainParams(L=160), math.pi / 2.0, 0.3)
+    dark = dark_subspace(degeneracy_groups(setup))
+    assert dark.count == 159
+    gram = dark.vectors.conj().T @ dark.vectors
+    assert np.max(np.abs(gram - np.eye(159))) < 2e-15
+    assert np.max(np.abs(setup.removal_eig.conj() @ dark.vectors)) < 2e-16
+
+
+def _near_pair_setup():
+    """Generic engine with two eigenphases 5 PHASE_TOL apart."""
+    energies = np.array([0.0, 5.0 * filtration.PHASE_TOL, 1.0, 2.0])
+    return FiltrationSetup(
+        engine="generic", tau=1.0, basis=BasisEncoding.generic(4),
+        energies=energies, phases=np.exp(-1j * energies),
+        removal_eig=np.full(4, 0.5, dtype=complex),
+        sector_eigs=[SectorEig(0, np.arange(4)[None, :], np.ones((1, 4)),
+                               energies, np.eye(4))])
+
+
+def test_one_ambiguity_warning_per_grouping():
+    # the near pair stays two groups, and each grouping warns once,
+    # however many quantities read it
+    setup = _near_pair_setup()
+    with pytest.warns(UserWarning, match="ambiguous") as caught:
+        _, cp, bright = mode_spectrum(setup)
+    assert len(caught) == 1
+    assert (cp.w, bright.count) == (4, 3)
+    with pytest.warns(UserWarning, match="ambiguous") as caught:
+        groups = degeneracy_groups(setup)
+        for _ in range(2):
+            dark_projection(groups, np.ones(4))
+        dark_subspace(groups)
+    assert len(caught) == 1
+
+
+def test_phases_are_grouped_once_per_analysis(tmp_path, monkeypatch):
+    # one clustering of U(tau)'s phases per bright-spectrum run, goe-demo
+    # run and perturb leg; the step kernel clusters its flip phases apart
+    callers = []
+    cluster = filtration._cluster_angles
+
+    def counted(angles, tol):
+        callers.append(inspect.stack()[1].function)
+        return cluster(angles, tol)
+
+    monkeypatch.setattr(filtration, "_cluster_angles", counted)
+    runs = [("bright-spectrum", {"L": 8, "target": "tar1"}, 1, 0),
+            ("goe-demo", {"goe": {"D_goe": 8, "seed": 5}}, 1, 0),
+            # only the static GHZ leg projects onto the dark manifold;
+            # both legs step a flip engine
+            ("perturb", {"L": 4, "J2": 0.02, "n_steps": 60}, 1, 2)]
+    for sub, doc, grouped, kernels in runs:
+        callers.clear()
+        cfg = tmp_path / f"{sub}.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([sub, "--config", str(cfg),
+                     "--out", str(tmp_path / sub), "--quiet"]) == 0
+        assert sorted(callers) == ["__init__"] * kernels \
+            + ["degeneracy_groups"] * grouped, sub
 
 
 def test_run_filtration_chunking_is_invisible():
@@ -773,7 +888,7 @@ def test_filtration_time_unreached():
 def test_survival_limit_is_dark_weight():
     """The non-detection probability converges to the initial dark weight."""
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.8)
-    dark = dark_subspace(setup)
+    dark = dark_subspace(degeneracy_groups(setup))
     weight = float(np.sum(np.abs(dark.overlaps(psi0.amplitudes)) ** 2))
     traj = run_filtration(setup, psi0, 1500)
     assert abs(traj.survival[-1] - weight) < 1e-10
@@ -787,7 +902,7 @@ def test_spectral_decomposition_classifies_modes():
     assert spec.select("trivial-zero").size == 1
     assert spec.recon_residual < 1e-10
     # the dark component of psi0 per eigenphase is basis-independent
-    dark = dark_subspace(setup)
+    dark = dark_subspace(degeneracy_groups(setup))
     idx = spec.select("dark")
     ov = dark.overlaps(setup.to_eigen(psi0))
     for phase in np.unique(np.round(np.angle(dark.phases), 9)):
@@ -889,7 +1004,7 @@ def test_generic_setup_default_tau_glues_band_edges():
     w = np.sort(sla.eigvalsh(mat))
     assert abs(setup.tau - 2.0 * math.pi / (w[-1] - w[0])) < 1e-12
     groups = degeneracy_groups(setup)
-    sizes = sorted(len(members) for _, members in groups)
+    sizes = sorted(len(members) for members in groups.members)
     assert sizes == [1] * 10 + [2]          # only the glued edge pair
     with pytest.raises(ValidationError):
         generic_setup(a, removal)           # not Hermitian

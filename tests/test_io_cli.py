@@ -605,6 +605,46 @@ def test_cli_dark_states(tmp_path):
     assert sum(1 for r in rows[1:] if r.endswith(",dark")) == 4
 
 
+@pytest.mark.parametrize("L", [106, 160])
+def test_cli_dark_states_on_large_tower_groups(tmp_path, L):
+    # h tau = pi/2 folds the tower into its two parity groups, which host
+    # L - 1 dark states.  The even group's first overlaps, 2^-53 and
+    # 8e-15 at L = 106, are small but not dependent.
+    cfg = _write(tmp_path, "c.json", {"L": L, "h_tau": [1, 2], "theta0": 0.3})
+    assert main(["dark-states", "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    meta = json.loads((tmp_path / "o" / "metadata.json").read_text())
+    assert meta["count"] == L - 1
+
+
+@pytest.mark.parametrize("L, status, counts", [
+    (8, 0, (1, 8)),
+    (46, 0, (1, 46)),
+    (48, 2, "1 dark + 46 bright (w = 47) + 1 zero modes of F for dim 49"),
+    (60, 2, "1 dark + 54 bright (w = 55) + 1 zero modes of F for dim 61"),
+], ids=["L8", "L46", "L48", "L60"])
+def test_cli_bright_spectrum_checks_the_mode_count(tmp_path, capsys, L,
+                                                   status, counts):
+    # at h tau = pi/L from L = 48 on, tower groups of removal weight in
+    # (1e-24, 1e-14] are neither dark (DARK_OVERLAP_TOL) nor charged
+    # (ZERO_WEIGHT): 1 mode of F at L = 48 and 5 at L = 60 would be
+    # missing from spectrum.csv, so the run exits 2 instead
+    cfg = _write(tmp_path, "c.json", {"L": L, "target": "tar1"})
+    out = tmp_path / "o"
+    assert main(["bright-spectrum", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == status
+    if status:
+        assert counts in capsys.readouterr().err
+        assert not out.exists()
+        return
+    meta = json.loads((out / "metadata.json").read_text())
+    n_dark, w = counts
+    assert (meta["n_dark"], meta["w"], meta["n_bright_roots"]) \
+        == (n_dark, w, w - 1)
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    assert len(rows) == n_dark + w - 1 == L
+
+
 def test_cli_bright_spectrum_requires_tower(tmp_path):
     cfg = _write(tmp_path, "c.json",
                  {"L": 6, "h_tau": [1, 3], "engine": "full"})

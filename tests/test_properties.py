@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from darkfilter.experiments import TARGETS, make_target
 from darkfilter.filtration import (
     dark_subspace,
+    degeneracy_groups,
     full_setup,
     reduced_setup,
     run_filtration,
@@ -70,8 +71,9 @@ def test_dark_count_is_dimension_minus_charges(L, h_tau, theta0):
     # every charged group of size g hosts g - 1 dark states, every
     # uncharged one g, so the count is dim - w
     setup, _ = _tower(L, h_tau, theta0)
-    dark = dark_subspace(setup)
-    assert dark.count == setup.dimension - charge_picture(setup).w
+    groups = degeneracy_groups(setup)
+    dark = dark_subspace(groups)
+    assert dark.count == setup.dimension - charge_picture(groups).w
     oracle, _ = dark_complement(setup.phases, setup.removal_eig)
     assert oracle.shape[1] == dark.count
 
@@ -80,7 +82,7 @@ def test_dark_count_is_dimension_minus_charges(L, h_tau, theta0):
 @given(L=st.integers(2, 8), h_tau=resonances(q_max=6), theta0=THETA0)
 def test_secular_roots_are_the_dense_bright_spectrum(L, h_tau, theta0):
     setup, psi0 = _tower(L, h_tau, theta0)
-    cp = charge_picture(setup)
+    cp = charge_picture(degeneracy_groups(setup))
     roots = bright_secular_roots(cp).roots
     assert roots.size == cp.w - 1
     for z in roots:

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from darkfilter.errors import NumericsError, ValidationError
-from darkfilter.filtration import reduced_setup
+from darkfilter.filtration import degeneracy_groups, reduced_setup
 from darkfilter.spectral import (
     HULL_SLACK,
     BrightSpectrum,
@@ -21,11 +21,14 @@ from darkfilter.spin_model import ChainParams
 
 from helpers import hull_violation_loop, spectral_decomposition
 
+# every hand-placed charge carries weight
+ALL = np.ones(60, dtype=bool)
+
 
 def test_charge_picture_binomial_weights():
     # h tau = pi/3 folds the L=6 ladder mod 3; weights sum binomials
     setup, _ = reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.0)
-    cp = charge_picture(setup)
+    cp = charge_picture(degeneracy_groups(setup))
     assert cp.w == 3
     want = sorted([22.0 / 64.0, 21.0 / 64.0, 21.0 / 64.0])
     assert np.allclose(sorted(cp.weights), want, atol=1e-14)
@@ -37,15 +40,15 @@ def test_charge_picture_binomial_weights():
 
 def test_charge_picture_validates_weights():
     with pytest.raises(NumericsError):
-        ChargePicture(np.array([0.0, 1.0]), np.array([0.4, 0.4]))
+        ChargePicture(np.array([0.0, 1.0]), np.array([0.4, 0.4]), ALL[:2])
     with pytest.raises(ValidationError):
-        ChargePicture(np.array([0.0, 1.0]), np.array([1.0]))
+        ChargePicture(np.array([0.0, 1.0]), np.array([1.0]), ALL[:2])
 
 
 def test_two_charge_closed_form():
     # for two charges the equilibrium sits at the weighted swap point
     a1, a2, p1 = 0.4, 2.1, 0.3
-    cp = ChargePicture(np.array([a1, a2]), np.array([p1, 1.0 - p1]))
+    cp = ChargePicture(np.array([a1, a2]), np.array([p1, 1.0 - p1]), ALL[:2])
     bs = bright_secular_roots(cp)
     assert bs.count == 1
     want = p1 * np.exp(-1j * a2) + (1.0 - p1) * np.exp(-1j * a1)
@@ -53,14 +56,14 @@ def test_two_charge_closed_form():
 
 
 def test_single_charge_has_no_bright_root():
-    cp = ChargePicture(np.array([0.7]), np.array([1.0]))
+    cp = ChargePicture(np.array([0.7]), np.array([1.0]), ALL[:1])
     bs = bright_secular_roots(cp)
     assert bs.count == 0
     assert bs.dominant is None
 
 
 def test_opposite_equal_charges_give_trivial_zero():
-    cp = ChargePicture(np.array([0.0, math.pi]), np.array([0.5, 0.5]))
+    cp = ChargePicture(np.array([0.0, math.pi]), np.array([0.5, 0.5]), ALL[:2])
     bs = bright_secular_roots(cp)
     assert bs.count == 1
     assert abs(bs.roots[0]) < 1e-14
@@ -70,7 +73,7 @@ def test_clustered_charges_match_dense_eig():
     # 60 charges in an arc of 0.01 rad: a polynomial in the roots has
     # coefficients of binomial size; the compression does not
     w = 60
-    cp = ChargePicture(np.linspace(0.0, 0.01, w), np.full(w, 1.0 / w))
+    cp = ChargePicture(np.linspace(0.0, 0.01, w), np.full(w, 1.0 / w), ALL[:w])
     bs = bright_secular_roots(cp)
     assert bs.count == w - 1
     poles = np.exp(-1j * cp.angles)
@@ -88,7 +91,7 @@ def test_clustered_charges_match_dense_eig():
 @pytest.mark.parametrize("h_tau_q", [3, 4, 6])
 def test_secular_roots_match_dense_bright_eigenvalues(h_tau_q):
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / h_tau_q, 0.2)
-    cp = charge_picture(setup)
+    cp = charge_picture(degeneracy_groups(setup))
     secular = bright_secular_roots(cp)
     assert secular.count == cp.w - 1
     spectrum = spectral_decomposition(setup, psi0)
