@@ -10,9 +10,9 @@ between constant ',' and '\n' columns, and the NULs are deleted.
 Float arrays get their "%.17g" digits from the IEEE bits by exact
 integer arithmetic, integer arrays "%d", and any other column
 format_cell per cell; floats outside the exact range (zero, subnormals,
-|x| <= 1e-11 or >= 1e17) go through "%" in one batch per block.  Two
-blocks are formatted at a time, one on a worker thread and one on the
-caller, as numpy releases the interpreter lock in its integer loops.
+|x| <= 1e-11 or >= 1e17) go through "%" in one batch per block.  Both
+numeric paths read the digits of 4-digit words from one table.  Blocks
+are formatted and written in order, on the caller.
 Metadata goes into a JSON sidecar next to the data files; the sidecar
 holds the non-reproducible bits (wall time) so the CSVs stay comparable.
 """
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -59,8 +59,8 @@ def format_cell(value) -> str:
     raise ValidationError(f"unsupported CSV cell type {type(value).__name__}")
 
 
-# rows formatted at a time: two blocks are held at most, so this bounds
-# the text in memory
+# rows formatted at a time: two blocks are held at most (the first two,
+# before the file opens), so this bounds the text in memory
 BLOCK_ROWS = 1 << 14
 
 _U64 = np.uint64
@@ -114,7 +114,15 @@ def _float_templates():
 FLOAT_WIDTH = 28
 _FLOAT_TEMPLATES = _float_templates()
 _POW10 = np.array([10**j for j in range(17)], dtype=_U64)
-_BITS = 2.0 ** np.arange(18)
+# the digits of each word w < 10^4, most significant first, as a uint32
+# in memory order (a uint32 view of four cell bytes adds them); the zeros
+# that lead them (4 for w = 0) and, as those of the reversed digits, that
+# trail them; and the masks that keep a word's bytes after its first b
+_WORD = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy().view(
+    np.uint32)[:, 0]
+_LEAD = sum(np.arange(10**4) < 10**j for j in range(4))
+_TRAIL = _LEAD.reshape((10,) * 4).T.ravel()
+_SHOWN = np.triu(np.full((5, 4), 255, dtype=np.uint8)).view(np.uint32)[:, 0]
 
 
 def _quotient(m, e, k):
@@ -152,8 +160,10 @@ def _float_cells(x, out):
     truncated quotient, which lies in [10^16, 10^17) only for the right
     k.  An empty digit slot is inserted after digit _point(k) by
     spreading D to 18 digits, D' = 10 D - 9 (D mod 10^(16-point)).
-    Other values (zero, subnormals, |x| <= 1e-11 or >= 1e17) go through
-    "%" in one batch.
+    D' splits into five 4-digit words: a table of their trailing zeros
+    gives the last nonzero digit, which picks the template, and a table of
+    their digits adds them to it through a uint32 view of the cell.  Other
+    values (zero, subnormals, |x| <= 1e-11 or >= 1e17) go through "%".
     """
     a = np.abs(x)
     exact = (a > _EXACT_LOW) & (a < _EXACT_HIGH)
@@ -175,22 +185,17 @@ def _float_cells(x, out):
     q += up
     q = q * _U64(10) - _U64(9) * (q % _POW10[16 - _point(k)])
 
-    # 18 digits from two halves of 9 digits, in uint32
-    high = q // _U64(10**9)
-    digits = np.empty((x.size, 18), dtype=np.uint8)
-    for rest, top in ((high.astype(np.uint32), 8),
-                      ((q - high * _U64(10**9)).astype(np.uint32), 17)):
-        for i in range(top, top - 9, -1):
-            div = rest // np.uint32(10)
-            digits[:, i] = rest - div * np.uint32(10)
-            rest = div
-    # the last nonzero digit is the top bit of sum_j 2^j [digit j != 0]
-    last = np.frexp((digits != 0) @ _BITS)[1] - 1
-    # the template holds '0' in each digit slot shown, and the hidden
-    # slots follow the last nonzero digit, so adding the digits fills it
-    np.take(_FLOAT_TEMPLATES, (k + 11) * 18 + last, axis=0, out=out,
-            mode="clip")
-    out[:, 6:24] += digits
+    # the template holds '0' in each digit slot shown and NUL after the
+    # last nonzero digit, so adding the words (the first, below 100, adds
+    # 0 to slots 4-5) fills it; no byte sum carries past '9'
+    words = _words(q, 5)
+    last = 17 - _zero_run(_TRAIL, words)
+    cell = np.take(_FLOAT_TEMPLATES, (k + 11) * 18 + last, axis=0,
+                   mode="clip")
+    slots = cell.view(np.uint32)
+    for j, w in enumerate(words):
+        slots[:, 1 + j] += _WORD.take(w)
+    out[...] = cell
     out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     rest = np.flatnonzero(~exact)
     if rest.size:
@@ -200,6 +205,27 @@ def _float_cells(x, out):
         out[rest, :text.itemsize] = text.view(np.uint8).reshape(rest.size, -1)
 
 
+def _words(v, count):
+    """The (count, v.size) 4-digit words of a uint64 array, most
+    significant first; row 0 holds all of v // 10^(4 count - 4)."""
+    out = np.empty((count, v.size), dtype=np.intp)
+    for i in range(count - 1, 0, -1):
+        div = v // _U64(10**4)
+        out[i] = v - div * _U64(10**4)
+        v = div
+    out[0] = v
+    return out
+
+
+def _zero_run(table, words):
+    """The zeros that end rows of 4-digit words, by _LEAD or _TRAIL, with
+    the words ordered from the rows' far end: a zero word adds 4."""
+    run = table.take(words[0])
+    for w in words[1:]:
+        run = table.take(w) + (w == 0) * run
+    return run
+
+
 def _int_width(v):
     """Bytes of the "%d" cells of an integer array: a sign and the digits."""
     top = max(-int(v.min()), int(v.max())) if v.size else 0
@@ -207,20 +233,21 @@ def _int_width(v):
 
 
 def _int_cells(v, out):
-    """"%d" text of an integer array into the NUL-padded out."""
+    """"%d" text of an integer array into the NUL-padded out.
+
+    The magnitudes' 4-digit words read their digits from the float cells'
+    table; the zeros before the first nonzero digit, bar the last, are NUL."""
     neg = v < 0
     mag = v.astype(_U64)                       # two's complement wraps
     mag[neg] = -mag[neg]
     out[:, 0] = neg * np.uint8(ord("-"))
     width = out.shape[1] - 1
-    # up to nine digits fit the faster uint32
-    rest = mag.astype(np.uint32) if width < 10 else mag
-    ten, zero = rest.dtype.type(10), rest.dtype.type(ord("0"))
-    for p in range(width):
-        div = rest // ten
-        out[:, -1 - p] = np.where((rest > 0) | (p == 0),
-                                  rest - div * ten + zero, 0)
-        rest = div
+    words = _words(mag, -(-width // 4))
+    lead = np.minimum(_zero_run(_LEAD, words[::-1]), 4 * len(words) - 1)
+    text = np.stack([(_WORD.take(w) + np.uint32(0x30303030))  # '0000'
+                     & _SHOWN.take(lead - 4 * j, mode="clip")
+                     for j, w in enumerate(words)], axis=1)
+    out[:, 1:] = text.view(np.uint8)[:, -width:]
 
 
 def _text_cells(column):
@@ -257,35 +284,9 @@ def _block(columns, lo, hi):
     return out.tobytes().translate(None, b"\0")
 
 
-def _two_blocks(columns, spans):
-    """The blocks of one or two (lo, hi) spans, the second on a thread.
-
-    numpy releases the interpreter lock in the uint64 loops of the float
-    and integer cells, so the two blocks run on two cores.
-    """
-    if len(spans) == 1:
-        return [_block(columns, *spans[0])]
-    result = []
-
-    def second():
-        try:
-            result.append(_block(columns, *spans[1]))
-        except BaseException as exc:           # re-raised on the caller
-            result.append(exc)
-
-    worker = threading.Thread(target=second)
-    worker.start()
-    try:
-        first = _block(columns, *spans[0])
-    finally:
-        worker.join()
-    if isinstance(result[0], BaseException):
-        raise result[0]
-    return [first, result[0]]
-
-
 def emit_csv(path, header, columns):
-    """Write one column per header field; a None column is left blank."""
+    """Write one column per header field, BLOCK_ROWS rows at a time, in
+    order; a None column is left blank."""
     header = tuple(header)
     if len(columns) != len(header):
         raise ValidationError(
@@ -300,17 +301,15 @@ def emit_csv(path, header, columns):
                 and not np.all(np.isfinite(c)):
             raise ValidationError("non-finite value in CSV output")
 
-    spans = [(lo, min(lo + BLOCK_ROWS, rows))
-             for lo in range(0, rows, BLOCK_ROWS)] or [(0, 0)]
-    pairs = [spans[i:i + 2] for i in range(0, len(spans), 2)]
+    blocks = (_block(columns, lo, min(lo + BLOCK_ROWS, rows))
+              for lo in range(0, rows, BLOCK_ROWS))
     # the first two blocks are formatted before the file is opened, so a
     # bad cell in any table of up to 2 BLOCK_ROWS rows leaves no file
-    first = _two_blocks(columns, pairs[0])
+    first = list(islice(blocks, 2))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         fh.writelines(first)
-        for pair in pairs[1:]:
-            fh.writelines(_two_blocks(columns, pair))
+        fh.writelines(blocks)
     return path
 
 

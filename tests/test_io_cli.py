@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -94,8 +93,8 @@ def test_emit_csv_rejects_bad_cells(tmp_path):
     with pytest.raises(ValidationError, match="NUL"):
         format_cell("a\0b")
     assert not os.path.exists(tmp_path / "bad.csv")
-    # a bad cell in the second block, formatted on the worker thread,
-    # raises on the caller and still leaves no file
+    # a bad cell in the second block, which is also formatted before the
+    # file is opened, still leaves no file
     column = ["x"] * (2 * BLOCK_ROWS)
     column[-1] = "a,b"
     with pytest.raises(ValidationError, match="quoting"):
@@ -138,7 +137,17 @@ def test_float_cells_at_powers_of_ten_and_range_edges(tmp_path):
              np.nextafter(1e-11, 0.0), 1e17, np.nextafter(1e17, 0.0),
              1e-5, 9.9999999999999995e-5, 1e-4, 0.5, 1.0, 2.0**53,
              2.0**53 + 2.0, 99999999999999984.0, 1.7976931348623157e308]
-    values = np.array(near + edges + [-v for v in edges])
+    # 17-digit forms that end in every count of zeros from 1 to 16, so
+    # every rung of the trailing-zero lookup runs: digit prefixes times
+    # 10^j and 2^-s, and the powers 2^-s (exponent form from 2^-14)
+    prefixes = [int("1234567890123456"[:d]) for d in range(1, 17)]
+    zeros = [p * 10**j / 2**s for p in prefixes
+             for j in range(0, 18 - len(str(p)), 3) for s in (0, 1, 3)]
+    zeros += [2.0**-s for s in range(1, 24)]
+    ends = {len(m) - len(m.rstrip("0"))
+            for m in (("%.16e" % v).split("e")[0] for v in zeros)}
+    assert ends >= set(range(1, 17))
+    values = np.array(near + edges + zeros + [-v for v in edges + zeros])
     assert _written(tmp_path / "f.csv", values) == \
         ["%.17g" % v for v in values.tolist()]
     single = np.array([0.1, 1.0 / 3.0, 3.4028234663852886e38, 1e-45,
@@ -154,6 +163,31 @@ def test_int_cells_match_str_at_the_extremes(tmp_path):
                            100, info.min + 1], dtype=dtype)
         assert _written(tmp_path / "i.csv", values) == \
             [str(int(v)) for v in values]
+
+
+def _int_values(dtype):
+    """Lists of one integer dtype's values: its extremes, uniform draws,
+    and magnitudes of every digit count from 1 to 20 with either sign,
+    clipped to the dtype."""
+    info = np.iinfo(dtype)
+    digits = st.integers(1, 20).flatmap(
+        lambda d: st.integers(10 ** (d - 1) - (d == 1), 10 ** d - 1))
+    signed = st.tuples(digits, st.booleans()).map(
+        lambda p: min(p[0], info.max) * (-1 if p[1] and info.min < 0 else 1))
+    return st.lists(st.one_of(st.sampled_from([int(info.min), int(info.max)]),
+                              st.integers(int(info.min), int(info.max)),
+                              signed),
+                    min_size=1, max_size=64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(signed=_int_values(np.int64), unsigned=_int_values(np.uint64))
+def test_int_cells_match_str(tmp_path_factory, signed, unsigned):
+    # one column mixes widths, so the short cells blank their leading zeros
+    path = tmp_path_factory.mktemp("ints") / "i.csv"
+    for dtype, values in ((np.int64, signed), (np.uint64, unsigned)):
+        assert _written(path, np.array(values, dtype=dtype)) == \
+            [str(v) for v in values]
 
 
 def _oracle_table(rows):
@@ -180,22 +214,6 @@ def test_emit_csv_matches_rowwise_oracle(tmp_path, rows):
     header = tuple(f"c{i}" for i in range(len(columns)))
     path = emit_csv(tmp_path / "t.csv", header, columns)
     assert open(path, "rb").read() == rowwise_csv(header, columns)
-
-
-def test_one_block_table_starts_no_thread(tmp_path, monkeypatch):
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Recorded)
-    emit_csv(tmp_path / "one.csv", ("x",), [np.arange(BLOCK_ROWS, dtype=float)])
-    assert started == []
-    emit_csv(tmp_path / "two.csv", ("x",),
-             [np.arange(BLOCK_ROWS + 1, dtype=float)])
-    assert len(started) == 1 and not started[0].is_alive()
 
 
 IMPORT_SCRIPT = """
