@@ -818,8 +818,7 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
 
     The four tower phase classes n mod 4 persist at every length; the
     scan asserts that the dominant modulus strictly decreases with L and
-    that each length yields w = 4 charges and the full mode count of F
-    (mode_spectrum).
+    that each length yields w = 4 charges (mode_spectrum).
     """
     t0 = time.time()
     L_values = [int(L) for L in L_values]

@@ -65,12 +65,8 @@ from darkfilter.spin_model import (
 PHASE_TOL = 1e-9
 
 # A degenerate group whose removal component is smaller than this is
-# fully dark.
+# fully dark; every other group is a charge.
 DARK_OVERLAP_TOL = 1e-12
-
-# Weights below this are structural zeros of the removal decomposition:
-# the group hosts dark directions only and exerts no force.
-ZERO_WEIGHT = 1e-14
 
 
 def resonance_period(ea, eb):
@@ -550,8 +546,9 @@ class PhaseGroups:
     angles[k], and the removal weight weights[k] = sum |<psi_r|e_i>|^2;
     groups ascend in angle, and label[i] is the group of coordinate i.
     A group is reached when its removal norm is at least
-    DARK_OVERLAP_TOL, and then hosts g - 1 dark vectors, else g
-    (dark_counts); it is charged when its weight exceeds ZERO_WEIGHT.
+    DARK_OVERLAP_TOL: it is then a charge and hosts g - 1 dark vectors,
+    else it is fully dark with g (dark_counts).  That one cut makes the
+    dark count plus the charge count dim.
     """
 
     def __init__(self, setup, label, angles, phases):
@@ -563,7 +560,6 @@ class PhaseGroups:
         self.weights = np.bincount(label,
                                    weights=removal.real**2 + removal.imag**2)
         self.reached = np.sqrt(self.weights) >= DARK_OVERLAP_TOL
-        self.charged = self.weights > ZERO_WEIGHT
         self.dark_counts = np.bincount(label) - self.reached
 
     @property

@@ -14,10 +14,11 @@ the unit circle and the bright eigenvalues are the force-equilibrium
 points, which places them inside the convex hull of the charge
 positions.
 
-The charges are the groups of filtration.degeneracy_groups, and
-mode_spectrum checks that the dark phases, the roots and the removal's
-one zero number dim.  The dominant bright modulus sets the filtration
-time; the closed-form asymptotics of the two targets are here.
+The charges are the groups of filtration.degeneracy_groups that the
+removal reaches; every other group is fully dark.  So the dark phases,
+the w - 1 roots and the removal's one zero number dim by construction.
+The dominant bright modulus sets the filtration time; the closed-form
+asymptotics of the two targets are here.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class ChargePicture:
 
     angles holds theta_l = E_l tau mod 2pi per degenerate group (charge
     position exp(-i theta_l)); weights the summed removal overlaps p_l.
-    charged marks the groups that count toward w; the others are kept
-    for dark accounting and exert no force.
+    charged marks the groups that count toward w (the reached groups of
+    PhaseGroups); the others are fully dark and exert no force.
     """
 
     def __init__(self, angles, weights, charged):
@@ -70,27 +71,21 @@ def charge_picture(groups):
     angles = (-groups.angles) % (2.0 * math.pi)
     order = np.argsort(angles, kind="stable")
     return ChargePicture(angles[order], groups.weights[order],
-                         groups.charged[order])
+                         groups.reached[order])
 
 
 def mode_spectrum(setup):
     """Every eigenvalue of F, from one grouping of the phases of U(tau).
 
     The dark phases, the w - 1 secular roots and the one zero of the
-    rank-one removal must number dim.  A group reached but not charged
-    (weight between DARK_OVERLAP_TOL^2 and ZERO_WEIGHT) leaves one mode
-    uncounted: NumericsError before the roots are solved.  Returns the
-    dark phases, the ChargePicture and the BrightSpectrum.
+    rank-one removal number dim by construction: the w charges are the
+    reached groups, each hosting g - 1 dark phases, and every other
+    group hosts g.  Returns the dark phases, the ChargePicture and the
+    BrightSpectrum.
     """
     groups = degeneracy_groups(setup)
     dark = np.repeat(groups.phases, groups.dark_counts)
     cp = charge_picture(groups)
-    missing = setup.dimension - dark.size - cp.w
-    if missing:
-        raise NumericsError(
-            f"{dark.size} dark + {cp.w - 1} bright (w = {cp.w}) + 1 zero "
-            f"modes of F for dim {setup.dimension}; groups neither dark "
-            f"nor charged: {missing}")
     return dark, cp, bright_secular_roots(cp)
 
 
@@ -133,10 +128,6 @@ class BrightSpectrum:
     def __init__(self, roots, dominant):
         self.roots = roots
         self.dominant = dominant
-
-    @property
-    def count(self):
-        return self.roots.shape[0]
 
     @classmethod
     def from_roots(cls, roots):

@@ -638,15 +638,17 @@ def test_cli_dark_states_on_large_tower_groups(tmp_path, L):
 @pytest.mark.parametrize("L, status, counts", [
     (8, 0, (1, 8)),
     (46, 0, (1, 46)),
-    (48, 2, "1 dark + 46 bright (w = 47) + 1 zero modes of F for dim 49"),
-    (60, 2, "1 dark + 54 bright (w = 55) + 1 zero modes of F for dim 61"),
-], ids=["L8", "L46", "L48", "L60"])
+    (48, 0, (1, 48)),
+    (60, 0, (1, 60)),
+    (78, 2, "violates force balance"),
+], ids=["L8", "L46", "L48", "L60", "L78"])
 def test_cli_bright_spectrum_checks_the_mode_count(tmp_path, capsys, L,
                                                    status, counts):
-    # at h tau = pi/L from L = 48 on, tower groups of removal weight in
-    # (1e-24, 1e-14] are neither dark (DARK_OVERLAP_TOL) nor charged
-    # (ZERO_WEIGHT): 1 mode of F at L = 48 and 5 at L = 60 would be
-    # missing from spectrum.csv, so the run exits 2 instead
+    # at h tau = pi/L every group that the removal reaches is a charge,
+    # however small its weight (below 1e-14 from L = 48 on), so the
+    # spectrum has L rows.  At L = 78 the roots of those tiny charges
+    # fail the force-balance check and the run exits 2, writing nothing.
+    # (L = 75 fails too, but passes on one BLAS thread.)
     cfg = _write(tmp_path, "c.json", {"L": L, "target": "tar1"})
     out = tmp_path / "o"
     assert main(["bright-spectrum", "--config", cfg, "--out", str(out),

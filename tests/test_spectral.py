@@ -7,7 +7,13 @@ import pytest
 import scipy.linalg as sla
 
 from darkfilter.errors import NumericsError, ValidationError
-from darkfilter.filtration import degeneracy_groups, reduced_setup
+from darkfilter.experiments import orthogonality_angle, tar2_optimal_angle
+from darkfilter.filtration import (
+    DARK_OVERLAP_TOL,
+    degeneracy_groups,
+    full_setup,
+    reduced_setup,
+)
 from darkfilter.spectral import (
     HULL_SLACK,
     BrightSpectrum,
@@ -15,6 +21,7 @@ from darkfilter.spectral import (
     bright_secular_roots,
     charge_picture,
     convex_hull_violation,
+    mode_spectrum,
     scaling_predictions,
 )
 from darkfilter.spin_model import ChainParams
@@ -50,7 +57,7 @@ def test_two_charge_closed_form():
     a1, a2, p1 = 0.4, 2.1, 0.3
     cp = ChargePicture(np.array([a1, a2]), np.array([p1, 1.0 - p1]), ALL[:2])
     bs = bright_secular_roots(cp)
-    assert bs.count == 1
+    assert bs.roots.size == 1
     want = p1 * np.exp(-1j * a2) + (1.0 - p1) * np.exp(-1j * a1)
     assert abs(bs.roots[0] - want) < 1e-12
 
@@ -58,14 +65,14 @@ def test_two_charge_closed_form():
 def test_single_charge_has_no_bright_root():
     cp = ChargePicture(np.array([0.7]), np.array([1.0]), ALL[:1])
     bs = bright_secular_roots(cp)
-    assert bs.count == 0
+    assert bs.roots.size == 0
     assert bs.dominant is None
 
 
 def test_opposite_equal_charges_give_trivial_zero():
     cp = ChargePicture(np.array([0.0, math.pi]), np.array([0.5, 0.5]), ALL[:2])
     bs = bright_secular_roots(cp)
-    assert bs.count == 1
+    assert bs.roots.size == 1
     assert abs(bs.roots[0]) < 1e-14
 
 
@@ -75,7 +82,7 @@ def test_clustered_charges_match_dense_eig():
     w = 60
     cp = ChargePicture(np.linspace(0.0, 0.01, w), np.full(w, 1.0 / w), ALL[:w])
     bs = bright_secular_roots(cp)
-    assert bs.count == w - 1
+    assert bs.roots.size == w - 1
     poles = np.exp(-1j * cp.angles)
     assert np.all(convex_hull_violation(bs.roots, poles, HULL_SLACK) == 0.0)
     rho = np.sqrt(cp.weights)
@@ -93,14 +100,32 @@ def test_secular_roots_match_dense_bright_eigenvalues(h_tau_q):
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / h_tau_q, 0.2)
     cp = charge_picture(degeneracy_groups(setup))
     secular = bright_secular_roots(cp)
-    assert secular.count == cp.w - 1
+    assert secular.roots.size == cp.w - 1
     spectrum = spectral_decomposition(setup, psi0)
     dense = spectrum.values[spectrum.select("bright")]
-    assert dense.size == secular.count
+    assert dense.size == secular.roots.size
     # near-tied moduli sort unstably across the two methods; match by angle
     a = dense[np.argsort(np.angle(dense))]
     b = secular.roots[np.argsort(np.angle(secular.roots))]
     assert np.max(np.abs(a - b)) < 1e-8
+
+
+@pytest.mark.parametrize("q, angle, counts", [
+    (7, orthogonality_angle, (1, 572)),
+    (6, tar2_optimal_angle, (0, 573)),
+], ids=["tar1", "tar2"])
+def test_mode_spectrum_charges_every_reached_group(q, angle, counts):
+    # J2 breaks the tower: at L = 7 each leg has two groups whose weight
+    # is tiny (at most 1e-14) but above DARK_OVERLAP_TOL^2.  They are
+    # charges, so dark, roots and the one zero number dim 574.
+    setup, _ = full_setup(ChainParams(L=7, J2=0.005), math.pi / q, angle(7))
+    groups = degeneracy_groups(setup)
+    tiny = (groups.weights >= DARK_OVERLAP_TOL**2) & (groups.weights <= 1e-14)
+    assert np.count_nonzero(tiny) == 2
+    dark, cp, bright = mode_spectrum(setup)
+    assert (dark.size, bright.roots.size) == counts
+    assert cp.w == np.count_nonzero(groups.reached) == bright.roots.size + 1
+    assert dark.size + bright.roots.size + 1 == setup.dimension == 574
 
 
 def test_convex_hull_violation_cases():
