@@ -11,7 +11,7 @@ Subpackages:
 
 * ``spin_model``  -- chain Hamiltonians, the bi-magnon tower, protocol states;
 * ``filtration``  -- engines, trajectory iteration, dark subspaces;
-* ``spectral``    -- secular equation, charge picture, scaling laws;
+* ``spectral``    -- secular equation, mode spectrum, scaling laws;
 * ``experiments`` -- reproducible preset studies writing CSV artifacts;
 * ``cli``         -- the ``darkfilter`` command-line entry point.
 """
@@ -47,10 +47,7 @@ from darkfilter.filtration import (
     run_filtration,
 )
 from darkfilter.spectral import (
-    BrightSpectrum,
-    ChargePicture,
     bright_secular_roots,
-    charge_picture,
     convex_hull_violation,
     scaling_predictions,
 )
@@ -59,9 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisEncoding",
-    "BrightSpectrum",
     "ChainParams",
-    "ChargePicture",
     "DarkSubspace",
     "DarkfilterError",
     "FiltrationSetup",
@@ -78,7 +73,6 @@ __all__ = [
     "bright_secular_roots",
     "build_hamiltonian",
     "build_tower",
-    "charge_picture",
     "convex_hull_violation",
     "dark_projection",
     "dark_subspace",

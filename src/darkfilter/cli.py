@@ -164,25 +164,26 @@ def _cmd_bright_spectrum(cli, doc):
             "bright-spectrum works on the tower engine only"
         )
     setup, _ = build_setup(spec)
-    dark, cp, bs = mode_spectrum(setup)
+    dark, groups, roots = mode_spectrum(setup)
     ensure_dir(cli.out)
     spath = emit_csv(os.path.join(cli.out, "spectrum.csv"),
                      SCHEMAS["spectrum"],
-                     spectrum_columns(np.concatenate([dark, bs.roots]),
+                     spectrum_columns(np.concatenate([dark, roots]),
                                       ["dark"] * dark.size
-                                      + ["bright"] * bs.roots.size))
+                                      + ["bright"] * roots.size))
     cpath = emit_csv(os.path.join(cli.out, "charges.csv"),
-                     SCHEMAS["charges"], [cp.angles, cp.weights])
-    dom = max(np.abs(bs.roots)) if bs.roots.size else 0.0
+                     SCHEMAS["charges"],
+                     [groups.charge_angles, groups.charge_weights])
+    dom = max(np.abs(roots)) if roots.size else 0.0
     write_metadata(os.path.join(cli.out, "metadata.json"), {
         "experiment": "bright_spectrum",
         "spec": document_of(spec),
-        "w": cp.w,
+        "w": groups.w,
         "n_dark": dark.size,
-        "n_bright_roots": int(bs.roots.size),
+        "n_bright_roots": int(roots.size),
         "dominant_modulus": float(dom),
     })
-    _say(cli, f"w={cp.w} charges, {bs.roots.size} bright roots, "
+    _say(cli, f"w={groups.w} charges, {roots.size} bright roots, "
               f"dominant modulus {dom:.6f}")
     return spath, cpath
 

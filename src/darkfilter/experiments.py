@@ -755,8 +755,8 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None) -> RunArtifacts:
     expect = float(np.abs(np.vdot(phi, psi0)) ** 2)
     # the spectrum of F: the dark phases, the w - 1 secular roots and the
     # one zero of the rank-one removal
-    dark, cp, bright = mode_spectrum(setup)
-    values = np.concatenate([dark, bright.roots, [0.0]])
+    dark, groups, roots = mode_spectrum(setup)
+    values = np.concatenate([dark, roots, [0.0]])
     moduli = np.abs(values)
     kinds = np.where(moduli > 1.0 - GOE_DARK_TOL, "dark",
                      np.where(moduli < GOE_ZERO_TOL, "trivial-zero",
@@ -788,7 +788,8 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None) -> RunArtifacts:
                          spectrum_columns(values[order],
                                           kinds[order].tolist()))
     charge_path = emit_csv(os.path.join(out_dir, "charges.csv"),
-                           SCHEMAS["charges"], [cp.angles, cp.weights])
+                           SCHEMAS["charges"],
+                           [groups.charge_angles, groups.charge_weights])
     off = mat[~np.eye(dim, dtype=bool)]
     extra = {
         "d_goe": block.d_goe,
@@ -836,15 +837,15 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
         params = ChainParams(L=L)
         tau = math.pi * p / (q * params.h)
         setup, _ = reduced_setup(params, tau, 0.0)
-        _, cp, bs = mode_spectrum(setup)
-        if cp.w != 4:
+        _, groups, roots = mode_spectrum(setup)
+        if groups.w != 4:
             raise NumericsError(
-                f"L={L}: expected 4 charged phase classes, found {cp.w}"
+                f"L={L}: expected 4 charged phase classes, found {groups.w}"
             )
-        moduli.append(abs(bs.dominant))
+        moduli.append(abs(complex(roots[0])))
         spath = emit_csv(os.path.join(out_dir, f"spectrum_L{L:02d}.csv"),
                          SCHEMAS["spectrum"],
-                         spectrum_columns(bs.roots, ["bright"] * bs.roots.size))
+                         spectrum_columns(roots, ["bright"] * roots.size))
         files[f"spectrum_L{L:02d}"] = spath
     drops = np.diff(moduli)
     if np.any(drops >= 0.0):

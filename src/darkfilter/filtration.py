@@ -548,7 +548,13 @@ class PhaseGroups:
     A group is reached when its removal norm is at least
     DARK_OVERLAP_TOL: it is then a charge and hosts g - 1 dark vectors,
     else it is fully dark with g (dark_counts).  That one cut makes the
-    dark count plus the charge count dim.
+    dark count plus the charge count w equal dim.
+
+    The charge view lists the groups by their charge angle
+    -angles[k] mod 2pi, ascending (charge position exp(-i angle)):
+    charge_angles, charge_weights and charge_reached.  It is the order
+    of charges.csv, and its reached charges are the poles of the
+    secular equation (spectral.bright_secular_roots).
     """
 
     def __init__(self, setup, label, angles, phases):
@@ -557,10 +563,21 @@ class PhaseGroups:
         self.label = label
         self.angles = angles
         self.phases = phases
-        self.weights = np.bincount(label,
-                                   weights=removal.real**2 + removal.imag**2)
-        self.reached = np.sqrt(self.weights) >= DARK_OVERLAP_TOL
+        weights = np.bincount(label, weights=removal.real**2 + removal.imag**2)
+        if float(np.min(weights, initial=0.0)) < -1e-12:
+            raise NumericsError("negative removal weight")
+        total = float(np.sum(weights))
+        if abs(total - 1.0) > 1e-10:
+            raise NumericsError(f"removal weights sum to {total}, not 1")
+        self.weights = weights
+        self.reached = np.sqrt(weights) >= DARK_OVERLAP_TOL
         self.dark_counts = np.bincount(label) - self.reached
+        self.w = int(np.count_nonzero(self.reached))
+        charge = (-angles) % (2.0 * math.pi)
+        order = np.argsort(charge, kind="stable")
+        self.charge_angles = charge[order]
+        self.charge_weights = weights[order]
+        self.charge_reached = self.reached[order]
 
     @property
     def members(self):
@@ -894,19 +911,17 @@ def run_filtration(setup, initial, n_steps, target=None):
     at the first step whose survival falls below DEPLETION_FLOOR
     (depleted flag).  That step is not recorded, as its observables are
     normalized by rounding noise: the trajectory ends at the last step at
-    or above the floor.
+    or above the floor.  target is a RotatingTarget, or None to record no
+    probe overlaps and no Q_n.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise ValidationError("n_steps must be a non-negative integer")
     psi = setup.to_eigen(initial)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValidationError("initial state must have unit norm")
-    rot = None
     probes = np.zeros((0, setup.dimension), dtype=complex)
     if target is not None:
-        rot = target if isinstance(target, RotatingTarget) \
-            else RotatingTarget.static(target)
-        probes = np.array([setup.to_eigen(c) for c in rot.components])
+        probes = np.array([setup.to_eigen(c) for c in target.components])
         gram = probes.conj() @ probes.T
     flip = setup.flip_pos is not None
 
@@ -914,7 +929,7 @@ def run_filtration(setup, initial, n_steps, target=None):
     survival = np.empty(total)
     survival[0] = float(np.vdot(psi, psi).real)
     overlaps = string = None
-    if rot is not None:
+    if target is not None:
         overlaps = np.empty((total, probes.shape[0]), dtype=complex)
         overlaps[0] = probes.conj() @ psi
     if flip:
@@ -969,12 +984,12 @@ def run_filtration(setup, initial, n_steps, target=None):
     steps = np.arange(count)
     survival = survival[:count]
     q = None
-    if rot is not None:
+    if target is not None:
         overlaps = overlaps[:count]
         # a static target needs no per-row rotation
-        coef = rot.weights[None, :]
-        if np.any(rot.angles):
-            coef = coef * np.exp(-1j * np.outer(steps, rot.angles))
+        coef = target.weights[None, :]
+        if np.any(target.angles):
+            coef = coef * np.exp(-1j * np.outer(steps, target.angles))
         with np.errstate(divide="ignore", invalid="ignore"):
             # exact depletion gives 0/0, which Trajectory rejects
             q = _fidelity(coef, overlaps, gram, survival)
@@ -1030,9 +1045,10 @@ def _pi_phases(m, q):
 def jump_filtration_time(setup, initial, target, eps, h_tau):
     """Smallest n with Q_n >= 1 - eps on the tower engine, without stepping.
 
-    h_tau = (p, q) is the resonance h*tau = pi p/q of the setup.  Doubling
-    k until Q at n = 2^k reaches 1 - eps brackets the crossing in
-    (2^(k-1), 2^k]; binary lifting from 2^(k-1) down to 1 then pins it.
+    target is a RotatingTarget, and h_tau = (p, q) is the resonance
+    h*tau = pi p/q of the setup.  Doubling k until Q at n = 2^k reaches
+    1 - eps brackets the crossing in (2^(k-1), 2^k]; binary lifting from
+    2^(k-1) down to 1 then pins it.
     The state F^n psi0 is built from the powers F^(2^k) of the
     (L+1)-dimensional filtration matrix, and Q_n is evaluated by the
     helper run_filtration uses (_fidelity), with the phases of F and the
@@ -1061,15 +1077,13 @@ def jump_filtration_time(setup, initial, target, eps, h_tau):
         raise ValidationError(
             f"setup phases are not at h*tau = pi*{p}/{q} (off by {drift:.2e})"
         )
-    rot = target if isinstance(target, RotatingTarget) \
-        else RotatingTarget.static(target)
-    turns = np.rint(rot.angles * q / math.pi)
-    if float(np.max(np.abs(rot.angles - math.pi * turns / q))) > 1e-12:
+    turns = np.rint(target.angles * q / math.pi)
+    if float(np.max(np.abs(target.angles - math.pi * turns / q))) > 1e-12:
         raise ValidationError(
-            f"target rotation is not a multiple of pi/{q}: {rot.angles}"
+            f"target rotation is not a multiple of pi/{q}: {target.angles}"
         )
     turns = [int(t) for t in turns]
-    probes = np.array([setup.to_eigen(c) for c in rot.components])
+    probes = np.array([setup.to_eigen(c) for c in target.components])
     gram = probes.conj() @ probes.T
     psi0 = setup.to_eigen(initial)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
@@ -1077,7 +1091,7 @@ def jump_filtration_time(setup, initial, target, eps, h_tau):
 
     def amplitude(n, psi):
         """(Q_n, Q_n S_n) of the unnormalised state psi = F^n psi0."""
-        coef = rot.weights * _pi_phases([t * n for t in turns], q)
+        coef = target.weights * _pi_phases([t * n for t in turns], q)
         survival = float(np.vdot(psi, psi).real)
         q_n = float(_fidelity(coef[None], (probes.conj() @ psi)[None], gram,
                               survival)[0])

@@ -7,10 +7,11 @@ bodies.  emit_csv is the one write path.  A block of BLOCK_ROWS rows
 is one NUL-padded uint8 matrix, a row per table row: each column
 writes its cells into a span of fixed width (FLOAT_WIDTH for floats),
 between constant ',' and '\n' columns, and the NULs are deleted.
-Float arrays get their "%.17g" digits from the IEEE bits by exact
-integer arithmetic, integer arrays "%d", and any other column
-format_cell per cell; floats outside the exact range (zero, subnormals,
-|x| <= 1e-11 or >= 1e17) go through "%" in one batch per block.  Both
+A sequence of numbers is made an array first.  Float arrays get their
+"%.17g" digits from the IEEE bits by exact integer arithmetic, integer
+and bool arrays "%d", and a column of text and None cells format_cell
+per cell; floats outside the exact range (zero, subnormals, |x| <=
+1e-11 or >= 1e17) go through "%" in one batch per block.  Both
 numeric paths read the digits of 4-digit words from one table.  Blocks
 are formatted and written in order, on the caller.
 Metadata goes into a JSON sidecar next to the data files; the sidecar
@@ -38,25 +39,19 @@ SCHEMAS = {
 
 
 def format_cell(value) -> str:
-    if isinstance(value, str):
-        if "," in value or "\n" in value:
-            raise ValidationError(f"CSV cell {value!r} needs quoting; "
-                                  "schemas are comma-free by design")
-        if "\0" in value:
-            raise ValidationError(f"CSV cell {value!r} holds a NUL, which "
-                                  "the writer deletes as padding")
-        return value
+    """The text of a text-column cell: a str, or "" for None."""
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not np.isfinite(value):
-            raise ValidationError("non-finite value in CSV output")
-        return "%.17g" % float(value)
-    raise ValidationError(f"unsupported CSV cell type {type(value).__name__}")
+    if not isinstance(value, str):
+        raise ValidationError(
+            f"unsupported CSV cell type {type(value).__name__}")
+    if "," in value or "\n" in value:
+        raise ValidationError(f"CSV cell {value!r} needs quoting; "
+                              "schemas are comma-free by design")
+    if "\0" in value:
+        raise ValidationError(f"CSV cell {value!r} holds a NUL, which "
+                              "the writer deletes as padding")
+    return value
 
 
 # rows formatted at a time: two blocks are held at most (the first two,
@@ -270,6 +265,18 @@ def _cells(column):
     return text.shape[1], partial(np.copyto, src=text)
 
 
+def _numeric(column):
+    """A column with bools as int64, and a sequence of numbers (no str or
+    None cell) as an array; a text column as given."""
+    if column is None:
+        return None
+    if not isinstance(column, np.ndarray):
+        if any(c is None or isinstance(c, str) for c in column):
+            return column
+        column = np.asarray(column)
+    return column.astype(np.int64) if column.dtype.kind == "b" else column
+
+
 def _block(columns, lo, hi):
     """Rows lo:hi of the table as CSV bytes."""
     cells = [_cells(None if c is None else c[lo:hi]) for c in columns]
@@ -296,6 +303,7 @@ def emit_csv(path, header, columns):
     if len(lengths) > 1:
         raise ValidationError(f"CSV columns differ in length: {sorted(lengths)}")
     rows = lengths.pop() if lengths else 0
+    columns = [_numeric(c) for c in columns]
     for c in columns:
         if isinstance(c, np.ndarray) and c.dtype.kind == "f" \
                 and not np.all(np.isfinite(c)):

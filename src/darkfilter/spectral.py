@@ -1,4 +1,4 @@
-"""Bright-eigenvalue secular equation, charge picture, scaling laws.
+"""Bright-eigenvalue secular equation, mode spectrum, scaling laws.
 
 Because the removal projector is rank one, the non-unimodular spectrum
 of F is fixed by very little data: the distinct eigenphase angles
@@ -14,11 +14,12 @@ the unit circle and the bright eigenvalues are the force-equilibrium
 points, which places them inside the convex hull of the charge
 positions.
 
-The charges are the groups of filtration.degeneracy_groups that the
-removal reaches; every other group is fully dark.  So the dark phases,
-the w - 1 roots and the removal's one zero number dim by construction.
-The dominant bright modulus sets the filtration time; the closed-form
-asymptotics of the two targets are here.
+The one record of that data is filtration.PhaseGroups: its charge view
+lists every group by charge angle with its weight, and the charges are
+the groups the removal reaches; every other group is fully dark.  So
+the dark phases, the w - 1 roots and the removal's one zero number dim
+by construction.  The dominant bright modulus sets the filtration time;
+the closed-form asymptotics of the two targets are here.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from darkfilter.errors import NumericsError, ValidationError
-from darkfilter.filtration import PhaseGroups, degeneracy_groups
+from darkfilter.filtration import degeneracy_groups
 
 # A secular root zeta is accepted when its first-order error |f / f'|,
 # f the force sum_l p_l / (z_l - zeta), is at most ROOT_RESIDUAL_TOL and
@@ -41,52 +42,20 @@ HULL_SLACK = 1e-10
 TIE_MODULUS = 1e-12
 
 
-class ChargePicture:
-    """Unit-circle charges of the bright secular equation.
-
-    angles holds theta_l = E_l tau mod 2pi per degenerate group (charge
-    position exp(-i theta_l)); weights the summed removal overlaps p_l.
-    charged marks the groups that count toward w (the reached groups of
-    PhaseGroups); the others are fully dark and exert no force.
-    """
-
-    def __init__(self, angles, weights, charged):
-        self.angles = np.asarray(angles, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        self.charged = np.asarray(charged, dtype=bool)
-        if not self.angles.shape == self.weights.shape == self.charged.shape:
-            raise ValidationError("angles, weights and charged must align")
-        self.w = int(np.count_nonzero(self.charged))     # charged phases
-        if float(np.min(self.weights, initial=0.0)) < -1e-12:
-            raise NumericsError("negative removal weight")
-        total = float(np.sum(self.weights))
-        if abs(total - 1.0) > 1e-10:
-            raise NumericsError(f"removal weights sum to {total}, not 1")
-
-
-def charge_picture(groups):
-    """The degenerate groups as charges, in ascending charge angle."""
-    if not isinstance(groups, PhaseGroups):
-        raise ValidationError("charge_picture expects PhaseGroups")
-    angles = (-groups.angles) % (2.0 * math.pi)
-    order = np.argsort(angles, kind="stable")
-    return ChargePicture(angles[order], groups.weights[order],
-                         groups.reached[order])
-
-
 def mode_spectrum(setup):
     """Every eigenvalue of F, from one grouping of the phases of U(tau).
 
     The dark phases, the w - 1 secular roots and the one zero of the
     rank-one removal number dim by construction: the w charges are the
     reached groups, each hosting g - 1 dark phases, and every other
-    group hosts g.  Returns the dark phases, the ChargePicture and the
-    BrightSpectrum.
+    group hosts g.  Returns the dark phases, the PhaseGroups and the
+    roots of bright_secular_roots.
     """
     groups = degeneracy_groups(setup)
     dark = np.repeat(groups.phases, groups.dark_counts)
-    cp = charge_picture(groups)
-    return dark, cp, bright_secular_roots(cp)
+    on = groups.charge_reached
+    return dark, groups, bright_secular_roots(groups.charge_angles[on],
+                                              groups.charge_weights[on])
 
 
 def convex_hull_violation(points, vertices, slack=0.0):
@@ -117,47 +86,30 @@ def convex_hull_violation(points, vertices, slack=0.0):
     return np.maximum(0.0, worst - slack)
 
 
-class BrightSpectrum:
-    """Bright eigenvalues with their dominant member.
-
-    Roots are sorted by descending modulus; moduli within TIE_MODULUS
-    of their neighbour are tied and sorted by ascending angle in
-    [0, 2pi).  dominant is the first root, None when there are none.
-    """
-
-    def __init__(self, roots, dominant):
-        self.roots = roots
-        self.dominant = dominant
-
-    @classmethod
-    def from_roots(cls, roots):
-        roots = np.asarray(roots, dtype=complex)
-        roots = roots[np.argsort(-np.abs(roots), kind="stable")]
-        if roots.size == 0:
-            return cls(roots, None)
-        # the order of near-tied moduli is rounding noise; resolve it
-        # by angle within each run of gaps below TIE_MODULUS
-        group = np.concatenate([[0], np.cumsum(
-            -np.diff(np.abs(roots)) > TIE_MODULUS)])
-        roots = roots[np.lexsort((np.angle(roots) % (2.0 * math.pi), group))]
-        return cls(roots, complex(roots[0]))
-
-
-def bright_secular_roots(cp):
+def bright_secular_roots(angles, weights):
     """Solve the secular equation for all bright eigenvalues.
 
+    The charges sit at exp(-i angles) with the removal weights weights.
     A rank-one update of a unitary has its nonzero eigenvalues equal to
     those of diag(z) compressed onto the complement of rho = sqrt(p)
     (Golub, SIAM Rev. 15, 318, 1973).  The Householder reflection H
     that maps rho to e_0 makes that compression (H Z H)[1:, 1:], whose
     eigenvalues are the w - 1 roots.  Each root is then verified by its
     first-order error |f / f'| for f(zeta) = sum_l p_l / (z_l - zeta)
-    and by hull containment.
+    and by hull containment; a root on a pole has no such error and is
+    refused.  Returns the roots by descending modulus, with moduli
+    within TIE_MODULUS of their neighbour tied and ordered by ascending
+    angle in [0, 2pi): the dominant root is the first.
     """
-    angles, weights = cp.angles[cp.charged], cp.weights[cp.charged]
+    angles = np.asarray(angles, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if angles.ndim != 1 or angles.shape != weights.shape:
+        raise ValidationError("charge angles and weights must align")
+    if angles.size == 0:
+        raise ValidationError("the secular equation needs a charge")
+    if np.any(weights < 0.0):
+        raise ValidationError("negative charge weight")
     w = angles.size
-    if w == 0:
-        raise ValidationError("charge picture carries no weight")
     poles = np.exp(-1j * angles)
     # v = rho + e_0 has no cancellation, and H rho = -e_0
     v = np.sqrt(weights)
@@ -168,7 +120,14 @@ def bright_secular_roots(cp):
         raise NumericsError(
             f"expected {w - 1} bright roots, found {roots.shape[0]}"
         )
-    inv = 1.0 / (poles - roots[:, None])
+    gap = poles - roots[:, None]
+    if not np.all(gap):
+        k, l = np.argwhere(gap == 0.0)[0]
+        raise NumericsError(
+            f"secular root {roots[k]} lies on the pole at angle "
+            f"{angles[l]:.17g} of weight {weights[l]:.3e}"
+        )
+    inv = 1.0 / gap
     error = np.abs((inv @ weights) / (inv**2 @ weights))
     ok = error <= ROOT_RESIDUAL_TOL
     if not np.all(ok):
@@ -184,7 +143,11 @@ def bright_secular_roots(cp):
             f"secular root {roots[k]} lies {excess[k]:.3e} outside the "
             "charge hull"
         )
-    return BrightSpectrum.from_roots(roots)
+    roots = roots[np.argsort(-np.abs(roots), kind="stable")]
+    # the order of near-tied moduli is rounding noise; resolve it by
+    # angle within each run of gaps below TIE_MODULUS
+    group = np.cumsum(-np.diff(np.abs(roots), prepend=np.inf) > TIE_MODULUS)
+    return roots[np.lexsort((np.angle(roots) % (2.0 * math.pi), group))]
 
 
 def scaling_predictions(L, theta0, eps, variant):

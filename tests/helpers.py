@@ -502,6 +502,15 @@ def long_time_state(phases, removal, psi0, n):
     return out / np.linalg.norm(out)
 
 
+def charge_order(groups):
+    """The groups as charges, by the ordering of the removed
+    spectral.charge_picture: charge angle -angle mod 2pi, stably
+    ascending.  Returns the angles, weights and reached flags."""
+    angles = (-groups.angles) % (2.0 * math.pi)
+    order = np.argsort(angles, kind="stable")
+    return angles[order], groups.weights[order], groups.reached[order]
+
+
 def hull_violation_loop(point, vertices):
     """Distance of one point outside the polygon of unit-circle vertices.
 

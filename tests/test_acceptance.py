@@ -45,11 +45,7 @@ from darkfilter.filtration import (
     reduced_setup,
     run_filtration,
 )
-from darkfilter.spectral import (
-    bright_secular_roots,
-    charge_picture,
-    convex_hull_violation,
-)
+from darkfilter.spectral import convex_hull_violation, mode_spectrum
 from darkfilter.spin_model import ChainParams, build_tower, sga_residual
 from darkfilter.experiments import make_target
 
@@ -212,8 +208,7 @@ def test_criterion_05_secular_vs_dense_spectra():
         params = ChainParams(L=L)
         tau = math.pi * p / (q * params.h)
         setup, _ = reduced_setup(params, tau, 0.3)
-        picture = charge_picture(degeneracy_groups(setup))
-        spectrum = bright_secular_roots(picture)
+        _, groups, roots = mode_spectrum(setup)
         # independent oracle: tower-restricted F from the closed forms
         # for the removal coefficients and the ladder energies
         n = np.arange(L + 1)
@@ -232,19 +227,19 @@ def test_criterion_05_secular_vs_dense_spectra():
         w = 1 + int(np.count_nonzero(np.diff(ang) > 1e-9))
         if 2.0 * math.pi - (ang[-1] - ang[0]) < 1e-9 and w > 1:
             w -= 1
-        if spectrum.roots.size != w - 1 or nondark.size != w - 1:
+        if roots.size != w - 1 or nondark.size != w - 1:
             count_ok = False
             continue
         # nearest-complex pairing; a zero root has no meaningful angle
         left = list(nondark)
-        for z in spectrum.roots:
+        for z in roots:
             dists = [abs(z - o) for o in left]
             k = int(np.argmin(dists))
             worst_root = max(worst_root, dists[k])
             left.pop(k)
-        for root in spectrum.roots:
+        for root in roots:
             worst_hull = max(worst_hull, convex_hull_violation(
-                root, np.exp(-1j * picture.angles)))
+                root, np.exp(-1j * groups.charge_angles)))
     dt = time.perf_counter() - t0
     ok = count_ok and worst_root < 1e-8 and worst_hull < 1e-12 and dt < 60.0
     assert verdict(5, "secular-vs-dense-spectra", ok,

@@ -41,7 +41,6 @@ from darkfilter.experiments import (
 from darkfilter.filtration import (degeneracy_groups, filtration_time,
                                    generic_setup, jump_filtration_time,
                                    reduced_setup, run_filtration)
-from darkfilter.spectral import charge_picture
 from darkfilter.spin_model import ChainParams
 from helpers import mp_filtration_time, spectral_decomposition
 
@@ -269,10 +268,10 @@ def test_jump_ahead_darkness_invariant_catches_detuning(monkeypatch):
     L = 8
     setup, initial = reduced_setup(ChainParams(L=L), 1.001 * math.pi / L,
                                    orthogonality_angle(L))
-    charges = charge_picture(degeneracy_groups(setup)).w
+    charges = degeneracy_groups(setup).w
     monkeypatch.setattr(filtration, "PHASE_TOL", 0.01)
     # the grouping reads the tolerance when called: B_0, B_L merge
-    assert charge_picture(degeneracy_groups(setup)).w == charges - 1
+    assert degeneracy_groups(setup).w == charges - 1
     with pytest.raises(NumericsError, match="not dark"):
         jump_filtration_time(setup, initial, make_target(setup, "tar1"),
                              0.01, (1001, 1000 * L))

@@ -743,9 +743,9 @@ def test_one_ambiguity_warning_per_grouping():
     # however many quantities read it
     setup = _near_pair_setup()
     with pytest.warns(UserWarning, match="ambiguous") as caught:
-        _, cp, bright = mode_spectrum(setup)
+        _, groups, roots = mode_spectrum(setup)
     assert len(caught) == 1
-    assert (cp.w, bright.roots.size) == (4, 3)
+    assert (groups.w, roots.size) == (4, 3)
     with pytest.warns(UserWarning, match="ambiguous") as caught:
         groups = degeneracy_groups(setup)
         for _ in range(2):

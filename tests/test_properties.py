@@ -19,12 +19,7 @@ from darkfilter.filtration import (
     reduced_setup,
     run_filtration,
 )
-from darkfilter.spectral import (
-    HULL_SLACK,
-    bright_secular_roots,
-    charge_picture,
-    convex_hull_violation,
-)
+from darkfilter.spectral import HULL_SLACK, convex_hull_violation, mode_spectrum
 from darkfilter.spin_model import ChainParams
 
 from helpers import (dark_complement, product_state, spectral_decomposition,
@@ -73,7 +68,7 @@ def test_dark_count_is_dimension_minus_charges(L, h_tau, theta0):
     setup, _ = _tower(L, h_tau, theta0)
     groups = degeneracy_groups(setup)
     dark = dark_subspace(groups)
-    assert dark.count == setup.dimension - charge_picture(groups).w
+    assert dark.count == setup.dimension - groups.w
     oracle, _ = dark_complement(setup.phases, setup.removal_eig)
     assert oracle.shape[1] == dark.count
 
@@ -82,11 +77,11 @@ def test_dark_count_is_dimension_minus_charges(L, h_tau, theta0):
 @given(L=st.integers(2, 8), h_tau=resonances(q_max=6), theta0=THETA0)
 def test_secular_roots_are_the_dense_bright_spectrum(L, h_tau, theta0):
     setup, psi0 = _tower(L, h_tau, theta0)
-    cp = charge_picture(degeneracy_groups(setup))
-    roots = bright_secular_roots(cp).roots
-    assert roots.size == cp.w - 1
+    _, groups, roots = mode_spectrum(setup)
+    assert roots.size == groups.w - 1
     for z in roots:
-        assert convex_hull_violation(z, np.exp(-1j * cp.angles)) <= HULL_SLACK
+        assert convex_hull_violation(
+            z, np.exp(-1j * groups.charge_angles)) <= HULL_SLACK
     # a root at zero meets the structural zero of the rank-one removal in
     # a Jordan block, which has no eigendecomposition to compare with
     assume(np.all(np.abs(roots) > 1e-8))

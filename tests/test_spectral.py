@@ -1,6 +1,8 @@
-"""Charge picture, secular roots, and filtration-time estimates."""
+"""Charge view, secular roots, and filtration-time estimates."""
 
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -10,86 +12,104 @@ from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import orthogonality_angle, tar2_optimal_angle
 from darkfilter.filtration import (
     DARK_OVERLAP_TOL,
+    PhaseGroups,
     degeneracy_groups,
     full_setup,
     reduced_setup,
 )
 from darkfilter.spectral import (
     HULL_SLACK,
-    BrightSpectrum,
-    ChargePicture,
+    TIE_MODULUS,
     bright_secular_roots,
-    charge_picture,
     convex_hull_violation,
     mode_spectrum,
     scaling_predictions,
 )
 from darkfilter.spin_model import ChainParams
 
-from helpers import hull_violation_loop, spectral_decomposition
-
-# every hand-placed charge carries weight
-ALL = np.ones(60, dtype=bool)
+from helpers import charge_order, hull_violation_loop, spectral_decomposition
 
 
-def test_charge_picture_binomial_weights():
+def test_charge_view_binomial_weights():
     # h tau = pi/3 folds the L=6 ladder mod 3; weights sum binomials
     setup, _ = reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.0)
-    cp = charge_picture(degeneracy_groups(setup))
-    assert cp.w == 3
+    groups = degeneracy_groups(setup)
+    assert groups.w == 3
     want = sorted([22.0 / 64.0, 21.0 / 64.0, 21.0 / 64.0])
-    assert np.allclose(sorted(cp.weights), want, atol=1e-14)
-    assert abs(float(np.sum(cp.weights)) - 1.0) < 1e-14
+    assert np.allclose(sorted(groups.charge_weights), want, atol=1e-14)
+    assert abs(float(np.sum(groups.charge_weights)) - 1.0) < 1e-14
     # charge positions are the actual eigenphases of U(tau)
-    for pos in np.exp(-1j * cp.angles):
+    for pos in np.exp(-1j * groups.charge_angles):
         assert np.min(np.abs(setup.phases - pos)) < 1e-12
 
 
-def test_charge_picture_validates_weights():
-    with pytest.raises(NumericsError):
-        ChargePicture(np.array([0.0, 1.0]), np.array([0.4, 0.4]), ALL[:2])
-    with pytest.raises(ValidationError):
-        ChargePicture(np.array([0.0, 1.0]), np.array([1.0]), ALL[:2])
+def test_removal_weights_are_validated():
+    # PhaseGroups checks the weights it sums from the removal overlaps
+    label, angles = np.array([0, 1]), np.array([0.0, 1.0])
+    phases = np.exp(1j * angles)
+    for removal, message in (([0.6, 0.6], "sum to 0.72"),
+                             ([1.0, 0.0], None)):
+        setup = types.SimpleNamespace(removal_eig=np.array(removal,
+                                                           dtype=complex))
+        if message is None:
+            assert PhaseGroups(setup, label, angles, phases).w == 1
+            continue
+        with pytest.raises(NumericsError, match=message):
+            PhaseGroups(setup, label, angles, phases)
+    # the solver refuses charges that do not align or weigh less than 0
+    with pytest.raises(ValidationError, match="align"):
+        bright_secular_roots([0.0, 1.0], [1.0])
+    with pytest.raises(ValidationError, match="negative"):
+        bright_secular_roots([0.0, 1.0], [1.1, -0.1])
+    with pytest.raises(ValidationError, match="charge"):
+        bright_secular_roots([], [])
 
 
 def test_two_charge_closed_form():
     # for two charges the equilibrium sits at the weighted swap point
     a1, a2, p1 = 0.4, 2.1, 0.3
-    cp = ChargePicture(np.array([a1, a2]), np.array([p1, 1.0 - p1]), ALL[:2])
-    bs = bright_secular_roots(cp)
-    assert bs.roots.size == 1
+    roots = bright_secular_roots(np.array([a1, a2]), np.array([p1, 1.0 - p1]))
+    assert roots.size == 1
     want = p1 * np.exp(-1j * a2) + (1.0 - p1) * np.exp(-1j * a1)
-    assert abs(bs.roots[0] - want) < 1e-12
+    assert abs(roots[0] - want) < 1e-12
 
 
 def test_single_charge_has_no_bright_root():
-    cp = ChargePicture(np.array([0.7]), np.array([1.0]), ALL[:1])
-    bs = bright_secular_roots(cp)
-    assert bs.roots.size == 0
-    assert bs.dominant is None
+    assert bright_secular_roots(np.array([0.7]), np.array([1.0])).size == 0
 
 
 def test_opposite_equal_charges_give_trivial_zero():
-    cp = ChargePicture(np.array([0.0, math.pi]), np.array([0.5, 0.5]), ALL[:2])
-    bs = bright_secular_roots(cp)
-    assert bs.roots.size == 1
-    assert abs(bs.roots[0]) < 1e-14
+    roots = bright_secular_roots(np.array([0.0, math.pi]),
+                                 np.array([0.5, 0.5]))
+    assert roots.size == 1
+    assert abs(roots[0]) < 1e-14
+
+
+def test_root_on_a_pole_is_refused():
+    # a charge of weight 0 leaves its pole an exact eigenvalue of the
+    # compression: the force is 1/0 there, refused by name and silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError,
+                           match=r"on the pole at angle 4 of weight 0\.000e\+00"):
+            bright_secular_roots(np.array([0.0, 2.0, 4.0]),
+                                 np.array([0.5, 0.5, 0.0]))
 
 
 def test_clustered_charges_match_dense_eig():
     # 60 charges in an arc of 0.01 rad: a polynomial in the roots has
     # coefficients of binomial size; the compression does not
     w = 60
-    cp = ChargePicture(np.linspace(0.0, 0.01, w), np.full(w, 1.0 / w), ALL[:w])
-    bs = bright_secular_roots(cp)
-    assert bs.roots.size == w - 1
-    poles = np.exp(-1j * cp.angles)
-    assert np.all(convex_hull_violation(bs.roots, poles, HULL_SLACK) == 0.0)
-    rho = np.sqrt(cp.weights)
+    angles, weights = np.linspace(0.0, 0.01, w), np.full(w, 1.0 / w)
+    roots = bright_secular_roots(angles, weights)
+    assert roots.size == w - 1
+    poles = np.exp(-1j * angles)
+    assert np.all(convex_hull_violation(roots, poles, HULL_SLACK) == 0.0)
+    rho = np.sqrt(weights)
     dense = list(sla.eigvals((np.eye(w) - np.outer(rho, rho)) * poles))
     # the rank-one removal adds one zero the secular roots do not hold
     dense.pop(int(np.argmin(np.abs(dense))))
-    for z in bs.roots:
+    for z in roots:
         gaps = np.abs(np.array(dense) - z)
         assert np.min(gaps) <= 1e-10
         dense.pop(int(np.argmin(gaps)))
@@ -98,16 +118,30 @@ def test_clustered_charges_match_dense_eig():
 @pytest.mark.parametrize("h_tau_q", [3, 4, 6])
 def test_secular_roots_match_dense_bright_eigenvalues(h_tau_q):
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / h_tau_q, 0.2)
-    cp = charge_picture(degeneracy_groups(setup))
-    secular = bright_secular_roots(cp)
-    assert secular.roots.size == cp.w - 1
+    _, groups, secular = mode_spectrum(setup)
+    assert secular.size == groups.w - 1
     spectrum = spectral_decomposition(setup, psi0)
     dense = spectrum.values[spectrum.select("bright")]
-    assert dense.size == secular.roots.size
+    assert dense.size == secular.size
     # near-tied moduli sort unstably across the two methods; match by angle
     a = dense[np.argsort(np.angle(dense))]
-    b = secular.roots[np.argsort(np.angle(secular.roots))]
+    b = secular[np.argsort(np.angle(secular))]
     assert np.max(np.abs(a - b)) < 1e-8
+
+
+@pytest.mark.parametrize("make", [
+    *[(lambda q=q: reduced_setup(ChainParams(L=12), math.pi / q, 0.3)[0])
+      for q in range(1, 13)],
+    lambda: full_setup(ChainParams(L=5), math.pi / 5.0, 0.3)[0],
+    lambda: full_setup(ChainParams(L=8, J2=0.02), math.pi / 8.0, 0.3)[0],
+], ids=[f"tower-q{q}" for q in range(1, 13)] + ["full-L5", "full-L8-J2"])
+def test_charge_view_keeps_the_charge_picture_order(make):
+    groups = degeneracy_groups(make())
+    angles, weights, reached = charge_order(groups)
+    assert np.array_equal(groups.charge_angles, angles)
+    assert np.array_equal(groups.charge_weights, weights)
+    assert np.array_equal(groups.charge_reached, reached)
+    assert groups.w == np.count_nonzero(reached)
 
 
 @pytest.mark.parametrize("q, angle, counts", [
@@ -122,10 +156,10 @@ def test_mode_spectrum_charges_every_reached_group(q, angle, counts):
     groups = degeneracy_groups(setup)
     tiny = (groups.weights >= DARK_OVERLAP_TOL**2) & (groups.weights <= 1e-14)
     assert np.count_nonzero(tiny) == 2
-    dark, cp, bright = mode_spectrum(setup)
-    assert (dark.size, bright.roots.size) == counts
-    assert cp.w == np.count_nonzero(groups.reached) == bright.roots.size + 1
-    assert dark.size + bright.roots.size + 1 == setup.dimension == 574
+    dark, groups, roots = mode_spectrum(setup)
+    assert (dark.size, roots.size) == counts
+    assert groups.w == np.count_nonzero(groups.reached) == roots.size + 1
+    assert dark.size + roots.size + 1 == setup.dimension == 574
 
 
 def test_convex_hull_violation_cases():
@@ -162,19 +196,28 @@ def test_convex_hull_violation_matches_the_edge_loop():
 
 
 def test_bright_spectrum_ordering_and_tie():
-    roots = np.array([0.5 + 0.1j, 0.2 + 0.0j, 0.5 - 0.1j])
-    bs = BrightSpectrum.from_roots(roots)
-    # ties resolve to the smallest angle in [0, 2 pi)
-    assert bs.dominant == pytest.approx(0.5 + 0.1j)
-    assert np.all(np.abs(bs.roots[:2]) >= np.abs(bs.roots[2]))
-    # moduli within 1e-12 are tied as well, whichever one rounds larger
-    near = np.array([(0.5 - 0.1j) * (1.0 + 5e-13), 0.5 + 0.1j])
-    assert BrightSpectrum.from_roots(near).roots[0] == 0.5 + 0.1j
+    # charges mirrored in the real axis give conjugate root pairs, whose
+    # moduli agree to rounding: each pair is tied and leads with the
+    # root of smaller angle in [0, 2 pi), the one above the axis
+    angles = np.array([0.3, 1.1, 2.5, -2.5, -1.1, -0.3]) % (2.0 * math.pi)
+    weights = np.array([0.1, 0.15, 0.25, 0.25, 0.15, 0.1])
+    roots = bright_secular_roots(angles, weights)
+    moduli = np.abs(roots)
+    assert roots.size == 5
+    tied = np.abs(np.diff(moduli)) <= TIE_MODULUS
+    assert np.count_nonzero(tied) == 2
+    assert np.all(np.diff(moduli)[~tied] < 0.0)
+    for i in np.flatnonzero(tied):
+        assert roots[i].imag > 0.0
+        assert abs(roots[i + 1] - roots[i].conjugate()) < 1e-12
 
 
 def test_untied_dominant():
-    bs = BrightSpectrum.from_roots(np.array([0.3 + 0.0j, -0.6 + 0.0j]))
-    assert bs.dominant == pytest.approx(-0.6 + 0.0j)
+    # the heavy pair pulls the dominant root to the right of the circle
+    roots = bright_secular_roots(np.array([0.0, 0.2, math.pi]),
+                                 np.array([0.45, 0.45, 0.1]))
+    assert np.abs(roots[0]) > np.abs(roots[1]) + TIE_MODULUS
+    assert roots[0].real > 0.0 > roots[1].real
 
 
 def test_scaling_predictions_frozen_values():
@@ -199,6 +242,6 @@ def test_scaling_predictions_guard_rails():
         scaling_predictions(8, 0.1, 0.01, "tar9")
 
 
-def test_charge_picture_requires_a_setup():
+def test_degeneracy_groups_requires_a_setup():
     with pytest.raises(ValidationError):
-        charge_picture(np.eye(3))
+        degeneracy_groups(np.eye(3))
