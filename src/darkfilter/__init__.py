@@ -10,8 +10,9 @@ such as GHZ-type cat states of the spin-1 XY chain.
 Subpackages:
 
 * ``spin_model``  -- chain Hamiltonians, the bi-magnon tower, protocol states;
-* ``filtration``  -- engines, trajectory iteration, dark subspaces;
-* ``spectral``    -- secular equation, mode spectrum, scaling laws;
+* ``filtration``  -- engines and trajectory iteration;
+* ``spectral``    -- the spectrum of F: phase groups, dark subspaces,
+  secular equation, jump-ahead filtration time, scaling laws;
 * ``experiments`` -- reproducible preset studies writing CSV artifacts;
 * ``cli``         -- the ``darkfilter`` command-line entry point.
 """
@@ -31,14 +32,10 @@ from darkfilter.spin_model import (
     sga_residual,
 )
 from darkfilter.filtration import (
-    DarkSubspace,
     FiltrationSetup,
     FiltrationTime,
     RotatingTarget,
     Trajectory,
-    dark_projection,
-    dark_subspace,
-    degeneracy_groups,
     filtration_time,
     full_setup,
     generic_setup,
@@ -47,8 +44,12 @@ from darkfilter.filtration import (
     run_filtration,
 )
 from darkfilter.spectral import (
+    DarkSubspace,
     bright_secular_roots,
     convex_hull_violation,
+    dark_projection,
+    dark_subspace,
+    degeneracy_groups,
     scaling_predictions,
 )
 

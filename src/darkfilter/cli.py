@@ -29,10 +29,9 @@ from .experiments import (ExperimentSpec, GoeBlock, Perturbations,
                           build_setup, dark_labels, document_of, goe_demo,
                           perturbation_study, run_target, sweep_n_epsilon,
                           table1_scan, zeta_vs_L_scan)
-from .filtration import dark_subspace, degeneracy_groups
 from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
                      write_metadata)
-from .spectral import mode_spectrum
+from .spectral import dark_subspace, degeneracy_groups, mode_spectrum
 from .spin_model import sga_residual
 
 SUBCOMMANDS = (

@@ -27,13 +27,13 @@ import numpy as np
 
 from .basis import FULL_SPACE_CAP, string_parity_sign
 from .errors import NumericsError, ValidationError
-from .filtration import (BACKEND, RotatingTarget, dark_projection,
-                         dark_subspace, degeneracy_groups, full_setup,
-                         generic_setup, jump_filtration_time, reduced_setup,
-                         run_filtration, filtration_time)
+from .filtration import (BACKEND, RotatingTarget, full_setup, generic_setup,
+                         reduced_setup, run_filtration, filtration_time)
 from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
                      write_metadata)
-from .spectral import mode_spectrum, scaling_predictions
+from .spectral import (dark_projection, dark_subspace, degeneracy_groups,
+                       jump_filtration_time, mode_spectrum,
+                       scaling_predictions)
 from .spin_model import ChainParams, StateVector, build_tower, protocol_states
 
 RNG_FAMILY = "philox"

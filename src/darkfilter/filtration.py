@@ -1,4 +1,4 @@
-"""Filtration protocol: engine construction, iteration, dark subspaces.
+"""Filtration protocol: engine construction and iteration.
 
 One protocol period applies U(tau) = exp(-i H tau) and then removes the
 component along a fixed product state |psi_r>, i.e. the filtration
@@ -29,11 +29,8 @@ Three engines exist:
 
 Iteration never renormalizes the internal state; survival probability is
 its squared norm, and all reported quantities are normalized on output.
-F is never diagonalized.  degeneracy_groups groups the eigenphases of
-U(tau) once per analysis for dark_subspace (closed-form dark vectors),
-dark_projection and the charges of the spectral module.
-On the tower engine, jump_filtration_time finds a filtration time from
-powers of F instead of iterating.
+F is never diagonalized here; its spectrum is the spectral module's,
+which reads PHASE_TOL and _cluster_angles from this one when called.
 """
 
 from __future__ import annotations
@@ -63,10 +60,6 @@ from darkfilter.spin_model import (
 # resonant periods are constructed as exact ratios, so true collisions
 # sit at rounding error while distinct phases are separated by O(1/L).
 PHASE_TOL = 1e-9
-
-# A degenerate group whose removal component is smaller than this is
-# fully dark; every other group is a charge.
-DARK_OVERLAP_TOL = 1e-12
 
 
 def resonance_period(ea, eb):
@@ -537,159 +530,6 @@ def _cluster_angles(angles, tol):
     return order, starts, label
 
 
-class PhaseGroups:
-    """The eigenphases of U(tau) clustered into degenerate groups.
-
-    The one grouping that every dark-state quantity reads: a caller
-    needing several of them groups once.  Group k has the eigenvalue
-    phases[k] of its smallest coordinate, whose eigenphase angle is
-    angles[k], and the removal weight weights[k] = sum |<psi_r|e_i>|^2;
-    groups ascend in angle, and label[i] is the group of coordinate i.
-    A group is reached when its removal norm is at least
-    DARK_OVERLAP_TOL: it is then a charge and hosts g - 1 dark vectors,
-    else it is fully dark with g (dark_counts).  That one cut makes the
-    dark count plus the charge count w equal dim.
-
-    The charge view lists the groups by their charge angle
-    -angles[k] mod 2pi, ascending (charge position exp(-i angle)):
-    charge_angles, charge_weights and charge_reached.  It is the order
-    of charges.csv, and its reached charges are the poles of the
-    secular equation (spectral.bright_secular_roots).
-    """
-
-    def __init__(self, setup, label, angles, phases):
-        removal = setup.removal_eig
-        self.setup = setup
-        self.label = label
-        self.angles = angles
-        self.phases = phases
-        weights = np.bincount(label, weights=removal.real**2 + removal.imag**2)
-        if float(np.min(weights, initial=0.0)) < -1e-12:
-            raise NumericsError("negative removal weight")
-        total = float(np.sum(weights))
-        if abs(total - 1.0) > 1e-10:
-            raise NumericsError(f"removal weights sum to {total}, not 1")
-        self.weights = weights
-        self.reached = np.sqrt(weights) >= DARK_OVERLAP_TOL
-        self.dark_counts = np.bincount(label) - self.reached
-        self.w = int(np.count_nonzero(self.reached))
-        charge = (-angles) % (2.0 * math.pi)
-        order = np.argsort(charge, kind="stable")
-        self.charge_angles = charge[order]
-        self.charge_weights = weights[order]
-        self.charge_reached = self.reached[order]
-
-    @property
-    def members(self):
-        """Engine coordinates of each group, ascending, as int tuples."""
-        order = np.argsort(self.label, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(self.label)).tolist()
-        return [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
-
-
-def degeneracy_groups(setup):
-    """Cluster the eigenphases of U(tau) into degenerate groups.
-
-    A group is a set of engine coordinates whose phases chain by gaps
-    below PHASE_TOL, read when called.  Returns the PhaseGroups.
-    """
-    if not isinstance(setup, FiltrationSetup):
-        raise ValidationError("expected a FiltrationSetup")
-    angles = np.angle(setup.phases)
-    order, starts, label = _cluster_angles(angles, PHASE_TOL)
-    first = np.minimum.reduceat(order, starts)
-    rep = setup.phases[first]
-    # libm hypot, as abs of a complex: np.abs may round differently
-    phases = rep / np.hypot(rep.real, rep.imag)
-    rank = np.argsort(np.angle(phases), kind="stable")
-    return PhaseGroups(setup, np.argsort(rank)[label], angles[first][rank],
-                       phases[rank])
-
-
-class DarkSubspace:
-    """Orthonormal dark vectors with their unimodular eigenphases."""
-
-    def __init__(self, vectors, phases, members):
-        self.vectors = vectors      # (dim, k) orthonormal engine-frame columns
-        self.phases = phases        # (k,) eigenvalues of F on each vector
-        self.members = members      # source group members per vector
-        self.count = vectors.shape[1]
-
-    def overlaps(self, vec):
-        """<Phi_delta|vec> for each dark vector, vec in engine coordinates."""
-        return self.vectors.conj().T @ np.asarray(vec, dtype=complex)
-
-
-def _canonical_phase(cols):
-    """Rotate each column so its largest-modulus entry is real positive."""
-    pivot = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
-    return cols * (np.abs(pivot) / pivot)
-
-
-def _group_darks(a):
-    """The g - 1 dark vectors of a reached group, as (g, g - 1) columns.
-
-    a holds the removal overlaps <psi_r|e_i> of the group's g members
-    and n_d = |a_(0..d)| its prefix norms.  Column d - 1, the vector v
-    that member d adds, is the unit vector with <psi_r|v> = 0 that is
-    orthogonal to every column before it, in O(g):
-
-        (conj(a_(0..d-1)) / n_(d-1)) (a_d / n_d)  -  (n_(d-1) / n_d) e_d.
-
-    Members with exactly zero overlap before the first nonzero one have
-    n = 0 and are dark unit vectors.  Columns are phased canonically.
-    """
-    g = a.size
-    norms = np.hypot.accumulate(np.abs(a))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cols = np.triu(a.conj()[:, None] / norms[:-1] * (a[1:] / norms[1:]))
-        cols[np.arange(1, g), np.arange(g - 1)] = -norms[:-1] / norms[1:]
-    lead = int(np.argmax(a != 0))
-    cols[:, :lead] = np.eye(g, lead)
-    return _canonical_phase(cols)
-
-
-def dark_subspace(groups):
-    """All dark states of the grouped setup, in the engine eigenbasis.
-
-    A reached group hosts the g - 1 vectors of _group_darks, any other
-    its g coordinates (for the tower engine, tower basis states).
-    """
-    removal = groups.setup.removal_eig
-    counts = groups.dark_counts
-    vectors = np.zeros((removal.size, int(counts.sum())), dtype=complex)
-    members = []
-    for group, reached, k in zip(groups.members, groups.reached, counts):
-        if k:
-            idx = list(group)
-            vectors[idx, len(members):len(members) + k] = \
-                _group_darks(removal[idx].conj()) if reached else np.eye(k)
-            members += [group] * k
-    return DarkSubspace(vectors, np.repeat(groups.phases, counts),
-                        tuple(members))
-
-
-def dark_projection(groups, vec):
-    """Project engine-frame coordinates onto the dark subspace implicitly.
-
-    Within each reached group the dark part is the complement of the
-    normalized removal component, so the projection needs the group's
-    removal weight and one bincount over the labels, never a dark
-    basis: the full engine at L = 10 stays inside a few hundred MB.
-    """
-    vec = np.asarray(vec, dtype=complex)
-    removal = groups.setup.removal_eig
-    if vec.shape != removal.shape:
-        raise ValidationError("dark projection expects engine-frame coordinates")
-    dot = removal.conj() * vec
-    dot = np.bincount(groups.label, weights=dot.real) \
-        + 1j * np.bincount(groups.label, weights=dot.imag)
-    # a group without removal component is fully dark
-    scale = np.divide(dot, groups.weights, out=np.zeros_like(dot),
-                      where=groups.reached)
-    return vec - removal * scale[groups.label]
-
-
 class RotatingTarget:
     """Target state t(n) = sum_j w_j exp(-i n alpha_j) |c_j>, normalized.
 
@@ -894,6 +734,19 @@ def _fidelity(coef, overlaps, gram, survival):
     return (amp.real**2 + amp.imag**2) / (tnorm * survival)
 
 
+def _eigen_inputs(setup, initial, target):
+    """The initial state (unit norm, else ValidationError), the target's
+    components as rows and their Gram matrix, in the eigenbasis; with no
+    target there are no rows and no Gram matrix."""
+    psi = setup.to_eigen(initial)
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ValidationError("initial state must have unit norm")
+    if target is None:
+        return psi, np.zeros((0, setup.dimension), dtype=complex), None
+    probes = np.array([setup.to_eigen(c) for c in target.components])
+    return psi, probes, probes.conj() @ probes.T
+
+
 def run_filtration(setup, initial, n_steps, target=None):
     """Iterate the filtration operator and record observables.
 
@@ -916,13 +769,7 @@ def run_filtration(setup, initial, n_steps, target=None):
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise ValidationError("n_steps must be a non-negative integer")
-    psi = setup.to_eigen(initial)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValidationError("initial state must have unit norm")
-    probes = np.zeros((0, setup.dimension), dtype=complex)
-    if target is not None:
-        probes = np.array([setup.to_eigen(c) for c in target.components])
-        gram = probes.conj() @ probes.T
+    psi, probes, gram = _eigen_inputs(setup, initial, target)
     flip = setup.flip_pos is not None
 
     total = n_steps + 1
@@ -1023,133 +870,3 @@ def filtration_time(trajectory, eps):
         return FiltrationTime(int(trajectory.steps[hits[0]]), True,
                               float(np.max(trajectory.q)))
     return FiltrationTime(None, False, float(np.max(trajectory.q, initial=0.0)))
-
-
-# Largest relative drift of the target's conserved amplitude Q_n S_n.
-DARK_AMPLITUDE_RTOL = 1e-10
-
-# Smallest distance of Q on either side of 1 - eps at a crossing that the
-# jump-ahead search trusts.
-CROSSING_MARGIN = 1e-12
-
-# Doublings after which the jump-ahead search gives up (n beyond 2^62).
-MAX_DOUBLINGS = 62
-
-
-def _pi_phases(m, q):
-    """exp(-i pi m / q) for Python integers m, reduced modulo 2q exactly."""
-    return np.exp(-1j * math.pi * np.array([k % (2 * q) for k in m],
-                                           dtype=float) / q)
-
-
-def jump_filtration_time(setup, initial, target, eps, h_tau):
-    """Smallest n with Q_n >= 1 - eps on the tower engine, without stepping.
-
-    target is a RotatingTarget, and h_tau = (p, q) is the resonance
-    h*tau = pi p/q of the setup.  Doubling k until Q at n = 2^k reaches
-    1 - eps brackets the crossing in (2^(k-1), 2^k]; binary lifting from
-    2^(k-1) down to 1 then pins it.
-    The state F^n psi0 is built from the powers F^(2^k) of the
-    (L+1)-dimensional filtration matrix, and Q_n is evaluated by the
-    helper run_filtration uses (_fidelity), with the phases of F and the
-    rotation of the target reduced modulo 2 pi from integers so they do
-    not drift with n.
-
-    The search is valid because the target lies in the dark subspace:
-    its overlap modulus is conserved, so Q_n = Q_0 S_0 / S_n never
-    decreases.  That conservation is checked at every n evaluated
-    (NumericsError beyond DARK_AMPLITUDE_RTOL), as are the asymptote
-    Q_inf >= 1 - eps and the crossing margin CROSSING_MARGIN.
-    """
-    if setup.engine != "tower":
-        raise ValidationError("jump-ahead needs the tower engine")
-    thr = 1.0 - eps
-    if not 0.0 < eps < 1.0 or thr == 1.0:
-        raise ValidationError(f"eps={eps!r} outside (0, 1) or below the "
-                              "resolution of 1 - eps")
-    p, q = h_tau
-    # E_k tau - E_0 tau = pi * levels[k] / q on the tower
-    levels = [2 * p * k for k in range(setup.params.L + 1)]
-    phases = _pi_phases(levels, q)
-    drift = float(np.max(np.abs(setup.phases * setup.phases[0].conj()
-                                - phases)))
-    if drift > PHASE_TOL:
-        raise ValidationError(
-            f"setup phases are not at h*tau = pi*{p}/{q} (off by {drift:.2e})"
-        )
-    turns = np.rint(target.angles * q / math.pi)
-    if float(np.max(np.abs(target.angles - math.pi * turns / q))) > 1e-12:
-        raise ValidationError(
-            f"target rotation is not a multiple of pi/{q}: {target.angles}"
-        )
-    turns = [int(t) for t in turns]
-    probes = np.array([setup.to_eigen(c) for c in target.components])
-    gram = probes.conj() @ probes.T
-    psi0 = setup.to_eigen(initial)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
-        raise ValidationError("initial state must have unit norm")
-
-    def amplitude(n, psi):
-        """(Q_n, Q_n S_n) of the unnormalised state psi = F^n psi0."""
-        coef = target.weights * _pi_phases([t * n for t in turns], q)
-        survival = float(np.vdot(psi, psi).real)
-        q_n = float(_fidelity(coef[None], (probes.conj() @ psi)[None], gram,
-                              survival)[0])
-        return q_n, q_n * survival
-
-    q0, kept = amplitude(0, psi0)
-    dark = dark_projection(degeneracy_groups(setup), psi0)
-    w_dark = float(np.vdot(dark, dark).real)
-    q_inf = amplitude(0, dark)[0] if w_dark > 0.0 else 0.0
-    if q_inf < thr:
-        raise NumericsError(
-            f"Q_inf = {q_inf:.10f} from dark weight {w_dark:.3e} never "
-            f"reaches 1 - eps = {thr}"
-        )
-    if q0 >= thr:
-        return 0
-
-    def fidelity(n, psi):
-        q_n, kept_n = amplitude(n, psi)
-        if abs(kept_n - kept) > DARK_AMPLITUDE_RTOL * kept:
-            raise NumericsError(
-                f"target amplitude Q_n S_n drifted by "
-                f"{abs(kept_n - kept) / kept:.3e} (relative) at n={n}: "
-                "the target is not dark"
-            )
-        return q_n
-
-    # F^(2^k) = D^(2^k) + X_k with D = diag(phases).  Squaring it as
-    # D^2 + D X_k + X_k D + X_k^2 keeps the decay rates 1 - |zeta| ~ 2^-L
-    # at full relative precision; a dense F^(2^k) would round them
-    # against 1 and lose about n * 1e-16 in Q_n.
-    r = setup.removal_eig
-    devs = [np.outer(-r, r.conj() * phases)]
-
-    def ahead(k, psi):
-        """F^(2^k) psi."""
-        return _pi_phases([m << k for m in levels], q) * psi + devs[k] @ psi
-
-    q_hi = fidelity(1, ahead(0, psi0))
-    while q_hi < thr:
-        k = len(devs) - 1
-        if k >= MAX_DOUBLINGS:
-            raise NumericsError(f"Q_n < 1 - eps up to n = 2^{MAX_DOUBLINGS}")
-        d, x = _pi_phases([m << k for m in levels], q), devs[k]
-        devs.append(d[:, None] * x + x * d + x @ x)
-        q_hi = fidelity(1 << (k + 1), ahead(k + 1, psi0))
-    n, q_lo, psi = 0, q0, psi0
-    for k in range(len(devs) - 2, -1, -1):
-        step = ahead(k, psi)
-        q_k = fidelity(n + (1 << k), step)
-        if q_k < thr:
-            n, q_lo, psi = n + (1 << k), q_k, step
-        else:
-            q_hi = q_k
-    margin = min(thr - q_lo, q_hi - thr)
-    if margin < CROSSING_MARGIN:
-        raise NumericsError(
-            f"crossing at n={n + 1} is within {margin:.2e} of 1 - eps: "
-            "too close to resolve in double precision"
-        )
-    return n + 1

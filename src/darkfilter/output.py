@@ -3,17 +3,18 @@
 CSV is the bulk-numerics contract: floats are written as "%.17g" (17
 significant digits), lines end with a bare newline, and row order is
 whatever the caller passes, so identical inputs produce byte-identical
-bodies.  emit_csv is the one write path.  A block of BLOCK_ROWS rows
-is one NUL-padded uint8 matrix, a row per table row: each column
-writes its cells into a span of fixed width (FLOAT_WIDTH for floats),
-between constant ',' and '\n' columns, and the NULs are deleted.
-A sequence of numbers is made an array first.  Float arrays get their
-"%.17g" digits from the IEEE bits by exact integer arithmetic, integer
-and bool arrays "%d", and a column of text and None cells format_cell
-per cell; floats outside the exact range (zero, subnormals, |x| <=
-1e-11 or >= 1e17) go through "%" in one batch per block.  Both
-numeric paths read the digits of 4-digit words from one table.  Blocks
-are formatted and written in order, on the caller.
+bodies.  emit_csv is the one write path.  Every cell is checked, and
+every text column formatted (format_cell per cell), before the file
+opens.  Blocks of BLOCK_ROWS rows are then formatted and written in
+order, on the caller, into one reused NUL-padded uint8 buffer, a row
+per table row: each column writes its cells into a span of fixed width
+(FLOAT_WIDTH for floats), between constant ',' and '\n' columns, and
+the NULs are deleted.  A sequence of numbers is made an array first.
+Float arrays get their "%.17g" digits from the IEEE bits by exact
+integer arithmetic, integer and bool arrays "%d"; floats outside the
+exact range (zero, subnormals, |x| <= 1e-11 or >= 1e17) go through "%"
+in one batch per block.  Both numeric paths read the digits of 4-digit
+words from one table.
 Metadata goes into a JSON sidecar next to the data files; the sidecar
 holds the non-reproducible bits (wall time) so the CSVs stay comparable.
 """
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -54,8 +53,8 @@ def format_cell(value) -> str:
     return value
 
 
-# rows formatted at a time: two blocks are held at most (the first two,
-# before the file opens), so this bounds the text in memory
+# rows formatted at a time into the one block buffer, which bounds the
+# text of numeric cells in memory
 BLOCK_ROWS = 1 << 14
 
 _U64 = np.uint64
@@ -252,48 +251,37 @@ def _text_cells(column):
 
 
 def _cells(column):
-    """(width, write) of a column's cells; write fills a (rows, width) span."""
+    """(width, write) of a whole column; write(out, lo, hi) fills out, a
+    (hi - lo, width) span, with the cells of rows lo:hi.
+
+    A sequence of numbers (no str or None cell) is made an array first,
+    and bools int64.  Every cell is checked here, and text formatted,
+    once per table.
+    """
     if column is None:
         return 0, None
-    if isinstance(column, np.ndarray) and column.ndim == 1:
-        if column.dtype.kind == "f":
-            return FLOAT_WIDTH, partial(
-                _float_cells, column.astype(np.float64, copy=False))
-        if column.dtype.kind in "iu":
-            return _int_width(column), partial(_int_cells, column)
-    text = _text_cells(column)
-    return text.shape[1], partial(np.copyto, src=text)
-
-
-def _numeric(column):
-    """A column with bools as int64, and a sequence of numbers (no str or
-    None cell) as an array; a text column as given."""
-    if column is None:
-        return None
-    if not isinstance(column, np.ndarray):
-        if any(c is None or isinstance(c, str) for c in column):
-            return column
+    if not isinstance(column, np.ndarray) and not any(
+            c is None or isinstance(c, str) for c in column):
         column = np.asarray(column)
-    return column.astype(np.int64) if column.dtype.kind == "b" else column
-
-
-def _block(columns, lo, hi):
-    """Rows lo:hi of the table as CSV bytes."""
-    cells = [_cells(None if c is None else c[lo:hi]) for c in columns]
-    out = np.empty((hi - lo, sum(w + 1 for w, _ in cells)), dtype=np.uint8)
-    at = 0
-    for width, write in cells:
-        if write is not None:
-            write(out[:, at:at + width])
-        at += width + 1
-        out[:, at - 1] = ord(",")
-    out[:, -1] = ord("\n")
-    return out.tobytes().translate(None, b"\0")
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "b":
+            column = column.astype(np.int64)
+        if column.dtype.kind == "f" and not np.all(np.isfinite(column)):
+            raise ValidationError("non-finite value in CSV output")
+        if column.ndim == 1 and column.dtype.kind == "f":
+            x = column.astype(np.float64, copy=False)
+            return FLOAT_WIDTH, lambda out, lo, hi: _float_cells(x[lo:hi], out)
+        if column.ndim == 1 and column.dtype.kind in "iu":
+            return _int_width(column), \
+                lambda out, lo, hi: _int_cells(column[lo:hi], out)
+    text = _text_cells(column)
+    return text.shape[1], lambda out, lo, hi: np.copyto(out, text[lo:hi])
 
 
 def emit_csv(path, header, columns):
     """Write one column per header field, BLOCK_ROWS rows at a time, in
-    order; a None column is left blank."""
+    order; a None column is left blank.  Every cell is checked before the
+    file opens, so a bad cell leaves no file."""
     header = tuple(header)
     if len(columns) != len(header):
         raise ValidationError(
@@ -303,21 +291,23 @@ def emit_csv(path, header, columns):
     if len(lengths) > 1:
         raise ValidationError(f"CSV columns differ in length: {sorted(lengths)}")
     rows = lengths.pop() if lengths else 0
-    columns = [_numeric(c) for c in columns]
-    for c in columns:
-        if isinstance(c, np.ndarray) and c.dtype.kind == "f" \
-                and not np.all(np.isfinite(c)):
-            raise ValidationError("non-finite value in CSV output")
-
-    blocks = (_block(columns, lo, min(lo + BLOCK_ROWS, rows))
-              for lo in range(0, rows, BLOCK_ROWS))
-    # the first two blocks are formatted before the file is opened, so a
-    # bad cell in any table of up to 2 BLOCK_ROWS rows leaves no file
-    first = list(islice(blocks, 2))
+    cells = [_cells(c) for c in columns]
+    ends = np.cumsum([w + 1 for w, _ in cells], dtype=np.intp)
+    shape = (min(rows, BLOCK_ROWS), int(ends[-1]) if ends.size else 0)
+    buf = bytearray(shape[0] * shape[1])
+    out = np.frombuffer(buf, dtype=np.uint8).reshape(shape)
+    out[:, ends - 1] = ord(",")
+    out[:, ends[-1:] - 1] = ord("\n")      # a table with no column has none
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        fh.writelines(first)
-        fh.writelines(blocks)
+        for lo in range(0, rows, BLOCK_ROWS):
+            m = min(BLOCK_ROWS, rows - lo)
+            for (width, write), end in zip(cells, ends):
+                if write is not None:
+                    write(out[:m, end - 1 - width:end - 1], lo, lo + m)
+            # the rows past a short last block are deleted with the NULs
+            out[m:] = 0
+            fh.write(buf.translate(None, b"\0"))
     return path
 
 

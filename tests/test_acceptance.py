@@ -38,14 +38,9 @@ from darkfilter.experiments import (
     tar2_optimal_angle,
     zeta_vs_L_scan,
 )
-from darkfilter.filtration import (
-    dark_subspace,
-    degeneracy_groups,
-    full_setup,
-    reduced_setup,
-    run_filtration,
-)
-from darkfilter.spectral import convex_hull_violation, mode_spectrum
+from darkfilter.filtration import full_setup, reduced_setup, run_filtration
+from darkfilter.spectral import (convex_hull_violation, dark_subspace,
+                                 degeneracy_groups, mode_spectrum)
 from darkfilter.spin_model import ChainParams, build_tower, sga_residual
 from darkfilter.experiments import make_target
 

@@ -38,9 +38,9 @@ from darkfilter.experiments import (
     tar2_resonance,
     zeta_vs_L_scan,
 )
-from darkfilter.filtration import (degeneracy_groups, filtration_time,
-                                   generic_setup, jump_filtration_time,
+from darkfilter.filtration import (filtration_time, generic_setup,
                                    reduced_setup, run_filtration)
+from darkfilter.spectral import degeneracy_groups, jump_filtration_time
 from darkfilter.spin_model import ChainParams
 from helpers import mp_filtration_time, spectral_decomposition
 

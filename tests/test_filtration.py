@@ -11,7 +11,7 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from darkfilter import experiments, filtration
+from darkfilter import experiments, filtration, spectral
 from darkfilter.basis import (BasisEncoding, magnetization_of,
                               reflection_of, string_parity_sign)
 from darkfilter.cli import main
@@ -27,9 +27,6 @@ from darkfilter.filtration import (
     RotatingTarget,
     SectorEig,
     Trajectory,
-    dark_projection,
-    dark_subspace,
-    degeneracy_groups,
     filtration_time,
     full_setup,
     generic_setup,
@@ -37,7 +34,8 @@ from darkfilter.filtration import (
     resonance_period,
     run_filtration,
 )
-from darkfilter.spectral import mode_spectrum
+from darkfilter.spectral import (dark_projection, dark_subspace,
+                                 degeneracy_groups, mode_spectrum)
 from darkfilter.spin_model import (
     ChainParams,
     ManyBodyOperator,
@@ -686,7 +684,7 @@ def test_closed_form_darks_match_the_determinant(size, lead, zeros, seed):
     removal[0] *= not lead
     assume(np.count_nonzero(removal[:2]))
     want = determinant_darks(range(size), removal)
-    got = filtration._group_darks(removal.conj())
+    got = spectral._group_darks(removal.conj())
     assert got.shape == want.shape == (size, size - 1)
     assert np.max(np.abs(got - want)) < 1e-14
 
@@ -708,7 +706,7 @@ def _lead_zero_groups():
 def test_closed_form_darks_where_the_determinant_refuses(removal):
     with pytest.raises(NumericsError, match="degenerated"):
         determinant_darks(range(removal.size), removal)
-    cols = filtration._group_darks(removal.conj())
+    cols = spectral._group_darks(removal.conj())
     g = removal.size
     assert cols.shape == (g, g - 1)
     gram = cols.conj().T @ cols

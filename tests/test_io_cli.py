@@ -101,6 +101,12 @@ def test_emit_csv_rejects_bad_cells(tmp_path):
     with pytest.raises(ValidationError, match="quoting"):
         emit_csv(tmp_path / "late.csv", ("x",), [column])
     assert not os.path.exists(tmp_path / "late.csv")
+    # nor does one in the third block, after two good ones
+    column = ["x"] * (3 * BLOCK_ROWS)
+    column[2 * BLOCK_ROWS + 5] = "a,b"
+    with pytest.raises(ValidationError, match="quoting"):
+        emit_csv(tmp_path / "later.csv", ("x",), [column])
+    assert not os.path.exists(tmp_path / "later.csv")
 
 
 def _written(path, column):

@@ -12,14 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from darkfilter.experiments import TARGETS, make_target
-from darkfilter.filtration import (
+from darkfilter.filtration import full_setup, reduced_setup, run_filtration
+from darkfilter.spectral import (
+    HULL_SLACK,
+    convex_hull_violation,
     dark_subspace,
     degeneracy_groups,
-    full_setup,
-    reduced_setup,
-    run_filtration,
+    mode_spectrum,
 )
-from darkfilter.spectral import HULL_SLACK, convex_hull_violation, mode_spectrum
 from darkfilter.spin_model import ChainParams
 
 from helpers import (dark_complement, product_state, spectral_decomposition,

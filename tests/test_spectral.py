@@ -10,18 +10,15 @@ import scipy.linalg as sla
 
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import orthogonality_angle, tar2_optimal_angle
-from darkfilter.filtration import (
-    DARK_OVERLAP_TOL,
-    PhaseGroups,
-    degeneracy_groups,
-    full_setup,
-    reduced_setup,
-)
+from darkfilter.filtration import full_setup, reduced_setup
 from darkfilter.spectral import (
+    DARK_OVERLAP_TOL,
     HULL_SLACK,
+    PhaseGroups,
     TIE_MODULUS,
     bright_secular_roots,
     convex_hull_violation,
+    degeneracy_groups,
     mode_spectrum,
     scaling_predictions,
 )
