@@ -4,7 +4,8 @@ Usage: darkfilter <subcommand> --config <file> --out <dir>
                   [--seed <u64>] [--engine full|tower] [--quiet]
 
 --seed and --engine are accepted only by a subcommand that reads the
-config keys they override (FLAG_KEYS).
+config keys they override (FLAG_KEYS).  A handler reads its document
+only through the config module, which fills in every default.
 
 Exit status: 0 on success, 1 on validation failure (bad arguments,
 malformed config, precondition violations), 2 on numerical-invariant
@@ -22,11 +23,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (KEYS, parse_config, scan_options, sweep_options,
-                     table1_options)
+from .config import (KEYS, goe_options, parse_config, scan_options,
+                     sweep_options, table1_options)
 from .errors import NumericsError, ValidationError
-from .experiments import (ExperimentSpec, GoeBlock, Perturbations,
-                          build_setup, dark_labels, document_of, goe_demo,
+from .experiments import (ExperimentSpec, Perturbations, build_setup,
+                          dark_labels, document_of, goe_demo,
                           perturbation_study, run_target, sweep_n_epsilon,
                           table1_scan, zeta_vs_L_scan)
 from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
@@ -91,16 +92,12 @@ def _check_flags(cli):
 
 
 def _apply_overrides(spec: ExperimentSpec, cli) -> ExperimentSpec:
-    if cli.seed is None and cli.engine is None:
-        return spec
-    pert, goe = spec.perturbations, spec.goe
+    pert = spec.perturbations
     if cli.seed is not None:
         pert = Perturbations(lam=pert.lam, seed=cli.seed)
-        if goe is not None:
-            goe = GoeBlock(d_goe=goe.d_goe, seed=cli.seed)
     return ExperimentSpec(spec.name, spec.params, spec.theta0, spec.h_tau,
                           spec.n_steps, spec.eps, cli.engine or spec.engine,
-                          spec.target, pert, goe)
+                          spec.target, pert)
 
 
 def _say(cli, text):
@@ -206,8 +203,6 @@ def _cmd_table1(cli, doc):
 
 
 def _cmd_perturb(cli, doc):
-    if isinstance(doc, dict) and "n_steps" not in doc:
-        doc = dict(doc, n_steps=20000)
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
     art = perturbation_study(spec, cli.out)
     info1, info2 = art.metadata["tar1"], art.metadata["tar2"]
@@ -220,11 +215,9 @@ def _cmd_perturb(cli, doc):
 
 
 def _cmd_goe_demo(cli, doc):
-    spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
-    n_steps = spec.n_steps if isinstance(doc, dict) and "n_steps" in doc \
-        else None
-    art = goe_demo(cli.out, d_goe=spec.goe.d_goe, seed=spec.goe.seed,
-                   n_steps=n_steps)
+    d_goe, seed, n_steps = goe_options(doc)
+    art = goe_demo(cli.out, d_goe, seed if cli.seed is None else cli.seed,
+                   n_steps)
     meta = art.metadata
     _say(cli, f"survival -> {meta['expected_survival']:.8f} "
               f"(worst tail error {meta['worst_tail_error']:.3e})")

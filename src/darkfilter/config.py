@@ -4,7 +4,8 @@ A document is a flat JSON object.  Each subcommand reads the keys KEYS
 lists for it, and any other key is rejected by name, so neither a typo
 nor a key the subcommand would ignore passes silently.  h*tau is written
 as the integer pair [p, q] meaning pi*p/q, which keeps resonances exact:
-the document_of echo of a spec parses back to the same spec.
+the document_of echo of a spec parses back to the same spec.  Every
+default is filled in here, so the CLI never reads a document itself.
 """
 
 from __future__ import annotations
@@ -13,14 +14,17 @@ import json
 import math
 
 from .errors import ValidationError
-from .experiments import (TABLE1_THETA0, TARGETS, ExperimentSpec, GoeBlock,
-                          Perturbations, tar1_resonance)
+from .experiments import (GOE_DIM, GOE_SEED, TABLE1_THETA0, TARGETS,
+                          ExperimentSpec, Perturbations, _check_goe,
+                          tar1_resonance)
 from .spin_model import ChainParams
 
 # protocol defaults: J = 1 sets the unit of energy, D = 0.1 the
 # anisotropy, eps = 0.01 the fidelity threshold
 DEFAULTS = {"J": 1.0, "h": 1.0, "D": 0.1, "J2": 0.0, "J3": 0.0,
             "eps": 0.01, "n_steps": 5000}
+# perturb runs each leg longer, into the metastable regime
+PERTURB_STEPS = 20000
 
 CHAIN_KEYS = ("L", "J", "h", "D", "J2", "J3")
 RUN_KEYS = ("name", "target", *CHAIN_KEYS, "theta0", "h_tau", "engine",
@@ -40,8 +44,6 @@ KEYS = {
     "goe-demo": (("goe", "n_steps"), ()),
     "zeta-scan": (("L_values",), ()),
 }
-PERT_KEYS = ("lambda", "seed")
-GOE_KEYS = ("D_goe", "seed")
 
 
 def _reject_unknown(doc, allowed, where):
@@ -64,6 +66,15 @@ def _number(doc, key, default=None, integer=False):
             raise ValidationError(f"key {key!r} must be an integer")
         return int(val)
     return float(val)
+
+
+def _object(doc, key, allowed):
+    """The sub-object doc[key] ({} when absent), checked against allowed."""
+    sub = doc.get(key, {})
+    if not isinstance(sub, dict):
+        raise ValidationError(f"{key} must be an object")
+    _reject_unknown(sub, allowed, key)
+    return sub
 
 
 def _finite(doc, key, default):
@@ -150,27 +161,9 @@ def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
         J3=_number(doc, "J3", DEFAULTS["J3"]),
     )
 
-    pert = Perturbations()
-    if "perturbations" in doc:
-        sub = doc["perturbations"]
-        if not isinstance(sub, dict):
-            raise ValidationError("perturbations must be an object")
-        _reject_unknown(sub, PERT_KEYS, "perturbations")
-        pert = Perturbations(
-            lam=_number(sub, "lambda", 0.0),
-            seed=_number(sub, "seed", None, integer=True),
-        )
-
-    goe = None
-    if subcommand == "goe-demo":
-        sub = doc.get("goe", {})
-        if not isinstance(sub, dict):
-            raise ValidationError("goe must be an object")
-        _reject_unknown(sub, GOE_KEYS, "goe")
-        goe = GoeBlock(
-            d_goe=_number(sub, "D_goe", 64, integer=True),
-            seed=_number(sub, "seed", 23, integer=True),
-        )
+    sub = _object(doc, "perturbations", ("lambda", "seed"))
+    pert = Perturbations(lam=_number(sub, "lambda", 0.0),
+                         seed=_number(sub, "seed", None, integer=True))
 
     engine = doc.get("engine")
     if engine is None:
@@ -184,19 +177,37 @@ def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
     name = doc.get("name", subcommand)
     if not isinstance(name, str) or not name:
         raise ValidationError("name must be a non-empty string")
+    steps = PERTURB_STEPS if subcommand == "perturb" else DEFAULTS["n_steps"]
 
     return ExperimentSpec(
         name=name,
         params=params,
         theta0=theta0,
         h_tau=h_tau,
-        n_steps=_number(doc, "n_steps", DEFAULTS["n_steps"], integer=True),
+        n_steps=_number(doc, "n_steps", steps, integer=True),
         eps=_number(doc, "eps", DEFAULTS["eps"]),
         engine=engine,
         target=target,
         perturbations=pert,
-        goe=goe,
     )
+
+
+def goe_options(document):
+    """(d_goe, seed, n_steps) of the random-matrix benchmark.
+
+    n_steps is None when the document leaves the run length to goe_demo.
+    The document's values are checked here, so a --seed override cannot
+    hide a bad seed; goe_demo checks the values it runs with again.
+    """
+    doc = _load(document, "goe-demo")
+    sub = _object(doc, "goe", ("D_goe", "seed"))
+    d_goe = _number(sub, "D_goe", GOE_DIM, integer=True)
+    seed = _number(sub, "seed", GOE_SEED, integer=True)
+    _check_goe(d_goe, seed)
+    n_steps = _number(doc, "n_steps", integer=True)
+    if n_steps is not None and n_steps < 0:
+        raise ValidationError("n_steps must be a non-negative integer")
+    return d_goe, seed, n_steps
 
 
 def sweep_options(document):

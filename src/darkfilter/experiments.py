@@ -110,31 +110,16 @@ class Perturbations:
         return type(other) is Perturbations and vars(other) == vars(self)
 
 
-class GoeBlock:
-    """Random-matrix benchmark dimensions; seed fixed for reproducibility."""
-
-    def __init__(self, d_goe=64, seed=23):
-        if d_goe < 4:
-            raise ValidationError("GOE dimension must be at least 4")
-        _check_seed(seed)
-        self.d_goe = d_goe
-        self.seed = seed
-
-    def __eq__(self, other):
-        return type(other) is GoeBlock and vars(other) == vars(self)
-
-
 class ExperimentSpec:
     """Fully pinned description of one run.
 
     h*tau is kept as the integer pair (p, q) meaning pi*p/q so resonances
     stay exact; tau in seconds follows from the field h.  perturbations
-    defaults to a fresh Perturbations() (no noise); goe is set only for
-    the random-matrix benchmark.
+    defaults to a fresh Perturbations() (no noise).
     """
 
     def __init__(self, name, params, theta0, h_tau, n_steps, eps=0.01,
-                 engine="tower", target=None, perturbations=None, goe=None):
+                 engine="tower", target=None, perturbations=None):
         if perturbations is None:
             perturbations = Perturbations()
         p, q = h_tau
@@ -162,7 +147,6 @@ class ExperimentSpec:
         self.engine = engine
         self.target = target
         self.perturbations = perturbations
-        self.goe = goe
 
     def __eq__(self, other):
         return type(other) is ExperimentSpec and vars(other) == vars(self)
@@ -191,12 +175,7 @@ def document_of(spec: ExperimentSpec) -> dict:
     """Plain-JSON echo of a spec; parse_config inverts it."""
     doc = {
         "name": spec.name,
-        "L": spec.params.L,
-        "J": spec.params.J,
-        "h": spec.params.h,
-        "D": spec.params.D,
-        "J2": spec.params.J2,
-        "J3": spec.params.J3,
+        **vars(spec.params),            # L and the couplings
         "theta0": spec.theta0,
         "h_tau": [spec.h_tau[0], spec.h_tau[1]],
         "n_steps": spec.n_steps,
@@ -210,8 +189,6 @@ def document_of(spec: ExperimentSpec) -> dict:
         if spec.perturbations.seed is not None:
             pert["seed"] = spec.perturbations.seed
         doc["perturbations"] = pert
-    if spec.goe is not None:
-        doc["goe"] = {"D_goe": spec.goe.d_goe, "seed": spec.goe.seed}
     return doc
 
 
@@ -622,23 +599,16 @@ def detect_plateau(q):
     kernel = np.ones(smooth) / smooth
     smoothed = np.convolve(q, kernel, mode="valid")
     flat = np.abs(np.diff(smoothed)) < PLATEAU_SLOPE
-    best_len, best_start = 0, -1
-    i = 0
-    while i < flat.size:
-        if flat[i]:
-            j = i
-            while j < flat.size and flat[j]:
-                j += 1
-            if j - i > best_len:
-                best_len, best_start = j - i, i
-            i = j
-        else:
-            i += 1
-    if best_start < 0:
+    # the edges of the flat runs alternate opening and closing ones; the
+    # first of the longest runs wins
+    edges = np.diff(flat, prepend=False, append=False).nonzero()[0]
+    if not edges.size:
         return None
+    opens, closes = edges[0::2], edges[1::2]
+    best = int(np.argmax(closes - opens))
     # map smoothed-array positions back to the center of the stencil
-    start = best_start + smooth // 2
-    end = best_start + best_len + smooth // 2
+    start = int(opens[best]) + smooth // 2
+    end = int(closes[best]) + smooth // 2
     height = float(np.mean(q[start:end + 1]))
     return start, end, height
 
@@ -663,7 +633,7 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
     # eigenbasis serves every leg, retuned to its own phases
     engine, _ = build_setup(ExperimentSpec(
         spec.name, params, spec.theta0, spec.h_tau, spec.n_steps, spec.eps,
-        "full", spec.target, spec.perturbations, spec.goe))
+        "full", spec.target, spec.perturbations))
     tower = build_tower(ChainParams(L=L))
     # |(H - E_n) B_n| in the eigenbasis of H, where H is diagonal
     edge_residuals = {
@@ -718,6 +688,7 @@ def sample_goe(d_goe, seed):
 # dark weight to GOE_CONV_TOL
 GOE_BRIGHT_BOUND = 1e-8
 GOE_CONV_TOL = 1e-6
+GOE_DIM, GOE_SEED = 64, 23      # goe_demo's default dimension and seed
 # goe_demo labels its spectrum by modulus: above 1 - GOE_DARK_TOL dark,
 # below GOE_ZERO_TOL trivial-zero, bright in between.  n_bound covers
 # the bright label only, so a root that needs ~1e8 steps to decay does
@@ -726,20 +697,28 @@ GOE_DARK_TOL = 1e-8
 GOE_ZERO_TOL = 1e-12
 
 
-def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None) -> RunArtifacts:
+def _check_goe(d_goe, seed):
+    if d_goe < 4:
+        raise ValidationError("GOE dimension must be at least 4")
+    _check_seed(seed)
+
+
+def goe_demo(out_dir, d_goe=GOE_DIM, seed=GOE_SEED,
+             n_steps=None) -> RunArtifacts:
     """Dark-state persistence for a generic dense spectrum.
 
     Draws one GOE matrix, filters |1> with removal |2>, and checks that
     the survival weight converges to the initial weight on the single
     dark state formed by the two edge eigenlevels (tau glues their
     phases).  The run covers the bound n where the slowest bright mode
-    has decayed below GOE_BRIGHT_BOUND.
+    has decayed below GOE_BRIGHT_BOUND.  d_goe and seed are checked
+    before out_dir is created.
     """
     t0 = time.time()
-    block = GoeBlock(d_goe=d_goe, seed=seed)
+    _check_goe(d_goe, seed)
     ensure_dir(out_dir)
-    mat = sample_goe(block.d_goe, block.seed)
-    dim = block.d_goe
+    mat = sample_goe(d_goe, seed)
+    dim = d_goe
     removal = np.zeros(dim, dtype=complex)
     removal[1] = 1.0
     initial = np.zeros(dim, dtype=complex)
@@ -792,8 +771,8 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None) -> RunArtifacts:
                            [groups.charge_angles, groups.charge_weights])
     off = mat[~np.eye(dim, dtype=bool)]
     extra = {
-        "d_goe": block.d_goe,
-        "seed": block.seed,
+        "d_goe": d_goe,
+        "seed": seed,
         "tau": setup.tau,
         "expected_survival": expect,
         "zeta_dominant": zeta_d,
@@ -802,7 +781,7 @@ def goe_demo(out_dir, d_goe=64, seed=23, n_steps=None) -> RunArtifacts:
         "offdiag_sq_mean": float(np.mean(off ** 2)),
         "offdiag_sq_expected": 1.0 / dim,
     }
-    echo = {"goe": {"D_goe": block.d_goe, "seed": block.seed},
+    echo = {"goe": {"D_goe": d_goe, "seed": seed},
             "n_steps": int(n_steps)}
     return _finish(out_dir, "goe_demo", echo,
                    {"trajectory": traj_path, "spectrum": spec_path,

@@ -97,35 +97,35 @@ class SectorEig:
 class FiltrationSetup:
     """Everything needed to iterate the protocol in the H eigenbasis.
 
-    engine is "tower", "full" or "generic"; basis is the basis of
-    run_filtration's inputs and outputs; energies (dim,) are the
-    engine-space eigenvalues of H and phases exp(-i E tau).  removal_eig
-    is the removal state in the eigenbasis, unit norm: an input-basis
-    StateVector is projected with to_eigen on construction.  sector_eigs
-    are the blocks of H in engine order, which the coordinates follow.
-    The spin flip prod X maps coordinate i to flip_pos[i] with sign
-    flip_sign[i]; both are None when no flip is defined.
+    basis is the basis of run_filtration's inputs and outputs.
+    removal_eig is the removal state in the eigenbasis, unit norm: an
+    input-basis StateVector is projected with to_eigen on construction.
+    sector_eigs are the blocks of H in engine order, which the
+    coordinates follow.  The spin flip prod X maps coordinate i to
+    pos[i] with sign sign[i], flip = (pos, sign); flip is None when no
+    flip is defined.  The rest is derived: energies (dim,) are the
+    blocks' eigenvalues of H in that order, phases exp(-i E tau), and
+    engine ("tower", "full" or "generic") is the basis kind.
     """
 
-    def __init__(self, engine, tau, basis, energies, phases, removal_eig,
-                 sector_eigs, params=None, theta0=None, flip_pos=None,
-                 flip_sign=None):
-        self.engine = engine
+    def __init__(self, tau, basis, removal_eig, sector_eigs, params=None,
+                 theta0=None, flip=None):
         self.tau = tau
         self.basis = basis
-        self.energies = np.asarray(energies, dtype=float)
-        self.phases = np.ascontiguousarray(phases, dtype=complex)
         self.sector_eigs = sector_eigs
         self.params = params
         self.theta0 = theta0
-        self.flip_pos = flip_pos
-        self.flip_sign = flip_sign
+        self.flip = flip
+        self.engine = basis.kind
+        self.energies = np.concatenate([b.energies for b in sector_eigs])
+        self.phases = np.exp(-1j * self.energies * tau)
         if isinstance(removal_eig, StateVector):
             removal_eig = self.to_eigen(removal_eig)
         self.removal_eig = np.ascontiguousarray(removal_eig, dtype=complex)
         if abs(np.linalg.norm(self.removal_eig) - 1.0) > 1e-12:
             raise ValidationError("removal vector must have unit norm")
-        if float(np.max(np.abs(np.abs(self.phases) - 1.0))) > 1e-12:
+        # written so that a NaN phase fails
+        if not np.all(np.abs(np.abs(self.phases) - 1.0) <= 1e-12):
             raise NumericsError("propagator phases are not unimodular")
 
     @property
@@ -141,11 +141,9 @@ class FiltrationSetup:
         the protocol state at every angle; to_eigen refuses a state that
         leaves them.
         """
-        return FiltrationSetup(self.engine, tau, self.basis, self.energies,
-                               np.exp(-1j * self.energies * tau),
-                               self.removal_eig, self.sector_eigs,
-                               self.params, theta0, self.flip_pos,
-                               self.flip_sign)
+        return FiltrationSetup(tau, self.basis, self.removal_eig,
+                               self.sector_eigs, self.params, theta0,
+                               self.flip)
 
     def to_eigen(self, state):
         """Input-basis state (StateVector or array) -> eigenbasis coords."""
@@ -187,9 +185,10 @@ class FiltrationSetup:
         The value is for psi as given (unnormalized); divide by the
         survival weight to report a normalized expectation.
         """
-        if self.flip_pos is None:
+        if self.flip is None:
             raise ValidationError("string operator unavailable for this engine")
-        return np.vdot(self.flip_sign * psi[self.flip_pos], psi)
+        pos, sign = self.flip
+        return np.vdot(sign * psi[pos], psi)
 
 
 def _matvec(matrix, vec):
@@ -219,27 +218,21 @@ def reduced_setup(params, tau, theta0):
         raise ValidationError("tower engine requires J2 = 0 (tower not exact)")
     L = params.L
     n = np.arange(L + 1)
-    energies = (params.D - params.h) * L + 2.0 * params.h * n
     # exact integer division: 2.0**L overflows from L = 1024
     weights = np.sqrt([math.comb(L, int(m)) / 2**L for m in n])
-    removal = (-1.0) ** n * weights
     if not math.isfinite(L * float(theta0)):
         raise ValidationError(f"theta0 = {theta0!r} overflows the initial "
                               "state's phases (L - n) theta0")
     initial = np.exp(1j * (L - n) * theta0) * weights
     setup = FiltrationSetup(
-        engine="tower",
         tau=tau,
         basis=BasisEncoding.tower(L),
-        energies=energies,
-        phases=np.exp(-1j * energies * tau),
-        removal_eig=removal.astype(complex),
-        sector_eigs=[SectorEig(0, n[None, :], np.ones((1, L + 1)), energies,
-                               np.eye(L + 1))],
+        removal_eig=(-1.0) ** n * weights,
+        sector_eigs=[SectorEig(0, n[None, :], np.ones((1, L + 1)),
+                               params.tower_energy(n), np.eye(L + 1))],
         params=params,
         theta0=theta0,
-        flip_pos=n[::-1],
-        flip_sign=np.full(L + 1, string_parity_sign(L)),
+        flip=(n[::-1], np.full(L + 1, string_parity_sign(L))),
     )
     return setup, StateVector(setup.basis, initial)
 
@@ -440,25 +433,20 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
              for b, off in zip(blocks, offsets)}
     # P maps eigenvector j of block (M, e, p) to p times eigenvector j of
     # block (-M, e, p); p = 1 off M = 0
-    flip_pos = np.concatenate([
+    pos = np.concatenate([
         np.arange(d) + start[-b.label, b.reflection, b.parity]
         for b, d in zip(blocks, sizes)
     ])
-    flip_sign = np.concatenate([np.full(d, b.parity)
-                                for b, d in zip(blocks, sizes)])
-    energies = np.concatenate([b.energies for b in blocks])
+    sign = np.concatenate([np.full(d, b.parity)
+                           for b, d in zip(blocks, sizes)])
     setup = FiltrationSetup(
-        engine="full",
         tau=tau,
         basis=ham.basis,
-        energies=energies,
-        phases=np.exp(-1j * energies * tau),
         removal_eig=psi_r,
         sector_eigs=blocks,
         params=params,
         theta0=theta0,
-        flip_pos=flip_pos,
-        flip_sign=flip_sign,
+        flip=(pos, sign),
     )
     return setup, psi_0
 
@@ -484,16 +472,9 @@ def generic_setup(matrix, removal, tau=None):
         raise ValidationError("removal dimension mismatch")
     basis = BasisEncoding.generic(dim)
     blk = SectorEig(0, np.arange(dim)[None, :], np.ones((1, dim)), w, v)
-    setup = FiltrationSetup(
-        engine="generic",
-        tau=tau,
-        basis=basis,
-        energies=w,
-        phases=np.exp(-1j * w * tau),
-        removal_eig=StateVector(basis, removal),
-        sector_eigs=[blk],
-    )
-    return setup
+    return FiltrationSetup(tau=tau, basis=basis,
+                           removal_eig=StateVector(basis, removal),
+                           sector_eigs=[blk])
 
 
 def _cluster_angles(angles, tol):
@@ -616,6 +597,12 @@ CHUNK_DRIFT_TOL = 1e-10
 # array library that runs the step kernel, recorded in run metadata
 BACKEND = "numpy"
 
+# Largest number of bytes run_filtration records: per step, 8 for the
+# survival, 8 for Q, 16 per probe and 16 for the string on an engine
+# with a spin flip.  A run asking for more is refused before any
+# allocation; horizons beyond it need no stepping of every step.
+TRAJECTORY_BUDGET = 2**30
+
 
 def chunk_length(setup):
     """Steps per renewal chunk on an engine.
@@ -625,7 +612,7 @@ def chunk_length(setup):
     two of at least 8, and at most 256, or 64 on an engine with a spin
     flip, whose string costs G B^2 per chunk for G flip groups.
     """
-    top = 6 if setup.flip_pos is not None else 8
+    top = 6 if setup.flip is not None else 8
     fit = max(2**18 // setup.dimension, 1).bit_length() - 1
     return 1 << min(top, max(3, fit))
 
@@ -753,9 +740,11 @@ def run_filtration(setup, initial, n_steps, target=None):
     The state is propagated unnormalized in the eigenbasis; survival,
     probe overlaps and, on an engine with a spin flip, the string
     expectation are recorded at every step (including n=0), and Q_n
-    follows from the overlaps (_fidelity).  Steps run in chunks through
-    the RenewalKernel on every coordinate of the engine, which for the
-    full engine are the blocks its removal and initial state reach
+    follows from the overlaps (_fidelity).  An n_steps whose recorded
+    arrays pass TRAJECTORY_BUDGET bytes is refused (ValidationError).
+    Steps run in chunks through the RenewalKernel on every coordinate of
+    the engine, which for the full engine are the blocks its removal and
+    initial state reach
     (full_setup); to_eigen refuses an initial state or a target with
     weight outside them.  At each chunk end the survival identity and
     the flip-group string are checked against the formed state
@@ -769,10 +758,16 @@ def run_filtration(setup, initial, n_steps, target=None):
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise ValidationError("n_steps must be a non-negative integer")
+    flip = setup.flip is not None
+    total = int(n_steps) + 1
+    probe_count = 0 if target is None else len(target.components)
+    size = total * (16 + 16 * probe_count + 16 * flip)
+    if size > TRAJECTORY_BUDGET:
+        raise ValidationError(
+            f"n_steps = {n_steps} would record {size} bytes of trajectory, "
+            f"above the budget of {TRAJECTORY_BUDGET} bytes")
     psi, probes, gram = _eigen_inputs(setup, initial, target)
-    flip = setup.flip_pos is not None
 
-    total = n_steps + 1
     survival = np.empty(total)
     survival[0] = float(np.vdot(psi, psi).real)
     overlaps = string = None
@@ -783,9 +778,8 @@ def run_filtration(setup, initial, n_steps, target=None):
         string = np.empty(total, dtype=complex)     # normalized at the end
         string[0] = setup.string_rows(psi)
 
-    kernel = RenewalKernel(
-        setup.phases, setup.removal_eig, probes, chunk_length(setup),
-        (setup.flip_pos, setup.flip_sign) if flip else None)
+    kernel = RenewalKernel(setup.phases, setup.removal_eig, probes,
+                           chunk_length(setup), setup.flip)
     B = kernel.length
     done = 0
     depleted = False
@@ -853,9 +847,9 @@ def run_filtration(setup, initial, n_steps, target=None):
 class FiltrationTime:
     """First crossing of the fidelity threshold."""
 
-    def __init__(self, n_eps, reached, max_q):
+    def __init__(self, n_eps, max_q):
         self.n_eps = n_eps          # None when the threshold is never met
-        self.reached = reached
+        self.reached = n_eps is not None
         self.max_q = max_q
 
 
@@ -867,6 +861,6 @@ def filtration_time(trajectory, eps):
         raise ValidationError("eps must lie in (0, 1]")
     hits = np.nonzero(trajectory.q >= 1.0 - eps)[0]
     if hits.size:
-        return FiltrationTime(int(trajectory.steps[hits[0]]), True,
+        return FiltrationTime(int(trajectory.steps[hits[0]]),
                               float(np.max(trajectory.q)))
-    return FiltrationTime(None, False, float(np.max(trajectory.q, initial=0.0)))
+    return FiltrationTime(None, float(np.max(trajectory.q, initial=0.0)))

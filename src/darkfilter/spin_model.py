@@ -54,7 +54,7 @@ class ChainParams:
         return type(other) is ChainParams and vars(other) == vars(self)
 
     def tower_energy(self, n):
-        """Energy of the n-bi-magnon tower state."""
+        """Energy of the n-bi-magnon tower state (n an integer or array)."""
         return (self.D - self.h) * self.L + 2.0 * n * self.h
 
 
@@ -143,13 +143,14 @@ def bimagnon_raising(L):
 
 
 class ScarTower:
-    """The L+1 exact tower states as rows over the full basis."""
+    """The L+1 exact tower states as rows over the full basis, whose
+    basis and energies E_n follow from params."""
 
-    def __init__(self, params, basis, states, energies):
+    def __init__(self, params, states):
         self.params = params
-        self.basis = basis
         self.states = states        # (L+1, 3^L), real
-        self.energies = energies    # (L+1,)
+        self.basis = BasisEncoding.full(params.L)
+        self.energies = params.tower_energy(np.arange(params.L + 1))
 
     def state(self, n):
         return StateVector(self.basis, self.states[n].astype(complex))
@@ -158,7 +159,6 @@ class ScarTower:
 def build_tower(params):
     """Construct the tower by repeated application of Q+ to Omega."""
     L = params.L
-    basis = BasisEncoding.full(L)
     qplus = bimagnon_raising(L)
     states = np.zeros((L + 1, 3**L))
     vec = np.zeros(3**L)
@@ -171,8 +171,7 @@ def build_tower(params):
             raise NumericsError(f"tower construction collapsed at n={n}")
         vec = vec / nrm
         states[n] = vec
-    energies = np.array([params.tower_energy(n) for n in range(L + 1)])
-    return ScarTower(params, basis, states, energies)
+    return ScarTower(params, states)
 
 
 class SgaReport:

@@ -490,6 +490,37 @@ def cluster_angles_loop(angles, tol):
     return [order[c] for c in clusters]
 
 
+def plateau_loop(q, slope, smooth):
+    """Longest window of smoothed |dQ/dn| below slope, one step at a time.
+
+    Q is smoothed by a centered moving average of smooth points; the
+    first of several longest runs wins.  Returns (start, end, height)
+    with end exclusive, or None.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.size < smooth + 1:
+        return None
+    smoothed = np.convolve(q, np.ones(smooth) / smooth, mode="valid")
+    flat = np.abs(np.diff(smoothed)) < slope
+    best_len, best_start = 0, -1
+    i = 0
+    while i < flat.size:
+        if flat[i]:
+            j = i
+            while j < flat.size and flat[j]:
+                j += 1
+            if j - i > best_len:
+                best_len, best_start = j - i, i
+            i = j
+        else:
+            i += 1
+    if best_start < 0:
+        return None
+    start = best_start + smooth // 2
+    end = best_start + best_len + smooth // 2
+    return start, end, float(np.mean(q[start:end + 1]))
+
+
 def long_time_state(phases, removal, psi0, n):
     """Normalized late-time state predicted from the dark subspace alone.
 

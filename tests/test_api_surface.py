@@ -63,11 +63,11 @@ def test_benchmark_layer_names_resolve(monkeypatch):
 
 
 def test_benchmark_documents_pass_the_config_check(monkeypatch):
-    from darkfilter.config import parse_config, sweep_options
+    from darkfilter.config import goe_options, parse_config, sweep_options
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     workloads = importlib.import_module("workloads")
-    parsers = {"scaling-sweep": sweep_options}
+    parsers = {"scaling-sweep": sweep_options, "goe-demo": goe_options}
     for table in (workloads.WORKLOADS, workloads.SMOKE):
         for work in table.values():
             doc, _ = work.inputs(7)

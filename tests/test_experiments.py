@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkfilter import filtration
+from darkfilter import experiments, filtration
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import (
     ExperimentSpec,
-    GoeBlock,
     Perturbations,
     build_setup,
     detect_plateau,
@@ -42,7 +41,7 @@ from darkfilter.filtration import (filtration_time, generic_setup,
                                    reduced_setup, run_filtration)
 from darkfilter.spectral import degeneracy_groups, jump_filtration_time
 from darkfilter.spin_model import ChainParams
-from helpers import mp_filtration_time, spectral_decomposition
+from helpers import mp_filtration_time, plateau_loop, spectral_decomposition
 
 
 def read_csv(path):
@@ -356,6 +355,30 @@ def test_detect_plateau_rejects_steady_slopes():
     assert detect_plateau(np.zeros(3)) is None
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(segments=st.lists(
+    st.tuples(st.integers(4, 8), st.sampled_from([0.0, 1e-6]),
+              st.integers(1, 6), st.sampled_from([4e-5, -4e-5])),
+    max_size=8))
+def test_detect_plateau_matches_the_loop(segments):
+    # flat stretches of a few lengths between slopes, so longest runs
+    # tie often: the first of them wins in both
+    steps = [[flat] * m + [slope] * k for m, flat, k, slope in segments]
+    q = 0.5 + np.cumsum(sum(steps, []))
+    want = plateau_loop(q, experiments.PLATEAU_SLOPE,
+                        experiments.PLATEAU_SMOOTH)
+    assert detect_plateau(q) == want
+
+
+def test_detect_plateau_takes_the_first_of_tied_runs():
+    flat = np.full(20, 0.5)
+    q = np.concatenate([flat, flat + 0.01, flat + 0.02])
+    found = detect_plateau(q)
+    assert found == plateau_loop(q, experiments.PLATEAU_SLOPE,
+                                 experiments.PLATEAU_SMOOTH)
+    assert found[0] == 2
+
+
 def test_perturbation_study_smoke(tmp_path):
     spec = ExperimentSpec(name="p", params=ChainParams(L=6, J2=0.02),
                           theta0=0.0, h_tau=(1, 6), n_steps=600,
@@ -399,9 +422,12 @@ def test_sample_goe_statistics():
     assert not np.array_equal(sample_goe(400, 9), mat)
 
 
-def test_goe_block_validation():
+@pytest.mark.parametrize("d_goe,seed", [(2, 23), (8, -1), (8, 2**64)])
+def test_goe_demo_validation(tmp_path, d_goe, seed):
+    # the arguments are checked before the output directory is made
     with pytest.raises(ValidationError):
-        GoeBlock(d_goe=2)
+        goe_demo(tmp_path / "o", d_goe=d_goe, seed=seed)
+    assert not (tmp_path / "o").exists()
 
 
 def test_goe_demo_rejects_short_run(tmp_path):

@@ -144,6 +144,14 @@ def test_tower_weights_beyond_float_powers_of_two():
     assert abs(np.linalg.norm(psi0.amplitudes) - 1.0) < 1e-12
 
 
+def test_nan_phases_are_not_unimodular():
+    # h = 1e308 overflows the tower energies, and exp(-i E tau) is NaN on
+    # every coordinate: a comparison that a NaN passes let it through
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericsError, match="not unimodular"):
+        reduced_setup(ChainParams(L=4, h=1e308), math.pi / 4 / 1e308, 0.3)
+
+
 def test_degeneracy_groups_at_resonance():
     # h tau = pi/3 folds the ladder mod 3
     setup, _ = reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.0)
@@ -661,8 +669,7 @@ def test_dark_states_zero_overlap_group_is_fully_dark():
     energies = np.array([0.0, 0.0, 0.0, 0.5])
     removal = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
     setup = FiltrationSetup(
-        engine="generic", tau=1.0, basis=BasisEncoding.generic(4),
-        energies=energies, phases=np.exp(-1j * energies), removal_eig=removal,
+        tau=1.0, basis=BasisEncoding.generic(4), removal_eig=removal,
         sector_eigs=[SectorEig(0, np.arange(4)[None, :], np.ones((1, 4)),
                                energies, np.eye(4))])
     dark = dark_subspace(degeneracy_groups(setup))
@@ -729,8 +736,7 @@ def _near_pair_setup():
     """Generic engine with two eigenphases 5 PHASE_TOL apart."""
     energies = np.array([0.0, 5.0 * filtration.PHASE_TOL, 1.0, 2.0])
     return FiltrationSetup(
-        engine="generic", tau=1.0, basis=BasisEncoding.generic(4),
-        energies=energies, phases=np.exp(-1j * energies),
+        tau=1.0, basis=BasisEncoding.generic(4),
         removal_eig=np.full(4, 0.5, dtype=complex),
         sector_eigs=[SectorEig(0, np.arange(4)[None, :], np.ones((1, 4)),
                                energies, np.eye(4))])

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 import darkfilter
 from darkfilter.cli import SUBCOMMANDS, main
 from darkfilter.config import (
+    goe_options,
     parse_config,
     scan_options,
     sweep_options,
     table1_options,
 )
 from darkfilter.errors import ValidationError
-from darkfilter.experiments import GoeBlock, Perturbations, document_of
+from darkfilter.experiments import Perturbations, document_of
 from darkfilter.filtration import DEPLETION_FLOOR
 from darkfilter.output import BLOCK_ROWS, emit_csv, format_cell, write_metadata
 
@@ -594,6 +595,59 @@ def test_cli_metadata_reports_depletion(tmp_path):
     assert meta["tar2"]["depleted"] is False
 
 
+@pytest.mark.parametrize("sub,doc", [
+    ("goe-demo", {"goe": {"D_goe": 8}}),
+    ("perturb", {"L": 4, "J2": 0.02}),
+    ("filter-run", {"L": 4, "target": "tar1"}),
+])
+def test_cli_refuses_n_steps_beyond_the_trajectory_budget(tmp_path, capsys,
+                                                          sub, doc):
+    # 1e30 steps once reached np.empty, whose ValueError was a traceback
+    cfg = _write(tmp_path, "c.json", dict(doc, n_steps=1e30))
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_steps = ") and "bytes" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _lines(path):
+    with open(path, "rb") as fh:
+        return fh.read().count(b"\n")
+
+
+def test_cli_perturb_defaults_to_20000_steps(tmp_path):
+    cfg = _write(tmp_path, "c.json", {"L": 4, "J2": 0.02})
+    assert main(["perturb", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    for leg in ("tar1", "tar2"):
+        assert _lines(tmp_path / "o" / f"trajectory_{leg}.csv") == 20002
+    meta = json.load(open(tmp_path / "o" / "metadata.json"))
+    assert meta["spec"]["n_steps"] == 20000
+
+
+def test_cli_goe_demo_defaults_past_the_bright_bound(tmp_path):
+    # no n_steps: the run covers n_bound + 1000 steps
+    cfg = _write(tmp_path, "c.json", {"goe": {"D_goe": 8, "seed": 5}})
+    assert main(["goe-demo", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    meta = json.load(open(tmp_path / "o" / "metadata.json"))
+    assert meta["n_bound"] == 979
+    assert _lines(tmp_path / "o" / "trajectory.csv") == 1981
+
+
+def test_cli_seed_flag_sets_the_goe_seed(tmp_path):
+    flagged = _write(tmp_path, "a.json", {"goe": {"D_goe": 16, "seed": 5}})
+    written = _write(tmp_path, "b.json", {"goe": {"D_goe": 16, "seed": 23}})
+    assert main(["goe-demo", "--config", flagged, "--out",
+                 str(tmp_path / "a"), "--seed", "23", "--quiet"]) == 0
+    assert main(["goe-demo", "--config", written, "--out",
+                 str(tmp_path / "b"), "--quiet"]) == 0
+    with open(tmp_path / "a" / "trajectory.csv", "rb") as fa, \
+            open(tmp_path / "b" / "trajectory.csv", "rb") as fb:
+        assert fa.read() == fb.read()
+
+
 @pytest.mark.parametrize("theta0", [1e-7, 1e-8, 1e-9, 1e-10])
 def test_cli_depleting_start_records_no_rounding_row(tmp_path, theta0):
     # at h tau = pi/2 the L = 3 tar2 start keeps a dark weight of about
@@ -746,7 +800,7 @@ def test_ignored_key_exits_1(tmp_path, capsys, sub, key):
 def test_read_keys_are_accepted():
     assert sorted(READS) == sorted(SUBCOMMANDS)
     parsers = {"scaling-sweep": sweep_options, "table1": table1_options,
-               "zeta-scan": scan_options}
+               "zeta-scan": scan_options, "goe-demo": goe_options}
     for sub, keys in READS.items():
         doc = {key: KEY_VALUES[key] for key in keys.split()}
         parsers.get(sub, lambda d: parse_config(d, sub))(doc)
@@ -796,7 +850,7 @@ def test_out_of_range_seed_exits_1(tmp_path, capsys, sub, doc, extra):
     assert not (tmp_path / "o").exists()
     # the ends of the range are accepted
     Perturbations(lam=0.05, seed=0)
-    GoeBlock(seed=2**64 - 1)
+    goe_options({"goe": {"seed": 2**64 - 1}})
 
 
 NO_SCIPY_SCRIPT = """

@@ -51,12 +51,12 @@ def _random_problem(dim, seed):
 
 
 def _plain_setup(phases, removal):
-    """Generic engine whose eigenbasis is the input basis."""
+    """Generic engine whose eigenbasis is the input basis; its phases are
+    the given ones up to rounding."""
     dim = phases.shape[0]
     energies = -np.angle(phases)
     return FiltrationSetup(
-        engine="generic", tau=1.0, basis=BasisEncoding.generic(dim),
-        energies=energies, phases=phases, removal_eig=removal,
+        tau=1.0, basis=BasisEncoding.generic(dim), removal_eig=removal,
         sector_eigs=[SectorEig(0, np.arange(dim)[None, :], np.ones((1, dim)),
                                energies, np.eye(dim, dtype=complex))],
     )
@@ -183,7 +183,7 @@ def test_recursive_tables_match_renewal_equation(build, length):
 def test_chunk_length_reads_the_engine(build):
     setup = build()[0]
     # engines with a spin flip pay G B^2 per chunk for the string
-    want = 64 if setup.flip_pos is not None else 256
+    want = 64 if setup.flip is not None else 256
     assert chunk_length(setup) == want
 
 
@@ -196,8 +196,7 @@ def test_kernel_matches_explicit_stepping(build):
     traj = run_filtration(setup, initial, n_steps, target=target)
     probes = np.array([setup.to_eigen(c) for c in target.components])
     # the generic engine has no spin flip, so no string
-    flip = None if setup.flip_pos is None \
-        else (setup.flip_pos, setup.flip_sign)
+    flip = setup.flip
     survival, overlaps, string, _ = explicit_stepping(
         setup.phases, setup.removal_eig, setup.to_eigen(initial), n_steps,
         probes, flip)
@@ -221,7 +220,7 @@ def test_kernel_property_random_problems(dim, seed, n_steps):
     setup = _plain_setup(phases, removal)
     traj = run_filtration(setup, psi, n_steps,
                           target=filtration.RotatingTarget.static(probe))
-    survival, overlaps, _, _ = explicit_stepping(phases, removal, psi,
+    survival, overlaps, _, _ = explicit_stepping(setup.phases, removal, psi,
                                                  n_steps, probe[None, :])
     count = traj.steps.size
     assert count == n_steps + 1 or traj.depleted
@@ -253,7 +252,7 @@ def test_rowless_strings_match_explicit_stepping(L, J2, theta0, h_tau, lam,
     traj = run_filtration(setup, initial, n_steps)
     string = explicit_stepping(setup.phases, setup.removal_eig,
                                setup.to_eigen(initial), n_steps,
-                               flip=(setup.flip_pos, setup.flip_sign))[2]
+                               flip=setup.flip)[2]
     count = traj.steps.size
     assert count == n_steps + 1 or traj.depleted
     assert np.max(np.abs(traj.string - string[:count])) <= OBSERVABLE_ATOL
