@@ -22,9 +22,7 @@ from darkfilter.errors import DarkfilterError, NumericsError, ValidationError
 from darkfilter.spin_model import (
     ChainParams,
     ManyBodyOperator,
-    ScarTower,
     SgaReport,
-    StateVector,
     bimagnon_raising,
     build_hamiltonian,
     build_tower,
@@ -65,9 +63,7 @@ __all__ = [
     "ManyBodyOperator",
     "NumericsError",
     "RotatingTarget",
-    "ScarTower",
     "SgaReport",
-    "StateVector",
     "Trajectory",
     "ValidationError",
     "bimagnon_raising",

@@ -30,8 +30,7 @@ from .experiments import (ExperimentSpec, Perturbations, build_setup,
                           dark_labels, document_of, goe_demo,
                           perturbation_study, run_target, sweep_n_epsilon,
                           table1_scan, zeta_vs_L_scan)
-from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
-                     write_metadata)
+from .output import SCHEMAS, emit_csv, spectrum_columns, write_metadata
 from .spectral import dark_subspace, degeneracy_groups, mode_spectrum
 from .spin_model import sga_residual
 
@@ -108,7 +107,6 @@ def _say(cli, text):
 def _cmd_tower_check(cli, doc):
     spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
     report = sga_residual(spec.params)
-    ensure_dir(cli.out)
     write_metadata(os.path.join(cli.out, "metadata.json"), {
         "experiment": "tower_check",
         "spec": document_of(spec),
@@ -136,7 +134,6 @@ def _cmd_dark_states(cli, doc):
     # the census lists the dark states of every block, reached or not
     setup, initial = build_setup(spec, all_blocks=True)
     dark = dark_subspace(degeneracy_groups(setup))
-    ensure_dir(cli.out)
     path = emit_csv(os.path.join(cli.out, "spectrum.csv"),
                     SCHEMAS["spectrum"],
                     spectrum_columns(dark.phases, ["dark"] * dark.count))
@@ -161,7 +158,6 @@ def _cmd_bright_spectrum(cli, doc):
         )
     setup, _ = build_setup(spec)
     dark, groups, roots = mode_spectrum(setup)
-    ensure_dir(cli.out)
     spath = emit_csv(os.path.join(cli.out, "spectrum.csv"),
                      SCHEMAS["spectrum"],
                      spectrum_columns(np.concatenate([dark, roots]),

@@ -167,7 +167,9 @@ def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
 
     engine = doc.get("engine")
     if engine is None:
-        engine = "full" if (params.J2 != 0.0 or pert.lam != 0.0) else "tower"
+        # perturb reads no engine key: it always runs the full engine
+        engine = "full" if (params.J2 != 0.0 or pert.lam != 0.0
+                            or subcommand == "perturb") else "tower"
     if engine not in ("tower", "full"):
         raise ValidationError(f"unknown engine {engine!r}")
 

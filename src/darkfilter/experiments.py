@@ -29,12 +29,11 @@ from .basis import FULL_SPACE_CAP, string_parity_sign
 from .errors import NumericsError, ValidationError
 from .filtration import (BACKEND, RotatingTarget, full_setup, generic_setup,
                          reduced_setup, run_filtration, filtration_time)
-from .output import (SCHEMAS, emit_csv, ensure_dir, spectrum_columns,
-                     write_metadata)
+from .output import SCHEMAS, emit_csv, spectrum_columns, write_metadata
 from .spectral import (dark_projection, dark_subspace, degeneracy_groups,
                        jump_filtration_time, mode_spectrum,
                        scaling_predictions)
-from .spin_model import ChainParams, StateVector, build_tower, protocol_states
+from .spin_model import ChainParams, build_tower, protocol_states
 
 RNG_FAMILY = "philox"
 # tolerance to which run_target checks the string-oscillation law of a
@@ -218,9 +217,8 @@ def noise_vector(dim, seed):
 
 def _mixed_removal(params, theta0, pert):
     psi_r, _ = protocol_states(params, theta0)
-    nu = noise_vector(psi_r.amplitudes.shape[0], pert.seed)
-    vec = psi_r.amplitudes + pert.lam * nu
-    return StateVector(psi_r.basis, vec / np.linalg.norm(vec))
+    vec = psi_r + pert.lam * noise_vector(psi_r.size, pert.seed)
+    return vec / np.linalg.norm(vec)
 
 
 def build_setup(spec: ExperimentSpec, *, all_blocks=False):
@@ -290,7 +288,7 @@ def _embed_components(setup, components):
     if setup.engine == "tower":
         return components
     tower = build_tower(ChainParams(L=setup.params.L))
-    return [tower.states.T @ np.asarray(c) for c in components]
+    return [tower.T @ np.asarray(c) for c in components]
 
 
 def make_target(setup, which):
@@ -399,7 +397,6 @@ def run_target(spec: ExperimentSpec, out_dir) -> RunArtifacts:
             f"{spec.target} requires h*tau = pi*{want[0]}/{want[1]}, "
             f"got pi*{p}/{q}"
         )
-    ensure_dir(out_dir)
     setup, initial = build_setup(spec)
     target = make_target(setup, spec.target)
     _check_target_reachable(setup, initial, target)
@@ -470,7 +467,6 @@ def sweep_n_epsilon(L_values, theta0_rule, eps, variant,
             f"chain length {max(L_values)} above {SWEEP_L_MAX}, the largest "
             "at which the jump-ahead filtration time is certified"
         )
-    ensure_dir(out_dir)
     rule = THETA0_RULES[theta0_rule]
     rows = []
     results = []
@@ -547,7 +543,6 @@ def table1_scan(out_dir, theta0=TABLE1_THETA0) -> RunArtifacts:
     dark manifold.  A count mismatch is a numerical-invariant failure.
     """
     t0 = time.time()
-    ensure_dir(out_dir)
     L = TABLE1_L
     params = ChainParams(L=L)
     rows = []
@@ -622,24 +617,25 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
     exact eigenstates of the perturbed chain (their residuals read in
     that eigenbasis), that the static GHZ target stays inside the dark
     manifold, and records the plateau of the unstable rotating target.
+    The spec's engine must be "full".
     """
     t0 = time.time()
     params = spec.params
     L = params.L
+    if spec.engine != "full":
+        raise ValidationError(
+            f"perturbation study runs the full engine, not {spec.engine!r}")
     if L > FULL_SPACE_CAP:
         raise ValidationError(f"full engine capped at L = {FULL_SPACE_CAP}")
-    ensure_dir(out_dir)
     # H and the removal state depend on neither tau nor theta0: one
     # eigenbasis serves every leg, retuned to its own phases
-    engine, _ = build_setup(ExperimentSpec(
-        spec.name, params, spec.theta0, spec.h_tau, spec.n_steps, spec.eps,
-        "full", spec.target, spec.perturbations))
+    engine, _ = build_setup(spec)
     tower = build_tower(ChainParams(L=L))
     # |(H - E_n) B_n| in the eigenbasis of H, where H is diagonal
     edge_residuals = {
         f"B{n}": float(np.linalg.norm(
             (engine.energies - params.tower_energy(n))
-            * engine.to_eigen(tower.state(n))))
+            * engine.to_eigen(tower[n])))
         for n in (0, L)
     }
     files = {}
@@ -711,18 +707,14 @@ def goe_demo(out_dir, d_goe=GOE_DIM, seed=GOE_SEED,
     the survival weight converges to the initial weight on the single
     dark state formed by the two edge eigenlevels (tau glues their
     phases).  The run covers the bound n where the slowest bright mode
-    has decayed below GOE_BRIGHT_BOUND.  d_goe and seed are checked
-    before out_dir is created.
+    has decayed below GOE_BRIGHT_BOUND.  Every check precedes the first
+    write, which makes out_dir.
     """
     t0 = time.time()
     _check_goe(d_goe, seed)
-    ensure_dir(out_dir)
     mat = sample_goe(d_goe, seed)
     dim = d_goe
-    removal = np.zeros(dim, dtype=complex)
-    removal[1] = 1.0
-    initial = np.zeros(dim, dtype=complex)
-    initial[0] = 1.0
+    removal, initial = np.eye(dim, dtype=complex)[[1, 0]]
     setup = generic_setup(mat, removal)          # tau = 2 pi / spectral span
     # dark vector spanned by the two glued edge levels, orthogonal to removal
     r = setup.removal_eig
@@ -808,7 +800,6 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
         raise ValidationError(
             f"L_values must be strictly increasing, got {L_values}"
         )
-    ensure_dir(out_dir)
     p, q = ZETA_H_TAU
     moduli = []
     files = {}

@@ -13,8 +13,9 @@ with no Python loop over its steps.  On an engine with a spin flip the
 string operator is recorded on every step; it comes from the same chunk
 scalars, summed over the flip groups of coordinates, so a state is
 formed only at a chunk's end.  Every engine holds its eigenbasis as
-symmetry blocks (SectorEig), so states enter and leave it by one path.
-Three engines exist:
+symmetry blocks (SectorEig), so states enter and leave it by one path;
+a state is a plain complex array, and the removal state too enters in
+the input basis (FiltrationSetup.removal).  Three engines exist:
 
 * ``tower``   -- the (L+1)-dimensional bi-magnon ladder, H diagonal by
   construction, one block with identity eigenvectors; valid only for
@@ -51,7 +52,6 @@ from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.spin_model import (
     ChainParams,
     ManyBodyOperator,
-    StateVector,
     build_hamiltonian,
     protocol_states,
 )
@@ -97,18 +97,19 @@ class SectorEig:
 class FiltrationSetup:
     """Everything needed to iterate the protocol in the H eigenbasis.
 
-    basis is the basis of run_filtration's inputs and outputs.
-    removal_eig is the removal state in the eigenbasis, unit norm: an
-    input-basis StateVector is projected with to_eigen on construction.
-    sector_eigs are the blocks of H in engine order, which the
-    coordinates follow.  The spin flip prod X maps coordinate i to
-    pos[i] with sign sign[i], flip = (pos, sign); flip is None when no
-    flip is defined.  The rest is derived: energies (dim,) are the
-    blocks' eigenvalues of H in that order, phases exp(-i E tau), and
-    engine ("tower", "full" or "generic") is the basis kind.
+    basis is the basis of run_filtration's inputs and outputs; every
+    state is a complex array over it.  removal is the removal state in
+    that basis, unit norm.  sector_eigs are the blocks of H in engine
+    order, which the coordinates follow.  The spin flip prod X maps
+    coordinate i to pos[i] with sign sign[i], flip = (pos, sign); flip
+    is None when no flip is defined.  The rest is derived: energies
+    (dim,) are the blocks' eigenvalues of H in that order, phases
+    exp(-i E tau), removal_eig the removal in the eigenbasis
+    (to_eigen), and engine ("tower", "full" or "generic") the basis
+    kind.
     """
 
-    def __init__(self, tau, basis, removal_eig, sector_eigs, params=None,
+    def __init__(self, tau, basis, removal, sector_eigs, params=None,
                  theta0=None, flip=None):
         self.tau = tau
         self.basis = basis
@@ -119,9 +120,8 @@ class FiltrationSetup:
         self.engine = basis.kind
         self.energies = np.concatenate([b.energies for b in sector_eigs])
         self.phases = np.exp(-1j * self.energies * tau)
-        if isinstance(removal_eig, StateVector):
-            removal_eig = self.to_eigen(removal_eig)
-        self.removal_eig = np.ascontiguousarray(removal_eig, dtype=complex)
+        self.removal = removal
+        self.removal_eig = self.to_eigen(removal)
         if abs(np.linalg.norm(self.removal_eig) - 1.0) > 1e-12:
             raise ValidationError("removal vector must have unit norm")
         # written so that a NaN phase fails
@@ -141,14 +141,13 @@ class FiltrationSetup:
         the protocol state at every angle; to_eigen refuses a state that
         leaves them.
         """
-        return FiltrationSetup(tau, self.basis, self.removal_eig,
+        return FiltrationSetup(tau, self.basis, self.removal,
                                self.sector_eigs, self.params, theta0,
                                self.flip)
 
     def to_eigen(self, state):
-        """Input-basis state (StateVector or array) -> eigenbasis coords."""
-        vec = state.amplitudes if isinstance(state, StateVector) else state
-        vec = np.asarray(vec, dtype=complex)
+        """Input-basis state -> eigenbasis coords."""
+        vec = np.asarray(state, dtype=complex)
         if vec.shape != (self.basis.dimension,):
             raise ValidationError("state dimension does not match setup basis")
         out = np.empty(self.dimension, dtype=complex)
@@ -210,7 +209,8 @@ def reduced_setup(params, tau, theta0):
     the protocol product states, with binomial weights sqrt(C(L,n)/2^L).
     The spin flip maps B_n to string_parity_sign(L) B_(L-n).  The tower
     basis is the eigenbasis, one block whose eigenvectors are the
-    identity.  Returns (setup, initial state in the tower basis).
+    identity, so the removal's coordinates pass to_eigen unchanged.
+    Returns (setup, initial state in the tower basis).
     """
     if not isinstance(params, ChainParams):
         raise ValidationError("reduced_setup expects ChainParams")
@@ -227,14 +227,14 @@ def reduced_setup(params, tau, theta0):
     setup = FiltrationSetup(
         tau=tau,
         basis=BasisEncoding.tower(L),
-        removal_eig=(-1.0) ** n * weights,
+        removal=(-1.0) ** n * weights,
         sector_eigs=[SectorEig(0, n[None, :], np.ones((1, L + 1)),
                                params.tower_energy(n), np.eye(L + 1))],
         params=params,
         theta0=theta0,
         flip=(n[::-1], np.full(L + 1, string_parity_sign(L))),
     )
-    return setup, StateVector(setup.basis, initial)
+    return setup, initial
 
 
 # Largest entry of H coupling two Sz sectors, of P H P - H + 2 h Sz, or
@@ -385,13 +385,12 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
     check_symmetries(ham, params.h, mags, mirror)
     psi_r, psi_0 = protocol_states(params, theta0)
     if removal is not None:
-        vec = removal.amplitudes if isinstance(removal, StateVector) else removal
-        psi_r = StateVector(ham.basis, np.asarray(vec, dtype=complex))
-        nrm = psi_r.norm()
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValidationError("custom removal vector must have unit norm")
+        psi_r = np.asarray(removal, dtype=complex)
+        if psi_r.shape != (3**L,):
+            raise ValidationError(f"custom removal has shape {psi_r.shape}, "
+                                  f"not ({3**L},)")
     sectors = set(M for M in range(L + 1) if (M - L) % 2 == 0)
-    occupied = np.abs(psi_r.amplitudes) > 0.0
+    occupied = np.abs(psi_r) > 0.0
     sectors.update(np.abs(mags[occupied]).tolist())
     members = {M: np.flatnonzero(mags == M) for M in sorted(sectors)}
     row_m = mags[ham.row]
@@ -415,7 +414,7 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
             # the same orbit coordinates and eigenvectors
             images = [imgs, top - imgs][:1 + (M > 0)]
             if not all_blocks and max(
-                    _orbit_weight(state.amplitudes, img, coefs)
+                    _orbit_weight(state, img, coefs)
                     for state in (psi_r, psi_0)
                     for img in images) < DEPLETION_FLOOR:
                 continue
@@ -442,7 +441,7 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
     setup = FiltrationSetup(
         tau=tau,
         basis=ham.basis,
-        removal_eig=psi_r,
+        removal=psi_r,
         sector_eigs=blocks,
         params=params,
         theta0=theta0,
@@ -467,14 +466,9 @@ def generic_setup(matrix, removal, tau=None):
     w, v = np.linalg.eigh(matrix)
     if tau is None:
         tau = resonance_period(w[0], w[-1])
-    removal = np.asarray(removal, dtype=complex)
-    if removal.shape != (dim,):
-        raise ValidationError("removal dimension mismatch")
-    basis = BasisEncoding.generic(dim)
     blk = SectorEig(0, np.arange(dim)[None, :], np.ones((1, dim)), w, v)
-    return FiltrationSetup(tau=tau, basis=basis,
-                           removal_eig=StateVector(basis, removal),
-                           sector_eigs=[blk])
+    return FiltrationSetup(tau=tau, basis=BasisEncoding.generic(dim),
+                           removal=removal, sector_eigs=[blk])
 
 
 def _cluster_angles(angles, tol):

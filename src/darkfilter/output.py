@@ -17,6 +17,8 @@ in one batch per block.  Both numeric paths read the digits of 4-digit
 words from one table.
 Metadata goes into a JSON sidecar next to the data files; the sidecar
 holds the non-reproducible bits (wall time) so the CSVs stay comparable.
+Both writers make the file's directory just before they open it, so a
+run refused before its first write leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -298,7 +300,7 @@ def emit_csv(path, header, columns):
     out = np.frombuffer(buf, dtype=np.uint8).reshape(shape)
     out[:, ends - 1] = ord(",")
     out[:, ends[-1:] - 1] = ord("\n")      # a table with no column has none
-    with open(path, "wb") as fh:
+    with _create(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for lo in range(0, rows, BLOCK_ROWS):
             m = min(BLOCK_ROWS, rows - lo)
@@ -321,7 +323,7 @@ def spectrum_columns(values, kinds):
 
 def write_metadata(path, payload: dict):
     """JSON sidecar; keys sorted so structural diffs stay readable."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(_plain(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -344,6 +346,11 @@ def _plain(obj):
     return obj
 
 
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+def _create(path, mode, **kwargs):
+    """open(path, mode) after making its directory; an OSError of either
+    is a ValidationError naming the path."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None

@@ -21,7 +21,8 @@ n-th member is
 where |S> has sites in S flipped to |+> and the rest in |->, and its
 energy is E_n = (D - h) L + 2 n h.
 
-All matrices are real in the digit basis.
+All matrices are real in the digit basis.  A state is a plain array of
+its amplitudes: over the 3^L digit basis, or over the L+1 tower states.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ class ChainParams:
         for name, v in (("J", J), ("h", h), ("D", D), ("J2", J2), ("J3", J3)):
             if not math.isfinite(v):
                 raise ValidationError(f"coupling {name} must be finite, got {v!r}")
+        # L (|D| + 3 |h|) bounds the diagonal h sum m + D sum m^2 of H and
+        # every tower energy (D - h) L + 2 n h
+        if not math.isfinite(L * (abs(D) + 3.0 * abs(h))):
+            name, v = ("h", h) if 3.0 * abs(h) >= abs(D) else ("D", D)
+            raise ValidationError(
+                f"coupling {name} = {v!r} overflows the chain's energies "
+                f"at L = {L}")
         self.L = L
         self.J = J
         self.h = h
@@ -56,21 +64,6 @@ class ChainParams:
     def tower_energy(self, n):
         """Energy of the n-bi-magnon tower state (n an integer or array)."""
         return (self.D - self.h) * self.L + 2.0 * n * self.h
-
-
-class StateVector:
-    def __init__(self, basis, amplitudes):
-        amplitudes = np.asarray(amplitudes)
-        if amplitudes.shape != (basis.dimension,):
-            raise ValidationError(
-                f"amplitude shape {amplitudes.shape} does not match "
-                f"basis dimension {basis.dimension}"
-            )
-        self.basis = basis
-        self.amplitudes = amplitudes
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
 
 
 class ManyBodyOperator:
@@ -142,22 +135,9 @@ def bimagnon_raising(L):
                             np.concatenate(data))
 
 
-class ScarTower:
-    """The L+1 exact tower states as rows over the full basis, whose
-    basis and energies E_n follow from params."""
-
-    def __init__(self, params, states):
-        self.params = params
-        self.states = states        # (L+1, 3^L), real
-        self.basis = BasisEncoding.full(params.L)
-        self.energies = params.tower_energy(np.arange(params.L + 1))
-
-    def state(self, n):
-        return StateVector(self.basis, self.states[n].astype(complex))
-
-
 def build_tower(params):
-    """Construct the tower by repeated application of Q+ to Omega."""
+    """The (L+1, 3^L) real array whose row n is B_n, built by repeated
+    application of Q+ to Omega."""
     L = params.L
     qplus = bimagnon_raising(L)
     states = np.zeros((L + 1, 3**L))
@@ -171,7 +151,7 @@ def build_tower(params):
             raise NumericsError(f"tower construction collapsed at n={n}")
         vec = vec / nrm
         states[n] = vec
-    return ScarTower(params, states)
+    return states
 
 
 class SgaReport:
@@ -204,9 +184,9 @@ def sga_residual(params):
     twoh = 2.0 * params.h
     r_eig = 0.0
     r_alg = 0.0
-    for n in range(tower.states.shape[0]):
-        b = tower.states[n]
-        r_eig = max(r_eig, float(np.linalg.norm(H @ b - tower.energies[n] * b)))
+    for n, b in enumerate(tower):
+        r_eig = max(r_eig, float(np.linalg.norm(
+            H @ b - params.tower_energy(n) * b)))
         comm = H @ (qplus @ b) - qplus @ (H @ b)
         r_alg = max(r_alg, float(np.linalg.norm(comm - twoh * (qplus @ b))))
     return SgaReport(r_eig, r_alg)
@@ -220,11 +200,11 @@ def protocol_states(params, theta0):
         psi0 = prod_j (|+>_j + exp(i (pi j + theta0)) |->_j) / sqrt(2),
 
     and the removal state is the same product at theta0 = pi.  Both are
-    equal-weight superpositions over the whole tower; returned in that
-    order (removal, initial).
+    equal-weight superpositions over the whole tower; returned as
+    complex arrays over the full basis in that order (removal, initial).
     """
     L = params.L
-    basis = BasisEncoding.full(L)
+    BasisEncoding.full(L)       # refuses L above FULL_SPACE_CAP
 
     def product(theta):
         vec = np.ones(1, dtype=complex)
@@ -232,6 +212,6 @@ def protocol_states(params, theta0):
             site = np.array([1.0, 0.0, np.exp(1j * (np.pi * j + theta))],
                             dtype=complex) / np.sqrt(2.0)
             vec = np.kron(site, vec)
-        return StateVector(basis, vec)
+        return vec
 
     return product(np.pi), product(theta0)

@@ -99,7 +99,7 @@ def test_criterion_02_dark_state_census():
         # embed the tower-basis dark vectors into the full 3^L space and
         # check them against the dense propagator, the removal state,
         # and each other
-        embedded = tower.states.T @ dark.vectors
+        embedded = tower.T @ dark.vectors
         unitary = sla.expm(-1j * tau * ham)
         for k in range(dark.count):
             phi = embedded[:, k]

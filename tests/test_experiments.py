@@ -401,6 +401,14 @@ def test_perturbation_study_caps_length(tmp_path):
         perturbation_study(spec, tmp_path)
 
 
+def test_perturbation_study_refuses_the_tower_engine(tmp_path):
+    spec = ExperimentSpec(name="p", params=ChainParams(L=4), theta0=0.0,
+                          h_tau=(1, 4), n_steps=10, engine="tower")
+    with pytest.raises(ValidationError, match="full engine"):
+        perturbation_study(spec, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+
+
 def test_noisy_removal_runs(tmp_path):
     pert = Perturbations(lam=0.05, seed=12)
     spec = ExperimentSpec(name="n", params=ChainParams(L=5),

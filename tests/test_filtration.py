@@ -18,6 +18,8 @@ from darkfilter.cli import main
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import (
     ExperimentSpec,
+    Perturbations,
+    build_setup,
     make_target,
     perturbation_study,
     tar2_optimal_angle,
@@ -122,7 +124,7 @@ def test_tower_and_full_engines_agree():
     assert np.max(np.abs(traj_r.string - traj_f.string)) < 1e-12
     # the states coincide up to the engines' global phase convention
     tower = build_tower(params)
-    embedded = tower.states.T @ states_r[100]
+    embedded = tower.T @ states_r[100]
     embedded /= np.linalg.norm(embedded)
     other = states_f[100] / np.linalg.norm(states_f[100])
     phase = np.vdot(embedded, other)
@@ -141,15 +143,41 @@ def test_tower_weights_beyond_float_powers_of_two():
     # 2.0**L overflows from L = 1024; the weights C(L, n) / 2^L do not
     setup, psi0 = reduced_setup(ChainParams(L=1100), math.pi / 1100, 0.3)
     assert abs(np.linalg.norm(setup.removal_eig) - 1.0) < 1e-12
-    assert abs(np.linalg.norm(psi0.amplitudes) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi0) - 1.0) < 1e-12
+
+
+def test_tower_removal_is_the_binomial_law_bit_for_bit():
+    # the tower's eigenvectors are the identity: to_eigen moves no bit
+    for L in range(3, 201):
+        setup, _ = reduced_setup(ChainParams(L=L), math.pi / L, 0.3)
+        law = (-1.0) ** np.arange(L + 1) * np.sqrt(
+            [math.comb(L, n) / 2**L for n in range(L + 1)])
+        assert np.array_equal(setup.removal_eig, law)
+
+
+def test_retuned_keeps_the_removal_bits():
+    spec = ExperimentSpec(name="r", params=ChainParams(L=5, J2=0.02),
+                          theta0=0.3, h_tau=(1, 5), n_steps=0, engine="full",
+                          perturbations=Perturbations(lam=0.01, seed=3))
+    setup, _ = build_setup(spec)
+    again = setup.retuned(math.pi / 4.0, 1.1)
+    assert again.removal is setup.removal
+    assert np.array_equal(again.removal_eig, setup.removal_eig)
+
+
+def test_full_setup_refuses_a_removal_of_the_wrong_length():
+    with pytest.raises(ValidationError, match="shape"):
+        full_setup(ChainParams(L=3), math.pi / 3.0, 0.0,
+                   removal=np.full(26, 26 ** -0.5))
 
 
 def test_nan_phases_are_not_unimodular():
-    # h = 1e308 overflows the tower energies, and exp(-i E tau) is NaN on
-    # every coordinate: a comparison that a NaN passes let it through
-    with np.errstate(over="ignore", invalid="ignore"), \
+    # at tau = inf, exp(-i E tau) is NaN on every coordinate: a comparison
+    # that a NaN passes let it through
+    with np.errstate(invalid="ignore"), \
             pytest.raises(NumericsError, match="not unimodular"):
-        reduced_setup(ChainParams(L=4, h=1e308), math.pi / 4 / 1e308, 0.3)
+        generic_setup(np.diag([0.0, 1.0, 2.0, 3.0]),
+                      np.full(4, 0.5), tau=math.inf)
 
 
 def test_degeneracy_groups_at_resonance():
@@ -253,7 +281,7 @@ def test_full_engine_matches_dense_stepping(case):
     n = 150
     traj, states = _states(setup, psi0, n)
     survival, string, last = dense_stepping(
-        ham, math.pi / L, removal, psi0.amplitudes, n,
+        ham, math.pi / L, removal, psi0, n,
         flip_permutation_dense(L))
     assert np.max(np.abs(traj.survival - survival)) <= 1e-10
     assert np.max(np.abs(traj.string - string)) <= 1e-10
@@ -496,7 +524,7 @@ def test_protocol_states_are_reflection_even(L):
     """Removal, initial and tower states are even under R' (R on odd L)."""
     mirror, twist = twisted_reflection_dense(L)
     states = [product_state(L, math.pi), product_state(L, 0.3),
-              *build_tower(ChainParams(L=L)).states]
+              *build_tower(ChainParams(L=L))]
     for vec in states:
         assert np.max(np.abs(twist * vec[mirror] - vec)) <= 1e-15
     if L % 2 == 0:
@@ -669,7 +697,7 @@ def test_dark_states_zero_overlap_group_is_fully_dark():
     energies = np.array([0.0, 0.0, 0.0, 0.5])
     removal = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
     setup = FiltrationSetup(
-        tau=1.0, basis=BasisEncoding.generic(4), removal_eig=removal,
+        tau=1.0, basis=BasisEncoding.generic(4), removal=removal,
         sector_eigs=[SectorEig(0, np.arange(4)[None, :], np.ones((1, 4)),
                                energies, np.eye(4))])
     dark = dark_subspace(degeneracy_groups(setup))
@@ -737,7 +765,7 @@ def _near_pair_setup():
     energies = np.array([0.0, 5.0 * filtration.PHASE_TOL, 1.0, 2.0])
     return FiltrationSetup(
         tau=1.0, basis=BasisEncoding.generic(4),
-        removal_eig=np.full(4, 0.5, dtype=complex),
+        removal=np.full(4, 0.5, dtype=complex),
         sector_eigs=[SectorEig(0, np.arange(4)[None, :], np.ones((1, 4)),
                                energies, np.eye(4))])
 
@@ -826,7 +854,7 @@ def test_exact_depletion_with_a_target_records_no_fidelity():
 def test_run_filtration_validates_input():
     setup, psi0 = reduced_setup(ChainParams(L=4), 1.0, 0.0)
     with pytest.raises(ValidationError):
-        run_filtration(setup, psi0.amplitudes * 2.0, 5)
+        run_filtration(setup, psi0 * 2.0, 5)
     with pytest.raises(ValidationError):
         run_filtration(setup, psi0, -1)
     with pytest.raises(ValidationError):
@@ -836,7 +864,7 @@ def test_run_filtration_validates_input():
 def _dark_target(setup, psi0):
     """The late-time prediction as a target rotating with the dark phases."""
     vectors, values = dark_complement(setup.phases, setup.removal_eig)
-    ov = vectors.conj().T @ psi0.amplitudes
+    ov = vectors.conj().T @ psi0
     keep = np.abs(ov) > 1e-14
     return RotatingTarget(list(vectors[:, keep].T),
                           ov[keep] / np.linalg.norm(ov[keep]),
@@ -849,7 +877,7 @@ def test_long_time_state_matches_late_checkpoint():
     n = 2000
     _, states = _states(setup, psi0, n)
     predicted = long_time_state(setup.phases, setup.removal_eig,
-                                psi0.amplitudes, n)
+                                psi0, n)
     assert np.max(np.abs(predicted
                          - states[n] / np.linalg.norm(states[n]))) < 1e-8
 
@@ -859,7 +887,7 @@ def test_rotating_target_tracks_dark_rotation():
     target = _dark_target(setup, psi0)
     for n in (0, 1, 7, 100):
         expected = long_time_state(setup.phases, setup.removal_eig,
-                                   psi0.amplitudes, n)
+                                   psi0, n)
         got = target.at(n)
         phase = np.vdot(got, expected)
         assert abs(abs(phase) - 1.0) < 1e-12
@@ -893,7 +921,7 @@ def test_survival_limit_is_dark_weight():
     """The non-detection probability converges to the initial dark weight."""
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.8)
     dark = dark_subspace(degeneracy_groups(setup))
-    weight = float(np.sum(np.abs(dark.overlaps(psi0.amplitudes)) ** 2))
+    weight = float(np.sum(np.abs(dark.overlaps(psi0)) ** 2))
     traj = run_filtration(setup, psi0, 1500)
     assert abs(traj.survival[-1] - weight) < 1e-10
 

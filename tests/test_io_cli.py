@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -609,6 +610,50 @@ def test_cli_refuses_n_steps_beyond_the_trajectory_budget(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: n_steps = ") and "bytes" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_goe_demo_short_run_leaves_no_output(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {"goe": {"D_goe": 16}, "n_steps": 10})
+    assert main(["goe-demo", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 1
+    assert "bright-decay bound" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_out_naming_a_file_exits_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["table1", "--out", str(taken), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and str(taken) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("key", ["h", "D"])
+def test_cli_refuses_overflowing_couplings(tmp_path, capsys, key):
+    # L (|D| + 3 |h|) overflows: once three numpy RuntimeWarnings and
+    # exit 2; the warnings filter turns any warning into a failure here
+    cfg = _write(tmp_path, "c.json", {"L": 4, "target": "tar1",
+                                      key: 1e308, "n_steps": 10})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["filter-run", "--config", cfg,
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: coupling {key} = 1e+308 ")
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_perturb_records_the_full_engine(tmp_path):
+    # perturb runs the full engine at J2 = 0 too, and says so
+    cfg = _write(tmp_path, "c.json", {"L": 4, "n_steps": 20})
+    assert main(["perturb", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    meta = json.load(open(tmp_path / "o" / "metadata.json"))
+    assert meta["spec"]["engine"] == "full"
 
 
 def _lines(path):

@@ -56,7 +56,7 @@ def _plain_setup(phases, removal):
     dim = phases.shape[0]
     energies = -np.angle(phases)
     return FiltrationSetup(
-        tau=1.0, basis=BasisEncoding.generic(dim), removal_eig=removal,
+        tau=1.0, basis=BasisEncoding.generic(dim), removal=removal,
         sector_eigs=[SectorEig(0, np.arange(dim)[None, :], np.ones((1, dim)),
                                energies, np.eye(dim, dtype=complex))],
     )

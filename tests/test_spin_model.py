@@ -58,12 +58,12 @@ def test_tower_matches_subset_enumeration(L):
     tower = build_tower(ChainParams(L=L))
     for n in range(L + 1):
         oracle = subset_tower_state(L, n)
-        assert np.max(np.abs(tower.states[n] - oracle)) < 1e-12
+        assert np.max(np.abs(tower[n] - oracle)) < 1e-12
 
 
 def test_tower_orthonormal():
     tower = build_tower(ChainParams(L=6))
-    gram = tower.states @ tower.states.T
+    gram = tower @ tower.T
     assert np.max(np.abs(gram - np.eye(7))) < 1e-12
 
 
@@ -73,11 +73,11 @@ def test_tower_states_are_eigenstates(kw):
     ham = build_hamiltonian(params)
     tower = build_tower(params)
     for n in range(6):
-        vec = tower.states[n]
+        vec = tower[n]
         resid = ham @ vec - params.tower_energy(n) * vec
         assert np.linalg.norm(resid) < 1e-12
     # equal spacing 2h between neighbors
-    spacing = np.diff(tower.energies)
+    spacing = np.diff(params.tower_energy(np.arange(6)))
     assert np.max(np.abs(spacing - 2.0 * params.h)) < 1e-12
 
 
@@ -87,10 +87,10 @@ def test_range_two_coupling_breaks_the_tower_interior():
     tower = build_tower(params)
     # edge states survive, the interior does not
     for n in (0, 5):
-        vec = tower.states[n]
+        vec = tower[n]
         assert np.linalg.norm(ham @ vec
                               - params.tower_energy(n) * vec) < 1e-12
-    vec = tower.states[2]
+    vec = tower[2]
     assert np.linalg.norm(ham @ vec
                           - params.tower_energy(2) * vec) > 1e-3
 
@@ -100,11 +100,11 @@ def test_bimagnon_raising_walks_the_ladder():
     tower = build_tower(ChainParams(L=L))
     qplus = bimagnon_raising(L)
     for n in range(L):
-        raised = qplus @ tower.states[n]
-        coeff = tower.states[n + 1] @ raised
+        raised = qplus @ tower[n]
+        coeff = tower[n + 1] @ raised
         assert coeff > 0                      # construction fixes the sign
-        assert np.linalg.norm(raised - coeff * tower.states[n + 1]) < 1e-12
-    assert np.linalg.norm(qplus @ tower.states[L]) < 1e-12
+        assert np.linalg.norm(raised - coeff * tower[n + 1]) < 1e-12
+    assert np.linalg.norm(qplus @ tower[L]) < 1e-12
 
 
 @pytest.mark.parametrize("L", [4, 5, 6, 7, 8])
@@ -122,8 +122,22 @@ def test_sga_residual_detects_breaking():
 def test_protocol_states_match_product_oracle(theta0):
     L = 4
     psi_r, psi_0 = protocol_states(ChainParams(L=L), theta0)
-    assert np.max(np.abs(psi_0.amplitudes - product_state(L, theta0))) < 1e-12
-    assert np.max(np.abs(psi_r.amplitudes - product_state(L, math.pi))) < 1e-12
+    assert np.max(np.abs(psi_0 - product_state(L, theta0))) < 1e-12
+    assert np.max(np.abs(psi_r - product_state(L, math.pi))) < 1e-12
+
+
+def test_protocol_states_refuse_lengths_above_the_full_space_cap():
+    with pytest.raises(ValidationError, match="cap"):
+        protocol_states(ChainParams(L=11), 0.0)
+
+
+@pytest.mark.parametrize("L,key,value", [(4, "h", 1e308), (4, "D", -1e308),
+                                         (100, "h", 1e307)])
+def test_chain_params_refuse_overflowing_energies(L, key, value):
+    with pytest.raises(ValidationError, match=f"coupling {key} "):
+        ChainParams(L=L, **{key: value})
+    # just inside the bound L (|D| + 3 |h|) < inf
+    ChainParams(L=L, **{key: value / (3.0 * L)})
 
 
 @pytest.mark.parametrize("L", [3, 4, 5, 6])
@@ -132,8 +146,8 @@ def test_protocol_states_tower_decomposition(L):
     theta0 = 0.4
     tower = build_tower(ChainParams(L=L))
     psi_r, psi_0 = protocol_states(ChainParams(L=L), theta0)
-    c_r = tower.states @ psi_r.amplitudes
-    c_0 = tower.states @ psi_0.amplitudes
+    c_r = tower @ psi_r
+    c_0 = tower @ psi_0
     n = np.arange(L + 1)
     weights = np.sqrt([math.comb(L, int(m)) / 2.0**L for m in n])
     # closed forms up to one global phase
@@ -153,8 +167,8 @@ def test_string_operator_reflects_the_tower(L):
     tower = build_tower(ChainParams(L=L))
     sign = string_parity_sign(L)
     for n in range(L + 1):
-        image = tower.states[n][flip]
-        assert np.max(np.abs(image - sign * tower.states[L - n])) < 1e-12
+        image = tower[n][flip]
+        assert np.max(np.abs(image - sign * tower[L - n])) < 1e-12
 
 
 def test_chain_params_validation():
@@ -189,6 +203,6 @@ def test_triplets_match_sparse_kron_oracle(L, J, J2, J3, h, D):
     vec[-1] = 1.0
     tower = build_tower(params)
     for n in range(L + 1):
-        assert np.max(np.abs(tower.states[n] - vec)) <= 1e-14
+        assert np.max(np.abs(tower[n] - vec)) <= 1e-14
         vec = oracle_q @ vec
         vec /= max(np.linalg.norm(vec), 1e-300)
