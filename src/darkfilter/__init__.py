@@ -17,7 +17,6 @@ Subpackages:
 * ``cli``         -- the ``darkfilter`` command-line entry point.
 """
 
-from darkfilter.basis import BasisEncoding
 from darkfilter.errors import DarkfilterError, NumericsError, ValidationError
 from darkfilter.spin_model import (
     ChainParams,
@@ -54,7 +53,6 @@ from darkfilter.spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisEncoding",
     "ChainParams",
     "DarkSubspace",
     "DarkfilterError",

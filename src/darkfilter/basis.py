@@ -1,4 +1,4 @@
-"""Hilbert-space encodings for the spin-1 chain.
+"""The full-space digit encoding of the spin-1 chain.
 
 Each site carries a spin-1 degree of freedom with local S^z eigenvalue
 m in {+1, 0, -1}, stored as the base-3 digit (1 - m) in {0, 1, 2}.  The
@@ -7,15 +7,11 @@ j = 1..L and index = sum_j digit_j * 3^(j-1), so site 1 is the least
 significant digit.  The site labels matter physically because the
 protocol's product states carry alternating signs exp(i*pi*j).
 
-Three encodings are used:
-
-* ``full``    -- all 3^L configurations; a magnetization sector is the
-  set of indices where magnetization_of equals M, never a basis of its
-  own;
-* ``tower``   -- the (L+1)-dimensional bi-magnon ladder, indexed by the
-  number of bi-magnons n = 0..L;
-* ``generic`` -- a plain D-dimensional computational basis with no spin
-  structure (the random-matrix benchmark).
+A magnetization sector is the set of indices where magnetization_of
+equals M, never a basis of its own.  The tower engine's basis is the
+(L+1)-dimensional bi-magnon ladder, indexed by the number of bi-magnons
+n = 0..L, and a generic engine's is a plain computational basis; an
+engine reads its input dimension off its removal state.
 """
 
 from __future__ import annotations
@@ -49,37 +45,20 @@ def magnetization_of(L):
     return (L - digits_of(L).sum(axis=1, dtype=np.int64)).astype(np.int64)
 
 
-class BasisEncoding:
-    """A declared basis over which amplitudes and operators live."""
+def full_dimension(L):
+    """3^L, the dimension of the full space of L sites.
 
-    def __init__(self, kind, L, dimension):
-        if kind not in ("full", "tower", "generic"):
-            raise ValidationError(f"unknown basis kind {kind!r}")
-        self.kind = kind           # "full" | "tower" | "generic"
-        self.L = L
-        self.dimension = dimension
-
-    @classmethod
-    def full(cls, L):
-        if L < 1:
-            raise ValidationError("L must be >= 1")
-        if L > FULL_SPACE_CAP:
-            raise ValidationError(
-                f"L={L} exceeds the full-space construction cap "
-                f"({FULL_SPACE_CAP}); use the tower-reduced engine for "
-                "longer chains"
-            )
-        return cls("full", L, 3**L)
-
-    @classmethod
-    def tower(cls, L):
-        if L < 1:
-            raise ValidationError("L must be >= 1")
-        return cls("tower", L, L + 1)
-
-    @classmethod
-    def generic(cls, dimension):
-        return cls("generic", 0, dimension)
+    Refuses L < 1 and L above FULL_SPACE_CAP (ValidationError).
+    """
+    if L < 1:
+        raise ValidationError("L must be >= 1")
+    if L > FULL_SPACE_CAP:
+        raise ValidationError(
+            f"L={L} exceeds the full-space construction cap "
+            f"({FULL_SPACE_CAP}); use the tower-reduced engine for "
+            "longer chains"
+        )
+    return 3**L
 
 
 def reflection_of(L):

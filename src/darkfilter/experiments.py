@@ -291,14 +291,15 @@ def _embed_components(setup, components):
     return [tower.T @ np.asarray(c) for c in components]
 
 
-def make_target(setup, which):
-    """The target `which` of TARGETS at the setup's theta0 and period."""
+def make_target(setup, which, theta0):
+    """The target `which` of TARGETS at initial angle theta0 and the
+    setup's period."""
     if which not in TARGETS:
         raise ValidationError(f"unknown target {which!r}")
     rule = TARGETS[which]
     return RotatingTarget(
         components=_embed_components(setup, rule.components(setup.params.L)),
-        weights=rule.weights(setup.theta0),
+        weights=rule.weights(theta0),
         angles=np.array(rule.turns) * setup.params.h * setup.tau)
 
 
@@ -398,7 +399,7 @@ def run_target(spec: ExperimentSpec, out_dir) -> RunArtifacts:
             f"got pi*{p}/{q}"
         )
     setup, initial = build_setup(spec)
-    target = make_target(setup, spec.target)
+    target = make_target(setup, spec.target, spec.theta0)
     _check_target_reachable(setup, initial, target)
     traj = run_filtration(setup, initial, spec.n_steps, target=target)
     ft = filtration_time(traj, spec.eps)
@@ -435,7 +436,7 @@ def _sweep_case(L, variant, theta0, eps):
     spec = ExperimentSpec(name=f"sweep-L{L}", params=ChainParams(L=L),
                           theta0=theta0, h_tau=h_tau, n_steps=0, eps=eps)
     setup, initial = build_setup(spec)
-    target = make_target(setup, which)
+    target = make_target(setup, which, theta0)
     n_eps = jump_filtration_time(setup, initial, target, eps, h_tau)
     return n_eps, scaling_predictions(L, theta0, eps, variant)
 
@@ -644,9 +645,9 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
              "noise_seed": spec.perturbations.seed}
     for which, rule in TARGETS.items():
         (p, q), theta0 = rule.resonance(L), rule.angle(L)
-        setup = engine.retuned(math.pi * p / q / params.h, theta0)
+        setup = engine.retuned(math.pi * p / q / params.h)
         initial = protocol_states(params, theta0)[1]
-        target = make_target(setup, which)
+        target = make_target(setup, which, theta0)
         traj = run_filtration(setup, initial, spec.n_steps, target=target)
         path = emit_csv(os.path.join(out_dir, f"trajectory_{which}.csv"),
                         SCHEMAS["trajectory"], _trajectory_columns(traj))

@@ -15,7 +15,9 @@ scalars, summed over the flip groups of coordinates, so a state is
 formed only at a chunk's end.  Every engine holds its eigenbasis as
 symmetry blocks (SectorEig), so states enter and leave it by one path;
 a state is a plain complex array, and the removal state too enters in
-the input basis (FiltrationSetup.removal).  Three engines exist:
+the input basis (FiltrationSetup.removal), whose length is that basis's
+dimension.  A setup holds the engine only: the initial-state angle
+belongs to the builders and to the targets.  Three engines exist:
 
 * ``tower``   -- the (L+1)-dimensional bi-magnon ladder, H diagonal by
   construction, one block with identity eigenvectors; valid only for
@@ -42,7 +44,6 @@ import warnings
 import numpy as np
 
 from darkfilter.basis import (
-    BasisEncoding,
     magnetization_of,
     reflection_of,
     reflection_twist,
@@ -97,31 +98,40 @@ class SectorEig:
 class FiltrationSetup:
     """Everything needed to iterate the protocol in the H eigenbasis.
 
-    basis is the basis of run_filtration's inputs and outputs; every
-    state is a complex array over it.  removal is the removal state in
-    that basis, unit norm.  sector_eigs are the blocks of H in engine
-    order, which the coordinates follow.  The spin flip prod X maps
-    coordinate i to pos[i] with sign sign[i], flip = (pos, sign); flip
-    is None when no flip is defined.  The rest is derived: energies
-    (dim,) are the blocks' eigenvalues of H in that order, phases
-    exp(-i E tau), removal_eig the removal in the eigenbasis
-    (to_eigen), and engine ("tower", "full" or "generic") the basis
-    kind.
+    engine is "tower", "full" or "generic".  removal is the removal
+    state, unit norm, in the basis of run_filtration's inputs and
+    outputs: every state is a complex array of its length.  sector_eigs
+    are the blocks of H in engine order, which the coordinates follow.
+    The spin flip prod X maps coordinate i to pos[i] with sign sign[i],
+    flip = (pos, sign); flip is None when no flip is defined.  The rest
+    is derived: energies (dim,) are the blocks' eigenvalues of H in that
+    order, phases exp(-i E tau) and removal_eig the removal in the
+    eigenbasis (to_eigen).  A tau whose phases would round by more
+    than PHASE_TOL, eps max|E| |tau|, is refused before they are
+    computed, as that rounding blurs the degeneracies PHASE_TOL resolves.
     """
 
-    def __init__(self, tau, basis, removal, sector_eigs, params=None,
-                 theta0=None, flip=None):
+    def __init__(self, tau, engine, removal, sector_eigs, params=None,
+                 flip=None):
+        if engine not in ("tower", "full", "generic"):
+            raise ValidationError(f"unknown engine {engine!r}")
         self.tau = tau
-        self.basis = basis
+        self.engine = engine
         self.sector_eigs = sector_eigs
         self.params = params
-        self.theta0 = theta0
         self.flip = flip
-        self.engine = basis.kind
         self.energies = np.concatenate([b.energies for b in sector_eigs])
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = float(np.max(np.abs(self.energies), initial=0.0))
+            blur = np.finfo(float).eps * top * abs(tau)
+        if blur > PHASE_TOL:
+            raise ValidationError(
+                f"tau = {tau:.6g} with max|E| = {top:.6g} leaves the phases "
+                f"exp(-i E tau) a rounding of {blur:.3g} rad, above "
+                f"PHASE_TOL = {PHASE_TOL:g}")
         self.phases = np.exp(-1j * self.energies * tau)
-        self.removal = removal
-        self.removal_eig = self.to_eigen(removal)
+        self.removal = np.asarray(removal)
+        self.removal_eig = self.to_eigen(self.removal)
         if abs(np.linalg.norm(self.removal_eig) - 1.0) > 1e-12:
             raise ValidationError("removal vector must have unit norm")
         # written so that a NaN phase fails
@@ -132,23 +142,22 @@ class FiltrationSetup:
     def dimension(self):
         return self.energies.shape[0]
 
-    def retuned(self, tau, theta0):
-        """The same engine at another period and initial angle.
+    def retuned(self, tau):
+        """The same engine at another period.
 
-        H and the removal state depend on neither, so the eigenbasis is
-        reused and only the phases exp(-i E tau) are recomputed.  The
+        H and the removal state do not depend on it, so the eigenbasis
+        is reused and only the phases exp(-i E tau) are recomputed.  The
         full engine's blocks are those the removal reaches, which hold
         the protocol state at every angle; to_eigen refuses a state that
         leaves them.
         """
-        return FiltrationSetup(tau, self.basis, self.removal,
-                               self.sector_eigs, self.params, theta0,
-                               self.flip)
+        return FiltrationSetup(tau, self.engine, self.removal,
+                               self.sector_eigs, self.params, self.flip)
 
     def to_eigen(self, state):
         """Input-basis state -> eigenbasis coords."""
         vec = np.asarray(state, dtype=complex)
-        if vec.shape != (self.basis.dimension,):
+        if vec.shape != (self.removal.size,):
             raise ValidationError("state dimension does not match setup basis")
         out = np.empty(self.dimension, dtype=complex)
         pos = 0
@@ -167,7 +176,7 @@ class FiltrationSetup:
     def from_eigen(self, coords):
         """Eigenbasis coords -> input-basis amplitude vector."""
         coords = np.asarray(coords, dtype=complex)
-        out = np.zeros(self.basis.dimension, dtype=complex)
+        out = np.zeros(self.removal.size, dtype=complex)
         pos = 0
         for blk in self.sector_eigs:
             d = blk.energies.shape[0]
@@ -226,12 +235,11 @@ def reduced_setup(params, tau, theta0):
     initial = np.exp(1j * (L - n) * theta0) * weights
     setup = FiltrationSetup(
         tau=tau,
-        basis=BasisEncoding.tower(L),
+        engine="tower",
         removal=(-1.0) ** n * weights,
         sector_eigs=[SectorEig(0, n[None, :], np.ones((1, L + 1)),
                                params.tower_energy(n), np.eye(L + 1))],
         params=params,
-        theta0=theta0,
         flip=(n[::-1], np.full(L + 1, string_parity_sign(L))),
     )
     return setup, initial
@@ -257,7 +265,7 @@ def check_symmetries(ham, h, mags, mirror):
     H's triplets only: a position that only R' H R' holds mirrors one
     that H holds, with the same defect.
     """
-    dim = ham.basis.dimension
+    dim = 3**ham.L
     top = dim - 1
     shift = ham.row - ham.col + top        # offset slot in [0, 2 top]
     held = np.zeros(2 * dim - 1, dtype=bool)
@@ -268,7 +276,7 @@ def check_symmetries(ham, h, mags, mirror):
                         minlength=(int(slot[-1]) + 1) * dim).reshape(-1, dim)
     flip = table[::-1, ::-1] - table
     flip[slot[top]] += 2.0 * h * mags
-    sign = reflection_twist(ham.basis.L, mags)
+    sign = reflection_twist(ham.L, mags)
     at = mirror[ham.row] - mirror[ham.col] + top
     image = sign[ham.row] * sign[ham.col] * np.where(
         held[at], table[slot[at], mirror[ham.col]], 0.0)
@@ -313,8 +321,17 @@ def _character_blocks(group, twist):
                        phase[:, None] / np.sqrt(G * fixed[:, ok].sum(axis=0)))
 
 
-def _block_eigh(op, imgs, coefs):
-    """eigh of H on one character block of a sector.
+def _eigh(matrix, name):
+    """np.linalg.eigh, with a failure to converge a NumericsError that
+    names the matrix."""
+    try:
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"eigh of {name}: {exc}") from None
+
+
+def _block_eigh(op, imgs, coefs, name):
+    """eigh of H on one character block of a sector, named name.
 
     op holds the triplets of H whose row lies in the sector, over the
     full space.  The block is scattered straight from them, each
@@ -322,16 +339,16 @@ def _block_eigh(op, imgs, coefs):
     sector.
     """
     n = imgs.shape[1]
-    slot = np.full(op.basis.dimension, -1)
-    weight = np.zeros(op.basis.dimension)
+    slot = np.full(3**op.L, -1)
+    weight = np.zeros(3**op.L)
     for img, coef in zip(imgs, coefs):
         slot[img] = np.arange(n)
         weight[img] += coef
     use = (slot[op.row] >= 0) & (slot[op.col] >= 0)
     r, c = op.row[use], op.col[use]
-    return np.linalg.eigh(np.bincount(
+    return _eigh(np.bincount(
         slot[r] * n + slot[c], weights=weight[r] * weight[c] * op.data[use],
-        minlength=n * n).reshape(n, n))
+        minlength=n * n).reshape(n, n), name)
 
 
 def _orbit_weight(vec, images, coefs):
@@ -406,7 +423,7 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
         if M == 0:
             group += [top - idx, top - mirror[idx]]
         inside = row_m == M
-        op = ManyBodyOperator(ham.basis, ham.row[inside], ham.col[inside],
+        op = ManyBodyOperator(L, ham.row[inside], ham.col[inside],
                               ham.data[inside])
         for e, p, imgs, coefs in _character_blocks(
                 np.array(group), float(reflection_twist(L, M))):
@@ -418,7 +435,8 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
                     for state in (psi_r, psi_0)
                     for img in images) < DEPLETION_FLOOR:
                 continue
-            w, v = _block_eigh(op, imgs, coefs)
+            w, v = _block_eigh(op, imgs, coefs,
+                               f"sector M = {M} (R' = {e:+g}, P = {p:+g})")
             blocks.append(SectorEig(M, imgs, coefs, w, v, parity=p,
                                     reflection=e))
             if M:
@@ -440,11 +458,10 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
                            for b, d in zip(blocks, sizes)])
     setup = FiltrationSetup(
         tau=tau,
-        basis=ham.basis,
+        engine="full",
         removal=psi_r,
         sector_eigs=blocks,
         params=params,
-        theta0=theta0,
         flip=(pos, sign),
     )
     return setup, psi_0
@@ -463,12 +480,14 @@ def generic_setup(matrix, removal, tau=None):
     if float(np.max(np.abs(matrix - matrix.conj().T))) > 1e-12:
         raise ValidationError("matrix must be Hermitian")
     dim = matrix.shape[0]
-    w, v = np.linalg.eigh(matrix)
+    if np.shape(removal) != (dim,):
+        raise ValidationError("state dimension does not match setup basis")
+    w, v = _eigh(matrix, "the generic matrix")
     if tau is None:
         tau = resonance_period(w[0], w[-1])
     blk = SectorEig(0, np.arange(dim)[None, :], np.ones((1, dim)), w, v)
-    return FiltrationSetup(tau=tau, basis=BasisEncoding.generic(dim),
-                           removal=removal, sector_eigs=[blk])
+    return FiltrationSetup(tau=tau, engine="generic", removal=removal,
+                           sector_eigs=[blk])
 
 
 def _cluster_angles(angles, tol):

@@ -71,13 +71,10 @@ class PhaseGroups:
         self.label = label
         self.angles = angles
         self.phases = phases
-        weights = np.bincount(label, weights=removal.real**2 + removal.imag**2)
-        if float(np.min(weights, initial=0.0)) < -1e-12:
-            raise NumericsError("negative removal weight")
-        total = float(np.sum(weights))
-        if abs(total - 1.0) > 1e-10:
-            raise NumericsError(f"removal weights sum to {total}, not 1")
-        self.weights = weights
+        # non-negative, and summing to the removal's norm that
+        # FiltrationSetup checks
+        self.weights = weights = np.bincount(
+            label, weights=removal.real**2 + removal.imag**2)
         self.reached = np.sqrt(weights) >= DARK_OVERLAP_TOL
         self.dark_counts = np.bincount(label) - self.reached
         self.w = int(np.count_nonzero(self.reached))

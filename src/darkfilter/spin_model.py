@@ -21,8 +21,9 @@ n-th member is
 where |S> has sites in S flipped to |+> and the rest in |->, and its
 energy is E_n = (D - h) L + 2 n h.
 
-All matrices are real in the digit basis.  A state is a plain array of
-its amplitudes: over the 3^L digit basis, or over the L+1 tower states.
+All matrices are real in the digit basis, as triplets over its 3^L
+indices (ManyBodyOperator).  A state is a plain array of its
+amplitudes: over the 3^L digit basis, or over the L+1 tower states.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-from darkfilter.basis import BasisEncoding, digits_of
+from darkfilter.basis import digits_of, full_dimension
 from darkfilter.errors import NumericsError, ValidationError
 
 
@@ -67,22 +68,22 @@ class ChainParams:
 
 
 class ManyBodyOperator:
-    """Real operator on the full space as COO triplets.
+    """Real operator on the full 3^L space of L sites as COO triplets.
 
     data[k] sits at (row[k], col[k]), both full-space indices; entries at
     a repeated position add.
     """
 
-    def __init__(self, basis, row, col, data):
-        self.basis = basis
+    def __init__(self, L, row, col, data):
+        self.L = L
         self.row = row
         self.col = col
         self.data = data
 
     def __matmul__(self, vec):
-        """The operator applied to a real vector over its basis."""
+        """The operator applied to a real vector over the full space."""
         return np.bincount(self.row, weights=self.data * vec[self.col],
-                           minlength=self.basis.dimension)
+                           minlength=3**self.L)
 
 
 def build_hamiltonian(params):
@@ -97,10 +98,9 @@ def build_hamiltonian(params):
     entry of H.
     """
     L = params.L
-    basis = BasisEncoding.full(L)
+    index = np.arange(full_dimension(L))
     digits = digits_of(L)
     m = 1.0 - digits           # per-site Sz eigenvalue
-    index = np.arange(3**L)
     rows, cols = [index], [index]
     data = [params.h * m.sum(axis=1) + params.D * (m**2).sum(axis=1)]
     for d, coupling in ((1, params.J), (2, params.J2), (3, params.J3)):
@@ -112,7 +112,7 @@ def build_hamiltonian(params):
             rows += [dst, src]
             cols += [src, dst]
             data.append(np.full(2 * src.size, float(coupling)))
-    return ManyBodyOperator(basis, np.concatenate(rows), np.concatenate(cols),
+    return ManyBodyOperator(L, np.concatenate(rows), np.concatenate(cols),
                             np.concatenate(data))
 
 
@@ -122,16 +122,15 @@ def bimagnon_raising(L):
     (S+)^2 / 2 maps |-> (digit 2) to |+> (digit 0) with element 1, so the
     site-j term moves index k to k - 2 * 3^(j-1) with sign (-1)^j.
     """
-    basis = BasisEncoding.full(L)
+    index = np.arange(full_dimension(L))
     digits = digits_of(L)
-    index = np.arange(3**L)
     rows, cols, data = [], [], []
     for j in range(1, L + 1):
         src = index[digits[:, j - 1] == 2]
         rows.append(src - 2 * 3 ** (j - 1))
         cols.append(src)
         data.append(np.full(src.size, (-1.0) ** j))
-    return ManyBodyOperator(basis, np.concatenate(rows), np.concatenate(cols),
+    return ManyBodyOperator(L, np.concatenate(rows), np.concatenate(cols),
                             np.concatenate(data))
 
 
@@ -204,7 +203,7 @@ def protocol_states(params, theta0):
     complex arrays over the full basis in that order (removal, initial).
     """
     L = params.L
-    BasisEncoding.full(L)       # refuses L above FULL_SPACE_CAP
+    full_dimension(L)           # refuses L above FULL_SPACE_CAP
 
     def product(theta):
         vec = np.ones(1, dtype=complex)

@@ -89,7 +89,7 @@ def sparse_bimagnon_raising(L):
 
 def triplets_to_dense(op):
     """Dense matrix of a triplet operator, repeated positions summed."""
-    dim = op.basis.dimension
+    dim = 3**op.L
     out = np.zeros((dim, dim))
     np.add.at(out, (op.row, op.col), op.data)
     return out
@@ -154,7 +154,7 @@ def block_eigenvectors(blk, dim):
 
 def engine_columns(setup):
     """(input dimension, engine dimension) eigenvectors of every block."""
-    dim = setup.basis.dimension
+    dim = setup.removal.size
     return np.hstack([block_eigenvectors(blk, dim)
                       for blk in setup.sector_eigs])
 

@@ -327,7 +327,7 @@ def test_criterion_08_darkness_gap_detects_detuning():
                           n_steps=2000, engine="full")
     setup, initial = build_setup(spec)
     traj = run_filtration(setup, initial, spec.n_steps,
-                          target=make_target(setup, "tar1"))
+                          target=make_target(setup, "tar1", spec.theta0))
     assert ghz_darkness_gap(traj.q, traj.survival, 2.0 ** (1 - 8)) > 0.5
 
 
@@ -373,7 +373,7 @@ def test_criterion_09_engine_equivalence():
     results = {}
     for build in (reduced_setup, full_setup):
         setup, psi0 = build(params, tau, theta0)
-        target = make_target(setup, "tar1")
+        target = make_target(setup, "tar1", theta0)
         results[setup.engine] = run_filtration(setup, psi0, 200,
                                                target=target)
     tower, full = results["tower"], results["full"]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from darkfilter.basis import (
-    BasisEncoding,
     digits_of,
+    full_dimension,
     magnetization_of,
     string_parity_sign,
 )
@@ -78,9 +78,9 @@ def test_string_parity_sign_period_four(L, sign):
 
 def test_full_space_cap_guard():
     with pytest.raises(ValidationError):
-        BasisEncoding.full(11)
+        full_dimension(11)
     with pytest.raises(ValidationError):
-        BasisEncoding.full(0)
+        full_dimension(0)
     # the Hamiltonian refuses before it builds anything
     with pytest.raises(ValidationError, match="cap"):
         build_hamiltonian(ChainParams(L=11))

@@ -180,7 +180,7 @@ def test_run_tar2_omits_string_law_before_certified(tmp_path):
 def test_make_target_rotates_tar2():
     spec = _tower_spec(6, tar2_optimal_angle(6), tar2_resonance(6), 10)
     setup, _ = build_setup(spec)
-    target = make_target(setup, "tar2")
+    target = make_target(setup, "tar2", spec.theta0)
     t0, t1 = target.at(0), target.at(1)
     assert abs(abs(np.vdot(t0, t0)) - 1.0) < 1e-12
     assert abs(np.vdot(t0, t1)) < 1.0 - 1e-3      # genuinely rotating
@@ -219,7 +219,7 @@ def _sweep_problem(L, variant):
     h_tau = resonance(L)
     spec = _tower_spec(L, rule(L), h_tau, 0)
     setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, which), h_tau
+    return setup, initial, make_target(setup, which, spec.theta0), h_tau
 
 
 def _stepped_n_eps(setup, initial, target, eps, n_steps):
@@ -255,7 +255,8 @@ def test_jump_ahead_matches_extended_precision(variant, L):
     setup, initial, target, h_tau = _sweep_problem(L, variant)
     n_jump = jump_filtration_time(setup, initial, target, 0.01, h_tau)
     which = SWEEP_CASES[variant][2]
-    assert n_jump == mp_filtration_time(L, setup.theta0, h_tau, which, 0.01)
+    theta0 = SWEEP_CASES[variant][0](L)
+    assert n_jump == mp_filtration_time(L, theta0, h_tau, which, 0.01)
     if (variant, L) == ("tar1-orthogonal", 24):
         assert n_jump == 1388864
 
@@ -271,9 +272,9 @@ def test_jump_ahead_darkness_invariant_catches_detuning(monkeypatch):
     monkeypatch.setattr(filtration, "PHASE_TOL", 0.01)
     # the grouping reads the tolerance when called: B_0, B_L merge
     assert degeneracy_groups(setup).w == charges - 1
+    target = make_target(setup, "tar1", orthogonality_angle(L))
     with pytest.raises(NumericsError, match="not dark"):
-        jump_filtration_time(setup, initial, make_target(setup, "tar1"),
-                             0.01, (1001, 1000 * L))
+        jump_filtration_time(setup, initial, target, 0.01, (1001, 1000 * L))
 
 
 def test_jump_ahead_rejects_what_it_cannot_certify():
@@ -285,9 +286,9 @@ def test_jump_ahead_rejects_what_it_cannot_certify():
     # at h tau = pi/3 the dark subspace holds more than the GHZ target
     setup, initial = reduced_setup(ChainParams(L=6), math.pi / 3,
                                    orthogonality_angle(6))
+    target = make_target(setup, "tar1", orthogonality_angle(6))
     with pytest.raises(NumericsError, match="Q_inf"):
-        jump_filtration_time(setup, initial, make_target(setup, "tar1"),
-                             0.01, (1, 3))
+        jump_filtration_time(setup, initial, target, 0.01, (1, 3))
     # at L=40 the crossing lies 7e-13 from 1 - eps
     setup, initial, target, h_tau = _sweep_problem(40, "tar1-orthogonal")
     with pytest.raises(NumericsError, match="too close"):

@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from darkfilter import experiments, filtration, spectral
-from darkfilter.basis import (BasisEncoding, magnetization_of,
-                              reflection_of, string_parity_sign)
+from darkfilter.basis import (magnetization_of, reflection_of,
+                              string_parity_sign)
 from darkfilter.cli import main
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import (
@@ -77,7 +77,7 @@ def _states(setup, initial, n_steps):
     the trajectory and those states, (n_steps + 1, input dimension), zero
     off the configurations the engine covers.
     """
-    dim = setup.basis.dimension
+    dim = setup.removal.size
     support = engine_support(setup)
     columns = engine_columns(setup)
     probes = RotatingTarget(list(columns[support].conj() @ columns.T),
@@ -160,7 +160,7 @@ def test_retuned_keeps_the_removal_bits():
                           theta0=0.3, h_tau=(1, 5), n_steps=0, engine="full",
                           perturbations=Perturbations(lam=0.01, seed=3))
     setup, _ = build_setup(spec)
-    again = setup.retuned(math.pi / 4.0, 1.1)
+    again = setup.retuned(math.pi / 4.0)
     assert again.removal is setup.removal
     assert np.array_equal(again.removal_eig, setup.removal_eig)
 
@@ -172,12 +172,73 @@ def test_full_setup_refuses_a_removal_of_the_wrong_length():
 
 
 def test_nan_phases_are_not_unimodular():
-    # at tau = inf, exp(-i E tau) is NaN on every coordinate: a comparison
-    # that a NaN passes let it through
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(NumericsError, match="not unimodular"):
-        generic_setup(np.diag([0.0, 1.0, 2.0, 3.0]),
-                      np.full(4, 0.5), tau=math.inf)
+    # a NaN energy makes its phase NaN: a comparison that a NaN passes
+    # let it through
+    energies = np.array([0.0, 1.0, math.nan, 3.0])
+    with pytest.raises(NumericsError, match="not unimodular"):
+        FiltrationSetup(
+            tau=1.0, engine="generic", removal=np.full(4, 0.5),
+            sector_eigs=[SectorEig(0, np.arange(4)[None, :],
+                                   np.ones((1, 4)), energies, np.eye(4))])
+
+
+def test_setup_refuses_phases_without_precision():
+    # eps max|E| |tau| is the rounding of the phases exp(-i E tau): above
+    # PHASE_TOL it would reach the degeneracies the grouping resolves
+    setup, _ = reduced_setup(ChainParams(L=4), math.pi / 4.0, 0.0)
+    edge = filtration.PHASE_TOL / (np.finfo(float).eps
+                                   * np.max(np.abs(setup.energies)))
+    assert setup.retuned(0.99 * edge).tau == 0.99 * edge
+    for tau in (1.01 * edge, -1.01 * edge, math.inf):
+        with pytest.raises(ValidationError, match=r"tau = .* max\|E\|"):
+            setup.retuned(tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="tau = inf"):
+            generic_setup(np.diag([0.0, 1.0, 2.0, 3.0]), np.full(4, 0.5),
+                          tau=math.inf)
+
+
+def _engines():
+    """A tower, a full and a generic setup."""
+    return [reduced_setup(ChainParams(L=4), math.pi / 4.0, 0.0)[0],
+            full_setup(ChainParams(L=3), math.pi / 3.0, 0.0)[0],
+            generic_setup(np.diag([0.0, 1.0, 2.0, 3.0]), np.full(4, 0.5))]
+
+
+def test_to_eigen_refuses_a_state_of_the_wrong_length():
+    # the input dimension is the removal's length, on every engine
+    for setup in _engines():
+        size = setup.removal.size
+        for state in (np.full(size - 1, 0.5), np.full(size + 1, 0.5),
+                      np.full((size, 1), 0.5)):
+            with pytest.raises(ValidationError, match="state dimension"):
+                setup.to_eigen(state)
+        assert setup.from_eigen(setup.removal_eig).shape == (size,)
+
+
+def test_generic_setup_refuses_a_removal_of_the_wrong_length():
+    matrix = np.diag([0.0, 1.0, 2.0, 3.0])
+    for removal in (np.full(3, 3 ** -0.5), np.full(5, 0.2 ** 0.5),
+                    np.full((4, 1), 0.5)):
+        with pytest.raises(ValidationError, match="state dimension"):
+            generic_setup(matrix, removal)
+    # a removal that is not a vector is refused by the record itself
+    with pytest.raises(ValidationError, match="state dimension"):
+        FiltrationSetup(
+            tau=1.0, engine="generic", removal=np.full((4, 1), 0.5),
+            sector_eigs=[SectorEig(0, np.arange(4)[None, :],
+                                   np.ones((1, 4)), np.arange(4.0),
+                                   np.eye(4))])
+
+
+def test_eigh_failure_is_a_numerics_error():
+    # at J2 = 1e308 the sector eigh cannot converge
+    with pytest.raises(NumericsError, match="eigh of sector M = 0 "):
+        full_setup(ChainParams(L=4, J2=1e308), math.pi / 4.0, 0.0)
+    # a NaN matrix passes the Hermitian check, and eigh cannot converge
+    with pytest.raises(NumericsError, match="eigh of the generic matrix"):
+        generic_setup(np.full((4, 4), math.nan), np.full(4, 0.5))
 
 
 def test_degeneracy_groups_at_resonance():
@@ -358,7 +419,8 @@ def test_perturbation_study_reuses_engine_for_tar2(tmp_path, monkeypatch):
                         names=True)
     theta0 = tar2_optimal_angle(L)
     fresh, psi0 = real(params, math.pi / (L - 1), theta0)
-    traj = run_filtration(fresh, psi0, 150, target=make_target(fresh, "tar2"))
+    target = make_target(fresh, "tar2", theta0)
+    traj = run_filtration(fresh, psi0, 150, target=target)
     assert np.max(np.abs(got["survival"] - traj.survival)) <= 1e-12
     assert np.max(np.abs(got["q_n"] - traj.q)) <= 1e-12
     assert np.max(np.abs(got["string_re"] - traj.string.real)) <= 1e-12
@@ -379,7 +441,7 @@ def test_full_setup_checks_flip_symmetry(monkeypatch):
     def broken(params):
         ham = real(params)
         diag = np.arange(3**L)
-        return ManyBodyOperator(ham.basis, np.concatenate([ham.row, diag]),
+        return ManyBodyOperator(ham.L, np.concatenate([ham.row, diag]),
                                 np.concatenate([ham.col, diag]),
                                 np.concatenate([ham.data,
                                                 0.01 * np.diag(odd).real]))
@@ -400,7 +462,7 @@ def test_full_setup_checks_sz_conservation(monkeypatch, tmp_path):
 
     def broken(params):
         ham = real(params)
-        return ManyBodyOperator(ham.basis,
+        return ManyBodyOperator(ham.L,
                                 np.concatenate([ham.row, [zero, zero - 1]]),
                                 np.concatenate([ham.col, [zero - 1, zero]]),
                                 np.concatenate([ham.data, [0.01, 0.01]]))
@@ -422,7 +484,7 @@ def _site_one_quadratic(L, c):
 
     def broken(params):
         ham = real(params)
-        return ManyBodyOperator(ham.basis, np.concatenate([ham.row, diag]),
+        return ManyBodyOperator(ham.L, np.concatenate([ham.row, diag]),
                                 np.concatenate([ham.col, diag]),
                                 np.concatenate([ham.data, term]))
     return broken
@@ -491,7 +553,7 @@ def test_check_symmetries_matches_dense(L, J2, J3, kind, monkeypatch):
     params = ChainParams(L=L, J2=J2, J3=J3)
     ham = build_hamiltonian(params)
     (rows, cols, data), error = _symmetry_breakers(L)[kind]
-    ham = ManyBodyOperator(ham.basis,
+    ham = ManyBodyOperator(ham.L,
                            np.concatenate([ham.row, rows]).astype(np.int64),
                            np.concatenate([ham.col, cols]).astype(np.int64),
                            np.concatenate([ham.data, data]))
@@ -555,7 +617,8 @@ def test_protocol_run_steps_only_the_even_blocks(L, monkeypatch):
         build(self, phases, *args)
 
     monkeypatch.setattr(filtration.RenewalKernel, "__init__", recording)
-    traj = run_filtration(setup, psi0, 50, target=make_target(setup, "tar1"))
+    traj = run_filtration(setup, psi0, 50,
+                          target=make_target(setup, "tar1", 0.3))
     assert dims == [setup.dimension]
     assert traj.steps.size == 51
 
@@ -697,7 +760,7 @@ def test_dark_states_zero_overlap_group_is_fully_dark():
     energies = np.array([0.0, 0.0, 0.0, 0.5])
     removal = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
     setup = FiltrationSetup(
-        tau=1.0, basis=BasisEncoding.generic(4), removal=removal,
+        tau=1.0, engine="generic", removal=removal,
         sector_eigs=[SectorEig(0, np.arange(4)[None, :], np.ones((1, 4)),
                                energies, np.eye(4))])
     dark = dark_subspace(degeneracy_groups(setup))
@@ -764,7 +827,7 @@ def _near_pair_setup():
     """Generic engine with two eigenphases 5 PHASE_TOL apart."""
     energies = np.array([0.0, 5.0 * filtration.PHASE_TOL, 1.0, 2.0])
     return FiltrationSetup(
-        tau=1.0, basis=BasisEncoding.generic(4),
+        tau=1.0, engine="generic",
         removal=np.full(4, 0.5, dtype=complex),
         sector_eigs=[SectorEig(0, np.arange(4)[None, :], np.ones((1, 4)),
                                energies, np.eye(4))])
@@ -1010,7 +1073,7 @@ def test_eigenbasis_projections_match_the_complex_product(case):
     setup, _ = _spectral_cases()[case]
     rng = np.random.Generator(np.random.Philox(key=5))
     inside = engine_support(setup)
-    dim = setup.basis.dimension
+    dim = setup.removal.size
     vec = np.zeros(dim, dtype=complex)
     vec[inside] = rng.standard_normal(inside.size) \
         + 1j * rng.standard_normal(inside.size)

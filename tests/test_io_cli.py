@@ -647,6 +647,43 @@ def test_cli_refuses_overflowing_couplings(tmp_path, capsys, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"h": 1e-20}, {"h": 1e-9}, {"J2": 1e200}, {"h": 1e-300, "D": 1e10},
+], ids=["h-1e-20", "h-1e-9", "J2-1e200", "h-1e-300-D-1e10"])
+def test_cli_refuses_phases_without_precision(tmp_path, capsys, doc):
+    # eps max|E| tau above PHASE_TOL: the phases cannot hold the declared
+    # resonance (at h = 1e-20 the tower energies all round to 0.4), and
+    # the run is refused before they are computed
+    cfg = _write(tmp_path, "c.json",
+                 dict(doc, L=4, target="tar1", n_steps=10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["filter-run", "--config", cfg,
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau = ") and "max|E|" in err
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sub, doc", [
+    ("filter-run", {"L": 4, "target": "tar1", "J2": 1e308}),
+    ("filter-run", {"L": 4, "target": "tar1", "J2": -1e308}),
+    ("perturb", {"L": 4, "J2": 1e308}),
+], ids=["filter-run", "filter-run-negative", "perturb"])
+def test_cli_eigh_failure_exits_2(tmp_path, capsys, sub, doc):
+    # a sector eigh that does not converge is a numerics failure
+    cfg = _write(tmp_path, "c.json", dict(doc, n_steps=10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([sub, "--config", cfg,
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerics: eigh of sector M = ")
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_perturb_records_the_full_engine(tmp_path):
     # perturb runs the full engine at J2 = 0 too, and says so
     cfg = _write(tmp_path, "c.json", {"L": 4, "n_steps": 20})

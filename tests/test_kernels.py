@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkfilter import filtration
-from darkfilter.basis import BasisEncoding
 from darkfilter.cli import main
 from darkfilter.experiments import (
     ExperimentSpec,
@@ -56,7 +55,7 @@ def _plain_setup(phases, removal):
     dim = phases.shape[0]
     energies = -np.angle(phases)
     return FiltrationSetup(
-        tau=1.0, basis=BasisEncoding.generic(dim), removal=removal,
+        tau=1.0, engine="generic", removal=removal,
         sector_eigs=[SectorEig(0, np.arange(dim)[None, :], np.ones((1, dim)),
                                energies, np.eye(dim, dtype=complex))],
     )
@@ -132,7 +131,7 @@ def _tower_case():
                           theta0=tar2_optimal_angle(L), h_tau=(1, L - 1),
                           n_steps=0)
     setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, "tar2")
+    return setup, initial, make_target(setup, "tar2", spec.theta0)
 
 
 def _full_case():
@@ -143,7 +142,7 @@ def _full_case():
                           n_steps=0, engine="full",
                           perturbations=Perturbations(lam=0.2, seed=5))
     setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, "tar1")
+    return setup, initial, make_target(setup, "tar1", spec.theta0)
 
 
 def _generic_case():

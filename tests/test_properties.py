@@ -109,8 +109,8 @@ def test_engine_holds_every_leg_it_is_retuned_to(L, J2, J3, built, theta0,
               *(subset_tower_state(L, n) for n in range(L + 1))]
     for which, rule in TARGETS.items():
         p, q = rule.resonance(L)
-        leg = setup.retuned(math.pi * p / (q * params.h), theta0)
-        states += make_target(leg, which).components
+        leg = setup.retuned(math.pi * p / (q * params.h))
+        states += make_target(leg, which, theta0).components
     for vec in states:
         coords = setup.to_eigen(vec)
         assert abs(np.vdot(vec, vec).real

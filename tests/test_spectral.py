@@ -1,7 +1,6 @@
 """Charge view, secular roots, and filtration-time estimates."""
 
 import math
-import types
 import warnings
 
 import numpy as np
@@ -14,7 +13,6 @@ from darkfilter.filtration import full_setup, reduced_setup
 from darkfilter.spectral import (
     DARK_OVERLAP_TOL,
     HULL_SLACK,
-    PhaseGroups,
     TIE_MODULUS,
     bright_secular_roots,
     convex_hull_violation,
@@ -41,18 +39,6 @@ def test_charge_view_binomial_weights():
 
 
 def test_removal_weights_are_validated():
-    # PhaseGroups checks the weights it sums from the removal overlaps
-    label, angles = np.array([0, 1]), np.array([0.0, 1.0])
-    phases = np.exp(1j * angles)
-    for removal, message in (([0.6, 0.6], "sum to 0.72"),
-                             ([1.0, 0.0], None)):
-        setup = types.SimpleNamespace(removal_eig=np.array(removal,
-                                                           dtype=complex))
-        if message is None:
-            assert PhaseGroups(setup, label, angles, phases).w == 1
-            continue
-        with pytest.raises(NumericsError, match=message):
-            PhaseGroups(setup, label, angles, phases)
     # the solver refuses charges that do not align or weigh less than 0
     with pytest.raises(ValidationError, match="align"):
         bright_secular_roots([0.0, 1.0], [1.0])
