@@ -283,24 +283,23 @@ TARGETS = {
 }
 
 
-def _embed_components(setup, components):
-    """Tower-coordinate targets lifted to the engine's state basis."""
-    if setup.engine == "tower":
-        return components
-    tower = build_tower(ChainParams(L=setup.params.L))
-    return [tower.T @ np.asarray(c) for c in components]
-
-
-def make_target(setup, which, theta0):
+def make_target(setup, params, which, theta0):
     """The target `which` of TARGETS at initial angle theta0 and the
-    setup's period."""
+    setup's period, for the chain params the setup was built from (a
+    setup holds no chain).  Off the tower engine its components are
+    lifted to the chain's 3^L states, so on a generic engine
+    run_filtration refuses it."""
     if which not in TARGETS:
         raise ValidationError(f"unknown target {which!r}")
     rule = TARGETS[which]
+    components = rule.components(params.L)
+    if setup.engine != "tower":
+        tower = build_tower(params)
+        components = [tower.T @ np.asarray(c) for c in components]
     return RotatingTarget(
-        components=_embed_components(setup, rule.components(setup.params.L)),
+        components=components,
         weights=rule.weights(theta0),
-        angles=np.array(rule.turns) * setup.params.h * setup.tau)
+        angles=np.array(rule.turns) * params.h * setup.tau)
 
 
 def _check_target_reachable(setup, initial, target):
@@ -354,9 +353,7 @@ def string_check_start(traj, tol):
     """
     below = np.nonzero(traj.q < 1.0 - (0.5 * tol) ** 2)[0]
     first = int(below[-1]) + 1 if below.size else 0
-    if first >= traj.q.size:
-        return None
-    return int(traj.steps[first])
+    return first if first < traj.q.size else None
 
 
 def string_law_deviation(traj, theta0, h_tau_value, L, n_min):
@@ -367,11 +364,10 @@ def string_law_deviation(traj, theta0, h_tau_value, L, n_min):
     """
     if traj.string is None:
         raise ValidationError("trajectory carries no string expectation")
-    sel = traj.steps >= n_min
-    if not np.any(sel):
+    n = np.arange(max(n_min, 0), traj.string.size)
+    if not n.size:
         raise ValidationError(f"no string samples at n >= {n_min}")
-    n = traj.steps[sel]
-    vals = traj.string[sel]
+    vals = traj.string[n]
     law = np.cos(theta0 + 2.0 * n * h_tau_value)
     signed = string_parity_sign(L) * (-1.0) ** L * law
     dev_abs = float(np.max(np.abs(np.abs(vals) - np.abs(law))))
@@ -399,7 +395,7 @@ def run_target(spec: ExperimentSpec, out_dir) -> RunArtifacts:
             f"got pi*{p}/{q}"
         )
     setup, initial = build_setup(spec)
-    target = make_target(setup, spec.target, spec.theta0)
+    target = make_target(setup, spec.params, spec.target, spec.theta0)
     _check_target_reachable(setup, initial, target)
     traj = run_filtration(setup, initial, spec.n_steps, target=target)
     ft = filtration_time(traj, spec.eps)
@@ -436,7 +432,7 @@ def _sweep_case(L, variant, theta0, eps):
     spec = ExperimentSpec(name=f"sweep-L{L}", params=ChainParams(L=L),
                           theta0=theta0, h_tau=h_tau, n_steps=0, eps=eps)
     setup, initial = build_setup(spec)
-    target = make_target(setup, which, theta0)
+    target = make_target(setup, spec.params, which, theta0)
     n_eps = jump_filtration_time(setup, initial, target, eps, h_tau)
     return n_eps, scaling_predictions(L, theta0, eps, variant)
 
@@ -647,7 +643,7 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
         (p, q), theta0 = rule.resonance(L), rule.angle(L)
         setup = engine.retuned(math.pi * p / q / params.h)
         initial = protocol_states(params, theta0)[1]
-        target = make_target(setup, which, theta0)
+        target = make_target(setup, params, which, theta0)
         traj = run_filtration(setup, initial, spec.n_steps, target=target)
         path = emit_csv(os.path.join(out_dir, f"trajectory_{which}.csv"),
                         SCHEMAS["trajectory"], _trajectory_columns(traj))

@@ -16,8 +16,8 @@ formed only at a chunk's end.  Every engine holds its eigenbasis as
 symmetry blocks (SectorEig), so states enter and leave it by one path;
 a state is a plain complex array, and the removal state too enters in
 the input basis (FiltrationSetup.removal), whose length is that basis's
-dimension.  A setup holds the engine only: the initial-state angle
-belongs to the builders and to the targets.  Three engines exist:
+dimension.  A setup holds the engine only: the chain and the angle of
+the initial state stay with its builders' callers.  Three engines exist:
 
 * ``tower``   -- the (L+1)-dimensional bi-magnon ladder, H diagonal by
   construction, one block with identity eigenvectors; valid only for
@@ -96,7 +96,8 @@ class SectorEig:
 
 
 class FiltrationSetup:
-    """Everything needed to iterate the protocol in the H eigenbasis.
+    """Everything needed to iterate the protocol in the H eigenbasis; no
+    chain, which stays with the callers of the builders.
 
     engine is "tower", "full" or "generic".  removal is the removal
     state, unit norm, in the basis of run_filtration's inputs and
@@ -111,14 +112,12 @@ class FiltrationSetup:
     computed, as that rounding blurs the degeneracies PHASE_TOL resolves.
     """
 
-    def __init__(self, tau, engine, removal, sector_eigs, params=None,
-                 flip=None):
+    def __init__(self, tau, engine, removal, sector_eigs, flip=None):
         if engine not in ("tower", "full", "generic"):
             raise ValidationError(f"unknown engine {engine!r}")
         self.tau = tau
         self.engine = engine
         self.sector_eigs = sector_eigs
-        self.params = params
         self.flip = flip
         self.energies = np.concatenate([b.energies for b in sector_eigs])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -152,7 +151,7 @@ class FiltrationSetup:
         leaves them.
         """
         return FiltrationSetup(tau, self.engine, self.removal,
-                               self.sector_eigs, self.params, self.flip)
+                               self.sector_eigs, self.flip)
 
     def to_eigen(self, state):
         """Input-basis state -> eigenbasis coords."""
@@ -239,7 +238,6 @@ def reduced_setup(params, tau, theta0):
         removal=(-1.0) ** n * weights,
         sector_eigs=[SectorEig(0, n[None, :], np.ones((1, L + 1)),
                                params.tower_energy(n), np.eye(L + 1))],
-        params=params,
         flip=(n[::-1], np.full(L + 1, string_parity_sign(L))),
     )
     return setup, initial
@@ -461,7 +459,6 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
         engine="full",
         removal=psi_r,
         sector_eigs=blocks,
-        params=params,
         flip=(pos, sign),
     )
     return setup, psi_0
@@ -470,13 +467,15 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
 def generic_setup(matrix, removal, tau=None):
     """Engine for an arbitrary Hermitian matrix on a plain basis.
 
-    With tau omitted, the period is set to 2 pi / (E_max - E_min), which
-    makes the spectrum's extremal phases collide and engineers one dark
-    state from the top and bottom of the band.
+    A NaN or infinite entry is refused first: NaN passes the Hermitian
+    check.  Without tau the period is 2 pi / (E_max - E_min), gluing the
+    spectrum's extremal phases into one dark state from the band's edges.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError("matrix must be square")
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError("matrix has a NaN or infinite entry")
     if float(np.max(np.abs(matrix - matrix.conj().T))) > 1e-12:
         raise ValidationError("matrix must be Hermitian")
     dim = matrix.shape[0]
@@ -553,7 +552,7 @@ class RotatingTarget:
 
 
 class Trajectory:
-    """Recorded protocol run: everything is reported normalized.
+    """Recorded protocol run, row n for step n, reported normalized.
 
     survival[n] is the squared norm of the unnormalized F^n psi0 (the
     probability of n consecutive non-detections); q[n] the fidelity to
@@ -562,7 +561,7 @@ class Trajectory:
     spin flip.  q, overlaps and string may be None.
     """
 
-    def __init__(self, steps, survival, q, overlaps, string, depleted):
+    def __init__(self, survival, q, overlaps, string, depleted):
         rise = float(np.max(np.diff(survival), initial=-np.inf))
         if rise > 1e-12:
             raise NumericsError(f"survival weight increased by {rise:.3e}")
@@ -570,19 +569,21 @@ class Trajectory:
             bad = np.flatnonzero(~np.isfinite(q))
             if bad.size:
                 raise NumericsError(
-                    f"fidelity Q_n is {q[bad[0]]} at step "
-                    f"{int(steps[bad[0]])} (survival "
-                    f"{survival[bad[0]]:.3e})"
-                )
+                    f"fidelity Q_n is {q[bad[0]]} at step {bad[0]} "
+                    f"(survival {survival[bad[0]]:.3e})")
             top = float(np.max(q, initial=0.0))
             if top > 1.0 + 1e-10 or float(np.min(q, initial=0.0)) < -1e-12:
                 raise NumericsError(f"fidelity left [0, 1]: max {top}")
-        self.steps = steps
         self.survival = survival
         self.q = q
         self.overlaps = overlaps        # (n+1, k)
         self.string = string
         self.depleted = depleted
+
+    @property
+    def steps(self):
+        """Each row's step, its index (the benchmark's traces count it)."""
+        return np.arange(self.survival.size)
 
 
 # A run stops at the first step whose survival falls below this floor.
@@ -666,16 +667,19 @@ class RenewalKernel:
         self.returns = self.powers.conj() * removal             # D^-k r
         bra = removal.conj()
 
-        def times_f(rows):
-            return (rows - np.outer(rows @ removal, bra)) * phases
+        def times_f(rows, out):
+            # out = rows F, in place; out must not alias rows
+            np.multiply((rows @ removal)[:, None], bra, out=out)
+            np.subtract(rows, out, out=out)
+            out *= phases
 
         # tables[i B + j] is row j of table i: c first, then each probe
         self.tables = np.empty(((1 + len(probes)) * B, dim), dtype=complex)
         rows = self.tables.reshape(-1, B, dim)
         rows[0, 0] = bra * phases                   # r^H D
-        rows[1:, 0] = times_f(probes.conj())        # t^H F
+        times_f(probes.conj(), rows[1:, 0])         # t^H F
         for j in range(1, B):
-            rows[:, j] = times_f(rows[:, j - 1])
+            times_f(rows[:, j - 1], rows[:, j])
         self.flip = flip
         if flip is not None:
             pos, sign = flip
@@ -835,7 +839,6 @@ def run_filtration(setup, initial, n_steps, target=None):
         done += m
 
     count = done + 1 - depleted
-    steps = np.arange(count)
     survival = survival[:count]
     q = None
     if target is not None:
@@ -843,12 +846,12 @@ def run_filtration(setup, initial, n_steps, target=None):
         # a static target needs no per-row rotation
         coef = target.weights[None, :]
         if np.any(target.angles):
-            coef = coef * np.exp(-1j * np.outer(steps, target.angles))
+            coef = coef * np.exp(-1j * np.outer(np.arange(count),
+                                                target.angles))
         with np.errstate(divide="ignore", invalid="ignore"):
             # exact depletion gives 0/0, which Trajectory rejects
             q = _fidelity(coef, overlaps, gram, survival)
     return Trajectory(
-        steps=steps,
         survival=survival,
         q=q,
         overlaps=overlaps,
@@ -874,6 +877,5 @@ def filtration_time(trajectory, eps):
         raise ValidationError("eps must lie in (0, 1]")
     hits = np.nonzero(trajectory.q >= 1.0 - eps)[0]
     if hits.size:
-        return FiltrationTime(int(trajectory.steps[hits[0]]),
-                              float(np.max(trajectory.q)))
+        return FiltrationTime(int(hits[0]), float(np.max(trajectory.q)))
     return FiltrationTime(None, float(np.max(trajectory.q, initial=0.0)))

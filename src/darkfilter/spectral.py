@@ -329,7 +329,7 @@ def jump_filtration_time(setup, initial, target, eps, h_tau):
     1 - eps brackets the crossing in (2^(k-1), 2^k]; binary lifting from
     2^(k-1) down to 1 then pins it.
     The state F^n psi0 is built from the powers F^(2^k) of the
-    (L+1)-dimensional filtration matrix, and Q_n is evaluated by the
+    filtration matrix, of the tower's dimension L + 1, and Q_n by the
     helper run_filtration uses (filtration._fidelity), with the phases of
     F and the rotation of the target reduced modulo 2 pi from integers so
     they do not drift with n.
@@ -348,7 +348,7 @@ def jump_filtration_time(setup, initial, target, eps, h_tau):
                               "resolution of 1 - eps")
     p, q = h_tau
     # E_k tau - E_0 tau = pi * levels[k] / q on the tower
-    levels = [2 * p * k for k in range(setup.params.L + 1)]
+    levels = [2 * p * k for k in range(setup.dimension)]
     phases = _pi_phases(levels, q)
     drift = float(np.max(np.abs(setup.phases * setup.phases[0].conj()
                                 - phases)))

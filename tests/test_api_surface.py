@@ -7,10 +7,13 @@ benchmark traces by lookup must resolve as well.
 
 import ast
 import importlib
+import math
 import pathlib
 import sys
 
 import darkfilter
+from darkfilter.filtration import reduced_setup, run_filtration
+from darkfilter.spin_model import ChainParams
 
 PACKAGE = pathlib.Path(darkfilter.__file__).parent
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
@@ -73,3 +76,16 @@ def test_benchmark_documents_pass_the_config_check(monkeypatch):
             doc, _ = work.inputs(7)
             parsers.get(work.subcommand,
                         lambda d: parse_config(d, work.subcommand))(doc)
+
+
+def test_benchmark_step_count_reads_the_trajectory(monkeypatch):
+    # a traced benchmark run counts a run's steps from its trajectory's
+    # rows (Trajectory.steps), which no other test reads
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for module in ("layers", "spans"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    layers = importlib.import_module("layers")
+    setup, psi0 = reduced_setup(ChainParams(L=4), math.pi / 4.0, 0.3)
+    traj = run_filtration(setup, psi0, 25)
+    count = layers.COUNTS["filtration.run_filtration"]
+    assert count((setup, psi0, 25), {}, traj) == {"steps": 25}

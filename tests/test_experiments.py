@@ -37,8 +37,9 @@ from darkfilter.experiments import (
     tar2_resonance,
     zeta_vs_L_scan,
 )
-from darkfilter.filtration import (filtration_time, generic_setup,
-                                   reduced_setup, run_filtration)
+from darkfilter.filtration import (FiltrationSetup, filtration_time,
+                                   generic_setup, reduced_setup,
+                                   run_filtration)
 from darkfilter.spectral import degeneracy_groups, jump_filtration_time
 from darkfilter.spin_model import ChainParams
 from helpers import mp_filtration_time, plateau_loop, spectral_decomposition
@@ -180,10 +181,30 @@ def test_run_tar2_omits_string_law_before_certified(tmp_path):
 def test_make_target_rotates_tar2():
     spec = _tower_spec(6, tar2_optimal_angle(6), tar2_resonance(6), 10)
     setup, _ = build_setup(spec)
-    target = make_target(setup, "tar2", spec.theta0)
+    target = make_target(setup, spec.params, "tar2", spec.theta0)
     t0, t1 = target.at(0), target.at(1)
     assert abs(abs(np.vdot(t0, t0)) - 1.0) < 1e-12
     assert abs(np.vdot(t0, t1)) < 1.0 - 1e-3      # genuinely rotating
+
+
+def test_targets_take_the_chain_from_their_caller():
+    # a setup holds no chain: a tower engine built by hand reaches the
+    # sweep's filtration time from the chain its caller passes
+    L = 8
+    params = ChainParams(L=L)
+    theta0 = orthogonality_angle(L)
+    built, initial = reduced_setup(params, math.pi / (L * params.h), theta0)
+    setup = FiltrationSetup(built.tau, "tower", built.removal,
+                            built.sector_eigs, flip=built.flip)
+    assert not hasattr(setup, "params")
+    target = make_target(setup, params, "tar1", theta0)
+    assert jump_filtration_time(setup, initial, target, 0.01, (1, L)) == 68
+    # a generic engine has no chain: a target made for it is in the
+    # chain's basis, 3^L states, and its run is refused
+    generic = generic_setup(np.diag(np.arange(5.0)), np.full(5, 5 ** -0.5))
+    target = make_target(generic, ChainParams(L=2), "tar1", 0.0)
+    with pytest.raises(ValidationError, match="state dimension"):
+        run_filtration(generic, np.eye(5)[0], 10, target=target)
 
 
 def test_sweep_small_range(tmp_path):
@@ -219,7 +240,8 @@ def _sweep_problem(L, variant):
     h_tau = resonance(L)
     spec = _tower_spec(L, rule(L), h_tau, 0)
     setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, which, spec.theta0), h_tau
+    return setup, initial, make_target(setup, spec.params, which,
+                                      spec.theta0), h_tau
 
 
 def _stepped_n_eps(setup, initial, target, eps, n_steps):
@@ -266,13 +288,14 @@ def test_jump_ahead_darkness_invariant_catches_detuning(monkeypatch):
     # phase.  A phase tolerance loose enough to group them anyway makes
     # the GHZ target look dark; its amplitude then drifts at n = 1.
     L = 8
-    setup, initial = reduced_setup(ChainParams(L=L), 1.001 * math.pi / L,
+    params = ChainParams(L=L)
+    setup, initial = reduced_setup(params, 1.001 * math.pi / L,
                                    orthogonality_angle(L))
     charges = degeneracy_groups(setup).w
     monkeypatch.setattr(filtration, "PHASE_TOL", 0.01)
     # the grouping reads the tolerance when called: B_0, B_L merge
     assert degeneracy_groups(setup).w == charges - 1
-    target = make_target(setup, "tar1", orthogonality_angle(L))
+    target = make_target(setup, params, "tar1", orthogonality_angle(L))
     with pytest.raises(NumericsError, match="not dark"):
         jump_filtration_time(setup, initial, target, 0.01, (1001, 1000 * L))
 
@@ -284,9 +307,9 @@ def test_jump_ahead_rejects_what_it_cannot_certify():
     with pytest.raises(ValidationError, match="not at h"):
         jump_filtration_time(setup, initial, target, 0.01, (1, 7))
     # at h tau = pi/3 the dark subspace holds more than the GHZ target
-    setup, initial = reduced_setup(ChainParams(L=6), math.pi / 3,
-                                   orthogonality_angle(6))
-    target = make_target(setup, "tar1", orthogonality_angle(6))
+    params = ChainParams(L=6)
+    setup, initial = reduced_setup(params, math.pi / 3, orthogonality_angle(6))
+    target = make_target(setup, params, "tar1", orthogonality_angle(6))
     with pytest.raises(NumericsError, match="Q_inf"):
         jump_filtration_time(setup, initial, target, 0.01, (1, 3))
     # at L=40 the crossing lies 7e-13 from 1 - eps

@@ -83,7 +83,7 @@ def _states(setup, initial, n_steps):
     probes = RotatingTarget(list(columns[support].conj() @ columns.T),
                             np.ones(support.size), np.zeros(support.size))
     traj = run_filtration(setup, initial, n_steps, target=probes)
-    states = np.zeros((traj.steps.size, dim), dtype=complex)
+    states = np.zeros((traj.survival.size, dim), dtype=complex)
     states[:, support] = traj.overlaps
     return traj, states
 
@@ -232,13 +232,31 @@ def test_generic_setup_refuses_a_removal_of_the_wrong_length():
                                    np.eye(4))])
 
 
-def test_eigh_failure_is_a_numerics_error():
+def test_eigh_failure_is_a_numerics_error(monkeypatch):
     # at J2 = 1e308 the sector eigh cannot converge
     with pytest.raises(NumericsError, match="eigh of sector M = 0 "):
         full_setup(ChainParams(L=4, J2=1e308), math.pi / 4.0, 0.0)
-    # a NaN matrix passes the Hermitian check, and eigh cannot converge
-    with pytest.raises(NumericsError, match="eigh of the generic matrix"):
-        generic_setup(np.full((4, 4), math.nan), np.full(4, 0.5))
+
+    # a generic matrix whose eigh fails is named in the message
+    def failing(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericsError, match="eigh of the generic matrix: "
+                       "Eigenvalues did not converge"):
+        generic_setup(np.diag([0.0, 1.0, 2.0, 3.0]), np.full(4, 0.5))
+
+
+def test_generic_setup_refuses_non_finite_entries():
+    # a NaN passes max|A - A^H| > 1e-12, which compares False, and an
+    # infinite diagonal makes A - A^H NaN with a numpy warning: both are
+    # refused first, with no warning
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.inf)):
+        for matrix in (np.full((4, 4), bad), np.diag([bad, 0.0, 0.0, 0.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match="NaN or infinite"):
+                    generic_setup(matrix, np.full(4, 0.5))
 
 
 def test_degeneracy_groups_at_resonance():
@@ -419,7 +437,7 @@ def test_perturbation_study_reuses_engine_for_tar2(tmp_path, monkeypatch):
                         names=True)
     theta0 = tar2_optimal_angle(L)
     fresh, psi0 = real(params, math.pi / (L - 1), theta0)
-    target = make_target(fresh, "tar2", theta0)
+    target = make_target(fresh, params, "tar2", theta0)
     traj = run_filtration(fresh, psi0, 150, target=target)
     assert np.max(np.abs(got["survival"] - traj.survival)) <= 1e-12
     assert np.max(np.abs(got["q_n"] - traj.q)) <= 1e-12
@@ -618,9 +636,9 @@ def test_protocol_run_steps_only_the_even_blocks(L, monkeypatch):
 
     monkeypatch.setattr(filtration.RenewalKernel, "__init__", recording)
     traj = run_filtration(setup, psi0, 50,
-                          target=make_target(setup, "tar1", 0.3))
+                          target=make_target(setup, params, "tar1", 0.3))
     assert dims == [setup.dimension]
-    assert traj.steps.size == 51
+    assert traj.survival.size == 51
 
 
 @pytest.mark.parametrize("L", [6, 7])
@@ -897,7 +915,7 @@ def test_depletion_stops_early():
     traj = run_filtration(setup, psi0, 40)
     assert traj.depleted
     # S_1 is rounding (below 1e-30), so step 1 is not recorded
-    assert traj.steps.tolist() == [0]
+    assert traj.survival.size == 1
 
 
 def test_exact_depletion_with_a_target_records_no_fidelity():
@@ -907,9 +925,9 @@ def test_exact_depletion_with_a_target_records_no_fidelity():
     setup = generic_setup([[0.3]], [1.0], tau=1.0)
     traj = run_filtration(setup, [1.0], 3, target=RotatingTarget.static([1.0]))
     assert traj.depleted
-    assert traj.steps.tolist() == [0] and traj.q.tolist() == [1.0]
+    assert traj.q.tolist() == [1.0]
     with pytest.raises(NumericsError, match="at step 1"):
-        Trajectory(steps=np.arange(2), survival=np.array([1.0, 0.0]),
+        Trajectory(survival=np.array([1.0, 0.0]),
                    q=np.array([1.0, np.nan]), overlaps=None, string=None,
                    depleted=True)
 

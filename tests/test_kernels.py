@@ -105,7 +105,7 @@ def test_early_stop_on_depletion():
     traj = run_filtration(setup, np.array([1.0 + 0.0j]), 10)
     assert traj.depleted
     # the depleting step is not recorded: the trajectory ends at n = 0
-    assert traj.steps.size == 1
+    assert traj.survival.size == 1
     assert np.all(traj.survival >= DEPLETION_FLOOR)
 
 
@@ -120,9 +120,9 @@ def test_rounding_level_depletion_stops_the_run(build):
     traj = run_filtration(setup, psi0, 50)
     assert traj.depleted
     # step 1 holds only rounding and is not recorded
-    assert traj.steps.size == 1
+    assert traj.survival.size == 1
     assert np.all(traj.survival >= DEPLETION_FLOOR)
-    assert traj.string.shape == traj.steps.shape
+    assert traj.string.shape == traj.survival.shape
 
 
 def _tower_case():
@@ -131,7 +131,7 @@ def _tower_case():
                           theta0=tar2_optimal_angle(L), h_tau=(1, L - 1),
                           n_steps=0)
     setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, "tar2", spec.theta0)
+    return setup, initial, make_target(setup, spec.params, "tar2", spec.theta0)
 
 
 def _full_case():
@@ -142,7 +142,7 @@ def _full_case():
                           n_steps=0, engine="full",
                           perturbations=Perturbations(lam=0.2, seed=5))
     setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, "tar1", spec.theta0)
+    return setup, initial, make_target(setup, spec.params, "tar1", spec.theta0)
 
 
 def _generic_case():
@@ -221,7 +221,7 @@ def test_kernel_property_random_problems(dim, seed, n_steps):
                           target=filtration.RotatingTarget.static(probe))
     survival, overlaps, _, _ = explicit_stepping(setup.phases, removal, psi,
                                                  n_steps, probe[None, :])
-    count = traj.steps.size
+    count = traj.survival.size
     assert count == n_steps + 1 or traj.depleted
     # both paths round relative to the weight they start a step (or a
     # chunk) from, so compare relative to the larger of S_n and 1e-6
@@ -252,7 +252,7 @@ def test_rowless_strings_match_explicit_stepping(L, J2, theta0, h_tau, lam,
     string = explicit_stepping(setup.phases, setup.removal_eig,
                                setup.to_eigen(initial), n_steps,
                                flip=setup.flip)[2]
-    count = traj.steps.size
+    count = traj.survival.size
     assert count == n_steps + 1 or traj.depleted
     assert np.max(np.abs(traj.string - string[:count])) <= OBSERVABLE_ATOL
 
