@@ -30,7 +30,6 @@ from darkfilter.spin_model import (
 )
 from darkfilter.filtration import (
     FiltrationSetup,
-    FiltrationTime,
     RotatingTarget,
     Trajectory,
     filtration_time,
@@ -57,7 +56,6 @@ __all__ = [
     "DarkSubspace",
     "DarkfilterError",
     "FiltrationSetup",
-    "FiltrationTime",
     "ManyBodyOperator",
     "NumericsError",
     "RotatingTarget",

@@ -215,8 +215,10 @@ def noise_vector(dim, seed):
     return vec / np.linalg.norm(vec)
 
 
-def _mixed_removal(params, theta0, pert):
-    psi_r, _ = protocol_states(params, theta0)
+def _mixed_removal(params, pert):
+    """The removal state, the protocol product at theta = pi, mixed with
+    pert.lam of the seeded noise vector and renormalized."""
+    psi_r = protocol_states(params, math.pi)[0]
     vec = psi_r + pert.lam * noise_vector(psi_r.size, pert.seed)
     return vec / np.linalg.norm(vec)
 
@@ -231,8 +233,7 @@ def build_setup(spec: ExperimentSpec, *, all_blocks=False):
         return reduced_setup(spec.params, spec.tau, spec.theta0)
     removal = None
     if spec.perturbations.lam > 0.0:
-        removal = _mixed_removal(spec.params, spec.theta0,
-                                 spec.perturbations)
+        removal = _mixed_removal(spec.params, spec.perturbations)
     return full_setup(spec.params, spec.tau, spec.theta0, removal=removal,
                       all_blocks=all_blocks)
 
@@ -397,16 +398,16 @@ def run_target(spec: ExperimentSpec, out_dir) -> RunArtifacts:
     setup, initial = build_setup(spec)
     target = make_target(setup, spec.params, spec.target, spec.theta0)
     _check_target_reachable(setup, initial, target)
-    traj = run_filtration(setup, initial, spec.n_steps, target=target)
-    ft = filtration_time(traj, spec.eps)
+    traj = run_filtration(setup, initial, spec.n_steps, target)
+    n_eps = filtration_time(traj, spec.eps)
     extra = {
         "target": spec.target,
         "engine": setup.engine,
         "backend": BACKEND,
-        "n_eps": ft.n_eps,
-        "reached": ft.reached,
+        "n_eps": n_eps,
+        "reached": n_eps is not None,
         "q_final": float(traj.q[-1]),
-        "max_q": ft.max_q,
+        "max_q": float(np.max(traj.q)),
         "depleted": traj.depleted,
     }
     string_check_from = (string_check_start(traj, STRING_LAW_TOL)
@@ -644,7 +645,7 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
         setup = engine.retuned(math.pi * p / q / params.h)
         initial = protocol_states(params, theta0)[1]
         target = make_target(setup, params, which, theta0)
-        traj = run_filtration(setup, initial, spec.n_steps, target=target)
+        traj = run_filtration(setup, initial, spec.n_steps, target)
         path = emit_csv(os.path.join(out_dir, f"trajectory_{which}.csv"),
                         SCHEMAS["trajectory"], _trajectory_columns(traj))
         files[f"trajectory_{which}"] = path
@@ -740,7 +741,7 @@ def goe_demo(out_dir, d_goe=GOE_DIM, seed=GOE_SEED,
             f"{n_bound}"
         )
     target = RotatingTarget.static(setup.from_eigen(phi))
-    traj = run_filtration(setup, initial, n_steps, target=target)
+    traj = run_filtration(setup, initial, n_steps, target)
     tail = traj.survival[n_bound:]
     worst = float(np.max(np.abs(tail - expect)))
     if worst >= GOE_CONV_TOL:

@@ -558,22 +558,21 @@ class Trajectory:
     probability of n consecutive non-detections); q[n] the fidelity to
     the target; overlaps[n] the probe overlaps with F^n psi0; string[n]
     the string operator's expectation, on every step of an engine with a
-    spin flip.  q, overlaps and string may be None.
+    spin flip, and None on an engine without one.
     """
 
     def __init__(self, survival, q, overlaps, string, depleted):
         rise = float(np.max(np.diff(survival), initial=-np.inf))
         if rise > 1e-12:
             raise NumericsError(f"survival weight increased by {rise:.3e}")
-        if q is not None:
-            bad = np.flatnonzero(~np.isfinite(q))
-            if bad.size:
-                raise NumericsError(
-                    f"fidelity Q_n is {q[bad[0]]} at step {bad[0]} "
-                    f"(survival {survival[bad[0]]:.3e})")
-            top = float(np.max(q, initial=0.0))
-            if top > 1.0 + 1e-10 or float(np.min(q, initial=0.0)) < -1e-12:
-                raise NumericsError(f"fidelity left [0, 1]: max {top}")
+        bad = np.flatnonzero(~np.isfinite(q))
+        if bad.size:
+            raise NumericsError(
+                f"fidelity Q_n is {q[bad[0]]} at step {bad[0]} "
+                f"(survival {survival[bad[0]]:.3e})")
+        top = float(np.max(q, initial=0.0))
+        if top > 1.0 + 1e-10 or float(np.min(q, initial=0.0)) < -1e-12:
+            raise NumericsError(f"fidelity left [0, 1]: max {top}")
         self.survival = survival
         self.q = q
         self.overlaps = overlaps        # (n+1, k)
@@ -624,7 +623,9 @@ def chunk_length(setup):
     A step costs a few gemv columns at any chunk length, so chunks are
     long, up to a budget of 2^18 entries per (B, dim) table: a power of
     two of at least 8, and at most 256, or 64 on an engine with a spin
-    flip, whose string costs G B^2 per chunk for G flip groups.
+    flip, whose string costs G B^2 per chunk for G flip groups.  The
+    kernel halves a flip engine's chunk where a long tau spreads the
+    phases of its flip groups (RenewalKernel).
     """
     top = 6 if setup.flip is not None else 8
     fit = max(2**18 // setup.dimension, 1).bit_length() - 1
@@ -652,7 +653,11 @@ class RenewalKernel:
     ph[i] it is sum_g w_g^j Q_g(y_j), Q_g(u) = sum_(i in g) s_i
     conj(u[pi i]) u[i], over the flip groups g of coordinates that share
     one w (clustered as eigenphases are, w_g taken from a member; pi maps
-    each group onto one group).  Q_g(y_j) is Q_g(psi), minus the prefix
+    each group onto one group).  A member's w_i^j differs from w_g^j by
+    up to j |w_i - w_g|, which a long tau makes large, so the chunk is
+    halved until B times the widest group's spread is within half of
+    CHUNK_DRIFT_TOL, and a spread above that for one step is refused
+    (ValidationError).  Q_g(y_j) is Q_g(psi), minus the prefix
     sum of c_k A_g[k] with A_g = R[:, g] @ (s conj(psi[pi]))[g], minus
     the same for pi(g) conjugated, plus the prefix quadratic
     sum_(k,l<=j) conj(c_k) G_g[k, l] c_l of the table G_g = R^H P_g R
@@ -661,6 +666,22 @@ class RenewalKernel:
     """
 
     def __init__(self, phases, removal, probes, length, flip=None):
+        self.flip = flip
+        if flip is not None:
+            pos, sign = flip
+            w = phases[pos].conj() * phases
+            order, starts, self.group = _cluster_angles(np.angle(w),
+                                                        PHASE_TOL)
+            rep = order[starts]
+            # the string errs by up to j |w_i - w_g| of the opening weight
+            spread = float(np.max(np.abs(w - w[rep][self.group])))
+            while length * spread > CHUNK_DRIFT_TOL / 2.0:
+                length //= 2
+            if not length:
+                raise ValidationError(
+                    f"the flip phases of a group spread by {spread:.3g}, "
+                    f"above half of CHUNK_DRIFT_TOL = {CHUNK_DRIFT_TOL:g}: "
+                    "tau is too long for the string to hold over one step")
         self.length = B = length
         dim = phases.shape[0]
         self.powers = np.cumprod(np.broadcast_to(phases, (B, dim)), axis=0)
@@ -680,13 +701,7 @@ class RenewalKernel:
         times_f(probes.conj(), rows[1:, 0])         # t^H F
         for j in range(1, B):
             times_f(rows[:, j - 1], rows[:, j])
-        self.flip = flip
         if flip is not None:
-            pos, sign = flip
-            w = phases[pos].conj() * phases
-            order, starts, self.group = _cluster_angles(np.angle(w),
-                                                        PHASE_TOL)
-            rep = order[starts]
             self.mirror = self.group[pos[rep]]
             self.group_powers = np.cumprod(
                 np.broadcast_to(w[rep], (B, rep.size)), axis=0)
@@ -740,18 +755,15 @@ def _fidelity(coef, overlaps, gram, survival):
 
 def _eigen_inputs(setup, initial, target):
     """The initial state (unit norm, else ValidationError), the target's
-    components as rows and their Gram matrix, in the eigenbasis; with no
-    target there are no rows and no Gram matrix."""
+    components as rows and their Gram matrix, in the eigenbasis."""
     psi = setup.to_eigen(initial)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValidationError("initial state must have unit norm")
-    if target is None:
-        return psi, np.zeros((0, setup.dimension), dtype=complex), None
     probes = np.array([setup.to_eigen(c) for c in target.components])
     return psi, probes, probes.conj() @ probes.T
 
 
-def run_filtration(setup, initial, n_steps, target=None):
+def run_filtration(setup, initial, n_steps, target):
     """Iterate the filtration operator and record observables.
 
     The state is propagated unnormalized in the eigenbasis; survival,
@@ -770,15 +782,14 @@ def run_filtration(setup, initial, n_steps, target=None):
     at the first step whose survival falls below DEPLETION_FLOOR
     (depleted flag).  That step is not recorded, as its observables are
     normalized by rounding noise: the trajectory ends at the last step at
-    or above the floor.  target is a RotatingTarget, or None to record no
-    probe overlaps and no Q_n.
+    or above the floor.  target is a RotatingTarget; its components are
+    the probes.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise ValidationError("n_steps must be a non-negative integer")
     flip = setup.flip is not None
     total = int(n_steps) + 1
-    probe_count = 0 if target is None else len(target.components)
-    size = total * (16 + 16 * probe_count + 16 * flip)
+    size = total * (16 + 16 * len(target.components) + 16 * flip)
     if size > TRAJECTORY_BUDGET:
         raise ValidationError(
             f"n_steps = {n_steps} would record {size} bytes of trajectory, "
@@ -787,10 +798,9 @@ def run_filtration(setup, initial, n_steps, target=None):
 
     survival = np.empty(total)
     survival[0] = float(np.vdot(psi, psi).real)
-    overlaps = string = None
-    if target is not None:
-        overlaps = np.empty((total, probes.shape[0]), dtype=complex)
-        overlaps[0] = probes.conj() @ psi
+    overlaps = np.empty((total, probes.shape[0]), dtype=complex)
+    overlaps[0] = probes.conj() @ psi
+    string = None
     if flip:
         string = np.empty(total, dtype=complex)     # normalized at the end
         string[0] = setup.string_rows(psi)
@@ -812,8 +822,7 @@ def run_filtration(setup, initial, n_steps, target=None):
             m = int(np.argmax(surv < floor)) + 1
         lo, end = done + 1, done + m
         survival[lo:end + 1] = surv[:m]
-        if overlaps is not None:
-            overlaps[lo:end + 1] = out[B:].reshape(-1, B)[:, :m].T
+        overlaps[lo:end + 1] = out[B:].reshape(-1, B)[:, :m].T
         if flip:
             string[lo:end + 1] = kernel.strings(psi, c)[:m]
         psi = kernel.advance(psi, c, m)
@@ -833,24 +842,20 @@ def run_filtration(setup, initial, n_steps, target=None):
                 # far above this step's own: take them from the state
                 values[end] = value
         if cut:
-            if overlaps is not None:
-                overlaps[end] = probes.conj() @ psi
+            overlaps[end] = probes.conj() @ psi
             depleted = weight < DEPLETION_FLOOR
         done += m
 
     count = done + 1 - depleted
     survival = survival[:count]
-    q = None
-    if target is not None:
-        overlaps = overlaps[:count]
-        # a static target needs no per-row rotation
-        coef = target.weights[None, :]
-        if np.any(target.angles):
-            coef = coef * np.exp(-1j * np.outer(np.arange(count),
-                                                target.angles))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # exact depletion gives 0/0, which Trajectory rejects
-            q = _fidelity(coef, overlaps, gram, survival)
+    overlaps = overlaps[:count]
+    # a static target needs no per-row rotation
+    coef = target.weights[None, :]
+    if np.any(target.angles):
+        coef = coef * np.exp(-1j * np.outer(np.arange(count), target.angles))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # exact depletion gives 0/0, which Trajectory rejects
+        q = _fidelity(coef, overlaps, gram, survival)
     return Trajectory(
         survival=survival,
         q=q,
@@ -860,22 +865,9 @@ def run_filtration(setup, initial, n_steps, target=None):
     )
 
 
-class FiltrationTime:
-    """First crossing of the fidelity threshold."""
-
-    def __init__(self, n_eps, max_q):
-        self.n_eps = n_eps          # None when the threshold is never met
-        self.reached = n_eps is not None
-        self.max_q = max_q
-
-
 def filtration_time(trajectory, eps):
-    """Smallest n with Q_n >= 1 - eps, or the best Q attained."""
-    if trajectory.q is None:
-        raise ValidationError("trajectory was not recorded against a target")
+    """Smallest step n with Q_n >= 1 - eps, or None when no step gets there."""
     if not 0.0 < eps <= 1.0:
         raise ValidationError("eps must lie in (0, 1]")
-    hits = np.nonzero(trajectory.q >= 1.0 - eps)[0]
-    if hits.size:
-        return FiltrationTime(int(hits[0]), float(np.max(trajectory.q)))
-    return FiltrationTime(None, float(np.max(trajectory.q, initial=0.0)))
+    hits = np.flatnonzero(trajectory.q >= 1.0 - eps)
+    return int(hits[0]) if hits.size else None

@@ -12,7 +12,8 @@ import pathlib
 import sys
 
 import darkfilter
-from darkfilter.filtration import reduced_setup, run_filtration
+from darkfilter.filtration import (RotatingTarget, reduced_setup,
+                                   run_filtration)
 from darkfilter.spin_model import ChainParams
 
 PACKAGE = pathlib.Path(darkfilter.__file__).parent
@@ -86,6 +87,6 @@ def test_benchmark_step_count_reads_the_trajectory(monkeypatch):
         monkeypatch.delitem(sys.modules, module, raising=False)
     layers = importlib.import_module("layers")
     setup, psi0 = reduced_setup(ChainParams(L=4), math.pi / 4.0, 0.3)
-    traj = run_filtration(setup, psi0, 25)
+    traj = run_filtration(setup, psi0, 25, RotatingTarget.static(psi0))
     count = layers.COUNTS["filtration.run_filtration"]
     assert count((setup, psi0, 25), {}, traj) == {"steps": 25}

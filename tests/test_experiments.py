@@ -245,8 +245,8 @@ def _sweep_problem(L, variant):
 
 
 def _stepped_n_eps(setup, initial, target, eps, n_steps):
-    traj = run_filtration(setup, initial, n_steps, target=target)
-    return filtration_time(traj, eps).n_eps
+    traj = run_filtration(setup, initial, n_steps, target)
+    return filtration_time(traj, eps)
 
 
 @pytest.mark.parametrize("variant", sorted(SWEEP_CASES))

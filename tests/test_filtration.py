@@ -899,8 +899,8 @@ def test_run_filtration_chunking_is_invisible():
     length = filtration.chunk_length(setup)
     n, shift = 3 * length + 7, 5                  # shift is not a boundary
     a, states = _states(setup, psi0, n)
-    b = run_filtration(setup, states[shift] / np.linalg.norm(states[shift]),
-                       n - shift)
+    start = states[shift] / np.linalg.norm(states[shift])
+    b = run_filtration(setup, start, n - shift, RotatingTarget.static(start))
     assert np.max(np.abs(a.survival[shift] * b.survival
                          / a.survival[shift:] - 1.0)) <= 1e-10
     assert np.max(np.abs(a.string[shift:] - b.string)) <= 1e-12
@@ -912,7 +912,7 @@ def test_depletion_stops_early():
     removal = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     psi0 = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
     setup = generic_setup(mat, removal, tau=1.0)
-    traj = run_filtration(setup, psi0, 40)
+    traj = run_filtration(setup, psi0, 40, RotatingTarget.static(psi0))
     assert traj.depleted
     # S_1 is rounding (below 1e-30), so step 1 is not recorded
     assert traj.survival.size == 1
@@ -934,12 +934,13 @@ def test_exact_depletion_with_a_target_records_no_fidelity():
 
 def test_run_filtration_validates_input():
     setup, psi0 = reduced_setup(ChainParams(L=4), 1.0, 0.0)
+    target = RotatingTarget.static(psi0)
     with pytest.raises(ValidationError):
-        run_filtration(setup, psi0 * 2.0, 5)
+        run_filtration(setup, psi0 * 2.0, 5, target)
     with pytest.raises(ValidationError):
-        run_filtration(setup, psi0, -1)
+        run_filtration(setup, psi0, -1, target)
     with pytest.raises(ValidationError):
-        run_filtration(setup, psi0, 2.5)
+        run_filtration(setup, psi0, 2.5, target)
 
 
 def _dark_target(setup, psi0):
@@ -980,22 +981,16 @@ def test_fidelity_converges_to_dark_prediction():
     target = _dark_target(setup, psi0)
     traj = run_filtration(setup, psi0, 1500, target=target)
     assert traj.q[-1] > 1.0 - 1e-8
-    ft = filtration_time(traj, 0.01)
-    assert ft.reached
-    assert ft.n_eps == int(np.nonzero(traj.q >= 0.99)[0][0])
+    assert filtration_time(traj, 0.01) == int(np.nonzero(traj.q >= 0.99)[0][0])
 
 
 def test_filtration_time_unreached():
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.25)
     target = _dark_target(setup, psi0)
     traj = run_filtration(setup, psi0, 3, target=target)
-    ft = filtration_time(traj, 1e-9)
-    assert not ft.reached and ft.n_eps is None
+    assert filtration_time(traj, 1e-9) is None
     with pytest.raises(ValidationError):
         filtration_time(traj, 0.0)
-    plain = run_filtration(setup, psi0, 3)
-    with pytest.raises(ValidationError):
-        filtration_time(plain, 0.01)
 
 
 def test_survival_limit_is_dark_weight():
@@ -1003,7 +998,7 @@ def test_survival_limit_is_dark_weight():
     setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.8)
     dark = dark_subspace(degeneracy_groups(setup))
     weight = float(np.sum(np.abs(dark.overlaps(psi0)) ** 2))
-    traj = run_filtration(setup, psi0, 1500)
+    traj = run_filtration(setup, psi0, 1500, RotatingTarget.static(psi0))
     assert abs(traj.survival[-1] - weight) < 1e-10
 
 

@@ -253,11 +253,11 @@ def test_cli_import_loads_no_further_modules():
 
 NO_MASKED_SCRIPT = """
 import math, sys
-from darkfilter.filtration import full_setup, run_filtration
+from darkfilter.filtration import RotatingTarget, full_setup, run_filtration
 from darkfilter.spin_model import ChainParams
 setup, psi0 = full_setup(ChainParams(L=4, J2=0.02), math.pi / 4, 0.3)
 loaded = "numpy.ma" in sys.modules
-run_filtration(setup, psi0, 100)
+run_filtration(setup, psi0, 100, RotatingTarget.static(psi0))
 print(loaded, "numpy.ma" in sys.modules)
 """
 
@@ -270,6 +270,60 @@ def test_full_engine_does_not_import_numpy_ma():
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout.split()
     assert out == ["False", "False"]
+
+
+def _run_at_threads(tmp_path, sub, doc, threads):
+    """(exit code, {file name: text}) of a fresh CLI process at an
+    OpenBLAS thread count."""
+    cfg = tmp_path / f"{sub}.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / f"{sub}-{threads}"
+    src = os.path.dirname(os.path.dirname(darkfilter.__file__))
+    rc = subprocess.run(
+        [sys.executable, "-m", "darkfilter.cli", sub, "--config", str(cfg),
+         "--out", str(out), "--quiet"],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+        timeout=300).returncode
+    return rc, {f.name: f.read_text() for f in sorted(out.iterdir())}
+
+
+def _same_up_to_rounding(a, b):
+    """Discrete values equal, floats to a relative 1e-12 (rounding-level
+    residuals to 1e-14 absolute)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(
+            _same_up_to_rounding(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_up_to_rounding, a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-14)
+    return a == b and type(a) is type(b)
+
+
+@pytest.mark.parametrize("sub, doc", [
+    ("perturb", {"L": 6, "J2": 0.02, "n_steps": 400}),
+    ("filter-run", {"L": 6, "target": "tar1", "engine": "full", "J2": 0.01,
+                    "n_steps": 400}),
+], ids=["perturb", "filter-run-full"])
+def test_full_engine_results_do_not_depend_on_blas_threads(tmp_path, sub, doc):
+    # the sector eigh rounds differently on one and two OpenBLAS threads,
+    # so the bytes differ (n_eps, reached, depleted and the plateau
+    # window must not), by about 1e-16 relative in each value
+    (rc1, files1), (rc2, files2) = (
+        _run_at_threads(tmp_path, sub, doc, n) for n in ("1", "2"))
+    assert rc1 == rc2 == 0
+    assert files1.keys() == files2.keys()
+    for name, text in files1.items():
+        if name == "metadata.json":
+            meta1, meta2 = (json.loads(f[name]) for f in (files1, files2))
+            del meta1["wall_time_s"], meta2["wall_time_s"]
+            assert _same_up_to_rounding(meta1, meta2)
+            continue
+        rows1, rows2 = (np.loadtxt(f[name].splitlines(), delimiter=",",
+                                   skiprows=1, ndmin=2)
+                        for f in (files1, files2))
+        assert rows1.shape == rows2.shape
+        assert np.allclose(rows1, rows2, rtol=1e-12, atol=1e-14), name
 
 
 def test_write_metadata_sorted_and_plain(tmp_path):
@@ -664,6 +718,34 @@ def test_cli_refuses_phases_without_precision(tmp_path, capsys, doc):
     assert err.startswith("error: tau = ") and "max|E|" in err
     assert err.count("\n") == 1 and "Warning" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("h, n_steps, status", [
+    (3e-6, 200, 0), (1e-6, 200, 0), (1e-7, 10, 1),
+], ids=["h-3e-6", "h-1e-6", "h-1e-7"])
+def test_cli_small_h_runs_or_is_refused(tmp_path, capsys, h, n_steps,
+                                        status):
+    # the flip groups' phases spread by 1.9e-11 to 4.9e-10 at these h,
+    # which a 64-step chunk compounds past CHUNK_DRIFT_TOL: the chunk is
+    # shortened until the string holds, and a spread that one step
+    # cannot hold is refused, never a string-drift numerics failure
+    cfg = _write(tmp_path, "c.json",
+                 {"L": 4, "target": "tar1", "h": h, "n_steps": n_steps})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["filter-run", "--config", cfg,
+                     "--out", str(tmp_path / "o"), "--quiet"]) == status
+    err = capsys.readouterr().err
+    if status:
+        assert err.startswith("error: the flip phases of a group spread by ")
+        assert err.count("\n") == 1 and "Warning" not in err
+        assert not (tmp_path / "o").exists()
+    else:
+        assert err == ""
+        assert _lines(tmp_path / "o" / "trajectory.csv") == n_steps + 2
+        # the preparation time of every h on this chain
+        meta = json.load(open(tmp_path / "o" / "metadata.json"))
+        assert meta["n_eps"] == 6
 
 
 @pytest.mark.parametrize("sub, doc", [

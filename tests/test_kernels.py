@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from darkfilter import filtration
 from darkfilter.cli import main
+from darkfilter.errors import ValidationError
 from darkfilter.experiments import (
     ExperimentSpec,
     Perturbations,
@@ -102,7 +103,9 @@ def test_survival_is_squared_norm_and_monotone():
 def test_early_stop_on_depletion():
     # removal aligned with the only surviving direction kills psi at once
     setup = _plain_setup(np.array([1.0 + 0.0j]), np.array([1.0 + 0.0j]))
-    traj = run_filtration(setup, np.array([1.0 + 0.0j]), 10)
+    psi0 = np.array([1.0 + 0.0j])
+    traj = run_filtration(setup, psi0, 10,
+                          filtration.RotatingTarget.static(psi0))
     assert traj.depleted
     # the depleting step is not recorded: the trajectory ends at n = 0
     assert traj.survival.size == 1
@@ -117,7 +120,8 @@ def test_rounding_level_depletion_stops_the_run(build):
     # report normalized rounding noise as data
     params = ChainParams(L=3)
     setup, psi0 = build(params, math.pi / (2.0 * params.h), 0.0)
-    traj = run_filtration(setup, psi0, 50)
+    traj = run_filtration(setup, psi0, 50,
+                          filtration.RotatingTarget.static(psi0))
     assert traj.depleted
     # step 1 holds only rounding and is not recorded
     assert traj.survival.size == 1
@@ -186,6 +190,31 @@ def test_chunk_length_reads_the_engine(build):
     assert chunk_length(setup) == want
 
 
+@pytest.mark.parametrize("offset, length", [
+    (0.0, 64), (1.5e-13, 64), (3e-13, 32), (6e-13, 16), (1.2e-11, 1),
+    (1.3e-11, None)])
+def test_flip_group_spread_shortens_the_chunk(offset, length):
+    # one flip group {0, 1} whose phases w = exp(+-2i offset) spread by
+    # 4 offset; a B-step chunk errs by up to B times that in the string,
+    # so B is halved until that is within CHUNK_DRIFT_TOL / 2
+    phases = np.exp(1j * np.array([offset, -offset, 1.0, -1.0]))
+    removal = np.full(4, 0.5, dtype=complex)
+    flip = (np.array([1, 0, 3, 2]), np.ones(4))
+    if length is None:
+        with pytest.raises(ValidationError, match="spread by 5.2e-11"):
+            RenewalKernel(phases, removal, np.zeros((0, 4)), 64, flip)
+        return
+    kernel = RenewalKernel(phases, removal, np.zeros((0, 4)), 64, flip)
+    assert kernel.length == length
+    assert kernel.mirror.size == 3
+    psi = np.array([0.8, 0.0, 0.6j, 0.0])
+    c = kernel.tables @ psi
+    formed = kernel.advance(psi, c, length)
+    string = np.vdot(formed[flip[0]], formed)
+    drift = abs(kernel.strings(psi, c)[length - 1] - string)
+    assert drift <= filtration.CHUNK_DRIFT_TOL / 2.0
+
+
 @pytest.mark.parametrize("build", [_tower_case, _full_case, _generic_case],
                          ids=["tower", "full-noisy", "generic"])
 def test_kernel_matches_explicit_stepping(build):
@@ -248,7 +277,8 @@ def test_rowless_strings_match_explicit_stepping(L, J2, theta0, h_tau, lam,
         perturbations=Perturbations(lam=lam, seed=7) if lam
         else Perturbations())
     setup, initial = build_setup(spec)
-    traj = run_filtration(setup, initial, n_steps)
+    traj = run_filtration(setup, initial, n_steps,
+                          filtration.RotatingTarget.static(initial))
     string = explicit_stepping(setup.phases, setup.removal_eig,
                                setup.to_eigen(initial), n_steps,
                                flip=setup.flip)[2]
@@ -261,7 +291,8 @@ def test_renewal_and_stepping_track_extended_precision():
     L, theta0, n_steps = 6, 0.4, 400
     setup, initial = reduced_setup(ChainParams(L=L), math.pi / L, theta0)
     exact = np.array(mp_tower_survival(L, (1, L), theta0, n_steps))
-    traj = run_filtration(setup, initial, n_steps)
+    traj = run_filtration(setup, initial, n_steps,
+                          filtration.RotatingTarget.static(initial))
     stepped = explicit_stepping(setup.phases, setup.removal_eig,
                                 setup.to_eigen(initial), n_steps)[0]
     for path in (traj.survival, stepped):

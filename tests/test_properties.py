@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from darkfilter.experiments import TARGETS, make_target
-from darkfilter.filtration import full_setup, reduced_setup, run_filtration
+from darkfilter.filtration import (RotatingTarget, full_setup, reduced_setup,
+                                   run_filtration)
 from darkfilter.spectral import (
     HULL_SLACK,
     convex_hull_violation,
@@ -49,8 +50,9 @@ def test_tower_and_full_engines_agree_everywhere(L, h_tau, theta0, D, J3, h):
     # J3 keeps the tower exact, so both engines run the same protocol
     params = ChainParams(L=L, h=h, D=D, J3=J3)
     tau = math.pi * h_tau[0] / (h_tau[1] * h)
-    trajs = [run_filtration(*build(params, tau, theta0), 60)
-             for build in (reduced_setup, full_setup)]
+    runs = [build(params, tau, theta0) for build in (reduced_setup, full_setup)]
+    trajs = [run_filtration(setup, psi0, 60, RotatingTarget.static(psi0))
+             for setup, psi0 in runs]
     tower, full = trajs
     assert np.max(np.abs(tower.survival - full.survival)) <= 1e-10
     # a normalized string is rounding noise once the state has depleted
