@@ -150,17 +150,6 @@ class ExperimentSpec:
     def __eq__(self, other):
         return type(other) is ExperimentSpec and vars(other) == vars(self)
 
-    @property
-    def h_tau_value(self):
-        p, q = self.h_tau
-        return math.pi * p / q
-
-    @property
-    def tau(self):
-        if self.params.h == 0.0:
-            raise ValidationError("tau undefined at h = 0")
-        return self.h_tau_value / self.params.h
-
 
 class RunArtifacts:
     """File paths plus the metadata that went into the sidecar."""
@@ -230,11 +219,11 @@ def build_setup(spec: ExperimentSpec, *, all_blocks=False):
     (full_setup), not only those a run reaches.
     """
     if spec.engine == "tower":
-        return reduced_setup(spec.params, spec.tau, spec.theta0)
+        return reduced_setup(spec.params, spec.h_tau, spec.theta0)
     removal = None
     if spec.perturbations.lam > 0.0:
         removal = _mixed_removal(spec.params, spec.perturbations)
-    return full_setup(spec.params, spec.tau, spec.theta0, removal=removal,
+    return full_setup(spec.params, spec.h_tau, spec.theta0, removal=removal,
                       all_blocks=all_blocks)
 
 
@@ -285,22 +274,23 @@ TARGETS = {
 
 
 def make_target(setup, params, which, theta0):
-    """The target `which` of TARGETS at initial angle theta0 and the
-    setup's period, for the chain params the setup was built from (a
-    setup holds no chain).  Off the tower engine its components are
-    lifted to the chain's 3^L states, so on a generic engine
-    run_filtration refuses it."""
+    """The target `which` of TARGETS at initial angle theta0, turning by
+    turns pi p/q a step at the setup's h_tau (the target's own on a
+    generic engine), for the chain params the setup was built from.  Off
+    the tower engine its components are lifted to the chain's 3^L
+    states, so on a generic engine run_filtration refuses it."""
     if which not in TARGETS:
         raise ValidationError(f"unknown target {which!r}")
     rule = TARGETS[which]
     components = rule.components(params.L)
+    p, q = setup.h_tau or rule.resonance(params.L)
     if setup.engine != "tower":
         tower = build_tower(params)
         components = [tower.T @ np.asarray(c) for c in components]
     return RotatingTarget(
         components=components,
         weights=rule.weights(theta0),
-        angles=np.array(rule.turns) * params.h * setup.tau)
+        angles=np.array(rule.turns) * (math.pi * p / q))
 
 
 def _check_target_reachable(setup, initial, target):
@@ -357,8 +347,9 @@ def string_check_start(traj, tol):
     return first if first < traj.q.size else None
 
 
-def string_law_deviation(traj, theta0, h_tau_value, L, n_min):
-    """Largest gap between |<prod X>| and |cos(theta0 + 2 n h tau)|.
+def string_law_deviation(traj, theta0, h_tau, L, n_min):
+    """Largest gap between |<prod X>| and |cos(theta0 + 2 n h tau)|, the
+    angle taken as theta0 + pi (2pn mod 2q)/q at h_tau = (p, q).
 
     Also reports the signed-law deviation including the global parity
     sign (-1)^{L(L+1)/2} (-1)^L of the flip on the tower edges.
@@ -369,7 +360,8 @@ def string_law_deviation(traj, theta0, h_tau_value, L, n_min):
     if not n.size:
         raise ValidationError(f"no string samples at n >= {n_min}")
     vals = traj.string[n]
-    law = np.cos(theta0 + 2.0 * n * h_tau_value)
+    p, q = (k // math.gcd(*h_tau) for k in h_tau)
+    law = np.cos(theta0 + math.pi * (2 * p * n % (2 * q)) / q)
     signed = string_parity_sign(L) * (-1.0) ** L * law
     dev_abs = float(np.max(np.abs(np.abs(vals) - np.abs(law))))
     dev_signed = float(np.max(np.abs(vals - signed)))
@@ -414,7 +406,7 @@ def run_target(spec: ExperimentSpec, out_dir) -> RunArtifacts:
                          if rule.rotating else None)
     if string_check_from is not None:
         dev_abs, dev_signed = string_law_deviation(
-            traj, spec.theta0, spec.h_tau_value, spec.params.L,
+            traj, spec.theta0, spec.h_tau, spec.params.L,
             n_min=string_check_from
         )
         extra["string_dev_abs"] = dev_abs
@@ -429,12 +421,10 @@ def run_target(spec: ExperimentSpec, out_dir) -> RunArtifacts:
 def _sweep_case(L, variant, theta0, eps):
     """One point of the filtration-time sweep, tower engine."""
     which = variant.split("-")[0]          # a variant names its target first
-    h_tau = TARGETS[which].resonance(L)
-    spec = ExperimentSpec(name=f"sweep-L{L}", params=ChainParams(L=L),
-                          theta0=theta0, h_tau=h_tau, n_steps=0, eps=eps)
-    setup, initial = build_setup(spec)
-    target = make_target(setup, spec.params, which, theta0)
-    n_eps = jump_filtration_time(setup, initial, target, eps, h_tau)
+    params = ChainParams(L=L)
+    setup, initial = reduced_setup(params, TARGETS[which].resonance(L), theta0)
+    target = make_target(setup, params, which, theta0)
+    n_eps = jump_filtration_time(setup, initial, target, eps)
     return n_eps, scaling_predictions(L, theta0, eps, variant)
 
 
@@ -546,8 +536,7 @@ def table1_scan(out_dir, theta0=TABLE1_THETA0) -> RunArtifacts:
     rows = []
     summary = []
     for (p, q), expected in TABLE1_CASES:
-        tau = math.pi * p / (q * params.h)
-        setup, initial = reduced_setup(params, tau, theta0)
+        setup, initial = reduced_setup(params, (p, q), theta0)
         dark = dark_subspace(degeneracy_groups(setup))
         if dark.count != expected:
             raise NumericsError(
@@ -642,7 +631,7 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
              "noise_seed": spec.perturbations.seed}
     for which, rule in TARGETS.items():
         (p, q), theta0 = rule.resonance(L), rule.angle(L)
-        setup = engine.retuned(math.pi * p / q / params.h)
+        setup = engine.retuned((p, q))
         initial = protocol_states(params, theta0)[1]
         target = make_target(setup, params, which, theta0)
         traj = run_filtration(setup, initial, spec.n_steps, target)
@@ -802,9 +791,7 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
     moduli = []
     files = {}
     for L in L_values:
-        params = ChainParams(L=L)
-        tau = math.pi * p / (q * params.h)
-        setup, _ = reduced_setup(params, tau, 0.0)
+        setup, _ = reduced_setup(ChainParams(L=L), ZETA_H_TAU, 0.0)
         _, groups, roots = mode_spectrum(setup)
         if groups.w != 4:
             raise NumericsError(

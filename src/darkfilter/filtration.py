@@ -33,13 +33,12 @@ the initial state stay with its builders' callers.  Three engines exist:
 Iteration never renormalizes the internal state; survival probability is
 its squared norm, and all reported quantities are normalized on output.
 F is never diagonalized here; its spectrum is the spectral module's,
-which reads PHASE_TOL and _cluster_angles from this one when called.
+which reads PHASE_TOL from this one when called.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -61,6 +60,19 @@ from darkfilter.spin_model import (
 # resonant periods are constructed as exact ratios, so true collisions
 # sit at rounding error while distinct phases are separated by O(1/L).
 PHASE_TOL = 1e-9
+
+
+def _pi_phases(m, q):
+    """exp(-i pi m / q) for Python integers m, reduced modulo 2q exactly."""
+    return np.exp(-1j * math.pi * np.array([k % (2 * q) for k in m],
+                                           dtype=float) / q)
+
+
+def _period(h_tau, h):
+    """The period tau = pi p/(q h) of the resonance h_tau = (p, q)."""
+    if h == 0.0:
+        raise ValidationError("tau undefined at h = 0")
+    return math.pi * h_tau[0] / h_tau[1] / h
 
 
 def resonance_period(ea, eb):
@@ -103,19 +115,28 @@ class FiltrationSetup:
     state, unit norm, in the basis of run_filtration's inputs and
     outputs: every state is a complex array of its length.  sector_eigs
     are the blocks of H in engine order, which the coordinates follow.
-    The spin flip prod X maps coordinate i to pos[i] with sign sign[i],
-    flip = (pos, sign); flip is None when no flip is defined.  The rest
-    is derived: energies (dim,) are the blocks' eigenvalues of H in that
-    order, phases exp(-i E tau) and removal_eig the removal in the
-    eigenbasis (to_eigen).  A tau whose phases would round by more
-    than PHASE_TOL, eps max|E| |tau|, is refused before they are
-    computed, as that rounding blurs the degeneracies PHASE_TOL resolves.
+    A chain engine (tower, full) sits at h tau = pi p/q, h_tau = (p, q),
+    with a spin flip prod X mapping coordinate i to pos[i] with sign
+    sign[i], flip = (pos, sign).  Derived: energies, the blocks'
+    eigenvalues of H in order; removal_eig, the removal in the
+    eigenbasis; phases, the exp(-i E tau) that run_filtration steps,
+    exact where h_tau fixes them.  The tower steps exp(-i pi (2pn mod
+    2q)/q) and keeps exp(-i E_0 tau), which cancels in every trajectory
+    observable, apart as global_phase (1 elsewhere); the full engine's
+    sector -M (energies those of M less 2hM) steps those of M times
+    exp(2 pi i (pM mod q)/q).  So the flip turns coordinate i of
+    magnetization M (2n - L on the tower) by exactly exp(-i pi (2pM mod
+    2q)/q), and flip_groups = (label, w) has the class label[i] of i and
+    the turn w[g] of class g.  A tau whose phases would round by more
+    than PHASE_TOL, eps max|E| |tau|, is refused first.
     """
 
-    def __init__(self, tau, engine, removal, sector_eigs, flip=None):
+    def __init__(self, tau, engine, removal, sector_eigs, flip=None,
+                 h_tau=None):
         if engine not in ("tower", "full", "generic"):
             raise ValidationError(f"unknown engine {engine!r}")
         self.tau = tau
+        self.h_tau = h_tau
         self.engine = engine
         self.sector_eigs = sector_eigs
         self.flip = flip
@@ -129,6 +150,13 @@ class FiltrationSetup:
                 f"exp(-i E tau) a rounding of {blur:.3g} rad, above "
                 f"PHASE_TOL = {PHASE_TOL:g}")
         self.phases = np.exp(-1j * self.energies * tau)
+        self.global_phase = 1.0
+        if engine == "tower":
+            p, q = h_tau
+            self.global_phase = self.phases[0]
+            self.phases = _pi_phases(range(0, 2 * p * self.dimension, 2 * p),
+                                     q)
+        self.flip_groups = None if flip is None else self._flip_classes(*h_tau)
         self.removal = np.asarray(removal)
         self.removal_eig = self.to_eigen(self.removal)
         if abs(np.linalg.norm(self.removal_eig) - 1.0) > 1e-12:
@@ -137,21 +165,38 @@ class FiltrationSetup:
         if not np.all(np.abs(np.abs(self.phases) - 1.0) <= 1e-12):
             raise NumericsError("propagator phases are not unimodular")
 
+    def _flip_classes(self, p, q):
+        """flip_groups; first turns the phases of the full engine's -M."""
+        if self.engine == "tower":
+            mags, sizes = range(1 - self.dimension, self.dimension, 2), 1
+        else:
+            mags, sizes = zip(*[(b.label, b.energies.shape[0])
+                                for b in self.sector_eigs])
+        turns = [2 * p * M % (2 * q) for M in mags]
+        classes = sorted(set(turns))
+        label = np.repeat([classes.index(t) for t in turns], sizes)
+        w = _pi_phases(classes, q)
+        if self.engine == "full":
+            low = np.repeat([M < 0 for M in mags], sizes)
+            self.phases[low] = self.phases[self.flip[0][low]] * w[label[low]]
+        return label, w
+
     @property
     def dimension(self):
         return self.energies.shape[0]
 
-    def retuned(self, tau):
-        """The same engine at another period.
+    def retuned(self, h_tau):
+        """The same chain engine at another resonance h_tau = (p, q).
 
         H and the removal state do not depend on it, so the eigenbasis
-        is reused and only the phases exp(-i E tau) are recomputed.  The
-        full engine's blocks are those the removal reaches, which hold
-        the protocol state at every angle; to_eigen refuses a state that
-        leaves them.
+        is reused, and the field h = pi p0/(q0 tau) from the setup's own
+        h_tau and tau.  The full engine's blocks are those the removal
+        reaches, which hold the protocol state at every angle; to_eigen
+        refuses a state that leaves them.
         """
-        return FiltrationSetup(tau, self.engine, self.removal,
-                               self.sector_eigs, self.flip)
+        return FiltrationSetup(_period(h_tau, _period(self.h_tau, self.tau)),
+                               self.engine, self.removal, self.sector_eigs,
+                               self.flip, h_tau)
 
     def to_eigen(self, state):
         """Input-basis state -> eigenbasis coords."""
@@ -209,8 +254,8 @@ def _matvec(matrix, vec):
     return matrix @ vec.real + 1j * (matrix @ vec.imag)
 
 
-def reduced_setup(params, tau, theta0):
-    """Tower-reduced engine: H diagonal on the L+1 bi-magnon states.
+def reduced_setup(params, h_tau, theta0):
+    """Tower engine at h_tau: H diagonal on the L+1 bi-magnon states.
 
     Needs no full-space vectors, so it scales far beyond the dense cap.
     The removal and initial states are the exact tower decompositions of
@@ -233,12 +278,13 @@ def reduced_setup(params, tau, theta0):
                               "state's phases (L - n) theta0")
     initial = np.exp(1j * (L - n) * theta0) * weights
     setup = FiltrationSetup(
-        tau=tau,
+        tau=_period(h_tau, params.h),
         engine="tower",
         removal=(-1.0) ** n * weights,
         sector_eigs=[SectorEig(0, n[None, :], np.ones((1, L + 1)),
                                params.tower_energy(n), np.eye(L + 1))],
         flip=(n[::-1], np.full(L + 1, string_parity_sign(L))),
+        h_tau=h_tau,
     )
     return setup, initial
 
@@ -355,8 +401,8 @@ def _orbit_weight(vec, images, coefs):
     return float(np.vdot(orbits, orbits).real)
 
 
-def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
-    """Full-space engine blocked by Sz and the symmetry group {1, P, R'}.
+def full_setup(params, h_tau, theta0, removal=None, *, all_blocks=False):
+    """Full-space engine at h_tau, blocked by Sz and the group {1, P, R'}.
 
     Works inside the total-Sz sectors that can carry weight: the parity
     sectors M = L mod 2 hosting the protocol states, plus any sector
@@ -393,6 +439,7 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
     """
     if not isinstance(params, ChainParams):
         raise ValidationError("full_setup expects ChainParams")
+    tau = _period(h_tau, params.h)
     L = params.L
     ham = build_hamiltonian(params)
     mags = magnetization_of(L)
@@ -460,6 +507,7 @@ def full_setup(params, tau, theta0, removal=None, *, all_blocks=False):
         removal=psi_r,
         sector_eigs=blocks,
         flip=(pos, sign),
+        h_tau=h_tau,
     )
     return setup, psi_0
 
@@ -487,40 +535,6 @@ def generic_setup(matrix, removal, tau=None):
     blk = SectorEig(0, np.arange(dim)[None, :], np.ones((1, dim)), w, v)
     return FiltrationSetup(tau=tau, engine="generic", removal=removal,
                            sector_eigs=[blk])
-
-
-def _cluster_angles(angles, tol):
-    """Cluster angles whose sorted gaps are below tol, with wrap-around.
-
-    Returns (order, starts, label): cluster k holds the indices
-    order[starts[k]:starts[k + 1]] in ascending angle, and label[i] is the
-    cluster of index i.  Clusters come in ascending angle, except that a
-    cluster reaching across pi comes first, its members near pi before
-    those near -pi.  Warns when two clusters are closer than 10 tol.
-    """
-    order = np.argsort(angles, kind="stable")
-    ordered = angles[order]
-    starts = np.flatnonzero(np.diff(ordered) >= tol) + 1
-    gaps = ordered[starts] - ordered[starts - 1]
-    if starts.size:
-        wrap = ordered[0] + 2.0 * math.pi - ordered[-1]
-        if wrap < tol:
-            # the last cluster joins the first across pi
-            shift = order.size - starts[-1]
-            order = np.roll(order, shift)
-            starts = starts[:-1] + shift
-        else:
-            gaps = np.append(gaps, wrap)
-    if starts.size and gaps.min() < 10.0 * tol:
-        warnings.warn(
-            f"eigenphase clusters separated by only {gaps.min():.2e} rad; "
-            "grouping may be ambiguous",
-            stacklevel=3,
-        )
-    starts = np.concatenate([[0], starts])
-    label = np.empty(order.size, dtype=np.intp)
-    label[order] = np.cumsum(np.bincount(starts, minlength=order.size)) - 1
-    return order, starts, label
 
 
 class RotatingTarget:
@@ -623,9 +637,7 @@ def chunk_length(setup):
     A step costs a few gemv columns at any chunk length, so chunks are
     long, up to a budget of 2^18 entries per (B, dim) table: a power of
     two of at least 8, and at most 256, or 64 on an engine with a spin
-    flip, whose string costs G B^2 per chunk for G flip groups.  The
-    kernel halves a flip engine's chunk where a long tau spreads the
-    phases of its flip groups (RenewalKernel).
+    flip, whose string costs G B^2 per chunk for G flip groups.
     """
     top = 6 if setup.flip is not None else 8
     fit = max(2**18 // setup.dimension, 1).bit_length() - 1
@@ -649,15 +661,12 @@ class RenewalKernel:
     Z_j = phases^j, y_j = psi - sum_(k<=j) c_k R_k, with R_k = D^-k r.
 
     The string <psi_j|P|psi_j> of a signed flip permutation P (i to
-    pi(i), sign s_i) needs no state either.  With w_i = conj(ph[pi i])
-    ph[i] it is sum_g w_g^j Q_g(y_j), Q_g(u) = sum_(i in g) s_i
-    conj(u[pi i]) u[i], over the flip groups g of coordinates that share
-    one w (clustered as eigenphases are, w_g taken from a member; pi maps
-    each group onto one group).  A member's w_i^j differs from w_g^j by
-    up to j |w_i - w_g|, which a long tau makes large, so the chunk is
-    halved until B times the widest group's spread is within half of
-    CHUNK_DRIFT_TOL, and a spread above that for one step is refused
-    (ValidationError).  Q_g(y_j) is Q_g(psi), minus the prefix
+    pi(i), sign s_i) needs no state either.  flip = (pi, s, label, w)
+    puts coordinate i in the flip group g = label[i], whose exact turn
+    w_g = conj(ph[pi i]) ph[i] (FiltrationSetup.flip_groups; pi maps
+    each group onto one group) holds over a chunk of any length.  The
+    string is sum_g w_g^j Q_g(y_j), Q_g(u) = sum_(i in g) s_i
+    conj(u[pi i]) u[i], and Q_g(y_j) is Q_g(psi), minus the prefix
     sum of c_k A_g[k] with A_g = R[:, g] @ (s conj(psi[pi]))[g], minus
     the same for pi(g) conjugated, plus the prefix quadratic
     sum_(k,l<=j) conj(c_k) G_g[k, l] c_l of the table G_g = R^H P_g R
@@ -667,21 +676,6 @@ class RenewalKernel:
 
     def __init__(self, phases, removal, probes, length, flip=None):
         self.flip = flip
-        if flip is not None:
-            pos, sign = flip
-            w = phases[pos].conj() * phases
-            order, starts, self.group = _cluster_angles(np.angle(w),
-                                                        PHASE_TOL)
-            rep = order[starts]
-            # the string errs by up to j |w_i - w_g| of the opening weight
-            spread = float(np.max(np.abs(w - w[rep][self.group])))
-            while length * spread > CHUNK_DRIFT_TOL / 2.0:
-                length //= 2
-            if not length:
-                raise ValidationError(
-                    f"the flip phases of a group spread by {spread:.3g}, "
-                    f"above half of CHUNK_DRIFT_TOL = {CHUNK_DRIFT_TOL:g}: "
-                    "tau is too long for the string to hold over one step")
         self.length = B = length
         dim = phases.shape[0]
         self.powers = np.cumprod(np.broadcast_to(phases, (B, dim)), axis=0)
@@ -702,12 +696,14 @@ class RenewalKernel:
         for j in range(1, B):
             times_f(rows[:, j - 1], rows[:, j])
         if flip is not None:
-            self.mirror = self.group[pos[rep]]
+            pos, sign, group, w = flip
+            self.members = np.eye(w.size)[group]            # (dim, G)
+            self.mirror = group[pos[np.argmax(self.members, axis=0)]]
             self.group_powers = np.cumprod(
-                np.broadcast_to(w[rep], (B, rep.size)), axis=0)
+                np.broadcast_to(w, (B, w.size)), axis=0)
             # with ph[pi i] = conj(w_g) ph[i] on group g, G_g[k, l] is
             # conj(w_g)^k u_g(k - l), u_g(m) = sum_(i in g) ph[i]^m x_i
-            x = self._by_group(sign * removal[pos].conj() * removal)
+            x = self.members * (sign * removal[pos].conj() * removal)[:, None]
             u = np.concatenate([(self.powers[-2::-1] @ x.conj()).conj(),
                                 x.sum(axis=0)[None], self.powers[:-1] @ x])
             lag = np.subtract.outer(np.arange(B), np.arange(B)) + B - 1
@@ -719,16 +715,10 @@ class RenewalKernel:
             self.gram_upper = np.ascontiguousarray(
                 np.triu(gram, 1).transpose(0, 2, 1))
 
-    def _by_group(self, values):
-        """(dim, G) matrix holding values[i] in the column of i's group."""
-        out = np.zeros((values.size, self.mirror.size), dtype=complex)
-        out[np.arange(values.size), self.group] = values
-        return out
-
     def strings(self, psi, c):
         """<psi_j|P|psi_j> for j = 1 .. B, without forming psi_j."""
-        pos, sign = self.flip
-        paired = self._by_group(sign * psi[pos].conj())
+        pos, sign = self.flip[:2]
+        paired = self.members * (sign * psi[pos].conj())[:, None]
         linear = np.cumsum(c[:, None] * (self.returns @ paired), axis=0)
         quad = np.cumsum(c.conj() * (self.gram_lower @ c)
                          + c * (self.gram_upper @ c.conj()), axis=1).T
@@ -806,7 +796,8 @@ def run_filtration(setup, initial, n_steps, target):
         string[0] = setup.string_rows(psi)
 
     kernel = RenewalKernel(setup.phases, setup.removal_eig, probes,
-                           chunk_length(setup), setup.flip)
+                           chunk_length(setup),
+                           setup.flip + setup.flip_groups if flip else None)
     B = kernel.length
     done = 0
     depleted = False

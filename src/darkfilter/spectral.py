@@ -17,17 +17,19 @@ the dark phases, the w - 1 roots and the removal's one zero number dim
 by construction.  The dominant bright modulus sets the filtration time:
 on the tower engine jump_filtration_time finds it from powers of F
 without stepping, and the closed-form asymptotics of the two targets
-are here.  The grouping reads PHASE_TOL and _cluster_angles from the
-filtration module when called; that module imports nothing from this.
+are here.  The grouping reads PHASE_TOL from the filtration module when
+called; that module imports nothing from this.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
 from darkfilter import filtration
+from darkfilter.filtration import _pi_phases
 from darkfilter.errors import NumericsError, ValidationError
 
 # A degenerate group whose removal component is smaller than this is
@@ -92,6 +94,40 @@ class PhaseGroups:
         return [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
 
 
+def _cluster_angles(angles, tol):
+    """Cluster angles whose sorted gaps are below tol, with wrap-around.
+
+    Returns (order, starts, label): cluster k holds the indices
+    order[starts[k]:starts[k + 1]] in ascending angle, and label[i] is the
+    cluster of index i.  Clusters come in ascending angle, except that a
+    cluster reaching across pi comes first, its members near pi before
+    those near -pi.  Warns when two clusters are closer than 10 tol.
+    """
+    order = np.argsort(angles, kind="stable")
+    ordered = angles[order]
+    starts = np.flatnonzero(np.diff(ordered) >= tol) + 1
+    gaps = ordered[starts] - ordered[starts - 1]
+    if starts.size:
+        wrap = ordered[0] + 2.0 * math.pi - ordered[-1]
+        if wrap < tol:
+            # the last cluster joins the first across pi
+            shift = order.size - starts[-1]
+            order = np.roll(order, shift)
+            starts = starts[:-1] + shift
+        else:
+            gaps = np.append(gaps, wrap)
+    if starts.size and gaps.min() < 10.0 * tol:
+        warnings.warn(
+            f"eigenphase clusters separated by only {gaps.min():.2e} rad; "
+            "grouping may be ambiguous",
+            stacklevel=3,
+        )
+    starts = np.concatenate([[0], starts])
+    label = np.empty(order.size, dtype=np.intp)
+    label[order] = np.cumsum(np.bincount(starts, minlength=order.size)) - 1
+    return order, starts, label
+
+
 def degeneracy_groups(setup):
     """Cluster the eigenphases of U(tau) into degenerate groups.
 
@@ -100,11 +136,11 @@ def degeneracy_groups(setup):
     """
     if not isinstance(setup, filtration.FiltrationSetup):
         raise ValidationError("expected a FiltrationSetup")
-    angles = np.angle(setup.phases)
-    order, starts, label = filtration._cluster_angles(angles,
-                                                      filtration.PHASE_TOL)
+    phases = setup.phases * setup.global_phase      # those of U(tau)
+    angles = np.angle(phases)
+    order, starts, label = _cluster_angles(angles, filtration.PHASE_TOL)
     first = np.minimum.reduceat(order, starts)
-    rep = setup.phases[first]
+    rep = phases[first]
     # libm hypot, as abs of a complex: np.abs may round differently
     phases = rep / np.hypot(rep.real, rep.imag)
     rank = np.argsort(np.angle(phases), kind="stable")
@@ -315,24 +351,17 @@ CROSSING_MARGIN = 1e-12
 MAX_DOUBLINGS = 62
 
 
-def _pi_phases(m, q):
-    """exp(-i pi m / q) for Python integers m, reduced modulo 2q exactly."""
-    return np.exp(-1j * math.pi * np.array([k % (2 * q) for k in m],
-                                           dtype=float) / q)
-
-
-def jump_filtration_time(setup, initial, target, eps, h_tau):
+def jump_filtration_time(setup, initial, target, eps):
     """Smallest n with Q_n >= 1 - eps on the tower engine, without stepping.
 
-    target is a RotatingTarget, and h_tau = (p, q) is the resonance
-    h*tau = pi p/q of the setup.  Doubling k until Q at n = 2^k reaches
+    target is a RotatingTarget.  Doubling k until Q at n = 2^k reaches
     1 - eps brackets the crossing in (2^(k-1), 2^k]; binary lifting from
     2^(k-1) down to 1 then pins it.
     The state F^n psi0 is built from the powers F^(2^k) of the
     filtration matrix, of the tower's dimension L + 1, and Q_n by the
-    helper run_filtration uses (filtration._fidelity), with the phases of
-    F and the rotation of the target reduced modulo 2 pi from integers so
-    they do not drift with n.
+    helper run_filtration uses (filtration._fidelity), with the powers of
+    the setup's exact levels and the rotation of the target reduced
+    modulo 2 pi from the integers of its h_tau, so they do not drift.
 
     The search is valid because the target lies in the dark subspace:
     its overlap modulus is conserved, so Q_n = Q_0 S_0 / S_n never
@@ -346,16 +375,8 @@ def jump_filtration_time(setup, initial, target, eps, h_tau):
     if not 0.0 < eps < 1.0 or thr == 1.0:
         raise ValidationError(f"eps={eps!r} outside (0, 1) or below the "
                               "resolution of 1 - eps")
-    p, q = h_tau
-    # E_k tau - E_0 tau = pi * levels[k] / q on the tower
-    levels = [2 * p * k for k in range(setup.dimension)]
-    phases = _pi_phases(levels, q)
-    drift = float(np.max(np.abs(setup.phases * setup.phases[0].conj()
-                                - phases)))
-    if drift > filtration.PHASE_TOL:
-        raise ValidationError(
-            f"setup phases are not at h*tau = pi*{p}/{q} (off by {drift:.2e})"
-        )
+    p, q = setup.h_tau
+    levels = range(0, 2 * p * setup.dimension, 2 * p)     # of setup.phases
     turns = np.rint(target.angles * q / math.pi)
     if float(np.max(np.abs(target.angles - math.pi * turns / q))) > 1e-12:
         raise ValidationError(
@@ -399,7 +420,7 @@ def jump_filtration_time(setup, initial, target, eps, h_tau):
     # at full relative precision; a dense F^(2^k) would round them
     # against 1 and lose about n * 1e-16 in Q_n.
     r = setup.removal_eig
-    devs = [np.outer(-r, r.conj() * phases)]
+    devs = [np.outer(-r, r.conj() * setup.phases)]
 
     def ahead(k, psi):
         """F^(2^k) psi."""

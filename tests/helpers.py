@@ -598,8 +598,10 @@ def spectral_decomposition(setup, initial):
     """
     psi0 = setup.to_eigen(initial)
     r = setup.removal_eig
-    fmat = np.diag(setup.phases).astype(complex)
-    fmat -= np.outer(r, r.conj() * setup.phases)
+    # the phases of U, with the global factor the tower steps without
+    phases = setup.phases * setup.global_phase
+    fmat = np.diag(phases).astype(complex)
+    fmat -= np.outer(r, r.conj() * phases)
     values, vr = np.linalg.eig(fmat)
     # the rows of vr^-1 are the left eigenvectors, conjugated
     vl = np.linalg.inv(vr).conj().T
@@ -622,7 +624,7 @@ def spectral_decomposition(setup, initial):
     direct = psi0.copy()
     scaled = vr * eta
     for n in range(1, SPECTRAL_CHECK_STEPS + 1):
-        direct = setup.phases * direct
+        direct = phases * direct
         direct -= r * np.vdot(r, direct)
         recon = scaled @ values**n
         resid = max(resid, float(np.linalg.norm(recon - direct)))

@@ -91,7 +91,7 @@ def test_criterion_02_dark_state_census():
     worst = 0.0
     for (p, q), expected in TABLE1_CASES:
         tau = math.pi * p / (q * params.h)
-        setup, _ = reduced_setup(params, tau, 0.3)
+        setup, _ = reduced_setup(params, (p, q), 0.3)
         dark = dark_subspace(degeneracy_groups(setup))
         counts[(p, q)] = dark.count
         if dark.count != expected:
@@ -202,7 +202,7 @@ def test_criterion_05_secular_vs_dense_spectra():
     for L, p, q in cases:
         params = ChainParams(L=L)
         tau = math.pi * p / (q * params.h)
-        setup, _ = reduced_setup(params, tau, 0.3)
+        setup, _ = reduced_setup(params, (p, q), 0.3)
         _, groups, roots = mode_spectrum(setup)
         # independent oracle: tower-restricted F from the closed forms
         # for the removal coefficients and the ladder energies
@@ -369,11 +369,10 @@ def test_criterion_08_perturbed_metastability_extended(tmp_path):
 def test_criterion_09_engine_equivalence():
     t0 = time.perf_counter()
     params = ChainParams(L=6)
-    tau = math.pi / (6.0 * params.h)
     theta0 = orthogonality_angle(6)
     results = {}
     for build in (reduced_setup, full_setup):
-        setup, psi0 = build(params, tau, theta0)
+        setup, psi0 = build(params, (1, 6), theta0)
         target = make_target(setup, params, "tar1", theta0)
         results[setup.engine] = run_filtration(setup, psi0, 200,
                                                target=target)

@@ -7,7 +7,6 @@ benchmark traces by lookup must resolve as well.
 
 import ast
 import importlib
-import math
 import pathlib
 import sys
 
@@ -86,7 +85,7 @@ def test_benchmark_step_count_reads_the_trajectory(monkeypatch):
     for module in ("layers", "spans"):
         monkeypatch.delitem(sys.modules, module, raising=False)
     layers = importlib.import_module("layers")
-    setup, psi0 = reduced_setup(ChainParams(L=4), math.pi / 4.0, 0.3)
+    setup, psi0 = reduced_setup(ChainParams(L=4), (1, 4), 0.3)
     traj = run_filtration(setup, psi0, 25, RotatingTarget.static(psi0))
     count = layers.COUNTS["filtration.run_filtration"]
     assert count((setup, psi0, 25), {}, traj) == {"steps": 25}

@@ -78,11 +78,10 @@ def test_spec_validation():
         Perturbations(lam=0.1)          # noise needs an explicit seed
     spec = ExperimentSpec(name="x", params=params, theta0=0.1,
                           h_tau=(1, 6), n_steps=10)
-    assert spec.h_tau_value == pytest.approx(math.pi / 6.0)
-    assert spec.tau == pytest.approx(math.pi / 6.0)    # h = 1
-    with pytest.raises(ValidationError):
-        ExperimentSpec(name="x", params=ChainParams(L=6, h=0.0),
-                       theta0=0.1, h_tau=(1, 6), n_steps=10).tau
+    assert build_setup(spec)[0].tau == pytest.approx(math.pi / 6.0)  # h = 1
+    with pytest.raises(ValidationError, match="h = 0"):
+        build_setup(ExperimentSpec(name="x", params=ChainParams(L=6, h=0.0),
+                                   theta0=0.1, h_tau=(1, 6), n_steps=10))
 
 
 def test_noise_vector_deterministic():
@@ -193,12 +192,13 @@ def test_targets_take_the_chain_from_their_caller():
     L = 8
     params = ChainParams(L=L)
     theta0 = orthogonality_angle(L)
-    built, initial = reduced_setup(params, math.pi / (L * params.h), theta0)
+    built, initial = reduced_setup(params, (1, L), theta0)
     setup = FiltrationSetup(built.tau, "tower", built.removal,
-                            built.sector_eigs, flip=built.flip)
+                            built.sector_eigs, flip=built.flip,
+                            h_tau=built.h_tau)
     assert not hasattr(setup, "params")
     target = make_target(setup, params, "tar1", theta0)
-    assert jump_filtration_time(setup, initial, target, 0.01, (1, L)) == 68
+    assert jump_filtration_time(setup, initial, target, 0.01) == 68
     # a generic engine has no chain: a target made for it is in the
     # chain's basis, 3^L states, and its run is refused
     generic = generic_setup(np.diag(np.arange(5.0)), np.full(5, 5 ** -0.5))
@@ -237,11 +237,10 @@ SWEEP_CASES = {  # variant -> (theta0 rule, resonance, target)
 
 def _sweep_problem(L, variant):
     rule, resonance, which = SWEEP_CASES[variant]
-    h_tau = resonance(L)
-    spec = _tower_spec(L, rule(L), h_tau, 0)
+    spec = _tower_spec(L, rule(L), resonance(L), 0)
     setup, initial = build_setup(spec)
     return setup, initial, make_target(setup, spec.params, which,
-                                      spec.theta0), h_tau
+                                      spec.theta0)
 
 
 def _stepped_n_eps(setup, initial, target, eps, n_steps):
@@ -252,8 +251,8 @@ def _stepped_n_eps(setup, initial, target, eps, n_steps):
 @pytest.mark.parametrize("variant", sorted(SWEEP_CASES))
 def test_jump_ahead_matches_stepping(variant):
     for L in range(6, 15):
-        setup, initial, target, h_tau = _sweep_problem(L, variant)
-        n_jump = jump_filtration_time(setup, initial, target, 0.01, h_tau)
+        setup, initial, target = _sweep_problem(L, variant)
+        n_jump = jump_filtration_time(setup, initial, target, 0.01)
         # a stepped first crossing anywhere else, or none, fails the check
         assert _stepped_n_eps(setup, initial, target, 0.01,
                               2 * n_jump + 50) == n_jump, (variant, L)
@@ -263,8 +262,8 @@ def test_jump_ahead_matches_stepping(variant):
 @given(L=st.integers(4, 10), variant=st.sampled_from(sorted(SWEEP_CASES)),
        eps=st.floats(1e-4, 0.5))
 def test_jump_ahead_matches_stepping_over_eps(L, variant, eps):
-    setup, initial, target, h_tau = _sweep_problem(L, variant)
-    n_jump = jump_filtration_time(setup, initial, target, eps, h_tau)
+    setup, initial, target = _sweep_problem(L, variant)
+    n_jump = jump_filtration_time(setup, initial, target, eps)
     assert _stepped_n_eps(setup, initial, target, eps,
                           2 * n_jump + 50) == n_jump
 
@@ -274,11 +273,11 @@ def test_jump_ahead_matches_stepping_over_eps(L, variant, eps):
                                        ("tar1-general", 30), ("tar2", 30)])
 def test_jump_ahead_matches_extended_precision(variant, L):
     # beyond stepping range, up to the sweep's certified SWEEP_L_MAX = 30
-    setup, initial, target, h_tau = _sweep_problem(L, variant)
-    n_jump = jump_filtration_time(setup, initial, target, 0.01, h_tau)
+    setup, initial, target = _sweep_problem(L, variant)
+    n_jump = jump_filtration_time(setup, initial, target, 0.01)
     which = SWEEP_CASES[variant][2]
     theta0 = SWEEP_CASES[variant][0](L)
-    assert n_jump == mp_filtration_time(L, theta0, h_tau, which, 0.01)
+    assert n_jump == mp_filtration_time(L, theta0, setup.h_tau, which, 0.01)
     if (variant, L) == ("tar1-orthogonal", 24):
         assert n_jump == 1388864
 
@@ -289,7 +288,7 @@ def test_jump_ahead_darkness_invariant_catches_detuning(monkeypatch):
     # the GHZ target look dark; its amplitude then drifts at n = 1.
     L = 8
     params = ChainParams(L=L)
-    setup, initial = reduced_setup(params, 1.001 * math.pi / L,
+    setup, initial = reduced_setup(params, (1001, 1000 * L),
                                    orthogonality_angle(L))
     charges = degeneracy_groups(setup).w
     monkeypatch.setattr(filtration, "PHASE_TOL", 0.01)
@@ -297,25 +296,23 @@ def test_jump_ahead_darkness_invariant_catches_detuning(monkeypatch):
     assert degeneracy_groups(setup).w == charges - 1
     target = make_target(setup, params, "tar1", orthogonality_angle(L))
     with pytest.raises(NumericsError, match="not dark"):
-        jump_filtration_time(setup, initial, target, 0.01, (1001, 1000 * L))
+        jump_filtration_time(setup, initial, target, 0.01)
 
 
 def test_jump_ahead_rejects_what_it_cannot_certify():
-    setup, initial, target, h_tau = _sweep_problem(8, "tar1-orthogonal")
+    setup, initial, target = _sweep_problem(8, "tar1-orthogonal")
     with pytest.raises(ValidationError, match="resolution"):
-        jump_filtration_time(setup, initial, target, 1e-17, h_tau)
-    with pytest.raises(ValidationError, match="not at h"):
-        jump_filtration_time(setup, initial, target, 0.01, (1, 7))
+        jump_filtration_time(setup, initial, target, 1e-17)
     # at h tau = pi/3 the dark subspace holds more than the GHZ target
     params = ChainParams(L=6)
-    setup, initial = reduced_setup(params, math.pi / 3, orthogonality_angle(6))
+    setup, initial = reduced_setup(params, (1, 3), orthogonality_angle(6))
     target = make_target(setup, params, "tar1", orthogonality_angle(6))
     with pytest.raises(NumericsError, match="Q_inf"):
-        jump_filtration_time(setup, initial, target, 0.01, (1, 3))
+        jump_filtration_time(setup, initial, target, 0.01)
     # at L=40 the crossing lies 7e-13 from 1 - eps
-    setup, initial, target, h_tau = _sweep_problem(40, "tar1-orthogonal")
+    setup, initial, target = _sweep_problem(40, "tar1-orthogonal")
     with pytest.raises(NumericsError, match="too close"):
-        jump_filtration_time(setup, initial, target, 0.01, h_tau)
+        jump_filtration_time(setup, initial, target, 0.01)
 
 
 def test_sweep_rejects_uncertified_length(tmp_path):

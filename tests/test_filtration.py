@@ -98,12 +98,12 @@ def _noisy_removal(L, lam, seed):
 
 def test_full_engine_matches_dense_oracle():
     """30 protocol steps vs literal matrix powers of F = (1-|r><r|) expm."""
-    L, theta0, tau = 3, 0.3, 0.7
-    setup, psi0 = full_setup(ChainParams(L=L), tau, theta0)
+    L, theta0 = 3, 0.3
+    setup, psi0 = full_setup(ChainParams(L=L), (2, 9), theta0)
     traj, states = _states(setup, psi0, 30)
 
     ham = dense_hamiltonian(L)
-    fmat = dense_filtration_matrix(ham, tau, product_state(L, math.pi))
+    fmat = dense_filtration_matrix(ham, setup.tau, product_state(L, math.pi))
     vec = product_state(L, theta0)
     for _ in range(30):
         vec = fmat @ vec
@@ -113,11 +113,10 @@ def test_full_engine_matches_dense_oracle():
 
 def test_tower_and_full_engines_agree():
     L = 5
-    tau = math.pi / L
     theta0 = 0.3
     params = ChainParams(L=L)
-    red_setup, red_init = reduced_setup(params, tau, theta0)
-    full_s, full_init = full_setup(params, tau, theta0)
+    red_setup, red_init = reduced_setup(params, (1, L), theta0)
+    full_s, full_init = full_setup(params, (1, L), theta0)
     traj_r, states_r = _states(red_setup, red_init, 100)
     traj_f, states_f = _states(full_s, full_init, 100)
     assert np.max(np.abs(traj_r.survival - traj_f.survival)) < 1e-12
@@ -141,7 +140,7 @@ def test_resonance_period():
 
 def test_tower_weights_beyond_float_powers_of_two():
     # 2.0**L overflows from L = 1024; the weights C(L, n) / 2^L do not
-    setup, psi0 = reduced_setup(ChainParams(L=1100), math.pi / 1100, 0.3)
+    setup, psi0 = reduced_setup(ChainParams(L=1100), (1, 1100), 0.3)
     assert abs(np.linalg.norm(setup.removal_eig) - 1.0) < 1e-12
     assert abs(np.linalg.norm(psi0) - 1.0) < 1e-12
 
@@ -149,7 +148,7 @@ def test_tower_weights_beyond_float_powers_of_two():
 def test_tower_removal_is_the_binomial_law_bit_for_bit():
     # the tower's eigenvectors are the identity: to_eigen moves no bit
     for L in range(3, 201):
-        setup, _ = reduced_setup(ChainParams(L=L), math.pi / L, 0.3)
+        setup, _ = reduced_setup(ChainParams(L=L), (1, L), 0.3)
         law = (-1.0) ** np.arange(L + 1) * np.sqrt(
             [math.comb(L, n) / 2**L for n in range(L + 1)])
         assert np.array_equal(setup.removal_eig, law)
@@ -160,14 +159,14 @@ def test_retuned_keeps_the_removal_bits():
                           theta0=0.3, h_tau=(1, 5), n_steps=0, engine="full",
                           perturbations=Perturbations(lam=0.01, seed=3))
     setup, _ = build_setup(spec)
-    again = setup.retuned(math.pi / 4.0)
+    again = setup.retuned((1, 4))
     assert again.removal is setup.removal
     assert np.array_equal(again.removal_eig, setup.removal_eig)
 
 
 def test_full_setup_refuses_a_removal_of_the_wrong_length():
     with pytest.raises(ValidationError, match="shape"):
-        full_setup(ChainParams(L=3), math.pi / 3.0, 0.0,
+        full_setup(ChainParams(L=3), (1, 3), 0.0,
                    removal=np.full(26, 26 ** -0.5))
 
 
@@ -185,13 +184,17 @@ def test_nan_phases_are_not_unimodular():
 def test_setup_refuses_phases_without_precision():
     # eps max|E| |tau| is the rounding of the phases exp(-i E tau): above
     # PHASE_TOL it would reach the degeneracies the grouping resolves
-    setup, _ = reduced_setup(ChainParams(L=4), math.pi / 4.0, 0.0)
+    # (the tower steps exact levels, but the period is the one declared)
+    setup, _ = reduced_setup(ChainParams(L=4), (1, 4), 0.0)
     edge = filtration.PHASE_TOL / (np.finfo(float).eps
                                    * np.max(np.abs(setup.energies)))
-    assert setup.retuned(0.99 * edge).tau == 0.99 * edge
-    for tau in (1.01 * edge, -1.01 * edge, math.inf):
+    # tau = pi p at h tau = pi p and h = 1
+    below, above = int(0.99 * edge / math.pi), int(1.01 * edge / math.pi)
+    assert setup.retuned((below, 1)).tau == math.pi * below
+    # h = -1 has the same max|E| and tau = -pi p; tau at h = 5e-324 is inf
+    for h, p in ((1.0, above), (-1.0, above), (5e-324, 1)):
         with pytest.raises(ValidationError, match=r"tau = .* max\|E\|"):
-            setup.retuned(tau)
+            reduced_setup(ChainParams(L=4, h=h), (p, 1), 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="tau = inf"):
@@ -201,8 +204,8 @@ def test_setup_refuses_phases_without_precision():
 
 def _engines():
     """A tower, a full and a generic setup."""
-    return [reduced_setup(ChainParams(L=4), math.pi / 4.0, 0.0)[0],
-            full_setup(ChainParams(L=3), math.pi / 3.0, 0.0)[0],
+    return [reduced_setup(ChainParams(L=4), (1, 4), 0.0)[0],
+            full_setup(ChainParams(L=3), (1, 3), 0.0)[0],
             generic_setup(np.diag([0.0, 1.0, 2.0, 3.0]), np.full(4, 0.5))]
 
 
@@ -235,7 +238,7 @@ def test_generic_setup_refuses_a_removal_of_the_wrong_length():
 def test_eigh_failure_is_a_numerics_error(monkeypatch):
     # at J2 = 1e308 the sector eigh cannot converge
     with pytest.raises(NumericsError, match="eigh of sector M = 0 "):
-        full_setup(ChainParams(L=4, J2=1e308), math.pi / 4.0, 0.0)
+        full_setup(ChainParams(L=4, J2=1e308), (1, 4), 0.0)
 
     # a generic matrix whose eigh fails is named in the message
     def failing(matrix):
@@ -261,7 +264,7 @@ def test_generic_setup_refuses_non_finite_entries():
 
 def test_degeneracy_groups_at_resonance():
     # h tau = pi/3 folds the ladder mod 3
-    setup, _ = reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.0)
+    setup, _ = reduced_setup(ChainParams(L=6), (1, 3), 0.0)
     groups = degeneracy_groups(setup)
     assert sorted(groups.members) == [(0, 3, 6), (1, 4), (2, 5)]
     assert np.all(np.abs(np.abs(groups.phases) - 1.0) < 1e-12)
@@ -276,7 +279,8 @@ def test_degeneracy_groups_at_resonance():
 
 
 def test_degeneracy_groups_offresonant_all_singletons():
-    setup, _ = reduced_setup(ChainParams(L=6), 1.0, 0.0)
+    # h tau = pi/7: the levels 2n mod 14 of n = 0..6 never meet
+    setup, _ = reduced_setup(ChainParams(L=6), (1, 7), 0.0)
     groups = degeneracy_groups(setup)
     assert sorted(groups.members) == [(n,) for n in range(7)]
 
@@ -285,7 +289,10 @@ def test_degeneracy_groups_via_propagator():
     """degeneracy_groups of the full engine vs eigenphases of dense expm."""
     params = ChainParams(L=3, J3=0.1)
     tau = resonance_period(params.tower_energy(0), params.tower_energy(1))
-    setup, _ = full_setup(params, tau, 0.0, removal=_noisy_removal(3, 0.1, 2))
+    # h tau = pi: the period that glues neighbouring tower levels
+    setup, _ = full_setup(params, (1, 1), 0.0,
+                          removal=_noisy_removal(3, 0.1, 2))
+    assert setup.tau == tau
     groups = degeneracy_groups(setup)
     assert sum(len(members) for members in groups.members) == 27
     assert any(len(members) > 1 for members in groups.members)
@@ -299,12 +306,12 @@ def test_degeneracy_groups_via_propagator():
 
 def test_propagator_matches_expm():
     """The full engine's U(tau) = V diag(phases) V^dag is expm(-iH tau)."""
-    setup, _ = full_setup(ChainParams(L=3, J3=0.1), 0.37, 0.0,
+    setup, _ = full_setup(ChainParams(L=3, J3=0.1), (3, 25), 0.0,
                           removal=_noisy_removal(3, 0.1, 2))
     eye = np.eye(27, dtype=complex)
     u = np.column_stack([setup.from_eigen(setup.phases * setup.to_eigen(col))
                          for col in eye.T])
-    direct = sla.expm(-1j * 0.37 * dense_hamiltonian(3, J3=0.1))
+    direct = sla.expm(-1j * setup.tau * dense_hamiltonian(3, J3=0.1))
     assert np.max(np.abs(u - direct)) < 1e-10
 
 
@@ -331,7 +338,7 @@ def _oracle_engine(case, all_blocks=False):
     custom = None
     if lam:
         removal = custom = _noisy_removal(L, lam, seed)
-    setup, psi0 = full_setup(params, math.pi / L, 0.3, removal=custom,
+    setup, psi0 = full_setup(params, (1, L), 0.3, removal=custom,
                              all_blocks=all_blocks)
     return setup, psi0, dense_hamiltonian(L, J2=J2, J3=J3), removal
 
@@ -436,7 +443,7 @@ def test_perturbation_study_reuses_engine_for_tar2(tmp_path, monkeypatch):
     got = np.genfromtxt(tmp_path / "trajectory_tar2.csv", delimiter=",",
                         names=True)
     theta0 = tar2_optimal_angle(L)
-    fresh, psi0 = real(params, math.pi / (L - 1), theta0)
+    fresh, psi0 = real(params, (1, L - 1), theta0)
     target = make_target(fresh, params, "tar2", theta0)
     traj = run_filtration(fresh, psi0, 150, target=target)
     assert np.max(np.abs(got["survival"] - traj.survival)) <= 1e-12
@@ -466,7 +473,7 @@ def test_full_setup_checks_flip_symmetry(monkeypatch):
 
     monkeypatch.setattr(filtration, "build_hamiltonian", broken)
     with pytest.raises(NumericsError, match="flip symmetric"):
-        full_setup(params, 1.0, 0.0)
+        full_setup(params, (1, 4), 0.0)
 
 
 def test_full_setup_checks_sz_conservation(monkeypatch, tmp_path):
@@ -487,7 +494,7 @@ def test_full_setup_checks_sz_conservation(monkeypatch, tmp_path):
 
     monkeypatch.setattr(filtration, "build_hamiltonian", broken)
     with pytest.raises(NumericsError, match="magnetization sectors"):
-        full_setup(ChainParams(L=L, J2=0.02), 1.0, 0.0)
+        full_setup(ChainParams(L=L, J2=0.02), (1, L), 0.0)
     cfg = tmp_path / "c.json"
     cfg.write_text(f'{{"L": {L}, "J2": 0.02, "n_steps": 10}}')
     assert main(["perturb", "--config", str(cfg),
@@ -528,7 +535,7 @@ def test_full_setup_checks_reflection_symmetry(L, monkeypatch, tmp_path):
         filtration.check_symmetries(ham, params.h, mags, mirror)
     monkeypatch.setattr(filtration, "build_hamiltonian", broken)
     with pytest.raises(NumericsError, match="site reflection"):
-        full_setup(params, 1.0, 0.0)
+        full_setup(params, (1, 4), 0.0)
     cfg = tmp_path / "c.json"
     cfg.write_text(f'{{"L": {L}, "J2": 0.02, "n_steps": 10}}')
     assert main(["perturb", "--config", str(cfg),
@@ -616,8 +623,8 @@ def test_protocol_states_are_reflection_even(L):
 @pytest.mark.parametrize("L", [6, 7])
 def test_protocol_run_steps_only_the_even_blocks(L, monkeypatch):
     params = ChainParams(L=L, J2=0.02)
-    setup, psi0 = full_setup(params, math.pi / L, 0.3)
-    every, _ = full_setup(params, math.pi / L, 0.3, all_blocks=True)
+    setup, psi0 = full_setup(params, (1, L), 0.3)
+    every, _ = full_setup(params, (1, L), 0.3, all_blocks=True)
     # the census engine holds every sector M = L mod 2 whole
     mags = magnetization_of(L)
     assert every.dimension == np.count_nonzero((L - mags) % 2 == 0)
@@ -662,7 +669,7 @@ def test_full_setup_diagonalizes_only_the_reached_blocks(L, monkeypatch):
     engines = {}
     for all_blocks in (False, True):
         calls.clear()
-        setup, _ = full_setup(params, math.pi / L, 0.3, all_blocks=all_blocks)
+        setup, _ = full_setup(params, (1, L), 0.3, all_blocks=all_blocks)
         upper = [b.energies.tolist() for b in setup.sector_eigs
                  if b.label >= 0]
         assert all(inside for inside, _ in calls)
@@ -696,12 +703,13 @@ def test_full_dark_states_census_unchanged(tmp_path):
 def test_dark_states_defining_properties():
     """Unit norm, orthogonal to the removal state, eigenvectors of F."""
     L = 5
-    tau = math.pi / 2.0
-    setup, psi0 = reduced_setup(ChainParams(L=L), tau, 0.2)
+    setup, psi0 = reduced_setup(ChainParams(L=L), (1, 2), 0.2)
     dark = dark_subspace(degeneracy_groups(setup))
     assert dark.count == 4         # n mod 2 groups of size 3 give 2 + 2
     r = setup.removal_eig
-    fmat = np.diag(setup.phases) - np.outer(r, r.conj() * setup.phases)
+    # the phases of U(tau): the tower steps them without the global factor
+    phases = setup.phases * setup.global_phase
+    fmat = np.diag(phases) - np.outer(r, r.conj() * phases)
     for k in range(dark.count):
         vec = dark.vectors[:, k]
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
@@ -714,7 +722,7 @@ def test_dark_states_defining_properties():
 
 def test_dark_state_methods_span_the_same_subspace():
     # the closed-form dark vectors against the complement oracle
-    setup, _ = reduced_setup(ChainParams(L=6), math.pi / 2.0, 0.1)
+    setup, _ = reduced_setup(ChainParams(L=6), (1, 2), 0.1)
     det = dark_subspace(degeneracy_groups(setup))
     comp, _ = dark_complement(setup.phases, setup.removal_eig)
     assert det.count == comp.shape[1] == 5
@@ -724,16 +732,16 @@ def test_dark_state_methods_span_the_same_subspace():
 
 
 @pytest.mark.parametrize("engine_tau", [
-    ("tower", math.pi / 3.0),
-    ("full", math.pi / 2.0),
+    ("tower", (1, 3)),
+    ("full", (1, 2)),
 ])
 def test_dark_projection_matches_explicit_subspace(engine_tau):
-    engine, tau = engine_tau
+    engine, h_tau = engine_tau
     params = ChainParams(L=5 if engine == "full" else 6)
     if engine == "tower":
-        setup, psi0 = reduced_setup(params, tau, 0.3)
+        setup, psi0 = reduced_setup(params, h_tau, 0.3)
     else:
-        setup, psi0 = full_setup(params, tau, 0.3)
+        setup, psi0 = full_setup(params, h_tau, 0.3)
     groups = degeneracy_groups(setup)
     dark = dark_subspace(groups)
     rng = np.random.default_rng(5)
@@ -756,7 +764,7 @@ def test_cluster_angles_matches_the_gap_loop(points):
     angles = np.clip([c + 4e-10 * k for c, k in points], -math.pi, math.pi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        order, starts, label = filtration._cluster_angles(
+        order, starts, label = spectral._cluster_angles(
             angles, filtration.PHASE_TOL)
     clusters = np.split(order, starts[1:])
     oracle = cluster_angles_loop(angles, filtration.PHASE_TOL)
@@ -767,7 +775,7 @@ def test_cluster_angles_matches_the_gap_loop(points):
 
 
 def test_dark_projection_rejects_wrong_shape():
-    setup, _ = reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.2)
+    setup, _ = reduced_setup(ChainParams(L=6), (1, 3), 0.2)
     with pytest.raises(ValidationError):
         dark_projection(degeneracy_groups(setup), np.zeros(3))
 
@@ -808,7 +816,7 @@ def test_closed_form_darks_match_the_determinant(size, lead, zeros, seed):
 def _lead_zero_groups():
     """Overlaps the determinant refuses: two leading zeros, and the even
     tower group at L = 106, h tau = pi/2, which opens with 2^-53, 8e-15."""
-    setup, _ = reduced_setup(ChainParams(L=106), math.pi / 2.0, 0.3)
+    setup, _ = reduced_setup(ChainParams(L=106), (1, 2), 0.3)
     even = setup.removal_eig[0::2]
     assert abs(even[0]) == 2.0**-53 and abs(even[1]) < 1e-14
     rng = np.random.Generator(np.random.Philox(key=3))
@@ -833,7 +841,7 @@ def test_closed_form_darks_where_the_determinant_refuses(removal):
 
 def test_large_tower_dark_states_are_orthonormal_and_dark():
     # L = 160 at h tau = pi/2: the parity groups host 159 dark states
-    setup, _ = reduced_setup(ChainParams(L=160), math.pi / 2.0, 0.3)
+    setup, _ = reduced_setup(ChainParams(L=160), (1, 2), 0.3)
     dark = dark_subspace(degeneracy_groups(setup))
     assert dark.count == 159
     gram = dark.vectors.conj().T @ dark.vectors
@@ -869,33 +877,32 @@ def test_one_ambiguity_warning_per_grouping():
 
 def test_phases_are_grouped_once_per_analysis(tmp_path, monkeypatch):
     # one clustering of U(tau)'s phases per bright-spectrum run, goe-demo
-    # run and perturb leg; the step kernel clusters its flip phases apart
+    # run and perturb leg; the step kernel takes its flip groups from the
+    # setup's integer classes and clusters nothing
     callers = []
-    cluster = filtration._cluster_angles
+    cluster = spectral._cluster_angles
 
     def counted(angles, tol):
         callers.append(inspect.stack()[1].function)
         return cluster(angles, tol)
 
-    monkeypatch.setattr(filtration, "_cluster_angles", counted)
-    runs = [("bright-spectrum", {"L": 8, "target": "tar1"}, 1, 0),
-            ("goe-demo", {"goe": {"D_goe": 8, "seed": 5}}, 1, 0),
-            # only the static GHZ leg projects onto the dark manifold;
-            # both legs step a flip engine
-            ("perturb", {"L": 4, "J2": 0.02, "n_steps": 60}, 1, 2)]
-    for sub, doc, grouped, kernels in runs:
+    monkeypatch.setattr(spectral, "_cluster_angles", counted)
+    runs = [("bright-spectrum", {"L": 8, "target": "tar1"}, 1),
+            ("goe-demo", {"goe": {"D_goe": 8, "seed": 5}}, 1),
+            # only the static GHZ leg projects onto the dark manifold
+            ("perturb", {"L": 4, "J2": 0.02, "n_steps": 60}, 1)]
+    for sub, doc, grouped in runs:
         callers.clear()
         cfg = tmp_path / f"{sub}.json"
         cfg.write_text(json.dumps(doc))
         assert main([sub, "--config", str(cfg),
                      "--out", str(tmp_path / sub), "--quiet"]) == 0
-        assert sorted(callers) == ["__init__"] * kernels \
-            + ["degeneracy_groups"] * grouped, sub
+        assert callers == ["degeneracy_groups"] * grouped, sub
 
 
 def test_run_filtration_chunking_is_invisible():
     """Restarting mid-chunk moves every chunk boundary, not the trajectory."""
-    setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.4)
+    setup, psi0 = reduced_setup(ChainParams(L=6), (1, 6), 0.4)
     length = filtration.chunk_length(setup)
     n, shift = 3 * length + 7, 5                  # shift is not a boundary
     a, states = _states(setup, psi0, n)
@@ -933,7 +940,7 @@ def test_exact_depletion_with_a_target_records_no_fidelity():
 
 
 def test_run_filtration_validates_input():
-    setup, psi0 = reduced_setup(ChainParams(L=4), 1.0, 0.0)
+    setup, psi0 = reduced_setup(ChainParams(L=4), (1, 4), 0.0)
     target = RotatingTarget.static(psi0)
     with pytest.raises(ValidationError):
         run_filtration(setup, psi0 * 2.0, 5, target)
@@ -955,7 +962,7 @@ def _dark_target(setup, psi0):
 
 def test_long_time_state_matches_late_checkpoint():
     L = 6
-    setup, psi0 = reduced_setup(ChainParams(L=L), math.pi / 6.0, math.pi / 7.0)
+    setup, psi0 = reduced_setup(ChainParams(L=L), (1, 6), math.pi / 7.0)
     n = 2000
     _, states = _states(setup, psi0, n)
     predicted = long_time_state(setup.phases, setup.removal_eig,
@@ -965,7 +972,7 @@ def test_long_time_state_matches_late_checkpoint():
 
 
 def test_rotating_target_tracks_dark_rotation():
-    setup, psi0 = reduced_setup(ChainParams(L=5), math.pi / 5.0, 0.3)
+    setup, psi0 = reduced_setup(ChainParams(L=5), (1, 5), 0.3)
     target = _dark_target(setup, psi0)
     for n in (0, 1, 7, 100):
         expected = long_time_state(setup.phases, setup.removal_eig,
@@ -977,7 +984,7 @@ def test_rotating_target_tracks_dark_rotation():
 
 
 def test_fidelity_converges_to_dark_prediction():
-    setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.25)
+    setup, psi0 = reduced_setup(ChainParams(L=6), (1, 6), 0.25)
     target = _dark_target(setup, psi0)
     traj = run_filtration(setup, psi0, 1500, target=target)
     assert traj.q[-1] > 1.0 - 1e-8
@@ -985,7 +992,7 @@ def test_fidelity_converges_to_dark_prediction():
 
 
 def test_filtration_time_unreached():
-    setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.25)
+    setup, psi0 = reduced_setup(ChainParams(L=6), (1, 6), 0.25)
     target = _dark_target(setup, psi0)
     traj = run_filtration(setup, psi0, 3, target=target)
     assert filtration_time(traj, 1e-9) is None
@@ -995,7 +1002,7 @@ def test_filtration_time_unreached():
 
 def test_survival_limit_is_dark_weight():
     """The non-detection probability converges to the initial dark weight."""
-    setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 6.0, 0.8)
+    setup, psi0 = reduced_setup(ChainParams(L=6), (1, 6), 0.8)
     dark = dark_subspace(degeneracy_groups(setup))
     weight = float(np.sum(np.abs(dark.overlaps(psi0)) ** 2))
     traj = run_filtration(setup, psi0, 1500, RotatingTarget.static(psi0))
@@ -1003,7 +1010,7 @@ def test_survival_limit_is_dark_weight():
 
 
 def test_spectral_decomposition_classifies_modes():
-    setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.15)
+    setup, psi0 = reduced_setup(ChainParams(L=6), (1, 3), 0.15)
     spec = spectral_decomposition(setup, psi0)
     assert spec.select("dark").size == 4
     assert spec.select("bright").size == 2
@@ -1023,7 +1030,7 @@ def test_spectral_decomposition_classifies_modes():
 
 def _spectral_cases():
     params = ChainParams(L=4, J2=0.05, J3=0.1)
-    full, full0 = full_setup(params, math.pi / 4.0, 0.3)
+    full, full0 = full_setup(params, (1, 4), 0.3)
     rng = np.random.Generator(np.random.Philox(key=11))
     a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
     removal = rng.standard_normal(10) + 1j * rng.standard_normal(10)
@@ -1032,7 +1039,7 @@ def _spectral_cases():
     initial = np.zeros(10, dtype=complex)
     initial[0] = 1.0
     return {
-        "tower": reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.15),
+        "tower": reduced_setup(ChainParams(L=6), (1, 3), 0.15),
         "full": (full, full0),
         "generic": (generic, initial),
     }
@@ -1043,7 +1050,8 @@ def test_spectral_decomposition_matches_scipy_eig(case):
     setup, initial = _spectral_cases()[case]
     spec = spectral_decomposition(setup, initial)
     r, psi0 = setup.removal_eig, setup.to_eigen(initial)
-    fmat = np.diag(setup.phases) - np.outer(r, r.conj() * setup.phases)
+    phases = setup.phases * setup.global_phase
+    fmat = np.diag(phases) - np.outer(r, r.conj() * phases)
     values, vl, vr = sla.eig(fmat, left=True, right=True)
     eta = (vl.conj().T @ psi0) / np.einsum("ij,ij->j", vl.conj(), vr)
     # pair each eigenvalue with the nearest oracle value, one to one
@@ -1067,7 +1075,7 @@ def test_spectral_decomposition_matches_scipy_eig(case):
 
 
 def test_spectral_decomposition_refuses_singular_eigenvectors(monkeypatch):
-    setup, psi0 = reduced_setup(ChainParams(L=3), math.pi / 3.0, 0.15)
+    setup, psi0 = reduced_setup(ChainParams(L=3), (1, 3), 0.15)
     real_eig = np.linalg.eig
 
     def parallel(matrix):
@@ -1121,5 +1129,5 @@ def test_generic_setup_default_tau_glues_band_edges():
 def test_setup_rejects_bad_removal():
     params = ChainParams(L=3)
     with pytest.raises(ValidationError):
-        full_setup(params, 1.0, 0.0,
+        full_setup(params, (1, 4), 0.0,
                    removal=np.ones(27, dtype=complex))

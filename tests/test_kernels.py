@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from darkfilter import filtration
 from darkfilter.cli import main
-from darkfilter.errors import ValidationError
 from darkfilter.experiments import (
     ExperimentSpec,
     Perturbations,
@@ -74,11 +73,13 @@ def _fidelity(target, overlaps, survival, gram):
 
 def test_survival_is_squared_norm_and_monotone():
     psi, phases, removal = _random_problem(32, 11)
-    # a signed involution: pairs (i, 31 - i), sign shared within a pair
+    # a signed involution: pairs (i, 31 - i), sign shared within a pair;
+    # random phases share no flip rotation, so each coordinate is a group
     pos = np.arange(32)[::-1]
     sign = np.where(np.minimum(pos, np.arange(32)) % 3 == 0, -1.0, 1.0)
     kernel = RenewalKernel(phases, removal, np.zeros((0, 32)), 64,
-                           (pos, sign))
+                           (pos, sign, np.arange(32),
+                            phases[pos].conj() * phases))
     c = kernel.tables @ psi
     rows = np.array([kernel.advance(psi, c, j) for j in range(1, 65)])
     survival = 1.0 - np.cumsum(np.abs(c) ** 2)
@@ -119,7 +120,7 @@ def test_rounding_level_depletion_stops_the_run(build):
     # to the rounding of its amplitudes (S_1 ~ 1e-31); stepping on would
     # report normalized rounding noise as data
     params = ChainParams(L=3)
-    setup, psi0 = build(params, math.pi / (2.0 * params.h), 0.0)
+    setup, psi0 = build(params, (1, 2), 0.0)
     traj = run_filtration(setup, psi0, 50,
                           filtration.RotatingTarget.static(psi0))
     assert traj.depleted
@@ -145,6 +146,18 @@ def _full_case():
                           theta0=orthogonality_angle(L), h_tau=(1, L),
                           n_steps=0, engine="full",
                           perturbations=Perturbations(lam=0.2, seed=5))
+    setup, initial = build_setup(spec)
+    return setup, initial, make_target(setup, spec.params, "tar1", spec.theta0)
+
+
+def _full_small_h_case():
+    # at h = 1e-5 the period pi/(8h) rounds the phases exp(-i E tau) by
+    # up to 1e-10 rad, but the flip rotates sector M onto -M exactly
+    L = 8
+    spec = ExperimentSpec(name="oracle-full-small-h",
+                          params=ChainParams(L=L, J2=0.02, h=1e-5),
+                          theta0=orthogonality_angle(L), h_tau=(1, L),
+                          n_steps=0, engine="full")
     setup, initial = build_setup(spec)
     return setup, initial, make_target(setup, spec.params, "tar1", spec.theta0)
 
@@ -190,33 +203,10 @@ def test_chunk_length_reads_the_engine(build):
     assert chunk_length(setup) == want
 
 
-@pytest.mark.parametrize("offset, length", [
-    (0.0, 64), (1.5e-13, 64), (3e-13, 32), (6e-13, 16), (1.2e-11, 1),
-    (1.3e-11, None)])
-def test_flip_group_spread_shortens_the_chunk(offset, length):
-    # one flip group {0, 1} whose phases w = exp(+-2i offset) spread by
-    # 4 offset; a B-step chunk errs by up to B times that in the string,
-    # so B is halved until that is within CHUNK_DRIFT_TOL / 2
-    phases = np.exp(1j * np.array([offset, -offset, 1.0, -1.0]))
-    removal = np.full(4, 0.5, dtype=complex)
-    flip = (np.array([1, 0, 3, 2]), np.ones(4))
-    if length is None:
-        with pytest.raises(ValidationError, match="spread by 5.2e-11"):
-            RenewalKernel(phases, removal, np.zeros((0, 4)), 64, flip)
-        return
-    kernel = RenewalKernel(phases, removal, np.zeros((0, 4)), 64, flip)
-    assert kernel.length == length
-    assert kernel.mirror.size == 3
-    psi = np.array([0.8, 0.0, 0.6j, 0.0])
-    c = kernel.tables @ psi
-    formed = kernel.advance(psi, c, length)
-    string = np.vdot(formed[flip[0]], formed)
-    drift = abs(kernel.strings(psi, c)[length - 1] - string)
-    assert drift <= filtration.CHUNK_DRIFT_TOL / 2.0
-
-
-@pytest.mark.parametrize("build", [_tower_case, _full_case, _generic_case],
-                         ids=["tower", "full-noisy", "generic"])
+@pytest.mark.parametrize("build", [_tower_case, _full_case, _full_small_h_case,
+                                   _generic_case],
+                         ids=["tower", "full-noisy", "full-small-h",
+                              "generic"])
 def test_kernel_matches_explicit_stepping(build):
     setup, initial, target = build()
     length = chunk_length(setup)
@@ -289,7 +279,7 @@ def test_rowless_strings_match_explicit_stepping(L, J2, theta0, h_tau, lam,
 
 def test_renewal_and_stepping_track_extended_precision():
     L, theta0, n_steps = 6, 0.4, 400
-    setup, initial = reduced_setup(ChainParams(L=L), math.pi / L, theta0)
+    setup, initial = reduced_setup(ChainParams(L=L), (1, L), theta0)
     exact = np.array(mp_tower_survival(L, (1, L), theta0, n_steps))
     traj = run_filtration(setup, initial, n_steps,
                           filtration.RotatingTarget.static(initial))

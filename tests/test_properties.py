@@ -38,9 +38,7 @@ def resonances(draw, q_max=8):
 
 
 def _tower(L, h_tau, theta0, **couplings):
-    params = ChainParams(L=L, **couplings)
-    p, q = h_tau
-    return reduced_setup(params, math.pi * p / (q * params.h), theta0)
+    return reduced_setup(ChainParams(L=L, **couplings), h_tau, theta0)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -49,8 +47,8 @@ def _tower(L, h_tau, theta0, **couplings):
 def test_tower_and_full_engines_agree_everywhere(L, h_tau, theta0, D, J3, h):
     # J3 keeps the tower exact, so both engines run the same protocol
     params = ChainParams(L=L, h=h, D=D, J3=J3)
-    tau = math.pi * h_tau[0] / (h_tau[1] * h)
-    runs = [build(params, tau, theta0) for build in (reduced_setup, full_setup)]
+    runs = [build(params, h_tau, theta0)
+            for build in (reduced_setup, full_setup)]
     trajs = [run_filtration(setup, psi0, 60, RotatingTarget.static(psi0))
              for setup, psi0 in runs]
     tower, full = trajs
@@ -106,12 +104,11 @@ def test_engine_holds_every_leg_it_is_retuned_to(L, J2, J3, built, theta0,
     # states and both targets must lie in the blocks it kept, which the
     # norm of their engine coordinates shows
     params = ChainParams(L=L, J2=J2, J3=J3)
-    setup, _ = full_setup(params, math.pi / L, built)
+    setup, _ = full_setup(params, (1, L), built)
     states = [product_state(L, theta0),
               *(subset_tower_state(L, n) for n in range(L + 1))]
     for which, rule in TARGETS.items():
-        p, q = rule.resonance(L)
-        leg = setup.retuned(math.pi * p / (q * params.h))
+        leg = setup.retuned(rule.resonance(L))
         states += make_target(leg, params, which, theta0).components
     for vec in states:
         coords = setup.to_eigen(vec)
@@ -122,7 +119,7 @@ def test_engine_holds_every_leg_it_is_retuned_to(L, J2, J3, built, theta0,
     noise = rng.standard_normal(3**L) + 1j * rng.standard_normal(3**L)
     removal = product_state(L, math.pi) + 0.05 * noise / np.linalg.norm(noise)
     removal /= np.linalg.norm(removal)
-    engines = [full_setup(params, math.pi / L, built, removal=removal,
+    engines = [full_setup(params, (1, L), built, removal=removal,
                           all_blocks=every)[0] for every in (False, True)]
     keys = [[(b.label, b.reflection, b.parity) for b in engine.sector_eigs]
             for engine in engines]

@@ -27,7 +27,7 @@ from helpers import charge_order, hull_violation_loop, spectral_decomposition
 
 def test_charge_view_binomial_weights():
     # h tau = pi/3 folds the L=6 ladder mod 3; weights sum binomials
-    setup, _ = reduced_setup(ChainParams(L=6), math.pi / 3.0, 0.0)
+    setup, _ = reduced_setup(ChainParams(L=6), (1, 3), 0.0)
     groups = degeneracy_groups(setup)
     assert groups.w == 3
     want = sorted([22.0 / 64.0, 21.0 / 64.0, 21.0 / 64.0])
@@ -35,7 +35,8 @@ def test_charge_view_binomial_weights():
     assert abs(float(np.sum(groups.charge_weights)) - 1.0) < 1e-14
     # charge positions are the actual eigenphases of U(tau)
     for pos in np.exp(-1j * groups.charge_angles):
-        assert np.min(np.abs(setup.phases - pos)) < 1e-12
+        assert np.min(np.abs(setup.phases * setup.global_phase - pos)) \
+            < 1e-12
 
 
 def test_removal_weights_are_validated():
@@ -100,7 +101,7 @@ def test_clustered_charges_match_dense_eig():
 
 @pytest.mark.parametrize("h_tau_q", [3, 4, 6])
 def test_secular_roots_match_dense_bright_eigenvalues(h_tau_q):
-    setup, psi0 = reduced_setup(ChainParams(L=6), math.pi / h_tau_q, 0.2)
+    setup, psi0 = reduced_setup(ChainParams(L=6), (1, h_tau_q), 0.2)
     _, groups, secular = mode_spectrum(setup)
     assert secular.size == groups.w - 1
     spectrum = spectral_decomposition(setup, psi0)
@@ -113,10 +114,10 @@ def test_secular_roots_match_dense_bright_eigenvalues(h_tau_q):
 
 
 @pytest.mark.parametrize("make", [
-    *[(lambda q=q: reduced_setup(ChainParams(L=12), math.pi / q, 0.3)[0])
+    *[(lambda q=q: reduced_setup(ChainParams(L=12), (1, q), 0.3)[0])
       for q in range(1, 13)],
-    lambda: full_setup(ChainParams(L=5), math.pi / 5.0, 0.3)[0],
-    lambda: full_setup(ChainParams(L=8, J2=0.02), math.pi / 8.0, 0.3)[0],
+    lambda: full_setup(ChainParams(L=5), (1, 5), 0.3)[0],
+    lambda: full_setup(ChainParams(L=8, J2=0.02), (1, 8), 0.3)[0],
 ], ids=[f"tower-q{q}" for q in range(1, 13)] + ["full-L5", "full-L8-J2"])
 def test_charge_view_keeps_the_charge_picture_order(make):
     groups = degeneracy_groups(make())
@@ -135,7 +136,7 @@ def test_mode_spectrum_charges_every_reached_group(q, angle, counts):
     # J2 breaks the tower: at L = 7 each leg has two groups whose weight
     # is tiny (at most 1e-14) but above DARK_OVERLAP_TOL^2.  They are
     # charges, so dark, roots and the one zero number dim 574.
-    setup, _ = full_setup(ChainParams(L=7, J2=0.005), math.pi / q, angle(7))
+    setup, _ = full_setup(ChainParams(L=7, J2=0.005), (1, q), angle(7))
     groups = degeneracy_groups(setup)
     tiny = (groups.weights >= DARK_OVERLAP_TOL**2) & (groups.weights <= 1e-14)
     assert np.count_nonzero(tiny) == 2
