@@ -32,8 +32,7 @@ the initial state stay with its builders' callers.  Three engines exist:
 
 Iteration never renormalizes the internal state; survival probability is
 its squared norm, and all reported quantities are normalized on output.
-F is never diagonalized here; its spectrum is the spectral module's,
-which reads PHASE_TOL from this one when called.
+F is never diagonalized here; its spectrum is the spectral module's.
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ from darkfilter.spin_model import (
     protocol_states,
 )
 
-# Degeneracy clustering tolerance for eigenphases, in radians.  The
-# resonant periods are constructed as exact ratios, so true collisions
-# sit at rounding error while distinct phases are separated by O(1/L).
+# Largest rounding, in radians, that a setup lets the phases
+# exp(-i E tau) of its declared period carry (eps max|E| |tau|).
 PHASE_TOL = 1e-9
 
 
@@ -120,15 +118,16 @@ class FiltrationSetup:
     sign[i], flip = (pos, sign).  Derived: energies, the blocks'
     eigenvalues of H in order; removal_eig, the removal in the
     eigenbasis; phases, the exp(-i E tau) that run_filtration steps,
-    exact where h_tau fixes them.  The tower steps exp(-i pi (2pn mod
-    2q)/q) and keeps exp(-i E_0 tau), which cancels in every trajectory
-    observable, apart as global_phase (1 elsewhere); the full engine's
-    sector -M (energies those of M less 2hM) steps those of M times
-    exp(2 pi i (pM mod q)/q).  So the flip turns coordinate i of
-    magnetization M (2n - L on the tower) by exactly exp(-i pi (2pM mod
-    2q)/q), and flip_groups = (label, w) has the class label[i] of i and
-    the turn w[g] of class g.  A tau whose phases would round by more
-    than PHASE_TOL, eps max|E| |tau|, is refused first.
+    exact where h_tau fixes them.  The tower steps exp(-i pi m/q) of its
+    integer levels m = 2pn mod 2q, _levels (None elsewhere), and keeps
+    exp(-i E_0 tau), which cancels in every trajectory observable, apart
+    as global_phase (1 elsewhere); the full engine's sector -M (energies
+    those of M less 2hM) steps those of M times exp(2 pi i (pM mod q)/q).
+    So the flip turns coordinate i of magnetization M (2n - L on the
+    tower) by exactly exp(-i pi (2pM mod 2q)/q), and flip_groups =
+    (label, w) has the class label[i] of i and the turn w[g] of class g.
+    A tau whose phases would round by more than PHASE_TOL, eps max|E|
+    |tau|, is refused first.
     """
 
     def __init__(self, tau, engine, removal, sector_eigs, flip=None,
@@ -151,11 +150,12 @@ class FiltrationSetup:
                 f"PHASE_TOL = {PHASE_TOL:g}")
         self.phases = np.exp(-1j * self.energies * tau)
         self.global_phase = 1.0
+        self._levels = None
         if engine == "tower":
             p, q = h_tau
             self.global_phase = self.phases[0]
-            self.phases = _pi_phases(range(0, 2 * p * self.dimension, 2 * p),
-                                     q)
+            self._levels = [2 * p * n % (2 * q) for n in range(self.dimension)]
+            self.phases = _pi_phases(self._levels, q)
         self.flip_groups = None if flip is None else self._flip_classes(*h_tau)
         self.removal = np.asarray(removal)
         self.removal_eig = self.to_eigen(self.removal)
@@ -512,12 +512,12 @@ def full_setup(params, h_tau, theta0, removal=None, *, all_blocks=False):
     return setup, psi_0
 
 
-def generic_setup(matrix, removal, tau=None):
+def generic_setup(matrix, removal):
     """Engine for an arbitrary Hermitian matrix on a plain basis.
 
     A NaN or infinite entry is refused first: NaN passes the Hermitian
-    check.  Without tau the period is 2 pi / (E_max - E_min), gluing the
-    spectrum's extremal phases into one dark state from the band's edges.
+    check.  The period is 2 pi / (E_max - E_min), gluing the spectrum's
+    extremal phases into one dark state from the band's edges.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -530,10 +530,9 @@ def generic_setup(matrix, removal, tau=None):
     if np.shape(removal) != (dim,):
         raise ValidationError("state dimension does not match setup basis")
     w, v = _eigh(matrix, "the generic matrix")
-    if tau is None:
-        tau = resonance_period(w[0], w[-1])
     blk = SectorEig(0, np.arange(dim)[None, :], np.ones((1, dim)), w, v)
-    return FiltrationSetup(tau=tau, engine="generic", removal=removal,
+    return FiltrationSetup(tau=resonance_period(w[0], w[-1]),
+                           engine="generic", removal=removal,
                            sector_eigs=[blk])
 
 

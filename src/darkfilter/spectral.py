@@ -17,14 +17,13 @@ the dark phases, the w - 1 roots and the removal's one zero number dim
 by construction.  The dominant bright modulus sets the filtration time:
 on the tower engine jump_filtration_time finds it from powers of F
 without stepping, and the closed-form asymptotics of the two targets
-are here.  The grouping reads PHASE_TOL from the filtration module when
-called; that module imports nothing from this.
+are here.  The tower's groups are the classes of its integer levels,
+the other engines' are grouped by each phase's own rounding bound.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -94,52 +93,55 @@ class PhaseGroups:
         return [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def _cluster_angles(angles, tol):
-    """Cluster angles whose sorted gaps are below tol, with wrap-around.
+def _cluster_angles(angles, bound):
+    """Cluster angles by the rounding bound of each, with wrap-around.
 
-    Returns (order, starts, label): cluster k holds the indices
-    order[starts[k]:starts[k + 1]] in ascending angle, and label[i] is the
-    cluster of index i.  Clusters come in ascending angle, except that a
-    cluster reaching across pi comes first, its members near pi before
-    those near -pi.  Warns when two clusters are closer than 10 tol.
+    Neighbours in ascending angle, and the largest and smallest across
+    pi, join when their gap is at most the sum b of their bounds and
+    split when it passes 100 b; a gap in between is neither rounding nor
+    resolved, a NumericsError naming both angles.  Returns label, with
+    label[i] the cluster of index i.
     """
     order = np.argsort(angles, kind="stable")
     ordered = angles[order]
-    starts = np.flatnonzero(np.diff(ordered) >= tol) + 1
-    gaps = ordered[starts] - ordered[starts - 1]
-    if starts.size:
-        wrap = ordered[0] + 2.0 * math.pi - ordered[-1]
-        if wrap < tol:
-            # the last cluster joins the first across pi
-            shift = order.size - starts[-1]
-            order = np.roll(order, shift)
-            starts = starts[:-1] + shift
-        else:
-            gaps = np.append(gaps, wrap)
-    if starts.size and gaps.min() < 10.0 * tol:
-        warnings.warn(
-            f"eigenphase clusters separated by only {gaps.min():.2e} rad; "
-            "grouping may be ambiguous",
-            stacklevel=3,
-        )
-    starts = np.concatenate([[0], starts])
-    label = np.empty(order.size, dtype=np.intp)
-    label[order] = np.cumsum(np.bincount(starts, minlength=order.size)) - 1
-    return order, starts, label
+    gaps = np.append(np.diff(ordered), ordered[0] + 2.0 * math.pi - ordered[-1])
+    sums = bound[order] + np.roll(bound[order], -1)
+    odd = np.flatnonzero((gaps > sums) & (gaps <= 100.0 * sums))
+    if odd.size:
+        k, after = odd[0], np.roll(ordered, -1)
+        raise NumericsError(
+            f"eigenphases {ordered[k]:.17g} and {after[k]:.17g} rad lie "
+            f"{gaps[k]:.3e} apart, within 100 times their rounding bound "
+            f"{sums[k]:.3e}: neither degenerate nor resolved")
+    # s > 0 splits cut the circle into s arcs (none leave one): an angle's
+    # arc counts the splits before it, the one across pi first, modulo s
+    split = gaps > sums
+    arc = np.cumsum(np.roll(split, 1)) % max(1, np.count_nonzero(split))
+    return arc[np.argsort(order)]
 
 
 def degeneracy_groups(setup):
-    """Cluster the eigenphases of U(tau) into degenerate groups.
+    """Group the eigenphases of U(tau) into degenerate groups.
 
-    A group is a set of engine coordinates whose phases chain by gaps
-    below filtration.PHASE_TOL, read when called.  Returns the PhaseGroups.
+    On the tower a group is a class of the integer levels 2pn mod 2q.
+    Elsewhere _cluster_angles groups the phases by the rounding bound
+    delta_i = |tau| eps (n_b max|w_b| + |E_i|) + 4 eps of coordinate i
+    in a block of n_b eigenvalues w_b: a Weyl-type bound on the block's
+    eigh (Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 11), plus
+    the rounding of E_i tau, its phase and its angle.  Returns PhaseGroups.
     """
     if not isinstance(setup, filtration.FiltrationSetup):
         raise ValidationError("expected a FiltrationSetup")
     phases = setup.phases * setup.global_phase      # those of U(tau)
     angles = np.angle(phases)
-    order, starts, label = _cluster_angles(angles, filtration.PHASE_TOL)
-    first = np.minimum.reduceat(order, starts)
+    key = setup._levels
+    if key is None:
+        tau = abs(setup.tau)
+        bound = np.concatenate([
+            b.energies.size * (tau * np.max(np.abs(b.energies)))
+            + tau * np.abs(b.energies) for b in setup.sector_eigs])
+        key = _cluster_angles(angles, np.finfo(float).eps * (bound + 4.0))
+    _, first, label = np.unique(key, return_index=True, return_inverse=True)
     rep = phases[first]
     # libm hypot, as abs of a complex: np.abs may round differently
     phases = rep / np.hypot(rep.real, rep.imag)
@@ -375,8 +377,7 @@ def jump_filtration_time(setup, initial, target, eps):
     if not 0.0 < eps < 1.0 or thr == 1.0:
         raise ValidationError(f"eps={eps!r} outside (0, 1) or below the "
                               "resolution of 1 - eps")
-    p, q = setup.h_tau
-    levels = range(0, 2 * p * setup.dimension, 2 * p)     # of setup.phases
+    q, levels = setup.h_tau[1], setup._levels
     turns = np.rint(target.angles * q / math.pi)
     if float(np.max(np.abs(target.angles - math.pi * turns / q))) > 1e-12:
         raise ValidationError(

@@ -470,22 +470,32 @@ def determinant_darks(members, removal):
     return np.array(darks).reshape(-1, dim).T
 
 
-def cluster_angles_loop(angles, tol):
+def cluster_angles_loop(angles, bound):
     """Sorted angles clustered one gap at a time, with wrap-around.
 
-    A gap below tol joins an angle to the cluster before it; when the
-    gap across pi is below tol too, the last cluster is put in front of
-    the first.  Returns the clusters as arrays of indices into angles.
+    A gap of at most b, the two angles' bounds summed, joins an angle to
+    the cluster before it, and a gap above 100 b starts a new one; any
+    other gap raises NumericsError.  When the gap across pi joins too,
+    the last cluster is put in front of the first.  Returns the clusters
+    as arrays of indices into angles.
     """
     order = np.argsort(angles, kind="stable")
     ordered = angles[order]
+
+    def joins(gap, i, j):
+        b = bound[order[i]] + bound[order[j]]
+        if b < gap <= 100.0 * b:
+            raise NumericsError(f"gap {gap} within 100 times {b}")
+        return gap <= b
+
     clusters = [[0]]
     for i in range(1, ordered.size):
-        if ordered[i] - ordered[i - 1] < tol:
+        if joins(ordered[i] - ordered[i - 1], i - 1, i):
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    if len(clusters) > 1 and ordered[0] + 2.0 * math.pi - ordered[-1] < tol:
+    wrap = joins(ordered[0] + 2.0 * math.pi - ordered[-1], -1, 0)
+    if len(clusters) > 1 and wrap:
         clusters[0] = clusters.pop() + clusters[0]
     return [order[c] for c in clusters]
 

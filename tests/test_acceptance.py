@@ -20,6 +20,7 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -348,13 +349,16 @@ def test_criterion_08_perturbed_metastability_cat(perturbed_l8):
                     reason="extended check; set RUN_EXTENDED=1")
 def test_criterion_08_perturbed_metastability_extended(tmp_path):
     # full engine at L = 10: the cat-state fidelity stalls near 0.5
-    # through n ~ 10^4 before the tower-breaking coupling wins
+    # through n ~ 10^4 before the tower-breaking coupling wins; any
+    # warning, such as a numpy one on the way, fails the check
     t0 = time.perf_counter()
     spec = ExperimentSpec(name="acceptance-perturbed-l10",
                           params=ChainParams(L=10, J2=0.02),
                           theta0=0.0, h_tau=(1, 10), n_steps=20000,
                           engine="full")
-    perturbation_study(spec, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        perturbation_study(spec, tmp_path)
     q = read_column(os.path.join(tmp_path, "trajectory_tar2.csv"), "q_n")
     mid = float(np.mean(q[5000:10000]))
     late = float(np.mean(q[19000:]))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkfilter import experiments, filtration
+from darkfilter import experiments, spectral
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import (
     ExperimentSpec,
@@ -284,16 +284,16 @@ def test_jump_ahead_matches_extended_precision(variant, L):
 
 def test_jump_ahead_darkness_invariant_catches_detuning(monkeypatch):
     # At h tau = 1.001 pi/L the GHZ edges B_0, B_L no longer share a
-    # phase.  A phase tolerance loose enough to group them anyway makes
-    # the GHZ target look dark; its amplitude then drifts at n = 1.
+    # phase.  A grouping that merges them anyway, here that of the exact
+    # resonance pi/L, makes the GHZ target look dark; its amplitude then
+    # drifts at n = 1.
     L = 8
     params = ChainParams(L=L)
     setup, initial = reduced_setup(params, (1001, 1000 * L),
                                    orthogonality_angle(L))
-    charges = degeneracy_groups(setup).w
-    monkeypatch.setattr(filtration, "PHASE_TOL", 0.01)
-    # the grouping reads the tolerance when called: B_0, B_L merge
-    assert degeneracy_groups(setup).w == charges - 1
+    merged = degeneracy_groups(setup.retuned((1, L)))
+    assert merged.w == degeneracy_groups(setup).w - 1
+    monkeypatch.setattr(spectral, "degeneracy_groups", lambda _: merged)
     target = make_target(setup, params, "tar1", orthogonality_angle(L))
     with pytest.raises(NumericsError, match="not dark"):
         jump_filtration_time(setup, initial, target, 0.01)

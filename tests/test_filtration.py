@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -182,9 +183,9 @@ def test_nan_phases_are_not_unimodular():
 
 
 def test_setup_refuses_phases_without_precision():
-    # eps max|E| |tau| is the rounding of the phases exp(-i E tau): above
-    # PHASE_TOL it would reach the degeneracies the grouping resolves
-    # (the tower steps exact levels, but the period is the one declared)
+    # eps max|E| |tau| is the rounding of the phases exp(-i E tau), which
+    # the setup bounds by PHASE_TOL (the tower steps exact levels, but the
+    # period is the one declared)
     setup, _ = reduced_setup(ChainParams(L=4), (1, 4), 0.0)
     edge = filtration.PHASE_TOL / (np.finfo(float).eps
                                    * np.max(np.abs(setup.energies)))
@@ -198,8 +199,17 @@ def test_setup_refuses_phases_without_precision():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="tau = inf"):
-            generic_setup(np.diag([0.0, 1.0, 2.0, 3.0]), np.full(4, 0.5),
-                          tau=math.inf)
+            _diagonal_setup([0.0, 1.0, 2.0, 3.0], np.full(4, 0.5), math.inf)
+
+
+def _diagonal_setup(energies, removal, tau=1.0):
+    """Generic engine at period tau whose eigenbasis is the input basis."""
+    dim = len(energies)
+    return FiltrationSetup(
+        tau=tau, engine="generic", removal=removal,
+        sector_eigs=[SectorEig(0, np.arange(dim)[None, :], np.ones((1, dim)),
+                               np.asarray(energies, dtype=float),
+                               np.eye(dim))])
 
 
 def _engines():
@@ -757,21 +767,24 @@ def test_dark_projection_matches_explicit_subspace(engine_tau):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(points=st.lists(st.tuples(
     st.sampled_from([-math.pi, -1.0, 0.0, 0.5, 2.0, math.pi]),
-    st.integers(-2, 2)), min_size=1, max_size=12))
+    st.integers(-2, 2), st.sampled_from([1e-13, 6.5e-10])),
+    min_size=1, max_size=12))
 def test_cluster_angles_matches_the_gap_loop(points):
-    # offsets of 4e-10 chain into clusters below PHASE_TOL = 1e-9, and
-    # the points at -pi and pi into one cluster across the cut
-    angles = np.clip([c + 4e-10 * k for c, k in points], -math.pi, math.pi)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        order, starts, label = spectral._cluster_angles(
-            angles, filtration.PHASE_TOL)
-    clusters = np.split(order, starts[1:])
-    oracle = cluster_angles_loop(angles, filtration.PHASE_TOL)
-    assert len(clusters) == len(oracle)
-    for k, (got, want) in enumerate(zip(clusters, oracle)):
-        assert np.array_equal(got, want)
-        assert np.all(label[got] == k)
+    # offsets of 4e-10 against bounds of 1e-13 and 6.5e-10: a gap of one
+    # or more offsets joins, splits or is refused, never within rounding
+    # of a bound; the points at -pi and pi cluster across the cut
+    angles = np.clip([c + 4e-10 * k for c, k, _ in points], -math.pi, math.pi)
+    bound = np.array([b for *_, b in points])
+    try:
+        oracle = cluster_angles_loop(angles, bound)
+    except NumericsError:
+        with pytest.raises(NumericsError, match="neither degenerate nor"):
+            spectral._cluster_angles(angles, bound)
+        return
+    label = spectral._cluster_angles(angles, bound)
+    assert sorted(label[c[0]] for c in oracle) == list(range(len(oracle)))
+    for cluster in oracle:
+        assert np.all(label[cluster] == label[cluster[0]])
 
 
 def test_dark_projection_rejects_wrong_shape():
@@ -849,45 +862,39 @@ def test_large_tower_dark_states_are_orthonormal_and_dark():
     assert np.max(np.abs(setup.removal_eig.conj() @ dark.vectors)) < 2e-16
 
 
-def _near_pair_setup():
-    """Generic engine with two eigenphases 5 PHASE_TOL apart."""
-    energies = np.array([0.0, 5.0 * filtration.PHASE_TOL, 1.0, 2.0])
-    return FiltrationSetup(
-        tau=1.0, engine="generic",
-        removal=np.full(4, 0.5, dtype=complex),
-        sector_eigs=[SectorEig(0, np.arange(4)[None, :], np.ones((1, 4)),
-                               energies, np.eye(4))])
-
-
-def test_one_ambiguity_warning_per_grouping():
-    # the near pair stays two groups, and each grouping warns once,
-    # however many quantities read it
-    setup = _near_pair_setup()
-    with pytest.warns(UserWarning, match="ambiguous") as caught:
+@pytest.mark.parametrize("gap,w", [(1e-14, 3), (1e-11, None), (5e-9, 4)])
+def test_near_pair_is_grouped_refused_or_split(gap, w):
+    # energies up to 600 at tau = 1 bound the rounding of each phase by
+    # 4 * 600 eps + 4 eps = 5.3e-13 (degeneracy_groups), 1.07e-12 for the
+    # pair: 1e-14 apart it is one group, 5e-9 apart two, and 1e-11 apart,
+    # inside 100 times its bound, it is refused, naming both phases
+    setup = _diagonal_setup([0.0, gap, 300.0, 600.0], np.full(4, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if w is None:
+            low, high = np.angle(setup.phases[[1, 0]])
+            with pytest.raises(NumericsError, match=re.escape(
+                    f"eigenphases {low:.17g} and {high:.17g} rad")):
+                mode_spectrum(setup)
+            return
         _, groups, roots = mode_spectrum(setup)
-    assert len(caught) == 1
-    assert (groups.w, roots.size) == (4, 3)
-    with pytest.warns(UserWarning, match="ambiguous") as caught:
-        groups = degeneracy_groups(setup)
-        for _ in range(2):
-            dark_projection(groups, np.ones(4))
-        dark_subspace(groups)
-    assert len(caught) == 1
+    assert (groups.w, roots.size) == (w, w - 1)
 
 
 def test_phases_are_grouped_once_per_analysis(tmp_path, monkeypatch):
-    # one clustering of U(tau)'s phases per bright-spectrum run, goe-demo
-    # run and perturb leg; the step kernel takes its flip groups from the
-    # setup's integer classes and clusters nothing
+    # one clustering of U(tau)'s phases per goe-demo run and perturb leg,
+    # and none on the tower, whose groups are its integer level classes;
+    # the step kernel takes its flip groups from the setup's integer
+    # classes and clusters nothing
     callers = []
     cluster = spectral._cluster_angles
 
-    def counted(angles, tol):
+    def counted(angles, bound):
         callers.append(inspect.stack()[1].function)
-        return cluster(angles, tol)
+        return cluster(angles, bound)
 
     monkeypatch.setattr(spectral, "_cluster_angles", counted)
-    runs = [("bright-spectrum", {"L": 8, "target": "tar1"}, 1),
+    runs = [("bright-spectrum", {"L": 8, "target": "tar1"}, 0),
             ("goe-demo", {"goe": {"D_goe": 8, "seed": 5}}, 1),
             # only the static GHZ leg projects onto the dark manifold
             ("perturb", {"L": 4, "J2": 0.02, "n_steps": 60}, 1)]
@@ -915,10 +922,9 @@ def test_run_filtration_chunking_is_invisible():
 
 def test_depletion_stops_early():
     # U maps psi0 exactly onto the removal state: one step empties it
-    mat = np.diag([0.0, math.pi])
     removal = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     psi0 = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
-    setup = generic_setup(mat, removal, tau=1.0)
+    setup = _diagonal_setup([0.0, math.pi], removal)
     traj = run_filtration(setup, psi0, 40, RotatingTarget.static(psi0))
     assert traj.depleted
     # S_1 is rounding (below 1e-30), so step 1 is not recorded
@@ -929,7 +935,7 @@ def test_exact_depletion_with_a_target_records_no_fidelity():
     # the removal state is the whole space: one step leaves S_1 = 0, and
     # Q_1 = 0/0 must not pass as a recorded fidelity; the run stops
     # before it, and a NaN fidelity that reached a trajectory is refused
-    setup = generic_setup([[0.3]], [1.0], tau=1.0)
+    setup = _diagonal_setup([0.3], [1.0])
     traj = run_filtration(setup, [1.0], 3, target=RotatingTarget.static([1.0]))
     assert traj.depleted
     assert traj.q.tolist() == [1.0]

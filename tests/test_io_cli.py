@@ -756,6 +756,23 @@ def test_tower_run_at_small_h_writes_the_bytes_of_h_1(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("q", [3000000000, 7000000000])
+def test_tower_levels_at_large_q_stay_distinct(tmp_path, capsys, q):
+    # at h tau = pi/q the 7 levels 2n of the L = 6 tower lie 2 pi/q apart
+    # (2.1e-9 and 9.0e-10 rad): distinct integers, so no dark state and 7
+    # charges, with no warning
+    cfg = _write(tmp_path, "c.json", {"L": 6, "h_tau": [1, q]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sub in ("dark-states", "bright-spectrum"):
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / sub),
+                         "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    meta = [json.load(open(tmp_path / sub / "metadata.json"))
+            for sub in ("dark-states", "bright-spectrum")]
+    assert (meta[0]["count"], meta[1]["w"]) == (0, 7)
+
+
 @pytest.mark.parametrize("sub, doc", [
     ("filter-run", {"L": 4, "target": "tar1", "J2": 1e308}),
     ("filter-run", {"L": 4, "target": "tar1", "J2": -1e308}),

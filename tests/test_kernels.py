@@ -167,8 +167,12 @@ def _generic_case():
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     removal, initial, probe = (rng.standard_normal((3, 12))
                                + 1j * rng.standard_normal((3, 12)))
-    setup = generic_setup((a + a.conj().T) / 2.0,
-                          removal / np.linalg.norm(removal), tau=0.9)
+    # a period of its own, not generic_setup's band-edge resonance
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    setup = FiltrationSetup(
+        tau=0.9, engine="generic", removal=removal / np.linalg.norm(removal),
+        sector_eigs=[SectorEig(0, np.arange(12)[None, :], np.ones((1, 12)),
+                               w, v)])
     target = filtration.RotatingTarget.static(probe)
     return setup, initial / np.linalg.norm(initial), target
 

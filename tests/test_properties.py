@@ -8,7 +8,7 @@ or the dense eigendecomposition of F.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from darkfilter.experiments import TARGETS, make_target
@@ -71,6 +71,27 @@ def test_dark_count_is_dimension_minus_charges(L, h_tau, theta0):
     assert dark.count == setup.dimension - groups.w
     oracle, _ = dark_complement(setup.phases, setup.removal_eig)
     assert oracle.shape[1] == dark.count
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(L=st.integers(2, 40), k=st.integers(1, 10), r=st.integers(0, 9),
+       a=st.integers(0, 8), b=st.integers(1, 8), e=st.integers(-2, 2))
+@example(L=40, k=10, r=1, a=1, b=1, e=1)
+@example(L=6, k=10, r=0, a=0, b=1, e=1)
+@example(L=40, k=10, r=0, a=3, b=8, e=0)
+def test_tower_groups_are_the_level_classes(L, k, r, a, b, e):
+    # h tau = pi p/q with p/q = a/b + e/q and q up to 10^k: at e = 0 the
+    # levels 2pn mod 2q collide in the classes of a/b, else levels
+    # 2 pi e/m rad apart stay distinct, 6.3e-10 rad at m = q = 10^10
+    m = (10**k - r) // b
+    p, q = a * m + e, b * m
+    assume(p >= 1 and q >= 2)
+    setup, _ = _tower(L, (p, q), 0.3)
+    classes = {}
+    for n in range(L + 1):
+        classes.setdefault(2 * p * n % (2 * q), []).append(n)
+    assert sorted(degeneracy_groups(setup).members) \
+        == sorted(map(tuple, classes.values()))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
