@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Usage: darkfilter <subcommand> --config <file> --out <dir>
-                  [--seed <u64>] [--engine full|tower] [--quiet]
+Usage: darkfilter <subcommand> --config <file> --out <dir> [--quiet]
 
---seed and --engine are accepted only by a subcommand that reads the
-config keys they override (FLAG_KEYS).  A handler reads its document
-only through the config module, which fills in every default.
+The config document is a run's one input: the engine and the seeds are
+its keys, and no flag overrides them.  A handler reads its document
+only through the config module, which checks it and fills in every
+default.
 
 Exit status: 0 on success, 1 on validation failure (bad arguments,
 malformed config, precondition violations), 2 on numerical-invariant
@@ -23,11 +23,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (KEYS, goe_options, parse_config, scan_options,
-                     sweep_options, table1_options)
+from .config import (goe_options, parse_config, scan_options, sweep_options,
+                     table1_options)
 from .errors import NumericsError, ValidationError
-from .experiments import (ExperimentSpec, Perturbations, build_setup,
-                          dark_labels, document_of, goe_demo,
+from .experiments import (build_setup, dark_labels, document_of, goe_demo,
                           perturbation_study, run_target, sweep_n_epsilon,
                           table1_scan, zeta_vs_L_scan)
 from .output import SCHEMAS, emit_csv, spectrum_columns, write_metadata
@@ -40,10 +39,6 @@ SUBCOMMANDS = (
 )
 
 SGA_TOL = 1e-10
-
-# CLI flag -> the config keys it overrides; a subcommand that reads none
-# of them refuses the flag
-FLAG_KEYS = {"engine": ("engine",), "seed": ("perturbations", "goe")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,10 +55,6 @@ def build_parser():
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", help="JSON experiment document")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the recorded RNG seed")
-    parser.add_argument("--engine", choices=("full", "tower"), default=None,
-                        help="override the engine choice")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the result summary")
     return parser
@@ -77,26 +68,9 @@ def _read_document(path):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # JSONDecodeError, or an integer
+        # longer than Python's int string limit
         raise ValidationError(f"malformed JSON in {path}: {exc}") from None
-
-
-def _check_flags(cli):
-    reads = KEYS[cli.subcommand][0]
-    for flag, keys in FLAG_KEYS.items():
-        if getattr(cli, flag) is not None and not set(keys) & set(reads):
-            raise ValidationError(
-                f"--{flag} is not read by {cli.subcommand}"
-            )
-
-
-def _apply_overrides(spec: ExperimentSpec, cli) -> ExperimentSpec:
-    pert = spec.perturbations
-    if cli.seed is not None:
-        pert = Perturbations(lam=pert.lam, seed=cli.seed)
-    return ExperimentSpec(spec.name, spec.params, spec.theta0, spec.h_tau,
-                          spec.n_steps, spec.eps, cli.engine or spec.engine,
-                          spec.target, pert)
 
 
 def _say(cli, text):
@@ -105,7 +79,7 @@ def _say(cli, text):
 
 
 def _cmd_tower_check(cli, doc):
-    spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
+    spec = parse_config(doc, cli.subcommand)
     report = sga_residual(spec.params)
     write_metadata(os.path.join(cli.out, "metadata.json"), {
         "experiment": "tower_check",
@@ -114,29 +88,27 @@ def _cmd_tower_check(cli, doc):
         "algebra_residual": report.algebra_residual,
     })
     _say(cli, f"max residual {report.max:.3e}")
-    if report.max >= SGA_TOL:
+    # written so that a NaN residual fails
+    if not report.max < SGA_TOL:
         raise NumericsError(
             f"tower residual {report.max:.3e} exceeds {SGA_TOL:.0e}"
         )
 
 
 def _cmd_filter_run(cli, doc):
-    spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
-    art = run_target(spec, cli.out)
-    meta = art.metadata
+    spec = parse_config(doc, cli.subcommand)
+    meta = run_target(spec, cli.out)
     _say(cli, f"{spec.target}: n_eps={meta['n_eps']} "
               f"q_final={meta['q_final']:.6f}")
-    return art
 
 
 def _cmd_dark_states(cli, doc):
-    spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
+    spec = parse_config(doc, cli.subcommand)
     # the census lists the dark states of every block, reached or not
     setup, initial = build_setup(spec, all_blocks=True)
     dark = dark_subspace(degeneracy_groups(setup))
-    path = emit_csv(os.path.join(cli.out, "spectrum.csv"),
-                    SCHEMAS["spectrum"],
-                    spectrum_columns(dark.phases, ["dark"] * dark.count))
+    emit_csv(os.path.join(cli.out, "spectrum.csv"), SCHEMAS["spectrum"],
+             spectrum_columns(dark.phases, ["dark"] * dark.count))
     ov = dark.overlaps(setup.to_eigen(initial))
     write_metadata(os.path.join(cli.out, "metadata.json"), {
         "experiment": "dark_states",
@@ -147,25 +119,21 @@ def _cmd_dark_states(cli, doc):
         "dark_weight": float(np.sum(np.abs(ov) ** 2)),
     })
     _say(cli, f"{dark.count} dark states")
-    return path
 
 
 def _cmd_bright_spectrum(cli, doc):
-    spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
+    spec = parse_config(doc, cli.subcommand)
     if spec.engine != "tower":
         raise ValidationError(
             "bright-spectrum works on the tower engine only"
         )
     setup, _ = build_setup(spec)
     dark, groups, roots = mode_spectrum(setup)
-    spath = emit_csv(os.path.join(cli.out, "spectrum.csv"),
-                     SCHEMAS["spectrum"],
-                     spectrum_columns(np.concatenate([dark, roots]),
-                                      ["dark"] * dark.size
-                                      + ["bright"] * roots.size))
-    cpath = emit_csv(os.path.join(cli.out, "charges.csv"),
-                     SCHEMAS["charges"],
-                     [groups.charge_angles, groups.charge_weights])
+    emit_csv(os.path.join(cli.out, "spectrum.csv"), SCHEMAS["spectrum"],
+             spectrum_columns(np.concatenate([dark, roots]),
+                              ["dark"] * dark.size + ["bright"] * roots.size))
+    emit_csv(os.path.join(cli.out, "charges.csv"), SCHEMAS["charges"],
+             [groups.charge_angles, groups.charge_weights])
     dom = max(np.abs(roots)) if roots.size else 0.0
     write_metadata(os.path.join(cli.out, "metadata.json"), {
         "experiment": "bright_spectrum",
@@ -177,57 +145,46 @@ def _cmd_bright_spectrum(cli, doc):
     })
     _say(cli, f"w={groups.w} charges, {roots.size} bright roots, "
               f"dominant modulus {dom:.6f}")
-    return spath, cpath
 
 
 def _cmd_scaling_sweep(cli, doc):
     L_values, rule, eps, variant = sweep_options(doc)
-    art = sweep_n_epsilon(L_values, rule, eps, variant, cli.out)
-    slope = art.metadata["slope_log2"]
+    slope = sweep_n_epsilon(L_values, rule, eps, variant,
+                            cli.out)["slope_log2"]
     # no slope without two points of n_eps > 0
     _say(cli, f"{variant} ({rule}): slope "
               + ("none" if slope is None else f"{slope:.4f}"))
-    return art
 
 
 def _cmd_table1(cli, doc):
-    art = table1_scan(cli.out, theta0=table1_options(doc))
-    counts = {f"{c['p']}/{c['q']}": c["count"]
-              for c in art.metadata["cases"]}
+    meta = table1_scan(cli.out, theta0=table1_options(doc))
+    counts = {f"{c['p']}/{c['q']}": c["count"] for c in meta["cases"]}
     _say(cli, f"dark counts {counts}")
-    return art
 
 
 def _cmd_perturb(cli, doc):
-    spec = _apply_overrides(parse_config(doc, cli.subcommand), cli)
-    art = perturbation_study(spec, cli.out)
-    info1, info2 = art.metadata["tar1"], art.metadata["tar2"]
+    spec = parse_config(doc, cli.subcommand)
+    meta = perturbation_study(spec, cli.out)
+    info1, info2 = meta["tar1"], meta["tar2"]
     plateau = info2.get("plateau")
     height = plateau["height"] if plateau else math.nan
     _say(cli, f"tar1 q_final={info1['q_final']:.4f} "
               f"dark_residual={info1['dark_residual']:.3e}; "
               f"tar2 plateau height={height:.4f}")
-    return art
 
 
 def _cmd_goe_demo(cli, doc):
-    d_goe, seed, n_steps = goe_options(doc)
-    art = goe_demo(cli.out, d_goe, seed if cli.seed is None else cli.seed,
-                   n_steps)
-    meta = art.metadata
+    meta = goe_demo(cli.out, *goe_options(doc))
     _say(cli, f"survival -> {meta['expected_survival']:.8f} "
               f"(worst tail error {meta['worst_tail_error']:.3e})")
-    return art
 
 
 def _cmd_zeta_scan(cli, doc):
     L_values = scan_options(doc)
-    art = zeta_vs_L_scan(cli.out, L_values=L_values)
-    mods = art.metadata["moduli"]
+    mods = zeta_vs_L_scan(cli.out, L_values=L_values)["moduli"]
     first, last = L_values[0], L_values[-1]
     _say(cli, f"|zeta_d|: L={first} -> {mods[str(first)]:.6f}, "
               f"L={last} -> {mods[str(last)]:.6f}")
-    return art
 
 
 DISPATCH = {
@@ -246,11 +203,10 @@ DISPATCH = {
 def run_command(cli) -> int:
     """Dispatch a parsed command line; returns the process exit status.
 
-    cli is the namespace of build_parser: subcommand, config, out, seed,
-    engine and quiet.
+    cli is the namespace of build_parser: subcommand, config, out and
+    quiet.
     """
     try:
-        _check_flags(cli)
         doc = _read_document(cli.config)
         DISPATCH[cli.subcommand](cli, doc)
     except ValidationError as exc:

@@ -1,11 +1,15 @@
 """JSON experiment-document parsing with strict key validation.
 
-A document is a flat JSON object.  Each subcommand reads the keys KEYS
-lists for it, and any other key is rejected by name, so neither a typo
-nor a key the subcommand would ignore passes silently.  h*tau is written
-as the integer pair [p, q] meaning pi*p/q, which keeps resonances exact:
-the document_of echo of a spec parses back to the same spec.  Every
-default is filled in here, so the CLI never reads a document itself.
+The document is a run's one input: no command-line flag sets a key.  It
+is a flat JSON object.  Each subcommand reads the keys KEYS lists for
+it, and any other key is rejected by name, so neither a typo nor a key
+the subcommand would ignore passes silently.  A key that names a choice
+(target, engine, variant, theta0_rule) holds one of its strings.  h*tau
+is written as the integer pair [p, q] meaning pi*p/q, which keeps
+resonances exact: the document_of echo of a spec parses back to the
+same spec.  A key left out takes the default of the record or driver
+that owns it (ChainParams for the couplings, the experiments module for
+the rest), so the CLI never reads a document itself.
 """
 
 from __future__ import annotations
@@ -14,21 +18,23 @@ import json
 import math
 
 from .errors import ValidationError
-from .experiments import (GOE_DIM, GOE_SEED, TABLE1_THETA0, TARGETS,
-                          ExperimentSpec, Perturbations, _check_goe,
-                          tar1_resonance)
+from .experiments import (EPS, GOE_DIM, GOE_SEED, TABLE1_THETA0, TARGETS,
+                          THETA0_RULES, ZETA_L_VALUES, ExperimentSpec,
+                          Perturbations, tar1_resonance)
 from .spin_model import ChainParams
 
-# protocol defaults: J = 1 sets the unit of energy, D = 0.1 the
-# anisotropy, eps = 0.01 the fidelity threshold
-DEFAULTS = {"J": 1.0, "h": 1.0, "D": 0.1, "J2": 0.0, "J3": 0.0,
-            "eps": 0.01, "n_steps": 5000}
-# perturb runs each leg longer, into the metastable regime
+# run lengths: perturb runs each leg longer, into the metastable regime
+RUN_STEPS = 5000
 PERTURB_STEPS = 20000
 
-CHAIN_KEYS = ("L", "J", "h", "D", "J2", "J3")
+COUPLINGS = ("J", "h", "D", "J2", "J3")
+CHAIN_KEYS = ("L", *COUPLINGS)
 RUN_KEYS = ("name", "target", *CHAIN_KEYS, "theta0", "h_tau", "engine",
             "perturbations")
+# scaling-sweep variant -> the theta0 rule it takes by default
+VARIANT_RULES = {"tar1-general": "general",
+                 "tar1-orthogonal": "orthogonal",
+                 "tar2": "tar2-optimal"}
 
 # subcommand -> (the keys it reads, the keys it requires)
 KEYS = {
@@ -65,7 +71,21 @@ def _number(doc, key, default=None, integer=False):
         if isinstance(val, float) and not val.is_integer():
             raise ValidationError(f"key {key!r} must be an integer")
         return int(val)
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        raise ValidationError(f"key {key!r} = {val} overflows a float") \
+            from None
+
+
+def _choice(doc, key, allowed, default=None):
+    """doc[key], one of the strings allowed; default when absent."""
+    if key not in doc:
+        return default
+    val = doc[key]
+    if not isinstance(val, str) or val not in allowed:
+        raise ValidationError(f"unknown {key} {val!r}")
+    return val
 
 
 def _object(doc, key, allowed):
@@ -89,7 +109,7 @@ def _load(document, subcommand):
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # JSONDecodeError, or an over-long int
             raise ValidationError(f"malformed JSON document: {exc}") from None
     if not isinstance(document, dict):
         raise ValidationError("document must be a JSON object")
@@ -143,35 +163,24 @@ def _resolve_theta0(doc, target, L):
 def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
     """Validate a JSON document into a fully pinned ExperimentSpec.
 
-    Defaults fill in the fixed physical choices; the target, when given,
-    derives the resonance h*tau and the initial-state angle theta0.
+    The target, when given, derives the resonance h*tau and the
+    initial-state angle theta0.
     """
     doc = _load(document, subcommand)
-    target = doc.get("target")
-    if target is not None and target not in TARGETS:
-        raise ValidationError(f"unknown target {target!r}")
-
-    L = _number(doc, "L", default=4, integer=True)
-    params = ChainParams(
-        L=L,
-        J=_number(doc, "J", DEFAULTS["J"]),
-        h=_number(doc, "h", DEFAULTS["h"]),
-        D=_number(doc, "D", DEFAULTS["D"]),
-        J2=_number(doc, "J2", DEFAULTS["J2"]),
-        J3=_number(doc, "J3", DEFAULTS["J3"]),
-    )
+    target = _choice(doc, "target", TARGETS)
+    L = _number(doc, "L", integer=True)
+    params = ChainParams(L, **{key: _number(doc, key)
+                               for key in COUPLINGS if key in doc})
 
     sub = _object(doc, "perturbations", ("lambda", "seed"))
     pert = Perturbations(lam=_number(sub, "lambda", 0.0),
-                         seed=_number(sub, "seed", None, integer=True))
+                         seed=_number(sub, "seed", integer=True))
 
-    engine = doc.get("engine")
+    engine = _choice(doc, "engine", ("tower", "full"))
     if engine is None:
         # perturb reads no engine key: it always runs the full engine
         engine = "full" if (params.J2 != 0.0 or pert.lam != 0.0
                             or subcommand == "perturb") else "tower"
-    if engine not in ("tower", "full"):
-        raise ValidationError(f"unknown engine {engine!r}")
 
     # a subcommand that reads h_tau needs a resonance
     h_tau = _resolve_htau(doc, target, L, "h_tau" in KEYS[subcommand][0])
@@ -179,7 +188,7 @@ def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
     name = doc.get("name", subcommand)
     if not isinstance(name, str) or not name:
         raise ValidationError("name must be a non-empty string")
-    steps = PERTURB_STEPS if subcommand == "perturb" else DEFAULTS["n_steps"]
+    steps = PERTURB_STEPS if subcommand == "perturb" else RUN_STEPS
 
     return ExperimentSpec(
         name=name,
@@ -187,7 +196,7 @@ def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
         theta0=theta0,
         h_tau=h_tau,
         n_steps=_number(doc, "n_steps", steps, integer=True),
-        eps=_number(doc, "eps", DEFAULTS["eps"]),
+        eps=_number(doc, "eps", EPS),
         engine=engine,
         target=target,
         perturbations=pert,
@@ -195,44 +204,31 @@ def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
 
 
 def goe_options(document):
-    """(d_goe, seed, n_steps) of the random-matrix benchmark.
-
-    n_steps is None when the document leaves the run length to goe_demo.
-    The document's values are checked here, so a --seed override cannot
-    hide a bad seed; goe_demo checks the values it runs with again.
-    """
+    """(d_goe, seed, n_steps) of the random-matrix benchmark, which
+    goe_demo checks.  n_steps is None when the document leaves the run
+    length to goe_demo."""
     doc = _load(document, "goe-demo")
     sub = _object(doc, "goe", ("D_goe", "seed"))
-    d_goe = _number(sub, "D_goe", GOE_DIM, integer=True)
-    seed = _number(sub, "seed", GOE_SEED, integer=True)
-    _check_goe(d_goe, seed)
-    n_steps = _number(doc, "n_steps", integer=True)
-    if n_steps is not None and n_steps < 0:
-        raise ValidationError("n_steps must be a non-negative integer")
-    return d_goe, seed, n_steps
+    return (_number(sub, "D_goe", GOE_DIM, integer=True),
+            _number(sub, "seed", GOE_SEED, integer=True),
+            _number(doc, "n_steps", integer=True))
 
 
 def sweep_options(document):
-    """List-style options for the scaling sweep subcommand."""
+    """(L_values, theta0 rule, eps, variant) of the scaling sweep."""
     doc = _load(document, "scaling-sweep")
     values = _L_values(doc)
-    variant = doc["variant"]
-    if variant not in ("tar1-general", "tar1-orthogonal", "tar2"):
-        raise ValidationError(f"unknown variant {variant!r}")
-    default_rule = {"tar1-general": "general",
-                    "tar1-orthogonal": "orthogonal",
-                    "tar2": "tar2-optimal"}[variant]
-    rule = doc.get("theta0_rule", default_rule)
-    eps = _number(doc, "eps", DEFAULTS["eps"])
-    return values, rule, eps, variant
+    variant = _choice(doc, "variant", VARIANT_RULES)
+    rule = _choice(doc, "theta0_rule", THETA0_RULES, VARIANT_RULES[variant])
+    return values, rule, _number(doc, "eps", EPS), variant
 
 
 def scan_options(document):
-    """Optional L_values override for the dominant-eigenvalue scan."""
+    """L_values of the dominant-eigenvalue scan."""
     doc = _load(document, "zeta-scan")
     if "L_values" in doc:
         return _L_values(doc)
-    return list(range(4, 17))
+    return list(ZETA_L_VALUES)
 
 
 def table1_options(document):

@@ -1,14 +1,15 @@
 """Preset, reproducible experiment drivers.
 
 Each driver consumes an ExperimentSpec (or a few plain arguments),
-runs the protocol, and writes CSV artifacts plus a JSON metadata
-sidecar into an output directory.  A target superposition is declared
-once, in TARGETS: its resonance, default angle, components and
-rotation.  run_target prepares the target a spec names, and
-perturbation_study and the scaling sweep read the same table.  Re-running with the same spec and
-seed reproduces the CSV bodies byte for byte; the sidecar additionally
-records wall time, code version, and the RNG family, so only the data
-files are expected to compare equal.
+runs the protocol, writes CSV artifacts plus a JSON metadata sidecar
+into an output directory, and returns the sidecar's dict.  A target
+superposition is declared once, in TARGETS: its resonance, default
+angle, components and rotation.  run_target prepares the target a spec
+names, and perturbation_study and the scaling sweep read the same
+table.  Re-running with the same spec and seed reproduces the CSV
+bodies byte for byte; the sidecar additionally records wall time, code
+version, and the RNG family, so only the data files are expected to
+compare equal.
 
 Randomness (removal-state noise, the random-matrix benchmark) always
 goes through a counter-based Philox generator keyed by an explicit
@@ -27,8 +28,9 @@ import numpy as np
 
 from .basis import FULL_SPACE_CAP, string_parity_sign
 from .errors import NumericsError, ValidationError
-from .filtration import (BACKEND, RotatingTarget, full_setup, generic_setup,
-                         reduced_setup, run_filtration, filtration_time)
+from .filtration import (BACKEND, TRAJECTORY_BUDGET, RotatingTarget,
+                         full_setup, generic_setup, reduced_setup,
+                         run_filtration, filtration_time)
 from .output import SCHEMAS, emit_csv, spectrum_columns, write_metadata
 from .spectral import (dark_projection, dark_subspace, degeneracy_groups,
                        jump_filtration_time, mode_spectrum,
@@ -36,6 +38,8 @@ from .spectral import (dark_projection, dark_subspace, degeneracy_groups,
 from .spin_model import ChainParams, build_tower, protocol_states
 
 RNG_FAMILY = "philox"
+# default fidelity threshold: a run reaches its target at Q_n >= 1 - EPS
+EPS = 0.01
 # tolerance to which run_target checks the string-oscillation law of a
 # rotating target
 STRING_LAW_TOL = 0.01
@@ -117,7 +121,7 @@ class ExperimentSpec:
     defaults to a fresh Perturbations() (no noise).
     """
 
-    def __init__(self, name, params, theta0, h_tau, n_steps, eps=0.01,
+    def __init__(self, name, params, theta0, h_tau, n_steps, eps=EPS,
                  engine="tower", target=None, perturbations=None):
         if perturbations is None:
             perturbations = Perturbations()
@@ -151,14 +155,6 @@ class ExperimentSpec:
         return type(other) is ExperimentSpec and vars(other) == vars(self)
 
 
-class RunArtifacts:
-    """File paths plus the metadata that went into the sidecar."""
-
-    def __init__(self, paths, metadata):
-        self.paths = paths
-        self.metadata = metadata
-
-
 def document_of(spec: ExperimentSpec) -> dict:
     """Plain-JSON echo of a spec; parse_config inverts it."""
     doc = {
@@ -180,7 +176,8 @@ def document_of(spec: ExperimentSpec) -> dict:
     return doc
 
 
-def _finish(out_dir, name, echo, files, extra, t0):
+def _finish(out_dir, name, echo, extra, t0):
+    """Write metadata.json into out_dir and return its dict."""
     from . import __version__
     meta = {
         "experiment": name,
@@ -190,11 +187,8 @@ def _finish(out_dir, name, echo, files, extra, t0):
         "wall_time_s": round(time.time() - t0, 3),
     }
     meta.update(extra)
-    path = os.path.join(out_dir, "metadata.json")
-    write_metadata(path, meta)
-    files = dict(files)
-    files["metadata"] = path
-    return RunArtifacts(paths=files, metadata=meta)
+    write_metadata(os.path.join(out_dir, "metadata.json"), meta)
+    return meta
 
 
 def noise_vector(dim, seed):
@@ -368,7 +362,7 @@ def string_law_deviation(traj, theta0, h_tau, L, n_min):
     return dev_abs, dev_signed
 
 
-def run_target(spec: ExperimentSpec, out_dir) -> RunArtifacts:
+def run_target(spec: ExperimentSpec, out_dir) -> dict:
     """Preparation run of spec.target: trajectory CSV plus the extracted n_eps.
 
     A rotating target also has its string-oscillation law checked, from
@@ -412,10 +406,10 @@ def run_target(spec: ExperimentSpec, out_dir) -> RunArtifacts:
         extra["string_dev_abs"] = dev_abs
         extra["string_dev_signed"] = dev_signed
         extra["string_check_from"] = string_check_from
-    path = emit_csv(os.path.join(out_dir, "trajectory.csv"),
-                    SCHEMAS["trajectory"], _trajectory_columns(traj))
-    return _finish(out_dir, f"run_{spec.target}", document_of(spec),
-                   {"trajectory": path}, extra, t0)
+    emit_csv(os.path.join(out_dir, "trajectory.csv"), SCHEMAS["trajectory"],
+             _trajectory_columns(traj))
+    return _finish(out_dir, f"run_{spec.target}", document_of(spec), extra,
+                   t0)
 
 
 def _sweep_case(L, variant, theta0, eps):
@@ -428,8 +422,7 @@ def _sweep_case(L, variant, theta0, eps):
     return n_eps, scaling_predictions(L, theta0, eps, variant)
 
 
-def sweep_n_epsilon(L_values, theta0_rule, eps, variant,
-                    out_dir) -> RunArtifacts:
+def sweep_n_epsilon(L_values, theta0_rule, eps, variant, out_dir) -> dict:
     """Filtration time vs chain length against the closed-form laws.
 
     theta0_rule is one of 'orthogonal', 'general', 'parity',
@@ -464,8 +457,8 @@ def sweep_n_epsilon(L_values, theta0_rule, eps, variant,
         rows.append((L, n_sim, n_pred, variant))
         results.append({"L": L, "theta0": theta0,
                         "n_eps_sim": n_sim, "n_eps_theory": n_pred})
-    path = emit_csv(os.path.join(out_dir, "scaling.csv"),
-                    SCHEMAS["scaling"], list(zip(*rows)))
+    emit_csv(os.path.join(out_dir, "scaling.csv"), SCHEMAS["scaling"],
+             list(zip(*rows)))
     extra = {
         "variant": variant,
         "theta0_rule": theta0_rule,
@@ -475,18 +468,17 @@ def sweep_n_epsilon(L_values, theta0_rule, eps, variant,
     }
     echo = {"L_values": L_values, "theta0_rule": theta0_rule,
             "eps": eps, "variant": variant}
-    return _finish(out_dir, "sweep_n_epsilon", echo,
-                   {"scaling": path}, extra, t0)
+    return _finish(out_dir, "sweep_n_epsilon", echo, extra, t0)
 
 
 def fit_slope_log2(rows):
     """Least-squares slope of log2(n_eps) against L, over n_eps > 0.
 
-    None when fewer than two points are left.
+    None when fewer than two distinct L are left.
     """
     L = np.array([r[0] for r in rows if r[1] > 0], dtype=float)
     n = np.array([r[1] for r in rows if r[1] > 0], dtype=float)
-    if L.size < 2:
+    if L.size < 2 or L.min() == L.max():
         return None
     return float(np.polyfit(L, np.log2(n), 1)[0])
 
@@ -523,7 +515,7 @@ def dark_labels(dark):
     return labels
 
 
-def table1_scan(out_dir, theta0=TABLE1_THETA0) -> RunArtifacts:
+def table1_scan(out_dir, theta0=TABLE1_THETA0) -> dict:
     """Dark-state census over the resonant angles of the L=6 tower.
 
     Emits one row per dark vector: the resonance (p, q), the composition
@@ -552,12 +544,11 @@ def table1_scan(out_dir, theta0=TABLE1_THETA0) -> RunArtifacts:
                          float(coeffs[k].real), float(coeffs[k].imag)))
         summary.append({"p": p, "q": q, "count": dark.count,
                         "labels": labels})
-    path = emit_csv(os.path.join(out_dir, "table1.csv"),
-                    ("p", "q", "label", "coeff_re", "coeff_im"),
-                    list(zip(*rows)))
+    emit_csv(os.path.join(out_dir, "table1.csv"),
+             ("p", "q", "label", "coeff_re", "coeff_im"), list(zip(*rows)))
     extra = {"L": L, "theta0": theta0, "cases": summary}
     return _finish(out_dir, "table1_scan", {"L": L, "theta0": theta0},
-                   {"table1": path}, extra, t0)
+                   extra, t0)
 
 
 # detect_plateau: largest smoothed |dQ/dn| inside a plateau, and the
@@ -595,7 +586,7 @@ def detect_plateau(q):
     return start, end, height
 
 
-def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
+def perturbation_study(spec: ExperimentSpec, out_dir) -> dict:
     """Metastability under tower-breaking coupling and removal noise.
 
     Runs every target of TARGETS with the spec's couplings and noise,
@@ -625,7 +616,6 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
             * engine.to_eigen(tower[n])))
         for n in (0, L)
     }
-    files = {}
     extra = {"edge_residuals": edge_residuals,
              "lam": spec.perturbations.lam,
              "noise_seed": spec.perturbations.seed}
@@ -635,9 +625,8 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
         initial = protocol_states(params, theta0)[1]
         target = make_target(setup, params, which, theta0)
         traj = run_filtration(setup, initial, spec.n_steps, target)
-        path = emit_csv(os.path.join(out_dir, f"trajectory_{which}.csv"),
-                        SCHEMAS["trajectory"], _trajectory_columns(traj))
-        files[f"trajectory_{which}"] = path
+        emit_csv(os.path.join(out_dir, f"trajectory_{which}.csv"),
+                 SCHEMAS["trajectory"], _trajectory_columns(traj))
         info = {"q_final": float(traj.q[-1]),
                 "max_q": float(np.max(traj.q)),
                 "theta0": theta0, "h_tau": [p, q],
@@ -655,8 +644,8 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> RunArtifacts:
             dark = dark_projection(groups, setup.to_eigen(initial))
             info["dark_weight"] = float(np.linalg.norm(dark) ** 2)
         extra[which] = info
-    return _finish(out_dir, "perturbation_study", document_of(spec),
-                   files, extra, t0)
+    return _finish(out_dir, "perturbation_study", document_of(spec), extra,
+                   t0)
 
 
 def sample_goe(d_goe, seed):
@@ -680,25 +669,25 @@ GOE_DARK_TOL = 1e-8
 GOE_ZERO_TOL = 1e-12
 
 
-def _check_goe(d_goe, seed):
-    if d_goe < 4:
-        raise ValidationError("GOE dimension must be at least 4")
-    _check_seed(seed)
-
-
-def goe_demo(out_dir, d_goe=GOE_DIM, seed=GOE_SEED,
-             n_steps=None) -> RunArtifacts:
+def goe_demo(out_dir, d_goe=GOE_DIM, seed=GOE_SEED, n_steps=None) -> dict:
     """Dark-state persistence for a generic dense spectrum.
 
     Draws one GOE matrix, filters |1> with removal |2>, and checks that
     the survival weight converges to the initial weight on the single
     dark state formed by the two edge eigenlevels (tau glues their
     phases).  The run covers the bound n where the slowest bright mode
-    has decayed below GOE_BRIGHT_BOUND.  Every check precedes the first
-    write, which makes out_dir.
+    has decayed below GOE_BRIGHT_BOUND.  The matrix's 8 d_goe^2 bytes
+    must fit TRAJECTORY_BUDGET.  Every check precedes the first write,
+    which makes out_dir.
     """
     t0 = time.time()
-    _check_goe(d_goe, seed)
+    if d_goe < 4:
+        raise ValidationError("GOE dimension must be at least 4")
+    if 8 * d_goe**2 > TRAJECTORY_BUDGET:
+        raise ValidationError(
+            f"GOE dimension {d_goe} needs {8 * d_goe**2} bytes for its "
+            f"matrix, above the budget of {TRAJECTORY_BUDGET} bytes")
+    _check_seed(seed)
     mat = sample_goe(d_goe, seed)
     dim = d_goe
     removal, initial = np.eye(dim, dtype=complex)[[1, 0]]
@@ -738,16 +727,13 @@ def goe_demo(out_dir, d_goe=GOE_DIM, seed=GOE_SEED,
             f"survival misses the dark weight by {worst:.3e} past the "
             f"bright-decay bound {n_bound}"
         )
-    traj_path = emit_csv(os.path.join(out_dir, "trajectory.csv"),
-                         SCHEMAS["trajectory"], _trajectory_columns(traj))
+    emit_csv(os.path.join(out_dir, "trajectory.csv"), SCHEMAS["trajectory"],
+             _trajectory_columns(traj))
     order = np.lexsort((np.angle(values).round(12), -moduli))
-    spec_path = emit_csv(os.path.join(out_dir, "spectrum.csv"),
-                         SCHEMAS["spectrum"],
-                         spectrum_columns(values[order],
-                                          kinds[order].tolist()))
-    charge_path = emit_csv(os.path.join(out_dir, "charges.csv"),
-                           SCHEMAS["charges"],
-                           [groups.charge_angles, groups.charge_weights])
+    emit_csv(os.path.join(out_dir, "spectrum.csv"), SCHEMAS["spectrum"],
+             spectrum_columns(values[order], kinds[order].tolist()))
+    emit_csv(os.path.join(out_dir, "charges.csv"), SCHEMAS["charges"],
+             [groups.charge_angles, groups.charge_weights])
     off = mat[~np.eye(dim, dtype=bool)]
     extra = {
         "d_goe": d_goe,
@@ -762,22 +748,22 @@ def goe_demo(out_dir, d_goe=GOE_DIM, seed=GOE_SEED,
     }
     echo = {"goe": {"D_goe": d_goe, "seed": seed},
             "n_steps": int(n_steps)}
-    return _finish(out_dir, "goe_demo", echo,
-                   {"trajectory": traj_path, "spectrum": spec_path,
-                    "charges": charge_path}, extra, t0)
+    return _finish(out_dir, "goe_demo", echo, extra, t0)
 
 
 # h*tau = pi/4 of the zeta scan: the tower phases fall into the four
-# classes n mod 4 at every length
+# classes n mod 4 at every length; and its default chain lengths
 ZETA_H_TAU = (1, 4)
+ZETA_L_VALUES = tuple(range(4, 17))
 
 
-def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
+def zeta_vs_L_scan(out_dir, L_values=ZETA_L_VALUES) -> dict:
     """Dominant bright eigenvalue versus chain length at h*tau = pi/4.
 
     The four tower phase classes n mod 4 persist at every length; the
     scan asserts that the dominant modulus strictly decreases with L and
-    that each length yields w = 4 charges (mode_spectrum).
+    that each length yields w = 4 charges (mode_spectrum).  Every length
+    is checked before the first write, which makes out_dir.
     """
     t0 = time.time()
     L_values = [int(L) for L in L_values]
@@ -788,8 +774,7 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
             f"L_values must be strictly increasing, got {L_values}"
         )
     p, q = ZETA_H_TAU
-    moduli = []
-    files = {}
+    spectra = []
     for L in L_values:
         setup, _ = reduced_setup(ChainParams(L=L), ZETA_H_TAU, 0.0)
         _, groups, roots = mode_spectrum(setup)
@@ -797,11 +782,8 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
             raise NumericsError(
                 f"L={L}: expected 4 charged phase classes, found {groups.w}"
             )
-        moduli.append(abs(complex(roots[0])))
-        spath = emit_csv(os.path.join(out_dir, f"spectrum_L{L:02d}.csv"),
-                         SCHEMAS["spectrum"],
-                         spectrum_columns(roots, ["bright"] * roots.size))
-        files[f"spectrum_L{L:02d}"] = spath
+        spectra.append(roots)
+    moduli = [abs(complex(roots[0])) for roots in spectra]
     drops = np.diff(moduli)
     if np.any(drops >= 0.0):
         bad = int(np.argmax(drops >= 0.0))
@@ -809,9 +791,12 @@ def zeta_vs_L_scan(out_dir, L_values=tuple(range(4, 17))) -> RunArtifacts:
             f"dominant modulus fails to decrease between L={L_values[bad]} "
             f"and L={L_values[bad + 1]}"
         )
-    path = emit_csv(os.path.join(out_dir, "zeta_scan.csv"),
-                    ("L", "zeta_modulus"), [L_values, moduli])
-    files["zeta_scan"] = path
+    for L, roots in zip(L_values, spectra):
+        emit_csv(os.path.join(out_dir, f"spectrum_L{L:02d}.csv"),
+                 SCHEMAS["spectrum"],
+                 spectrum_columns(roots, ["bright"] * roots.size))
+    emit_csv(os.path.join(out_dir, "zeta_scan.csv"), ("L", "zeta_modulus"),
+             [L_values, moduli])
     extra = {"h_tau": [p, q], "moduli": dict(zip(map(str, L_values), moduli))}
     return _finish(out_dir, "zeta_vs_L_scan",
-                   {"L_values": L_values, "h_tau": [p, q]}, files, extra, t0)
+                   {"L_values": L_values, "h_tau": [p, q]}, extra, t0)

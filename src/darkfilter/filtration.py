@@ -70,7 +70,11 @@ def _period(h_tau, h):
     """The period tau = pi p/(q h) of the resonance h_tau = (p, q)."""
     if h == 0.0:
         raise ValidationError("tau undefined at h = 0")
-    return math.pi * h_tau[0] / h_tau[1] / h
+    try:
+        return math.pi * h_tau[0] / h_tau[1] / h
+    except OverflowError:
+        raise ValidationError(
+            f"h_tau = {list(h_tau)} is beyond the float range") from None
 
 
 def resonance_period(ea, eb):
@@ -127,13 +131,17 @@ class FiltrationSetup:
     tower) by exactly exp(-i pi (2pM mod 2q)/q), and flip_groups =
     (label, w) has the class label[i] of i and the turn w[g] of class g.
     A tau whose phases would round by more than PHASE_TOL, eps max|E|
-    |tau|, is refused first.
+    |tau|, is refused first, and so is a chain engine or a flip without
+    h_tau.
     """
 
     def __init__(self, tau, engine, removal, sector_eigs, flip=None,
                  h_tau=None):
         if engine not in ("tower", "full", "generic"):
             raise ValidationError(f"unknown engine {engine!r}")
+        if h_tau is None and (engine != "generic" or flip is not None):
+            raise ValidationError(
+                "a tower or full engine, and a flip, needs its resonance h_tau")
         self.tau = tau
         self.h_tau = h_tau
         self.engine = engine
@@ -262,14 +270,20 @@ def reduced_setup(params, h_tau, theta0):
     the protocol product states, with binomial weights sqrt(C(L,n)/2^L).
     The spin flip maps B_n to string_parity_sign(L) B_(L-n).  The tower
     basis is the eigenbasis, one block whose eigenvectors are the
-    identity, so the removal's coordinates pass to_eigen unchanged.
-    Returns (setup, initial state in the tower basis).
+    identity, so the removal's coordinates pass to_eigen unchanged; its
+    8 (L+1)^2 bytes must fit TRAJECTORY_BUDGET.  Returns (setup, initial
+    state in the tower basis).
     """
     if not isinstance(params, ChainParams):
         raise ValidationError("reduced_setup expects ChainParams")
     if params.J2 != 0.0:
         raise ValidationError("tower engine requires J2 = 0 (tower not exact)")
     L = params.L
+    if 8 * (L + 1) ** 2 > TRAJECTORY_BUDGET:
+        raise ValidationError(
+            f"tower engine at L = {L} needs {8 * (L + 1) ** 2} bytes for its "
+            f"(L+1)^2 eigenvectors, above the budget of {TRAJECTORY_BUDGET} "
+            "bytes")
     n = np.arange(L + 1)
     # exact integer division: 2.0**L overflows from L = 1024
     weights = np.sqrt([math.comb(L, int(m)) / 2**L for m in n])
@@ -626,7 +640,8 @@ BACKEND = "numpy"
 # Largest number of bytes run_filtration records: per step, 8 for the
 # survival, 8 for Q, 16 per probe and 16 for the string on an engine
 # with a spin flip.  A run asking for more is refused before any
-# allocation; horizons beyond it need no stepping of every step.
+# allocation; horizons beyond it need no stepping of every step.  The
+# tower engine's eigenvectors and goe_demo's matrix are held to it too.
 TRAJECTORY_BUDGET = 2**30
 
 

@@ -51,9 +51,10 @@ class PhaseGroups:
 
     The one grouping that every dark-state quantity reads: a caller
     needing several of them groups once.  Group k has the eigenvalue
-    phases[k] of its smallest coordinate, whose eigenphase angle is
-    angles[k], and the removal weight weights[k] = sum |<psi_r|e_i>|^2;
-    groups ascend in angle, and label[i] is the group of coordinate i.
+    phases[k] of its smallest coordinate, at the eigenphase angles[k] of
+    that coordinate, and the removal weight weights[k] = sum
+    |<psi_r|e_i>|^2; groups ascend in angle, and label[i] is the group
+    of coordinate i.
     A group is reached when its removal norm is at least
     DARK_OVERLAP_TOL: it is then a charge and hosts g - 1 dark vectors,
     else it is fully dark with g (dark_counts).  That one cut makes the
@@ -70,7 +71,6 @@ class PhaseGroups:
         removal = setup.removal_eig
         self.setup = setup
         self.label = label
-        self.angles = angles
         self.phases = phases
         # non-negative, and summing to the removal's norm that
         # FiltrationSetup checks
@@ -473,6 +473,10 @@ def scaling_predictions(L, theta0, eps, variant):
             raise ValidationError(
                 "orthogonality angle: the general estimate degenerates, "
                 "use variant 'tar1-orthogonal'"
+            )
+        if abs(bottom) < 1e-9:
+            raise ValidationError(
+                "theta0 sits at a pole of the tar1-general estimate"
             )
         value = 2.0**L / 8.0 * math.log(top / bottom / eps)
     elif variant == "tar1-orthogonal":

@@ -47,7 +47,12 @@ class ChainParams:
                 raise ValidationError(f"coupling {name} must be finite, got {v!r}")
         # L (|D| + 3 |h|) bounds the diagonal h sum m + D sum m^2 of H and
         # every tower energy (D - h) L + 2 n h
-        if not math.isfinite(L * (abs(D) + 3.0 * abs(h))):
+        try:
+            span = L * (abs(D) + 3.0 * abs(h))
+        except OverflowError:
+            raise ValidationError(f"L = {L} is beyond the float range") \
+                from None
+        if not math.isfinite(span):
             name, v = ("h", h) if 3.0 * abs(h) >= abs(D) else ("D", D)
             raise ValidationError(
                 f"coupling {name} = {v!r} overflows the chain's energies "
@@ -166,7 +171,8 @@ class SgaReport:
 
     @property
     def max(self):
-        return max(self.eigen_residual, self.algebra_residual)
+        # np.max keeps a NaN residual, which max() may drop
+        return float(np.max([self.eigen_residual, self.algebra_residual]))
 
 
 def sga_residual(params):
@@ -175,20 +181,21 @@ def sga_residual(params):
     Builds the Hamiltonian and tower for the given couplings and reports
     the worst eigenvalue residual ||(H - E_n) B_n|| and the worst
     restricted-algebra residual ||([H, Q+] - 2h Q+) B_n|| over the whole
-    ladder (n = 0 covers the defining relation on Omega).
+    ladder (n = 0 covers the defining relation on Omega).  A coupling
+    near the float limit overflows these products without a warning:
+    its residuals read inf or NaN.
     """
     tower = build_tower(params)
     H = build_hamiltonian(params)
     qplus = bimagnon_raising(params.L)
     twoh = 2.0 * params.h
-    r_eig = 0.0
-    r_alg = 0.0
-    for n, b in enumerate(tower):
-        r_eig = max(r_eig, float(np.linalg.norm(
-            H @ b - params.tower_energy(n) * b)))
-        comm = H @ (qplus @ b) - qplus @ (H @ b)
-        r_alg = max(r_alg, float(np.linalg.norm(comm - twoh * (qplus @ b))))
-    return SgaReport(r_eig, r_alg)
+    r_eig, r_alg = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, b in enumerate(tower):
+            r_eig.append(np.linalg.norm(H @ b - params.tower_energy(n) * b))
+            comm = H @ (qplus @ b) - qplus @ (H @ b)
+            r_alg.append(np.linalg.norm(comm - twoh * (qplus @ b)))
+    return SgaReport(float(np.max(r_eig)), float(np.max(r_alg)))
 
 
 def protocol_states(params, theta0):

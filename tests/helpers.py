@@ -546,8 +546,12 @@ def long_time_state(phases, removal, psi0, n):
 def charge_order(groups):
     """The groups as charges, by the ordering of the removed
     spectral.charge_picture: charge angle -angle mod 2pi, stably
-    ascending.  Returns the angles, weights and reached flags."""
-    angles = (-groups.angles) % (2.0 * math.pi)
+    ascending, each group's angle that of U(tau)'s phase on its
+    smallest member.  Returns the angles, weights and reached flags."""
+    setup = groups.setup
+    first = [members[0] for members in groups.members]
+    angles = (-np.angle(setup.phases[first] * setup.global_phase)) \
+        % (2.0 * math.pi)
     order = np.argsort(angles, kind="stable")
     return angles[order], groups.weights[order], groups.reached[order]
 

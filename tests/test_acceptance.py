@@ -123,12 +123,12 @@ def test_criterion_03_ghz_preparation_scaling(tmp_path):
     t0 = time.perf_counter()
     orth = sweep_n_epsilon(range(6, 13), "orthogonal", 0.01,
                            "tar1-orthogonal", tmp_path / "orth")
-    points = orth.metadata["points"]
+    points = orth["points"]
     ratios = {pt["L"]: pt["n_eps_sim"] / pt["n_eps_theory"] for pt in points}
     ok_ratio = all(0.7 <= ratios[L] <= 1.3 for L in range(8, 13))
     general = sweep_n_epsilon(range(8, 14), "general", 0.01,
                               "tar1-general", tmp_path / "general")
-    slope = general.metadata["slope_log2"]
+    slope = general["slope_log2"]
     ok_slope = 0.85 <= slope <= 1.15
     dt = time.perf_counter() - t0
     ok = ok_ratio and ok_slope and dt < 300.0
@@ -147,27 +147,27 @@ def cat_l14(tmp_path_factory):
     spec = ExperimentSpec(name="acceptance-cat", params=ChainParams(L=L),
                           theta0=tar2_optimal_angle(L), h_tau=(1, L - 1),
                           n_steps=4000, eps=0.01, target="tar2")
+    out = tmp_path_factory.mktemp("cat_l14")
     t0 = time.perf_counter()
-    art = run_target(spec, tmp_path_factory.mktemp("cat_l14"))
-    return art, time.perf_counter() - t0
+    meta = run_target(spec, out)
+    return meta, out, time.perf_counter() - t0
 
 
 def test_criterion_04_rotating_cat_fidelity(cat_l14):
-    art, dt = cat_l14
-    n_eps = art.metadata["n_eps"]
-    ok = art.metadata["reached"] and 1000 <= n_eps <= 3000 and dt < 120.0
+    meta, _, dt = cat_l14
+    n_eps = meta["n_eps"]
+    ok = meta["reached"] and 1000 <= n_eps <= 3000 and dt < 120.0
     assert verdict(4, "rotating-cat-fidelity", ok,
                    f"L=14 reaches Q>=0.99 at n_eps {n_eps} in [1000, 3000], "
                    f"{dt:.1f} s")
 
 
 def test_criterion_04_rotating_cat_string_law(cat_l14):
-    art, dt = cat_l14
-    meta = art.metadata
+    meta, out, dt = cat_l14
     # before the checked window the law holds only up to the un-depleted
     # bright weight: the string operator has norm 1, so for pure states
     # | |s_n| - |law_n| | <= 2 sqrt(1 - Q_n)
-    path = art.paths["trajectory"]
+    path = os.path.join(out, "trajectory.csv")
     n = read_column(path, "n")
     q = read_column(path, "q_n")
     s = read_column(path, "string_re") + 1j * read_column(path, "string_im")
@@ -248,8 +248,8 @@ def test_criterion_05_secular_vs_dense_spectra():
 # ---------------------------------------------------------------- 6 ----
 def test_criterion_06_dominant_eigenvalue_decay(tmp_path):
     t0 = time.perf_counter()
-    art = zeta_vs_L_scan(tmp_path)
-    moduli = [art.metadata["moduli"][str(L)] for L in range(4, 17)]
+    meta = zeta_vs_L_scan(tmp_path)
+    moduli = [meta["moduli"][str(L)] for L in range(4, 17)]
     drops = np.diff(moduli)
     dt = time.perf_counter() - t0
     ok = bool(np.all(drops < 0.0)) and dt < 60.0
@@ -261,13 +261,13 @@ def test_criterion_06_dominant_eigenvalue_decay(tmp_path):
 # ---------------------------------------------------------------- 7 ----
 def test_criterion_07_goe_dark_persistence(tmp_path):
     t0 = time.perf_counter()
-    art = goe_demo(tmp_path, d_goe=64, seed=23)
-    worst = art.metadata["worst_tail_error"]
+    meta = goe_demo(tmp_path, d_goe=64, seed=23)
+    worst = meta["worst_tail_error"]
     dt = time.perf_counter() - t0
     ok = worst < 1e-6 and dt < 60.0
     assert verdict(7, "goe-dark-persistence", ok,
                    f"survival matches the dark weight to {worst:.2e} past "
-                   f"n = {art.metadata['n_bound']}, {dt:.1f} s")
+                   f"n = {meta['n_bound']}, {dt:.1f} s")
 
 
 # ---------------------------------------------------------------- 8 ----
@@ -279,8 +279,8 @@ def perturbed_l8(tmp_path_factory):
                           engine="full")
     out = tmp_path_factory.mktemp("perturbed_l8")
     t0 = time.perf_counter()
-    art = perturbation_study(spec, out)
-    return art, out, time.perf_counter() - t0
+    meta = perturbation_study(spec, out)
+    return meta, out, time.perf_counter() - t0
 
 
 def ghz_darkness_gap(q, survival, w_dark):
@@ -297,11 +297,11 @@ def test_criterion_08_perturbed_metastability_ghz(perturbed_l8):
     # keeps their phases equal: the GHZ target stays dark and its weight
     # is conserved, while Q_n = w_dark / S_n climbs as the thermal
     # levels drain (the PAPER.md "robust" regime)
-    art, out, dt = perturbed_l8
+    meta, out, dt = perturbed_l8
     L = 8
-    tar1 = art.metadata["tar1"]
+    tar1 = meta["tar1"]
     w_dark = tar1["dark_weight"]
-    edge = max(art.metadata["edge_residuals"].values())
+    edge = max(meta["edge_residuals"].values())
     path = os.path.join(out, "trajectory_tar1.csv")
     q = read_column(path, "q_n")
     gap = ghz_darkness_gap(q, read_column(path, "survival"), w_dark)
@@ -334,8 +334,8 @@ def test_criterion_08_darkness_gap_detects_detuning():
 
 
 def test_criterion_08_perturbed_metastability_cat(perturbed_l8):
-    art, out, dt = perturbed_l8
-    plateau = art.metadata["tar2"]["plateau"]
+    meta, _, dt = perturbed_l8
+    plateau = meta["tar2"]["plateau"]
     ok = (plateau is not None and plateau["height"] > 0.3
           and plateau["exit"] < 20000 and dt < 900.0)
     height = None if plateau is None else plateau["height"]
@@ -394,12 +394,15 @@ def test_criterion_09_engine_equivalence():
 
 
 # --------------------------------------------------------------- 10 ----
-def _artifact_bytes(art):
+def _artifact_bytes(job, out_dir):
+    """The CSV bytes job writes into out_dir, and its metadata dict as
+    JSON without the wall time."""
+    meta = json.loads(json.dumps(job(out_dir), default=str))
     payload = {}
-    for name, path in sorted(art.paths.items()):
-        with open(path, "rb") as fh:
-            payload[name] = fh.read()
-    meta = json.loads(json.dumps(art.metadata, default=str))
+    for name in sorted(os.listdir(out_dir)):
+        if name != "metadata.json":
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                payload[name] = fh.read()
     meta.pop("wall_time_s", None)
     payload["metadata"] = json.dumps(meta, sort_keys=True)
     return payload
@@ -420,8 +423,8 @@ def test_criterion_10_byte_determinism(tmp_path):
     }
     mismatched = []
     for name, job in jobs.items():
-        first = _artifact_bytes(job(tmp_path / f"{name}_a"))
-        second = _artifact_bytes(job(tmp_path / f"{name}_b"))
+        first = _artifact_bytes(job, tmp_path / f"{name}_a")
+        second = _artifact_bytes(job, tmp_path / f"{name}_b")
         if first != second:
             mismatched.append(name)
     dt = time.perf_counter() - t0

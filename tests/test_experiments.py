@@ -115,15 +115,15 @@ def test_run_tar1_artifacts(tmp_path):
     L = 6
     spec = _tower_spec(L, orthogonality_angle(L), tar1_resonance(L), 400,
                        target="tar1")
-    art = run_target(spec, tmp_path)
-    header, rows = read_csv(art.paths["trajectory"])
+    meta = run_target(spec, tmp_path)
+    header, rows = read_csv(tmp_path / "trajectory.csv")
     assert header == ["n", "survival", "q_n", "string_re", "string_im"]
     assert len(rows) == 401
     # Q_0 is the exact GHZ weight of the initial product state
     assert float(rows[0][2]) == pytest.approx(2.0 ** (1 - L), abs=1e-12)
     assert float(rows[0][1]) == pytest.approx(1.0)
-    assert art.metadata["reached"]
-    assert art.metadata["q_final"] > 0.999
+    assert meta["reached"]
+    assert meta["q_final"] > 0.999
     # survival converges onto the GHZ weight itself
     assert float(rows[-1][1]) == pytest.approx(2.0 ** (1 - L), abs=1e-10)
     meta = json.loads(open(os.path.join(tmp_path, "metadata.json")).read())
@@ -153,13 +153,13 @@ def test_run_tar2_artifacts(tmp_path):
     L = 8
     spec = _tower_spec(L, tar2_optimal_angle(L), tar2_resonance(L), 800,
                        target="tar2")
-    art = run_target(spec, tmp_path)
-    assert art.metadata["experiment"] == "run_tar2"
-    assert art.metadata["reached"]
-    assert art.metadata["string_dev_abs"] < 0.01
+    meta = run_target(spec, tmp_path)
+    assert meta["experiment"] == "run_tar2"
+    assert meta["reached"]
+    assert meta["string_dev_abs"] < 0.01
     # the checked window starts where this run's Q_n certifies the law
-    assert 0 <= art.metadata["string_check_from"] <= 800
-    header, rows = read_csv(art.paths["trajectory"])
+    assert 0 <= meta["string_check_from"] <= 800
+    header, rows = read_csv(tmp_path / "trajectory.csv")
     assert len(rows) == 801
     # the string signal keeps beating at 2 h tau
     re_vals = np.array([float(r[3]) for r in rows[400:]])
@@ -171,10 +171,10 @@ def test_run_tar2_omits_string_law_before_certified(tmp_path):
     L = 8
     spec = _tower_spec(L, tar2_optimal_angle(L), tar2_resonance(L), 40,
                        target="tar2")
-    art = run_target(spec, tmp_path)
-    assert art.metadata["max_q"] < 1.0 - 0.005 ** 2
+    meta = run_target(spec, tmp_path)
+    assert meta["max_q"] < 1.0 - 0.005 ** 2
     for key in ("string_dev_abs", "string_dev_signed", "string_check_from"):
-        assert key not in art.metadata
+        assert key not in meta
 
 
 def test_make_target_rotates_tar2():
@@ -208,15 +208,16 @@ def test_targets_take_the_chain_from_their_caller():
 
 
 def test_sweep_small_range(tmp_path):
-    art = sweep_n_epsilon([6, 7, 8], "general", 0.01, "tar1-general", tmp_path)
-    header, rows = read_csv(art.paths["scaling"])
+    meta = sweep_n_epsilon([6, 7, 8], "general", 0.01, "tar1-general",
+                           tmp_path)
+    header, rows = read_csv(tmp_path / "scaling.csv")
     assert header == ["L", "n_eps_sim", "n_eps_theory", "variant"]
     assert [int(r[0]) for r in rows] == [6, 7, 8]
     for r in rows:
         sim, th = float(r[1]), float(r[2])
         assert 0.5 < sim / th < 2.0
         assert r[3] == "tar1-general"
-    assert 0.6 < art.metadata["slope_log2"] < 1.4
+    assert 0.6 < meta["slope_log2"] < 1.4
 
 
 def test_sweep_rejects_unknown_rule(tmp_path):
@@ -324,12 +325,12 @@ def test_sweep_rejects_uncertified_length(tmp_path):
 def test_ghz_scaling_law_in_asymptotic_regime(tmp_path):
     # the tar1-orthogonal law 2^L/(4L) log(L/eps) is leading order: the
     # simulated n_eps approaches it from above as L grows
-    art = sweep_n_epsilon([20, 24, 30], "orthogonal", 0.01,
-                          "tar1-orthogonal", tmp_path)
+    meta = sweep_n_epsilon([20, 24, 30], "orthogonal", 0.01,
+                           "tar1-orthogonal", tmp_path)
     ratio = [pt["n_eps_sim"] / pt["n_eps_theory"]
-             for pt in art.metadata["points"]]
+             for pt in meta["points"]]
     assert 1.0 < ratio[2] < ratio[1] < ratio[0] < 1.04, ratio
-    assert art.metadata["points"][2]["n_eps_sim"] == 72508479
+    assert meta["points"][2]["n_eps_sim"] == 72508479
 
 
 def test_fit_slope_log2_on_exact_doubling():
@@ -344,15 +345,15 @@ def test_group_label():
 
 
 def test_table1_scan(tmp_path):
-    art = table1_scan(tmp_path)
-    counts = {(c["p"], c["q"]): c["count"] for c in art.metadata["cases"]}
+    meta = table1_scan(tmp_path)
+    counts = {(c["p"], c["q"]): c["count"] for c in meta["cases"]}
     assert counts == {(1, 6): 1, (1, 5): 2, (1, 4): 3,
                       (1, 3): 4, (2, 5): 2, (1, 2): 5}
-    header, rows = read_csv(art.paths["table1"])
+    header, rows = read_csv(tmp_path / "table1.csv")
     assert header == ["p", "q", "label", "coeff_re", "coeff_im"]
     assert len(rows) == 17                        # total dark count
     labels = [r[2] for r in rows if (r[0], r[1]) == ("1", "3")]
-    case = next(c for c in art.metadata["cases"]
+    case = next(c for c in meta["cases"]
                 if (c["p"], c["q"]) == (1, 3))
     assert labels == case["labels"]
     assert sorted(labels) == ["(0;3;6)_1", "(0;3;6)_2", "(1;4)", "(2;5)"]
@@ -404,14 +405,13 @@ def test_perturbation_study_smoke(tmp_path):
     spec = ExperimentSpec(name="p", params=ChainParams(L=6, J2=0.02),
                           theta0=0.0, h_tau=(1, 6), n_steps=600,
                           engine="full")
-    art = perturbation_study(spec, tmp_path)
-    meta = art.metadata
+    meta = perturbation_study(spec, tmp_path)
     assert meta["edge_residuals"]["B0"] < 1e-12
     assert meta["edge_residuals"]["B6"] < 1e-12
     assert meta["tar1"]["dark_residual"] < 1e-10
     assert meta["tar1"]["dark_weight"] == pytest.approx(2.0**-5, abs=1e-10)
     for which in ("tar1", "tar2"):
-        assert os.path.exists(art.paths[f"trajectory_{which}"])
+        assert os.path.exists(tmp_path / f"trajectory_{which}.csv")
 
 
 def test_perturbation_study_caps_length(tmp_path):
@@ -436,10 +436,10 @@ def test_noisy_removal_runs(tmp_path):
                           theta0=orthogonality_angle(5), h_tau=(1, 5),
                           n_steps=300, engine="full", target="tar1",
                           perturbations=pert)
-    art = run_target(spec, tmp_path)
-    assert art.metadata["engine"] == "full"
+    meta = run_target(spec, tmp_path)
+    assert meta["engine"] == "full"
     # noise shifts the reachable fidelity below the clean value
-    assert art.metadata["max_q"] < 1.0 - 1e-6
+    assert meta["max_q"] < 1.0 - 1e-6
 
 
 def test_sample_goe_statistics():
@@ -465,29 +465,29 @@ def test_goe_demo_rejects_short_run(tmp_path):
 
 
 def test_goe_demo_spectrum_matches_the_dense_oracle(tmp_path):
-    art = goe_demo(tmp_path, d_goe=64, seed=23)
+    meta = goe_demo(tmp_path, d_goe=64, seed=23)
     unit = np.eye(64, dtype=complex)
     setup = generic_setup(sample_goe(64, 23), unit[1])
     dense = spectral_decomposition(setup, unit[0])
     order = np.lexsort((np.angle(dense.values).round(12),
                         -np.abs(dense.values)))
-    header, rows = read_csv(art.paths["spectrum"])
+    header, rows = read_csv(tmp_path / "spectrum.csv")
     values = np.array([complex(float(r[0]), float(r[1])) for r in rows])
     assert np.max(np.abs(values - dense.values[order])) <= 1e-12
     assert [r[3] for r in rows] == [dense.kinds[i] for i in order]
     zeta_d = np.max(np.abs(dense.values[dense.select("bright")]))
     n_bound = math.ceil(math.log(1e-8) / (2.0 * math.log(zeta_d)))
-    assert art.metadata["n_bound"] == n_bound == 204127
+    assert meta["n_bound"] == n_bound == 204127
 
 
 def test_zeta_scan_prefix(tmp_path):
-    art = zeta_vs_L_scan(tmp_path, L_values=(4, 5, 6, 7))
-    header, rows = read_csv(art.paths["zeta_scan"])
+    meta = zeta_vs_L_scan(tmp_path, L_values=(4, 5, 6, 7))
+    header, rows = read_csv(tmp_path / "zeta_scan.csv")
     assert header == ["L", "zeta_modulus"]
     mods = [float(r[1]) for r in rows]
     assert all(a > b for a, b in zip(mods, mods[1:]))
     assert os.path.exists(os.path.join(tmp_path, "spectrum_L04.csv"))
-    assert sorted(art.metadata["moduli"]) == ["4", "5", "6", "7"]
+    assert sorted(meta["moduli"]) == ["4", "5", "6", "7"]
 
 
 def test_document_roundtrip():

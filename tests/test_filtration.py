@@ -202,6 +202,20 @@ def test_setup_refuses_phases_without_precision():
             _diagonal_setup([0.0, 1.0, 2.0, 3.0], np.full(4, 0.5), math.inf)
 
 
+@pytest.mark.parametrize("engine,flip", [
+    ("tower", False), ("full", False), ("full", True), ("generic", True)])
+def test_setup_refuses_a_chain_engine_or_flip_without_h_tau(engine, flip):
+    # the tower's levels and the flip classes are integers of h_tau; once
+    # unpacking a missing h_tau was a TypeError
+    with pytest.raises(ValidationError, match="needs its resonance h_tau"):
+        FiltrationSetup(
+            tau=1.0, engine=engine, removal=np.full(4, 0.5),
+            sector_eigs=[SectorEig(0, np.arange(4)[None, :],
+                                   np.ones((1, 4)), np.arange(4.0),
+                                   np.eye(4))],
+            flip=(np.arange(4)[::-1], np.ones(4)) if flip else None)
+
+
 def _diagonal_setup(energies, removal, tau=1.0):
     """Generic engine at period tau whose eigenbasis is the input basis."""
     dim = len(energies)

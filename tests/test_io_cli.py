@@ -589,15 +589,26 @@ def test_cli_filter_run_and_determinism(tmp_path):
     assert meta_a == meta_b
 
 
-def test_cli_engine_and_seed_overrides(tmp_path):
+def test_cli_document_sets_engine_and_seeds(tmp_path):
+    # the document is a run's one input: no flag overrides these keys
     cfg = _write(tmp_path, "c.json",
-                 {"L": 5, "target": "tar1", "n_steps": 100})
+                 {"L": 5, "target": "tar1", "n_steps": 100, "engine": "full",
+                  "perturbations": {"seed": 77}})
     rc = main(["filter-run", "--config", cfg, "--out", str(tmp_path / "o"),
-               "--engine", "full", "--seed", "77", "--quiet"])
+               "--quiet"])
     assert rc == 0
     meta = json.load(open(tmp_path / "o" / "metadata.json"))
     assert meta["engine"] == "full"
     assert meta["spec"]["perturbations"]["seed"] == 77
+    trajectories = []
+    for seed in (5, 23):
+        out = tmp_path / f"goe{seed}"
+        cfg = _write(tmp_path, "g.json", {"goe": {"D_goe": 8, "seed": seed}})
+        assert main(["goe-demo", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        assert json.load(open(out / "metadata.json"))["seed"] == seed
+        trajectories.append((out / "trajectory.csv").read_bytes())
+    assert trajectories[0] != trajectories[1]
 
 
 @pytest.mark.parametrize("text", ['{"thetaO": 0.3}', '{"theta0": "abc"}',
@@ -699,6 +710,74 @@ def test_cli_refuses_overflowing_couplings(tmp_path, capsys, key):
     assert err.startswith(f"error: coupling {key} = 1e+308 ")
     assert err.count("\n") == 1 and "Warning" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sub,doc,message", [
+    ("goe-demo", {"goe": {"D_goe": 11586}}, "GOE dimension 11586 needs "),
+    ("goe-demo", {"goe": {"D_goe": 2**40}}, "GOE dimension 1099511627776 "),
+    ("dark-states", {"L": 11585, "target": "tar1"},
+     "tower engine at L = 11585 needs "),
+    ("dark-states", {"L": 2**70, "target": "tar1"}, "tower engine at L = "),
+    ("zeta-scan", {"L_values": [4, 2**70]}, "tower engine at L = "),
+], ids=["goe-cap", "goe-2^40", "tower-cap", "tower-2^70", "zeta-2^70"])
+def test_cli_refuses_arrays_beyond_the_budget(tmp_path, capsys, sub, doc,
+                                              message):
+    # the GOE matrix's 8 D^2 bytes and the tower's (L+1)^2 eigenvectors
+    # must fit TRAJECTORY_BUDGET; each once reached numpy, whose ValueError
+    # was a traceback, and D_goe = 1e5 would have drawn 80 GB.  The zeta
+    # scan refuses L = 2^70 after computing L = 4, before any write.
+    cfg = _write(tmp_path, "c.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and "bytes" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sub,doc,message", [
+    ("filter-run", {"L": 10**400, "target": "tar2"}, "L = 1000"),
+    ("dark-states", {"L": 4, "h_tau": [1, 10**400]}, "h_tau = [1, 1000"),
+    ("bright-spectrum", {"L": 4, "h_tau": [10**400, 1]}, "h_tau = [1000"),
+    ("tower-check", {"L": 4, "J": 10**400}, "key 'J' = 1000"),
+], ids=["L", "q", "p", "J"])
+def test_cli_refuses_integers_beyond_the_float_range(tmp_path, capsys, sub,
+                                                     doc, message):
+    # each once raised OverflowError converting the integer to a float
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert "float" in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_refuses_an_integer_past_the_digit_limit(tmp_path, capsys):
+    # json reads a 5000-digit integer as a ValueError, not a JSONDecodeError
+    path = tmp_path / "c.json"
+    path.write_text('{"L": ' + "1" * 5000 + ', "target": "tar1"}')
+    assert main(["filter-run", "--config", str(path),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed JSON in {path}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_tower_check_overflow_is_one_numerics_line(tmp_path, capsys):
+    # J2 = 1e308 overflows H B_n: numpy's overflow warnings once joined
+    # the numerics line on stderr
+    cfg = _write(tmp_path, "c.json", {"L": 3, "J2": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["tower-check", "--config", cfg,
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerics: tower residual ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("doc", [
@@ -825,18 +904,6 @@ def test_cli_goe_demo_defaults_past_the_bright_bound(tmp_path):
     assert _lines(tmp_path / "o" / "trajectory.csv") == 1981
 
 
-def test_cli_seed_flag_sets_the_goe_seed(tmp_path):
-    flagged = _write(tmp_path, "a.json", {"goe": {"D_goe": 16, "seed": 5}})
-    written = _write(tmp_path, "b.json", {"goe": {"D_goe": 16, "seed": 23}})
-    assert main(["goe-demo", "--config", flagged, "--out",
-                 str(tmp_path / "a"), "--seed", "23", "--quiet"]) == 0
-    assert main(["goe-demo", "--config", written, "--out",
-                 str(tmp_path / "b"), "--quiet"]) == 0
-    with open(tmp_path / "a" / "trajectory.csv", "rb") as fa, \
-            open(tmp_path / "b" / "trajectory.csv", "rb") as fb:
-        assert fa.read() == fb.read()
-
-
 @pytest.mark.parametrize("theta0", [1e-7, 1e-8, 1e-9, 1e-10])
 def test_cli_depleting_start_records_no_rounding_row(tmp_path, theta0):
     # at h tau = pi/2 the L = 3 tar2 start keeps a dark weight of about
@@ -937,10 +1004,9 @@ def test_cli_quiet_silences_summary(tmp_path, capsys):
 SMALL_RUNS = [
     ("tower-check", {"L": 4, "J3": 0.1}, []),
     ("filter-run", {"L": 5, "target": "tar2", "n_steps": 60}, []),
-    ("filter-run", {"L": 4, "target": "tar1", "n_steps": 60,
-                    "perturbations": {"lambda": 0.05, "seed": 3}},
-     ["--engine", "full"]),
-    ("dark-states", {"L": 4, "target": "tar1"}, ["--engine", "full"]),
+    ("filter-run", {"L": 4, "target": "tar1", "n_steps": 60, "engine": "full",
+                    "perturbations": {"lambda": 0.05, "seed": 3}}, []),
+    ("dark-states", {"L": 4, "target": "tar1", "engine": "full"}, []),
     ("bright-spectrum", {"L": 5, "target": "tar1"}, []),
     ("scaling-sweep", {"L_values": [6, 7], "variant": "tar1-orthogonal"}, []),
     ("table1", {}, []),
@@ -995,14 +1061,11 @@ def test_read_keys_are_accepted():
         parsers.get(sub, lambda d: parse_config(d, sub))(doc)
 
 
-# the subcommands whose config keys a CLI flag overrides (README "Config
-# keys"): --engine sets "engine", --seed the seed of "perturbations" or "goe"
-FLAG_READERS = {
-    "--engine": ("full", "filter-run dark-states bright-spectrum"),
-    "--seed": ("9", "filter-run dark-states perturb goe-demo"),
-}
-UNREAD_FLAGS = [(sub, flag) for flag, (_, subs) in FLAG_READERS.items()
-                for sub in SUBCOMMANDS if sub not in subs.split()]
+# the flags that once overrode config keys: the document's "engine" and
+# the seeds of "perturbations" and "goe" set them now, and every
+# subcommand refuses the flags, naming them
+REMOVED_FLAGS = {"--engine": "full", "--seed": "9"}
+UNREAD_FLAGS = [(sub, flag) for flag in REMOVED_FLAGS for sub in SUBCOMMANDS]
 
 
 @pytest.mark.parametrize("sub,flag", UNREAD_FLAGS)
@@ -1010,27 +1073,29 @@ def test_unread_flag_exits_1(tmp_path, capsys, sub, flag):
     doc = next(doc for name, doc, _ in SMALL_RUNS if name == sub)
     cfg = _write(tmp_path, "c.json", doc)
     assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
-                 flag, FLAG_READERS[flag][0], "--quiet"]) == 1
-    assert flag in capsys.readouterr().err
+                 flag, REMOVED_FLAGS[flag], "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
     assert not (tmp_path / "o").exists()
 
 
 PERTURB_DOC = {"L": 4, "J2": 0.02, "n_steps": 60}
 NOISY = {"lambda": 0.05}
 BAD_SEEDS = [
-    ("perturb", PERTURB_DOC, ["--seed", "-1"]),
+    ("perturb", dict(PERTURB_DOC, perturbations={"seed": -1}), []),
     ("perturb", dict(PERTURB_DOC, perturbations=dict(NOISY, seed=-1)), []),
     ("perturb", dict(PERTURB_DOC, perturbations=dict(NOISY, seed=1e30)), []),
     ("goe-demo", {"goe": {"D_goe": 8, "seed": -5}}, []),
     ("goe-demo", {"goe": {"D_goe": 8, "seed": 2**64}}, []),
-    ("goe-demo", {"goe": {"D_goe": 8, "seed": 5}}, ["--seed", str(2**64)]),
+    ("goe-demo", {"goe": {"D_goe": 8, "seed": 2.0**64}}, []),
 ]
 
 
 @pytest.mark.parametrize("sub,doc,extra", BAD_SEEDS)
 def test_out_of_range_seed_exits_1(tmp_path, capsys, sub, doc, extra):
     # a seed keys a Philox generator, which rejects a negative key with a
-    # ValueError; the CLI documents --seed as a u64
+    # ValueError; the document's seeds are u64
     cfg = _write(tmp_path, "c.json", doc)
     assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"] + extra) == 1
