@@ -589,8 +589,9 @@ def test_cli_filter_run_and_determinism(tmp_path):
     assert meta_a == meta_b
 
 
-def test_cli_document_sets_engine_and_seeds(tmp_path):
-    # the document is a run's one input: no flag overrides these keys
+def test_cli_engine_and_seed_overrides(tmp_path):
+    # the document is a run's one input: its "engine" and
+    # "perturbations.seed" keys override the defaults, no flag does
     cfg = _write(tmp_path, "c.json",
                  {"L": 5, "target": "tar1", "n_steps": 100, "engine": "full",
                   "perturbations": {"seed": 77}})
@@ -600,6 +601,11 @@ def test_cli_document_sets_engine_and_seeds(tmp_path):
     meta = json.load(open(tmp_path / "o" / "metadata.json"))
     assert meta["engine"] == "full"
     assert meta["spec"]["perturbations"]["seed"] == 77
+
+
+def test_cli_seed_flag_sets_the_goe_seed(tmp_path, capsys):
+    # goe.seed sets the recorded seed and the trajectory; the --seed flag
+    # that once did is refused and writes nothing
     trajectories = []
     for seed in (5, 23):
         out = tmp_path / f"goe{seed}"
@@ -609,6 +615,10 @@ def test_cli_document_sets_engine_and_seeds(tmp_path):
         assert json.load(open(out / "metadata.json"))["seed"] == seed
         trajectories.append((out / "trajectory.csv").read_bytes())
     assert trajectories[0] != trajectories[1]
+    assert main(["goe-demo", "--config", cfg, "--out",
+                 str(tmp_path / "flag"), "--seed", "5", "--quiet"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
 
 
 @pytest.mark.parametrize("text", ['{"thetaO": 0.3}', '{"theta0": "abc"}',
