@@ -7,9 +7,10 @@ the subcommand would ignore passes silently.  A key that names a choice
 (target, engine, variant, theta0_rule) holds one of its strings.  h*tau
 is written as the integer pair [p, q] meaning pi*p/q, which keeps
 resonances exact: the document_of echo of a spec parses back to the
-same spec.  A key left out takes the default of the record or driver
-that owns it (ChainParams for the couplings, the experiments module for
-the rest), so the CLI never reads a document itself.
+same spec.  KEYS lists the subcommands, and the CLI follows it.  Only
+n_steps defaults here; any other key left out is not passed on, so it
+takes the default of the signature that owns it (ChainParams,
+ExperimentSpec, or the experiments driver).
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import json
 import math
 
 from .errors import ValidationError
-from .experiments import (EPS, GOE_DIM, GOE_SEED, TABLE1_THETA0, TARGETS,
-                          THETA0_RULES, ZETA_L_VALUES, ExperimentSpec,
-                          Perturbations, tar1_resonance)
+from .experiments import (TARGETS, THETA0_RULES, VARIANT_RULES,
+                          ExperimentSpec, Perturbations, tar1_resonance)
 from .spin_model import ChainParams
 
 # run lengths: perturb runs each leg longer, into the metastable regime
@@ -31,12 +31,8 @@ COUPLINGS = ("J", "h", "D", "J2", "J3")
 CHAIN_KEYS = ("L", *COUPLINGS)
 RUN_KEYS = ("name", "target", *CHAIN_KEYS, "theta0", "h_tau", "engine",
             "perturbations")
-# scaling-sweep variant -> the theta0 rule it takes by default
-VARIANT_RULES = {"tar1-general": "general",
-                 "tar1-orthogonal": "orthogonal",
-                 "tar2": "tar2-optimal"}
 
-# subcommand -> (the keys it reads, the keys it requires)
+# the subcommands, each -> (the keys it reads, the keys it requires)
 KEYS = {
     "tower-check": (("name", *CHAIN_KEYS), ("L",)),
     "filter-run": ((*RUN_KEYS, "n_steps", "eps"), ("L", "target")),
@@ -78,10 +74,10 @@ def _number(doc, key, default=None, integer=False):
             from None
 
 
-def _choice(doc, key, allowed, default=None):
-    """doc[key], one of the strings allowed; default when absent."""
+def _choice(doc, key, allowed):
+    """doc[key], one of the strings allowed; None when absent."""
     if key not in doc:
-        return default
+        return None
     val = doc[key]
     if not isinstance(val, str) or val not in allowed:
         raise ValidationError(f"unknown {key} {val!r}")
@@ -97,11 +93,16 @@ def _object(doc, key, allowed):
     return sub
 
 
-def _finite(doc, key, default):
-    val = _number(doc, key, default)
-    if not math.isfinite(val):
+def _finite(doc, key):
+    val = _number(doc, key)
+    if val is not None and not math.isfinite(val):
         raise ValidationError(f"{key} must be finite")
     return val
+
+
+def _present(**values):
+    # the keyword arguments a document holds (a key left out reads None)
+    return {key: val for key, val in values.items() if val is not None}
 
 
 def _load(document, subcommand):
@@ -122,6 +123,8 @@ def _load(document, subcommand):
 
 
 def _L_values(doc):
+    if "L_values" not in doc:
+        return None
     values = doc["L_values"]
     if (not isinstance(values, list) or not values
             or any(isinstance(x, bool) or not isinstance(x, int)
@@ -156,7 +159,7 @@ def _resolve_htau(doc, target, L, required):
 
 def _resolve_theta0(doc, target, L):
     if "theta0" in doc:
-        return _finite(doc, "theta0", None)
+        return _finite(doc, "theta0")
     return 0.0 if target is None else TARGETS[target].angle(L)
 
 
@@ -196,42 +199,39 @@ def parse_config(document, subcommand="filter-run") -> ExperimentSpec:
         theta0=theta0,
         h_tau=h_tau,
         n_steps=_number(doc, "n_steps", steps, integer=True),
-        eps=_number(doc, "eps", EPS),
         engine=engine,
         target=target,
         perturbations=pert,
+        **_present(eps=_number(doc, "eps")),
     )
 
 
 def goe_options(document):
-    """(d_goe, seed, n_steps) of the random-matrix benchmark, which
-    goe_demo checks.  n_steps is None when the document leaves the run
-    length to goe_demo."""
+    """Keyword arguments of goe_demo (d_goe, seed, n_steps) that the
+    document holds; goe_demo checks them."""
     doc = _load(document, "goe-demo")
     sub = _object(doc, "goe", ("D_goe", "seed"))
-    return (_number(sub, "D_goe", GOE_DIM, integer=True),
-            _number(sub, "seed", GOE_SEED, integer=True),
-            _number(doc, "n_steps", integer=True))
+    return _present(d_goe=_number(sub, "D_goe", integer=True),
+                    seed=_number(sub, "seed", integer=True),
+                    n_steps=_number(doc, "n_steps", integer=True))
 
 
 def sweep_options(document):
-    """(L_values, theta0 rule, eps, variant) of the scaling sweep."""
+    """Keyword arguments of sweep_n_epsilon (L_values, variant,
+    theta0_rule, eps) that the document holds."""
     doc = _load(document, "scaling-sweep")
-    values = _L_values(doc)
-    variant = _choice(doc, "variant", VARIANT_RULES)
-    rule = _choice(doc, "theta0_rule", THETA0_RULES, VARIANT_RULES[variant])
-    return values, rule, _number(doc, "eps", EPS), variant
+    return _present(L_values=_L_values(doc),
+                    variant=_choice(doc, "variant", VARIANT_RULES),
+                    theta0_rule=_choice(doc, "theta0_rule", THETA0_RULES),
+                    eps=_number(doc, "eps"))
 
 
 def scan_options(document):
-    """L_values of the dominant-eigenvalue scan."""
-    doc = _load(document, "zeta-scan")
-    if "L_values" in doc:
-        return _L_values(doc)
-    return list(ZETA_L_VALUES)
+    """Keyword arguments of zeta_vs_L_scan (L_values) that the document
+    holds."""
+    return _present(L_values=_L_values(_load(document, "zeta-scan")))
 
 
 def table1_options(document):
-    """Initial-state angle theta0 of the table1 census."""
-    doc = _load(document, "table1")
-    return _finite(doc, "theta0", TABLE1_THETA0)
+    """Keyword arguments of table1_scan (theta0) that the document holds."""
+    return _present(theta0=_finite(_load(document, "table1"), "theta0"))

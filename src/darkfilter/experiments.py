@@ -1,15 +1,15 @@
-"""Preset, reproducible experiment drivers.
+"""Preset, reproducible experiment drivers, one per CLI subcommand.
 
-Each driver consumes an ExperimentSpec (or a few plain arguments),
-runs the protocol, writes CSV artifacts plus a JSON metadata sidecar
-into an output directory, and returns the sidecar's dict.  A target
-superposition is declared once, in TARGETS: its resonance, default
-angle, components and rotation.  run_target prepares the target a spec
-names, and perturbation_study and the scaling sweep read the same
-table.  Re-running with the same spec and seed reproduces the CSV
-bodies byte for byte; the sidecar additionally records wall time, code
-version, and the RNG family, so only the data files are expected to
-compare equal.
+Each driver consumes an ExperimentSpec (or plain arguments whose
+defaults its signature owns), runs the protocol, writes every artifact
+into an output directory, CSV files and then, through _finish, the
+metadata.json sidecar with its code_version, rng and wall_time_s, and
+returns the sidecar's dict.  A target superposition is declared once,
+in TARGETS: its resonance, default angle, components and rotation.
+run_target prepares the target a spec names, and perturbation_study
+and the scaling sweep read the same table.  Re-running with the same spec and seed reproduces the CSV
+bodies byte for byte; the sidecar additionally records wall time, so
+only the data files are expected to compare equal.
 
 Randomness (removal-state noise, the random-matrix benchmark) always
 goes through a counter-based Philox generator keyed by an explicit
@@ -35,7 +35,8 @@ from .output import SCHEMAS, emit_csv, spectrum_columns, write_metadata
 from .spectral import (dark_projection, dark_subspace, degeneracy_groups,
                        jump_filtration_time, mode_spectrum,
                        scaling_predictions)
-from .spin_model import ChainParams, build_tower, protocol_states
+from .spin_model import (ChainParams, build_tower, protocol_states,
+                         sga_residual)
 
 RNG_FAMILY = "philox"
 # default fidelity threshold: a run reaches its target at Q_n >= 1 - EPS
@@ -48,6 +49,8 @@ STRING_LAW_TOL = 0.01
 SWEEP_L_MAX = 30
 # dark overlaps that a refused run lists (_check_target_reachable)
 DARK_LISTING = 8
+# largest tower residual at which tower_check certifies the tower exact
+SGA_TOL = 1e-10
 
 def tar1_resonance(L):
     # h*tau = pi/L glues the phases of the tower edges B_0, B_L
@@ -109,9 +112,6 @@ class Perturbations:
         self.lam = lam
         self.seed = seed
 
-    def __eq__(self, other):
-        return type(other) is Perturbations and vars(other) == vars(self)
-
 
 class ExperimentSpec:
     """Fully pinned description of one run.
@@ -134,7 +134,8 @@ class ExperimentSpec:
             raise ValidationError("eps must lie in (0, 1)")
         if engine not in ("tower", "full"):
             raise ValidationError(f"unknown engine {engine!r}")
-        if target is not None and target not in TARGETS:
+        if target is not None and not (isinstance(target, str)
+                                       and target in TARGETS):
             raise ValidationError(f"unknown target {target!r}")
         if engine == "tower" and (params.J2 != 0.0
                                   or perturbations.lam != 0.0):
@@ -150,9 +151,6 @@ class ExperimentSpec:
         self.engine = engine
         self.target = target
         self.perturbations = perturbations
-
-    def __eq__(self, other):
-        return type(other) is ExperimentSpec and vars(other) == vars(self)
 
 
 def document_of(spec: ExperimentSpec) -> dict:
@@ -221,6 +219,22 @@ def build_setup(spec: ExperimentSpec, *, all_blocks=False):
                       all_blocks=all_blocks)
 
 
+def tower_check(spec: ExperimentSpec, out_dir) -> dict:
+    """sga_residual of the spec's chain; a residual not below SGA_TOL
+    raises NumericsError after the sidecar records it."""
+    t0 = time.time()
+    report = sga_residual(spec.params)
+    meta = _finish(out_dir, "tower_check", document_of(spec), {
+        "eigen_residual": report.eigen_residual,
+        "algebra_residual": report.algebra_residual,
+    }, t0)
+    if not report.max < SGA_TOL:    # NaN included
+        raise NumericsError(
+            f"tower residual {report.max:.3e} exceeds {SGA_TOL:.0e}"
+        )
+    return meta
+
+
 def _tower_vec(L, entries):
     vec = np.zeros(L + 1, dtype=complex)
     for n, c in entries:
@@ -273,7 +287,7 @@ def make_target(setup, params, which, theta0):
     generic engine), for the chain params the setup was built from.  Off
     the tower engine its components are lifted to the chain's 3^L
     states, so on a generic engine run_filtration refuses it."""
-    if which not in TARGETS:
+    if not isinstance(which, str) or which not in TARGETS:
         raise ValidationError(f"unknown target {which!r}")
     rule = TARGETS[which]
     components = rule.components(params.L)
@@ -422,17 +436,28 @@ def _sweep_case(L, variant, theta0, eps):
     return n_eps, scaling_predictions(L, theta0, eps, variant)
 
 
-def sweep_n_epsilon(L_values, theta0_rule, eps, variant, out_dir) -> dict:
+# scaling-sweep variant -> the theta0 rule it takes by default
+VARIANT_RULES = {"tar1-general": "general",
+                 "tar1-orthogonal": "orthogonal",
+                 "tar2": "tar2-optimal"}
+
+
+def sweep_n_epsilon(out_dir, L_values, variant, theta0_rule=None,
+                    eps=EPS) -> dict:
     """Filtration time vs chain length against the closed-form laws.
 
-    theta0_rule is one of 'orthogonal', 'general', 'parity',
-    'tar2-optimal'; variant selects the prediction family
-    ('tar1-general', 'tar1-orthogonal', 'tar2').  Each n_eps comes from
+    variant selects the prediction family, one of VARIANT_RULES;
+    theta0_rule, one of 'orthogonal', 'general', 'parity',
+    'tar2-optimal', defaults to the variant's.  Each n_eps comes from
     jump_filtration_time, which finds the crossing without stepping;
     chain lengths above SWEEP_L_MAX, where that search is not certified
     against an extended-precision oracle, are rejected.
     """
     t0 = time.time()
+    if not isinstance(variant, str) or variant not in VARIANT_RULES:
+        raise ValidationError(f"unknown variant {variant!r}")
+    if theta0_rule is None:
+        theta0_rule = VARIANT_RULES[variant]
     if theta0_rule not in THETA0_RULES:
         raise ValidationError(
             f"unknown theta0 rule {theta0_rule!r}; "
@@ -513,6 +538,46 @@ def dark_labels(dark):
         labels.append(group_label(members, index, dark.members.count(members)))
         seen[members] = index + 1
     return labels
+
+
+def dark_states(spec: ExperimentSpec, out_dir) -> dict:
+    """Dark states of every block, reached or not, and their overlaps
+    with the initial state."""
+    t0 = time.time()
+    setup, initial = build_setup(spec, all_blocks=True)
+    dark = dark_subspace(degeneracy_groups(setup))
+    emit_csv(os.path.join(out_dir, "spectrum.csv"), SCHEMAS["spectrum"],
+             spectrum_columns(dark.phases, ["dark"] * dark.count))
+    ov = dark.overlaps(setup.to_eigen(initial))
+    return _finish(out_dir, "dark_states", document_of(spec), {
+        "count": dark.count,
+        "labels": dark_labels(dark) if setup.engine == "tower" else None,
+        "initial_overlaps": ov,
+        "dark_weight": float(np.sum(np.abs(ov) ** 2)),
+    }, t0)
+
+
+def bright_spectrum(spec: ExperimentSpec, out_dir) -> dict:
+    """Dark phases, bright secular roots and charges of F on the tower."""
+    t0 = time.time()
+    if spec.engine != "tower":
+        raise ValidationError(
+            "bright-spectrum works on the tower engine only"
+        )
+    setup, _ = build_setup(spec)
+    dark, groups, roots = mode_spectrum(setup)
+    emit_csv(os.path.join(out_dir, "spectrum.csv"), SCHEMAS["spectrum"],
+             spectrum_columns(np.concatenate([dark, roots]),
+                              ["dark"] * dark.size + ["bright"] * roots.size))
+    emit_csv(os.path.join(out_dir, "charges.csv"), SCHEMAS["charges"],
+             [groups.charge_angles, groups.charge_weights])
+    return _finish(out_dir, "bright_spectrum", document_of(spec), {
+        "w": groups.w,
+        "n_dark": dark.size,
+        "n_bright_roots": int(roots.size),
+        "dominant_modulus":
+            float(max(np.abs(roots))) if roots.size else 0.0,
+    }, t0)
 
 
 def table1_scan(out_dir, theta0=TABLE1_THETA0) -> dict:

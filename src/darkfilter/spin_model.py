@@ -64,9 +64,6 @@ class ChainParams:
         self.J2 = J2
         self.J3 = J3
 
-    def __eq__(self, other):
-        return type(other) is ChainParams and vars(other) == vars(self)
-
     def tower_energy(self, n):
         """Energy of the n-bi-magnon tower state (n an integer or array)."""
         return (self.D - self.h) * self.L + 2.0 * n * self.h

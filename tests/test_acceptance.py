@@ -121,13 +121,13 @@ def test_criterion_02_dark_state_census():
 # ---------------------------------------------------------------- 3 ----
 def test_criterion_03_ghz_preparation_scaling(tmp_path):
     t0 = time.perf_counter()
-    orth = sweep_n_epsilon(range(6, 13), "orthogonal", 0.01,
-                           "tar1-orthogonal", tmp_path / "orth")
+    orth = sweep_n_epsilon(tmp_path / "orth", range(6, 13),
+                           "tar1-orthogonal", "orthogonal", 0.01)
     points = orth["points"]
     ratios = {pt["L"]: pt["n_eps_sim"] / pt["n_eps_theory"] for pt in points}
     ok_ratio = all(0.7 <= ratios[L] <= 1.3 for L in range(8, 13))
-    general = sweep_n_epsilon(range(8, 14), "general", 0.01,
-                              "tar1-general", tmp_path / "general")
+    general = sweep_n_epsilon(tmp_path / "general", range(8, 14),
+                              "tar1-general", "general", 0.01)
     slope = general["slope_log2"]
     ok_slope = 0.85 <= slope <= 1.15
     dt = time.perf_counter() - t0
@@ -417,8 +417,9 @@ def test_criterion_10_byte_determinism(tmp_path):
         "trajectory": lambda d: run_target(ghz_spec, d),
         "census": lambda d: table1_scan(d),
         "goe": lambda d: goe_demo(d, d_goe=64, seed=23),
-        "scaling": lambda d: sweep_n_epsilon(range(6, 9), "orthogonal", 0.01,
-                                             "tar1-orthogonal", d),
+        "scaling": lambda d: sweep_n_epsilon(d, range(6, 9),
+                                             "tar1-orthogonal", "orthogonal",
+                                             0.01),
         "zeta": lambda d: zeta_vs_L_scan(d),
     }
     mismatched = []

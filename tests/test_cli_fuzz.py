@@ -21,7 +21,7 @@ import warnings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darkfilter.cli import SUBCOMMANDS, main
+from darkfilter.cli import main
 from darkfilter.config import KEYS
 
 EDGE = st.sampled_from([
@@ -76,7 +76,7 @@ def cases(draw):
     documents hold valid values but for one key, an edge or wrong value;
     one in four draws every value from all three.  An unknown key, from
     another subcommand or misspelt, joins one time in ten."""
-    sub = draw(st.sampled_from(SUBCOMMANDS))
+    sub = draw(st.sampled_from(tuple(KEYS)))
     reads, required = KEYS[sub]
     keys = [key for key in reads
             if (draw(st.integers(0, 9)) > 0 if key in required

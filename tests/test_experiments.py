@@ -84,6 +84,19 @@ def test_spec_validation():
                                    theta0=0.1, h_tau=(1, 6), n_steps=10))
 
 
+@pytest.mark.parametrize("target", [["tar1"], {"tar1": 1}],
+                         ids=["list", "object"])
+def test_a_target_must_be_a_string(target):
+    # a list or object is no key of TARGETS, and must not reach the lookup
+    params = ChainParams(L=4)
+    with pytest.raises(ValidationError, match="unknown target"):
+        ExperimentSpec(name="x", params=params, theta0=0.1, h_tau=(1, 4),
+                       n_steps=10, target=target)
+    setup, _ = reduced_setup(params, (1, 4), 0.1)
+    with pytest.raises(ValidationError, match="unknown target"):
+        make_target(setup, params, target, 0.1)
+
+
 def test_noise_vector_deterministic():
     a = noise_vector(50, 3)
     b = noise_vector(50, 3)
@@ -208,8 +221,8 @@ def test_targets_take_the_chain_from_their_caller():
 
 
 def test_sweep_small_range(tmp_path):
-    meta = sweep_n_epsilon([6, 7, 8], "general", 0.01, "tar1-general",
-                           tmp_path)
+    meta = sweep_n_epsilon(tmp_path, [6, 7, 8], "tar1-general", "general",
+                           0.01)
     header, rows = read_csv(tmp_path / "scaling.csv")
     assert header == ["L", "n_eps_sim", "n_eps_theory", "variant"]
     assert [int(r[0]) for r in rows] == [6, 7, 8]
@@ -222,9 +235,11 @@ def test_sweep_small_range(tmp_path):
 
 def test_sweep_rejects_unknown_rule(tmp_path):
     with pytest.raises(ValidationError):
-        sweep_n_epsilon([6], "diagonal", 0.01, "tar1-general", tmp_path)
+        sweep_n_epsilon(tmp_path, [6], "tar1-general", "diagonal", 0.01)
     with pytest.raises(ValidationError):
-        sweep_n_epsilon([], "general", 0.01, "tar1-general", tmp_path)
+        sweep_n_epsilon(tmp_path, [], "tar1-general", "general", 0.01)
+    with pytest.raises(ValidationError, match="unknown variant"):
+        sweep_n_epsilon(tmp_path, [6], "cubic")
 
 
 # ------------------------------------------- jump-ahead filtration time
@@ -318,15 +333,15 @@ def test_jump_ahead_rejects_what_it_cannot_certify():
 
 def test_sweep_rejects_uncertified_length(tmp_path):
     with pytest.raises(ValidationError, match="certified"):
-        sweep_n_epsilon([20, 31], "orthogonal", 0.01, "tar1-orthogonal",
-                        tmp_path)
+        sweep_n_epsilon(tmp_path, [20, 31], "tar1-orthogonal", "orthogonal",
+                        0.01)
 
 
 def test_ghz_scaling_law_in_asymptotic_regime(tmp_path):
     # the tar1-orthogonal law 2^L/(4L) log(L/eps) is leading order: the
     # simulated n_eps approaches it from above as L grows
-    meta = sweep_n_epsilon([20, 24, 30], "orthogonal", 0.01,
-                           "tar1-orthogonal", tmp_path)
+    meta = sweep_n_epsilon(tmp_path, [20, 24, 30], "tar1-orthogonal",
+                           "orthogonal", 0.01)
     ratio = [pt["n_eps_sim"] / pt["n_eps_theory"]
              for pt in meta["points"]]
     assert 1.0 < ratio[2] < ratio[1] < ratio[0] < 1.04, ratio

@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, and the command-line surface."""
 
+import inspect
 import json
 import math
 import os
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darkfilter
-from darkfilter.cli import SUBCOMMANDS, main
+from darkfilter.cli import main
 from darkfilter.config import (
+    KEYS,
     goe_options,
     parse_config,
     scan_options,
@@ -22,7 +24,13 @@ from darkfilter.config import (
     table1_options,
 )
 from darkfilter.errors import ValidationError
-from darkfilter.experiments import Perturbations, document_of
+from darkfilter.experiments import (
+    Perturbations,
+    document_of,
+    sweep_n_epsilon,
+    table1_scan,
+    zeta_vs_L_scan,
+)
 from darkfilter.filtration import DEPLETION_FLOOR
 from darkfilter.output import BLOCK_ROWS, emit_csv, format_cell, write_metadata
 
@@ -401,17 +409,22 @@ def test_broken_symmetry_forces_full_engine():
 def test_serialize_parse_roundtrip():
     spec = parse_config({"L": 7, "target": "tar2", "n_steps": 444,
                          "D": 0.2, "J3": 0.1})
-    again = parse_config(json.loads(json.dumps(document_of(spec))))
-    assert again == spec
+    echo = document_of(spec)
+    again = parse_config(json.loads(json.dumps(echo)))
+    assert document_of(again) == echo
 
 
-def test_sweep_options_defaults_by_variant():
-    L_values, rule, eps, variant = sweep_options(
-        {"L_values": [8, 9], "variant": "tar1-orthogonal"})
-    assert L_values == [8, 9] and rule == "orthogonal"
-    assert eps == 0.01 and variant == "tar1-orthogonal"
-    _, rule, _, _ = sweep_options({"L_values": [8], "variant": "tar2"})
-    assert rule == "tar2-optimal"
+def test_sweep_options_defaults_by_variant(tmp_path):
+    # the options hold only the document's keys; sweep_n_epsilon takes
+    # the variant's theta0 rule and eps = 0.01 by default
+    doc = {"L_values": [8, 9], "variant": "tar1-orthogonal"}
+    assert sweep_options(doc) == doc
+    meta = sweep_n_epsilon(tmp_path, **sweep_options(doc))
+    assert meta["theta0_rule"] == "orthogonal" and meta["eps"] == 0.01
+    meta = sweep_n_epsilon(tmp_path, [8], "tar2")
+    assert meta["theta0_rule"] == "tar2-optimal"
+    assert sweep_options({"L_values": [8], "variant": "tar2", "eps": 0.1,
+                          "theta0_rule": "parity"})["theta0_rule"] == "parity"
     with pytest.raises(ValidationError):
         sweep_options({"variant": "tar2"})
     with pytest.raises(ValidationError):
@@ -419,8 +432,11 @@ def test_sweep_options_defaults_by_variant():
 
 
 def test_scan_options_default_range():
-    assert scan_options({}) == list(range(4, 17))
-    assert scan_options({"L_values": [4, 6]}) == [4, 6]
+    # the driver's signature owns the default lengths
+    assert scan_options({}) == {}
+    default = inspect.signature(zeta_vs_L_scan).parameters["L_values"]
+    assert list(default.default) == list(range(4, 17))
+    assert scan_options({"L_values": [4, 6]}) == {"L_values": [4, 6]}
 
 
 @pytest.mark.parametrize("values", [[], [4, True], [4.0], "4", None],
@@ -441,8 +457,10 @@ def test_non_object_documents_rejected():
 
 
 def test_table1_options():
-    assert table1_options({}) == pytest.approx(math.pi / 7.0)
-    assert table1_options({"theta0": 1}) == 1.0
+    assert table1_options({}) == {}
+    default = inspect.signature(table1_scan).parameters["theta0"].default
+    assert default == pytest.approx(math.pi / 7.0)
+    assert table1_options({"theta0": 1}) == {"theta0": 1.0}
     with pytest.raises(ValidationError, match="thetaO"):
         table1_options({"thetaO": 0.3})
     for bad in ("abc", True, [0.3], float("inf"), float("nan")):
@@ -1025,6 +1043,19 @@ SMALL_RUNS = [
     ("zeta-scan", {"L_values": [4, 5]}, []),
 ]
 
+
+@pytest.mark.parametrize("sub", list(KEYS))
+def test_every_sidecar_carries_the_envelope(tmp_path, sub):
+    # one driver writes each subcommand's sidecar, through the same path
+    doc = next(doc for name, doc, _ in SMALL_RUNS if name == sub)
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    meta = json.load(open(tmp_path / "o" / "metadata.json"))
+    assert meta["code_version"] == darkfilter.__version__
+    assert meta["rng"] == "philox"
+    assert meta["wall_time_s"] >= 0.0
+
 # every config key with a valid value, and the keys each subcommand
 # reads (README "Config keys"); any other key must exit 1
 KEY_VALUES = {
@@ -1063,7 +1094,7 @@ def test_ignored_key_exits_1(tmp_path, capsys, sub, key):
 
 
 def test_read_keys_are_accepted():
-    assert sorted(READS) == sorted(SUBCOMMANDS)
+    assert sorted(READS) == sorted(KEYS)
     parsers = {"scaling-sweep": sweep_options, "table1": table1_options,
                "zeta-scan": scan_options, "goe-demo": goe_options}
     for sub, keys in READS.items():
@@ -1075,7 +1106,7 @@ def test_read_keys_are_accepted():
 # the seeds of "perturbations" and "goe" set them now, and every
 # subcommand refuses the flags, naming them
 REMOVED_FLAGS = {"--engine": "full", "--seed": "9"}
-UNREAD_FLAGS = [(sub, flag) for flag in REMOVED_FLAGS for sub in SUBCOMMANDS]
+UNREAD_FLAGS = [(sub, flag) for flag in REMOVED_FLAGS for sub in KEYS]
 
 
 @pytest.mark.parametrize("sub,flag", UNREAD_FLAGS)
@@ -1130,7 +1161,7 @@ print(json.dumps(report))
 
 
 def test_no_subcommand_imports_scipy(tmp_path):
-    assert sorted({sub for sub, _, _ in SMALL_RUNS}) == sorted(SUBCOMMANDS)
+    assert sorted({sub for sub, _, _ in SMALL_RUNS}) == sorted(KEYS)
     runs = []
     for k, (sub, doc, extra) in enumerate(SMALL_RUNS):
         runs.append([sub, _write(tmp_path, f"c{k}.json", doc),

@@ -42,3 +42,10 @@ def test_the_import_reader_sees_every_form():
 ])
 def test_lower_layers_import_no_higher_one(module, forbidden):
     assert not _package_imports(module) & forbidden
+
+
+def test_cli_imports_only_the_document_and_the_drivers():
+    # the CLI reads the document (config), dispatches to one driver
+    # (experiments) and reports (errors); the package gives __version__
+    assert _package_imports("cli") <= {"config", "errors", "experiments",
+                                       "__version__"}
