@@ -2,12 +2,14 @@
 
 Usage: darkfilter <subcommand> --config <file> --out <dir> [--quiet]
 
-Every subcommand runs the same way.  The config module checks the
-document, a run's one input: the engine and the seeds are its keys, and
-no flag overrides them.  One driver of the experiments module writes
-every artifact, the metadata.json sidecar included.  This module prints
-the summary line, read from the dict the driver returns.  config.KEYS
-lists the subcommands, and _cmd_<name> runs the subcommand <name>.
+Every subcommand runs the same way: driver(out, **parse_config(document,
+subcommand)).  The config module checks the document, a run's one input:
+the engine and the seeds are its keys, and no flag overrides them.  It
+returns the document's keys as the keyword arguments of one driver of
+the experiments module, which writes every artifact, the metadata.json
+sidecar included.  This module prints the summary line, read from the
+dict the driver returns.  config.KEYS lists the subcommands, and
+_cmd_<name> runs the subcommand <name>.
 
 Exit status: 0 on success, 1 on validation failure (bad arguments,
 malformed config, precondition violations), 2 on numerical-invariant
@@ -22,8 +24,7 @@ import math
 import sys
 
 from . import __version__
-from .config import (KEYS, goe_options, parse_config, scan_options,
-                     sweep_options, table1_options)
+from .config import KEYS, parse_config
 from .errors import NumericsError, ValidationError
 from .experiments import (bright_spectrum, dark_states, goe_demo,
                           perturbation_study, run_target, sweep_n_epsilon,
@@ -66,30 +67,30 @@ def _read_document(path):
 # returns the summary line
 
 def _cmd_tower_check(doc, out):
-    meta = tower_check(parse_config(doc, "tower-check"), out)
+    meta = tower_check(out, **parse_config(doc, "tower-check"))
     return ("max residual "
             f"{max(meta['eigen_residual'], meta['algebra_residual']):.3e}")
 
 
 def _cmd_filter_run(doc, out):
-    meta = run_target(parse_config(doc, "filter-run"), out)
+    meta = run_target(out, **parse_config(doc, "filter-run"))
     return (f"{meta['target']}: n_eps={meta['n_eps']} "
             f"q_final={meta['q_final']:.6f}")
 
 
 def _cmd_dark_states(doc, out):
-    meta = dark_states(parse_config(doc, "dark-states"), out)
+    meta = dark_states(out, **parse_config(doc, "dark-states"))
     return f"{meta['count']} dark states"
 
 
 def _cmd_bright_spectrum(doc, out):
-    meta = bright_spectrum(parse_config(doc, "bright-spectrum"), out)
+    meta = bright_spectrum(out, **parse_config(doc, "bright-spectrum"))
     return (f"w={meta['w']} charges, {meta['n_bright_roots']} bright roots, "
             f"dominant modulus {meta['dominant_modulus']:.6f}")
 
 
 def _cmd_scaling_sweep(doc, out):
-    meta = sweep_n_epsilon(out, **sweep_options(doc))
+    meta = sweep_n_epsilon(out, **parse_config(doc, "scaling-sweep"))
     slope = meta["slope_log2"]
     # no slope without two points of n_eps > 0
     return (f"{meta['variant']} ({meta['theta0_rule']}): slope "
@@ -97,13 +98,13 @@ def _cmd_scaling_sweep(doc, out):
 
 
 def _cmd_table1(doc, out):
-    meta = table1_scan(out, **table1_options(doc))
+    meta = table1_scan(out, **parse_config(doc, "table1"))
     counts = {f"{c['p']}/{c['q']}": c["count"] for c in meta["cases"]}
     return f"dark counts {counts}"
 
 
 def _cmd_perturb(doc, out):
-    meta = perturbation_study(parse_config(doc, "perturb"), out)
+    meta = perturbation_study(out, **parse_config(doc, "perturb"))
     info1, info2 = meta["tar1"], meta["tar2"]
     plateau = info2.get("plateau")
     height = plateau["height"] if plateau else math.nan
@@ -113,13 +114,13 @@ def _cmd_perturb(doc, out):
 
 
 def _cmd_goe_demo(doc, out):
-    meta = goe_demo(out, **goe_options(doc))
+    meta = goe_demo(out, **parse_config(doc, "goe-demo"))
     return (f"survival -> {meta['expected_survival']:.8f} "
             f"(worst tail error {meta['worst_tail_error']:.3e})")
 
 
 def _cmd_zeta_scan(doc, out):
-    meta = zeta_vs_L_scan(out, **scan_options(doc))
+    meta = zeta_vs_L_scan(out, **parse_config(doc, "zeta-scan"))
     L_values, mods = meta["spec"]["L_values"], meta["moduli"]
     first, last = L_values[0], L_values[-1]
     return (f"|zeta_d|: L={first} -> {mods[str(first)]:.6f}, "

@@ -1,15 +1,19 @@
 """Preset, reproducible experiment drivers, one per CLI subcommand.
 
-Each driver consumes an ExperimentSpec (or plain arguments whose
-defaults its signature owns), runs the protocol, writes every artifact
-into an output directory, CSV files and then, through _finish, the
-metadata.json sidecar with its code_version, rng and wall_time_s, and
-returns the sidecar's dict.  A target superposition is declared once,
-in TARGETS: its resonance, default angle, components and rotation.
-run_target prepares the target a spec names, and perturbation_study
-and the scaling sweep read the same table.  Re-running with the same spec and seed reproduces the CSV
-bodies byte for byte; the sidecar additionally records wall time, so
-only the data files are expected to compare equal.
+Every driver is called the same way, driver(out_dir, **arguments): the
+arguments are the keys of the subcommand's document (config), and each
+default belongs to the signature that uses it; a chain's couplings keep
+those of ChainParams.  A driver runs the protocol, writes every artifact
+into out_dir, CSV files and then, through _finish, the metadata.json
+sidecar with its code_version, rng and wall_time_s, and returns the
+sidecar's dict.  The sidecar's "spec" echoes the arguments the driver
+resolved as a document of the same subcommand.  A target superposition
+is declared once, in TARGETS: its resonance, default angle, components
+and rotation.  run_target prepares the target it is given, and
+perturbation_study and the scaling sweep read the same table.
+Re-running the "spec" echo reproduces the CSV bodies byte for byte; the
+sidecar additionally records wall time, so only the data files are
+expected to compare equal.
 
 Randomness (removal-state noise, the random-matrix benchmark) always
 goes through a counter-based Philox generator keyed by an explicit
@@ -29,7 +33,7 @@ import numpy as np
 from .basis import FULL_SPACE_CAP, string_parity_sign
 from .errors import NumericsError, ValidationError
 from .filtration import (BACKEND, TRAJECTORY_BUDGET, RotatingTarget,
-                         full_setup, generic_setup, reduced_setup,
+                         check_eps, full_setup, generic_setup, reduced_setup,
                          run_filtration, filtration_time)
 from .output import SCHEMAS, emit_csv, spectrum_columns, write_metadata
 from .spectral import (dark_projection, dark_subspace, degeneracy_groups,
@@ -41,6 +45,10 @@ from .spin_model import (ChainParams, build_tower, protocol_states,
 RNG_FAMILY = "philox"
 # default fidelity threshold: a run reaches its target at Q_n >= 1 - EPS
 EPS = 0.01
+# default run lengths: perturb runs each leg longer, into the metastable
+# regime
+RUN_STEPS = 5000
+PERTURB_STEPS = 20000
 # tolerance to which run_target checks the string-oscillation law of a
 # rotating target
 STRING_LAW_TOL = 0.01
@@ -99,81 +107,6 @@ def _check_seed(seed):
         raise ValidationError(f"seed must lie in [0, 2^64), got {seed!r}")
 
 
-class Perturbations:
-    """Removal-state noise: psi_r mixed with lam * nu, nu seeded Gaussian."""
-
-    def __init__(self, lam=0.0, seed=None):
-        if lam < 0.0 or not math.isfinite(lam):
-            raise ValidationError("noise strength lam must be >= 0 and finite")
-        if lam > 0.0 and seed is None:
-            raise ValidationError("removal noise requires an explicit seed")
-        if seed is not None:
-            _check_seed(seed)
-        self.lam = lam
-        self.seed = seed
-
-
-class ExperimentSpec:
-    """Fully pinned description of one run.
-
-    h*tau is kept as the integer pair (p, q) meaning pi*p/q so resonances
-    stay exact; tau in seconds follows from the field h.  perturbations
-    defaults to a fresh Perturbations() (no noise).
-    """
-
-    def __init__(self, name, params, theta0, h_tau, n_steps, eps=EPS,
-                 engine="tower", target=None, perturbations=None):
-        if perturbations is None:
-            perturbations = Perturbations()
-        p, q = h_tau
-        if not (isinstance(p, int) and isinstance(q, int)) or p <= 0 or q <= 0:
-            raise ValidationError("h_tau must be a pair of positive integers")
-        if not isinstance(n_steps, int) or n_steps < 0:
-            raise ValidationError("n_steps must be a non-negative integer")
-        if not 0.0 < eps < 1.0:
-            raise ValidationError("eps must lie in (0, 1)")
-        if engine not in ("tower", "full"):
-            raise ValidationError(f"unknown engine {engine!r}")
-        if target is not None and not (isinstance(target, str)
-                                       and target in TARGETS):
-            raise ValidationError(f"unknown target {target!r}")
-        if engine == "tower" and (params.J2 != 0.0
-                                  or perturbations.lam != 0.0):
-            raise ValidationError(
-                "tower engine requires J2 = 0 and lam = 0; use engine='full'"
-            )
-        self.name = name
-        self.params = params
-        self.theta0 = theta0
-        self.h_tau = h_tau
-        self.n_steps = n_steps
-        self.eps = eps
-        self.engine = engine
-        self.target = target
-        self.perturbations = perturbations
-
-
-def document_of(spec: ExperimentSpec) -> dict:
-    """Plain-JSON echo of a spec; parse_config inverts it."""
-    doc = {
-        "name": spec.name,
-        **vars(spec.params),            # L and the couplings
-        "theta0": spec.theta0,
-        "h_tau": [spec.h_tau[0], spec.h_tau[1]],
-        "n_steps": spec.n_steps,
-        "eps": spec.eps,
-        "engine": spec.engine,
-    }
-    if spec.target is not None:
-        doc["target"] = spec.target
-    if spec.perturbations.lam != 0.0 or spec.perturbations.seed is not None:
-        pert = {"lambda": spec.perturbations.lam}
-        if spec.perturbations.seed is not None:
-            pert["seed"] = spec.perturbations.seed
-        doc["perturbations"] = pert
-    return doc
-
-
 def _finish(out_dir, name, echo, extra, t0):
     """Write metadata.json into out_dir and return its dict."""
     from . import __version__
@@ -196,35 +129,93 @@ def noise_vector(dim, seed):
     return vec / np.linalg.norm(vec)
 
 
-def _mixed_removal(params, pert):
+def _mixed_removal(params, lam, seed):
     """The removal state, the protocol product at theta = pi, mixed with
-    pert.lam of the seeded noise vector and renormalized."""
+    lam of the noise vector of seed and renormalized."""
     psi_r = protocol_states(params, math.pi)[0]
-    vec = psi_r + pert.lam * noise_vector(psi_r.size, pert.seed)
+    vec = psi_r + lam * noise_vector(psi_r.size, seed)
     return vec / np.linalg.norm(vec)
 
 
-def build_setup(spec: ExperimentSpec, *, all_blocks=False):
+def _chain_echo(name, params, lam=0.0, noise_seed=None, **keys):
+    """A chain driver's spec echo, a document of its subcommand: name,
+    the chain, the keys that are not None, and perturbations unless
+    there is neither noise nor seed."""
+    echo = {"name": name, **vars(params),
+            **{key: val for key, val in keys.items() if val is not None}}
+    if lam != 0.0 or noise_seed is not None:
+        echo["perturbations"] = {"lambda": lam}
+        if noise_seed is not None:
+            echo["perturbations"]["seed"] = noise_seed
+    return echo
+
+
+def _protocol(L, target=None, theta0=None, h_tau=None, engine=None,
+              lam=0.0, noise_seed=None, **couplings):
+    """The chain and protocol of a run: (params, theta0, h_tau, engine).
+
+    A target fixes the resonance and the initial angle that are not
+    given; without one theta0 is 0 and h_tau must be given.  The engine
+    defaults to full when J2 or the removal noise lam is nonzero, to the
+    tower otherwise.  Every argument is checked here, before an engine
+    is built.
+    """
+    params = ChainParams(L, **couplings)
+    if lam < 0.0 or not math.isfinite(lam):
+        raise ValidationError("noise strength lam must be >= 0 and finite")
+    if lam > 0.0 and noise_seed is None:
+        raise ValidationError("removal noise requires an explicit seed")
+    if noise_seed is not None:
+        _check_seed(noise_seed)
+    if target is not None and not (isinstance(target, str)
+                                   and target in TARGETS):
+        raise ValidationError(f"unknown target {target!r}")
+    if h_tau is None:
+        if target is None:
+            raise ValidationError(
+                "h_tau is required when no target fixes the resonance"
+            )
+        h_tau = TARGETS[target].resonance(L)
+    p, q = h_tau
+    if not (isinstance(p, int) and isinstance(q, int)) or p <= 0 or q <= 0:
+        raise ValidationError("h_tau must be a pair of positive integers")
+    if theta0 is None:
+        theta0 = 0.0 if target is None else TARGETS[target].angle(L)
+    if engine is None:
+        engine = "full" if params.J2 != 0.0 or lam != 0.0 else "tower"
+    if engine not in ("tower", "full"):
+        raise ValidationError(f"unknown engine {engine!r}")
+    if engine == "tower" and (params.J2 != 0.0 or lam != 0.0):
+        raise ValidationError(
+            "tower engine requires J2 = 0 and lam = 0; use engine='full'"
+        )
+    return params, theta0, (p, q), engine
+
+
+def build_setup(params, h_tau, theta0, engine="tower", lam=0.0,
+                noise_seed=None, *, all_blocks=False):
     """Engine dispatch: returns (setup, initial state).
 
-    all_blocks keeps every symmetry block of the full engine
-    (full_setup), not only those a run reaches.
+    The full engine's removal state carries lam of the noise of
+    noise_seed.  all_blocks keeps every symmetry block of the full
+    engine (full_setup), not only those a run reaches.
     """
-    if spec.engine == "tower":
-        return reduced_setup(spec.params, spec.h_tau, spec.theta0)
+    if engine == "tower":
+        return reduced_setup(params, h_tau, theta0)
     removal = None
-    if spec.perturbations.lam > 0.0:
-        removal = _mixed_removal(spec.params, spec.perturbations)
-    return full_setup(spec.params, spec.h_tau, spec.theta0, removal=removal,
+    if lam > 0.0:
+        removal = _mixed_removal(params, lam, noise_seed)
+    return full_setup(params, h_tau, theta0, removal=removal,
                       all_blocks=all_blocks)
 
 
-def tower_check(spec: ExperimentSpec, out_dir) -> dict:
-    """sga_residual of the spec's chain; a residual not below SGA_TOL
-    raises NumericsError after the sidecar records it."""
+def tower_check(out_dir, L, name="tower-check", **couplings) -> dict:
+    """sga_residual of the chain; a residual not below SGA_TOL raises
+    NumericsError after the sidecar records it."""
     t0 = time.time()
-    report = sga_residual(spec.params)
-    meta = _finish(out_dir, "tower_check", document_of(spec), {
+    params = ChainParams(L, **couplings)
+    report = sga_residual(params)
+    meta = _finish(out_dir, "tower_check", _chain_echo(name, params), {
         "eigen_residual": report.eigen_residual,
         "algebra_residual": report.algebra_residual,
     }, t0)
@@ -376,32 +367,39 @@ def string_law_deviation(traj, theta0, h_tau, L, n_min):
     return dev_abs, dev_signed
 
 
-def run_target(spec: ExperimentSpec, out_dir) -> dict:
-    """Preparation run of spec.target: trajectory CSV plus the extracted n_eps.
+def run_target(out_dir, L, target, theta0=None, h_tau=None, engine=None,
+               lam=0.0, noise_seed=None, n_steps=RUN_STEPS, eps=EPS,
+               name="filter-run", **couplings) -> dict:
+    """Preparation run of target: trajectory CSV plus the extracted n_eps.
 
-    A rotating target also has its string-oscillation law checked, from
-    the step on which the run's own fidelity certifies it to
-    STRING_LAW_TOL (see string_check_start); a run that never gets there
-    records no string_* entries.
+    The target fixes h_tau, which must be its resonance, and theta0 when
+    they are not given (_protocol).  A rotating target also has its
+    string-oscillation law checked, from the step on which the run's own
+    fidelity certifies it to STRING_LAW_TOL (see string_check_start); a
+    run that never gets there records no string_* entries.
     """
     t0 = time.time()
-    if spec.target is None:
+    if target is None:
         raise ValidationError("a preparation run needs a target")
-    rule = TARGETS[spec.target]
-    p, q = spec.h_tau
-    g, want = math.gcd(p, q), rule.resonance(spec.params.L)
+    params, theta0, h_tau, engine = _protocol(
+        L, target, theta0, h_tau, engine, lam, noise_seed, **couplings)
+    check_eps(eps)
+    rule = TARGETS[target]
+    p, q = h_tau
+    g, want = math.gcd(p, q), rule.resonance(L)
     if (p // g, q // g) != want:
         raise ValidationError(
-            f"{spec.target} requires h*tau = pi*{want[0]}/{want[1]}, "
+            f"{target} requires h*tau = pi*{want[0]}/{want[1]}, "
             f"got pi*{p}/{q}"
         )
-    setup, initial = build_setup(spec)
-    target = make_target(setup, spec.params, spec.target, spec.theta0)
-    _check_target_reachable(setup, initial, target)
-    traj = run_filtration(setup, initial, spec.n_steps, target)
-    n_eps = filtration_time(traj, spec.eps)
+    setup, initial = build_setup(params, h_tau, theta0, engine, lam,
+                                 noise_seed)
+    goal = make_target(setup, params, target, theta0)
+    _check_target_reachable(setup, initial, goal)
+    traj = run_filtration(setup, initial, n_steps, goal)
+    n_eps = filtration_time(traj, eps)
     extra = {
-        "target": spec.target,
+        "target": target,
         "engine": setup.engine,
         "backend": BACKEND,
         "n_eps": n_eps,
@@ -414,16 +412,17 @@ def run_target(spec: ExperimentSpec, out_dir) -> dict:
                          if rule.rotating else None)
     if string_check_from is not None:
         dev_abs, dev_signed = string_law_deviation(
-            traj, spec.theta0, spec.h_tau, spec.params.L,
-            n_min=string_check_from
+            traj, theta0, h_tau, L, n_min=string_check_from
         )
         extra["string_dev_abs"] = dev_abs
         extra["string_dev_signed"] = dev_signed
         extra["string_check_from"] = string_check_from
     emit_csv(os.path.join(out_dir, "trajectory.csv"), SCHEMAS["trajectory"],
              _trajectory_columns(traj))
-    return _finish(out_dir, f"run_{spec.target}", document_of(spec), extra,
-                   t0)
+    echo = _chain_echo(name, params, lam, noise_seed, theta0=theta0,
+                       h_tau=[p, q], n_steps=n_steps, eps=eps, engine=engine,
+                       target=target)
+    return _finish(out_dir, f"run_{target}", echo, extra, t0)
 
 
 def _sweep_case(L, variant, theta0, eps):
@@ -540,16 +539,24 @@ def dark_labels(dark):
     return labels
 
 
-def dark_states(spec: ExperimentSpec, out_dir) -> dict:
+def dark_states(out_dir, L, target=None, theta0=None, h_tau=None,
+                engine=None, lam=0.0, noise_seed=None, name="dark-states",
+                **couplings) -> dict:
     """Dark states of every block, reached or not, and their overlaps
-    with the initial state."""
+    with the initial state; a target only fixes h_tau and theta0 when
+    they are not given (_protocol)."""
     t0 = time.time()
-    setup, initial = build_setup(spec, all_blocks=True)
+    params, theta0, h_tau, engine = _protocol(
+        L, target, theta0, h_tau, engine, lam, noise_seed, **couplings)
+    setup, initial = build_setup(params, h_tau, theta0, engine, lam,
+                                 noise_seed, all_blocks=True)
     dark = dark_subspace(degeneracy_groups(setup))
     emit_csv(os.path.join(out_dir, "spectrum.csv"), SCHEMAS["spectrum"],
              spectrum_columns(dark.phases, ["dark"] * dark.count))
     ov = dark.overlaps(setup.to_eigen(initial))
-    return _finish(out_dir, "dark_states", document_of(spec), {
+    echo = _chain_echo(name, params, lam, noise_seed, theta0=theta0,
+                       h_tau=list(h_tau), engine=engine, target=target)
+    return _finish(out_dir, "dark_states", echo, {
         "count": dark.count,
         "labels": dark_labels(dark) if setup.engine == "tower" else None,
         "initial_overlaps": ov,
@@ -557,21 +564,27 @@ def dark_states(spec: ExperimentSpec, out_dir) -> dict:
     }, t0)
 
 
-def bright_spectrum(spec: ExperimentSpec, out_dir) -> dict:
-    """Dark phases, bright secular roots and charges of F on the tower."""
+def bright_spectrum(out_dir, L, target=None, h_tau=None, engine=None,
+                    name="bright-spectrum", **couplings) -> dict:
+    """Dark phases, bright secular roots and charges of F on the tower;
+    a target only fixes h_tau when it is not given."""
     t0 = time.time()
-    if spec.engine != "tower":
+    params, theta0, h_tau, engine = _protocol(L, target, h_tau=h_tau,
+                                              engine=engine, **couplings)
+    if engine != "tower":
         raise ValidationError(
             "bright-spectrum works on the tower engine only"
         )
-    setup, _ = build_setup(spec)
+    setup, _ = build_setup(params, h_tau, theta0)
     dark, groups, roots = mode_spectrum(setup)
     emit_csv(os.path.join(out_dir, "spectrum.csv"), SCHEMAS["spectrum"],
              spectrum_columns(np.concatenate([dark, roots]),
                               ["dark"] * dark.size + ["bright"] * roots.size))
     emit_csv(os.path.join(out_dir, "charges.csv"), SCHEMAS["charges"],
              [groups.charge_angles, groups.charge_weights])
-    return _finish(out_dir, "bright_spectrum", document_of(spec), {
+    echo = _chain_echo(name, params, h_tau=list(h_tau), engine=engine,
+                       target=target)
+    return _finish(out_dir, "bright_spectrum", echo, {
         "w": groups.w,
         "n_dark": dark.size,
         "n_bright_roots": int(roots.size),
@@ -612,8 +625,7 @@ def table1_scan(out_dir, theta0=TABLE1_THETA0) -> dict:
     emit_csv(os.path.join(out_dir, "table1.csv"),
              ("p", "q", "label", "coeff_re", "coeff_im"), list(zip(*rows)))
     extra = {"L": L, "theta0": theta0, "cases": summary}
-    return _finish(out_dir, "table1_scan", {"L": L, "theta0": theta0},
-                   extra, t0)
+    return _finish(out_dir, "table1_scan", {"theta0": theta0}, extra, t0)
 
 
 # detect_plateau: largest smoothed |dQ/dn| inside a plateau, and the
@@ -651,28 +663,28 @@ def detect_plateau(q):
     return start, end, height
 
 
-def perturbation_study(spec: ExperimentSpec, out_dir) -> dict:
+def perturbation_study(out_dir, L, lam=0.0, noise_seed=None,
+                       n_steps=PERTURB_STEPS, name="perturb",
+                       **couplings) -> dict:
     """Metastability under tower-breaking coupling and removal noise.
 
-    Runs every target of TARGETS with the spec's couplings and noise,
+    Runs every target of TARGETS with the given couplings and noise,
     each at its own resonance and initial-state angle, on one build and
-    diagonalization of H.  Verifies that the edge tower states stay
-    exact eigenstates of the perturbed chain (their residuals read in
-    that eigenbasis), that the static GHZ target stays inside the dark
-    manifold, and records the plateau of the unstable rotating target.
-    The spec's engine must be "full".
+    diagonalization of H by the full engine.  Verifies that the edge
+    tower states stay exact eigenstates of the perturbed chain (their
+    residuals read in that eigenbasis), that the static GHZ target stays
+    inside the dark manifold, and records the plateau of the unstable
+    rotating target.
     """
     t0 = time.time()
-    params = spec.params
-    L = params.L
-    if spec.engine != "full":
-        raise ValidationError(
-            f"perturbation study runs the full engine, not {spec.engine!r}")
+    params, theta0, h_tau, _ = _protocol(
+        L, h_tau=tar1_resonance(L), engine="full", lam=lam,
+        noise_seed=noise_seed, **couplings)
     if L > FULL_SPACE_CAP:
         raise ValidationError(f"full engine capped at L = {FULL_SPACE_CAP}")
     # H and the removal state depend on neither tau nor theta0: one
     # eigenbasis serves every leg, retuned to its own phases
-    engine, _ = build_setup(spec)
+    engine, _ = build_setup(params, h_tau, theta0, "full", lam, noise_seed)
     tower = build_tower(ChainParams(L=L))
     # |(H - E_n) B_n| in the eigenbasis of H, where H is diagonal
     edge_residuals = {
@@ -681,15 +693,14 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> dict:
             * engine.to_eigen(tower[n])))
         for n in (0, L)
     }
-    extra = {"edge_residuals": edge_residuals,
-             "lam": spec.perturbations.lam,
-             "noise_seed": spec.perturbations.seed}
+    extra = {"edge_residuals": edge_residuals, "engine": "full",
+             "lam": lam, "noise_seed": noise_seed}
     for which, rule in TARGETS.items():
         (p, q), theta0 = rule.resonance(L), rule.angle(L)
         setup = engine.retuned((p, q))
         initial = protocol_states(params, theta0)[1]
         target = make_target(setup, params, which, theta0)
-        traj = run_filtration(setup, initial, spec.n_steps, target)
+        traj = run_filtration(setup, initial, n_steps, target)
         emit_csv(os.path.join(out_dir, f"trajectory_{which}.csv"),
                  SCHEMAS["trajectory"], _trajectory_columns(traj))
         info = {"q_final": float(traj.q[-1]),
@@ -709,8 +720,9 @@ def perturbation_study(spec: ExperimentSpec, out_dir) -> dict:
             dark = dark_projection(groups, setup.to_eigen(initial))
             info["dark_weight"] = float(np.linalg.norm(dark) ** 2)
         extra[which] = info
-    return _finish(out_dir, "perturbation_study", document_of(spec), extra,
-                   t0)
+    return _finish(out_dir, "perturbation_study",
+                   _chain_echo(name, params, lam, noise_seed,
+                               n_steps=n_steps), extra, t0)
 
 
 def sample_goe(d_goe, seed):
@@ -863,5 +875,5 @@ def zeta_vs_L_scan(out_dir, L_values=ZETA_L_VALUES) -> dict:
     emit_csv(os.path.join(out_dir, "zeta_scan.csv"), ("L", "zeta_modulus"),
              [L_values, moduli])
     extra = {"h_tau": [p, q], "moduli": dict(zip(map(str, L_values), moduli))}
-    return _finish(out_dir, "zeta_vs_L_scan",
-                   {"L_values": L_values, "h_tau": [p, q]}, extra, t0)
+    return _finish(out_dir, "zeta_vs_L_scan", {"L_values": L_values},
+                   extra, t0)

@@ -870,9 +870,16 @@ def run_filtration(setup, initial, n_steps, target):
     )
 
 
+def check_eps(eps):
+    """Refuse a fidelity threshold 1 - eps that is not below 1: eps must
+    lie in (0, 1) and leave 1 - eps a double apart from 1."""
+    if not 0.0 < eps < 1.0 or 1.0 - eps == 1.0:
+        raise ValidationError(f"eps={eps!r} outside (0, 1) or below the "
+                              "resolution of 1 - eps")
+
+
 def filtration_time(trajectory, eps):
     """Smallest step n with Q_n >= 1 - eps, or None when no step gets there."""
-    if not 0.0 < eps <= 1.0:
-        raise ValidationError("eps must lie in (0, 1]")
+    check_eps(eps)
     hits = np.flatnonzero(trajectory.q >= 1.0 - eps)
     return int(hits[0]) if hits.size else None

@@ -373,10 +373,8 @@ def jump_filtration_time(setup, initial, target, eps):
     """
     if setup.engine != "tower":
         raise ValidationError("jump-ahead needs the tower engine")
+    filtration.check_eps(eps)
     thr = 1.0 - eps
-    if not 0.0 < eps < 1.0 or thr == 1.0:
-        raise ValidationError(f"eps={eps!r} outside (0, 1) or below the "
-                              "resolution of 1 - eps")
     q, levels = setup.h_tau[1], setup._levels
     turns = np.rint(target.angles * q / math.pi)
     if float(np.max(np.abs(target.angles - math.pi * turns / q))) > 1e-12:
@@ -461,8 +459,7 @@ def scaling_predictions(L, theta0, eps, variant):
     Leading-order asymptotics; simulation is the ground truth they are
     compared against.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValidationError("eps must lie in (0, 1)")
+    filtration.check_eps(eps)
     if L < 2:
         raise ValidationError("L must be at least 2")
     sign = (-1.0) ** L

@@ -27,7 +27,6 @@ import pytest
 import scipy.linalg as sla
 
 from darkfilter.experiments import (
-    ExperimentSpec,
     TABLE1_CASES,
     build_setup,
     goe_demo,
@@ -144,12 +143,11 @@ def test_criterion_03_ghz_preparation_scaling(tmp_path):
 @pytest.fixture(scope="module")
 def cat_l14(tmp_path_factory):
     L = 14
-    spec = ExperimentSpec(name="acceptance-cat", params=ChainParams(L=L),
-                          theta0=tar2_optimal_angle(L), h_tau=(1, L - 1),
-                          n_steps=4000, eps=0.01, target="tar2")
     out = tmp_path_factory.mktemp("cat_l14")
     t0 = time.perf_counter()
-    meta = run_target(spec, out)
+    meta = run_target(out, L, "tar2", theta0=tar2_optimal_angle(L),
+                      h_tau=(1, L - 1), n_steps=4000, eps=0.01,
+                      name="acceptance-cat")
     return meta, out, time.perf_counter() - t0
 
 
@@ -273,13 +271,10 @@ def test_criterion_07_goe_dark_persistence(tmp_path):
 # ---------------------------------------------------------------- 8 ----
 @pytest.fixture(scope="module")
 def perturbed_l8(tmp_path_factory):
-    spec = ExperimentSpec(name="acceptance-perturbed",
-                          params=ChainParams(L=8, J2=0.02),
-                          theta0=0.0, h_tau=(1, 8), n_steps=20000,
-                          engine="full")
     out = tmp_path_factory.mktemp("perturbed_l8")
     t0 = time.perf_counter()
-    meta = perturbation_study(spec, out)
+    meta = perturbation_study(out, 8, J2=0.02, n_steps=20000,
+                              name="acceptance-perturbed")
     return meta, out, time.perf_counter() - t0
 
 
@@ -322,14 +317,10 @@ def test_criterion_08_perturbed_metastability_ghz(perturbed_l8):
 def test_criterion_08_darkness_gap_detects_detuning():
     # off the resonance h tau = pi/L the edge phases drift apart, the
     # GHZ target is no longer dark and the identity of criterion 08 fails
-    spec = ExperimentSpec(name="acceptance-detuned",
-                          params=ChainParams(L=8, J2=0.02),
-                          theta0=orthogonality_angle(8), h_tau=(1001, 8000),
-                          n_steps=2000, engine="full")
-    setup, initial = build_setup(spec)
-    traj = run_filtration(setup, initial, spec.n_steps,
-                          target=make_target(setup, spec.params, "tar1",
-                                                 spec.theta0))
+    params, theta0 = ChainParams(L=8, J2=0.02), orthogonality_angle(8)
+    setup, initial = build_setup(params, (1001, 8000), theta0, "full")
+    traj = run_filtration(setup, initial, 2000,
+                          target=make_target(setup, params, "tar1", theta0))
     assert ghz_darkness_gap(traj.q, traj.survival, 2.0 ** (1 - 8)) > 0.5
 
 
@@ -352,13 +343,10 @@ def test_criterion_08_perturbed_metastability_extended(tmp_path):
     # through n ~ 10^4 before the tower-breaking coupling wins; any
     # warning, such as a numpy one on the way, fails the check
     t0 = time.perf_counter()
-    spec = ExperimentSpec(name="acceptance-perturbed-l10",
-                          params=ChainParams(L=10, J2=0.02),
-                          theta0=0.0, h_tau=(1, 10), n_steps=20000,
-                          engine="full")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        perturbation_study(spec, tmp_path)
+        perturbation_study(tmp_path, 10, J2=0.02, n_steps=20000,
+                           name="acceptance-perturbed-l10")
     q = read_column(os.path.join(tmp_path, "trajectory_tar2.csv"), "q_n")
     mid = float(np.mean(q[5000:10000]))
     late = float(np.mean(q[19000:]))
@@ -410,11 +398,10 @@ def _artifact_bytes(job, out_dir):
 
 def test_criterion_10_byte_determinism(tmp_path):
     t0 = time.perf_counter()
-    ghz_spec = ExperimentSpec(name="acceptance-det", params=ChainParams(L=8),
-                              theta0=orthogonality_angle(8), h_tau=(1, 8),
-                              n_steps=500, eps=0.01, target="tar1")
     jobs = {
-        "trajectory": lambda d: run_target(ghz_spec, d),
+        "trajectory": lambda d: run_target(
+            d, 8, "tar1", theta0=orthogonality_angle(8), h_tau=(1, 8),
+            n_steps=500, eps=0.01, name="acceptance-det"),
         "census": lambda d: table1_scan(d),
         "goe": lambda d: goe_demo(d, d_goe=64, seed=23),
         "scaling": lambda d: sweep_n_epsilon(d, range(6, 9),

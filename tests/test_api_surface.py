@@ -66,16 +66,14 @@ def test_benchmark_layer_names_resolve(monkeypatch):
 
 
 def test_benchmark_documents_pass_the_config_check(monkeypatch):
-    from darkfilter.config import goe_options, parse_config, sweep_options
+    from darkfilter.config import parse_config
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     workloads = importlib.import_module("workloads")
-    parsers = {"scaling-sweep": sweep_options, "goe-demo": goe_options}
     for table in (workloads.WORKLOADS, workloads.SMOKE):
         for work in table.values():
             doc, _ = work.inputs(7)
-            parsers.get(work.subcommand,
-                        lambda d: parse_config(d, work.subcommand))(doc)
+            parse_config(doc, work.subcommand)
 
 
 def test_benchmark_step_count_reads_the_trajectory(monkeypatch):

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from darkfilter import experiments, spectral
 from darkfilter.errors import NumericsError, ValidationError
+from darkfilter.cli import main
+from darkfilter.config import parse_config
 from darkfilter.experiments import (
-    ExperimentSpec,
-    Perturbations,
     build_setup,
     detect_plateau,
-    document_of,
     fit_slope_log2,
     general_angle,
     goe_demo,
@@ -25,6 +24,7 @@ from darkfilter.experiments import (
     make_target,
     noise_vector,
     orthogonality_angle,
+    dark_states,
     perturbation_study,
     run_target,
     sample_goe,
@@ -60,38 +60,38 @@ def test_resonances_and_angles():
     assert tar2_optimal_angle(7) == pytest.approx(math.pi / 6.0)
 
 
-def test_spec_validation():
-    params = ChainParams(L=6)
-    with pytest.raises(ValidationError):
-        ExperimentSpec(name="x", params=ChainParams(L=6, J2=0.1),
-                       theta0=0.1, h_tau=(1, 6), n_steps=10, engine="tower")
-    with pytest.raises(ValidationError):
-        ExperimentSpec(name="x", params=params, theta0=0.1,
-                       h_tau=(0, 6), n_steps=10)
-    with pytest.raises(ValidationError):
-        ExperimentSpec(name="x", params=params, theta0=0.1,
-                       h_tau=(1, 6), n_steps=10, engine="fast")
-    with pytest.raises(ValidationError):
-        ExperimentSpec(name="x", params=params, theta0=0.1,
-                       h_tau=(1, 6), n_steps=10, target="tar3")
-    with pytest.raises(ValidationError):
-        Perturbations(lam=0.1)          # noise needs an explicit seed
-    spec = ExperimentSpec(name="x", params=params, theta0=0.1,
-                          h_tau=(1, 6), n_steps=10)
-    assert build_setup(spec)[0].tau == pytest.approx(math.pi / 6.0)  # h = 1
+def test_spec_validation(tmp_path):
+    # the drivers check their arguments before an engine is built or
+    # out_dir made
+    out = tmp_path / "o"
+    for bad, match in [
+        (dict(J2=0.1, engine="tower"), "tower engine requires"),
+        (dict(h_tau=(0, 6)), "positive integers"),
+        (dict(engine="fast"), "unknown engine"),
+        (dict(target="tar3"), "unknown target"),
+        (dict(lam=0.1), "explicit seed"),   # noise needs an explicit seed
+        (dict(lam=-0.1, noise_seed=1), "lam must be"),
+        (dict(noise_seed=-1), "seed must lie"),
+    ]:
+        for driver in (run_target, dark_states):
+            with pytest.raises(ValidationError, match=match):
+                driver(out, 6, **dict(dict(target="tar1", theta0=0.1), **bad))
+    assert not out.exists()
+    with pytest.raises(ValidationError, match="h_tau is required"):
+        dark_states(out, 6)
+    setup, _ = build_setup(ChainParams(L=6), (1, 6), 0.1)
+    assert setup.tau == pytest.approx(math.pi / 6.0)  # h = 1
     with pytest.raises(ValidationError, match="h = 0"):
-        build_setup(ExperimentSpec(name="x", params=ChainParams(L=6, h=0.0),
-                                   theta0=0.1, h_tau=(1, 6), n_steps=10))
+        build_setup(ChainParams(L=6, h=0.0), (1, 6), 0.1)
 
 
 @pytest.mark.parametrize("target", [["tar1"], {"tar1": 1}],
                          ids=["list", "object"])
-def test_a_target_must_be_a_string(target):
+def test_a_target_must_be_a_string(tmp_path, target):
     # a list or object is no key of TARGETS, and must not reach the lookup
     params = ChainParams(L=4)
     with pytest.raises(ValidationError, match="unknown target"):
-        ExperimentSpec(name="x", params=params, theta0=0.1, h_tau=(1, 4),
-                       n_steps=10, target=target)
+        dark_states(tmp_path, 4, target, theta0=0.1, h_tau=(1, 4))
     setup, _ = reduced_setup(params, (1, 4), 0.1)
     with pytest.raises(ValidationError, match="unknown target"):
         make_target(setup, params, target, 0.1)
@@ -119,16 +119,10 @@ def test_target_components(L):
     assert abs(np.vdot(phi1, phi2)) < 1e-12
 
 
-def _tower_spec(L, theta0, h_tau, n_steps, **kw):
-    return ExperimentSpec(name="t", params=ChainParams(L=L), theta0=theta0,
-                          h_tau=h_tau, n_steps=n_steps, **kw)
-
-
 def test_run_tar1_artifacts(tmp_path):
     L = 6
-    spec = _tower_spec(L, orthogonality_angle(L), tar1_resonance(L), 400,
-                       target="tar1")
-    meta = run_target(spec, tmp_path)
+    meta = run_target(tmp_path, L, "tar1", theta0=orthogonality_angle(L),
+                      h_tau=tar1_resonance(L), n_steps=400)
     header, rows = read_csv(tmp_path / "trajectory.csv")
     assert header == ["n", "survival", "q_n", "string_re", "string_im"]
     assert len(rows) == 401
@@ -145,28 +139,25 @@ def test_run_tar1_artifacts(tmp_path):
 
 
 def test_run_tar1_rejects_wrong_resonance(tmp_path):
-    spec = _tower_spec(6, 0.3, (1, 5), 50, target="tar1")
     with pytest.raises(ValidationError):
-        run_target(spec, tmp_path)
+        run_target(tmp_path, 6, "tar1", theta0=0.3, h_tau=(1, 5), n_steps=50)
 
 
 def test_run_target_needs_a_target(tmp_path):
     with pytest.raises(ValidationError, match="needs a target"):
-        run_target(_tower_spec(6, 0.3, (1, 6), 50), tmp_path)
+        run_target(tmp_path, 6, None, theta0=0.3, h_tau=(1, 6), n_steps=50)
 
 
 def test_run_tar1_rejects_zero_overlap_angle(tmp_path):
     # theta0 = 0 at even L zeroes the GHZ component of psi0
-    spec = _tower_spec(6, 0.0, (1, 6), 50, target="tar1")
     with pytest.raises(ValidationError):
-        run_target(spec, tmp_path)
+        run_target(tmp_path, 6, "tar1", theta0=0.0, h_tau=(1, 6), n_steps=50)
 
 
 def test_run_tar2_artifacts(tmp_path):
     L = 8
-    spec = _tower_spec(L, tar2_optimal_angle(L), tar2_resonance(L), 800,
-                       target="tar2")
-    meta = run_target(spec, tmp_path)
+    meta = run_target(tmp_path, L, "tar2", theta0=tar2_optimal_angle(L),
+                      h_tau=tar2_resonance(L), n_steps=800)
     assert meta["experiment"] == "run_tar2"
     assert meta["reached"]
     assert meta["string_dev_abs"] < 0.01
@@ -182,18 +173,17 @@ def test_run_tar2_artifacts(tmp_path):
 def test_run_tar2_omits_string_law_before_certified(tmp_path):
     # 40 steps at L=8 stay short of Q_n >= 1 - (0.01/2)^2
     L = 8
-    spec = _tower_spec(L, tar2_optimal_angle(L), tar2_resonance(L), 40,
-                       target="tar2")
-    meta = run_target(spec, tmp_path)
+    meta = run_target(tmp_path, L, "tar2", theta0=tar2_optimal_angle(L),
+                      h_tau=tar2_resonance(L), n_steps=40)
     assert meta["max_q"] < 1.0 - 0.005 ** 2
     for key in ("string_dev_abs", "string_dev_signed", "string_check_from"):
         assert key not in meta
 
 
 def test_make_target_rotates_tar2():
-    spec = _tower_spec(6, tar2_optimal_angle(6), tar2_resonance(6), 10)
-    setup, _ = build_setup(spec)
-    target = make_target(setup, spec.params, "tar2", spec.theta0)
+    params, theta0 = ChainParams(L=6), tar2_optimal_angle(6)
+    setup, _ = build_setup(params, tar2_resonance(6), theta0)
+    target = make_target(setup, params, "tar2", theta0)
     t0, t1 = target.at(0), target.at(1)
     assert abs(abs(np.vdot(t0, t0)) - 1.0) < 1e-12
     assert abs(np.vdot(t0, t1)) < 1.0 - 1e-3      # genuinely rotating
@@ -253,10 +243,9 @@ SWEEP_CASES = {  # variant -> (theta0 rule, resonance, target)
 
 def _sweep_problem(L, variant):
     rule, resonance, which = SWEEP_CASES[variant]
-    spec = _tower_spec(L, rule(L), resonance(L), 0)
-    setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, spec.params, which,
-                                      spec.theta0)
+    params = ChainParams(L=L)
+    setup, initial = build_setup(params, resonance(L), rule(L))
+    return setup, initial, make_target(setup, params, which, rule(L))
 
 
 def _stepped_n_eps(setup, initial, target, eps, n_steps):
@@ -417,10 +406,7 @@ def test_detect_plateau_takes_the_first_of_tied_runs():
 
 
 def test_perturbation_study_smoke(tmp_path):
-    spec = ExperimentSpec(name="p", params=ChainParams(L=6, J2=0.02),
-                          theta0=0.0, h_tau=(1, 6), n_steps=600,
-                          engine="full")
-    meta = perturbation_study(spec, tmp_path)
+    meta = perturbation_study(tmp_path, 6, J2=0.02, n_steps=600)
     assert meta["edge_residuals"]["B0"] < 1e-12
     assert meta["edge_residuals"]["B6"] < 1e-12
     assert meta["tar1"]["dark_residual"] < 1e-10
@@ -430,28 +416,27 @@ def test_perturbation_study_smoke(tmp_path):
 
 
 def test_perturbation_study_caps_length(tmp_path):
-    spec = ExperimentSpec(name="p", params=ChainParams(L=11, J2=0.02),
-                          theta0=0.0, h_tau=(1, 11), n_steps=10,
-                          engine="full")
     with pytest.raises(ValidationError):
-        perturbation_study(spec, tmp_path)
+        perturbation_study(tmp_path, 11, J2=0.02, n_steps=10)
 
 
-def test_perturbation_study_refuses_the_tower_engine(tmp_path):
-    spec = ExperimentSpec(name="p", params=ChainParams(L=4), theta0=0.0,
-                          h_tau=(1, 4), n_steps=10, engine="tower")
-    with pytest.raises(ValidationError, match="full engine"):
-        perturbation_study(spec, tmp_path / "o")
+def test_perturbation_study_refuses_the_tower_engine(tmp_path, capsys):
+    # perturb takes no engine: the document's key is refused, and the
+    # study runs the full engine at J2 = 0 too
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"L": 4, "n_steps": 10, "engine": "tower"}))
+    assert main(["perturb", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    assert "'engine'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    meta = perturbation_study(tmp_path / "p", 4, n_steps=10)
+    assert meta["engine"] == "full"
 
 
 def test_noisy_removal_runs(tmp_path):
-    pert = Perturbations(lam=0.05, seed=12)
-    spec = ExperimentSpec(name="n", params=ChainParams(L=5),
-                          theta0=orthogonality_angle(5), h_tau=(1, 5),
-                          n_steps=300, engine="full", target="tar1",
-                          perturbations=pert)
-    meta = run_target(spec, tmp_path)
+    meta = run_target(tmp_path, 5, "tar1", theta0=orthogonality_angle(5),
+                      h_tau=(1, 5), n_steps=300, engine="full", lam=0.05,
+                      noise_seed=12)
     assert meta["engine"] == "full"
     # noise shifts the reachable fidelity below the clean value
     assert meta["max_q"] < 1.0 - 1e-6
@@ -505,9 +490,14 @@ def test_zeta_scan_prefix(tmp_path):
     assert sorted(meta["moduli"]) == ["4", "5", "6", "7"]
 
 
-def test_document_roundtrip():
-    spec = _tower_spec(6, 0.25, (1, 6), 77, eps=0.02, target="tar1")
-    doc = document_of(spec)
+def test_document_roundtrip(tmp_path):
+    # the sidecar's spec is the resolved arguments, as a document that
+    # reads back into the same arguments
+    meta = run_target(tmp_path, 6, "tar1", theta0=0.25, n_steps=77,
+                      eps=0.02)
+    doc = meta["spec"]
     assert doc["L"] == 6 and doc["h_tau"] == [1, 6] and doc["n_steps"] == 77
-    assert doc["target"] == "tar1"
+    assert doc["target"] == "tar1" and doc["eps"] == 0.02
     assert "lambda" not in json.dumps(doc)    # defaults stay silent
+    again = run_target(tmp_path / "again", **parse_config(doc))
+    assert again["spec"] == doc

@@ -18,8 +18,6 @@ from darkfilter.basis import (magnetization_of, reflection_of,
 from darkfilter.cli import main
 from darkfilter.errors import NumericsError, ValidationError
 from darkfilter.experiments import (
-    ExperimentSpec,
-    Perturbations,
     build_setup,
     make_target,
     perturbation_study,
@@ -156,10 +154,8 @@ def test_tower_removal_is_the_binomial_law_bit_for_bit():
 
 
 def test_retuned_keeps_the_removal_bits():
-    spec = ExperimentSpec(name="r", params=ChainParams(L=5, J2=0.02),
-                          theta0=0.3, h_tau=(1, 5), n_steps=0, engine="full",
-                          perturbations=Perturbations(lam=0.01, seed=3))
-    setup, _ = build_setup(spec)
+    setup, _ = build_setup(ChainParams(L=5, J2=0.02), (1, 5), 0.3, "full",
+                           lam=0.01, noise_seed=3)
     again = setup.retuned((1, 4))
     assert again.removal is setup.removal
     assert np.array_equal(again.removal_eig, setup.removal_eig)
@@ -460,9 +456,7 @@ def test_perturbation_study_reuses_engine_for_tar2(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "full_setup", counting)
     L = 6
     params = ChainParams(L=L, J2=0.02)
-    spec = ExperimentSpec(name="reuse", params=params, theta0=0.0,
-                          h_tau=(1, L), n_steps=150, engine="full")
-    perturbation_study(spec, tmp_path)
+    perturbation_study(tmp_path, L, J2=0.02, n_steps=150)
     assert len(calls) == 1
     got = np.genfromtxt(tmp_path / "trajectory_tar2.csv", delimiter=",",
                         names=True)

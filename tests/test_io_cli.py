@@ -15,18 +15,11 @@ from hypothesis import strategies as st
 
 import darkfilter
 from darkfilter.cli import main
-from darkfilter.config import (
-    KEYS,
-    goe_options,
-    parse_config,
-    scan_options,
-    sweep_options,
-    table1_options,
-)
+from darkfilter.config import KEYS, parse_config
 from darkfilter.errors import ValidationError
 from darkfilter.experiments import (
-    Perturbations,
-    document_of,
+    perturbation_study,
+    run_target,
     sweep_n_epsilon,
     table1_scan,
     zeta_vs_L_scan,
@@ -348,30 +341,40 @@ def test_write_metadata_sorted_and_plain(tmp_path):
 
 # ---------------------------------------------------------------- config
 
-def test_parse_minimal_tar1():
-    spec = parse_config({"L": 6, "target": "tar1"})
-    assert spec.h_tau == (1, 6)
-    assert spec.theta0 == pytest.approx(math.pi / 6.0)
-    assert spec.engine == "tower"
-    assert spec.n_steps == 5000 and spec.eps == 0.01
-    assert spec.params.D == 0.1 and spec.params.J == 1.0
+def _resolved(tmp_path, doc):
+    """The arguments run_target resolves from a filter-run document."""
+    return run_target(tmp_path / "o", **parse_config(doc))["spec"]
 
 
-def test_parse_minimal_tar2_odd_chain():
-    spec = parse_config({"L": 9, "target": "tar2"})
-    assert spec.h_tau == (1, 8)
-    assert spec.theta0 == pytest.approx(math.pi / 8.0)
+def test_parse_minimal_tar1(tmp_path):
+    # config fills nothing in; the target and the driver's signature do
+    assert parse_config({"L": 6, "target": "tar1"}) == {"L": 6,
+                                                        "target": "tar1"}
+    spec = _resolved(tmp_path, {"L": 6, "target": "tar1"})
+    assert spec["h_tau"] == [1, 6]
+    assert spec["theta0"] == pytest.approx(math.pi / 6.0)
+    assert spec["engine"] == "tower"
+    assert spec["n_steps"] == 5000 and spec["eps"] == 0.01
+    assert spec["D"] == 0.1 and spec["J"] == 1.0
 
 
-def test_parse_explicit_fields_win():
-    spec = parse_config({"L": 6, "target": "tar1", "theta0": 0.4,
-                         "h_tau": [1, 6], "n_steps": 123, "eps": 0.05})
-    assert spec.theta0 == 0.4 and spec.n_steps == 123 and spec.eps == 0.05
+def test_parse_minimal_tar2_odd_chain(tmp_path):
+    spec = _resolved(tmp_path, {"L": 9, "target": "tar2", "n_steps": 10})
+    assert spec["h_tau"] == [1, 8]
+    assert spec["theta0"] == pytest.approx(math.pi / 8.0)
+
+
+def test_parse_explicit_fields_win(tmp_path):
+    spec = _resolved(tmp_path, {"L": 6, "target": "tar1", "theta0": 0.4,
+                                "h_tau": [1, 6], "n_steps": 123,
+                                "eps": 0.05})
+    assert spec["theta0"] == 0.4 and spec["n_steps"] == 123
+    assert spec["eps"] == 0.05
 
 
 def test_parse_config_accepts_json_text():
-    spec = parse_config('{"L": 6, "target": "tar1"}')
-    assert spec.params.L == 6
+    args = parse_config('{"L": 6, "target": "tar1"}')
+    assert args == {"L": 6, "target": "tar1"}
 
 
 @pytest.mark.parametrize(
@@ -391,9 +394,12 @@ def test_parse_config_accepts_json_text():
         {"L": 6, "target": "tar1", "J2": 0.1, "engine": "tower"},
     ],
 )
-def test_parse_config_rejects(doc):
+def test_parse_config_rejects(tmp_path, doc):
+    # config refuses a key's type or shape, the driver what its values
+    # mean together, before it writes
     with pytest.raises(ValidationError):
-        parse_config(doc)
+        run_target(tmp_path / "o", **parse_config(doc))
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_key_is_named():
@@ -401,71 +407,76 @@ def test_unknown_key_is_named():
         parse_config({"L": 6, "target": "tar1", "tarqet": 1})
 
 
-def test_broken_symmetry_forces_full_engine():
-    spec = parse_config({"L": 6, "target": "tar1", "J2": 0.02})
-    assert spec.engine == "full"
+def test_broken_symmetry_forces_full_engine(tmp_path):
+    spec = _resolved(tmp_path, {"L": 6, "target": "tar1", "J2": 0.02,
+                                "n_steps": 10})
+    assert spec["engine"] == "full"
 
 
-def test_serialize_parse_roundtrip():
-    spec = parse_config({"L": 7, "target": "tar2", "n_steps": 444,
-                         "D": 0.2, "J3": 0.1})
-    echo = document_of(spec)
-    again = parse_config(json.loads(json.dumps(echo)))
-    assert document_of(again) == echo
+def test_serialize_parse_roundtrip(tmp_path):
+    doc = {"L": 7, "target": "tar2", "n_steps": 444, "D": 0.2, "J3": 0.1}
+    first = run_target(tmp_path / "a", **parse_config(doc))
+    echo = json.loads(json.dumps(first["spec"]))
+    again = run_target(tmp_path / "b", **parse_config(echo))
+    assert again["spec"] == echo
+    assert ((tmp_path / "a" / "trajectory.csv").read_bytes()
+            == (tmp_path / "b" / "trajectory.csv").read_bytes())
 
 
 def test_sweep_options_defaults_by_variant(tmp_path):
-    # the options hold only the document's keys; sweep_n_epsilon takes
+    # the arguments hold only the document's keys; sweep_n_epsilon takes
     # the variant's theta0 rule and eps = 0.01 by default
     doc = {"L_values": [8, 9], "variant": "tar1-orthogonal"}
-    assert sweep_options(doc) == doc
-    meta = sweep_n_epsilon(tmp_path, **sweep_options(doc))
+    assert parse_config(doc, "scaling-sweep") == doc
+    meta = sweep_n_epsilon(tmp_path, **parse_config(doc, "scaling-sweep"))
     assert meta["theta0_rule"] == "orthogonal" and meta["eps"] == 0.01
     meta = sweep_n_epsilon(tmp_path, [8], "tar2")
     assert meta["theta0_rule"] == "tar2-optimal"
-    assert sweep_options({"L_values": [8], "variant": "tar2", "eps": 0.1,
-                          "theta0_rule": "parity"})["theta0_rule"] == "parity"
+    assert parse_config({"L_values": [8], "variant": "tar2", "eps": 0.1,
+                         "theta0_rule": "parity"},
+                        "scaling-sweep")["theta0_rule"] == "parity"
     with pytest.raises(ValidationError):
-        sweep_options({"variant": "tar2"})
+        parse_config({"variant": "tar2"}, "scaling-sweep")
     with pytest.raises(ValidationError):
-        sweep_options({"L_values": [8], "variant": "cubic"})
+        parse_config({"L_values": [8], "variant": "cubic"}, "scaling-sweep")
 
 
 def test_scan_options_default_range():
     # the driver's signature owns the default lengths
-    assert scan_options({}) == {}
+    assert parse_config({}, "zeta-scan") == {}
     default = inspect.signature(zeta_vs_L_scan).parameters["L_values"]
     assert list(default.default) == list(range(4, 17))
-    assert scan_options({"L_values": [4, 6]}) == {"L_values": [4, 6]}
+    assert parse_config({"L_values": [4, 6]}, "zeta-scan") \
+        == {"L_values": [4, 6]}
 
 
 @pytest.mark.parametrize("values", [[], [4, True], [4.0], "4", None],
                          ids=["empty", "bool", "float", "string", "null"])
 def test_L_values_checked_alike(values):
     with pytest.raises(ValidationError, match="L_values"):
-        scan_options({"L_values": values})
+        parse_config({"L_values": values}, "zeta-scan")
     with pytest.raises(ValidationError, match="L_values"):
-        sweep_options({"L_values": values, "variant": "tar2"})
+        parse_config({"L_values": values, "variant": "tar2"},
+                     "scaling-sweep")
 
 
 def test_non_object_documents_rejected():
     for doc in ([1], "[1]", 3):
-        for parse in (parse_config, sweep_options, scan_options,
-                      table1_options):
+        for sub in KEYS:
             with pytest.raises(ValidationError, match="JSON object"):
-                parse(doc)
+                parse_config(doc, sub)
 
 
 def test_table1_options():
-    assert table1_options({}) == {}
+    assert parse_config({}, "table1") == {}
     default = inspect.signature(table1_scan).parameters["theta0"].default
     assert default == pytest.approx(math.pi / 7.0)
-    assert table1_options({"theta0": 1}) == {"theta0": 1.0}
+    assert parse_config({"theta0": 1}, "table1") == {"theta0": 1.0}
     with pytest.raises(ValidationError, match="thetaO"):
-        table1_options({"thetaO": 0.3})
+        parse_config({"thetaO": 0.3}, "table1")
     for bad in ("abc", True, [0.3], float("inf"), float("nan")):
         with pytest.raises(ValidationError, match="theta0"):
-            table1_options({"theta0": bad})
+            parse_config({"theta0": bad}, "table1")
 
 
 # ------------------------------------------------------------------- cli
@@ -513,6 +524,18 @@ def test_cli_scaling_sweep_rejects_uncertified_length(tmp_path):
     assert main(["scaling-sweep", "--config", cfg,
                  "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert not (tmp_path / "o" / "scaling.csv").exists()
+
+
+def test_cli_filter_run_refuses_eps_below_the_resolution(tmp_path, capsys):
+    # 1 - 1e-17 rounds to 1: no Q_n can reach that threshold, so the run
+    # is refused as scaling-sweep refuses it, not reported as reached
+    cfg = _write(tmp_path, "c.json", {"L": 4, "target": "tar1",
+                                      "eps": 1e-17, "n_steps": 300})
+    assert main(["filter-run", "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps=1e-17 ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_scaling_sweep_without_a_slope_writes_valid_json(tmp_path,
@@ -904,7 +927,7 @@ def test_cli_perturb_records_the_full_engine(tmp_path):
     assert main(["perturb", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"]) == 0
     meta = json.load(open(tmp_path / "o" / "metadata.json"))
-    assert meta["spec"]["engine"] == "full"
+    assert meta["engine"] == "full"
 
 
 def _lines(path):
@@ -1056,6 +1079,27 @@ def test_every_sidecar_carries_the_envelope(tmp_path, sub):
     assert meta["rng"] == "philox"
     assert meta["wall_time_s"] >= 0.0
 
+
+@pytest.mark.parametrize("sub,doc,extra", SMALL_RUNS,
+                         ids=[f"{k}-{sub}" for k, (sub, _, _)
+                              in enumerate(SMALL_RUNS)])
+def test_spec_echo_reruns_the_run(tmp_path, sub, doc, extra):
+    # the sidecar's spec, fed back as the same subcommand's document,
+    # writes the same CSV bytes and the same sidecar but for wall time
+    runs = []
+    for k in range(2):
+        cfg = _write(tmp_path, f"c{k}.json", doc)
+        out = tmp_path / f"o{k}"
+        assert main([sub, "--config", cfg, "--out", str(out),
+                     "--quiet"] + extra) == 0
+        meta = json.load(open(out / "metadata.json"))
+        meta.pop("wall_time_s")
+        runs.append((meta, {path.name: path.read_bytes()
+                            for path in out.glob("*.csv")}))
+        doc = meta["spec"]
+    assert runs[0] == runs[1]
+
+
 # every config key with a valid value, and the keys each subcommand
 # reads (README "Config keys"); any other key must exit 1
 KEY_VALUES = {
@@ -1095,11 +1139,9 @@ def test_ignored_key_exits_1(tmp_path, capsys, sub, key):
 
 def test_read_keys_are_accepted():
     assert sorted(READS) == sorted(KEYS)
-    parsers = {"scaling-sweep": sweep_options, "table1": table1_options,
-               "zeta-scan": scan_options, "goe-demo": goe_options}
     for sub, keys in READS.items():
         doc = {key: KEY_VALUES[key] for key in keys.split()}
-        parsers.get(sub, lambda d: parse_config(d, sub))(doc)
+        parse_config(doc, sub)
 
 
 # the flags that once overrode config keys: the document's "engine" and
@@ -1144,8 +1186,9 @@ def test_out_of_range_seed_exits_1(tmp_path, capsys, sub, doc, extra):
     assert err.startswith("error: seed") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
     # the ends of the range are accepted
-    Perturbations(lam=0.05, seed=0)
-    goe_options({"goe": {"seed": 2**64 - 1}})
+    perturbation_study(tmp_path / "ends", 4, J2=0.02, lam=0.05,
+                       noise_seed=0, n_steps=10)
+    parse_config({"goe": {"seed": 2**64 - 1}}, "goe-demo")
 
 
 NO_SCIPY_SCRIPT = """

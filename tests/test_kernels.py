@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from darkfilter import filtration
 from darkfilter.cli import main
 from darkfilter.experiments import (
-    ExperimentSpec,
-    Perturbations,
     build_setup,
     make_target,
     orthogonality_angle,
@@ -132,34 +130,26 @@ def test_rounding_level_depletion_stops_the_run(build):
 
 def _tower_case():
     L = 6
-    spec = ExperimentSpec(name="oracle-tower", params=ChainParams(L=L),
-                          theta0=tar2_optimal_angle(L), h_tau=(1, L - 1),
-                          n_steps=0)
-    setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, spec.params, "tar2", spec.theta0)
+    params, theta0 = ChainParams(L=L), tar2_optimal_angle(L)
+    setup, initial = build_setup(params, (1, L - 1), theta0)
+    return setup, initial, make_target(setup, params, "tar2", theta0)
 
 
 def _full_case():
     L = 4
-    spec = ExperimentSpec(name="oracle-full",
-                          params=ChainParams(L=L, J2=0.03, J3=0.01),
-                          theta0=orthogonality_angle(L), h_tau=(1, L),
-                          n_steps=0, engine="full",
-                          perturbations=Perturbations(lam=0.2, seed=5))
-    setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, spec.params, "tar1", spec.theta0)
+    params, theta0 = ChainParams(L=L, J2=0.03, J3=0.01), orthogonality_angle(L)
+    setup, initial = build_setup(params, (1, L), theta0, "full", lam=0.2,
+                                 noise_seed=5)
+    return setup, initial, make_target(setup, params, "tar1", theta0)
 
 
 def _full_small_h_case():
     # at h = 1e-5 the period pi/(8h) rounds the phases exp(-i E tau) by
     # up to 1e-10 rad, but the flip rotates sector M onto -M exactly
     L = 8
-    spec = ExperimentSpec(name="oracle-full-small-h",
-                          params=ChainParams(L=L, J2=0.02, h=1e-5),
-                          theta0=orthogonality_angle(L), h_tau=(1, L),
-                          n_steps=0, engine="full")
-    setup, initial = build_setup(spec)
-    return setup, initial, make_target(setup, spec.params, "tar1", spec.theta0)
+    params, theta0 = ChainParams(L=L, J2=0.02, h=1e-5), orthogonality_angle(L)
+    setup, initial = build_setup(params, (1, L), theta0, "full")
+    return setup, initial, make_target(setup, params, "tar1", theta0)
 
 
 def _generic_case():
@@ -265,12 +255,8 @@ def test_rowless_strings_match_explicit_stepping(L, J2, theta0, h_tau, lam,
                                                  n_steps):
     # a start near theta0 = 0 loses most of its weight in the first steps,
     # which ends chunks early; n_steps mostly ends a run inside a chunk
-    spec = ExperimentSpec(
-        name="rowless", params=ChainParams(L=L, J2=J2), theta0=theta0,
-        h_tau=h_tau, n_steps=0, engine="full",
-        perturbations=Perturbations(lam=lam, seed=7) if lam
-        else Perturbations())
-    setup, initial = build_setup(spec)
+    setup, initial = build_setup(ChainParams(L=L, J2=J2), h_tau, theta0,
+                                 "full", lam, 7 if lam else None)
     traj = run_filtration(setup, initial, n_steps,
                           filtration.RotatingTarget.static(initial))
     string = explicit_stepping(setup.phases, setup.removal_eig,

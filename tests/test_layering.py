@@ -44,6 +44,12 @@ def test_lower_layers_import_no_higher_one(module, forbidden):
     assert not _package_imports(module) & forbidden
 
 
+def test_config_imports_only_errors_and_the_drivers():
+    # config checks a document against the drivers' tables; the engines
+    # and their defaults stay behind the drivers
+    assert _package_imports("config") <= {"errors", "experiments"}
+
+
 def test_cli_imports_only_the_document_and_the_drivers():
     # the CLI reads the document (config), dispatches to one driver
     # (experiments) and reports (errors); the package gives __version__
