@@ -32,7 +32,7 @@ import numpy as np
 
 from .basis import FULL_SPACE_CAP, string_parity_sign
 from .errors import NumericsError, ValidationError
-from .filtration import (BACKEND, TRAJECTORY_BUDGET, RotatingTarget,
+from .filtration import (BACKEND, TRAJECTORY_BUDGET, RotatingTarget, _lowest,
                          check_eps, full_setup, generic_setup, reduced_setup,
                          run_filtration, filtration_time)
 from .output import SCHEMAS, emit_csv, spectrum_columns, write_metadata
@@ -255,7 +255,7 @@ class TargetRule(NamedTuple):
     angle: Callable        # L -> default initial-state angle theta0
     components: Callable   # L -> component vectors in tower coordinates
     weights: Callable      # theta0 -> component weights
-    turns: tuple           # per-step phase of each component, in h tau
+    turns: tuple           # per-step turn of each component, in h tau
 
     @property
     def rotating(self):
@@ -265,19 +265,19 @@ class TargetRule(NamedTuple):
 # the static GHZ cat, and the cat whose two components beat at 2 h tau
 TARGETS = {
     "tar1": TargetRule(tar1_resonance, orthogonality_angle, tar1_components,
-                       lambda theta0: np.ones(1), (0.0,)),
+                       lambda theta0: np.ones(1), (0,)),
     "tar2": TargetRule(tar2_resonance, tar2_optimal_angle, tar2_components,
                        lambda theta0: np.array([np.exp(1j * theta0), -1.0])
-                       / math.sqrt(2), (0.0, 2.0)),
+                       / math.sqrt(2), (0, 2)),
 }
 
 
 def make_target(setup, params, which, theta0):
     """The target `which` of TARGETS at initial angle theta0, turning by
-    turns pi p/q a step at the setup's h_tau (the target's own on a
-    generic engine), for the chain params the setup was built from.  Off
-    the tower engine its components are lifted to the chain's 3^L
-    states, so on a generic engine run_filtration refuses it."""
+    the levels turns * p over q a step at the setup's h_tau = (p, q)
+    (the target's own on a generic engine), for the chain params of the
+    setup.  Off the tower engine its components are lifted to the
+    chain's 3^L states, so on a generic engine run_filtration refuses it."""
     if not isinstance(which, str) or which not in TARGETS:
         raise ValidationError(f"unknown target {which!r}")
     rule = TARGETS[which]
@@ -286,10 +286,8 @@ def make_target(setup, params, which, theta0):
     if setup.engine != "tower":
         tower = build_tower(params)
         components = [tower.T @ np.asarray(c) for c in components]
-    return RotatingTarget(
-        components=components,
-        weights=rule.weights(theta0),
-        angles=np.array(rule.turns) * (math.pi * p / q))
+    return RotatingTarget(components, rule.weights(theta0),
+                          [t * p for t in rule.turns], q)
 
 
 def _check_target_reachable(setup, initial, target):
@@ -348,7 +346,7 @@ def string_check_start(traj, tol):
 
 def string_law_deviation(traj, theta0, h_tau, L, n_min):
     """Largest gap between |<prod X>| and |cos(theta0 + 2 n h tau)|, the
-    angle taken as theta0 + pi (2pn mod 2q)/q at h_tau = (p, q).
+    angle read as theta0 + pi (2pn mod 2q)/q, h_tau = (p, q) in lowest terms.
 
     Also reports the signed-law deviation including the global parity
     sign (-1)^{L(L+1)/2} (-1)^L of the flip on the tower edges.
@@ -359,7 +357,7 @@ def string_law_deviation(traj, theta0, h_tau, L, n_min):
     if not n.size:
         raise ValidationError(f"no string samples at n >= {n_min}")
     vals = traj.string[n]
-    p, q = (k // math.gcd(*h_tau) for k in h_tau)
+    p, q = h_tau
     law = np.cos(theta0 + math.pi * (2 * p * n % (2 * q)) / q)
     signed = string_parity_sign(L) * (-1.0) ** L * law
     dev_abs = float(np.max(np.abs(np.abs(vals) - np.abs(law))))
@@ -386,8 +384,8 @@ def run_target(out_dir, L, target, theta0=None, h_tau=None, engine=None,
     check_eps(eps)
     rule = TARGETS[target]
     p, q = h_tau
-    g, want = math.gcd(p, q), rule.resonance(L)
-    if (p // g, q // g) != want:
+    want = rule.resonance(L)
+    if _lowest(h_tau) != want:
         raise ValidationError(
             f"{target} requires h*tau = pi*{want[0]}/{want[1]}, "
             f"got pi*{p}/{q}"
@@ -412,7 +410,7 @@ def run_target(out_dir, L, target, theta0=None, h_tau=None, engine=None,
                          if rule.rotating else None)
     if string_check_from is not None:
         dev_abs, dev_signed = string_law_deviation(
-            traj, theta0, h_tau, L, n_min=string_check_from
+            traj, theta0, setup.h_tau, L, n_min=string_check_from
         )
         extra["string_dev_abs"] = dev_abs
         extra["string_dev_signed"] = dev_signed

@@ -66,12 +66,18 @@ def _pi_phases(m, q):
                                            dtype=float) / q)
 
 
+def _lowest(h_tau):
+    """The resonance h_tau = (p, q) in lowest terms."""
+    return tuple(k // math.gcd(*h_tau) for k in h_tau)
+
+
 def _period(h_tau, h):
-    """The period tau = pi p/(q h) of the resonance h_tau = (p, q)."""
+    """The period tau = pi p/(q h) of h_tau = (p, q) in lowest terms."""
     if h == 0.0:
         raise ValidationError("tau undefined at h = 0")
+    p, q = _lowest(h_tau)
     try:
-        return math.pi * h_tau[0] / h_tau[1] / h
+        return math.pi * p / q / h
     except OverflowError:
         raise ValidationError(
             f"h_tau = {list(h_tau)} is beyond the float range") from None
@@ -117,22 +123,21 @@ class FiltrationSetup:
     state, unit norm, in the basis of run_filtration's inputs and
     outputs: every state is a complex array of its length.  sector_eigs
     are the blocks of H in engine order, which the coordinates follow.
-    A chain engine (tower, full) sits at h tau = pi p/q, h_tau = (p, q),
-    with a spin flip prod X mapping coordinate i to pos[i] with sign
-    sign[i], flip = (pos, sign).  Derived: energies, the blocks'
-    eigenvalues of H in order; removal_eig, the removal in the
-    eigenbasis; phases, the exp(-i E tau) that run_filtration steps,
-    exact where h_tau fixes them.  The tower steps exp(-i pi m/q) of its
-    integer levels m = 2pn mod 2q, _levels (None elsewhere), and keeps
-    exp(-i E_0 tau), which cancels in every trajectory observable, apart
-    as global_phase (1 elsewhere); the full engine's sector -M (energies
-    those of M less 2hM) steps those of M times exp(2 pi i (pM mod q)/q).
-    So the flip turns coordinate i of magnetization M (2n - L on the
-    tower) by exactly exp(-i pi (2pM mod 2q)/q), and flip_groups =
-    (label, w) has the class label[i] of i and the turn w[g] of class g.
-    A tau whose phases would round by more than PHASE_TOL, eps max|E|
-    |tau|, is refused first, and so is a chain engine or a flip without
-    h_tau.
+    A chain engine (tower, full) sits at h tau = pi p/q, h_tau = (p, q) in
+    lowest terms, whatever pair it is given, with a spin flip prod X mapping
+    coordinate i to pos[i] with sign sign[i], flip = (pos, sign).  Derived:
+    energies, the blocks' eigenvalues of H in order; removal_eig, the
+    removal in the eigenbasis; phases, the exp(-i E tau) that run_filtration
+    steps, exact where h_tau fixes them.  The tower steps exp(-i pi m/q) of
+    its integer levels m = 2pn mod 2q, _levels (None elsewhere), and keeps
+    exp(-i E_0 tau), which cancels in every trajectory observable, apart as
+    global_phase (1 elsewhere); the full engine's sector -M (energies those
+    of M less 2hM) steps those of M times exp(2 pi i (pM mod q)/q).  So the
+    flip turns coordinate i of magnetization M (2n - L on the tower) by
+    exactly exp(-i pi (2pM mod 2q)/q), and flip_groups = (label, w) has the
+    class label[i] of i and the turn w[g] of class g.  A tau whose phases
+    would round by more than PHASE_TOL, eps max|E| |tau|, is refused first,
+    and so is a chain engine or a flip without h_tau.
     """
 
     def __init__(self, tau, engine, removal, sector_eigs, flip=None,
@@ -143,7 +148,7 @@ class FiltrationSetup:
             raise ValidationError(
                 "a tower or full engine, and a flip, needs its resonance h_tau")
         self.tau = tau
-        self.h_tau = h_tau
+        self.h_tau = h_tau = None if h_tau is None else _lowest(h_tau)
         self.engine = engine
         self.sector_eigs = sector_eigs
         self.flip = flip
@@ -551,30 +556,36 @@ def generic_setup(matrix, removal):
 
 
 class RotatingTarget:
-    """Target state t(n) = sum_j w_j exp(-i n alpha_j) |c_j>, normalized.
+    """Target t(n) = sum_j w_j exp(-i pi m_j n / q) |c_j>, normalized:
+    component j turns by the integer level m_j over q a step, e.g. the
+    breathing cat state whose two components beat at frequency 2h."""
 
-    Captures targets that rotate rigidly inside the dark subspace, e.g.
-    the breathing cat state whose two components beat at frequency 2h.
-    """
-
-    def __init__(self, components, weights, angles):
+    def __init__(self, components, weights, levels, q=1):
         self.components = components    # arrays in the setup input basis
         self.weights = np.asarray(weights, dtype=complex)
-        # per-step phase advance of each component
-        self.angles = np.asarray(angles, dtype=float)
-        if not (len(self.components) == self.weights.size == self.angles.size):
-            raise ValidationError("components, weights, angles must align")
+        self.levels = [int(m) for m in levels]
+        self.q = int(q)
+        if not len(self.components) == self.weights.size == len(self.levels):
+            raise ValidationError("components, weights, levels must align")
 
     @classmethod
     def static(cls, state):
-        return cls([state], np.ones(1), np.zeros(1))
+        return cls([state], np.ones(1), [0])
+
+    def coefficients(self, count, start=0):
+        """The weights turned to steps start .. start + count - 1, a row
+        per step, exact at any n from the integers m_j n mod 2q: one period
+        of 2q / gcd(2q, m_j) rows is formed and tiled (one if none turns)."""
+        span = min(count, 2 * self.q // math.gcd(2 * self.q, *self.levels))
+        rows = self.weights * _pi_phases(
+            [m * n for n in range(start, start + span) for m in self.levels],
+            self.q).reshape(span, -1)
+        return rows if span == 1 else rows[np.arange(count) % span]
 
     def at(self, n):
         """Explicit normalized target after n periods (for inspection)."""
-        acc = sum(
-            w * np.exp(-1j * n * al) * np.asarray(c)
-            for w, al, c in zip(self.weights, self.angles, self.components)
-        )
+        acc = sum(w * np.asarray(c) for w, c in
+                  zip(self.coefficients(1, n)[0], self.components))
         return acc / np.linalg.norm(acc)
 
 
@@ -854,10 +865,7 @@ def run_filtration(setup, initial, n_steps, target):
     count = done + 1 - depleted
     survival = survival[:count]
     overlaps = overlaps[:count]
-    # a static target needs no per-row rotation
-    coef = target.weights[None, :]
-    if np.any(target.angles):
-        coef = coef * np.exp(-1j * np.outer(np.arange(count), target.angles))
+    coef = target.coefficients(count)
     with np.errstate(divide="ignore", invalid="ignore"):
         # exact depletion gives 0/0, which Trajectory rejects
         q = _fidelity(coef, overlaps, gram, survival)

@@ -361,9 +361,9 @@ def jump_filtration_time(setup, initial, target, eps):
     2^(k-1) down to 1 then pins it.
     The state F^n psi0 is built from the powers F^(2^k) of the
     filtration matrix, of the tower's dimension L + 1, and Q_n by the
-    helper run_filtration uses (filtration._fidelity), with the powers of
-    the setup's exact levels and the rotation of the target reduced
-    modulo 2 pi from the integers of its h_tau, so they do not drift.
+    helpers run_filtration uses (filtration._fidelity, and the target's
+    coefficients), with the powers of the setup's exact levels and the
+    target's own integer levels reduced modulo 2q, so neither drifts.
 
     The search is valid because the target lies in the dark subspace:
     its overlap modulus is conserved, so Q_n = Q_0 S_0 / S_n never
@@ -376,20 +376,14 @@ def jump_filtration_time(setup, initial, target, eps):
     filtration.check_eps(eps)
     thr = 1.0 - eps
     q, levels = setup.h_tau[1], setup._levels
-    turns = np.rint(target.angles * q / math.pi)
-    if float(np.max(np.abs(target.angles - math.pi * turns / q))) > 1e-12:
-        raise ValidationError(
-            f"target rotation is not a multiple of pi/{q}: {target.angles}"
-        )
-    turns = [int(t) for t in turns]
     psi0, probes, gram = filtration._eigen_inputs(setup, initial, target)
 
     def amplitude(n, psi):
         """(Q_n, Q_n S_n) of the unnormalised state psi = F^n psi0."""
-        coef = target.weights * _pi_phases([t * n for t in turns], q)
         survival = float(np.vdot(psi, psi).real)
         q_n = float(filtration._fidelity(
-            coef[None], (probes.conj() @ psi)[None], gram, survival)[0])
+            target.coefficients(1, n), (probes.conj() @ psi)[None], gram,
+            survival)[0])
         return q_n, q_n * survival
 
     q0, kept = amplitude(0, psi0)

@@ -314,12 +314,6 @@ def mp_tower_survival(L, h_tau, theta0, n_steps, digits=50):
         return [float(s) for s in out]
 
 
-def overlap_with_span(vec, columns):
-    """Norm of the projection of a unit vector onto span(columns)."""
-    q, _ = np.linalg.qr(columns)
-    return float(np.linalg.norm(q.conj().T @ vec))
-
-
 def _fx_dot(x, y):
     return sum(map(operator.mul, x, y))
 

@@ -80,7 +80,7 @@ def _states(setup, initial, n_steps):
     support = engine_support(setup)
     columns = engine_columns(setup)
     probes = RotatingTarget(list(columns[support].conj() @ columns.T),
-                            np.ones(support.size), np.zeros(support.size))
+                            np.ones(support.size), [0] * support.size)
     traj = run_filtration(setup, initial, n_steps, target=probes)
     states = np.zeros((traj.survival.size, dim), dtype=complex)
     states[:, support] = traj.overlaps
@@ -965,13 +965,15 @@ def test_run_filtration_validates_input():
 
 
 def _dark_target(setup, psi0):
-    """The late-time prediction as a target rotating with the dark phases."""
-    vectors, values = dark_complement(setup.phases, setup.removal_eig)
+    """The late-time prediction as a target rotating with the dark phases:
+    each dark vector turns by the tower level of the group it lies in."""
+    vectors, _ = dark_complement(setup.phases, setup.removal_eig)
     ov = vectors.conj().T @ psi0
     keep = np.abs(ov) > 1e-14
+    levels = np.array(setup._levels)[np.argmax(np.abs(vectors), axis=0)]
     return RotatingTarget(list(vectors[:, keep].T),
                           ov[keep] / np.linalg.norm(ov[keep]),
-                          -np.angle(values[keep]))
+                          levels[keep], setup.h_tau[1])
 
 
 def test_long_time_state_matches_late_checkpoint():
@@ -995,6 +997,32 @@ def test_rotating_target_tracks_dark_rotation():
         phase = np.vdot(got, expected)
         assert abs(abs(phase) - 1.0) < 1e-12
         assert np.max(np.abs(got * phase / abs(phase) - expected)) < 1e-12
+
+
+def test_target_rotation_is_exact_at_any_n():
+    # tar2 turns by the integer level 2p over q a step, so its phase at
+    # any n is exp(-i pi (2pn mod 2q)/q); a float angle n 2 pi p/q rounds
+    # by n eps, 9.0e-9 rad at n = 10^8
+    L, (p, q) = 8, (1, 7)
+    params, theta0 = ChainParams(L=L), tar2_optimal_angle(L)
+    setup, initial = reduced_setup(params, (p, q), theta0)
+    target = make_target(setup, params, "tar2", theta0)
+    for n in (3000, 20000, 10**8):
+        turn = np.exp(-1j * math.pi * (2 * p * n % (2 * q)) / q)
+        acc = sum(w * c for w, c in zip(target.weights * [1.0, turn],
+                                        target.components))
+        assert np.max(np.abs(target.at(n) - acc / np.linalg.norm(acc))) \
+            <= 4e-16
+    # the run's rows are the jump-ahead's, each formed from its own n
+    n_steps = 20000
+    traj = run_filtration(setup, initial, n_steps, target)
+    _, probes, gram = filtration._eigen_inputs(setup, initial, target)
+    rows = target.coefficients(n_steps + 1)
+    for n in (1, 999, n_steps):
+        coef = target.coefficients(1, n)
+        assert np.array_equal(rows[n], coef[0])
+        assert traj.q[n] == filtration._fidelity(
+            coef, traj.overlaps[n][None], gram, traj.survival[n])[0]
 
 
 def test_fidelity_converges_to_dark_prediction():

@@ -886,6 +886,29 @@ def test_tower_run_at_small_h_writes_the_bytes_of_h_1(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("sub, doc", [
+    ("filter-run", {"L": 8, "target": "tar2", "n_steps": 200}),
+    ("bright-spectrum", {"L": 8}),
+], ids=["filter-run", "bright-spectrum"])
+def test_equal_resonance_pairs_write_equal_bytes(tmp_path, sub, doc):
+    # the engine reads h_tau in lowest terms, so [3, 21] forms the period,
+    # levels, flip classes and target rotation of [1, 7]; the spec echo
+    # keeps the pair the document gave
+    outs = []
+    for pair in ([3, 21], [1, 7]):
+        out = tmp_path / f"o{pair[0]}"
+        cfg = _write(tmp_path, f"c{pair[0]}.json", dict(doc, h_tau=pair))
+        assert main([sub, "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        assert json.load(open(out / "metadata.json"))["spec"]["h_tau"] == pair
+        outs.append(out)
+    names = sorted(path.name for path in outs[0].glob("*.csv"))
+    assert names and names == sorted(path.name
+                                     for path in outs[1].glob("*.csv"))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 @pytest.mark.parametrize("q", [3000000000, 7000000000])
 def test_tower_levels_at_large_q_stay_distinct(tmp_path, capsys, q):
     # at h tau = pi/q the 7 levels 2n of the L = 6 tower lie 2 pi/q apart

@@ -62,8 +62,8 @@ def _plain_setup(phases, removal):
 def _fidelity(target, overlaps, survival, gram):
     """Q_n from probe overlaps, as run_filtration defines it."""
     steps = np.arange(survival.size)
-    coef = target.weights[None, :] * np.exp(-1j * np.outer(steps,
-                                                           target.angles))
+    coef = target.weights[None, :] * np.exp(
+        -1j * np.pi * np.outer(steps, target.levels) / target.q)
     numer = np.abs(np.einsum("nj,nj->n", coef.conj(), overlaps)) ** 2
     tnorm = np.einsum("nj,jk,nk->n", coef.conj(), gram, coef).real
     return numer / (tnorm * survival)
@@ -91,7 +91,7 @@ def test_survival_is_squared_norm_and_monotone():
     assert np.max(np.abs(kernel.strings(psi, c) - formed)) < 1e-12
     # with the unit vectors as target components, overlaps[n] is F^n psi
     units = filtration.RotatingTarget(list(np.eye(32)), np.ones(32),
-                                      np.zeros(32))
+                                      [0] * 32)
     traj = run_filtration(_plain_setup(phases, removal), psi, 300,
                           target=units)
     assert np.all(np.diff(traj.survival) <= 1e-15)
